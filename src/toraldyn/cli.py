@@ -7,7 +7,8 @@ Subcommands
     enumerate  distinct first dynamical degrees at a coefficient bound
 
 Exit codes: 0 = all assertions pass; 2 = theorem violation (an implementation
-bug, never accepted); 3 = invalid or unsupported input.  All integers in JSON
+bug, never accepted); 3 = invalid input, a refused budget, or input the exact
+machinery cannot certify (unsupported input).  All integers in JSON
 are arbitrary-precision decimal strings; every inexact number is tagged as an
 approximation and accompanied by a certified rational interval.
 """
@@ -24,13 +25,12 @@ import sympy as sp
 from sympy import I, Matrix
 
 from . import __version__
-from .exact_algebra import (AlgebraicReal, CertifiedReal, IntegerLattice,
-                            charpoly, exact_sign)
+from .exact_algebra import (AlgebraicReal, CertifiedReal, ExactAlgebraError,
+                            IntegerLattice, charpoly, exact_sign)
 from .cohomology import (BudgetExceededError, CohomClass, TorusAutomorphism,
                          degree_profile, enumerate_degree_values, h11_matrix)
 from .hodge_riemann import check_hodge_riemann_definite, gromov_fuzz
-from .group_structure import (DegenerateSpectrumError, GroupAnalysis,
-                              GroupSpec, analyze_group)
+from .group_structure import GroupAnalysis, GroupSpec, analyze_group
 from .example_forge import (ForgeError, NumberFieldSpec, build_max_rank_group,
                             builtin, builtin_names)
 
@@ -118,14 +118,19 @@ def _group_from_json(data: dict) -> GroupSpec:
         gens = data["generators"]
     except (KeyError, ValueError) as exc:
         raise CliInputError(f"malformed torus_group spec: {exc}") from exc
+    if not isinstance(gens, list):
+        raise CliInputError("generators must be a list")
     if not gens:
         raise CliInputError("at least one generator required")
     autos, labels = [], []
     for idx, g in enumerate(gens):
+        if not isinstance(g, dict):
+            raise CliInputError(f"generator {idx} must be an object")
         rows = g.get("matrix")
         name = str(g.get("name", f"g{idx}"))
         if (not isinstance(rows, list) or len(rows) != k
-                or any(len(r) != k for r in rows)):
+                or any(not isinstance(r, list) or len(r) != k
+                       for r in rows)):
             raise CliInputError(f"generator {name}: matrix must be {k}x{k}")
         M = Matrix([[_entry_from_pair(v) for v in r] for r in rows])
         try:
@@ -137,15 +142,12 @@ def _group_from_json(data: dict) -> GroupSpec:
 
 
 def _field_from_json(data: dict) -> tuple:
+    """(min_poly coefficients, coeff_bound) of a number_field spec."""
     try:
-        coeffs = [int(str(c)) for c in data["min_poly"]]
-    except (KeyError, ValueError) as exc:
+        coeffs = tuple(int(str(c)) for c in data["min_poly"])
+        return coeffs, int(str(data.get("coeff_bound", 4)))
+    except (KeyError, TypeError, ValueError) as exc:
         raise CliInputError(f"malformed number_field spec: {exc}") from exc
-    bound = int(str(data.get("coeff_bound", 4)))
-    try:
-        return NumberFieldSpec(tuple(coeffs)), bound
-    except ForgeError as exc:
-        raise CliInputError(str(exc)) from exc
 
 
 def load_group_argument(arg: str):
@@ -159,12 +161,13 @@ def load_group_argument(arg: str):
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise CliInputError(f"cannot read spec file {arg}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise CliInputError(f"spec file {arg} must hold a JSON object")
         kind = data.get("kind")
         if kind == "torus_group":
             return _group_from_json(data), None
         if kind == "number_field":
-            field, bound = _field_from_json(data)
-            forged = _forge_or_raise(field, bound)
+            forged = _forge_or_raise(*_field_from_json(data))
             return forged.group, forged
         raise CliInputError(f"unknown spec kind {kind!r}")
     if arg in builtin_names():
@@ -174,9 +177,14 @@ def load_group_argument(arg: str):
         f"(builtins: {', '.join(builtin_names())})")
 
 
-def _forge_or_raise(field: NumberFieldSpec, bound: int):
+def _require_at_least(option: str, value: int, low: int) -> None:
+    if value < low:
+        raise CliInputError(f"{option} must be at least {low}, got {value}")
+
+
+def _forge_or_raise(coeffs: tuple, bound: int):
     try:
-        return build_max_rank_group(field, bound)
+        return build_max_rank_group(NumberFieldSpec(coeffs), bound)
     except ForgeError as exc:
         raise CliInputError(str(exc)) from exc
 
@@ -251,6 +259,14 @@ def build_analysis_report(analysis: GroupAnalysis, digits: int,
     return report
 
 
+def _forged_json(forged) -> dict:
+    return {
+        "min_poly": [str(c) for c in forged.field.coeffs],
+        "units": _words_json(forged.units.units),
+        "independence_certificate": forged.units.certificate,
+    }
+
+
 def _emit(report: dict, json_out: str | None) -> None:
     text = json.dumps(report, indent=2, sort_keys=True)
     if json_out:
@@ -266,15 +282,12 @@ def _emit(report: dict, json_out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(args) -> int:
+    _require_at_least("--precision", args.precision, 0)
     spec, forged = load_group_argument(args.spec)
-    analysis = analyze_group(spec)
+    analysis = analyze_group(spec) if forged is None else forged.analysis
     report = build_analysis_report(analysis, args.precision, args.seed)
     if forged is not None:
-        report["forged_from"] = {
-            "min_poly": [str(c) for c in forged.field.coeffs],
-            "units": _words_json(forged.units.units),
-            "independence_certificate": forged.units.certificate,
-        }
+        report["forged_from"] = _forged_json(forged)
     _emit(report, args.json)
     if not analysis.commuting.commutes:
         print("generators do not commute; input rejected", file=sys.stderr)
@@ -284,6 +297,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_hodge_check(args) -> int:
     k, samples, seed = args.dim, args.samples, args.seed
+    _require_at_least("--samples", samples, 0)
     if k not in (2, 3, 4):
         raise CliInputError(
             f"dimension {k} refused: the exact positivity suite is budgeted "
@@ -319,33 +333,29 @@ def cmd_hodge_check(args) -> int:
 
 
 def cmd_forge(args) -> int:
+    _require_at_least("--precision", args.precision, 0)
     try:
         coeffs = tuple(int(c) for c in args.poly.split(","))
     except ValueError as exc:
         raise CliInputError(f"cannot parse --poly {args.poly!r}") from exc
-    try:
-        field = NumberFieldSpec(coeffs)
-    except ForgeError as exc:
-        raise CliInputError(str(exc)) from exc
-    forged = _forge_or_raise(field, args.bound)
+    forged = _forge_or_raise(coeffs, args.bound)
     spec_json = {
         "kind": "torus_group",
-        "complex_dim": str(field.degree),
+        "complex_dim": str(forged.field.degree),
         "generators": [
             {"name": g.name, "matrix": _matrix_json(Matrix(g.A))}
             for g in forged.group.generators],
     }
     report = build_analysis_report(forged.analysis, args.precision, args.seed)
-    report["forged_from"] = {
-        "min_poly": [str(c) for c in field.coeffs],
-        "units": _words_json(forged.units.units),
-        "independence_certificate": forged.units.certificate,
-    }
+    report["forged_from"] = _forged_json(forged)
     _emit({"spec": spec_json, "report": report}, args.json)
     return EXIT_OK
 
 
 def cmd_enumerate(args) -> int:
+    _require_at_least("--dim", args.dim, 1)
+    _require_at_least("--bound", args.bound, 0)
+    _require_at_least("--precision", args.precision, 0)
     try:
         values = enumerate_degree_values(args.dim, args.bound)
     except BudgetExceededError as exc:
@@ -435,7 +445,7 @@ def main(argv=None) -> int:
     except CliInputError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except DegenerateSpectrumError as exc:
+    except ExactAlgebraError as exc:
         print(f"unsupported input: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except AssertionError as exc:

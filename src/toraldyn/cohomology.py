@@ -10,14 +10,12 @@ to this shape by counting transpositions.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
 import sympy as sp
-from sympy import I, Matrix, Poly, Rational
+from sympy import I, Matrix, Poly
 
 from .exact_algebra import (
     INFINITE_ORDER,
@@ -136,21 +134,6 @@ def hermitian_coords(H: Matrix):
     return coords
 
 
-def hermitian_from_coords(k: int, coords):
-    H = sp.zeros(k, k)
-    it = iter(coords)
-    diag = [next(it) for _ in range(k)]
-    for j in range(k):
-        H[j, j] = diag[j]
-    for j in range(k):
-        for l in range(j + 1, k):
-            a = next(it)
-            b = next(it)
-            H[j, l] = a + I * b
-            H[l, j] = a - I * b
-    return H
-
-
 def h11_matrix(f: TorusAutomorphism) -> Matrix:
     """Integer matrix of H -> A^T H conj(A) on the Hermitian basis
     (k^2 x k^2); the same convention as ``pullback`` on (1,1)-classes."""
@@ -214,14 +197,20 @@ def eigenvalue_moduli(f: TorusAutomorphism):
     return mods
 
 
-def _moduli_squared_desc(f: TorusAutomorphism):
+@lru_cache(maxsize=None)
+def _moduli_squared_desc(f: TorusAutomorphism) -> tuple:
     """Eigenvalue moduli squared as exact sympy exprs, repeated by multiplicity,
-    descending."""
+    descending.
+
+    Memoised per automorphism so that one ``eigenvalue_moduli`` pass serves
+    every degree, the entropy and the characters.  Only sympy expressions
+    are cached: a shared ``AlgebraicReal`` would narrow its interval in
+    place and change what later callers print."""
     out = []
     for m, mult in eigenvalue_moduli(f):
         y = sp.expand(m.expr ** 2)
         out.extend([y] * mult)
-    return out
+    return tuple(out)
 
 
 def _numeric_spectral_radius(M: Matrix, dps: int = 40) -> float:
@@ -273,13 +262,18 @@ def entropy(f: TorusAutomorphism) -> CertifiedReal:
     return CertifiedReal(sp.log(sp.expand(sp.Mul(*ys))))
 
 
+@lru_cache(maxsize=None)
+def has_zero_entropy(f: TorusAutomorphism) -> bool:
+    """Exact zero-entropy test: the H^{1,1} action has a cyclotomic-product
+    characteristic polynomial (Kronecker).  Memoised per automorphism."""
+    return is_cyclotomic_product(charpoly(h11_matrix(f)))
+
+
 def classify(f: TorusAutomorphism) -> str:
     """Exact trichotomy on the H^{1,1} action; no floating point."""
-    M = h11_matrix(f)
-    p = charpoly(M)
-    if not is_cyclotomic_product(p):
+    if not has_zero_entropy(f):
         return POSITIVE_ENTROPY
-    if matrix_order(M) == INFINITE_ORDER:
+    if matrix_order(h11_matrix(f)) == INFINITE_ORDER:
         return PARABOLIC
     return FINITE_ORDER
 
@@ -333,11 +327,6 @@ class CohomClass:
     def identity_class(cls, k: int) -> "CohomClass":
         return cls.from_hermitian(sp.eye(k))
 
-    @classmethod
-    def volume_class(cls, k: int) -> "CohomClass":
-        full = tuple(range(k))
-        return cls(k, k, {(full, full): sp.Integer(1)})
-
     def to_hermitian(self) -> Matrix:
         if self.p != 1:
             raise ValueError("only (1,1)-classes have a Hermitian model")
@@ -380,12 +369,6 @@ class CohomClass:
 
     def __hash__(self):
         return hash((self.k, self.p, frozenset(self.coeffs.items())))
-
-    def coefficient_vector(self):
-        """Coefficients over all (S,T) basis pairs, in lex order."""
-        subs = _subsets(self.k, self.p)
-        return [self.coeffs.get((S, T), sp.Integer(0))
-                for S in subs for T in subs]
 
     def __repr__(self):
         return f"CohomClass(k={self.k}, p={self.p}, {len(self.coeffs)} terms)"
@@ -447,23 +430,6 @@ def intersection_number(classes):
     full = tuple(range(k))
     coeff = top.coeffs.get((full, full), sp.Integer(0))
     return sp.expand(coeff / _volume_normalization(k))
-
-
-def mixed_discriminant(mats):
-    """Polarized determinant: coefficient of t_1...t_k in det(sum t_i H_i).
-
-    Independent oracle for intersection_number on (1,1)-classes."""
-    mats = [Matrix(M) for M in mats]
-    k = mats[0].rows
-    if len(mats) != k:
-        raise ValueError("need exactly k matrices")
-    ts = sp.symbols(f"t0:{k}")
-    Msum = sp.zeros(k, k)
-    for t, M in zip(ts, mats):
-        Msum = Msum + t * M
-    det = sp.expand(Msum.det())
-    poly = sp.Poly(det, *ts)
-    return sp.expand(poly.coeff_monomial(sp.Mul(*ts)))
 
 
 def pullback(f: TorusAutomorphism, c: CohomClass) -> CohomClass:
@@ -566,6 +532,8 @@ def enumerate_degree_values(k: int, entry_bound: int,
     Exhibits the discreteness of the first dynamical degree (desk scale).
     Raises BudgetExceededError when the search space is too large.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if entry_bound < 0:
         raise ValueError("entry_bound must be >= 0")
     estimate = (2 * entry_bound + 1) ** (k * k)

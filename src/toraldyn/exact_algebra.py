@@ -9,7 +9,6 @@ decision anywhere in this module is made from bare floats.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -177,12 +176,6 @@ class CertifiedReal:
             self._interval = _enclosure_of_expr(self.expr, eps)
         return self._interval
 
-    def refine(self) -> None:
-        """Halve the width of the cached isolating interval."""
-        self._eps /= 2
-        self._interval = None
-        self.enclosure()
-
     def midpoint(self, eps=Fraction(1, 10**15)) -> Fraction:
         lo, hi = self.enclosure(eps)
         return (lo + hi) / 2
@@ -235,12 +228,6 @@ class AlgebraicReal(CertifiedReal):
             mp = sp.minimal_polynomial(self.expr, X)
             self._minpoly = Poly(mp, X)
         return self._minpoly
-
-    def __eq__(self, other):
-        return super().__eq__(other)
-
-    def __hash__(self):
-        return hash(self.expr)
 
 
 # ---------------------------------------------------------------------------
@@ -656,6 +643,23 @@ def is_unimodular(A: list) -> bool:
 # LLL-based integer relation candidates
 
 
+def lll_reduce(rows: list) -> list:
+    """LLL-reduced basis (delta = 0.99) of the lattice spanned by integer rows.
+
+    Without gmpy2, sympy's LLL rounds through ``float`` and, on entries near
+    10^40, can fail its own size-reduction assertion; that is raised as
+    ExactAlgebraError, as it says nothing about the input's mathematics."""
+    dm = DomainMatrix([[sp.ZZ(x) for x in row] for row in rows],
+                      (len(rows), len(rows[0])), sp.ZZ)
+    try:
+        reduced = dm.lll(delta=sp.QQ(99, 100))
+    except AssertionError as exc:
+        raise ExactAlgebraError(
+            "LLL reduction failed inside sympy (its size-reduction step "
+            "rounds through float at this scale)") from exc
+    return reduced.to_Matrix().tolist()
+
+
 def integer_relations(values, tolerance=Fraction(1, 10**12),
                       height_cap: int = 10**6, scale_digits: int = 40):
     """Candidate integer relations e with |sum e_i v_i| < tolerance.
@@ -671,9 +675,7 @@ def integer_relations(values, tolerance=Fraction(1, 10**12),
     for v in values:
         if isinstance(v, CertifiedReal):
             mids.append(v.midpoint(eval_eps))
-        elif isinstance(v, (int, Fraction)):
-            mids.append(Fraction(v))
-        elif isinstance(v, float):
+        elif isinstance(v, (int, Fraction, float)):
             mids.append(Fraction(v))
         else:
             mids.append(Fraction(sp.Rational(sp.sympify(v).evalf(scale_digits + 15))))
@@ -683,8 +685,7 @@ def integer_relations(values, tolerance=Fraction(1, 10**12),
         row = [0] * n + [int(round(mids[i] * C))]
         row[i] = 1
         rows.append(row)
-    dm = DomainMatrix([[sp.ZZ(x) for x in row] for row in rows], (n, n + 1), sp.ZZ)
-    red = dm.lll(delta=sp.QQ(99, 100)).to_Matrix().tolist()
+    red = lll_reduce(rows)
     tol = Fraction(tolerance)
     cands = []
     for row in red:

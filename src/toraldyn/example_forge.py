@@ -18,9 +18,9 @@ from fractions import Fraction
 
 import sympy as sp
 from sympy import Matrix, I, eye
-from sympy.polys.matrices import DomainMatrix
 
-from .exact_algebra import (X, CertifiedReal, exact_sign, integer_relations)
+from .exact_algebra import (X, CertifiedReal, exact_sign, integer_relations,
+                            lll_reduce)
 from .cohomology import TorusAutomorphism
 from .group_structure import GroupSpec, GroupAnalysis, analyze_group
 
@@ -55,10 +55,6 @@ class NumberFieldSpec:
             raise ForgeError(
                 f"{p.as_expr()} is not totally real "
                 f"({p.count_roots()} of {self.degree} roots are real)")
-
-    @classmethod
-    def from_coeffs(cls, coeffs) -> "NumberFieldSpec":
-        return cls(tuple(coeffs))
 
     @property
     def degree(self) -> int:
@@ -199,9 +195,7 @@ def _lll_reduce_units(field: NumberFieldSpec, units, logs):
                          for v in lv]
         row[i] = 1
         rows.append(row)
-    m = len(rows[0])
-    dm = DomainMatrix([[sp.ZZ(x) for x in r] for r in rows], (n, m), sp.ZZ)
-    red = dm.lll(delta=sp.QQ(99, 100)).to_Matrix().tolist()
+    red = lll_reduce(rows)
     roots = field.real_embeddings()
     out_units, out_logs = [], []
     for row in red:

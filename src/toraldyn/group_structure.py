@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import sympy as sp
 from sympy import Matrix, eye
@@ -22,7 +22,8 @@ from sympy import Matrix, eye
 from .cohomology import (
     CohomClass,
     TorusAutomorphism,
-    h11_matrix,
+    _moduli_squared_desc,
+    has_zero_entropy,
     is_nef,
     pullback,
     wedge_all,
@@ -37,9 +38,7 @@ from .exact_algebra import (
     exact_is_zero,
     finite_order_bound,
     hermite_normal_form_rows,
-    hermite_smith,
     integer_relations,
-    is_cyclotomic_product,
     matrix_order,
     smith_normal_form_with_transforms,
 )
@@ -250,9 +249,6 @@ class Character:
             CertifiedReal(0) if exact_equal(m, 1) else CertifiedReal(sp.log(m))
             for m in self.modulus_squared)
 
-    def is_trivial(self) -> bool:
-        return all(exact_equal(m, 1) for m in self.modulus_squared)
-
 
 @dataclass
 class CharacterTable:
@@ -308,19 +304,13 @@ def find_characters(spec: GroupSpec) -> CharacterTable:
             continue
         cls = CohomClass.from_hermitian(w * w.H)
         characters.append(Character(w, modsq, cls))
-    if not semisimple and any(
-            not is_cyclotomic_product(charpoly(h11_matrix(g)))
-            for g in spec.generators):
+    if not semisimple and not all(
+            has_zero_entropy(g) for g in spec.generators):
         raise DegenerateSpectrumError(
             "non-semisimple family with a positive-entropy generator")
     table = CharacterTable(spec.k, characters, eigenvectors, semisimple)
     _validate_characters(spec, table)
     return table
-
-
-def _largest_modulus_squared(g: TorusAutomorphism):
-    from .cohomology import _moduli_squared_desc
-    return _moduli_squared_desc(g)[0]
 
 
 def _validate_characters(spec: GroupSpec, table: CharacterTable):
@@ -339,9 +329,9 @@ def _validate_characters(spec: GroupSpec, table: CharacterTable):
                     "THEOREM VIOLATION: eigenclass multiplier mismatch")
     # the top degree d1 of each positive-entropy generator is attained
     for j, g in enumerate(spec.generators):
-        if is_cyclotomic_product(charpoly(h11_matrix(g))):
+        if has_zero_entropy(g):
             continue
-        d1 = _largest_modulus_squared(g)
+        d1 = _moduli_squared_desc(g)[0]
         if not any(exact_equal(c.modulus_squared[j], d1)
                    for c in table.characters):
             raise AssertionError(
@@ -364,27 +354,25 @@ def word_automorphism(spec: GroupSpec, e) -> TorusAutomorphism:
 def verify_zero_entropy_word(spec: GroupSpec, e) -> bool:
     """Exact zero-entropy certificate for the word with exponents e:
     the (1,1) action of the word has a cyclotomic-product charpoly."""
-    w = word_automorphism(spec, e)
-    return is_cyclotomic_product(charpoly(h11_matrix(w)))
+    return has_zero_entropy(word_automorphism(spec, e))
 
 
 @dataclass
 class PiRankResult:
     rank: int
     kernel: IntegerLattice
-    m: int                     # number of pi coordinates
+    table: CharacterTable      # the characters (pi coordinates) it was built from
 
 
-def _kernel_candidates(spec: GroupSpec, table: CharacterTable):
-    """Iterative lattice refinement: LLL candidates per pi coordinate."""
-    n = spec.n
+_LOG_DIGITS = 60
+
+
+def _kernel_candidates(n: int, log_rows):
+    """Iterative lattice refinement: uncertified HNF rows of LLL candidates
+    for the kernel of the map Z^n -> R^m whose coordinates ``log_rows``
+    yields lazily, each as n values (log|multiplier| per generator)."""
     basis = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    digits = 60
-    for c in table.characters:
-        if not basis:
-            break
-        taus = [sp.Integer(0) if exact_equal(m, 1) else sp.log(m).evalf(digits)
-                for m in c.modulus_squared]
+    for taus in log_rows:
         vals = [sum(b[j] * taus[j] for j in range(n)) for b in basis]
         cands = integer_relations(vals, height_cap=10**4)
         new = []
@@ -395,6 +383,8 @@ def _kernel_candidates(spec: GroupSpec, table: CharacterTable):
                 new.append(vec)
         basis = [row for row in hermite_normal_form_rows(new)[0]
                  if any(row)] if new else []
+        if not basis:
+            break
     return basis
 
 
@@ -405,12 +395,15 @@ def pi_rank(spec: GroupSpec, table: CharacterTable) -> PiRankResult:
     by the exact zero-entropy certificate, so the reported kernel is sound.
     """
     n = spec.n
-    verified = [v for v in _kernel_candidates(spec, table)
+    log_rows = ([sp.Integer(0) if exact_equal(m, 1)
+                 else sp.log(m).evalf(_LOG_DIGITS) for m in c.modulus_squared]
+                for c in table.characters)
+    verified = [v for v in _kernel_candidates(n, log_rows)
                 if verify_zero_entropy_word(spec, v)]
     basis = [tuple(row) for row in hermite_normal_form_rows(verified)[0]
              if any(row)] if verified else []
     kernel = IntegerLattice(n, tuple(basis))
-    return PiRankResult(n - len(basis), kernel, table.m)
+    return PiRankResult(n - len(basis), kernel, table)
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +441,8 @@ def assert_structure_theorems(spec: GroupSpec,
     wedge exist.  Violations raise (build-breaking)."""
     k = spec.k
     r = analysis.rank
-    table = find_characters(spec)
     # positive entropy of the free part, certified on basis words + sums
-    comp = _kernel_complement_words(spec, analysis)
+    _kernel, comp = _kernel_split(spec, analysis)
     cert_words = list(comp) + [
         [a + b for a, b in zip(u, v)]
         for u, v in itertools.combinations(comp, 2)]
@@ -472,7 +464,7 @@ def assert_structure_theorems(spec: GroupSpec,
         if not ok:
             raise AssertionError(
                 f"THEOREM VIOLATION: binom({r},{nn}) = {val} > {limit}")
-    chain = _independent_eigenclass_chain(table, r + 1)
+    chain = _independent_eigenclass_chain(analysis.table, r + 1)
     chain_ok = chain is not None and not wedge_all(chain).is_zero()
     if not chain_ok:
         raise AssertionError(
@@ -494,32 +486,20 @@ class DecompositionResult:
     relation_lattice: IntegerLattice
 
 
-def _kernel_complement_words(spec: GroupSpec, analysis: PiRankResult):
-    """Words completing the saturated kernel to a basis of Z^n."""
+def _kernel_split(spec: GroupSpec, analysis: PiRankResult):
+    """Split Z^n along the kernel of pi with one Smith normal form.
+
+    Returns (kernel_words, complement_words): a basis of the saturated
+    kernel and words completing it to a basis of Z^n."""
     n = spec.n
     B = [list(v) for v in analysis.kernel.basis]
     if not B:
-        return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        return [], [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     _D, _U, V = smith_normal_form_with_transforms(B)
     Vinv = Matrix(V).inv()
+    words = [[int(Vinv[i, j]) for j in range(n)] for i in range(n)]
     s = len(B)
-    return [[int(Vinv[i, j]) for j in range(n)] for i in range(s, n)]
-
-
-def _saturated_kernel_words(spec: GroupSpec, analysis: PiRankResult):
-    n = spec.n
-    B = [list(v) for v in analysis.kernel.basis]
-    if not B:
-        return []
-    _D, _U, V = smith_normal_form_with_transforms(B)
-    Vinv = Matrix(V).inv()
-    s = len(B)
-    words = [[int(Vinv[i, j]) for j in range(n)] for i in range(s)]
-    for w in words:
-        if not verify_zero_entropy_word(spec, w):
-            raise ExactAlgebraError("kernel saturation produced a word "
-                                    "with positive entropy")
-    return words
+    return words[:s], words[s:]
 
 
 def _real_embedding(A: Matrix) -> Matrix:
@@ -529,106 +509,95 @@ def _real_embedding(A: Matrix) -> Matrix:
     return Matrix(sp.BlockMatrix([[Re, -Im], [Im, Re]]))
 
 
-def _enumerate_closure(mats, cap: int = ENUMERATION_CAP):
-    """Size of the group generated by finite-order commuting matrices."""
-    gens = [sp.ImmutableMatrix(M) for M in mats]
-    gens += [sp.ImmutableMatrix(Matrix(M).inv()) for M in gens]
-    seen = {sp.ImmutableMatrix(eye(gens[0].rows))}
-    frontier = list(seen)
+def _enumerate_closure(k: int, mats, cap: int = ENUMERATION_CAP):
+    """(order, nonzero relation vectors) of the finite group generated by
+    commuting matrices, from one breadth-first walk.
+
+    Each element is labelled with the exponent vector over ``mats`` of the
+    path that first reached it.  A step e --M_i^(+-1)--> e' into an element
+    already seen gives the relation e +- e_i - e'; by Schreier's lemma these
+    span every relation among the generators."""
+    s = len(mats)
+    steps = []
+    for sign, group in ((1, mats), (-1, [Matrix(M).inv() for M in mats])):
+        for i, M in enumerate(group):
+            unit = tuple(sign if j == i else 0 for j in range(s))
+            steps.append((sp.ImmutableMatrix(M), unit))
+    ident = sp.ImmutableMatrix(eye(k))
+    label = {ident: (0,) * s}
+    frontier = [ident]
+    relations = set()
     while frontier:
         nxt = []
         for M in frontier:
-            for g in gens:
+            e = label[M]
+            for g, unit in steps:
                 P = sp.ImmutableMatrix(M * g)
-                if P not in seen:
-                    seen.add(P)
-                    nxt.append(P)
-                    if len(seen) > cap:
-                        raise ExactAlgebraError(
-                            f"group enumeration exceeded cap {cap}")
+                e_next = tuple(a + b for a, b in zip(e, unit))
+                if P in label:
+                    rel = tuple(a - b for a, b in zip(e_next, label[P]))
+                    if any(rel):
+                        relations.add(rel)
+                    continue
+                label[P] = e_next
+                nxt.append(P)
+                if len(label) > cap:
+                    raise ExactAlgebraError(
+                        f"group enumeration exceeded cap {cap}")
         frontier = nxt
-    return len(seen)
+    return len(label), sorted(relations)
 
 
-def _relation_lattice(spec: GroupSpec, u_words, orders):
-    """Exponent vectors over the input generators whose word is the identity.
-
-    Searched inside the zero-entropy part: residues modulo the per-generator
-    orders when U is finite, a small box otherwise (desk-scale completeness).
-    """
-    n = spec.n
-    s = len(u_words)
-    if s == 0:
-        return IntegerLattice(n, ())
-    ident = sp.ImmutableMatrix(eye(spec.k))
-    mats = [Matrix(word_automorphism(spec, w).A) for w in u_words]
-    finite = all(o != INFINITE_ORDER for o in orders)
+def _box_relations(k: int, mats):
+    """Relations with exponents in [-4, 4] among commuting matrices, one of
+    infinite order (desk-scale completeness)."""
+    ident = sp.ImmutableMatrix(eye(k))
     found = []
-    if finite:
-        total = math.prod(orders)
-        if total <= 10**5:
-            ranges = [range(o) for o in orders]
-        else:
-            ranges = [range(min(o, 8)) for o in orders]
-        for c in itertools.product(*ranges):
-            if not any(c):
-                continue
-            M = eye(spec.k)
-            for ci, Wi in zip(c, mats):
-                M = M * Wi**ci
-            if sp.ImmutableMatrix(M) == ident:
-                found.append(list(c))
-        for b, o in enumerate(orders):
-            v = [0] * s
-            v[b] = o
-            found.append(v)
-    else:
-        for c in itertools.product(range(-4, 5), repeat=s):
-            if not any(c):
-                continue
-            M = eye(spec.k)
-            for ci, Wi in zip(c, mats):
-                M = M * (Wi**ci if ci >= 0 else Matrix(Wi).inv()**(-ci))
-            if sp.ImmutableMatrix(M) == ident:
-                found.append(list(c))
-    rows = []
-    for c in found:
-        vec = [sum(ci * w[j] for ci, w in zip(c, u_words)) for j in range(n)]
-        rows.append(vec)
+    for c in itertools.product(range(-4, 5), repeat=len(mats)):
+        if not any(c):
+            continue
+        M = eye(k)
+        for ci, Wi in zip(c, mats):
+            M = M * (Wi**ci if ci >= 0 else Matrix(Wi).inv()**(-ci))
+        if sp.ImmutableMatrix(M) == ident:
+            found.append(c)
+    return found
+
+
+def _relation_lattice(n: int, u_words, relations):
+    """The relations among the U words as a lattice of exponent vectors
+    over the input generators."""
+    rows = [[sum(ci * w[j] for ci, w in zip(c, u_words)) for j in range(n)]
+            for c in relations]
     if not rows:
         return IntegerLattice(n, ())
     H = [tuple(r) for r in hermite_normal_form_rows(rows)[0] if any(r)]
     return IntegerLattice(n, tuple(H))
 
 
-def decompose(spec: GroupSpec) -> DecompositionResult:
+def decompose(spec: GroupSpec, analysis: PiRankResult) -> DecompositionResult:
     """Split the group as (zero-entropy part U) x (free positive-entropy
     part) and decide the finiteness of U at maximal rank."""
-    table = find_characters(spec)
-    analysis = pi_rank(spec, table)
     r = analysis.rank
     k = spec.k
-    u_words = _saturated_kernel_words(spec, analysis)
-    free_words = _kernel_complement_words(spec, analysis)
-    orders = []
+    u_words, free_words = _kernel_split(spec, analysis)
     for w in u_words:
-        A = Matrix(word_automorphism(spec, w).A)
-        orders.append(matrix_order(_real_embedding(A),
-                                   bound=finite_order_bound(2 * k)))
+        if not verify_zero_entropy_word(spec, w):
+            raise ExactAlgebraError("kernel saturation produced a word "
+                                    "with positive entropy")
+    mats = [Matrix(word_automorphism(spec, w).A) for w in u_words]
+    orders = [matrix_order(_real_embedding(A),
+                           bound=finite_order_bound(2 * k)) for A in mats]
     u_finite = all(o != INFINITE_ORDER for o in orders)
-    u_order: int | None = None
-    if u_finite:
-        if u_words:
-            mats = [Matrix(word_automorphism(spec, w).A) for w in u_words]
-            u_order = _enumerate_closure(mats)
-        else:
-            u_order = 1
     if r == k - 1 and not u_finite:
         raise AssertionError(
             "THEOREM VIOLATION: infinite zero-entropy part at maximal rank")
-    relations = _relation_lattice(spec, u_words, orders)
+    if u_finite:
+        u_order, relations = _enumerate_closure(k, mats)
+    else:
+        u_order, relations = None, _box_relations(k, mats)
     return DecompositionResult(r, free_words, u_words, u_finite, u_order,
-                               relations)
+                               _relation_lattice(spec.n, u_words, relations))
 
 
 # ---------------------------------------------------------------------------
@@ -693,23 +662,10 @@ def check_theorem_4_6(spec: GroupSpec, classes) -> Theorem46Report:
         raise AssertionError(
             f"THEOREM VIOLATION: non-commuting pair {comm.witness}")
     # rank of the induced pi, with exact multiplicative verification
-    digits = 60
-    basis = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for row in multipliers:
-        if not basis:
-            break
-        taus = [sp.Integer(0) if exact_equal(lam, 1)
-                else sp.log(sp.Abs(lam)).evalf(digits) for lam in row]
-        vals = [sum(b[j] * taus[j] for j in range(n)) for b in basis]
-        cands = integer_relations(vals, height_cap=10**4)
-        new = []
-        for cand in cands:
-            vec = [sum(cb * b[j] for cb, b in zip(cand, basis))
-                   for j in range(n)]
-            if any(vec):
-                new.append(vec)
-        basis = [b for b in hermite_normal_form_rows(new)[0]
-                 if any(b)] if new else []
+    log_rows = ([sp.Integer(0) if exact_equal(lam, 1)
+                 else sp.log(sp.Abs(lam)).evalf(_LOG_DIGITS) for lam in row]
+                for row in multipliers)
+    basis = _kernel_candidates(n, log_rows)
     verified = []
     for e in basis:
         ok = True
@@ -763,5 +719,5 @@ def analyze_group(spec: GroupSpec) -> GroupAnalysis:
     out.table = find_characters(spec)
     out.rank = pi_rank(spec, out.table)
     out.structure = assert_structure_theorems(spec, out.rank)
-    out.decomposition = decompose(spec)
+    out.decomposition = decompose(spec, out.rank)
     return out

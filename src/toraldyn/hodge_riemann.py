@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import sympy as sp
-from sympy import I, Matrix, Rational
+from sympy import Matrix, Rational
 
 from .cohomology import (
     CohomClass,

@@ -115,7 +115,8 @@ def test_criterion_3_cubic_t3():
 
 def test_criterion_4_pell_plus_torsion():
     def body():
-        dec = decompose(builtin("pell_plus_torsion"))
+        spec = builtin("pell_plus_torsion")
+        dec = decompose(spec, pi_rank(spec, find_characters(spec)))
         assert dec.u_finite and dec.u_order == 4, "U is not Z/4"
         assert dec.rank == 1 and len(dec.free_words) == 1
         return "U = Z/4 (order 4), free rank 1"

@@ -2,11 +2,21 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from toraldyn import cohomology, group_structure
 from toraldyn.cli import (EXIT_INVALID, EXIT_OK, EXIT_VIOLATION,
-                          load_group_argument, main)
+                          build_analysis_report, load_group_argument, main)
+from toraldyn.example_forge import builtin
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN_DIR = ROOT / "perfbench" / "golden"
+SRC_DIR = ROOT / "src"
 
 
 def _run(capsys, *argv):
@@ -109,6 +119,58 @@ def test_analyze_number_field_spec(tmp_path, capsys):
     assert rep["forged_from"]["min_poly"] == ["1", "0", "-2"]
 
 
+@pytest.mark.parametrize("name,argv", [
+    ("cat_T2", ["analyze", "cat_T2"]),
+    ("pell_T2", ["analyze", "pell_T2"]),
+    ("parabolic_T2", ["analyze", "parabolic_T2"]),
+    ("torsion_i", ["analyze", "torsion_i"]),
+    ("pell_plus_torsion", ["analyze", "pell_plus_torsion"]),
+    ("cubic_T3", ["analyze", "cubic_T3"]),
+    ("forge_cubic", ["forge", "--poly", "1,-1,-2,1"]),
+    ("enumerate_2_2", ["enumerate", "--dim", "2", "--bound", "2"]),
+])
+def test_report_matches_golden(name, argv):
+    # a fresh interpreter, as users run it: the printed interval of a bare
+    # CRootOf depends on how far sympy's process-wide root cache was refined
+    # by earlier computations in the same process
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "toraldyn.cli", *argv],
+                          capture_output=True, env=env)
+    assert proc.returncode == EXIT_OK, proc.stderr.decode()[-2000:]
+    assert proc.stdout == (GOLDEN_DIR / f"{name}.json").read_bytes()
+
+
+def test_analysis_computes_each_artifact_once(monkeypatch):
+    calls = {"find_characters": 0, "pi_rank": 0}
+    moduli = {}
+
+    def counted(name):
+        fn = getattr(group_structure, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    real_moduli = cohomology.eigenvalue_moduli
+
+    def eigenvalue_moduli(f):
+        moduli[f.A] = moduli.get(f.A, 0) + 1
+        return real_moduli(f)
+
+    for name in calls:
+        monkeypatch.setattr(group_structure, name, counted(name))
+    monkeypatch.setattr(cohomology, "eigenvalue_moduli", eigenvalue_moduli)
+    cohomology._moduli_squared_desc.cache_clear()
+    spec = builtin("cubic_T3")
+    analysis = group_structure.analyze_group(spec)
+    build_analysis_report(analysis, 12, 0)
+    assert calls == {"find_characters": 1, "pi_rank": 1}
+    assert sorted(moduli.values()) == [1] * spec.n
+
+
 def test_analyze_reports_are_deterministic(capsys):
     _, out1, _ = _run(capsys, "analyze", "pell_T2")
     _, out2, _ = _run(capsys, "analyze", "pell_T2")
@@ -189,6 +251,50 @@ def test_enumerate_bound_2_minimum(capsys):
 def test_enumerate_budget_refusal(capsys):
     code, _, err = _run(capsys, "enumerate", "--dim", "4", "--bound", "9")
     assert code == EXIT_INVALID and "budget" in err
+
+
+# ---------------------------------------------------------------------------
+# input contract
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("spec,argv", [
+    ([], None),
+    ({"kind": "torus_group", "complex_dim": 2, "generators": "ab"}, None),
+    ({"kind": "torus_group", "complex_dim": 2, "generators": [1]}, None),
+    ({"kind": "number_field", "min_poly": ["1", "0", "-2"],
+      "coeff_bound": "x"}, None),
+    (None, ["enumerate", "--dim", "0", "--bound", "2"]),
+    (None, ["enumerate", "--dim", "-1", "--bound", "2"]),
+    (None, ["enumerate", "--dim", "2", "--bound", "-1"]),
+    (None, ["analyze", "cat_T2", "--precision", "-1"]),
+    (None, ["hodge-check", "--dim", "2", "--samples", "-5"]),
+], ids=["list_spec", "string_generators", "non_object_generator",
+        "string_coeff_bound", "enumerate_dim_0", "enumerate_dim_negative",
+        "enumerate_bound_negative", "negative_precision",
+        "negative_samples"])
+def test_invalid_input_exits_3(tmp_path, capsys, spec, argv):
+    if argv is None:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        argv = ["analyze", str(path)]
+    code, _, err = _run(capsys, *argv)
+    assert code == EXIT_INVALID
+    assert err.startswith("invalid input:")
+
+
+def test_lll_failure_is_unsupported_input(tmp_path, capsys):
+    # (cat, cat^2): sympy's LLL fails on the scaled log values of this pair
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({
+        "kind": "torus_group", "complex_dim": 2,
+        "generators": [
+            {"name": "cat", "matrix": [[["2", "0"], ["1", "0"]],
+                                       [["1", "0"], ["1", "0"]]]},
+            {"name": "cat2", "matrix": [[["5", "0"], ["3", "0"]],
+                                        [["3", "0"], ["2", "0"]]]}]}))
+    code, _, err = _run(capsys, "analyze", str(path))
+    assert code == EXIT_INVALID
+    assert err.startswith("unsupported input:") and "LLL" in err
 
 
 # ---------------------------------------------------------------------------

@@ -221,6 +221,14 @@ def test_relation_tau_minus_tau():
     assert [1, 1] in cands
 
 
+def test_relation_lll_failure_is_exact_algebra_error():
+    # sympy's LLL rounds through float at this scale and trips its own
+    # size-reduction assertion; that must not read as a theorem violation
+    t = sp.log((7 + 3 * sp.sqrt(5)) / 2)
+    with pytest.raises(ExactAlgebraError, match="LLL"):
+        integer_relations([t, 2 * t])
+
+
 def test_no_relation_ln2_ln3():
     cands = integer_relations([sp.log(2), sp.log(3)],
                               tolerance=Fraction(1, 10**12))

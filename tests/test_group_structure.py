@@ -179,7 +179,8 @@ def test_structure_identity_group():
 # ---------------------------------------------------------------------------
 
 def test_decompose_pell_plus_torsion():
-    dec = decompose(PELL_TORSION)
+    dec = decompose(PELL_TORSION,
+                    pi_rank(PELL_TORSION, find_characters(PELL_TORSION)))
     assert dec.rank == 1
     assert dec.u_finite and dec.u_order == 4
     assert dec.free_words == [[1, 0]]
@@ -187,14 +188,14 @@ def test_decompose_pell_plus_torsion():
 
 
 def test_decompose_parabolic_whole_group_is_u():
-    dec = decompose(PARABOLIC)
+    dec = decompose(PARABOLIC, pi_rank(PARABOLIC, find_characters(PARABOLIC)))
     assert dec.rank == 0 and dec.free_words == []
     assert not dec.u_finite
     assert Matrix(dec.u_words).rank() == 2
 
 
 def test_decompose_single_generator():
-    dec = decompose(PELL)
+    dec = decompose(PELL, pi_rank(PELL, find_characters(PELL)))
     assert dec.rank == 1 and dec.free_words == [[1]] and dec.u_words == []
 
 
@@ -202,7 +203,7 @@ def test_decompose_merge_reconstructs_group():
     # U-words and free-words together form a finite-index (here full)
     # basis of the word lattice: the stacked matrix is unimodular
     for spec in (PELL, PELL_PAIR, PELL_TORSION, PARABOLIC):
-        dec = decompose(spec)
+        dec = decompose(spec, pi_rank(spec, find_characters(spec)))
         rows = [list(w) for w in dec.u_words] + \
             [list(w) for w in dec.free_words]
         M = Matrix(rows)
