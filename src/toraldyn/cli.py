@@ -26,9 +26,9 @@ from sympy import I, Matrix
 
 from . import __version__
 from .exact_algebra import (AlgebraicReal, CertifiedReal, ExactAlgebraError,
-                            IntegerLattice, charpoly, exact_sign)
+                            IntegerLattice, exact_sign)
 from .cohomology import (BudgetExceededError, CohomClass, TorusAutomorphism,
-                         degree_profile, enumerate_degree_values, h11_matrix)
+                         degree_profile, enumerate_degree_values, h11_charpoly)
 from .hodge_riemann import check_hodge_riemann_definite, gromov_fuzz
 from .group_structure import GroupAnalysis, GroupSpec, analyze_group
 from .example_forge import (ForgeError, NumberFieldSpec, build_max_rank_group,
@@ -198,8 +198,7 @@ def _generator_report(g: TorusAutomorphism, digits: int) -> dict:
     return {
         "name": g.name,
         "matrix": _matrix_json(Matrix(g.A)),
-        "h11_charpoly": [str(int(c)) for c in
-                         charpoly(h11_matrix(g)).all_coeffs()],
+        "h11_charpoly": [str(int(c)) for c in h11_charpoly(g).all_coeffs()],
         "degrees": [_certified_json(d, digits) for d in prof.degrees],
         "entropy": _certified_json(prof.entropy, digits),
         "classification": prof.classification,

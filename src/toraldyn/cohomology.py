@@ -81,11 +81,7 @@ class TorusAutomorphism:
         if n == 0:
             return TorusAutomorphism(sp.eye(self.k), name="id")
         base = self if n > 0 else self.inverse()
-        M = base.A
-        acc = sp.eye(self.k)
-        for _ in range(abs(n)):
-            acc = acc * M
-        return TorusAutomorphism(acc, name=f"{self.name}^{n}")
+        return TorusAutomorphism(base.A ** abs(n), name=f"{self.name}^{n}")
 
     def __eq__(self, other):
         return isinstance(other, TorusAutomorphism) and self.A == other.A
@@ -263,14 +259,23 @@ def entropy(f: TorusAutomorphism) -> CertifiedReal:
 
 
 @lru_cache(maxsize=None)
+def h11_charpoly(f: TorusAutomorphism) -> Poly:
+    """Integer characteristic polynomial of the H^{1,1} action.  Memoised
+    per automorphism: the zero-entropy test and the report share it."""
+    return charpoly(h11_matrix(f))
+
+
+@lru_cache(maxsize=None)
 def has_zero_entropy(f: TorusAutomorphism) -> bool:
     """Exact zero-entropy test: the H^{1,1} action has a cyclotomic-product
     characteristic polynomial (Kronecker).  Memoised per automorphism."""
-    return is_cyclotomic_product(charpoly(h11_matrix(f)))
+    return is_cyclotomic_product(h11_charpoly(f))
 
 
+@lru_cache(maxsize=None)
 def classify(f: TorusAutomorphism) -> str:
-    """Exact trichotomy on the H^{1,1} action; no floating point."""
+    """Exact trichotomy on the H^{1,1} action; no floating point.  Memoised
+    per automorphism: the analysis and the report's degree profile share it."""
     if not has_zero_entropy(f):
         return POSITIVE_ENTROPY
     if matrix_order(h11_matrix(f)) == INFINITE_ORDER:

@@ -5,10 +5,14 @@ exact rational Gram matrix whenever the context classes are rational, so
 every positivity statement here is decided by exact pivot tests.  Randomness
 only ever chooses the contexts, never the decision.
 
-The hot paths (criterion-level fuzz suites) run on plain Fraction pairs
-(re, im) instead of sympy expressions; the generic entry points accept
-CohomClass values and fall back to the exact sympy class algebra when the
-entries are not Gaussian rationals.
+Context classes enter as Hermitian matrices of Gaussian-rational (re, im)
+pairs; any other entry is refused with ``ValueError``.  The Gram matrix of q
+and the primitive functional both come from one division-free kernel: each
+context is scaled to Gaussian-integer entries, the mixed part of the
+relevant minors of the context sum is taken by inclusion-exclusion over
+subset sums, and the only division is by the product of the scales at the
+end (the mixed discriminant is multilinear).  No matrix is inverted, so
+singular context sums (rank-one nef classes) need no special case.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import sympy as sp
 from sympy import Matrix, Rational
@@ -37,18 +42,13 @@ from .cohomology import (
 from .exact_algebra import exact_is_zero, exact_sign
 
 # ---------------------------------------------------------------------------
-# Gaussian-rational matrices as tuples of (re, im) Fractions
-
-
-class _NotRational(Exception):
-    pass
+# Gaussian-rational matrices as lists of (re, im) pairs
 
 
 def _to_frac_pair(v):
-    v = sp.sympify(v)
-    re, im = v.as_real_imag()
+    re, im = sp.sympify(v).as_real_imag()
     if not (re.is_Rational and im.is_Rational):
-        raise _NotRational(v)
+        raise ValueError("context classes must have Gaussian-rational entries")
     return (Fraction(re.p, re.q), Fraction(im.p, im.q))
 
 
@@ -58,63 +58,11 @@ def gmat_from_class(c: CohomClass):
     return [[_to_frac_pair(H[i, j]) for j in range(k)] for i in range(k)]
 
 
-def _gmat_from_sym(H: Matrix):
-    return [[_to_frac_pair(H[i, j]) for j in range(H.cols)] for i in range(H.rows)]
-
-
-def _gadd(A, B):
-    return [[(a[0] + b[0], a[1] + b[1]) for a, b in zip(ra, rb)]
-            for ra, rb in zip(A, B)]
-
-
-def _gmul_s(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _gmatmul(A, B):
-    n = len(A)
-    m = len(B[0])
-    p = len(B)
-    out = []
-    for i in range(n):
-        row = []
-        Ai = A[i]
-        for j in range(m):
-            re = 0
-            im = 0
-            for l in range(p):
-                a = Ai[l]
-                b = B[l][j]
-                re += a[0] * b[0] - a[1] * b[1]
-                im += a[0] * b[1] + a[1] * b[0]
-            row.append((re, im))
-        out.append(row)
-    return out
-
-
-def _gtrace(A):
-    re = sum(A[i][i][0] for i in range(len(A)))
-    im = sum(A[i][i][1] for i in range(len(A)))
-    return (re, im)
-
-
-def _gtrace_prod(A, B):
-    """trace(A @ B) without forming the product."""
-    n = len(A)
-    re = 0
-    im = 0
-    for i in range(n):
-        for j in range(n):
-            a = A[i][j]
-            b = B[j][i]
-            re += a[0] * b[0] - a[1] * b[1]
-            im += a[0] * b[1] + a[1] * b[0]
-    return (re, im)
-
-
 def _gdet(A):
     """Exact determinant by cofactor expansion (matrices here are tiny)."""
     n = len(A)
+    if n == 0:
+        return (1, 0)
     if n == 1:
         return A[0][0]
     if n == 2:
@@ -128,258 +76,124 @@ def _gdet(A):
     for j in range(n):
         a = A[0][j]
         if a[0] or a[1]:
-            sub = [row[:j] + row[j + 1:] for row in A[1:]]
-            d = _gdet(sub)
-            v = _gmul_s(a, d)
-            re += sign * v[0]
-            im += sign * v[1]
+            d = _gdet([row[:j] + row[j + 1:] for row in A[1:]])
+            re += sign * (a[0] * d[0] - a[1] * d[1])
+            im += sign * (a[0] * d[1] + a[1] * d[0])
         sign = -sign
     return (re, im)
 
 
-def _ginv(A):
-    """Exact inverse via Gaussian elimination; returns None when singular."""
-    n = len(A)
-    M = [[A[i][j] for j in range(n)] +
-         [((Fraction(1) if i == j else Fraction(0)), Fraction(0))
-          for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n)
-                    if M[r][col][0] or M[r][col][1]), None)
-        if piv is None:
-            return None
-        M[col], M[piv] = M[piv], M[col]
-        p = M[col][col]
-        den = p[0] * p[0] + p[1] * p[1]
-        pinv = (p[0] / den, -p[1] / den)
-        M[col] = [_gmul_s(pinv, v) for v in M[col]]
-        for r in range(n):
-            if r != col and (M[r][col][0] or M[r][col][1]):
-                f = M[r][col]
-                M[r] = [(v[0] - (f[0] * w[0] - f[1] * w[1]),
-                         v[1] - (f[0] * w[1] + f[1] * w[0]))
-                        for v, w in zip(M[r], M[col])]
-    return [row[n:] for row in M]
-
-
-def _hermitian_basis_frac(k: int):
-    out = []
-    for E in hermitian_basis(k):
-        out.append(_gmat_from_sym(Matrix(E)))
-    return out
-
-
+@lru_cache(maxsize=None)
 def _hermitian_basis_sparse(k: int):
-    """Each basis matrix as a short list of (row, col, (re, im)) entries."""
+    """Each basis matrix as a short tuple of (row, col, (re, im)) entries."""
     out = []
     for E in hermitian_basis(k):
-        E = Matrix(E)
         entries = []
         for i in range(k):
             for j in range(k):
-                v = E[i, j]
-                if v != 0:
-                    re, im = v.as_real_imag()
+                if E[i, j] != 0:
+                    re, im = E[i, j].as_real_imag()
                     entries.append((i, j, (int(re), int(im))))
-        out.append(entries)
-    return out
-
-
-def _as_int_mats(mats):
-    """Convert Fraction-pair matrices to int pairs, or None if not integral."""
-    out = []
-    for M in mats:
-        rows = []
-        for row in M:
-            r = []
-            for re, im in row:
-                if re.denominator != 1 or im.denominator != 1:
-                    return None
-                r.append((int(re), int(im)))
-            rows.append(r)
-        out.append(rows)
-    return out
-
-
-def _adjugate_int(A):
-    """Adjugate of a complex-integer matrix: adj(A) A = det(A) I."""
-    n = len(A)
-    if n == 1:
-        return [[(1, 0)]]
-    adj = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            sub = [[A[r][c] for c in range(n) if c != j]
-                   for r in range(n) if r != i]
-            d = _gdet(sub)
-            s = (-1) ** (i + j)
-            adj[j][i] = (s * d[0], s * d[1])
-    return adj
-
-
-def _sparse_left_mul(A, entries, n):
-    """A @ X for sparse X given as (row, col, value) entries."""
-    P = [[(0, 0)] * n for _ in range(n)]
-    for j, c, v in entries:
-        for r in range(n):
-            a = A[r][j]
-            cur = P[r][c]
-            P[r][c] = (cur[0] + a[0] * v[0] - a[1] * v[1],
-                       cur[1] + a[0] * v[1] + a[1] * v[0])
-    return P
+        out.append(tuple(entries))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
-# mixed-discriminant coefficients (exact, on Fraction-pair matrices)
+# mixed minors: the one exact kernel behind q and the primitive functional
 
 
-def _subset_sums(mats, k, zero_scalar=Fraction(0)):
-    """All subset sums of a list of matrices, keyed by frozenset of indices."""
-    n = len(mats)
-    zero = [[(zero_scalar, zero_scalar)] * k for _ in range(k)]
-    sums = {frozenset(): zero}
-    for bits in range(1, 1 << n):
-        idx = frozenset(i for i in range(n) if bits >> i & 1)
-        i = max(idx)
-        prev = sums[idx - {i}]
-        sums[idx] = _gadd(prev, mats[i])
-    return sums
+def _mixed_minors(contexts, k: int):
+    """Mixed part of the m x m minors of c_1 + ... + c_m.
+
+    Returns ``(mixed, scale)``.  ``mixed[rows, cols]`` is the alternating sum
+    over context subsets T of (-1)^(m - |T|) det(F_T) restricted away from
+    the removed ``rows`` and ``cols`` (ascending (k-m)-tuples), where F_T
+    is the subset sum of the integer-scaled contexts; it is a Gaussian
+    integer.  The true mixed minor is ``mixed[rows, cols] / scale``.
+    """
+    m = len(contexts)
+    ints = []
+    scale = 1
+    for M in contexts:
+        # clear denominators; the mixed minor is multilinear in the contexts
+        s = math.lcm(*(v.denominator for row in M for z in row for v in z))
+        ints.append([[(int(z[0] * s), int(z[1] * s)) for z in row]
+                     for row in M])
+        scale *= s
+    removed = list(itertools.combinations(range(k), k - m))
+    mixed = {(R, C): (0, 0) for R in removed for C in removed}
+    for bits in range(1 << m):
+        T = [ints[i] for i in range(m) if bits >> i & 1]
+        sign = (-1) ** (m - len(T))
+        F = [[(sum(A[r][c][0] for A in T), sum(A[r][c][1] for A in T))
+              for c in range(k)] for r in range(k)]
+        for R in removed:
+            rows = [F[r] for r in range(k) if r not in R]
+            for C in removed:
+                d = _gdet([[row[c] for c in range(k) if c not in C]
+                           for row in rows])
+                acc = mixed[R, C]
+                mixed[R, C] = (acc[0] + sign * d[0], acc[1] + sign * d[1])
+    return mixed, scale
+
+
+def _mixed_partial(mixed, cells):
+    """Real part of v_1 ... v_n times the mixed part of the partial
+    derivative d^n det / dF[r_1][c_1] ... dF[r_n][c_n], for cells
+    (r_i, c_i, v_i) with Gaussian-integer v_i; scaled like ``mixed``.
+
+    The partial is the complementary minor, signed by (-1)^(sum r + sum c)
+    and by the parities of the row and column orders; it vanishes when two
+    cells share a row or a column."""
+    rows = [r for r, _, _ in cells]
+    cols = [c for _, c, _ in cells]
+    if len(set(rows)) < len(rows) or len(set(cols)) < len(cols):
+        return 0
+    inversions = sum(a > b for a, b in itertools.combinations(rows, 2))
+    inversions += sum(a > b for a, b in itertools.combinations(cols, 2))
+    sign = (-1) ** (sum(rows) + sum(cols) + inversions)
+    w = mixed[tuple(sorted(rows)), tuple(sorted(cols))]
+    for _, _, v in cells:
+        w = (w[0] * v[0] - w[1] * v[1], w[0] * v[1] + w[1] * v[0])
+    return sign * w[0]
 
 
 def q_gram_fractions(contexts, k: int):
     """Gram matrix of q(.,.) over the real Hermitian basis, as Fractions.
 
-    contexts: k-2 Hermitian Fraction-pair matrices.  Uses the trace formula
-    det(F) (tr(F^-1 X) tr(F^-1 Y) - tr(F^-1 X F^-1 Y)) over nonempty context
-    subset sums when those are invertible, else the 2^k finite-difference
-    determinant expansion.
+    contexts: k-2 Hermitian Gaussian-rational (re, im) matrices.  q(X, Y) is
+    minus the mixed part of the st coefficient of det(F + sX + tY), i.e.
+    minus the sum of X[r1][c1] Y[r2][c2] times the mixed (k-2)-minor of the
+    contexts without rows r1, r2 and columns c1, c2 (signed second partials
+    of det).  Each basis matrix has at most two entries, so an entry costs
+    at most four products.
     """
-    basis = _hermitian_basis_frac(k)
-    nb = len(basis)
-    m = len(contexts)
-    if m != k - 2:
+    if len(contexts) != k - 2:
         raise ValueError("q needs exactly k-2 context classes")
+    mixed, scale = _mixed_minors(contexts, k)
+    sparse = _hermitian_basis_sparse(k)
+    nb = len(sparse)
     G = [[Fraction(0)] * nb for _ in range(nb)]
-    if k == 2:
-        # D(X, Y) = tr X tr Y - tr(XY)
-        for a in range(nb):
-            ta = _gtrace(basis[a])
-            for b in range(a, nb):
-                tb = _gtrace(basis[b])
-                tab = _gtrace_prod(basis[a], basis[b])
-                val = -(ta[0] * tb[0] - ta[1] * tb[1] - tab[0])
-                G[a][b] = G[b][a] = val
-        return G
-    int_ctx = _as_int_mats(contexts)
-    if int_ctx is not None:
-        sums = _subset_sums(int_ctx, k, zero_scalar=0)
-        dets = {idx: _gdet(F)[0] for idx, F in sums.items() if idx}
-        if all(dets.values()):
-            # B_T(X,Y) = (tr(A X) tr(A Y) - tr(A X A Y)) / det(F_T) with the
-            # integer adjugate A of F_T; everything but the final division
-            # stays in machine/big integers.
-            sparse = _hermitian_basis_sparse(k)
-            for idx, F in sums.items():
-                if not idx:
-                    continue
-                sign = (-1) ** (m - len(idx))
-                A = _adjugate_int(F)
-                P = [_sparse_left_mul(A, E, k) for E in sparse]
-                traces = [_gtrace(p) for p in P]
-                d = dets[idx]
-                for a in range(nb):
-                    ta = traces[a]
-                    Pa = P[a]
-                    for b in range(a, nb):
-                        tb = traces[b]
-                        t = _gtrace_prod(Pa, P[b])
-                        num = ta[0] * tb[0] - ta[1] * tb[1] - t[0]
-                        G[a][b] -= sign * Fraction(num, d)
-            for a in range(nb):
-                for b in range(a):
-                    G[a][b] = G[b][a]
-            return G
-    sums = _subset_sums(contexts, k)
-    fast = True
-    inverses = {}
-    for idx, F in sums.items():
-        if not idx:
-            continue
-        inv = _ginv(F)
-        if inv is None:
-            fast = False
-            break
-        inverses[idx] = (inv, _gdet(F))
-    if fast:
-        for idx, (Finv, detF) in inverses.items():
-            sign = (-1) ** (m - len(idx))
-            P = [_gmatmul(Finv, E) for E in basis]
-            traces = [_gtrace(p) for p in P]
-            for a in range(nb):
-                for b in range(a, nb):
-                    t = _gtrace_prod(P[a], P[b])
-                    bt = (traces[a][0] * traces[b][0]
-                          - traces[a][1] * traces[b][1] - t[0])
-                    contrib = -sign * (detF[0] * bt)
-                    # det and the bilinear part are real for Hermitian input
-                    G[a][b] += contrib
-        for a in range(nb):
-            for b in range(a):
-                G[a][b] = G[b][a]
-        return G
-    # finite-difference fallback: D = sum over subsets of all k slots
-    det_cache = {}
-
-    def det_of(idx, extra):
-        key = (idx, extra)
-        if key not in det_cache:
-            M = sums[idx]
-            for e in extra:
-                M = _gadd(M, basis[e])
-            det_cache[key] = _gdet(M)[0]
-        return det_cache[key]
-
     for a in range(nb):
         for b in range(a, nb):
-            val = Fraction(0)
-            for idx in sums:
-                sign = (-1) ** (m - len(idx))
-                val += sign * (det_of(idx, (a, b)) - det_of(idx, (a,))
-                               - det_of(idx, (b,)) + det_of(idx, ()))
-            G[a][b] = G[b][a] = -val
+            val = sum(_mixed_partial(mixed, (x, y))
+                      for x in sparse[a] for y in sparse[b])
+            G[a][b] = G[b][a] = Fraction(-val, scale)
     return G
 
 
 def primitive_functional_fractions(contexts, k: int):
     """Linear functional X -> intersection(X, c_1, ..., c_{k-1}) over the
-    Hermitian basis; its kernel is the primitive hyperplane."""
+    Hermitian basis; its kernel is the primitive hyperplane.
+
+    The value on X is the mixed part of the linear term of det(F + sX):
+    the sum of X[r][c] times the signed mixed (k-1)-minor without row r and
+    column c."""
     if len(contexts) != k - 1:
         raise ValueError("primitive space needs k-1 context classes")
-    int_ctx = _as_int_mats(contexts)
-    if int_ctx is not None:
-        # linear term of det(F_T + s E) is tr(adj(F_T) E); all integers
-        sparse = _hermitian_basis_sparse(k)
-        ell = [0] * len(sparse)
-        for idx, F in _subset_sums(int_ctx, k, zero_scalar=0).items():
-            if not idx:
-                continue
-            sign = (-1) ** (k - 1 - len(idx))
-            A = _adjugate_int(F)
-            for a, entries in enumerate(sparse):
-                tr = sum(A[c][j][0] * v[0] - A[c][j][1] * v[1]
-                         for j, c, v in entries)
-                ell[a] += sign * tr
-        return [Fraction(v) for v in ell]
-    basis = _hermitian_basis_frac(k)
-    sums = _subset_sums(contexts, k)
-    ell = []
-    for E in basis:
-        val = Fraction(0)
-        for idx, F in sums.items():
-            sign = (-1) ** (k - 1 - len(idx))
-            val += sign * (_gdet(_gadd(F, E))[0] - _gdet(F)[0])
-        ell.append(val)
-    return ell
+    mixed, scale = _mixed_minors(contexts, k)
+    return [Fraction(sum(_mixed_partial(mixed, (x,)) for x in entries), scale)
+            for entries in _hermitian_basis_sparse(k)]
 
 
 def _kernel_of_functional(ell):
@@ -565,12 +379,7 @@ def primitive_space(context) -> PrimitiveSpace:
     wedge is nonzero; the full space, flagged degenerate, otherwise)."""
     context = list(context)
     k = context[0].k
-    try:
-        ell = primitive_functional_fractions(_contexts_to_fractions(context), k)
-    except _NotRational:
-        basis_cls = [CohomClass.from_hermitian(E) for E in hermitian_basis(k)]
-        ell = [intersection_number([b, *context]) for b in basis_cls]
-        ell = [Fraction(sp.Rational(v).p, sp.Rational(v).q) for v in ell]
+    ell = primitive_functional_fractions(_contexts_to_fractions(context), k)
     basis, degenerate = _kernel_of_functional(ell)
     return PrimitiveSpace(k, tuple(context), basis, degenerate)
 
@@ -602,16 +411,13 @@ def check_gromov_semipositive(context, samples: int = 0,
     for c in context:
         if not is_nef(c):
             raise ValueError("context classes must be nef")
-    try:
-        mats = _contexts_to_fractions(context)
-        ell = primitive_functional_fractions(mats, k)
-        basis, degenerate = _kernel_of_functional(ell)
-        if degenerate:
-            return PositivityReport("gromov_psd", k, passed=True, definite=False,
-                                    degenerate=True)
-        G = q_gram_fractions(mats[:k - 2], k)
-    except _NotRational:
-        raise ValueError("context classes must have Gaussian-rational entries")
+    mats = _contexts_to_fractions(context)
+    ell = primitive_functional_fractions(mats, k)
+    basis, degenerate = _kernel_of_functional(ell)
+    if degenerate:
+        return PositivityReport("gromov_psd", k, passed=True, definite=False,
+                                degenerate=True)
+    G = q_gram_fractions(mats[:k - 2], k)
     R = restrict_symmetric(G, basis)
     psd, pd, witness = symmetric_definiteness(R)
     fuzz = gromov_fuzz(k, samples, seed) if samples else None
@@ -621,14 +427,13 @@ def check_gromov_semipositive(context, samples: int = 0,
 
 def _random_pd_context(rng: random.Random, k: int, spread: int = 2):
     """Random positive-definite Gaussian-integer Hermitian matrix B B* + I."""
-    B = [[(Fraction(rng.randint(-spread, spread)),
-           Fraction(rng.randint(-spread, spread))) for _ in range(k)]
-         for _ in range(k)]
-    Bh = [[(B[j][i][0], -B[j][i][1]) for j in range(k)] for i in range(k)]
-    H = _gmatmul(B, Bh)
-    for i in range(k):
-        H[i][i] = (H[i][i][0] + 1, H[i][i][1])
-    return H
+    B = [[(rng.randint(-spread, spread), rng.randint(-spread, spread))
+          for _ in range(k)] for _ in range(k)]
+    # (B B*)[i][j] = sum_l B[i][l] conj(B[j][l])
+    return [[(sum(a[0] * b[0] + a[1] * b[1] for a, b in zip(B[i], B[j]))
+              + int(i == j),
+              sum(a[1] * b[0] - a[0] * b[1] for a, b in zip(B[i], B[j])))
+             for j in range(k)] for i in range(k)]
 
 
 def gromov_fuzz(k: int, samples: int, seed: int) -> FuzzReport:

@@ -6,7 +6,7 @@ import random
 
 import pytest
 import sympy as sp
-from sympy import Matrix, eye
+from sympy import I, Matrix, eye
 
 from toraldyn.cohomology import (CohomClass, TorusAutomorphism,
                                  hermitian_basis, intersection_number,
@@ -14,7 +14,7 @@ from toraldyn.cohomology import (CohomClass, TorusAutomorphism,
 from toraldyn.hodge_riemann import (
     build_q_form, check_gromov_semipositive, check_hodge_riemann_definite,
     colinearity_witness, gromov_fuzz, lemma_4_3_check, primitive_space,
-    q_form, solve_ab_pair, symmetric_definiteness)
+    q_form, q_gram_matrix, solve_ab_pair, symmetric_definiteness)
 
 D10 = CohomClass.from_hermitian(sp.diag(1, 0))
 D01 = CohomClass.from_hermitian(sp.diag(0, 1))
@@ -29,6 +29,19 @@ def _random_psd(rng, k, rank_one=False):
         return CohomClass.from_hermitian(w * w.T)
     B = Matrix(k, k, lambda i, j: rng.randint(-2, 2))
     return CohomClass.from_hermitian(B * B.T + eye(k))
+
+
+def _gaussian_psd(rng, k, rank_one=False):
+    """Nef class with Gaussian-integer entries: w w* or B B* + I."""
+    def z():
+        return rng.randint(-2, 2) + I * rng.randint(-2, 2)
+    if rank_one:
+        w = Matrix([z() for _ in range(k)])
+        if all(v == 0 for v in w):
+            w[0] = 1
+        return CohomClass.from_hermitian((w * w.H).expand())
+    B = Matrix(k, k, lambda i, j: z())
+    return CohomClass.from_hermitian((B * B.H).expand() + eye(k))
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +72,36 @@ def test_q_gram_matches_pointwise_values():
             a = _random_psd(rng, k)
             b = _random_psd(rng, k)
             assert sp.expand(q.evaluate(a, b) - q_form(a, b, ctx)) == 0
+    # k = 4, a Gaussian-rational context (denominator 3) and singular
+    # rank-one nef contexts, against Gaussian test pairs
+    rng = random.Random(59)
+    third = sp.Rational(1, 3)
+    cases = (
+        (4, lambda: [_gaussian_psd(rng, 4) for _ in range(2)]),
+        (3, lambda: [_gaussian_psd(rng, 3).scale(third)]),
+        (3, lambda: [_gaussian_psd(rng, 3, rank_one=True).scale(third)]),
+        (4, lambda: [_gaussian_psd(rng, 4, rank_one=True) for _ in range(2)]),
+    )
+    for k, draw in cases:
+        ctx = draw()
+        q = build_q_form(ctx, k)
+        assert q.gram == q.gram.T
+        for _ in range(3):
+            a = _gaussian_psd(rng, k)
+            b = _gaussian_psd(rng, k)
+            assert sp.expand(q.evaluate(a, b) - q_form(a, b, ctx)) == 0
+
+
+def test_non_rational_context_is_value_error():
+    s2 = CohomClass.from_hermitian(sp.diag(1, sp.sqrt(2), 1))
+    calls = (lambda: primitive_space([s2, s2]),
+             lambda: build_q_form([s2], 3),
+             lambda: q_gram_matrix([s2], 3),
+             lambda: check_gromov_semipositive([s2, s2]),
+             lambda: check_hodge_riemann_definite(s2))
+    for call in calls:
+        with pytest.raises(ValueError, match="Gaussian-rational entries"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +197,20 @@ def test_gromov_fuzz_500_tuples():
         total_failures += len(rep.failures)
         assert rep.samples == samples
     assert total_failures == 0
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_gromov_rank_one_nef_contexts(k):
+    # the k-2 contexts of q sum to rank <= k - 2: no subset sum is invertible
+    rng = random.Random(61 + k)
+    for _ in range(4):
+        ctx = [_gaussian_psd(rng, k, rank_one=True) for _ in range(k - 1)]
+        rep = check_gromov_semipositive(ctx)
+        assert rep.passed, rep.witness
+        # sum w_i w_i* has rank k - 1 iff the w_i are independent, which is
+        # when the context wedge is nonzero
+        H = sum((c.to_hermitian() for c in ctx), sp.zeros(k))
+        assert rep.degenerate == (H.rank() < k - 1)
 
 
 def test_gromov_semipositive_with_inline_fuzz():
