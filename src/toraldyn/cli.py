@@ -197,7 +197,7 @@ def _generator_report(g: TorusAutomorphism, digits: int) -> dict:
     prof = degree_profile(g)
     return {
         "name": g.name,
-        "matrix": _matrix_json(Matrix(g.A)),
+        "matrix": _matrix_json(g.A),
         "h11_charpoly": [str(int(c)) for c in h11_charpoly(g).all_coeffs()],
         "degrees": [_certified_json(d, digits) for d in prof.degrees],
         "entropy": _certified_json(prof.entropy, digits),
@@ -342,7 +342,7 @@ def cmd_forge(args) -> int:
         "kind": "torus_group",
         "complex_dim": str(forged.field.degree),
         "generators": [
-            {"name": g.name, "matrix": _matrix_json(Matrix(g.A))}
+            {"name": g.name, "matrix": _matrix_json(g.A)}
             for g in forged.group.generators],
     }
     report = build_analysis_report(forged.analysis, args.precision, args.seed)

@@ -45,23 +45,26 @@ class BudgetExceededError(RuntimeError):
         self.estimate = estimate
 
 
-def _is_gaussian_integer(v) -> bool:
-    v = sp.sympify(v)
-    return sp.re(v).is_Integer and sp.im(v).is_Integer
+def _gaussian_integer(v):
+    """``v`` as the canonical sympy Gaussian integer ``a + b*I``."""
+    re, im = sp.expand(v).as_real_imag()
+    if not (re.is_Integer and im.is_Integer):
+        raise ValueError("entries must be Gaussian integers")
+    return re + im * I
 
 
 class TorusAutomorphism:
     """Linear part of an automorphism of T^k: a Gaussian-integer matrix
-    with unit determinant.  Translations act trivially on cohomology and
-    are not modeled."""
+    with unit determinant, each entry expanded once to the canonical
+    ``a + b*I`` so that ``==``, ``hash`` and the group operations are exact.
+    Translations act trivially on cohomology and are not modeled."""
 
     def __init__(self, A, name: str = ""):
         A = sp.ImmutableMatrix(A)
         if not A.is_square:
             raise ValueError("matrix must be square")
-        if not all(_is_gaussian_integer(v) for v in A):
-            raise ValueError("entries must be Gaussian integers")
-        d = A.det()
+        A = A.applyfunc(_gaussian_integer)
+        d = _gaussian_integer(A.det())
         if d not in GAUSSIAN_UNITS:
             raise ValueError(f"determinant {d} is not a unit of Z[i]")
         self.A = A
@@ -69,8 +72,9 @@ class TorusAutomorphism:
         self.name = name or f"aut_{self.k}"
 
     def inverse(self) -> "TorusAutomorphism":
-        # det is a unit, so adjugate/det stays Gaussian-integer
-        return TorusAutomorphism(self.A.adjugate() / self.A.det(),
+        # det is a unit u, and 1/u = conj(u), so no division is needed
+        adj = self.A.adjugate()
+        return TorusAutomorphism(adj * sp.conjugate(self.A.det()),
                                  name=self.name + "^-1")
 
     def compose(self, other: "TorusAutomorphism") -> "TorusAutomorphism":
@@ -139,7 +143,7 @@ def h11_matrix(f: TorusAutomorphism) -> Matrix:
     cols = []
     for E in hermitian_basis(k):
         B = At * E * Abar
-        cols.append([sp.nsimplify(c) for c in hermitian_coords(B)])
+        cols.append([sp.expand(c) for c in hermitian_coords(B)])
     M = Matrix(cols).T
     if not all(v.is_Integer for v in M):
         raise ExactAlgebraError("H^{1,1} action matrix is not integral")

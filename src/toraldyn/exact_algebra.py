@@ -94,9 +94,6 @@ def exact_is_zero(expr) -> bool:
         z = simplified.is_zero
         if z is not None:
             return bool(z)
-        decided = _rootof_reduction(simplified)
-        if decided is not None:
-            return decided
     # refute nonzero values numerically before certifying symbolically
     prec = 30
     while prec <= 240:

@@ -104,9 +104,11 @@ _ONE = lambda k: (1,) + (0,) * (k - 1)
 def _unit_power(field: NumberFieldSpec, u, e: int):
     """u**e in Z[theta], exact, for any integer exponent."""
     base = tuple(u) if e >= 0 else field.inverse(u)
-    acc = _ONE(field.degree)
-    for _ in range(abs(e)):
-        acc = field.multiply(acc, base)
+    acc, e = _ONE(field.degree), abs(e)
+    while e:                            # binary powering
+        if e & 1:
+            acc = field.multiply(acc, base)
+        base, e = field.multiply(base, base), e >> 1
     return acc
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import sympy as sp
 from sympy import Matrix, eye
@@ -90,19 +91,20 @@ class GroupSpec:
         return len(self.generators)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CommutingReport:
     commutes: bool
     witness: tuple | None = None   # (i, j) indices of a non-commuting pair
 
 
+@lru_cache(maxsize=None)
 def check_commuting(spec: GroupSpec) -> CommutingReport:
-    """Exact pairwise commutator test; witness is the first failing pair."""
+    """Exact pairwise commutator test; witness is the first failing pair.
+    Memoised per spec: the analysis and the character search share it."""
     gens = spec.generators
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            if gens[i].A * gens[j].A != gens[j].A * gens[i].A:
-                return CommutingReport(False, (i, j))
+    for i, j in itertools.combinations(range(len(gens)), 2):
+        if gens[i].compose(gens[j]) != gens[j].compose(gens[i]):
+            return CommutingReport(False, (i, j))
     return CommutingReport(True)
 
 
@@ -123,13 +125,14 @@ def _simple_spectrum_eigensystem(spec: GroupSpec, M: Matrix, p: sp.Poly):
     Each eigenline of that generator is preserved by everything commuting
     with it, so the joint eigenvectors are exactly its eigenvectors: the
     nonzero columns of adj(theta*I - M) at each root theta.  All arithmetic
-    happens on polynomials modulo the root's minimal polynomial; the root
-    itself is substituted only into the final expressions."""
+    happens on polynomials modulo the root's irreducible factor over Q(i),
+    a field even for Gaussian M; the root itself is substituted only into
+    the final expressions."""
     from .exact_algebra import X
     k = spec.k
     adj = (X * eye(k) - M).adjugate()
     out = []
-    for factor, _mult in sp.factor_list(p.as_expr())[1]:
+    for factor, _mult in sp.factor_list(p.as_expr(), gaussian=True)[1]:
         fpoly = sp.Poly(factor, X)
 
         def reduce(expr):
@@ -152,15 +155,15 @@ def _simple_spectrum_eigensystem(spec: GroupSpec, M: Matrix, p: sp.Poly):
         inv = sp.invert(w_poly[i0], factor, X)
         mu_polys = []
         for g in spec.generators:
-            u = (Matrix(g.A).T * w_poly).applyfunc(reduce)
+            u = (g.A.T * w_poly).applyfunc(reduce)
             mu = reduce(u[i0] * inv)
             diff = (u - mu * w_poly).applyfunc(reduce)
             if any(v != 0 for v in diff):
                 raise ExactAlgebraError("eigenline not preserved "
                                         "(generators do not commute?)")
             mu_polys.append(mu)
-        roots = fpoly.all_roots() if fpoly.degree() > 1 else \
-            [sp.Rational(-fpoly.all_coeffs()[1], fpoly.all_coeffs()[0])]
+        c = fpoly.all_coeffs()
+        roots = fpoly.all_roots() if fpoly.degree() > 1 else [-c[1] / c[0]]
         for theta in roots:
             theta_conj = sp.conjugate(theta)
             w = w_poly.applyfunc(lambda v: v.subs(X, theta))
@@ -185,7 +188,7 @@ def _recursive_eigensystem(spec: GroupSpec):
     Every joint generalized eigenspace of a commuting family contains a
     common eigenvector, so every realizable system of eigenvalue moduli is
     found even when the family is not semisimple."""
-    mats = [Matrix(g.A).T for g in spec.generators]
+    mats = [g.A.T for g in spec.generators]
     k = spec.k
     state = {"semisimple": True}
 
@@ -226,12 +229,12 @@ def _common_eigenvectors(spec: GroupSpec):
 
     Returns (list of (vector, eigenvalues, moduli_squared), semisimple)."""
     for g in spec.generators:
-        p = charpoly(Matrix(g.A))
+        p = charpoly(g.A)
         if any(sp.im(c) != 0 for c in p.all_coeffs()):
             continue
         if sp.gcd(p, p.diff()).degree() == 0:
             # distinct eigenvalues force the joint eigenlines
-            return (_simple_spectrum_eigensystem(spec, Matrix(g.A).T, p),
+            return (_simple_spectrum_eigensystem(spec, g.A.T, p),
                     True)
     return _recursive_eigensystem(spec)
 
@@ -269,7 +272,7 @@ def _eigen_data(spec: GroupSpec, w: Matrix):
     mus = []
     modsq = []
     for g in spec.generators:
-        u = Matrix(g.A).T * w
+        u = g.A.T * w
         mu = sp.simplify(u[i0] / w[i0])
         diff = u - mu * w
         if not all(exact_is_zero(sp.expand(v)) for v in diff):
@@ -344,11 +347,11 @@ def _validate_characters(spec: GroupSpec, table: CharacterTable):
 
 def word_automorphism(spec: GroupSpec, e) -> TorusAutomorphism:
     """The group element with exponent vector e over the generators."""
-    acc = eye(spec.k)
+    acc = TorusAutomorphism(eye(spec.k), name="word")
     for g, ej in zip(spec.generators, e):
         if ej:
-            acc = acc * Matrix(g.power(int(ej)).A)
-    return TorusAutomorphism(acc, name="word")
+            acc = acc.compose(g.power(int(ej)))
+    return acc
 
 
 def verify_zero_entropy_word(spec: GroupSpec, e) -> bool:
@@ -421,15 +424,14 @@ class StructureReport:
     positive_entropy_certified: bool
 
 
-def _independent_eigenclass_chain(table: CharacterTable, count: int):
-    """count eigenclasses whose eigenvectors are linearly independent."""
-    vecs = [w for w, _modsq in table.eigenvectors]
-    for combo in itertools.combinations(range(len(vecs)), count):
-        W = Matrix.hstack(*[vecs[i] for i in combo])
-        if W.rank() == count:
-            return [CohomClass.from_hermitian(vecs[i] * vecs[i].H)
-                    for i in combo]
-    return None
+def _nonzero_wedge_chain(table: CharacterTable, count: int) -> bool:
+    """Whether some count eigenclasses have a nonzero wedge, the wedge
+    itself being the certificate (it vanishes iff the eigenvectors are
+    linearly dependent)."""
+    classes = [CohomClass.from_hermitian(w * w.H)
+               for w, _modsq in table.eigenvectors]
+    return any(not wedge_all(combo).is_zero()
+               for combo in itertools.combinations(classes, count))
 
 
 def assert_structure_theorems(spec: GroupSpec,
@@ -464,9 +466,7 @@ def assert_structure_theorems(spec: GroupSpec,
         if not ok:
             raise AssertionError(
                 f"THEOREM VIOLATION: binom({r},{nn}) = {val} > {limit}")
-    chain = _independent_eigenclass_chain(analysis.table, r + 1)
-    chain_ok = chain is not None and not wedge_all(chain).is_zero()
-    if not chain_ok:
+    if not _nonzero_wedge_chain(analysis.table, r + 1):
         raise AssertionError(
             "THEOREM VIOLATION: no nonzero wedge chain of length r+1")
     return StructureReport(k, r, True, bounds, r + 1, True, positive)
@@ -502,28 +502,27 @@ def _kernel_split(spec: GroupSpec, analysis: PiRankResult):
     return words[:s], words[s:]
 
 
-def _real_embedding(A: Matrix) -> Matrix:
-    """The 2k x 2k integer matrix of a Gaussian-integer matrix over R."""
-    Re = A.applyfunc(sp.re)
-    Im = A.applyfunc(sp.im)
+def _real_embedding(g: TorusAutomorphism) -> Matrix:
+    """The 2k x 2k integer matrix of g's linear part over R."""
+    Re = g.A.applyfunc(sp.re)
+    Im = g.A.applyfunc(sp.im)
     return Matrix(sp.BlockMatrix([[Re, -Im], [Im, Re]]))
 
 
-def _enumerate_closure(k: int, mats, cap: int = ENUMERATION_CAP):
+def _enumerate_closure(k: int, autos, cap: int = ENUMERATION_CAP):
     """(order, nonzero relation vectors) of the finite group generated by
-    commuting matrices, from one breadth-first walk.
+    commuting automorphisms, from one breadth-first walk.
 
-    Each element is labelled with the exponent vector over ``mats`` of the
-    path that first reached it.  A step e --M_i^(+-1)--> e' into an element
+    Each element is labelled with the exponent vector over ``autos`` of the
+    path that first reached it.  A step e --g_i^(+-1)--> e' into an element
     already seen gives the relation e +- e_i - e'; by Schreier's lemma these
     span every relation among the generators."""
-    s = len(mats)
+    s = len(autos)
     steps = []
-    for sign, group in ((1, mats), (-1, [Matrix(M).inv() for M in mats])):
-        for i, M in enumerate(group):
-            unit = tuple(sign if j == i else 0 for j in range(s))
-            steps.append((sp.ImmutableMatrix(M), unit))
-    ident = sp.ImmutableMatrix(eye(k))
+    for sign, group in ((1, autos), (-1, [g.inverse() for g in autos])):
+        for i, g in enumerate(group):
+            steps.append((g, tuple(sign if j == i else 0 for j in range(s))))
+    ident = TorusAutomorphism(eye(k))
     label = {ident: (0,) * s}
     frontier = [ident]
     relations = set()
@@ -532,7 +531,7 @@ def _enumerate_closure(k: int, mats, cap: int = ENUMERATION_CAP):
         for M in frontier:
             e = label[M]
             for g, unit in steps:
-                P = sp.ImmutableMatrix(M * g)
+                P = M.compose(g)
                 e_next = tuple(a + b for a, b in zip(e, unit))
                 if P in label:
                     rel = tuple(a - b for a, b in zip(e_next, label[P]))
@@ -548,18 +547,19 @@ def _enumerate_closure(k: int, mats, cap: int = ENUMERATION_CAP):
     return len(label), sorted(relations)
 
 
-def _box_relations(k: int, mats):
-    """Relations with exponents in [-4, 4] among commuting matrices, one of
-    infinite order (desk-scale completeness)."""
-    ident = sp.ImmutableMatrix(eye(k))
+def _box_relations(k: int, autos):
+    """Relations with exponents in [-4, 4] among commuting automorphisms,
+    one of infinite order (desk-scale completeness)."""
+    ident = TorusAutomorphism(eye(k))
+    powers = [{c: g.power(c) for c in range(-4, 5)} for g in autos]
     found = []
-    for c in itertools.product(range(-4, 5), repeat=len(mats)):
+    for c in itertools.product(range(-4, 5), repeat=len(autos)):
         if not any(c):
             continue
-        M = eye(k)
-        for ci, Wi in zip(c, mats):
-            M = M * (Wi**ci if ci >= 0 else Matrix(Wi).inv()**(-ci))
-        if sp.ImmutableMatrix(M) == ident:
+        M = ident
+        for ci, pw in zip(c, powers):
+            M = M.compose(pw[ci])
+        if M == ident:
             found.append(c)
     return found
 
@@ -585,17 +585,17 @@ def decompose(spec: GroupSpec, analysis: PiRankResult) -> DecompositionResult:
         if not verify_zero_entropy_word(spec, w):
             raise ExactAlgebraError("kernel saturation produced a word "
                                     "with positive entropy")
-    mats = [Matrix(word_automorphism(spec, w).A) for w in u_words]
-    orders = [matrix_order(_real_embedding(A),
-                           bound=finite_order_bound(2 * k)) for A in mats]
+    autos = [word_automorphism(spec, w) for w in u_words]
+    orders = [matrix_order(_real_embedding(g),
+                           bound=finite_order_bound(2 * k)) for g in autos]
     u_finite = all(o != INFINITE_ORDER for o in orders)
     if r == k - 1 and not u_finite:
         raise AssertionError(
             "THEOREM VIOLATION: infinite zero-entropy part at maximal rank")
     if u_finite:
-        u_order, relations = _enumerate_closure(k, mats)
+        u_order, relations = _enumerate_closure(k, autos)
     else:
-        u_order, relations = None, _box_relations(k, mats)
+        u_order, relations = None, _box_relations(k, autos)
     return DecompositionResult(r, free_words, u_words, u_finite, u_order,
                                _relation_lattice(spec.n, u_words, relations))
 
@@ -620,6 +620,13 @@ def _class_multiplier(g: TorusAutomorphism, c: CohomClass):
     if (image - c.scale(lam)).is_zero():
         return lam
     return None
+
+
+def _trivial_multiplier(row, e) -> bool:
+    """Whether prod_j |lam_j|^e_j == 1, decided exactly."""
+    pos = sp.Mul(*[sp.Abs(lam) ** ej for lam, ej in zip(row, e) if ej > 0])
+    neg = sp.Mul(*[sp.Abs(lam) ** -ej for lam, ej in zip(row, e) if ej < 0])
+    return exact_equal(sp.expand(pos), sp.expand(neg))
 
 
 def check_theorem_4_6(spec: GroupSpec, classes) -> Theorem46Report:
@@ -648,12 +655,12 @@ def check_theorem_4_6(spec: GroupSpec, classes) -> Theorem46Report:
     if wedge_all(classes).is_zero():
         return Theorem46Report("vacuous", reason="context wedge is zero")
     # positive-entropy hypothesis on a word sample: zero entropy => identity
-    ident = sp.ImmutableMatrix(eye(k))
+    ident = TorusAutomorphism(eye(k))
     for e in itertools.product(range(-2, 3), repeat=n):
         if not any(e):
             continue
         if verify_zero_entropy_word(spec, e):
-            if sp.ImmutableMatrix(word_automorphism(spec, e).A) != ident:
+            if word_automorphism(spec, e) != ident:
                 return Theorem46Report(
                     "vacuous", reason="zero-entropy non-identity word",
                     witness=e)
@@ -665,22 +672,10 @@ def check_theorem_4_6(spec: GroupSpec, classes) -> Theorem46Report:
     log_rows = ([sp.Integer(0) if exact_equal(lam, 1)
                  else sp.log(sp.Abs(lam)).evalf(_LOG_DIGITS) for lam in row]
                 for row in multipliers)
-    basis = _kernel_candidates(n, log_rows)
-    verified = []
-    for e in basis:
-        ok = True
-        for row in multipliers:
-            pos = sp.Mul(*[sp.Abs(lam) ** ej for lam, ej in zip(row, e)
-                           if ej > 0])
-            neg = sp.Mul(*[sp.Abs(lam) ** (-ej) for lam, ej in zip(row, e)
-                           if ej < 0])
-            if not exact_equal(sp.expand(pos), sp.expand(neg)):
-                ok = False
-                break
-        if ok:
-            verified.append(e)
+    verified = [e for e in _kernel_candidates(n, log_rows)
+                if all(_trivial_multiplier(row, e) for row in multipliers)]
     for e in verified:
-        if sp.ImmutableMatrix(word_automorphism(spec, e).A) != ident:
+        if word_automorphism(spec, e) != ident:
             # injectivity of pi fails only if the hypotheses fail;
             # the sample check above makes this unreachable in practice
             raise AssertionError(

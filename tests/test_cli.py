@@ -54,6 +54,23 @@ def test_analyze_parabolic(capsys):
                for g in rep["generators"])
 
 
+def test_analyze_gaussian_finite_order(tmp_path, capsys):
+    # A = [[-i, 0], [1+i, i]] has charpoly x^2 + 1, which splits over Q(i)
+    path = tmp_path / "gauss.json"
+    path.write_text(json.dumps({
+        "kind": "torus_group", "complex_dim": 2,
+        "generators": [{"name": "A", "matrix": [[["0", "-1"], ["0", "0"]],
+                                                [["1", "1"], ["0", "1"]]]}]}))
+    code, out, _ = _run(capsys, "analyze", str(path))
+    assert code == EXIT_OK
+    rep = _json_of(out)
+    assert rep["generators"][0]["classification"] == \
+        "finite_order_on_cohomology"
+    assert rep["rank"] == "0"
+    assert rep["decomposition"]["u_order"] == "4"
+    assert rep["decomposition"]["relation_lattice"]["basis"] == [["4"]]
+
+
 def test_analyze_non_commuting_exits_3(tmp_path, capsys):
     spec = {
         "kind": "torus_group", "complex_dim": 2,

@@ -42,6 +42,15 @@ def test_automorphism_group_operations():
     assert CAT.power(-1).A == CAT.inverse().A
 
 
+def test_gaussian_compose_is_exact():
+    # the product's entries expand to canonical a + b*i, so it is accepted
+    # and equals the power computed another way
+    g = TorusAutomorphism([[1 + I, 1], [I, 1]])
+    assert g.compose(g) == g.power(2)
+    assert hash(g.compose(g)) == hash(g.power(2))
+    assert g.compose(g.inverse()) == TorusAutomorphism(eye(2))
+
+
 # ---------------------------------------------------------------------------
 # cohomology actions
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ from sympy import Matrix, eye
 from toraldyn.cohomology import classify, entropy
 from toraldyn.example_forge import (
     ForgeError, NumberFieldSpec, UnitSystem, build_max_rank_group, builtin,
-    builtin_names, embedding_entropy, regular_representation, unit_search)
+    _unit_power, builtin_names, embedding_entropy, regular_representation,
+    unit_search)
 
 SQRT2_FIELD = NumberFieldSpec((1, 0, -2))          # x^2 - 2
 GOLDEN_FIELD = NumberFieldSpec((1, -1, -1))        # x^2 - x - 1
@@ -44,6 +45,27 @@ def test_field_arithmetic_round_trip():
     assert SQRT2_FIELD.multiply(u, inv) == (1, 0)
     with pytest.raises(ForgeError):
         SQRT2_FIELD.inverse((2, 0))
+
+
+def test_unit_power_matches_repeated_multiplication(monkeypatch):
+    u = (0, 1, 0)                                   # theta, a unit
+    for e in range(-7, 8):
+        base = u if e >= 0 else CUBIC_FIELD.inverse(u)
+        expected = (1, 0, 0)
+        for _ in range(abs(e)):
+            expected = CUBIC_FIELD.multiply(expected, base)
+        assert _unit_power(CUBIC_FIELD, u, e) == expected
+    # binary powering: O(log e) products, not e
+    calls = []
+    multiply = NumberFieldSpec.multiply
+
+    def counted(self, a, b):
+        calls.append(1)
+        return multiply(self, a, b)
+
+    monkeypatch.setattr(NumberFieldSpec, "multiply", counted)
+    _unit_power(CUBIC_FIELD, u, -64)
+    assert len(calls) <= 2 * (64).bit_length()
 
 
 # ---------------------------------------------------------------------------

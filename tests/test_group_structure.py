@@ -1,6 +1,7 @@
 """Tests for the group pipeline: characters, the rank of pi, structural
 bounds, and the U x free decomposition."""
 
+import dataclasses
 import math
 
 import pytest
@@ -8,7 +9,8 @@ import sympy as sp
 from sympy import I, Matrix, eye
 
 from toraldyn.exact_algebra import exact_equal, exact_is_zero
-from toraldyn.cohomology import CohomClass, dynamical_degree, pullback
+from toraldyn.cohomology import (
+    CohomClass, TorusAutomorphism, dynamical_degree, pullback)
 from toraldyn.group_structure import (
     DegenerateSpectrumError, GroupSpec, analyze_group,
     assert_structure_theorems, check_commuting, check_theorem_4_6, decompose,
@@ -39,6 +41,13 @@ def test_commuting_examples():
     bad = GroupSpec.from_matrices([[[2, 1], [1, 1]], [[1, 1], [0, 1]]])
     rep = check_commuting(bad)
     assert not rep.commutes and rep.witness == (0, 1)
+
+
+@pytest.mark.parametrize("M, j", [([[1 + I, 1], [I, 1]], 2),
+                                  ([[-I, 0], [1 + I, I]], 3)])
+def test_commuting_gaussian_powers(M, j):
+    g = TorusAutomorphism(M)
+    assert check_commuting(GroupSpec((g, g.power(j)))).commutes
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +174,16 @@ def test_structure_pell():
     assert rep.binomial_bounds == [(1, 1, 4, 3, True)]
     assert rep.wedge_chain_length == 2 and rep.wedge_chain_ok
     assert rep.positive_entropy_certified
+
+
+def test_structure_dependent_eigenvectors_have_no_wedge_chain():
+    # two parallel eigenvectors: every pair of eigenclasses wedges to zero
+    res = pi_rank(PELL, find_characters(PELL))
+    w, modsq = res.table.eigenvectors[0]
+    table = dataclasses.replace(res.table,
+                                eigenvectors=[(w, modsq), (2 * w, modsq)])
+    with pytest.raises(AssertionError, match="wedge chain"):
+        assert_structure_theorems(PELL, dataclasses.replace(res, table=table))
 
 
 def test_structure_identity_group():
