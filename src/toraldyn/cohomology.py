@@ -30,6 +30,7 @@ from .exact_algebra import (
     matrix_order,
     real_charpoly,
     root_moduli,
+    symmetric_definiteness,
 )
 
 POSITIVE_ENTROPY = "positive_entropy"
@@ -376,8 +377,8 @@ class CohomClass:
                 and (self.k, self.p) == (other.k, other.p)
                 and (self - other).is_zero())
 
-    def __hash__(self):
-        return hash((self.k, self.p, frozenset(self.coeffs.items())))
+    # equality is exact, so no hash of the coefficient trees agrees with it
+    __hash__ = None
 
     def __repr__(self):
         return f"CohomClass(k={self.k}, p={self.p}, {len(self.coeffs)} terms)"
@@ -469,45 +470,23 @@ def pullback(f: TorusAutomorphism, c: CohomClass) -> CohomClass:
 # positivity of (1,1)-classes
 
 
-def _hermitian_psd(H: Matrix, require_pd: bool) -> bool:
-    """Exact PSD/PD decision by pivoted Hermitian elimination."""
-    n = H.rows
-    if n == 0:
-        return True
-    diag_signs = [exact_sign(sp.re(H[i, i])) for i in range(n)]
-    if any(s < 0 for s in diag_signs):
-        return False
-    if all(s == 0 for s in diag_signs):
-        # PSD with zero diagonal forces the whole matrix to vanish
-        zero = all(exact_is_zero(v) for v in H)
-        return zero and not require_pd
-    piv = diag_signs.index(1)
-    d = H[piv, piv]
-    rest = [i for i in range(n) if i != piv]
-    S = sp.zeros(n - 1, n - 1)
-    for a, i in enumerate(rest):
-        for b, j in enumerate(rest):
-            S[a, b] = sp.expand(H[i, j] - H[i, piv] * H[piv, j] / d)
-    return _hermitian_psd(S, require_pd)
+def _definiteness(c: CohomClass, test: str):
+    """Exact (psd, pd) of the Hermitian form of a (1,1)-class; a class that
+    is not real is neither."""
+    if c.p != 1:
+        raise ValueError(f"{test} test implemented for (1,1)-classes")
+    if not c.is_real():
+        return False, False
+    return symmetric_definiteness(c.to_hermitian().tolist())[:2]
 
 
 def is_nef(c: CohomClass) -> bool:
     """nef = closure of the Kahler cone = PSD Hermitian form, decided exactly."""
-    if c.p != 1:
-        raise ValueError("nef test implemented for (1,1)-classes")
-    H = c.to_hermitian()
-    if not c.is_real():
-        return False
-    return _hermitian_psd(H, require_pd=False)
+    return _definiteness(c, "nef")[0]
 
 
 def is_kahler(c: CohomClass) -> bool:
-    if c.p != 1:
-        raise ValueError("Kahler test implemented for (1,1)-classes")
-    H = c.to_hermitian()
-    if not c.is_real():
-        return False
-    return _hermitian_psd(H, require_pd=True)
+    return _definiteness(c, "Kahler")[1]
 
 
 # ---------------------------------------------------------------------------

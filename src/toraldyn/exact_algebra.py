@@ -9,6 +9,7 @@ decision anywhere in this module is made from bare floats.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -188,8 +189,8 @@ class CertifiedReal:
             other = other.expr
         return exact_equal(self.expr, other)
 
-    def __hash__(self):
-        return hash(self.expr)
+    # equality is exact, so no hash of the expression tree agrees with it
+    __hash__ = None
 
     def compare(self, other) -> int:
         if isinstance(other, CertifiedReal):
@@ -225,6 +226,79 @@ class AlgebraicReal(CertifiedReal):
             mp = sp.minimal_polynomial(self.expr, X)
             self._minpoly = Poly(mp, X)
         return self._minpoly
+
+
+# ---------------------------------------------------------------------------
+# exact definiteness of Hermitian forms
+
+
+def _real_sign(v) -> int:
+    """Exact sign of the real part of a Fraction or an algebraic sympy number;
+    rationals are compared natively."""
+    if isinstance(v, Fraction):
+        return (v > 0) - (v < 0)
+    v = sp.re(v)
+    if v.is_Rational:
+        return (v.p > 0) - (v.p < 0)
+    return exact_sign(v)
+
+
+def _is_zero(v) -> bool:
+    if isinstance(v, Fraction) or v.is_Rational:
+        return v == 0
+    return exact_is_zero(v)
+
+
+def _expanded(v):
+    # sympy entries stay expanded, so every sign and zero test sees a sum of
+    # terms rather than a nested tree
+    return v if isinstance(v, Fraction) else sp.expand(v)
+
+
+def symmetric_definiteness(M):
+    """Exact ``(psd, pd, witness)`` of a Hermitian matrix given as rows of
+    Fractions or algebraic sympy numbers, by pivoted LDL^H elimination.
+
+    ``witness`` is a vector v with v^H M v < 0 when M is not psd, else None.
+    """
+    n = len(M)
+    work = [list(row) for row in M]
+    active = list(range(n))
+    # each step replaces the basis vector e_i of every remaining index i by
+    # e_i - conj(f_i) e_piv, which is M-orthogonal to e_piv
+    steps = []
+
+    def lift(w):
+        """Original coordinates of a vector given over the active indices."""
+        v = dict(w)
+        for piv, mult in reversed(steps):
+            v[piv] = -sum(f.conjugate() * v.get(i, 0) for i, f in mult.items())
+        return [v.get(i, 0) for i in range(n)]
+
+    while active:
+        signs = {i: _real_sign(work[i][i]) for i in active}
+        neg = next((i for i in active if signs[i] < 0), None)
+        if neg is not None:
+            return False, False, lift({neg: 1})
+        piv = next((i for i in active if signs[i] > 0), None)
+        if piv is None:
+            # zero diagonal: psd iff all remaining entries vanish; otherwise
+            # v = e_i - M_ji e_j has v^H M v = -2 |M_ij|^2 < 0
+            for i, j in itertools.combinations(active, 2):
+                if not _is_zero(work[j][i]):
+                    return False, False, lift({i: 1, j: -work[j][i]})
+            return True, False, None
+        d = work[piv][piv]
+        active.remove(piv)
+        mult = {}
+        for i in active:
+            f = work[i][piv] / d
+            if f:
+                mult[i] = f
+                for j in active:
+                    work[i][j] = _expanded(work[i][j] - f * work[piv][j])
+        steps.append((piv, mult))
+    return True, True, None
 
 
 # ---------------------------------------------------------------------------

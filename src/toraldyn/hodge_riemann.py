@@ -39,7 +39,7 @@ from .cohomology import (
     wedge,
     wedge_all,
 )
-from .exact_algebra import exact_is_zero, exact_sign
+from .exact_algebra import exact_is_zero, exact_sign, symmetric_definiteness
 
 # ---------------------------------------------------------------------------
 # Gaussian-rational matrices as lists of (re, im) pairs
@@ -237,61 +237,6 @@ def restrict_symmetric(G, vectors):
     return R
 
 
-def symmetric_definiteness(M):
-    """Exact (psd, pd, witness) for a rational symmetric matrix.
-
-    witness is a vector v with v^T M v < 0 when not psd, else None."""
-    n = len(M)
-    if n == 0:
-        return True, True, None
-    work = [row[:] for row in M]
-    # columns of T express current coordinates in terms of the original ones
-    T = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-         for i in range(n)]
-    idx = list(range(n))
-    pd = True
-
-    def lift(vec_small, active):
-        v = [Fraction(0)] * n
-        for val, i in zip(vec_small, active):
-            for r in range(n):
-                v[r] += val * T[r][i]
-        return v
-
-    active = list(range(n))
-    while active:
-        diag = [(i, work[i][i]) for i in active]
-        neg = next((i for i, d in diag if d < 0), None)
-        if neg is not None:
-            w = [Fraction(0)] * len(active)
-            w[active.index(neg)] = Fraction(1)
-            return False, False, lift(w, active)
-        piv = next((i for i, d in diag if d > 0), None)
-        if piv is None:
-            # all diagonal zero: psd iff all remaining entries vanish
-            for i in active:
-                for j in active:
-                    if work[i][j] != 0:
-                        w = [Fraction(0)] * len(active)
-                        s = 1 if work[i][j] > 0 else -1
-                        w[active.index(i)] = Fraction(1)
-                        w[active.index(j)] = Fraction(-s)
-                        return False, False, lift(w, active)
-            return True, False, None
-        d = work[piv][piv]
-        rest = [i for i in active if i != piv]
-        pivot_row = work[piv][:]
-        for i in rest:
-            f = pivot_row[i] / d
-            if f:
-                for j in rest:
-                    work[i][j] -= f * pivot_row[j]
-                for r in range(n):
-                    T[r][i] -= f * T[r][piv]
-        active = rest
-    return True, pd, None
-
-
 # ---------------------------------------------------------------------------
 # reports
 
@@ -384,20 +329,29 @@ def primitive_space(context) -> PrimitiveSpace:
     return PrimitiveSpace(k, tuple(context), basis, degenerate)
 
 
+def _primitive_q_definiteness(mats, k: int):
+    """Exact ``(psd, pd, witness)`` of q, built from the first k-2 of the
+    k-1 contexts ``mats``, on the primitive hyperplane of all of them; None
+    when the context wedge vanishes and there is no such hyperplane."""
+    ell = primitive_functional_fractions(mats, k)
+    basis, degenerate = _kernel_of_functional(ell)
+    if degenerate:
+        return None
+    R = restrict_symmetric(q_gram_fractions(mats[:k - 2], k), basis)
+    return symmetric_definiteness(R)
+
+
 def check_hodge_riemann_definite(omega: CohomClass) -> PositivityReport:
     """Classical Hodge-Riemann: q is positive definite on the primitive
     hyperplane of a Kahler class; certified by exact rational pivots."""
     if not is_kahler(omega):
         raise ValueError("check_hodge_riemann_definite requires a Kahler class")
     k = omega.k
-    ctx = _contexts_to_fractions([omega])[0]
-    G = q_gram_fractions([ctx] * (k - 2), k)
-    ell = primitive_functional_fractions([ctx] * (k - 1), k)
-    basis, degenerate = _kernel_of_functional(ell)
-    R = restrict_symmetric(G, basis)
-    psd, pd, witness = symmetric_definiteness(R)
+    # omega^k > 0, so the primitive space of omega is a hyperplane
+    _, pd, witness = _primitive_q_definiteness(
+        [gmat_from_class(omega)] * (k - 1), k)
     return PositivityReport("hodge_riemann_pd", k, passed=pd, definite=pd,
-                            degenerate=degenerate, witness=witness)
+                            witness=witness)
 
 
 def check_gromov_semipositive(context, samples: int = 0,
@@ -411,15 +365,11 @@ def check_gromov_semipositive(context, samples: int = 0,
     for c in context:
         if not is_nef(c):
             raise ValueError("context classes must be nef")
-    mats = _contexts_to_fractions(context)
-    ell = primitive_functional_fractions(mats, k)
-    basis, degenerate = _kernel_of_functional(ell)
-    if degenerate:
+    decided = _primitive_q_definiteness(_contexts_to_fractions(context), k)
+    if decided is None:
         return PositivityReport("gromov_psd", k, passed=True, definite=False,
                                 degenerate=True)
-    G = q_gram_fractions(mats[:k - 2], k)
-    R = restrict_symmetric(G, basis)
-    psd, pd, witness = symmetric_definiteness(R)
+    psd, pd, witness = decided
     fuzz = gromov_fuzz(k, samples, seed) if samples else None
     return PositivityReport("gromov_psd", k, passed=psd and (fuzz is None or fuzz.passed),
                             definite=pd, witness=witness, fuzz=fuzz)
@@ -442,16 +392,11 @@ def gromov_fuzz(k: int, samples: int, seed: int) -> FuzzReport:
     report = FuzzReport(k, samples, seed)
     for s in range(samples):
         mats = [_random_pd_context(rng, k) for _ in range(k - 1)]
-        ell = primitive_functional_fractions(mats, k)
-        basis, degenerate = _kernel_of_functional(ell)
-        if degenerate:
+        decided = _primitive_q_definiteness(mats, k)
+        if decided is None:
             report.degenerate_skipped += 1
-            continue
-        G = q_gram_fractions(mats[:k - 2], k)
-        R = restrict_symmetric(G, basis)
-        psd, _, witness = symmetric_definiteness(R)
-        if not psd:
-            report.failures.append((s, witness))
+        elif not decided[0]:
+            report.failures.append((s, decided[2]))
     return report
 
 
@@ -462,6 +407,7 @@ def gromov_fuzz(k: int, samples: int, seed: int) -> FuzzReport:
 @dataclass
 class ColinearityResult:
     kind: str              # "colinear" | "wedge_nonzero"
+    # when set, c' = ratio * c; None when c = 0 and c' != 0
     ratio: sp.Expr | None = None
 
 
@@ -474,9 +420,9 @@ def colinearity_witness(c: CohomClass, cprime: CohomClass) -> ColinearityResult:
         return ColinearityResult("wedge_nonzero")
     # verify colinearity exactly and extract the ratio
     if c.is_zero():
-        return ColinearityResult("colinear", ratio=sp.Integer(0))
-    if cprime.is_zero():
-        return ColinearityResult("colinear", ratio=sp.Integer(0))
+        # c = 0 is colinear with anything, but only c' = 0 is a multiple of it
+        return ColinearityResult("colinear",
+                                 ratio=sp.Integer(0) if cprime.is_zero() else None)
     key, base = next(iter(c.coeffs.items()))
     other = cprime.coeffs.get(key, sp.Integer(0))
     ratio = sp.expand(other / base)

@@ -212,6 +212,15 @@ def test_nef_kahler_examples():
     assert not is_nef(CohomClass.from_hermitian(sp.diag(1, -1)))
 
 
+def test_cohom_class_equality_is_exact_and_unhashable():
+    # equal classes whose coefficients are different expression trees
+    a = CohomClass.from_hermitian(sp.diag((1 + sp.sqrt(2)) ** 2, 0))
+    b = CohomClass.from_hermitian(sp.diag(3 + 2 * sp.sqrt(2), 0))
+    assert a == b
+    with pytest.raises(TypeError):
+        hash(a)
+
+
 def test_pullback_preserves_nef():
     c = CohomClass.from_hermitian(sp.diag(1, 0))
     for f in (CAT, SHEAR, ROT):

@@ -254,6 +254,16 @@ def test_certified_real_enclosure_shrinks():
     assert lo * lo <= 2 <= hi * hi  # sqrt(2) really lies in [lo, hi]
 
 
+def test_certified_real_equality_is_exact_and_unhashable():
+    # equal numbers whose expressions are different trees
+    a = CertifiedReal((1 + sp.sqrt(2)) ** 2)
+    b = CertifiedReal(3 + 2 * sp.sqrt(2))
+    assert a == b
+    for v in (a, AlgebraicReal(sp.sqrt(2))):
+        with pytest.raises(TypeError):
+            hash(v)
+
+
 def test_algebraic_real_min_poly():
     a = AlgebraicReal(sp.sqrt(2) + 1)
     assert a.minimal_polynomial == sp.Poly(X**2 - 2 * X - 1, X)

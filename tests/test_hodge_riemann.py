@@ -8,6 +8,7 @@ import pytest
 import sympy as sp
 from sympy import I, Matrix, eye
 
+from toraldyn.exact_algebra import exact_is_zero, exact_sign
 from toraldyn.cohomology import (CohomClass, TorusAutomorphism,
                                  hermitian_basis, intersection_number,
                                  wedge, wedge_all)
@@ -222,21 +223,52 @@ def test_gromov_semipositive_with_inline_fuzz():
 # exact symmetric definiteness backend
 # ---------------------------------------------------------------------------
 
+S2 = sp.sqrt(2)
+# Hermitian matrices over Q(sqrt 2) with known (psd, pd); the pivots of the
+# last two divide by algebraic numbers
+QUADRATIC_FIELD_CASES = [
+    ([[1, S2], [S2, 1]], (False, False)),                       # det -1
+    ([[S2, 1], [1, S2 / 2]], (True, False)),                    # det 0
+    ([[1 + S2, 1, 0], [1, S2, 1], [0, 1, 2]], (True, True)),    # minors 1 + sqrt 2
+    ([[1 + S2, 1, 0], [1, S2, 1], [0, 1, S2 - 1]], (False, False)),  # det -sqrt 2
+]
+
+
 def test_symmetric_definiteness_oracle():
     rng = random.Random(43)
     from fractions import Fraction
+    cases = []
     for _ in range(60):
         n = rng.randint(1, 4)
         B = Matrix(n, n, lambda i, j: rng.randint(-3, 3))
         M = B + B.T if rng.random() < 0.5 else B * B.T
-        psd, pd, witness = symmetric_definiteness(
-            [[Fraction(int(M[i, j])) for j in range(n)] for i in range(n)])
-        assert psd == M.is_positive_semidefinite
-        assert pd == M.is_positive_definite
+        cases.append((M, [[Fraction(int(M[i, j])) for j in range(n)]
+                          for i in range(n)],
+                      (M.is_positive_semidefinite, M.is_positive_definite)))
+    # Gaussian-integer Hermitian matrices, against the real form
+    # [[Re, -Im], [Im, Re]] of x^H M x on x = p + iq
+    rng = random.Random(44)
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        B = Matrix(n, n, lambda i, j: rng.randint(-2, 2) + I * rng.randint(-2, 2))
+        M = (B + B.H if rng.random() < 0.5 else B * B.H).applyfunc(sp.expand)
+        re, im = M.applyfunc(sp.re), M.applyfunc(sp.im)
+        real = Matrix(sp.BlockMatrix([[re, -im], [im, re]]))
+        cases.append((M, M.tolist(), (real.is_positive_semidefinite,
+                                      real.is_positive_definite)))
+    # zero diagonal, nonzero off-diagonal
+    M = Matrix([[0, I], [-I, 0]])
+    cases.append((M, M.tolist(), (False, False)))
+    for rows, expected in QUADRATIC_FIELD_CASES:
+        cases.append((Matrix(rows), rows, expected))
+    for M, rows, expected in cases:
+        psd, pd, witness = symmetric_definiteness(rows)
+        assert (psd, pd) == expected
         if not psd:
-            v = Matrix([sp.Rational(x.numerator, x.denominator)
-                        for x in witness])
-            assert (v.T * M * v)[0] < 0
+            # v^H M v < 0 exactly
+            v = Matrix([sp.sympify(x) for x in witness])
+            val = sp.expand((v.H * M * v)[0])
+            assert exact_is_zero(sp.im(val)) and exact_sign(sp.re(val)) < 0
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +282,14 @@ def test_colinearity_examples():
     w = Matrix([2, 1])
     cw = CohomClass.from_hermitian(w * w.T)
     assert colinearity_witness(cw, cw).kind == "colinear"
+
+
+def test_colinearity_ratio_is_none_only_for_zero_c():
+    zero = CohomClass.zero(2, 1)
+    res = colinearity_witness(zero, D10)
+    assert res.kind == "colinear" and res.ratio is None
+    assert colinearity_witness(D10, zero).ratio == 0
+    assert colinearity_witness(zero, zero).ratio == 0
 
 
 def test_colinearity_rejects_non_nef():
@@ -275,6 +315,8 @@ def test_colinearity_dichotomy_exhaustive():
         res = colinearity_witness(c, cp)
         outcomes.add(res.kind)
         assert res.kind in ("colinear", "wedge_nonzero")
+        if res.ratio is not None:
+            assert cp == c.scale(res.ratio)
     assert outcomes <= {"colinear", "wedge_nonzero"}
 
 
