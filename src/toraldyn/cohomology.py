@@ -62,8 +62,8 @@ class TorusAutomorphism:
 
     def __init__(self, A, name: str = ""):
         A = sp.ImmutableMatrix(A)
-        if not A.is_square:
-            raise ValueError("matrix must be square")
+        if not A.is_square or A.rows == 0:
+            raise ValueError("matrix must be square and nonempty")
         A = A.applyfunc(_gaussian_integer)
         d = _gaussian_integer(A.det())
         if d not in GAUSSIAN_UNITS:

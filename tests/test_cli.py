@@ -161,13 +161,13 @@ def test_report_matches_golden(name, argv):
 
 def test_analysis_computes_each_artifact_once(monkeypatch):
     calls = {"find_characters": 0, "pi_rank": 0}
+    # facts certified by construction: the analysis decides none of them
+    class_algebra = {"wedge": 0, "is_nef": 0, "pullback": 0}
     moduli = {}
 
-    def counted(name):
-        fn = getattr(group_structure, name)
-
+    def counted(tally, name, fn):
         def wrapper(*args):
-            calls[name] += 1
+            tally[name] += 1
             return fn(*args)
         return wrapper
 
@@ -178,7 +178,14 @@ def test_analysis_computes_each_artifact_once(monkeypatch):
         return real_moduli(f)
 
     for name in calls:
-        monkeypatch.setattr(group_structure, name, counted(name))
+        monkeypatch.setattr(group_structure, name, counted(
+            calls, name, getattr(group_structure, name)))
+    for name in class_algebra:
+        fn = getattr(cohomology, name)
+        for module in (group_structure, cohomology):
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name,
+                                    counted(class_algebra, name, fn))
     monkeypatch.setattr(cohomology, "eigenvalue_moduli", eigenvalue_moduli)
     cohomology._moduli_squared_desc.cache_clear()
     spec = builtin("cubic_T3")
@@ -186,6 +193,7 @@ def test_analysis_computes_each_artifact_once(monkeypatch):
     build_analysis_report(analysis, 12, 0)
     assert calls == {"find_characters": 1, "pi_rank": 1}
     assert sorted(moduli.values()) == [1] * spec.n
+    assert class_algebra == {"wedge": 0, "is_nef": 0, "pullback": 0}
 
 
 def test_analyze_reports_are_deterministic(capsys):
@@ -285,10 +293,12 @@ def test_enumerate_budget_refusal(capsys):
     (None, ["enumerate", "--dim", "2", "--bound", "-1"]),
     (None, ["analyze", "cat_T2", "--precision", "-1"]),
     (None, ["hodge-check", "--dim", "2", "--samples", "-5"]),
+    ({"kind": "torus_group", "complex_dim": "0",
+      "generators": [{"matrix": []}]}, None),
 ], ids=["list_spec", "string_generators", "non_object_generator",
         "string_coeff_bound", "enumerate_dim_0", "enumerate_dim_negative",
         "enumerate_bound_negative", "negative_precision",
-        "negative_samples"])
+        "negative_samples", "empty_matrix"])
 def test_invalid_input_exits_3(tmp_path, capsys, spec, argv):
     if argv is None:
         path = tmp_path / "spec.json"

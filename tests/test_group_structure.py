@@ -10,13 +10,15 @@ from sympy import I, Matrix, eye
 
 from toraldyn.exact_algebra import exact_equal, exact_is_zero
 from toraldyn.cohomology import (
-    CohomClass, TorusAutomorphism, dynamical_degree, pullback)
+    CohomClass, TorusAutomorphism, dynamical_degree, is_nef, pullback)
+from toraldyn.example_forge import builtin, builtin_names
 from toraldyn.group_structure import (
     DegenerateSpectrumError, GroupSpec, analyze_group,
     assert_structure_theorems, check_commuting, check_theorem_4_6, decompose,
     find_characters, pi_rank, verify_zero_entropy_word, word_automorphism)
 
-PELL = GroupSpec.from_matrices([[[1, 2], [1, 1]]], ("pell",))
+PELL_MATRIX = [[1, 2], [1, 1]]
+PELL = GroupSpec.from_matrices([PELL_MATRIX], ("pell",))
 PELL_PAIR = GroupSpec.from_matrices(
     [[[1, 2], [1, 1]], [[-1, 2], [1, -1]]], ("pell", "pell_inv"))
 PELL_TORSION = GroupSpec.from_matrices(
@@ -74,13 +76,21 @@ def test_identity_group_characters():
         assert all(exact_is_zero(t.expr) for t in ch.taus())
 
 
-def test_character_eigenclasses_exact():
-    for spec in (PELL, PELL_TORSION):
-        table = find_characters(spec)
-        for ch in table.characters:
-            for g, msq in zip(spec.generators, ch.modulus_squared):
-                diff = pullback(g, ch.eigenclass) - ch.eigenclass.scale(msq)
-                assert diff.is_zero()
+# a generator of SL(3, Z) with one real and two non-real eigenvalues
+SL3_NONREAL = GroupSpec.from_matrices([[[1, -1, -1], [0, 1, -1], [1, -1, 0]]])
+
+
+@pytest.mark.parametrize("spec", [builtin(name) for name in builtin_names()]
+                         + [SL3_NONREAL],
+                         ids=builtin_names() + ["sl3_nonreal_irreducible"])
+def test_character_eigenclasses_exact(spec):
+    # find_characters certifies these facts by construction; decide them here
+    table = find_characters(spec)
+    for ch in table.characters:
+        cls = ch.eigenclass
+        assert is_nef(cls) and not cls.is_zero()
+        for g, msq in zip(spec.generators, ch.modulus_squared):
+            assert pullback(g, cls) == cls.scale(msq)
 
 
 def test_characters_attain_d1():
@@ -184,6 +194,24 @@ def test_structure_dependent_eigenvectors_have_no_wedge_chain():
                                 eigenvectors=[(w, modsq), (2 * w, modsq)])
     with pytest.raises(AssertionError, match="wedge chain"):
         assert_structure_theorems(PELL, dataclasses.replace(res, table=table))
+
+
+@pytest.mark.parametrize("blocks, leading_repeat", [
+    ((PELL_MATRIX, PELL_MATRIX), True),     # tuples a^-1, a^-1, a, a
+    ((PELL_MATRIX, [[1]]), False),          # tuples 1, a^-1, a
+], ids=["pell_plus_pell_T4", "pell_plus_one_T3"])
+def test_structure_chain_skips_repeated_tuples(blocks, leading_repeat):
+    # a chain of r+1 = 2 eigenclasses needs two distinct multiplier tuples;
+    # when the first two eigenvectors share one, the chain must look past it
+    spec = GroupSpec.from_matrices(
+        [sp.diag(*[Matrix(b) for b in blocks]).tolist()])
+    res = pi_rank(spec, find_characters(spec))
+    (_, first), (_, second) = res.table.eigenvectors[:2]
+    assert all(exact_equal(a, b)
+               for a, b in zip(first, second)) == leading_repeat
+    rep = assert_structure_theorems(spec, res)
+    assert rep.rank == 1
+    assert rep.wedge_chain_length == 2 and rep.wedge_chain_ok
 
 
 def test_structure_identity_group():
