@@ -26,7 +26,7 @@ from sympy import I, Matrix
 
 from . import __version__
 from .exact_algebra import (AlgebraicReal, CertifiedReal, ExactAlgebraError,
-                            IntegerLattice, exact_sign)
+                            IntegerLattice, RealRoot, exact_sign)
 from .cohomology import (BudgetExceededError, CohomClass, TorusAutomorphism,
                          degree_profile, enumerate_degree_values, h11_charpoly)
 from .hodge_riemann import check_hodge_riemann_definite, gromov_fuzz
@@ -72,9 +72,13 @@ def _certified_json(value: CertifiedReal, digits: int) -> dict:
     return out
 
 
-def _expr_json(expr, digits: int) -> dict:
-    out = _certified_json(CertifiedReal(expr), digits)
-    out["exact"] = str(expr)
+def _expr_json(value, digits: int) -> dict:
+    """An exact value and its interval; a ``RealRoot`` (a multiplier of a
+    factor with a non-real root) gives the interval from its own isolation."""
+    if not isinstance(value, RealRoot):
+        value = CertifiedReal(value)
+    out = _certified_json(value, digits)
+    out["exact"] = str(value.expr)
     return out
 
 
@@ -241,7 +245,7 @@ def build_analysis_report(analysis: GroupAnalysis, digits: int,
         "m": str(table.m),
         "semisimple": table.semisimple,
         "modulus_squared": [
-            [_expr_json(v, digits) for v in ch.modulus_squared]
+            [_expr_json(v, digits) for v in ch.multipliers]
             for ch in table.characters],
     }
     report["rank"] = str(analysis.rank.rank)

@@ -3,19 +3,25 @@
 Everything in this module is exact: matrices carry arbitrary-precision
 (Gaussian) integers, polynomials have integer coefficients, and real
 algebraic numbers are represented by an exact sympy expression together
-with certified rational enclosures that can be refined on demand.  No
+with certified rational enclosures that can be refined on demand.  Numbers
+that come from a polynomial with a non-real root are decided by the
+real-algebraic kernel (``RealRoot``): an irreducible integer polynomial and
+a rational isolating interval, refined with integer arithmetic only.  No
 decision anywhere in this module is made from bare floats.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath
 import sympy as sp
-from sympy import Matrix, Poly, Rational
+from sympy import ZZ, Matrix, Poly, Rational
+from sympy.polys.factortools import dup_factor_list
 from sympy.polys.matrices import DomainMatrix
 
 X = sp.Symbol("x")
@@ -111,6 +117,10 @@ def exact_is_zero(expr) -> bool:
 
 
 def exact_equal(a, b) -> bool:
+    """Exact equality; decided by the real-algebraic kernel when either
+    side is a ``RealRoot``."""
+    if isinstance(a, RealRoot) or isinstance(b, RealRoot):
+        return real_root(a) == real_root(b)
     return exact_is_zero(sp.sympify(a) - sp.sympify(b))
 
 
@@ -229,6 +239,515 @@ class AlgebraicReal(CertifiedReal):
 
 
 # ---------------------------------------------------------------------------
+# the real-algebraic kernel: integer polynomials and isolating intervals
+#
+# Integer polynomials are tuples of ints, leading coefficient first.  Real
+# roots are isolated by Sturm sequences (Cohen, GTM 138, section 4.1), so
+# every sign, comparison and enclosure below is integer arithmetic.
+
+
+def _sign_at(poly, q: Fraction) -> int:
+    """Exact sign of an integer polynomial at a rational point."""
+    n, d = q.numerator, q.denominator
+    acc, dk = poly[0], 1
+    for c in poly[1:]:
+        dk *= d
+        acc = acc * n + c * dk
+    return (acc > 0) - (acc < 0)
+
+
+def _normalized(coeffs) -> tuple:
+    """Primitive integer polynomial with a positive leading coefficient,
+    from rational coefficients (leading first)."""
+    coeffs = [Fraction(c) for c in coeffs]
+    while coeffs and coeffs[0] == 0:
+        coeffs.pop(0)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
+    g = math.gcd(*ints)
+    if ints[0] < 0:
+        g = -g
+    return tuple(v // g for v in ints)
+
+
+def _irreducible_factors(poly) -> list:
+    """Distinct irreducible factors of a nonzero integer polynomial."""
+    return [_normalized(f) for f, _ in dup_factor_list(list(poly), ZZ)[1]]
+
+
+def _sturm_sequence(poly) -> list:
+    """Sturm sequence of a squarefree integer polynomial; each member is
+    scaled by a positive rational to integer coefficients."""
+    n = len(poly) - 1
+    seq = [tuple(poly), _normalized([c * (n - i) for i, c in
+                                      enumerate(poly[:-1])])]
+    while len(seq[-1]) > 1:
+        a, b = [Fraction(c) for c in seq[-2]], seq[-1]
+        while len(a) >= len(b):
+            q = a[0] / b[0]
+            for i in range(len(b)):
+                a[i] -= q * b[i]
+            a.pop(0)
+        if not any(a):
+            break
+        rem = _normalized(a)
+        # the negated remainder, scaled by a positive factor
+        lead = next(c for c in a if c)
+        seq.append(tuple(-v for v in rem) if lead > 0 else rem)
+    return seq
+
+
+def _sign_changes(seq, q: Fraction) -> int:
+    signs = [s for s in (_sign_at(p, q) for p in seq) if s]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _root_bound(poly) -> Fraction:
+    """A rational bound strictly above the modulus of every root."""
+    return Fraction(2 + max(abs(c) for c in poly[1:]) // abs(poly[0]))
+
+
+def _isolate(poly) -> list:
+    """Isolating intervals (lo, hi), ascending, of the real roots of an
+    irreducible integer polynomial of degree >= 2.  Such a polynomial has
+    no rational root, so no bisection point is ever a root."""
+    seq = _sturm_sequence(poly)
+    b = _root_bound(poly)
+    out, stack = [], [(-b, b)]
+    while stack:
+        lo, hi = stack.pop()
+        count = _sign_changes(seq, lo) - _sign_changes(seq, hi)
+        if count == 1:
+            out.append((lo, hi))
+        elif count > 1:
+            mid = (lo + hi) / 2
+            stack += [(lo, mid), (mid, hi)]
+    return sorted(out)
+
+
+class RealRoot(CertifiedReal):
+    """A real algebraic number decided by integer arithmetic alone: the
+    unique root of an irreducible primitive integer polynomial (positive
+    leading coefficient) in a rational isolating interval.  ``expr`` is the
+    same number as a sympy value; it is never evaluated here.
+
+    Enclosures are nodes of the bisection tree of the isolating interval the
+    number was created with, so ``enclosure(eps)`` depends only on the
+    number and ``eps``, never on how far earlier calls refined it."""
+
+    def __init__(self, expr, poly, lo: Fraction, hi: Fraction):
+        super().__init__(expr)
+        self.poly = tuple(poly)
+        self._root_interval = (lo, hi)      # the bisection tree's root
+        self._lo, self._hi = lo, hi
+        if lo != hi:
+            self._sign_lo = _sign_at(self.poly, lo)
+
+    @classmethod
+    def rational(cls, q) -> "RealRoot":
+        q = Fraction(q)
+        return cls(Rational(q.numerator, q.denominator),
+                   (q.denominator, -q.numerator), q, q)
+
+    @property
+    def is_rational(self) -> bool:
+        return self._lo == self._hi
+
+    def _bisect(self):
+        mid = (self._lo + self._hi) / 2
+        if _sign_at(self.poly, mid) == self._sign_lo:
+            self._lo = mid
+        else:
+            self._hi = mid
+
+    def enclosure(self, eps=None) -> tuple[Fraction, Fraction]:
+        eps = Fraction(eps) if eps is not None else self._eps
+        if self.is_rational:
+            return self._lo, self._hi
+        lo0, hi0 = self._root_interval
+        width = hi0 - lo0
+        while width > 2 * eps:
+            width /= 2
+        while self._hi - self._lo > width:
+            self._bisect()
+        k = math.floor((self._lo - lo0) / width)
+        return lo0 + k * width, lo0 + (k + 1) * width
+
+    def is_zero(self) -> bool:
+        return self.is_rational and self._lo == 0
+
+    def compare(self, other) -> int:
+        other = real_root(other)
+        if self == other:
+            return 0
+        # distinct roots: refine until the open intervals separate
+        while True:
+            if self._hi <= other._lo:
+                return -1
+            if other._hi <= self._lo:
+                return 1
+            if self.is_rational or (not other.is_rational and
+                                    other._hi - other._lo
+                                    > self._hi - self._lo):
+                other._bisect()
+            else:
+                self._bisect()
+
+    def __eq__(self, other) -> bool:
+        other = real_root(other)
+        if self.poly != other.poly:
+            # distinct irreducible primitive polynomials share no root
+            return False
+        if self.is_rational:
+            return True
+        # one polynomial, two isolating intervals: the same root iff this
+        # root lies in the other interval, whose endpoints are not roots
+        while True:
+            if self._hi <= other._lo or other._hi <= self._lo:
+                return False
+            if other._lo <= self._lo and self._hi <= other._hi:
+                return True
+            self._bisect()
+
+    __hash__ = None
+
+    def log(self, digits: int) -> sp.Float:
+        """log of a positive value to ``digits`` digits: an approximation
+        for lattice reduction, not a decision."""
+        lo, hi = self.enclosure(Fraction(1, 10 ** (digits + 10)))
+        with mpmath.workdps(digits + 10):
+            mid = (lo + hi) / 2
+            v = mpmath.log(mpmath.mpf(mid.numerator) / mid.denominator)
+        return sp.Float(v, digits)
+
+
+def real_root(v) -> RealRoot:
+    """``v`` (a RealRoot, a rational, a real ``CRootOf`` or a real algebraic
+    sympy expression) in the kernel's representation.  A ``CRootOf`` is
+    converted through its integer polynomial and its index, without
+    evaluating it."""
+    if isinstance(v, RealRoot):
+        return v
+    if isinstance(v, Fraction):
+        return RealRoot.rational(v)
+    v = sp.sympify(v.expr if isinstance(v, CertifiedReal) else v)
+    if v.is_Rational:
+        return RealRoot.rational(Fraction(v.p, v.q))
+    if isinstance(v, sp.polys.rootoftools.ComplexRootOf) and v.is_real:
+        poly = _normalized(v.poly.all_coeffs())
+        return RealRoot(v, poly, *_isolate(poly)[v.index])
+    # any other real algebraic expression: its minimal polynomial, with the
+    # root picked by certified enclosures of the expression
+    poly = _normalized(Poly(sp.minimal_polynomial(v, X), X).all_coeffs())
+    if len(poly) == 2:
+        return RealRoot(v, poly, Fraction(-poly[1], poly[0]),
+                        Fraction(-poly[1], poly[0]))
+    roots = [RealRoot(v, poly, lo, hi) for lo, hi in _isolate(poly)]
+    eps = Fraction(1, 2**30)
+    while eps > Fraction(1, 2**20000):
+        lo, hi = _enclosure_of_expr(v, eps)
+        hits = [r for r in roots if r._lo <= hi and lo <= r._hi]
+        if len(hits) == 1:
+            return hits[0]
+        for r in hits:
+            r.enclosure(eps)
+        eps = eps * eps
+    raise ExactAlgebraError(f"could not isolate {v}")
+
+
+def _root_in(factors, sturm, lo: Fraction, hi: Fraction):
+    """``(poly, lo', hi')`` of the only root in ``[lo, hi]`` of the distinct
+    irreducible ``factors`` (with their Sturm sequences), or None when the
+    interval holds none or several.  Endpoints are rational, so they are
+    roots of linear factors only."""
+    found = []
+    for f, seq in zip(factors, sturm):
+        if len(f) == 2:
+            q = Fraction(-f[1], f[0])
+            if lo <= q <= hi:
+                found.append((f, q, q))
+        else:
+            count = _sign_changes(seq, lo) - _sign_changes(seq, hi)
+            found += [(f, lo, hi)] * count
+    return found[0] if len(found) == 1 else None
+
+
+# ---------------------------------------------------------------------------
+# certified inclusion disks of complex roots
+#
+# Complex numbers are (re, im) pairs of Fractions, so every disk, every
+# interval image and every comparison below is exact.
+
+
+def _cmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _cadd(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def _csub(a, b):
+    return (a[0] - b[0], a[1] - b[1])
+
+
+def _cabs2(a) -> Fraction:
+    return a[0] * a[0] + a[1] * a[1]
+
+
+def _cdiv(a, b):
+    n = _cabs2(b)
+    return ((a[0] * b[0] + a[1] * b[1]) / n, (a[1] * b[0] - a[0] * b[1]) / n)
+
+
+def _cpoly_mul(a, b) -> list:
+    out = [(Fraction(0), Fraction(0))] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = _cadd(out[i + j], _cmul(x, y))
+    return out
+
+
+def _horner(poly, z):
+    acc = poly[0]
+    for c in poly[1:]:
+        acc = _cadd(_cmul(acc, z), c)
+    return acc
+
+
+def _sqrt_down(q: Fraction, bits: int) -> Fraction:
+    return Fraction(math.isqrt(q.numerator * 4**bits // q.denominator),
+                    2**bits)
+
+
+def _sqrt_up(q: Fraction, bits: int) -> Fraction:
+    return _sqrt_down(q, bits) + Fraction(1, 2**bits)
+
+
+def gaussian_coeffs(p) -> list:
+    """Coefficients of a polynomial over Q(i), leading first, as exact
+    (re, im) pairs of Fractions."""
+    out = []
+    for c in Poly(p, X).all_coeffs():
+        re, im = sp.sympify(c).as_real_imag()
+        out.append((Fraction(re.p, re.q), Fraction(im.p, im.q)))
+    return out
+
+
+def has_nonreal_root(coeffs) -> bool:
+    """Whether a squarefree polynomial over Q(i), given by its coefficient
+    pairs (leading first), has a non-real root: a monic polynomial with
+    only real roots has real coefficients, and a real one is checked by
+    counting its real roots with a Sturm sequence."""
+    monic = [_cdiv(c, coeffs[0]) for c in coeffs]
+    if any(im for _, im in monic):
+        return True
+    if len(monic) <= 2:
+        return False
+    poly = _normalized([re for re, _ in monic])
+    seq = _sturm_sequence(poly)
+    b = _root_bound(poly)
+    return _sign_changes(seq, -b) - _sign_changes(seq, b) < len(poly) - 1
+
+
+def _mpf_fraction(v) -> Fraction:
+    """The exact binary value of an mpmath number, at its own precision."""
+    sign, man, exp, _ = v._mpf_
+    man = -man if sign else man
+    return Fraction(man * 2**exp) if exp >= 0 else Fraction(man, 2**-exp)
+
+
+def _root_disks(poly, prec: int):
+    """Certified inclusion disks ``((re, im), radius)`` of the roots of a
+    squarefree polynomial with Gaussian-rational coefficients, one root in
+    each, from mpmath approximations z_i at ``prec`` bits; None when they
+    are not yet pairwise disjoint.
+
+    With W_i = f(z_i) / (lc * prod_{j != i} (z_i - z_j)), the disks
+    |z - z_i| <= n |W_i| cover the roots, and a connected union of m of
+    them holds exactly m roots (Smith 1970; Braess–Hadeler), so disjoint
+    disks hold one root each.  The radii are computed exactly."""
+    n = len(poly) - 1
+    with mpmath.workprec(prec):
+        coeffs = [mpmath.mpc(mpmath.mpf(re.numerator) / re.denominator,
+                             mpmath.mpf(im.numerator) / im.denominator)
+                  for re, im in poly]
+        try:
+            approx = mpmath.polyroots(coeffs, maxsteps=100, extraprec=prec)
+        except mpmath.libmp.NoConvergence:
+            return None
+    centers = [(_mpf_fraction(z.real), _mpf_fraction(z.imag))
+               for z in approx]
+    disks = []
+    for i, c in enumerate(centers):
+        den = _cabs2(poly[0])
+        for j, z in enumerate(centers):
+            if j != i:
+                den *= _cabs2(_csub(c, z))
+        if den == 0:
+            return None
+        r2 = n * n * _cabs2(_horner(poly, c)) / den
+        disks.append((c, _sqrt_up(r2, prec + 8)))
+    for (c, r), (z, s) in itertools.combinations(disks, 2):
+        if (r + s) ** 2 >= _cabs2(_csub(c, z)):
+            return None
+    return disks
+
+
+def _disk_image(poly, disk, bits: int):
+    """A disk ``(center, radius)`` containing poly(z) for every z in
+    ``disk`` (Horner in disk arithmetic)."""
+    c, r = disk
+    c_abs = _sqrt_up(_cabs2(c), bits)
+    value, rad = poly[0], Fraction(0)
+    for a in poly[1:]:
+        rad = _sqrt_up(_cabs2(value), bits) * r + rad * (c_abs + r)
+        value = _cadd(_cmul(value, c), a)
+    return value, rad
+
+
+def _may_vanish(poly, disk, bits: int) -> bool:
+    value, rad = _disk_image(poly, disk, bits)
+    return _cabs2(value) <= rad * rad
+
+
+def _abs2_range(disk, bits: int) -> tuple[Fraction, Fraction]:
+    """Bounds of |z|^2 over a disk, rounded outward to multiples of
+    2^-bits so that intervals built from them stay short to print."""
+    c, r = disk
+    s = _cabs2(c)
+    lo = max(Fraction(0), _sqrt_down(s, bits) - r)
+    hi = _sqrt_up(s, bits) + r
+    scale = 2**bits
+    return (Fraction(math.floor(lo * lo * scale), scale),
+            Fraction(math.ceil(hi * hi * scale), scale))
+
+
+_PREC_START, _PREC_MAX = 64, 1 << 14
+
+
+def _at_rising_precision(attempt, what: str):
+    """The first non-None ``attempt(prec)`` for prec = 64, 128, ... bits."""
+    prec = _PREC_START
+    while prec <= _PREC_MAX:
+        out = attempt(prec)
+        if out is not None:
+            return out
+        prec *= 2
+    raise ExactAlgebraError(f"failed to certify {what}")
+
+
+def _modulus_squared_annihilator(f, mu) -> tuple:
+    """Integer polynomial with root |mu(theta)|^2 for every root theta of f.
+
+    f and mu have Gaussian-rational coefficients (leading first), deg mu <
+    deg f.  The polynomial is prod_{i,j} (z - mu(x_i) conj(mu(x_j))) over
+    the roots x_i of f, i.e. Res_x(f, Res_y(conj f, z - mu(x) conj(mu)(y)))
+    up to a constant; its k-th power sum is |Tr(mu^k)|^2, the trace taken
+    in Q(i)[x]/(f), so Newton's identities give it from traces alone."""
+    d = len(f) - 1
+    c = [_cdiv(a, f[0]) for a in f[1:]]          # monic: x^d + c_1 x^(d-1)...
+    zero = (Fraction(0), Fraction(0))
+    # power sums of the roots of f, P_0 .. P_(d-1)
+    P = [(Fraction(d), Fraction(0))]
+    for k in range(1, d):
+        s = _cmul((Fraction(k), Fraction(0)), c[k - 1])
+        for i in range(1, k):
+            s = _cadd(s, _cmul(c[i - 1], P[k - i]))
+        P.append((-s[0], -s[1]))
+    mu_asc = list(reversed(mu))
+    h = [(Fraction(1), Fraction(0))]
+    sums = []
+    for _ in range(d * d):
+        prod = _cpoly_mul(h, mu_asc)
+        # reduce modulo f: x^d = -(c_1 x^(d-1) + ... + c_d)
+        for top in range(len(prod) - 1, d - 1, -1):
+            lead, prod[top] = prod[top], zero
+            for i in range(1, d + 1):
+                prod[top - i] = _csub(prod[top - i], _cmul(lead, c[i - 1]))
+        h = prod[:d]
+        trace = zero
+        for m, a in enumerate(h):
+            trace = _cadd(trace, _cmul(a, P[m]))
+        sums.append(_cabs2(trace))
+    e = [Fraction(1)]
+    for k in range(1, d * d + 1):
+        e.append(sum((-1) ** (i - 1) * e[k - i] * sums[i - 1]
+                     for i in range(1, k + 1)) / k)
+    return _normalized([(-1) ** k * v for k, v in enumerate(e)])
+
+
+def _rectangle(interval) -> tuple:
+    """A sympy isolating interval of a root as (ax, bx, ay, by)."""
+    q = lambda v: Fraction(int(v.numerator), int(v.denominator))
+    if hasattr(interval, "ax"):
+        return q(interval.ax), q(interval.bx), q(interval.ay), q(interval.by)
+    return q(interval.a), q(interval.b), Fraction(0), Fraction(0)
+
+
+def _meets(disk, rect) -> bool:
+    (cx, cy), r = disk
+    ax, bx, ay, by = rect
+    dx = max(ax - cx, Fraction(0), cx - bx)
+    dy = max(ay - cy, Fraction(0), cy - by)
+    return dx * dx + dy * dy <= r * r
+
+
+def modulus_squared_roots(f, mus) -> list:
+    """For each root theta of a squarefree polynomial f over Q(i) of degree
+    >= 2: ``(theta, [(poly, lo, hi), ...])``, where theta is the sympy
+    ``CRootOf`` of that root and the k-th triple isolates |mu_k(theta)|^2
+    as a root of its annihilator (``_modulus_squared_annihilator``).
+
+    Each root is held by a certified inclusion disk; theta is the one
+    ``CRootOf`` whose isolating region meets that disk, and |mu_k(theta)|^2
+    the one annihilator root inside the interval image of the disk.  A
+    non-real f is handled through its norm f * conj(f), whose roots off f
+    are excluded by their disks' images under f.  Precision rises until
+    every choice is unique."""
+    f = [_cdiv(c, f[0]) for c in f]
+    real = all(im == 0 for _, im in f)
+    norm = f if real else _cpoly_mul(f, [(re, -im) for re, im in f])
+    roots = Poly(_normalized([re for re, _ in norm]), X).all_roots(
+        radicals=False)
+    # sympy's isolating regions, read but never written back to its cache
+    regions = [t._get_interval() for t in roots]
+    annihilators = []
+    for mu in mus:
+        factors = _irreducible_factors(_modulus_squared_annihilator(f, mu))
+        annihilators.append((factors, [_sturm_sequence(g) for g in factors]))
+
+    def attempt(prec):
+        disks = _root_disks(norm, prec)
+        if disks is None:
+            return None
+        if not real:
+            # a disk holds a root of f unless f provably has no zero in it
+            disks = [D for D in disks if _may_vanish(f, D, prec + 8)]
+            if len(disks) != len(f) - 1:
+                return None
+        out = []
+        for D in disks:
+            hits = [i for i, iv in enumerate(regions)
+                    if _meets(D, _rectangle(iv))]
+            if len(hits) != 1:
+                for i in hits:
+                    regions[i] = regions[i].refine()
+                return None
+            isolated = []
+            for mu, (factors, sturm) in zip(mus, annihilators):
+                lo, hi = _abs2_range(_disk_image(mu, D, prec + 8), prec + 8)
+                found = _root_in(factors, sturm, lo, hi)
+                if found is None:
+                    return None
+                isolated.append(found)
+            out.append((roots[hits[0]], isolated))
+        return out
+
+    return _at_rising_precision(attempt, "the roots of a non-real factor")
+
+
+# ---------------------------------------------------------------------------
 # exact definiteness of Hermitian forms
 
 
@@ -343,17 +862,13 @@ def real_charpoly(M: Matrix) -> Poly:
 
 
 def _modulus_squared_candidates(f: Poly) -> list:
-    """Real roots of Res_x(f(x), x^d f(y/x)): contains |lambda|^2 for all roots."""
+    """Distinct real roots of Res_x(f(x), x^d f(y/x)): they contain
+    |lambda|^2 for all roots."""
     d = f.degree()
     fx = f.as_expr()
     g = sp.expand(X**d * fx.subs(X, _Y / X))
     res = sp.resultant(fx, g, X)
-    rp = Poly(res, _Y)
-    cands = []
-    for r in rp.real_roots(radicals=False):
-        if r not in cands and exact_sign(r) > 0:
-            cands.append(r)
-    return cands
+    return list(dict.fromkeys(Poly(res, _Y).real_roots(radicals=False)))
 
 
 def _match_root_to_candidate(root, cands) -> int:
@@ -374,13 +889,41 @@ def _match_root_to_candidate(root, cands) -> int:
     raise ExactAlgebraError("failed to certify root-modulus matching")
 
 
+def _match_roots_by_disks(f: Poly, cands) -> list:
+    """For each root z of an integer polynomial, the index of the candidate
+    equal to |z|^2: the one candidate whose isolating interval meets the
+    interval image of z's certified inclusion disk."""
+    kernel = [real_root(c) for c in cands]
+    coeffs = [(Fraction(int(c)), Fraction(0)) for c in f.all_coeffs()]
+
+    def attempt(prec):
+        disks = _root_disks(coeffs, prec)
+        if disks is None:
+            return None
+        idxs = []
+        for disk in disks:
+            lo, hi = _abs2_range(disk, prec + 8)
+            hits = [i for i, c in enumerate(kernel)
+                    if c._lo <= hi and lo <= c._hi]
+            if len(hits) != 1:
+                for i in hits:
+                    kernel[i].enclosure(Fraction(1, 2**prec))
+                return None
+            idxs.append(hits[0])
+        return idxs
+
+    return _at_rising_precision(attempt, "root-modulus matching")
+
+
 def root_moduli(p: Poly | sp.Expr, eps=Fraction(1, 10**12)):
     """All complex-root moduli of an integer polynomial, exactly merged.
 
     Returns a list of ``(AlgebraicReal, multiplicity)`` sorted by descending
     modulus.  Moduli are merged exactly: two roots contribute to the same
     entry iff their moduli agree as algebraic numbers (same root of the
-    squarefree modulus-squared resultant).
+    squarefree modulus-squared resultant).  A factor with a non-real root
+    is matched to the candidates by certified inclusion disks; entries whose
+    enclosures overlap are ordered by exact comparison.
     """
     p = Poly(p, X) if not isinstance(p, Poly) else p
     if p.is_zero:
@@ -401,7 +944,12 @@ def root_moduli(p: Poly | sp.Expr, eps=Fraction(1, 10**12)):
             if f.degree() == 0:
                 continue
             cands = _modulus_squared_candidates(f)
-            if f.degree() == 1:
+            if has_nonreal_root(gaussian_coeffs(f)):
+                # a disk's |z|^2 image is positive, so it meets no
+                # candidate <= 0 once refined
+                idxs = _match_roots_by_disks(f, cands)
+            elif f.degree() == 1:
+                cands = [c for c in cands if exact_sign(c) > 0]
                 # single rational root -a0/a1; modulus squared is (a0/a1)^2
                 a1, a0 = f.all_coeffs()
                 m2 = Rational(a0, a1) ** 2
@@ -410,18 +958,31 @@ def root_moduli(p: Poly | sp.Expr, eps=Fraction(1, 10**12)):
                     raise ExactAlgebraError("candidate set missed a rational root")
                 idxs = [matched[0]]
             else:
+                cands = [c for c in cands if exact_sign(c) > 0]
                 idxs = [_match_root_to_candidate(r, cands)
                         for r in f.all_roots(radicals=False)]
             for i in idxs:
                 key = cands[i]
                 result[key] = result.get(key, 0) + mult
-    moduli = [(AlgebraicReal(sp.sqrt(c)), m) for c, m in result.items()]
+    # (modulus, multiplicity, modulus squared)
+    moduli = [(AlgebraicReal(sp.sqrt(c)), m, c) for c, m in result.items()]
     if zero_mult:
-        moduli.append((AlgebraicReal(sp.Integer(0)), zero_mult))
-    for m, _ in moduli:
+        moduli.append((AlgebraicReal(sp.Integer(0)), zero_mult,
+                       sp.Integer(0)))
+    for m, _, _ in moduli:
         m.enclosure(eps)
-    moduli.sort(key=lambda t: -t[0].midpoint(eps))
-    return moduli
+
+    def descending(a, b):
+        (alo, ahi), (blo, bhi) = a[0].enclosure(eps), b[0].enclosure(eps)
+        if ahi < blo:
+            return 1
+        if bhi < alo:
+            return -1
+        # overlapping enclosures: compare the squared moduli exactly
+        return real_root(b[2]).compare(real_root(a[2]))
+
+    moduli.sort(key=functools.cmp_to_key(descending))
+    return [(m, mult) for m, mult, _ in moduli]
 
 
 def spectral_radius(M: Matrix, eps=Fraction(1, 10**12)) -> AlgebraicReal:

@@ -34,13 +34,18 @@ from .exact_algebra import (
     CertifiedReal,
     ExactAlgebraError,
     IntegerLattice,
+    RealRoot,
+    X,
     charpoly,
     exact_equal,
     exact_is_zero,
     finite_order_bound,
+    gaussian_coeffs,
+    has_nonreal_root,
     hermite_normal_form_rows,
     integer_relations,
     matrix_order,
+    modulus_squared_roots,
     smith_normal_form_with_transforms,
 )
 
@@ -127,8 +132,9 @@ def _simple_spectrum_eigensystem(spec: GroupSpec, M: Matrix, p: sp.Poly):
     nonzero columns of adj(theta*I - M) at each root theta.  All arithmetic
     happens on polynomials modulo the root's irreducible factor over Q(i),
     a field even for Gaussian M; the root itself is substituted only into
-    the final expressions."""
-    from .exact_algebra import X
+    the final expressions.  On a factor of degree >= 2 with a non-real
+    root, every |mu_j|^2 is also a ``RealRoot``, isolated from the root's
+    certified inclusion disk, and all decisions are made on it."""
     k = spec.k
     adj = (X * eye(k) - M).adjugate()
     out = []
@@ -162,9 +168,8 @@ def _simple_spectrum_eigensystem(spec: GroupSpec, M: Matrix, p: sp.Poly):
                 raise ExactAlgebraError("eigenline not preserved "
                                         "(generators do not commute?)")
             mu_polys.append(mu)
-        c = fpoly.all_coeffs()
-        roots = fpoly.all_roots() if fpoly.degree() > 1 else [-c[1] / c[0]]
-        for theta in roots:
+
+        def line(theta):
             theta_conj = sp.conjugate(theta)
             w = w_poly.applyfunc(lambda v: v.subs(X, theta))
             modsq = []
@@ -176,7 +181,21 @@ def _simple_spectrum_eigensystem(spec: GroupSpec, M: Matrix, p: sp.Poly):
                     msq = sp.expand(mu.subs(X, theta)
                                     * mu_bar.subs(X, theta_conj))
                 modsq.append(sp.expand(msq))
-            out.append((w, tuple(modsq)))
+            return w, modsq
+
+        c = fpoly.all_coeffs()
+        if fpoly.degree() == 1:
+            out.append(tuple(line(-c[1] / c[0])))
+        elif has_nonreal_root(gaussian_coeffs(fpoly)):
+            mus = [gaussian_coeffs(mu) for mu in mu_polys]
+            for theta, isolated in modulus_squared_roots(
+                    gaussian_coeffs(fpoly), mus):
+                w, modsq = line(theta)
+                out.append((w, tuple(RealRoot(msq, *iso) for msq, iso
+                                     in zip(modsq, isolated))))
+        else:
+            out.extend((w, tuple(modsq)) for w, modsq in
+                       map(line, fpoly.all_roots()))
     return out
 
 
@@ -224,8 +243,6 @@ def _common_eigenvectors(spec: GroupSpec):
     Returns (list of (vector, moduli_squared), semisimple)."""
     for g in spec.generators:
         p = charpoly(g.A)
-        if any(sp.im(c) != 0 for c in p.all_coeffs()):
-            continue
         if sp.gcd(p, p.diff()).degree() == 0:
             # distinct eigenvalues force the joint eigenlines
             return (_simple_spectrum_eigensystem(spec, g.A.T, p),
@@ -237,7 +254,13 @@ def _common_eigenvectors(spec: GroupSpec):
 class Character:
     """A multiplicative character of the group on an invariant nef class."""
     eigenvector: Matrix
-    modulus_squared: tuple     # exact |mu_j|^2 per generator
+    multipliers: tuple         # |mu_j|^2 per generator, as decided
+
+    @property
+    def modulus_squared(self) -> tuple:
+        """The exact |mu_j|^2 per generator as sympy values."""
+        return tuple(m.expr if isinstance(m, RealRoot) else m
+                     for m in self.multipliers)
 
     @cached_property
     def eigenclass(self) -> CohomClass:
@@ -256,7 +279,9 @@ class Character:
 class CharacterTable:
     k: int
     characters: list           # nontrivial characters only
-    eigenvectors: list         # all (vector, modulus_squared tuple) found
+    # all (vector, multipliers) found; a multiplier is a RealRoot where the
+    # eigenvalue's factor has a non-real root, else an exact sympy value
+    eigenvectors: list
     semisimple: bool
 
     @property
@@ -302,7 +327,7 @@ def find_characters(spec: GroupSpec) -> CharacterTable:
     for w, modsq in eigenvectors:
         if all(exact_equal(m, 1) for m in modsq):
             continue
-        if any(_same_moduli(modsq, c.modulus_squared) for c in characters):
+        if any(_same_moduli(modsq, c.multipliers) for c in characters):
             continue
         characters.append(Character(w, modsq))
     if not semisimple and not all(
@@ -325,7 +350,7 @@ def _validate_characters(spec: GroupSpec, table: CharacterTable):
         if has_zero_entropy(g):
             continue
         d1 = _moduli_squared_desc(g)[0]
-        if not any(exact_equal(c.modulus_squared[j], d1)
+        if not any(exact_equal(c.multipliers[j], d1)
                    for c in table.characters):
             raise AssertionError(
                 "THEOREM VIOLATION: no invariant nef class attains d1")
@@ -381,6 +406,15 @@ def _kernel_candidates(n: int, log_rows):
     return basis
 
 
+def _log_value(m):
+    """log |mu|^2 to _LOG_DIGITS digits, exactly 0 when |mu|^2 == 1."""
+    if exact_equal(m, 1):
+        return sp.Integer(0)
+    if isinstance(m, RealRoot):
+        return m.log(_LOG_DIGITS)
+    return sp.log(m).evalf(_LOG_DIGITS)
+
+
 def pi_rank(spec: GroupSpec, table: CharacterTable) -> PiRankResult:
     """Rank of the log-character homomorphism pi and its certified kernel.
 
@@ -388,8 +422,7 @@ def pi_rank(spec: GroupSpec, table: CharacterTable) -> PiRankResult:
     by the exact zero-entropy certificate, so the reported kernel is sound.
     """
     n = spec.n
-    log_rows = ([sp.Integer(0) if exact_equal(m, 1)
-                 else sp.log(m).evalf(_LOG_DIGITS) for m in c.modulus_squared]
+    log_rows = ([_log_value(m) for m in c.multipliers]
                 for c in table.characters)
     verified = [v for v in _kernel_candidates(n, log_rows)
                 if verify_zero_entropy_word(spec, v)]

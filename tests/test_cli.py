@@ -5,8 +5,11 @@ import math
 import os
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from toraldyn import cohomology, group_structure
@@ -69,6 +72,59 @@ def test_analyze_gaussian_finite_order(tmp_path, capsys):
     assert rep["rank"] == "0"
     assert rep["decomposition"]["u_order"] == "4"
     assert rep["decomposition"]["relation_lattice"]["basis"] == [["4"]]
+
+
+def _gaussian_spec(rows):
+    return {"kind": "torus_group", "complex_dim": str(len(rows)),
+            "generators": [{"name": "g", "matrix": [
+                [[str(re), str(im)] for re, im in row]
+                for row in rows]}]}
+
+
+def _mpmath_entropy(rows):
+    """2 * sum of log|lambda| over |lambda| > 1, from 50-digit eigenvalues."""
+    with mpmath.workdps(50):
+        A = mpmath.matrix([[mpmath.mpc(re, im) for re, im in row]
+                           for row in rows])
+        moduli = [abs(v) for v in mpmath.eig(A, left=False, right=False)]
+        return 2 * sum((mpmath.log(m) for m in moduli
+                        if m > 1 + mpmath.mpf(10) ** -20), mpmath.mpf(0))
+
+
+@pytest.mark.parametrize("rows, budget", [
+    # SL(2, Z[i]) with non-real trace: the charpoly has Gaussian
+    # coefficients, so its eigenvalues go through the real-algebraic kernel
+    ([[(1, 1), (1, 0)], [(0, 1), (1, 0)]], 10),           # [[1+i,1],[i,1]]
+    ([[(2, 1), (1, 0)], [(1, 1), (1, 0)]], 10),           # [[2+i,1],[1+i,1]]
+    # the companion matrix of x^4 - x + 1: four non-real eigenvalues
+    ([[(0, 0), (0, 0), (0, 0), (-1, 0)], [(1, 0), (0, 0), (0, 0), (1, 0)],
+      [(0, 0), (1, 0), (0, 0), (0, 0)], [(0, 0), (0, 0), (1, 0), (0, 0)]],
+     10),
+], ids=["one_plus_i", "two_plus_i", "companion_x4_minus_x_plus_1"])
+def test_analyze_nonreal_spectrum(tmp_path, capsys, rows, budget):
+    # time budget: `budget` seconds in-process (the non-real examples used
+    # to end in a NotAlgebraic traceback or run past 180 s)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_gaussian_spec(rows)))
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "analyze", str(path))
+    elapsed = time.perf_counter() - start
+    assert code == EXIT_OK, err
+    assert elapsed < budget, f"{elapsed:.1f}s over the {budget}s budget"
+    rep = _json_of(out)
+    gen = rep["generators"][0]
+    assert gen["classification"] == "positive_entropy"
+    assert rep["rank"] == "1"
+    lo, hi = (Fraction(v) for v in gen["entropy"]["interval"])
+    h = _mpmath_entropy(rows)
+    with mpmath.workdps(50):
+        assert (mpmath.mpf(lo.numerator) / lo.denominator <= h
+                <= mpmath.mpf(hi.numerator) / hi.denominator)
+    # the multipliers of a non-real spectrum print kernel intervals
+    for row in rep["characters"]["modulus_squared"]:
+        for entry in row:
+            a, b = (Fraction(v) for v in entry["interval"])
+            assert 0 <= b - a <= Fraction(1, 10**12)
 
 
 def test_analyze_non_commuting_exits_3(tmp_path, capsys):

@@ -2,18 +2,20 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 import sympy as sp
 from sympy import I, Matrix, eye
 
 from toraldyn.exact_algebra import (
     X, AlgebraicReal, CertifiedReal, ExactAlgebraError, INFINITE_ORDER,
-    IntegerLattice, charpoly, exact_equal, exact_is_zero, exact_sign,
-    finite_order_bound, hermite_smith, integer_relations,
-    is_cyclotomic_product, is_unimodular, matrix_order, root_moduli,
-    spectral_radius)
+    IntegerLattice, RealRoot, charpoly, exact_equal, exact_is_zero,
+    exact_sign, finite_order_bound, hermite_smith, integer_relations,
+    is_cyclotomic_product, is_unimodular, matrix_order, real_charpoly,
+    real_root, root_moduli, spectral_radius)
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +86,88 @@ def test_root_moduli_fibonacci():
     phi = (1 + math.sqrt(5)) / 2
     assert vals[0][0] == pytest.approx(phi, abs=1e-12)
     assert vals[1][0] == pytest.approx(phi - 1, abs=1e-12)
+
+
+@pytest.mark.parametrize("a, q", [
+    # sqrt(10^14 + 1) sits about 1.25e-22 below (2*10^14 + 1)/(2*10^7)
+    (10**7, Fraction(2 * 10**14 + 1, 2 * 10**7)),
+    # sqrt(10^24 + 1) sits about 6e-38 below q, far inside both 10^-12
+    # enclosures, whose midpoints put it first
+    (10**12, 10**12 + Fraction(1, 2 * 10**12) - Fraction(1, 16 * 10**36)),
+], ids=["sqrt_just_below", "midpoint_misorders"])
+def test_root_moduli_exact_order_near_ties(a, q):
+    # the moduli of (x^2 - (a^2 + 1)) (den x - num): sqrt(a^2 + 1) twice and
+    # q once, with q the larger by less than any enclosure width
+    p = (X**2 - (a * a + 1)) * (q.denominator * X - q.numerator)
+    mods = root_moduli(p)
+    assert [m for _, m in mods] == [1, 2]
+    assert mods[0][0].expr == sp.Rational(q.numerator, q.denominator)
+    assert exact_equal(mods[1][0].expr, sp.sqrt(a * a + 1))
+    assert spectral_radius(Matrix(
+        [[0, a * a + 1, 0], [1, 0, 0], [0, 0, q]])).expr == mods[0][0].expr
+
+
+def _elementary_product(rng, n, length, units):
+    M = eye(n)
+    for _ in range(length):
+        i, j = rng.sample(range(n), 2)
+        E = eye(n)
+        E[i, j] = rng.choice(units)
+        M = M * E
+    return M
+
+
+def _oracle_moduli(p, dps=50):
+    """Distinct root moduli of an integer polynomial with multiplicities,
+    from mpmath roots of its squarefree factors at ``dps`` digits."""
+    out = []
+    with mpmath.workdps(dps):
+        for f, mult in sp.factor_list(sp.Poly(p, X))[1]:
+            roots = mpmath.polyroots([int(c) for c in f.all_coeffs()],
+                                     maxsteps=200, extraprec=2 * dps)
+            for r in roots:
+                m = abs(r)
+                for entry in out:
+                    if abs(entry[0] - m) < mpmath.mpf(10) ** (-dps // 2):
+                        entry[1] += mult
+                        break
+                else:
+                    out.append([m, mult])
+    return sorted(out, key=lambda e: -e[0])
+
+
+def _nonreal_oracle_cases():
+    rng = random.Random(20260101)
+    cases = []
+    while len(cases) < 6:     # seeded SL(3, Z) generators, a non-real root
+        M = _elementary_product(rng, 3, rng.randint(4, 7), (1, -1))
+        p = charpoly(M)
+        if any(not r.is_real for r in sp.Poly(p, X).all_roots()):
+            cases.append(p.as_expr())
+    while len(cases) < 10:     # p * conj(p) of SL(2, Z[i]) generators
+        M = _elementary_product(rng, 2, rng.randint(3, 5), (1, -1, I, -I))
+        p, doubled = real_charpoly(M)
+        if doubled:
+            cases.append(p.as_expr())
+    return cases + [
+        sp.cyclotomic_poly(5, X) * sp.cyclotomic_poly(12, X),  # all |z| = 1
+        (X**2 - X + 1) ** 2 * (X - 1) * (X**3 - 2 * X**2 + X - 1),
+        (X**4 - X + 1) * (X**4 + X + 1),    # equal moduli across factors
+    ]
+
+
+@pytest.mark.parametrize("p", _nonreal_oracle_cases())
+def test_root_moduli_nonreal_matches_mpmath(p):
+    ours = root_moduli(p)
+    oracle = _oracle_moduli(p)
+    assert [m for _, m in ours] == [mult for _, mult in oracle]
+    for (value, _), (expected, _) in zip(ours, oracle):
+        lo, hi = value.enclosure(Fraction(1, 10**30))
+        with mpmath.workdps(50):
+            slack = mpmath.mpf(10) ** -40
+            assert (mpmath.mpf(lo.numerator) / lo.denominator - slack
+                    <= expected
+                    <= mpmath.mpf(hi.numerator) / hi.denominator + slack)
 
 
 def test_root_moduli_zero_rejected():
@@ -275,6 +359,51 @@ def test_exact_sign_and_equality():
     assert exact_sign(sp.sqrt(2) ** 2 - 2) == 0
     assert exact_equal(sp.sqrt(8), 2 * sp.sqrt(2))
     assert not exact_equal(sp.sqrt(2), Fraction(141421356, 10**8))
+
+
+# ---------------------------------------------------------------------------
+# the real-algebraic kernel
+# ---------------------------------------------------------------------------
+
+def test_real_root_from_crootof_matches_sympy_order():
+    # converted through the integer polynomial and the index, and isolated
+    # by the kernel's own Sturm sequences
+    for f in (X**3 - X - 1, X**5 - 5 * X**3 + 4 * X + 1, X**4 - 10 * X**2 + 1):
+        roots = sp.Poly(f, X).real_roots()
+        kernel = [real_root(r) for r in roots]
+        for r, k in zip(roots, kernel):
+            lo, hi = k.enclosure(Fraction(1, 10**20))
+            with mpmath.workdps(40):
+                v = r.evalf(40)
+                assert lo <= Fraction(str(v)) + Fraction(1, 10**35)
+                assert Fraction(str(v)) - Fraction(1, 10**35) <= hi
+        for a, b in itertools.combinations(kernel, 2):
+            assert a.compare(b) == -1 and b.compare(a) == 1 and a != b
+
+
+def test_real_root_equality_across_representations():
+    # the same number as a CRootOf, a radical expression and a rational
+    golden = sp.Poly(X**2 - X - 1, X).real_roots()[1]
+    assert real_root(golden) == real_root((1 + sp.sqrt(5)) / 2)
+    assert exact_equal(real_root((1 + sp.sqrt(5)) / 2), golden)
+    assert not exact_equal(real_root(golden), (1 - sp.sqrt(5)) / 2)
+    assert exact_equal(RealRoot.rational(Fraction(3, 2)), sp.Rational(3, 2))
+    assert not exact_equal(RealRoot.rational(Fraction(3, 2)), 1)
+    assert real_root(sp.sqrt(2)).compare(Fraction(141421356, 10**8)) == 1
+    assert real_root(sp.sqrt(2)).compare(Fraction(141421357, 10**8)) == -1
+    assert RealRoot.rational(1).compare(real_root(sp.sqrt(2))) == -1
+    assert CertifiedReal(sp.sqrt(2)) == real_root(sp.sqrt(2))
+
+
+def test_real_root_enclosure_is_independent_of_history():
+    a, b = (real_root(sp.CRootOf(X**3 - X - 1, 0)) for _ in range(2))
+    b.enclosure(Fraction(1, 10**40))          # refine one copy far ahead
+    for digits in (3, 12, 25):
+        eps = Fraction(1, 10**digits)
+        lo, hi = a.enclosure(eps)
+        assert (lo, hi) == b.enclosure(eps)
+        assert hi - lo <= 2 * eps
+        assert lo**3 - lo - 1 < 0 < hi**3 - hi - 1
 
 
 def test_spectral_radius_cat():

@@ -3,12 +3,13 @@ bounds, and the U x free decomposition."""
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import pytest
 import sympy as sp
 from sympy import I, Matrix, eye
 
-from toraldyn.exact_algebra import exact_equal, exact_is_zero
+from toraldyn.exact_algebra import RealRoot, exact_equal, exact_is_zero
 from toraldyn.cohomology import (
     CohomClass, TorusAutomorphism, dynamical_degree, is_nef, pullback)
 from toraldyn.example_forge import builtin, builtin_names
@@ -91,6 +92,25 @@ def test_character_eigenclasses_exact(spec):
         assert is_nef(cls) and not cls.is_zero()
         for g, msq in zip(spec.generators, ch.modulus_squared):
             assert pullback(g, cls) == cls.scale(msq)
+
+
+@pytest.mark.parametrize("spec", [
+    SL3_NONREAL,
+    GroupSpec.from_matrices([[[1 + I, 1], [I, 1]]]),
+], ids=["sl3_nonreal_irreducible", "sl2zi_nonreal_trace"])
+def test_kernel_multipliers_pair_with_their_roots(spec):
+    # every multiplier of a factor with a non-real root is a RealRoot, and
+    # its certified interval holds the value of its sympy expression, which
+    # is written in the CRootOf matched to the same root's inclusion disk
+    table = find_characters(spec)
+    for _w, multipliers in table.eigenvectors:
+        for m in multipliers:
+            assert isinstance(m, RealRoot)
+            lo, hi = m.enclosure(Fraction(1, 10**20))
+            re, im = sp.N(m.expr, 30).as_real_imag()
+            slack = Fraction(1, 10**25)
+            assert abs(Fraction(str(im))) < slack
+            assert lo - slack <= Fraction(str(re)) <= hi + slack
 
 
 def test_characters_attain_d1():
@@ -199,7 +219,10 @@ def test_structure_dependent_eigenvectors_have_no_wedge_chain():
 @pytest.mark.parametrize("blocks, leading_repeat", [
     ((PELL_MATRIX, PELL_MATRIX), True),     # tuples a^-1, a^-1, a, a
     ((PELL_MATRIX, [[1]]), False),          # tuples 1, a^-1, a
-], ids=["pell_plus_pell_T4", "pell_plus_one_T3"])
+    # i times the non-real irreducible SL(3, Z) generator: its non-real
+    # eigenvalues come first and share one modulus
+    (((I * Matrix(SL3_NONREAL.generators[0].A)).tolist(),), True),
+], ids=["pell_plus_pell_T4", "pell_plus_one_T3", "gaussian_nonreal_T3"])
 def test_structure_chain_skips_repeated_tuples(blocks, leading_repeat):
     # a chain of r+1 = 2 eigenclasses needs two distinct multiplier tuples;
     # when the first two eigenvectors share one, the chain must look past it
