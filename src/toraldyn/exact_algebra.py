@@ -1276,20 +1276,71 @@ def is_unimodular(A: list) -> bool:
 
 
 def lll_reduce(rows: list) -> list:
-    """LLL-reduced basis (delta = 0.99) of the lattice spanned by integer rows.
+    """LLL-reduced basis (delta = 99/100) of the lattice spanned by linearly
+    independent integer rows.
 
-    Without gmpy2, sympy's LLL rounds through ``float`` and, on entries near
-    10^40, can fail its own size-reduction assertion; that is raised as
-    ExactAlgebraError, as it says nothing about the input's mathematics."""
-    dm = DomainMatrix([[sp.ZZ(x) for x in row] for row in rows],
-                      (len(rows), len(rows[0])), sp.ZZ)
-    try:
-        reduced = dm.lll(delta=sp.QQ(99, 100))
-    except AssertionError as exc:
-        raise ExactAlgebraError(
-            "LLL reduction failed inside sympy (its size-reduction step "
-            "rounds through float at this scale)") from exc
-    return reduced.to_Matrix().tolist()
+    Integral LLL (Cohen, *A Course in Computational Algebraic Number Theory*,
+    GTM 138, Algorithm 2.6.7), in integer arithmetic only: the Gram-Schmidt
+    data are the Gram determinants d_i and lambda_kj = d_j mu_kj, updated by
+    exact division; size reduction rounds lambda_kj / d_j to the nearest
+    integer, halves up, and the Lovasz test is a cross-multiplication.  The
+    reduction order is sympy's ``DomainMatrix.lll``, so the two agree
+    wherever sympy's float rounding of mu_kj is exact."""
+    b = [[int(x) for x in row] for row in rows]
+    m = len(b)
+    # d[j + 1] is the Gram determinant of rows 0..j; lam[k][j] for j < k
+    d = [1] + [0] * m
+    lam = [[0] * m for _ in range(m)]
+
+    def size_reduce(k, j):
+        dj = d[j + 1]
+        if 2 * abs(lam[k][j]) > dj:
+            r = (2 * lam[k][j] + dj) // (2 * dj)
+            b[k] = [x - r * y for x, y in zip(b[k], b[j])]
+            lam[k][j] -= r * dj
+            for i in range(j):
+                lam[k][i] -= r * lam[j][i]
+
+    def swap(k, kmax):
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        lk = lam[k][k - 1]
+        new = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+            lam[i][k - 1] = (new * t + lk * lam[i][k]) // d[k + 1]
+        d[k] = new
+
+    k, kmax = 0, -1
+    while k < m:
+        if k > kmax:  # incremental Gram-Schmidt of row k
+            kmax = k
+            for j in range(k + 1):
+                u = sum(x * y for x, y in zip(b[k], b[j]))
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                elif u == 0:
+                    raise ValueError("lll_reduce: rows are linearly dependent")
+                else:
+                    d[k + 1] = u
+        if k == 0:
+            k = 1
+            continue
+        size_reduce(k, k - 1)
+        # Lovasz, delta = 99/100: keep unless d_k d_{k-2} + lambda^2 <
+        # delta d_{k-1}^2, in Cohen's 1-based d_i (d[k + 1], d[k - 1], d[k])
+        if 100 * (d[k + 1] * d[k - 1] + lam[k][k - 1] ** 2) < 99 * d[k] ** 2:
+            swap(k, kmax)
+            k = max(k - 1, 1)
+        else:
+            for j in range(k - 2, -1, -1):
+                size_reduce(k, j)
+            k += 1
+    return b
 
 
 def integer_relations(values, tolerance=Fraction(1, 10**12),
@@ -1321,7 +1372,7 @@ def integer_relations(values, tolerance=Fraction(1, 10**12),
     tol = Fraction(tolerance)
     cands = []
     for row in red:
-        e = [int(v) for v in row[:n]]
+        e = row[:n]
         if not any(e) or max(abs(v) for v in e) > height_cap:
             continue
         resid = abs(sum(Fraction(ei) * mi for ei, mi in zip(e, mids)))

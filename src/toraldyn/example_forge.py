@@ -201,7 +201,7 @@ def _lll_reduce_units(field: NumberFieldSpec, units, logs):
     roots = field.real_embeddings()
     out_units, out_logs = [], []
     for row in red:
-        e = [int(v) for v in row[:n]]
+        e = row[:n]
         if not any(e):
             continue
         u = _ONE(field.degree)

@@ -365,8 +365,9 @@ def test_invalid_input_exits_3(tmp_path, capsys, spec, argv):
     assert err.startswith("invalid input:")
 
 
-def test_lll_failure_is_unsupported_input(tmp_path, capsys):
-    # (cat, cat^2): sympy's LLL fails on the scaled log values of this pair
+def test_expanding_pair_answers_rank_1(tmp_path, capsys):
+    # (cat, cat^2): the kernel word is found by LLL on log values scaled to
+    # 10^40, beyond where float rounding of mu_kj is exact
     path = tmp_path / "pair.json"
     path.write_text(json.dumps({
         "kind": "torus_group", "complex_dim": 2,
@@ -375,9 +376,9 @@ def test_lll_failure_is_unsupported_input(tmp_path, capsys):
                                        [["1", "0"], ["1", "0"]]]},
             {"name": "cat2", "matrix": [[["5", "0"], ["3", "0"]],
                                         [["3", "0"], ["2", "0"]]]}]}))
-    code, _, err = _run(capsys, "analyze", str(path))
-    assert code == EXIT_INVALID
-    assert err.startswith("unsupported input:") and "LLL" in err
+    code, out, _ = _run(capsys, "analyze", str(path))
+    assert code == EXIT_OK
+    assert _json_of(out)["rank"] == "1"
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,14 @@ import mpmath
 import pytest
 import sympy as sp
 from sympy import I, Matrix, eye
+from sympy.polys.matrices import DomainMatrix
 
 from toraldyn.exact_algebra import (
     X, AlgebraicReal, CertifiedReal, ExactAlgebraError, INFINITE_ORDER,
     IntegerLattice, RealRoot, charpoly, exact_equal, exact_is_zero,
     exact_sign, finite_order_bound, hermite_smith, integer_relations,
-    is_cyclotomic_product, is_unimodular, matrix_order, real_charpoly,
-    real_root, root_moduli, spectral_radius)
+    is_cyclotomic_product, is_unimodular, lll_reduce, matrix_order,
+    real_charpoly, real_root, root_moduli, spectral_radius)
 
 
 # ---------------------------------------------------------------------------
@@ -306,11 +307,10 @@ def test_relation_tau_minus_tau():
 
 
 def test_relation_lll_failure_is_exact_algebra_error():
-    # sympy's LLL rounds through float at this scale and trips its own
-    # size-reduction assertion; that must not read as a theorem violation
+    # at the 10^40 scale of (t, 2t) an LLL that rounds mu_kj through float
+    # breaks its own size reduction; the integral one finds the relation
     t = sp.log((7 + 3 * sp.sqrt(5)) / 2)
-    with pytest.raises(ExactAlgebraError, match="LLL"):
-        integer_relations([t, 2 * t])
+    assert integer_relations([t, 2 * t]) == [[2, -1]]
 
 
 def test_no_relation_ln2_ln3():
@@ -325,6 +325,84 @@ def test_no_relation_ln2_ln3():
     for e in cands:
         assert max(abs(v) for v in e) > 50 or \
             abs(e[0] * l2 + e[1] * l3) > 1e-12
+
+
+def _gram_schmidt(rows):
+    """Exact Gram-Schmidt: (mu, squared norms of the b*_i) in Fractions."""
+    star, mu, norms = [], [], []
+    for i, row in enumerate(rows):
+        v = [Fraction(x) for x in row]
+        mu.append([])
+        for j in range(i):
+            m = sum(a * b for a, b in zip(row, star[j])) / norms[j]
+            mu[i].append(m)
+            v = [a - m * b for a, b in zip(v, star[j])]
+        star.append(v)
+        norms.append(sum(a * a for a in v))
+    return mu, norms
+
+
+def _small_basis(rng, m):
+    n = m + rng.randint(0, 2)
+    while True:
+        rows = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(m)]
+        if Matrix(rows).rank() == m:
+            return rows
+
+
+def _relation_basis(rng, n):
+    # [e_i | round(v_i 10^40)] over logs of 2^a 3^b 5^c (relations among
+    # them exist) and seeded reals (none expected)
+    with mpmath.workdps(60):
+        vals = [mpmath.log(2 ** rng.randint(0, 4) * 3 ** rng.randint(0, 3)
+                           * 5 ** rng.randint(0, 2))
+                if rng.random() < 0.6 else
+                mpmath.mpf(rng.randint(1, 10**12)) / 10**6
+                for _ in range(n)]
+        scaled = [int(mpmath.nint(v * mpmath.mpf(10) ** 40)) for v in vals]
+    return [[int(i == j) for j in range(n)] + [c]
+            for i, c in enumerate(scaled)]
+
+
+def _lll_bases():
+    rng = random.Random(20261018)
+    return ([pytest.param(_small_basis(rng, m), id=f"small_{m}_{i}")
+             for m in (2, 3, 4, 5) for i in range(5)]
+            + [pytest.param(_relation_basis(rng, n), id=f"relation_{n}_{i}")
+               for n in (2, 3, 4, 5) for i in range(5)])
+
+
+@pytest.mark.parametrize("rows", _lll_bases())
+def test_lll_reduce_oracle(rows):
+    red = lll_reduce(rows)
+    assert all(isinstance(x, int) for row in red for x in row)
+    # the same lattice: every output row is an integer combination of the
+    # input rows, and the Gram determinants (squared covolumes) agree
+    B = Matrix(rows)
+    G = B * B.T
+    for row in red:
+        coeffs = Matrix([row]) * B.T * G.inv()
+        assert all(c.is_integer for c in coeffs)
+        assert coeffs * B == Matrix([row])
+    assert (Matrix(red) * Matrix(red).T).det() == G.det()
+    mu, norms = _gram_schmidt(red)
+    # size-reduced, and Lovasz with delta = 99/100
+    assert all(abs(m) <= Fraction(1, 2) for r in mu for m in r)
+    for k in range(1, len(red)):
+        assert norms[k] >= (Fraction(99, 100) - mu[k][k - 1] ** 2) * norms[k - 1]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lll_reduce_equals_sympy_on_small_entries(seed):
+    # where sympy's float rounding of the Gram-Schmidt coefficients is exact
+    # both follow the same reduction order, so the bases agree row for row
+    rng = random.Random(seed)
+    for m in (2, 3, 4, 5):
+        rows = _small_basis(rng, m)
+        dm = DomainMatrix([[sp.ZZ(x) for x in r] for r in rows],
+                          (m, len(rows[0])), sp.ZZ)
+        expected = dm.lll(delta=sp.QQ(99, 100)).to_Matrix().tolist()
+        assert lll_reduce(rows) == [[int(x) for x in r] for r in expected]
 
 
 # ---------------------------------------------------------------------------

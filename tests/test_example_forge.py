@@ -16,6 +16,7 @@ from toraldyn.example_forge import (
 SQRT2_FIELD = NumberFieldSpec((1, 0, -2))          # x^2 - 2
 GOLDEN_FIELD = NumberFieldSpec((1, -1, -1))        # x^2 - x - 1
 CUBIC_FIELD = NumberFieldSpec((1, -1, -2, 1))      # x^3 - x^2 - 2x + 1
+QUARTIC_FIELD = NumberFieldSpec((1, -1, -3, 1, 1))  # x^4 - x^3 - 3x^2 + x + 1
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +96,14 @@ def test_unit_search_cubic_two_independent_units():
     L = [[float(v) for v in row] for row in us.log_embeddings]
     minor = L[0][0] * L[1][1] - L[0][1] * L[1][0]
     assert abs(minor) > 1e-9
+
+
+def test_unit_search_quartic_three_independent_units():
+    # its 10^40-scaled log lattice defeats an LLL rounding through float
+    us = unit_search(QUARTIC_FIELD, 2)
+    assert us.rank == 3
+    assert "refuted exactly" in us.certificate
+    assert all(abs(QUARTIC_FIELD.norm(u)) == 1 for u in us.units)
 
 
 def test_unit_search_failure_reports_bound():

@@ -2,7 +2,9 @@
 its presentation, so a change of generators must not change the rank of
 pi, the finiteness of U or its order.
 
-Time budget: each case runs in-process in about 1 s (budget 10 s)."""
+Time budget: each case runs in-process in about 1 s (budget 10 s).  The
+`square_extra` cases add g_1^2 as an extra generator: its log row is twice
+g_1's, a relation at the 10^40 scale of the LLL lattice."""
 
 import time
 
@@ -29,4 +31,15 @@ def test_nielsen_move_keeps_invariants(original, moved):
     start = time.perf_counter()
     spec = GroupSpec.from_matrices([M.tolist() for M in moved])
     assert _invariants(spec) == _invariants(builtin(original))
+    assert time.perf_counter() - start < 10
+
+
+@pytest.mark.parametrize("original", ["cat_T2", "cubic_T3",
+                                      "pell_plus_torsion"])
+def test_square_extra_keeps_invariants(original):
+    start = time.perf_counter()
+    spec = builtin(original)
+    g1 = spec.generators[0]
+    moved = GroupSpec(spec.generators + (g1.power(2),))
+    assert _invariants(moved) == _invariants(spec)
     assert time.perf_counter() - start < 10
