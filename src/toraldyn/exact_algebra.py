@@ -82,7 +82,19 @@ def _rootof_reduction(expr):
 
 
 def exact_is_zero(expr) -> bool:
-    """Decide ``expr == 0`` exactly for algebraic sympy expressions."""
+    """Decide ``expr == 0`` exactly for algebraic sympy expressions.
+
+    The rungs, in order: polynomial reduction modulo the defining
+    polynomials of the ``CRootOf`` atoms (or sympy's assumptions when there
+    are none), numeric refutation of a nonzero value at 30 to 240 digits,
+    and last the minimal polynomial (zero iff it is x), decided by the
+    integer kernel (``_kernel_root``).  Sympy's ``minimal_polynomial``
+    decides only expressions outside the kernel's grammar, such as non-real
+    atoms or ``I``; the builtin and forged reports and the benchmark's
+    random spectra never reach it.  The numeric rung refines
+    sympy's cached isolating intervals of the ``CRootOf`` atoms, from which
+    the reports print their intervals, so the order of the rungs is part of
+    the output."""
     expr = sp.sympify(expr)
     if expr.is_Rational:
         return expr == 0
@@ -112,8 +124,7 @@ def exact_is_zero(expr) -> bool:
             break
         prec *= 2
     # algebraic number: zero iff its minimal polynomial is x
-    mp = sp.minimal_polynomial(simplified, X)
-    return Poly(mp, X).all_coeffs() == [1, 0]
+    return minimal_polynomial(simplified).all_coeffs() == [1, 0]
 
 
 def exact_equal(a, b) -> bool:
@@ -224,7 +235,12 @@ class CertifiedReal:
 
 
 class AlgebraicReal(CertifiedReal):
-    """A real algebraic number: exact expression + integer minimal polynomial."""
+    """A real algebraic number: exact expression + integer minimal polynomial.
+
+    The enclosures are those of ``CertifiedReal`` (adaptive evaluation of
+    the expression); the minimal polynomial is decided by the integer kernel
+    (``minimal_polynomial``), which never touches sympy's cache of root
+    intervals, so reading it leaves every printed enclosure unchanged."""
 
     def __init__(self, expr, minpoly: Poly | None = None):
         super().__init__(expr)
@@ -233,9 +249,20 @@ class AlgebraicReal(CertifiedReal):
     @property
     def minimal_polynomial(self) -> Poly:
         if self._minpoly is None:
-            mp = sp.minimal_polynomial(self.expr, X)
-            self._minpoly = Poly(mp, X)
+            self._minpoly = minimal_polynomial(self.expr)
         return self._minpoly
+
+
+def minimal_polynomial(expr) -> Poly:
+    """The primitive integer minimal polynomial of an algebraic number, with
+    a positive leading coefficient.  Inside the grammar of ``_kernel_root``
+    it is decided by integer arithmetic alone; sympy's
+    ``minimal_polynomial`` serves only the expressions outside it, such as
+    non-real atoms or ``I``."""
+    root = _kernel_root(expr)
+    if root is None:
+        return Poly(sp.minimal_polynomial(expr, X), X)
+    return Poly(root.poly, X)
 
 
 # ---------------------------------------------------------------------------
@@ -423,36 +450,16 @@ class RealRoot(CertifiedReal):
 
 def real_root(v) -> RealRoot:
     """``v`` (a RealRoot, a rational, a real ``CRootOf`` or a real algebraic
-    sympy expression) in the kernel's representation.  A ``CRootOf`` is
-    converted through its integer polynomial and its index, without
-    evaluating it."""
-    if isinstance(v, RealRoot):
-        return v
+    sympy expression of the kernel's grammar, see ``_kernel_root``) in the
+    kernel's representation, decided by integer arithmetic alone."""
     if isinstance(v, Fraction):
         return RealRoot.rational(v)
-    v = sp.sympify(v.expr if isinstance(v, CertifiedReal) else v)
-    if v.is_Rational:
-        return RealRoot.rational(Fraction(v.p, v.q))
-    if isinstance(v, sp.polys.rootoftools.ComplexRootOf) and v.is_real:
-        poly = _normalized(v.poly.all_coeffs())
-        return RealRoot(v, poly, *_isolate(poly)[v.index])
-    # any other real algebraic expression: its minimal polynomial, with the
-    # root picked by certified enclosures of the expression
-    poly = _normalized(Poly(sp.minimal_polynomial(v, X), X).all_coeffs())
-    if len(poly) == 2:
-        return RealRoot(v, poly, Fraction(-poly[1], poly[0]),
-                        Fraction(-poly[1], poly[0]))
-    roots = [RealRoot(v, poly, lo, hi) for lo, hi in _isolate(poly)]
-    eps = Fraction(1, 2**30)
-    while eps > Fraction(1, 2**20000):
-        lo, hi = _enclosure_of_expr(v, eps)
-        hits = [r for r in roots if r._lo <= hi and lo <= r._hi]
-        if len(hits) == 1:
-            return hits[0]
-        for r in hits:
-            r.enclosure(eps)
-        eps = eps * eps
-    raise ExactAlgebraError(f"could not isolate {v}")
+    if isinstance(v, CertifiedReal) and not isinstance(v, RealRoot):
+        v = v.expr
+    root = _kernel_root(v)
+    if root is None:
+        raise ExactAlgebraError(f"{v} is outside the real-algebraic kernel")
+    return root
 
 
 def _root_in(factors, sturm, lo: Fraction, hi: Fraction):
@@ -470,6 +477,149 @@ def _root_in(factors, sturm, lo: Fraction, hi: Fraction):
             count = _sign_changes(seq, lo) - _sign_changes(seq, hi)
             found += [(f, lo, hi)] * count
     return found[0] if len(found) == 1 else None
+
+
+# ---------------------------------------------------------------------------
+# the integer minimal-polynomial kernel
+#
+# A real algebraic sympy expression is mapped bottom-up to its RealRoot.  The
+# annihilator of a sum or product is the composed sum or product of the
+# children's minimal polynomials, built from power sums (Bostan, Flajolet,
+# Salvy and Schost, *Fast computation of special resultants*, JSC 2006); the
+# node's minimal polynomial is the one irreducible factor with a root in the
+# interval image of the children's enclosures.
+
+
+def _power_sums(poly, count) -> list:
+    """Power sums P_0 .. P_(count-1) of the roots of an integer polynomial
+    (leading coefficient first), by Newton's identities."""
+    d = len(poly) - 1
+    c = [Fraction(a, poly[0]) for a in poly[1:]]
+    P = [Fraction(d)]
+    for k in range(1, count):
+        s = k * c[k - 1] if k <= d else 0
+        for i in range(1, min(k, d + 1)):
+            s += c[i - 1] * P[k - i]
+        P.append(-s)
+    return P
+
+
+def _from_power_sums(sums) -> tuple:
+    """The primitive integer polynomial of degree ``len(sums)`` whose roots
+    have the power sums P_1, P_2, ... = ``sums``, by Newton's identities."""
+    e = [Fraction(1)]
+    for k in range(1, len(sums) + 1):
+        e.append(sum((-1) ** (i - 1) * e[k - i] * sums[i - 1]
+                     for i in range(1, k + 1)) / k)
+    return _normalized([(-1) ** k * v for k, v in enumerate(e)])
+
+
+def _composed(f, g, add: bool) -> tuple:
+    """Integer polynomial whose roots are a + b (``add``) or a * b over all
+    roots a of f and b of g."""
+    n = (len(f) - 1) * (len(g) - 1)
+    pf, pg = _power_sums(f, n + 1), _power_sums(g, n + 1)
+    if add:
+        sums = [sum(math.comb(k, i) * pf[i] * pg[k - i] for i in range(k + 1))
+                for k in range(1, n + 1)]
+    else:
+        sums = [a * b for a, b in zip(pf[1:], pg[1:])]
+    return _from_power_sums(sums)
+
+
+def _pick(expr, annihilator, image, *args) -> RealRoot:
+    """The root of ``annihilator`` that ``expr`` is: the one root of its
+    irreducible factors in ``image(prec, *boxes)``, an interval that holds
+    the value, computed from enclosures of width 2^-prec of the RealRoots
+    ``args``; prec rises until only one root is left in it."""
+    factors = _irreducible_factors(annihilator)
+    sturm = [_sturm_sequence(f) for f in factors]
+
+    def attempt(prec):
+        boxes = [a.enclosure(Fraction(1, 2**prec)) for a in args]
+        found = _root_in(factors, sturm, *image(prec, *boxes))
+        return found and RealRoot(expr, *found)
+
+    # no str(expr) here: printing a sum of CRootOfs evaluates them
+    return _at_rising_precision(attempt, "a minimal polynomial")
+
+
+def _sum_image(_, a, b) -> tuple:
+    return a[0] + b[0], a[1] + b[1]
+
+
+def _product_image(_, a, b) -> tuple:
+    products = [x * y for x in a for y in b]
+    return min(products), max(products)
+
+
+def _power(expr, a: RealRoot, k: int) -> RealRoot:
+    """a^k for an integer k >= 1: the power sums of the roots of a^k are
+    every k-th power sum of the roots of a."""
+    if k == 1:
+        return a
+
+    def image(_, box):
+        lo, hi = box
+        if k % 2 == 0 and lo < 0 < hi:
+            return Fraction(0), max(-lo, hi) ** k
+        return min(lo**k, hi**k), max(lo**k, hi**k)
+
+    sums = _power_sums(a.poly, (len(a.poly) - 1) * k + 1)[k::k]
+    return _pick(expr, _from_power_sums(sums), image, a)
+
+
+def _sqrt(expr, a: RealRoot):
+    """sqrt(a), a root of a.poly(y^2); None unless a >= 0."""
+    sign = a.compare(0)
+    if sign <= 0:
+        return RealRoot.rational(0) if sign == 0 else None
+    stretched = [0] * (2 * len(a.poly) - 1)
+    stretched[::2] = a.poly
+    image = lambda prec, box: (_sqrt_down(max(box[0], Fraction(0)), prec + 8),
+                               _sqrt_up(box[1], prec + 8))
+    return _pick(expr, stretched, image, a)
+
+
+def _kernel_root(v):
+    """The RealRoot of a real algebraic value, whose ``poly`` is its minimal
+    polynomial, or None outside the kernel's grammar: rationals, real
+    ``CRootOf`` and ``RealRoot`` atoms, ``+``, ``*``, positive integer powers
+    and square roots (and their positive integer powers) of values >= 0.
+
+    A ``CRootOf`` is converted through its integer polynomial and its index
+    and is never evaluated, so sympy's cache of root intervals is neither
+    read nor written; every enclosure is a ``RealRoot.enclosure``."""
+    if isinstance(v, RealRoot):
+        return v
+    v = sp.sympify(v)
+    if v.is_Rational:
+        return RealRoot.rational(Fraction(v.p, v.q))
+    if isinstance(v, sp.polys.rootoftools.ComplexRootOf):
+        # v.poly is irreducible of degree >= 2, and CRootOf numbers its real
+        # roots first, ascending
+        poly = _normalized(v.poly.all_coeffs())
+        real = _isolate(poly)
+        return RealRoot(v, poly, *real[v.index]) if v.index < len(real) else None
+    if v.is_Add or v.is_Mul:
+        roots = [_kernel_root(t) for t in v.args]
+        if any(r is None for r in roots):
+            return None
+        acc = roots[0]
+        image = _sum_image if v.is_Add else _product_image
+        for i, b in enumerate(roots[1:], 2):
+            expr = v if i == len(roots) else v.func(*v.args[:i],
+                                                    evaluate=False)
+            acc = _pick(expr, _composed(acc.poly, b.poly, v.is_Add), image,
+                        acc, b)
+        return acc
+    if v.is_Pow and v.exp.is_Rational and v.exp > 0 and v.exp.q in (1, 2):
+        base = _kernel_root(v.base)
+        if base is not None and v.exp.q == 2:
+            # unevaluated: sympy would ask whether the base is negative
+            base = _sqrt(sp.Pow(v.base, sp.S.Half, evaluate=False), base)
+        return base and _power(v, base, int(v.exp.p))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -670,11 +820,7 @@ def _modulus_squared_annihilator(f, mu) -> tuple:
         for m, a in enumerate(h):
             trace = _cadd(trace, _cmul(a, P[m]))
         sums.append(_cabs2(trace))
-    e = [Fraction(1)]
-    for k in range(1, d * d + 1):
-        e.append(sum((-1) ** (i - 1) * e[k - i] * sums[i - 1]
-                     for i in range(1, k + 1)) / k)
-    return _normalized([(-1) ** k * v for k, v in enumerate(e)])
+    return _from_power_sums(sums)
 
 
 def _rectangle(interval) -> tuple:
@@ -862,13 +1008,11 @@ def real_charpoly(M: Matrix) -> Poly:
 
 
 def _modulus_squared_candidates(f: Poly) -> list:
-    """Distinct real roots of Res_x(f(x), x^d f(y/x)): they contain
-    |lambda|^2 for all roots."""
-    d = f.degree()
-    fx = f.as_expr()
-    g = sp.expand(X**d * fx.subs(X, _Y / X))
-    res = sp.resultant(fx, g, X)
-    return list(dict.fromkeys(Poly(res, _Y).real_roots(radicals=False)))
+    """Distinct real roots of the composed product of f with itself (the
+    products of two roots of f): they contain |lambda|^2 for all roots."""
+    f = _normalized(f.all_coeffs())
+    return list(dict.fromkeys(Poly(_composed(f, f, False), _Y).real_roots(
+        radicals=False)))
 
 
 def _match_root_to_candidate(root, cands) -> int:

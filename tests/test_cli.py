@@ -11,11 +11,12 @@ from pathlib import Path
 
 import mpmath
 import pytest
+import sympy
 
 from toraldyn import cohomology, group_structure
 from toraldyn.cli import (EXIT_INVALID, EXIT_OK, EXIT_VIOLATION,
                           build_analysis_report, load_group_argument, main)
-from toraldyn.example_forge import builtin
+from toraldyn.example_forge import builtin, builtin_names
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_DIR = ROOT / "perfbench" / "golden"
@@ -213,6 +214,21 @@ def test_report_matches_golden(name, argv):
                           capture_output=True, env=env)
     assert proc.returncode == EXIT_OK, proc.stderr.decode()[-2000:]
     assert proc.stdout == (GOLDEN_DIR / f"{name}.json").read_bytes()
+
+
+def test_reports_do_not_call_sympy_minimal_polynomial(monkeypatch, capsys):
+    # every min_poly and every zero test of these reports is decided by the
+    # integer kernel; sympy's minimal_polynomial refines sympy's root cache
+    def refuse(*args, **kwargs):
+        raise AssertionError("sympy.minimal_polynomial was called")
+
+    monkeypatch.setattr(sympy, "minimal_polynomial", refuse)
+    for argv in ([["analyze", name] for name in builtin_names()]
+                 + [["forge", "--poly", "1,-1,-2,1"],
+                    ["forge", "--poly", "1,-1,-3,1,1", "--bound", "2"]]):
+        code, out, err = _run(capsys, *argv)
+        assert code == EXIT_OK, (argv, err[-2000:])
+        assert _json_of(out)
 
 
 def test_analysis_computes_each_artifact_once(monkeypatch):

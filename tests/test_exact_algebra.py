@@ -16,7 +16,8 @@ from toraldyn.exact_algebra import (
     IntegerLattice, RealRoot, charpoly, exact_equal, exact_is_zero,
     exact_sign, finite_order_bound, hermite_smith, integer_relations,
     is_cyclotomic_product, is_unimodular, lll_reduce, matrix_order,
-    real_charpoly, real_root, root_moduli, spectral_radius)
+    _kernel_root, minimal_polynomial, real_charpoly, real_root, root_moduli,
+    spectral_radius)
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +483,94 @@ def test_real_root_enclosure_is_independent_of_history():
         assert (lo, hi) == b.enclosure(eps)
         assert hi - lo <= 2 * eps
         assert lo**3 - lo - 1 < 0 < hi**3 - hi - 1
+
+
+# ---------------------------------------------------------------------------
+# the integer minimal-polynomial kernel
+# ---------------------------------------------------------------------------
+
+def _totally_real(rng, degree):
+    """A seeded monic irreducible integer polynomial with only real roots."""
+    while True:
+        p = sp.Poly([1] + [rng.randint(-9, 9) for _ in range(degree)], X)
+        if p.is_irreducible and p.count_roots() == degree:
+            return p
+
+
+def _kernel_cases():
+    rng = random.Random(20261018)
+    cases = []
+    for degree in (3, 3, 3, 4, 4):
+        p = _totally_real(rng, degree)
+        r = [sp.CRootOf(p, i) for i in range(degree)]
+        exprs = [sp.Mul(*r[:n]) for n in range(1, degree + 1)]
+        exprs += [r[0] - r[1], r[-1] - r[0], sp.Add(*r) + p.all_coeffs()[1],
+                  r[-1] - (7 + 3 * sp.sqrt(5)) / 2]
+        top = r[-1] * r[-2]
+        exprs.append(sp.sqrt(top if sp.N(top) > 0 else -top))
+        cases.append(pytest.param(p, exprs, id=str(p.as_expr())))
+    # the larger root of x^2 - 7x + 1 is the radical itself
+    golden = sp.CRootOf(X**2 - 7 * X + 1, 1)
+    cases.append(pytest.param(golden.poly, [
+        golden - (7 + 3 * sp.sqrt(5)) / 2, sp.sqrt(golden) ** 3 - 2 * golden],
+        id="x**2 - 7*x + 1"))
+    return cases
+
+
+@pytest.mark.parametrize("p,exprs", _kernel_cases())
+def test_kernel_minimal_polynomial_oracle(p, exprs):
+    # sympy's minimal_polynomial is the oracle here, and only here
+    for e in exprs:
+        oracle = sp.Poly(sp.minimal_polynomial(e, X), X)
+        root = _kernel_root(e)
+        assert sp.Poly(root.poly, X) == oracle, e
+        assert minimal_polynomial(e) == oracle
+        assert AlgebraicReal(e).minimal_polynomial == oracle
+        assert exact_is_zero(e) == (oracle.all_coeffs() == [1, 0]), e
+        lo, hi = root.enclosure(Fraction(1, 10**30))
+        v = Fraction(str(sp.N(e, 50)))
+        assert lo - Fraction(1, 10**40) <= v <= hi + Fraction(1, 10**40), e
+
+
+def test_kernel_grammar():
+    theta = sp.CRootOf(X**3 - X - 1, 0)
+    # outside the grammar: non-real atoms, I, symbols, transcendentals, and
+    # the square root of a negative value
+    for e in (sp.CRootOf(X**3 - X - 1, 1), sp.I * theta, sp.Symbol("y"),
+              sp.pi, sp.sqrt(1 - theta), 1 / theta):
+        assert _kernel_root(e) is None
+    with pytest.raises(ExactAlgebraError):
+        real_root(sp.I * theta)
+    # ... where sympy still answers minimal_polynomial
+    assert minimal_polynomial(sp.I * theta) == sp.Poly(X**6 + 2 * X**4
+                                                       + X**2 + 1, X)
+    # the square root of a zero that sympy does not see
+    zero = sp.Add(theta**3, -theta, -1, evaluate=False)
+    assert _kernel_root(sp.Pow(zero, sp.S.Half, evaluate=False)).poly == (1, 0)
+
+
+def _real_root_intervals():
+    from sympy.polys import rootoftools
+    return {k: [(iv.a, iv.b) for iv in v]
+            for k, v in rootoftools._reals_cache._dict.items()}
+
+
+def test_kernel_leaves_sympy_root_cache_alone():
+    # the printed interval of a bare CRootOf starts from sympy's cached
+    # isolating interval, so the minimal polynomial must not refine it
+    p = sp.Poly(X**4 - 13 * X**3 + 18 * X**2 - 8 * X + 1, X)
+    r = p.real_roots(radicals=False)
+    # a CRootOf built directly has no cache entry until it is evaluated
+    lazy = sp.CRootOf(X**3 - 5 * X**2 + 6 * X - 1, 2)
+    exprs = [r[2] * r[3], r[1] * r[2] * r[3], sp.sqrt(r[3]), r[3] - r[2],
+             sp.Mul(*r), sp.Add(*r) - 13, lazy * r[0], lazy**2 - lazy,
+             sp.sqrt(r[3] - r[2]) ** 3]
+    before = _real_root_intervals()
+    for e in exprs:
+        AlgebraicReal(e).minimal_polynomial
+        _kernel_root(e).enclosure(Fraction(1, 10**30))
+        real_root(e)
+    assert _real_root_intervals() == before
 
 
 def test_spectral_radius_cat():
