@@ -275,9 +275,16 @@ def _emit(report: dict, json_out: str | None) -> None:
     if json_out:
         with open(json_out, "w") as fh:
             fh.write(text + "\n")
-        print(f"report written to {json_out}")
-    else:
+        text = f"report written to {json_out}"
+    try:
         print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; the exit code still carries the
+        # verdict, and the interpreter's exit flush must not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 # ---------------------------------------------------------------------------

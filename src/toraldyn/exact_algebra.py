@@ -88,10 +88,9 @@ def exact_is_zero(expr) -> bool:
     polynomials of the ``CRootOf`` atoms (or sympy's assumptions when there
     are none), numeric refutation of a nonzero value at 30 to 240 digits,
     and last the minimal polynomial (zero iff it is x), decided by the
-    integer kernel (``_kernel_root``).  Sympy's ``minimal_polynomial``
-    decides only expressions outside the kernel's grammar, such as non-real
-    atoms or ``I``; the builtin and forged reports and the benchmark's
-    random spectra never reach it.  The numeric rung refines
+    integer kernel (``_kernel_root``).  A zero outside the kernel's
+    grammar, such as one in non-real atoms or ``I``, that the reduction
+    does not prove raises ``ExactAlgebraError``.  The numeric rung refines
     sympy's cached isolating intervals of the ``CRootOf`` atoms, from which
     the reports print their intervals, so the order of the rungs is part of
     the output."""
@@ -254,14 +253,14 @@ class AlgebraicReal(CertifiedReal):
 
 
 def minimal_polynomial(expr) -> Poly:
-    """The primitive integer minimal polynomial of an algebraic number, with
-    a positive leading coefficient.  Inside the grammar of ``_kernel_root``
-    it is decided by integer arithmetic alone; sympy's
-    ``minimal_polynomial`` serves only the expressions outside it, such as
-    non-real atoms or ``I``."""
+    """The primitive integer minimal polynomial of a real algebraic number,
+    with a positive leading coefficient, decided by integer arithmetic alone
+    inside the grammar of ``_kernel_root``.  Outside it, such as non-real
+    atoms or ``I``, it raises ``ExactAlgebraError``."""
     root = _kernel_root(expr)
     if root is None:
-        return Poly(sp.minimal_polynomial(expr, X), X)
+        raise ExactAlgebraError("no minimal polynomial outside the integer "
+                                "kernel's grammar")
     return Poly(root.poly, X)
 
 

@@ -8,6 +8,14 @@ This module computes the characters from common eigenvectors, certifies the
 kernel of pi with exact cyclotomic tests, checks the structural bounds, and
 splits the group into a zero-entropy part U and a free positive-entropy
 complement.
+
+The common eigenvectors come from one path.  One matrix B of the family's
+span (a generator with a squarefree charpoly, else a combination
+sum_j t^(j-1) A_j^T) is split over the irreducible factors f of its
+charpoly over Q(i), with every kernel computed by elimination in the field
+Q(i)[x]/(f).  That each generator has a single eigenvalue on every
+eigenspace of B is certified exactly, so no eigenvalue is ever compared as
+a number.
 """
 
 from __future__ import annotations
@@ -19,6 +27,8 @@ from functools import cached_property, lru_cache
 
 import sympy as sp
 from sympy import Matrix, eye
+from sympy.polys.agca.extensions import FiniteExtension
+from sympy.polys.matrices import DomainMatrix
 
 from .cohomology import (
     CohomClass,
@@ -38,7 +48,6 @@ from .exact_algebra import (
     X,
     charpoly,
     exact_equal,
-    exact_is_zero,
     finite_order_bound,
     gaussian_coeffs,
     has_nonreal_root,
@@ -117,137 +126,130 @@ def check_commuting(spec: GroupSpec) -> CommutingReport:
 # characters from common eigenvectors
 
 
-def _first_nonzero(vec: Matrix) -> int:
-    for i in range(vec.rows):
-        if not exact_is_zero(vec[i]):
-            return i
-    raise ExactAlgebraError("zero eigenvector")
+def _separating_operators(mats):
+    """Candidates for B with their charpolys, in order: the first of the
+    transposed generators A_j^T with a squarefree charpoly, else
+    B_t = sum_j t^(j-1) A_j^T for t = 1, 2, ....  Two distinct joint
+    eigenvalue tuples collide under B_t for at most n-1 values of t (the
+    roots of a nonzero polynomial of degree n-1), and there are at most
+    k(k-1)/2 pairs of tuples, so one of the first (n-1) k(k-1)/2 + 1 values
+    of t separates them all."""
+    for M in mats:
+        p = charpoly(M)
+        if sp.gcd(p, p.diff()).degree() == 0:
+            yield M, p
+            return
+    k, n = mats[0].rows, len(mats)
+    for t in range(1, (n - 1) * k * (k - 1) // 2 + 2):
+        B = sum((t**j * M for j, M in enumerate(mats[1:], 1)), mats[0])
+        yield B, charpoly(B)
 
 
-def _simple_spectrum_eigensystem(spec: GroupSpec, M: Matrix, p: sp.Poly):
-    """Common eigenvectors when one generator has all-distinct eigenvalues.
+def _kernel(M: DomainMatrix):
+    """A basis of ker M as columns and its free rows, where the basis is
+    the identity."""
+    rref, pivots = M.rref()
+    free = [i for i in range(M.shape[1]) if i not in pivots]
+    return rref.nullspace_from_rref(pivots).transpose(), free
 
-    Each eigenline of that generator is preserved by everything commuting
-    with it, so the joint eigenvectors are exactly its eigenvectors: the
-    nonzero columns of adj(theta*I - M) at each root theta.  All arithmetic
-    happens on polynomials modulo the root's irreducible factor over Q(i),
-    a field even for Gaussian M; the root itself is substituted only into
-    the final expressions.  On a factor of degree >= 2 with a non-real
-    root, every |mu_j|^2 is also a ``RealRoot``, isolated from the root's
-    certified inclusion disk, and all decisions are made on it."""
-    k = spec.k
-    adj = (X * eye(k) - M).adjugate()
-    out = []
+
+def _conjugate_coefficients(expr):
+    """The polynomial in X whose coefficients are those of ``expr``,
+    conjugated."""
+    return sp.Add(*[sp.conjugate(c) * X ** e
+                    for (e,), c in sp.Poly(expr, X).terms()], sp.Integer(0))
+
+
+def _factor_eigensystem(B: Matrix, p: sp.Poly, mats):
+    """Common eigenvectors of ``mats`` with their exact |mu_j|^2, from the
+    irreducible factors f of p = charpoly(B) over Q(i), and whether the
+    family is semisimple; None when B does not separate the joint
+    eigenvalues.
+
+    All arithmetic happens in the field K = Q(i)[x]/(f), where x stands for
+    a root theta of f.  V = ker(B - theta) is found by elimination over K,
+    and mu_j = tr(A_j on V) / dim V.  The separation certificate is
+    (A_j - mu_j)^(dim V) V = 0, which puts every common eigenvector of the
+    family inside ker(B - theta) into V cap ker(A_j - mu_j), whose basis is
+    returned.  The root itself is substituted only into the final
+    expressions.  On a factor of degree >= 2 with a non-real root, every
+    |mu_j|^2 is also a ``RealRoot``, isolated from the root's certified
+    inclusion disk, and all decisions are made on it.  The family is
+    semisimple iff sum_f deg f * dim V = k and every A_j is scalar on
+    every V."""
+    k = B.rows
+    out, covered, whole = [], 0, True
     for factor, _mult in sp.factor_list(p.as_expr(), gaussian=True)[1]:
         fpoly = sp.Poly(factor, X)
+        K = FiniteExtension(sp.Poly(factor, X, domain=sp.QQ_I))
 
-        def reduce(expr):
-            return sp.rem(sp.expand(expr), factor, X)
+        def lift(M):
+            return DomainMatrix([[K.from_sympy(v) for v in row]
+                                 for row in M.tolist()], M.shape, K)
 
-        def conj_coeffs(expr):
-            q = sp.Poly(sp.expand(expr), X)
-            return sp.Add(*[sp.conjugate(c) * X ** e
-                            for (e,), c in q.terms()], sp.Integer(0))
+        V, free = _kernel(lift(B) - DomainMatrix.eye(k, K) * K.generator)
+        d = len(free)
+        mus, images = [], []
+        for A in map(lift, mats):
+            AV = A * V
+            rows = AV.to_list()
+            mu = sum((rows[i][c] for c, i in enumerate(free)), K.zero) / d
+            N = AV - V * mu
+            P = N
+            for _ in range(d - 1):
+                P = A * P - P * mu
+            if not P.is_zero_matrix:
+                return None
+            mus.append(K.to_sympy(mu))
+            images.append(N)
+        covered += fpoly.degree() * d
+        W = V
+        if not all(N.is_zero_matrix for N in images):
+            W = V * _kernel(DomainMatrix.vstack(*images))[0]
+            whole = False
+        ws = [Matrix([K.to_sympy(v) for v in col])
+              for col in W.transpose().to_list()]
 
-        w_poly = None
-        for j in range(k):
-            col = adj[:, j].applyfunc(reduce)
-            if any(v != 0 for v in col):
-                w_poly = col
-                break
-        if w_poly is None:
-            raise ExactAlgebraError("vanishing adjugate at a simple factor")
-        i0 = next(i for i in range(k) if w_poly[i] != 0)
-        inv = sp.invert(w_poly[i0], factor, X)
-        mu_polys = []
-        for g in spec.generators:
-            u = (g.A.T * w_poly).applyfunc(reduce)
-            mu = reduce(u[i0] * inv)
-            diff = (u - mu * w_poly).applyfunc(reduce)
-            if any(v != 0 for v in diff):
-                raise ExactAlgebraError("eigenline not preserved "
-                                        "(generators do not commute?)")
-            mu_polys.append(mu)
-
-        def line(theta):
+        def moduli(theta):
             theta_conj = sp.conjugate(theta)
-            w = w_poly.applyfunc(lambda v: v.subs(X, theta))
             modsq = []
-            for mu in mu_polys:
-                mu_bar = conj_coeffs(mu)
+            for mu in mus:
+                mu_bar = _conjugate_coefficients(mu)
                 if theta_conj == theta:
-                    msq = reduce(mu * mu_bar).subs(X, theta)
+                    msq = sp.rem(sp.expand(mu * mu_bar), factor, X).subs(
+                        X, theta)
                 else:
                     msq = sp.expand(mu.subs(X, theta)
                                     * mu_bar.subs(X, theta_conj))
                 modsq.append(sp.expand(msq))
-            return w, modsq
+            return modsq
 
         c = fpoly.all_coeffs()
         if fpoly.degree() == 1:
-            out.append(tuple(line(-c[1] / c[0])))
+            roots = [(-c[1] / c[0], moduli(-c[1] / c[0]))]
         elif has_nonreal_root(gaussian_coeffs(fpoly)):
-            mus = [gaussian_coeffs(mu) for mu in mu_polys]
-            for theta, isolated in modulus_squared_roots(
-                    gaussian_coeffs(fpoly), mus):
-                w, modsq = line(theta)
-                out.append((w, tuple(RealRoot(msq, *iso) for msq, iso
-                                     in zip(modsq, isolated))))
+            roots = [(theta, [RealRoot(msq, *iso) for msq, iso
+                              in zip(moduli(theta), isolated)])
+                     for theta, isolated in modulus_squared_roots(
+                         gaussian_coeffs(fpoly),
+                         [gaussian_coeffs(mu) for mu in mus])]
         else:
-            out.extend((w, tuple(modsq)) for w, modsq in
-                       map(line, fpoly.all_roots()))
-    return out
-
-
-def _recursive_eigensystem(spec: GroupSpec):
-    """Fallback common-eigenvector search by splitting eigenspaces.
-
-    Every joint generalized eigenspace of a commuting family contains a
-    common eigenvector, so every realizable system of eigenvalue moduli is
-    found even when the family is not semisimple."""
-    mats = [g.A.T for g in spec.generators]
-    k = spec.k
-    state = {"semisimple": True}
-
-    def rec(B: Matrix, rest):
-        if B.cols == 1 or not rest:
-            # a 1-dim invariant subspace is a common eigenline; with no
-            # matrices left every vector of the subspace is eigen
-            return [B.col(j) for j in range(B.cols)]
-        M = rest[0]
-        R = (B.H * B).inv() * (B.H * (M * B))
-        R = R.applyfunc(lambda v: sp.simplify(v))
-        residual = M * B - B * R
-        if not all(exact_is_zero(v) for v in residual):
-            raise ExactAlgebraError("subspace not invariant (generators "
-                                    "do not commute?)")
-        out = []
-        covered = 0
-        for _val, mult, vecs in R.eigenvects():
-            covered += len(vecs)
-            if len(vecs) < mult:
-                state["semisimple"] = False
-            sub = Matrix.hstack(*[B * v for v in vecs])
-            out.extend(rec(sub, rest[1:]))
-        if covered < R.rows:
-            state["semisimple"] = False
-        return out
-
-    vecs = rec(eye(k), mats)
-    return [(w, _moduli_squared(spec, w)) for w in vecs], state["semisimple"]
+            roots = [(theta, moduli(theta)) for theta in fpoly.all_roots()]
+        out.extend((w.subs(X, theta), tuple(modsq))
+                   for theta, modsq in roots for w in ws)
+    return out, covered == k and whole
 
 
 def _common_eigenvectors(spec: GroupSpec):
     """All common eigenvectors with their exact per-generator |mu_j|^2.
 
     Returns (list of (vector, moduli_squared), semisimple)."""
-    for g in spec.generators:
-        p = charpoly(g.A)
-        if sp.gcd(p, p.diff()).degree() == 0:
-            # distinct eigenvalues force the joint eigenlines
-            return (_simple_spectrum_eigensystem(spec, g.A.T, p),
-                    True)
-    return _recursive_eigensystem(spec)
+    mats = [g.A.T for g in spec.generators]
+    for B, p in _separating_operators(mats):
+        found = _factor_eigensystem(B, p, mats)
+        if found is not None:
+            return found
+    raise ExactAlgebraError("no B_t separates the joint eigenvalues")
 
 
 @dataclass
@@ -293,27 +295,16 @@ def _same_moduli(a: tuple, b: tuple) -> bool:
     return all(exact_equal(x, y) for x, y in zip(a, b))
 
 
-def _moduli_squared(spec: GroupSpec, w: Matrix) -> tuple:
-    """Exact per-generator |eigenvalue|^2 for a common eigenvector of the
-    transposed family."""
-    i0 = _first_nonzero(w)
-    modsq = []
-    for g in spec.generators:
-        u = g.A.T * w
-        mu = sp.simplify(u[i0] / w[i0])
-        diff = u - mu * w
-        if not all(exact_is_zero(sp.expand(v)) for v in diff):
-            raise ExactAlgebraError("not a common eigenvector")
-        modsq.append(sp.simplify(sp.expand(mu * sp.conjugate(mu))))
-    return tuple(modsq)
-
-
 def find_characters(spec: GroupSpec) -> CharacterTable:
     """Characters of the group on its invariant nef directions.
 
     Each common eigenvector w of the transposed generators yields the nef
     eigenclass w w^H with pullback multiplier |mu_j|^2 under generator j,
     by construction: A_j^T w = mu_j w and w != 0 are proved exactly.  The
+    eigenvectors come from one routine: B is the first generator with a
+    squarefree charpoly, else the first B_t = sum_j t^(j-1) A_j^T whose
+    eigenspaces pass the separation certificate (A_j^T - mu_j)^(dim V) V = 0
+    over each factor field Q(i)[x]/(f).  The
     trivial character (all multipliers 1) is dropped; the rest are
     deduplicated exactly.  Non-semisimple families are supported as long as
     every generator has zero entropy (their characters are all trivial);

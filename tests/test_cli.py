@@ -216,6 +216,21 @@ def test_report_matches_golden(name, argv):
     assert proc.stdout == (GOLDEN_DIR / f"{name}.json").read_bytes()
 
 
+def test_reader_closing_stdout_early_gets_an_exit_code():
+    # the reader goes away before the report is written: the verdict still
+    # comes as the exit code, and stderr holds no traceback
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "toraldyn.cli", "analyze", "pell_T2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) in (EXIT_OK, EXIT_VIOLATION, EXIT_INVALID)
+    assert "Traceback" not in err, err[-2000:]
+
+
 def test_reports_do_not_call_sympy_minimal_polynomial(monkeypatch, capsys):
     # every min_poly and every zero test of these reports is decided by the
     # integer kernel; sympy's minimal_polynomial refines sympy's root cache

@@ -541,9 +541,9 @@ def test_kernel_grammar():
         assert _kernel_root(e) is None
     with pytest.raises(ExactAlgebraError):
         real_root(sp.I * theta)
-    # ... where sympy still answers minimal_polynomial
-    assert minimal_polynomial(sp.I * theta) == sp.Poly(X**6 + 2 * X**4
-                                                       + X**2 + 1, X)
+    # ... where no minimal polynomial is computed
+    with pytest.raises(ExactAlgebraError):
+        minimal_polynomial(sp.I * theta)
     # the square root of a zero that sympy does not see
     zero = sp.Add(theta**3, -theta, -1, evaluate=False)
     assert _kernel_root(sp.Pow(zero, sp.S.Half, evaluate=False)).poly == (1, 0)

@@ -3,8 +3,10 @@ bounds, and the U x free decomposition."""
 
 import dataclasses
 import math
+import time
 from fractions import Fraction
 
+import mpmath
 import pytest
 import sympy as sp
 from sympy import I, Matrix, eye
@@ -135,6 +137,87 @@ def test_degenerate_spectrum_rejected_when_positive_entropy():
     spec = GroupSpec.from_matrices([J.tolist()])
     with pytest.raises(DegenerateSpectrumError):
         find_characters(spec)
+
+
+# families with no squarefree generator take the B_t branch of the one eigen
+# path, and diag_cc_pair_T6 has its squarefree generator second; C3 has one
+# real and two non-real eigenvalues, G2 non-real coefficients
+C3 = Matrix([[0, 0, 1], [1, 0, -1], [0, 1, -1]])
+G2 = Matrix([[1 + I, 1], [I, 1]])
+
+
+def _unit(i, j):
+    return Matrix(3, 3, lambda a, b: int((a, b) == (i, j)))
+
+
+def _mpmath_pi_rank(spec):
+    """The rank of pi from 50-digit mpmath moduli: the joint eigenvalues are
+    Rayleigh quotients of the generators at the eigenvectors of a generic
+    combination of them."""
+    with mpmath.workdps(50):
+        mats = [mpmath.matrix([[mpmath.mpc(*(float(x) for x in sp.sympify(v)
+                                              .as_real_imag()))
+                                for v in row] for row in g.A.T.tolist()])
+                for g in spec.generators]
+        B = sum((mpmath.mpf(3) ** j * A for j, A in enumerate(mats[1:], 1)),
+                mats[0])
+        _vals, vecs = mpmath.eig(B)
+        rows = []
+        for c in range(spec.k):
+            v = vecs[:, c]
+            norm = (v.H * v)[0]
+            rows.append([mpmath.log(abs((v.H * A * v)[0] / norm) ** 2)
+                         for A in mats])
+        singular = mpmath.svd_r(mpmath.matrix(rows), compute_uv=False)
+        return sum(1 for s in singular if s > mpmath.mpf(10) ** -20)
+
+
+def _reduces_to_zero(cls):
+    """Whether every coefficient of a class is proved zero by reduction: each
+    CRootOf atom becomes a symbol taken modulo the factor over Q(i) of its
+    polynomial that vanishes at it.  ``exact_is_zero`` reduces modulo the
+    atom's own polynomial over Q, which cannot tie a root of a Gaussian
+    factor to its conjugate, the root of the conjugate factor."""
+    atoms = set().union(*(v.atoms(sp.CRootOf) for v in cls.coeffs.values()))
+    if not atoms:
+        return cls.is_zero()
+    subs, moduli = {}, []
+    for n, r in enumerate(sorted(atoms, key=sp.default_sort_key)):
+        x, t, value = r.poly.gen, sp.Dummy(f"t{n}"), sp.N(r, 30)
+        factors = sp.factor_list(r.poly.as_expr(), gaussian=True)[1]
+        q = min((q for q, _ in factors),
+                key=lambda q: abs(complex(q.subs(x, value))))
+        subs[r] = t
+        moduli.append(q.subs(x, t))
+    return all(
+        sp.reduced(sp.expand(v.xreplace(subs)), moduli, *subs.values())[1]
+        == 0 for v in cls.coeffs.values())
+
+
+@pytest.mark.parametrize("mats, semisimple, budget", [
+    ([sp.diag(C3, C3)], True, 10),
+    ([sp.diag(C3, C3), sp.diag(C3, C3.inv())], True, 20),
+    ([sp.diag(Matrix(PELL_MATRIX), Matrix(PELL_MATRIX), 1)], True, 10),
+    ([sp.diag(G2, G2)], True, 20),
+    ([eye(3) + _unit(0, 1), eye(3) + _unit(0, 2)], False, 10),
+], ids=["diag_cc_T6", "diag_cc_pair_T6", "pell_pell_one_T5", "diag_gg_T4",
+        "unipotent_pair_T3"])
+def test_repeated_spectrum_characters(mats, semisimple, budget):
+    # in-process about 0.1 to 6 s each, most of it in is_nef on the
+    # non-real eigenclasses; the budgets leave room for a loaded machine.
+    # diag_cc_T6 is the regression case of a hang in sympy's eigenvects
+    start = time.perf_counter()
+    spec = GroupSpec.from_matrices([M.tolist() for M in mats])
+    table = find_characters(spec)
+    assert table.semisimple == semisimple
+    assert table.m > 0 if semisimple else table.m == 0
+    for ch in table.characters:
+        cls = ch.eigenclass
+        assert is_nef(cls) and not cls.is_zero()
+        for g, msq in zip(spec.generators, ch.modulus_squared):
+            assert _reduces_to_zero(pullback(g, cls) - cls.scale(msq))
+    assert pi_rank(spec, table).rank == _mpmath_pi_rank(spec)
+    assert time.perf_counter() - start < budget
 
 
 # ---------------------------------------------------------------------------

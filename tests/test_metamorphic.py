@@ -4,13 +4,16 @@ pi, the finiteness of U or its order.
 
 Time budget: each case runs in-process in about 1 s (budget 10 s).  The
 `square_extra` cases add g_1^2 as an extra generator: its log row is twice
-g_1's, a relation at the 10^40 scale of the LLL lattice."""
+g_1's, a relation at the 10^40 scale of the LLL lattice.  The conjugation
+cases change the basis of the lattice Z[i]^k by an elementary matrix of
+GL(k, Z[i])."""
 
 import time
 
 import pytest
-from sympy import I, Matrix
+from sympy import I, Matrix, eye
 
+from toraldyn.exact_algebra import exact_equal
 from toraldyn.example_forge import builtin
 from toraldyn.group_structure import GroupSpec, analyze_group
 
@@ -42,4 +45,40 @@ def test_square_extra_keeps_invariants(original):
     g1 = spec.generators[0]
     moved = GroupSpec(spec.generators + (g1.power(2),))
     assert _invariants(moved) == _invariants(spec)
+    assert time.perf_counter() - start < 10
+
+
+def _same_multiplier_multiset(a, b):
+    """Whether two lists of multiplier tuples agree as multisets, exactly."""
+    rest = list(b)
+    for t in a:
+        hit = next((n for n, u in enumerate(rest)
+                    if all(exact_equal(x, y) for x, y in zip(t, u))), None)
+        if hit is None:
+            return False
+        del rest[hit]
+    return not rest
+
+
+@pytest.mark.parametrize("original", ["parabolic_T2", "pell_plus_torsion"])
+@pytest.mark.parametrize("corner", [1, I], ids=["E12", "iE12"])
+def test_conjugation_keeps_invariants(original, corner):
+    # parabolic_T2 is not semisimple, so its conjugates have no squarefree
+    # generator and take the B_t branch of the eigen path; each case runs
+    # in-process in about 0.3 s (budget 10 s)
+    start = time.perf_counter()
+    spec = builtin(original)
+    P = eye(2) + corner * Matrix([[0, 1], [0, 0]])
+    moved = GroupSpec.from_matrices(
+        [(P * g.A * P.inv()).tolist() for g in spec.generators])
+    before, after = analyze_group(spec), analyze_group(moved)
+    for a in (before, after):
+        assert a.commuting.commutes
+    assert _invariants(moved) == _invariants(spec)
+    assert (after.decomposition.relation_lattice.basis
+            == before.decomposition.relation_lattice.basis)
+    assert after.table.semisimple == before.table.semisimple
+    assert _same_multiplier_multiset(
+        [c.multipliers for c in after.table.characters],
+        [c.multipliers for c in before.table.characters])
     assert time.perf_counter() - start < 10
