@@ -40,7 +40,6 @@ from .cohomology import (
     wedge_all,
 )
 from .exact_algebra import (
-    INFINITE_ORDER,
     CertifiedReal,
     ExactAlgebraError,
     IntegerLattice,
@@ -53,7 +52,6 @@ from .exact_algebra import (
     has_nonreal_root,
     hermite_normal_form_rows,
     integer_relations,
-    matrix_order,
     modulus_squared_roots,
     smith_normal_form_with_transforms,
 )
@@ -521,13 +519,6 @@ def _kernel_split(spec: GroupSpec, analysis: PiRankResult):
     return words[:s], words[s:]
 
 
-def _real_embedding(g: TorusAutomorphism) -> Matrix:
-    """The 2k x 2k integer matrix of g's linear part over R."""
-    Re = g.A.applyfunc(sp.re)
-    Im = g.A.applyfunc(sp.im)
-    return Matrix(sp.BlockMatrix([[Re, -Im], [Im, Re]]))
-
-
 def _enumerate_closure(k: int, autos, cap: int = ENUMERATION_CAP):
     """(order, nonzero relation vectors) of the finite group generated by
     commuting automorphisms, from one breadth-first walk.
@@ -566,57 +557,60 @@ def _enumerate_closure(k: int, autos, cap: int = ENUMERATION_CAP):
     return len(label), sorted(relations)
 
 
-def _box_relations(k: int, autos):
-    """Relations with exponents in [-4, 4] among commuting automorphisms,
-    one of infinite order (desk-scale completeness)."""
-    ident = TorusAutomorphism(eye(k))
-    powers = [{c: g.power(c) for c in range(-4, 5)} for g in autos]
-    found = []
-    for c in itertools.product(range(-4, 5), repeat=len(autos)):
-        if not any(c):
-            continue
-        M = ident
-        for ci, pw in zip(c, powers):
-            M = M.compose(pw[ci])
-        if M == ident:
-            found.append(c)
-    return found
+def _combine(rows, words, n: int) -> list:
+    """Each row of coefficients over ``words`` as an exponent vector over the
+    n input generators."""
+    return [[sum(c * w[j] for c, w in zip(row, words)) for j in range(n)]
+            for row in rows]
 
 
-def _relation_lattice(n: int, u_words, relations):
-    """The relations among the U words as a lattice of exponent vectors
-    over the input generators."""
-    rows = [[sum(ci * w[j] for ci, w in zip(c, u_words)) for j in range(n)]
-            for c in relations]
-    if not rows:
-        return IntegerLattice(n, ())
-    H = [tuple(r) for r in hermite_normal_form_rows(rows)[0] if any(r)]
-    return IntegerLattice(n, tuple(H))
+def _u_structure(spec: GroupSpec, u_words):
+    """(order of U or None when U is infinite, relation lattice of U) for
+    the group U generated by the commuting zero-entropy words ``u_words``.
+
+    Every eigenvalue of a zero-entropy u is a root of unity of degree at
+    most 2k over Q, so u^N is unipotent for N = finite_order_bound(2k), and
+    the logarithms L_i = log(u_i^N) = sum_{m<k} (-1)^(m+1) (u_i^N - 1)^m / m
+    of commuting unipotents add.  So every relation lies in the integer
+    kernel K = {c : sum c_i L_i = 0} (zero rows of a Hermite form), and
+    every word of K has order dividing N.  The relations among the words of
+    the Hermite basis of K come from ``_enumerate_closure`` and are lifted
+    back.  U is finite iff K = Z^s, and then that basis is the U words."""
+    k, n = spec.k, spec.n
+    N, D = finite_order_bound(2 * k), math.lcm(*range(1, k))
+    logs = []
+    for w in u_words:
+        X = word_automorphism(spec, w).power(N).A - eye(k)
+        L = sum((X ** m * ((-1) ** (m + 1) * D // m) for m in range(1, k)),
+                sp.zeros(k))
+        logs.append([int(part(v)) for part in (sp.re, sp.im) for v in L])
+    H, T = hermite_normal_form_rows(logs)
+    kernel = [t for h, t in zip(H, T) if not any(h)]
+    words = _combine(hermite_normal_form_rows(kernel)[0], u_words, n)
+    order, relations = _enumerate_closure(
+        k, [word_automorphism(spec, w) for w in words])
+    basis = hermite_normal_form_rows(_combine(relations, words, n))[0]
+    return (order if len(words) == len(u_words) else None,
+            IntegerLattice(n, tuple(tuple(r) for r in basis if any(r))))
 
 
 def decompose(spec: GroupSpec, analysis: PiRankResult) -> DecompositionResult:
     """Split the group as (zero-entropy part U) x (free positive-entropy
-    part) and decide the finiteness of U at maximal rank."""
+    part).  U's order, its finiteness and its relation lattice over the
+    input generators are exact for finite and infinite U alike
+    (``_u_structure``); an infinite U at maximal rank r = k-1 raises."""
     r = analysis.rank
-    k = spec.k
     u_words, free_words = _kernel_split(spec, analysis)
     for w in u_words:
         if not verify_zero_entropy_word(spec, w):
             raise ExactAlgebraError("kernel saturation produced a word "
                                     "with positive entropy")
-    autos = [word_automorphism(spec, w) for w in u_words]
-    orders = [matrix_order(_real_embedding(g),
-                           bound=finite_order_bound(2 * k)) for g in autos]
-    u_finite = all(o != INFINITE_ORDER for o in orders)
-    if r == k - 1 and not u_finite:
+    u_order, lattice = _u_structure(spec, u_words)
+    if r == spec.k - 1 and u_order is None:
         raise AssertionError(
             "THEOREM VIOLATION: infinite zero-entropy part at maximal rank")
-    if u_finite:
-        u_order, relations = _enumerate_closure(k, autos)
-    else:
-        u_order, relations = None, _box_relations(k, autos)
-    return DecompositionResult(r, free_words, u_words, u_finite, u_order,
-                               _relation_lattice(spec.n, u_words, relations))
+    return DecompositionResult(r, free_words, u_words, u_order is not None,
+                               u_order, lattice)
 
 
 # ---------------------------------------------------------------------------
@@ -673,32 +667,28 @@ def check_theorem_4_6(spec: GroupSpec, classes) -> Theorem46Report:
         multipliers.append(row)
     if wedge_all(classes).is_zero():
         return Theorem46Report("vacuous", reason="context wedge is zero")
-    # positive-entropy hypothesis on a word sample: zero entropy => identity
-    ident = TorusAutomorphism(eye(k))
-    for e in itertools.product(range(-2, 3), repeat=n):
-        if not any(e):
-            continue
-        if verify_zero_entropy_word(spec, e):
-            if word_automorphism(spec, e) != ident:
-                return Theorem46Report(
-                    "vacuous", reason="zero-entropy non-identity word",
-                    witness=e)
-    comm = check_commuting(spec)
-    if not comm.commutes:
-        raise AssertionError(
-            f"THEOREM VIOLATION: non-commuting pair {comm.witness}")
     # rank of the induced pi, with exact multiplicative verification
     log_rows = ([sp.Integer(0) if exact_equal(lam, 1)
                  else sp.log(sp.Abs(lam)).evalf(_LOG_DIGITS) for lam in row]
                 for row in multipliers)
     verified = [e for e in _kernel_candidates(n, log_rows)
                 if all(_trivial_multiplier(row, e) for row in multipliers)]
+    # the hypothesis "zero entropy => identity", decided on ker(pi), where
+    # every zero-entropy element lies: a non-identity element there refutes
+    # it if its entropy is zero and contradicts the theorem otherwise
+    ident = TorusAutomorphism(eye(k))
     for e in verified:
         if word_automorphism(spec, e) != ident:
-            # injectivity of pi fails only if the hypotheses fail;
-            # the sample check above makes this unreachable in practice
+            if verify_zero_entropy_word(spec, e):
+                return Theorem46Report(
+                    "vacuous", reason="zero-entropy non-identity word",
+                    witness=e)
             raise AssertionError(
                 f"THEOREM VIOLATION: nontrivial word {e} in ker(pi)")
+    comm = check_commuting(spec)
+    if not comm.commutes:
+        raise AssertionError(
+            f"THEOREM VIOLATION: non-commuting pair {comm.witness}")
     r = n - len(verified)
     if r > k - 1:
         raise AssertionError(

@@ -58,6 +58,17 @@ def test_analyze_parabolic(capsys):
                for g in rep["generators"])
 
 
+def test_analyze_infinite_u_relation_lattice(capsys):
+    # (P, P^5) with P = [[1, 1], [0, 1]]: U is infinite and its relations
+    # are the multiples of (5, -1), which has an exponent beyond 4
+    path = ROOT / "tests" / "data" / "parabolic_pow5_T2.json"
+    code, out, _ = _run(capsys, "analyze", str(path))
+    assert code == EXIT_OK
+    dec = _json_of(out)["decomposition"]
+    assert dec["u_finite"] is False
+    assert dec["relation_lattice"]["basis"] == [["5", "-1"]]
+
+
 def test_analyze_gaussian_finite_order(tmp_path, capsys):
     # A = [[-i, 0], [1+i, i]] has charpoly x^2 + 1, which splits over Q(i)
     path = tmp_path / "gauss.json"

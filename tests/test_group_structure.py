@@ -2,7 +2,9 @@
 bounds, and the U x free decomposition."""
 
 import dataclasses
+import itertools
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -11,14 +13,17 @@ import pytest
 import sympy as sp
 from sympy import I, Matrix, eye
 
-from toraldyn.exact_algebra import RealRoot, exact_equal, exact_is_zero
+from toraldyn.exact_algebra import (
+    IntegerLattice, RealRoot, exact_equal, exact_is_zero,
+    hermite_normal_form_rows)
 from toraldyn.cohomology import (
     CohomClass, TorusAutomorphism, dynamical_degree, is_nef, pullback)
 from toraldyn.example_forge import builtin, builtin_names
 from toraldyn.group_structure import (
     DegenerateSpectrumError, GroupSpec, analyze_group,
     assert_structure_theorems, check_commuting, check_theorem_4_6, decompose,
-    find_characters, pi_rank, verify_zero_entropy_word, word_automorphism)
+    _u_structure, find_characters, pi_rank, verify_zero_entropy_word,
+    word_automorphism)
 
 PELL_MATRIX = [[1, 2], [1, 1]]
 PELL = GroupSpec.from_matrices([PELL_MATRIX], ("pell",))
@@ -364,6 +369,100 @@ def test_decompose_merge_reconstructs_group():
 
 
 # ---------------------------------------------------------------------------
+# relation lattice of U
+# ---------------------------------------------------------------------------
+
+SHEAR = Matrix([[1, 1], [0, 1]])
+
+
+@pytest.mark.parametrize("mats, basis", [
+    ([SHEAR, SHEAR ** 5], ((5, -1),)),
+    # (iP)^a P^(6b) = i^a P^(a+6b) is 1 iff a = -6b and 4 | a
+    ([I * SHEAR, SHEAR ** 6], ((12, -2),)),
+], ids=["P_P5", "iP_P6"])
+def test_relation_lattice_of_infinite_u(mats, basis):
+    spec = GroupSpec.from_matrices([M.tolist() for M in mats])
+    dec = decompose(spec, pi_rank(spec, find_characters(spec)))
+    assert dec.rank == 0 and not dec.u_finite and dec.u_order is None
+    assert dec.relation_lattice.basis == basis
+
+
+def test_relation_lattice_of_shear_powers():
+    # P^(a c_1 + b c_2) = 1 iff (c_1, c_2) is a multiple of (b, -a)/gcd(a, b);
+    # the 900 pairs take about 10 s in-process (budget 60 s)
+    start = time.perf_counter()
+    for a, b in itertools.product(range(1, 31), repeat=2):
+        spec = GroupSpec.from_matrices([(SHEAR ** a).tolist(),
+                                        (SHEAR ** b).tolist()])
+        g = math.gcd(a, b)
+        assert _u_structure(spec, [[1, 0], [0, 1]]) == (
+            None, IntegerLattice(2, ((b // g, -a // g),))), (a, b)
+    assert time.perf_counter() - start < 60
+
+
+def _brute_force_relations(spec, bound):
+    """Every nonzero c in [-bound, bound]^s with prod g_i^(c_i) = 1: each
+    product of the first s-1 powers is looked up among the inverse powers
+    of the last generator."""
+    *head, last = spec.generators
+    span = range(-bound, bound + 1)
+    inverse_powers = {}
+    for c in span:
+        inverse_powers.setdefault(last.power(-c), []).append(c)
+    powers = [{c: g.power(c) for c in span} for g in head]
+    found, ident = [], TorusAutomorphism(eye(spec.k))
+    for prefix in itertools.product(span, repeat=len(head)):
+        M = ident
+        for c, pw in zip(prefix, powers):
+            M = M.compose(pw[c])
+        found += [prefix + (c,) for c in inverse_powers.get(M, ())
+                  if any(prefix) or c]
+    return found
+
+
+# commuting zero-entropy blocks on T^3: the shears I + E_12 and I + i E_12,
+# the scalar i and diag(1, 1, -1)
+_E12 = Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+_BLOCKS = [eye(3) + _E12, eye(3) + I * _E12, I * eye(3), Matrix.diag(1, 1, -1)]
+
+
+@pytest.mark.parametrize("s", [2, 3])
+def test_relation_lattice_matches_brute_force(s):
+    # seeded families of products of the blocks, whose shear parts are
+    # multiples of one a + b i so that relations exist; each relation in
+    # [-12, 12]^s lies in the lattice and each basis vector is a relation.
+    # The two sizes take about 1 s and 5 s in-process (budget 60 s each)
+    start = time.perf_counter()
+    rng = random.Random(20260 + s)
+    ident = TorusAutomorphism(eye(3))
+    for family in range(5):
+        # the first family has no shear part, so its U is finite
+        a, b = (rng.randint(-2, 2), rng.randint(-1, 1)) if family else (0, 0)
+        mats, sheared = [], False
+        for _ in range(s):
+            m = rng.randint(-3, 3)
+            exps = (m * a, m * b, rng.randint(0, 3), rng.randint(0, 1))
+            sheared |= any(exps[:2])
+            M = eye(3)
+            for block, e in zip(_BLOCKS, exps):
+                M = M * block ** e
+            mats.append(M.tolist())
+        spec = GroupSpec.from_matrices(mats)
+        units = [[int(i == j) for j in range(s)] for i in range(s)]
+        order, lattice = _u_structure(spec, units)
+        assert (order is None) == sheared, mats
+        if order is not None:
+            assert order == abs(Matrix(list(lattice.basis)).det()), mats
+        basis = [list(v) for v in lattice.basis]
+        for v in basis:
+            assert word_automorphism(spec, v) == ident, (mats, v)
+        for rel in _brute_force_relations(spec, 12):
+            assert hermite_normal_form_rows(basis + [list(rel)])[0] == \
+                basis + [[0] * s], (mats, rel)
+    assert time.perf_counter() - start < 60
+
+
+# ---------------------------------------------------------------------------
 # invariant-class structure theorem
 # ---------------------------------------------------------------------------
 
@@ -372,6 +471,25 @@ def test_theorem_4_6_pell_eigenclass():
     c = CohomClass.from_hermitian(w * w.T)
     rep = check_theorem_4_6(PELL, [c])
     assert rep.status == "holds"
+
+
+def test_theorem_4_6_zero_entropy_kernel_word_vacuous():
+    # A^3 (-A^3)^-1 = -I has zero entropy, so the group is not of positive
+    # entropy; no word of [-2, 2]^2 shows it
+    A = Matrix([[2, 1], [1, 1]])
+    spec = GroupSpec.from_matrices([A.tolist(), (-A ** 3).tolist()])
+    c = find_characters(spec).characters[0].eigenclass
+    rep = check_theorem_4_6(spec, [c])
+    assert rep.status == "vacuous" and rep.witness == [3, -1]
+
+
+def test_theorem_4_6_non_commuting_zero_entropy_vacuous():
+    # the shear and diag(1, -1) both fix the class e_2 e_2^H and do not
+    # commute; the shear is a zero-entropy kernel word
+    spec = GroupSpec.from_matrices([SHEAR.tolist(), [[1, 0], [0, -1]]])
+    w = Matrix([0, 1])
+    rep = check_theorem_4_6(spec, [CohomClass.from_hermitian(w * w.T)])
+    assert rep.status == "vacuous"
 
 
 def test_theorem_4_6_zero_wedge_vacuous():

@@ -1,6 +1,7 @@
 """Metamorphic invariance: the structure theorem describes the group, not
 its presentation, so a change of generators must not change the rank of
-pi, the finiteness of U or its order.
+pi, the finiteness of U or its order, and the relation lattice of U moves
+with the generators.
 
 Time budget: each case runs in-process in about 1 s (budget 10 s).  The
 `square_extra` cases add g_1^2 as an extra generator: its log row is twice
@@ -45,6 +46,19 @@ def test_square_extra_keeps_invariants(original):
     g1 = spec.generators[0]
     moved = GroupSpec(spec.generators + (g1.power(2),))
     assert _invariants(moved) == _invariants(spec)
+    assert time.perf_counter() - start < 10
+
+
+def test_shear_power_extra_moves_relation_lattice():
+    # parabolic_T2 = (shear_1, shear_i) has an infinite U with no relation;
+    # the extra generator shear_1^5 adds exactly the relation (5, 0, -1).
+    # Runs in-process in about 0.2 s (budget 10 s)
+    start = time.perf_counter()
+    spec = builtin("parabolic_T2")
+    moved = GroupSpec(spec.generators + (spec.generators[0].power(5),))
+    assert _invariants(moved) == _invariants(spec) == (0, False, None)
+    assert (analyze_group(moved).decomposition.relation_lattice.basis
+            == ((5, 0, -1),))
     assert time.perf_counter() - start < 10
 
 
