@@ -391,9 +391,10 @@ class RealRoot(CertifiedReal):
         if self.is_rational:
             return self._lo, self._hi
         lo0, hi0 = self._root_interval
-        width = hi0 - lo0
-        while width > 2 * eps:
-            width /= 2
+        # the widest node (hi0 - lo0) / 2^n of the tree with width <= 2 eps:
+        # 2^n >= c <=> n >= bit_length(c - 1)
+        c = math.ceil((hi0 - lo0) / (2 * eps))
+        width = (hi0 - lo0) / 2 ** max(c - 1, 0).bit_length()
         while self._hi - self._lo > width:
             self._bisect()
         k = math.floor((self._lo - lo0) / width)
@@ -897,9 +898,9 @@ def modulus_squared_roots(f, mus) -> list:
 
 
 def _real_sign(v) -> int:
-    """Exact sign of the real part of a Fraction or an algebraic sympy number;
-    rationals are compared natively."""
-    if isinstance(v, Fraction):
+    """Exact sign of the real part of a rational or an algebraic sympy
+    number; ints and Fractions are compared natively."""
+    if isinstance(v, (int, Fraction)):
         return (v > 0) - (v < 0)
     v = sp.re(v)
     if v.is_Rational:
@@ -908,7 +909,7 @@ def _real_sign(v) -> int:
 
 
 def _is_zero(v) -> bool:
-    if isinstance(v, Fraction) or v.is_Rational:
+    if isinstance(v, (int, Fraction)) or v.is_Rational:
         return v == 0
     return exact_is_zero(v)
 
@@ -919,24 +920,55 @@ def _expanded(v):
     return v if isinstance(v, Fraction) else sp.expand(v)
 
 
+def _integer_rows(M):
+    """``(rows, scale)``: the matrix times the lcm ``scale`` of its
+    denominators, as Python ints, when every entry is an int or a Fraction;
+    None otherwise."""
+    if not all(isinstance(v, (int, Fraction)) for row in M for v in row):
+        return None
+    scale = math.lcm(*(v.denominator for row in M for v in row))
+    return [[v.numerator * (scale // v.denominator) for v in row]
+            for row in M], scale
+
+
 def symmetric_definiteness(M):
     """Exact ``(psd, pd, witness)`` of a Hermitian matrix given as rows of
-    Fractions or algebraic sympy numbers, by pivoted LDL^H elimination.
+    ints, Fractions or algebraic sympy numbers, by pivoted LDL^H elimination.
 
     ``witness`` is a vector v with v^H M v < 0 when M is not psd, else None.
+
+    Rational rows (ints and Fractions; real, so symmetric) are scaled to
+    integers once and eliminated fraction-free by the symmetric Bareiss
+    update (Bareiss 1968): after each pivot, an entry is the minor of the
+    scaled matrix over the pivots so far and that entry, so the division by
+    the previous pivot is exact, and the Schur-complement entry is the
+    integer over ``scale * prev``.  Pivots are positive, so every sign is the
+    sign of the integer.  Algebraic rows are updated in their field.
     """
     n = len(M)
-    work = [list(row) for row in M]
+    ints = _integer_rows(M)
+    work, scale = ints if ints is not None else ([list(r) for r in M], None)
+    prev = 1
     active = list(range(n))
     # each step replaces the basis vector e_i of every remaining index i by
     # e_i - conj(f_i) e_piv, which is M-orthogonal to e_piv
     steps = []
 
+    def entry(i, j):
+        """Entry (i, j) of the current Schur complement."""
+        return work[i][j] if scale is None else Fraction(work[i][j],
+                                                         scale * prev)
+
+    def ratio(a, d):
+        return a / d if scale is None else Fraction(a, d)
+
     def lift(w):
-        """Original coordinates of a vector given over the active indices."""
+        """Original coordinates of a vector given over the active indices;
+        the multiplier of index i at a step is f_i = M_i,piv / M_piv,piv."""
         v = dict(w)
-        for piv, mult in reversed(steps):
-            v[piv] = -sum(f.conjugate() * v.get(i, 0) for i, f in mult.items())
+        for piv, d, col in reversed(steps):
+            v[piv] = -sum(ratio(a, d).conjugate() * v.get(i, 0)
+                          for i, a in col.items())
         return [v.get(i, 0) for i in range(n)]
 
     while active:
@@ -950,18 +982,26 @@ def symmetric_definiteness(M):
             # v = e_i - M_ji e_j has v^H M v = -2 |M_ij|^2 < 0
             for i, j in itertools.combinations(active, 2):
                 if not _is_zero(work[j][i]):
-                    return False, False, lift({i: 1, j: -work[j][i]})
+                    return False, False, lift({i: 1, j: -entry(j, i)})
             return True, False, None
         d = work[piv][piv]
         active.remove(piv)
-        mult = {}
-        for i in active:
-            f = work[i][piv] / d
-            if f:
-                mult[i] = f
+        col = {i: work[i][piv] for i in active if work[i][piv]}
+        if scale is None:
+            for i, a in col.items():
+                f = a / d
                 for j in active:
                     work[i][j] = _expanded(work[i][j] - f * work[piv][j])
-        steps.append((piv, mult))
+        else:
+            # every row moves, also those with a zero multiplier: the
+            # fraction-free entries carry the pivot product
+            row = work[piv]
+            for x, i in enumerate(active):
+                wi, a = work[i], work[i][piv]
+                for j in active[x:]:
+                    wi[j] = work[j][i] = (d * wi[j] - a * row[j]) // prev
+            prev = d
+        steps.append((piv, d, col))
     return True, True, None
 
 
@@ -1183,7 +1223,7 @@ def finite_order_bound(dim: int) -> int:
     return b
 
 
-def matrix_order(M: Matrix, bound: int | None = None):
+def matrix_order(M: Matrix):
     """Exact multiplicative order of an integer matrix, or ``"infinite"``.
 
     Decided structurally: the order is finite iff the characteristic
@@ -1213,8 +1253,6 @@ def matrix_order(M: Matrix, bound: int | None = None):
     for c in radical.all_coeffs():
         acc = acc * M + c * sp.eye(n)
     if not acc.is_zero_matrix:
-        return INFINITE_ORDER
-    if bound is not None and order > bound:
         return INFINITE_ORDER
     return order
 

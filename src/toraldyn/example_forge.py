@@ -12,15 +12,17 @@ hand-picked builtin examples used throughout the test suite.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
+import mpmath
 import sympy as sp
 from sympy import Matrix, I, eye
 
-from .exact_algebra import (X, CertifiedReal, exact_sign, integer_relations,
-                            lll_reduce)
+from .exact_algebra import (X, CertifiedReal, RealRoot, _det_int, _isolate,
+                            exact_sign, integer_relations, lll_reduce)
 from .cohomology import TorusAutomorphism
 from .group_structure import GroupSpec, GroupAnalysis, analyze_group
 
@@ -72,30 +74,55 @@ class NumberFieldSpec:
         """Coefficients (ascending, in the power basis) -> polynomial."""
         return sp.Poly(list(reversed([int(c) for c in u])), X)
 
+    def _reduce(self, coeffs) -> tuple:
+        """Ascending integer coefficients reduced modulo the monic minimal
+        polynomial: theta^k = -(c_1 theta^(k-1) + ... + c_k)."""
+        k = self.degree
+        out = [int(c) for c in coeffs]
+        for top in range(len(out) - 1, k - 1, -1):
+            lead = out[top]
+            if lead:
+                for i in range(1, k + 1):
+                    out[top - i] -= lead * self.coeffs[i]
+        return tuple(out[:k]) + (0,) * (k - len(out))
+
+    def multiplication_matrix(self, u) -> list:
+        """Integer matrix of multiplication by u on the power basis, as
+        rows; column j is u * theta^j."""
+        k = self.degree
+        col = self._reduce(u)
+        cols = [col]
+        for _ in range(k - 1):
+            col = self._reduce((0,) + col)      # times theta
+            cols.append(col)
+        return [[c[i] for c in cols] for i in range(k)]
+
     def norm(self, u) -> int:
-        """Field norm of an element of Z[theta]: the resultant of the
-        minimal polynomial with the element's power-basis polynomial."""
-        r = sp.resultant(self.min_poly.as_expr(), self.element(u).as_expr(), X)
-        return int(r)
+        """Field norm of an element of Z[theta]: the determinant of its
+        multiplication matrix (Cohen, GTM 138, section 4.3)."""
+        return _det_int(self.multiplication_matrix(u))
 
     def multiply(self, u, v):
         """Exact product in Z[theta], as ascending power-basis coefficients."""
-        prod = (self.element(u) * self.element(v)) % self.min_poly
-        out = [0] * self.degree
-        for (e,), c in prod.terms():
-            out[e] = int(c)
-        return tuple(out)
+        prod = [0] * (len(u) + len(v) - 1)
+        for i, a in enumerate(u):
+            if a:
+                for j, b in enumerate(v):
+                    prod[i + j] += a * b
+        return self._reduce(prod)
 
     def inverse(self, u):
-        """Exact inverse of a unit of Z[theta] (norm +-1 required)."""
-        if abs(self.norm(u)) != 1:
+        """Exact inverse of a unit of Z[theta] (norm +-1 required): the
+        first column of the adjugate of the multiplication matrix M, times
+        det M = 1 / det M."""
+        M = self.multiplication_matrix(u)
+        det = _det_int(M)
+        if abs(det) != 1:
             raise ForgeError("inverse requested for a non-unit")
-        inv = sp.invert(self.element(u).as_expr(), self.min_poly.as_expr(), X)
-        q = sp.Poly(inv, X)
-        out = [0] * self.degree
-        for (e,), c in q.terms():
-            out[e] = int(c)
-        return tuple(out)
+        # adj(M)[i][0] is (-1)^i times the minor without row 0 and column i
+        return tuple(det * (-1) ** i * _det_int([row[:i] + row[i + 1:]
+                                                  for row in M[1:]])
+                     for i in range(self.degree))
 
 
 _ONE = lambda k: (1,) + (0,) * (k - 1)
@@ -135,13 +162,42 @@ class UnitSystem:
 _LOG_DIGITS = 60
 
 
-def _log_vector(field: NumberFieldSpec, u, roots=None):
-    roots = roots if roots is not None else field.real_embeddings()
-    upoly = field.element(u)
+@functools.lru_cache(maxsize=None)
+def _embedding_roots(coeffs) -> tuple:
+    """The real embeddings theta_j of the field, ascending, as ``RealRoot``s
+    of its minimal polynomial; they carry no sympy value, as only their
+    enclosures are read."""
+    return tuple(RealRoot(None, coeffs, lo, hi) for lo, hi in _isolate(coeffs))
+
+
+def _interval_value(u, lo: Fraction, hi: Fraction):
+    """Enclosure of u_0 + u_1 t + ... over t in [lo, hi] (interval Horner)."""
+    a = b = Fraction(u[-1])
+    for c in reversed(u[:-1]):
+        ends = (a * lo, a * hi, b * lo, b * hi)
+        a, b = min(ends) + c, max(ends) + c
+    return a, b
+
+
+def _log_vector(field: NumberFieldSpec, u):
+    """log|sigma_j(u)| over the real embeddings, to ``_LOG_DIGITS`` digits,
+    for a nonzero u.  Each sigma_j(u) = u(theta_j) is enclosed in Fractions
+    from an enclosure of theta_j, narrowed until it has one sign and a
+    relative width below 10^-(digits + 10); the log of its midpoint is taken
+    at that precision."""
+    tol = Fraction(1, 10 ** (_LOG_DIGITS + 10))
     vec = []
-    for th in roots:
-        val = sp.Abs(upoly.as_expr().subs(X, th))
-        vec.append(sp.log(val).evalf(_LOG_DIGITS))
+    for root in _embedding_roots(field.coeffs):
+        eps = tol
+        while True:
+            a, b = _interval_value(u, *root.enclosure(eps))
+            if (a > 0 or b < 0) and b - a <= tol * min(abs(a), abs(b)):
+                break
+            eps /= 10 ** 10
+        mid = abs(a + b) / 2
+        with mpmath.workdps(_LOG_DIGITS + 10):
+            v = mpmath.log(mpmath.mpf(mid.numerator) / mid.denominator)
+        vec.append(sp.Float(v, _LOG_DIGITS))
     return tuple(vec)
 
 
@@ -198,7 +254,6 @@ def _lll_reduce_units(field: NumberFieldSpec, units, logs):
         row[i] = 1
         rows.append(row)
     red = lll_reduce(rows)
-    roots = field.real_embeddings()
     out_units, out_logs = [], []
     for row in red:
         e = row[:n]
@@ -209,7 +264,7 @@ def _lll_reduce_units(field: NumberFieldSpec, units, logs):
             u = field.multiply(u, _unit_power(field, ui, ei))
         if _is_trivial_unit(field, u):
             continue
-        lv = _log_vector(field, u, roots)
+        lv = _log_vector(field, u)
         if _numeric_rank(out_logs + [lv]) == len(out_logs) + 1:
             out_units.append(u)
             out_logs.append(lv)
@@ -229,7 +284,6 @@ def unit_search(field: NumberFieldSpec, coeff_bound: int) -> UnitSystem:
         raise ForgeError("coefficient bound must be positive")
     k = field.degree
     target = k - 1
-    roots = field.real_embeddings()
     candidates = []
     seen = set()
     for coeffs in itertools.product(range(-coeff_bound, coeff_bound + 1),
@@ -253,7 +307,7 @@ def unit_search(field: NumberFieldSpec, coeff_bound: int) -> UnitSystem:
     for u in candidates:
         if len(selected) == target:
             break
-        lv = _log_vector(field, u, roots)
+        lv = _log_vector(field, u)
         if max(abs(v) for v in lv) < sp.Float(10) ** (-30):
             continue  # numerically torsion; cannot happen in a real field
         if _numeric_rank(logs + [lv]) == len(logs) + 1:
@@ -287,12 +341,7 @@ def unit_search(field: NumberFieldSpec, coeff_bound: int) -> UnitSystem:
 def regular_representation(u, field: NumberFieldSpec) -> TorusAutomorphism:
     """Multiplication by u on the power basis of Z[theta], as an integer
     matrix acting on T^k; its determinant is the field norm of u."""
-    k = field.degree
-    cols = []
-    for j in range(k):
-        prod = field.multiply(u, tuple(1 if e == j else 0 for e in range(k)))
-        cols.append(list(prod))
-    M = Matrix(cols).T
+    M = Matrix(field.multiplication_matrix(u))
     label = "+".join(f"{c}t^{e}" if e else str(c)
                      for e, c in enumerate(u) if c) or "0"
     return TorusAutomorphism(M, name=f"mult({label})")

@@ -121,41 +121,66 @@ def _mixed_minors(contexts, k: int):
                      for row in M])
         scale *= s
     removed = list(itertools.combinations(range(k), k - m))
+    # the kept rows (or columns) of each removed tuple
+    kept = [(R, [r for r in range(k) if r not in R]) for R in removed]
     mixed = {(R, C): (0, 0) for R in removed for C in removed}
-    for bits in range(1 << m):
+    # the empty subset sums to zero, whose m x m minors vanish when m > 0
+    for bits in range(1 if m else 0, 1 << m):
         T = [ints[i] for i in range(m) if bits >> i & 1]
         sign = (-1) ** (m - len(T))
         F = [[(sum(A[r][c][0] for A in T), sum(A[r][c][1] for A in T))
               for c in range(k)] for r in range(k)]
-        for R in removed:
-            rows = [F[r] for r in range(k) if r not in R]
-            for C in removed:
-                d = _gdet([[row[c] for c in range(k) if c not in C]
-                           for row in rows])
+        for R, rows in kept:
+            sub = [F[r] for r in rows]
+            for C, cols in kept:
+                d = _gdet([[row[c] for c in cols] for row in sub])
                 acc = mixed[R, C]
                 mixed[R, C] = (acc[0] + sign * d[0], acc[1] + sign * d[1])
     return mixed, scale
 
 
-def _mixed_partial(mixed, cells):
-    """Real part of v_1 ... v_n times the mixed part of the partial
-    derivative d^n det / dF[r_1][c_1] ... dF[r_n][c_n], for cells
-    (r_i, c_i, v_i) with Gaussian-integer v_i; scaled like ``mixed``.
-
-    The partial is the complementary minor, signed by (-1)^(sum r + sum c)
-    and by the parities of the row and column orders; it vanishes when two
-    cells share a row or a column."""
+def _partial_term(cells):
+    """``(rows, cols, sign, v)`` of the partial derivative
+    d^n det / dF[r_1][c_1] ... dF[r_n][c_n] times v_1 ... v_n, for cells
+    (r_i, c_i, v_i) with Gaussian-integer v_i: the partial is the minor
+    without ``rows`` and ``cols`` (ascending), signed by (-1)^(sum r +
+    sum c) and by the parities of the row and column orders, and v is the
+    product of the v_i.  None when two cells share a row or a column, where
+    the partial vanishes."""
     rows = [r for r, _, _ in cells]
     cols = [c for _, c, _ in cells]
     if len(set(rows)) < len(rows) or len(set(cols)) < len(cols):
-        return 0
+        return None
     inversions = sum(a > b for a, b in itertools.combinations(rows, 2))
     inversions += sum(a > b for a, b in itertools.combinations(cols, 2))
     sign = (-1) ** (sum(rows) + sum(cols) + inversions)
-    w = mixed[tuple(sorted(rows)), tuple(sorted(cols))]
-    for _, _, v in cells:
-        w = (w[0] * v[0] - w[1] * v[1], w[0] * v[1] + w[1] * v[0])
-    return sign * w[0]
+    v = (1, 0)
+    for _, _, z in cells:
+        v = (v[0] * z[0] - v[1] * z[1], v[0] * z[1] + v[1] * z[0])
+    return tuple(sorted(rows)), tuple(sorted(cols)), sign, v
+
+
+@lru_cache(maxsize=None)
+def _partial_terms(k: int, order: int) -> dict:
+    """For each ascending ``order``-tuple of Hermitian basis indices, the
+    nonzero ``_partial_term``s of every choice of one entry cell from each
+    basis matrix of the tuple."""
+    sparse = _hermitian_basis_sparse(k)
+    table = {}
+    for idx in itertools.combinations_with_replacement(range(len(sparse)),
+                                                       order):
+        terms = (_partial_term(cells)
+                 for cells in itertools.product(*(sparse[i] for i in idx)))
+        table[idx] = tuple(t for t in terms if t is not None)
+    return table
+
+
+def _mixed_partials(mixed, k: int, order: int) -> dict:
+    """Real part of the mixed partial of order ``order`` at each ascending
+    tuple of Hermitian basis matrices, scaled like ``mixed``."""
+    return {idx: sum(sign * (mixed[R, C][0] * v[0] - mixed[R, C][1] * v[1])
+                     for R, C, sign, v in terms)
+            for idx, terms in _partial_terms(k, order).items()}
 
 
 def q_gram_fractions(contexts, k: int):
@@ -171,14 +196,10 @@ def q_gram_fractions(contexts, k: int):
     if len(contexts) != k - 2:
         raise ValueError("q needs exactly k-2 context classes")
     mixed, scale = _mixed_minors(contexts, k)
-    sparse = _hermitian_basis_sparse(k)
-    nb = len(sparse)
+    nb = len(_hermitian_basis_sparse(k))
     G = [[Fraction(0)] * nb for _ in range(nb)]
-    for a in range(nb):
-        for b in range(a, nb):
-            val = sum(_mixed_partial(mixed, (x, y))
-                      for x in sparse[a] for y in sparse[b])
-            G[a][b] = G[b][a] = Fraction(-val, scale)
+    for (a, b), val in _mixed_partials(mixed, k, 2).items():
+        G[a][b] = G[b][a] = Fraction(-val, scale)
     return G
 
 
@@ -192,8 +213,8 @@ def primitive_functional_fractions(contexts, k: int):
     if len(contexts) != k - 1:
         raise ValueError("primitive space needs k-1 context classes")
     mixed, scale = _mixed_minors(contexts, k)
-    return [Fraction(sum(_mixed_partial(mixed, (x,)) for x in entries), scale)
-            for entries in _hermitian_basis_sparse(k)]
+    return [Fraction(val, scale)
+            for val in _mixed_partials(mixed, k, 1).values()]
 
 
 def _kernel_of_functional(ell):
@@ -220,20 +241,22 @@ def _kernel_of_functional(ell):
 
 
 def restrict_symmetric(G, vectors):
-    """B^T G B for a list of coordinate vectors."""
+    """B^T G B, as Fractions, for a rational symmetric G and a list of
+    integer coordinate vectors.  G is scaled once to integers by the lcm of
+    its denominators; the product is taken in integers over the nonzero
+    coordinates of each vector."""
     n = len(G)
     m = len(vectors)
-    GB = []
-    for v in vectors:
-        col = []
-        for i in range(n):
-            col.append(sum(G[i][j] * v[j] for j in range(n) if v[j]))
-        GB.append(col)
+    scale = math.lcm(*(v.denominator for row in G for v in row))
+    Gi = [[v.numerator * (scale // v.denominator) for v in row] for row in G]
+    support = [[(j, v[j]) for j in range(n) if v[j]] for v in vectors]
+    GB = [[sum(Gi[i][j] * c for j, c in nz) for i in range(n)]
+          for nz in support]
     R = [[Fraction(0)] * m for _ in range(m)]
     for a in range(m):
         for b in range(a, m):
-            val = sum(vectors[a][i] * GB[b][i] for i in range(n) if vectors[a][i])
-            R[a][b] = R[b][a] = val
+            val = sum(c * GB[b][i] for i, c in support[a])
+            R[a][b] = R[b][a] = Fraction(val, scale)
     return R
 
 

@@ -17,7 +17,7 @@ from toraldyn.exact_algebra import (
     exact_sign, finite_order_bound, hermite_smith, integer_relations,
     is_cyclotomic_product, is_unimodular, lll_reduce, matrix_order,
     _kernel_root, minimal_polynomial, real_charpoly, real_root, root_moduli,
-    spectral_radius)
+    spectral_radius, symmetric_definiteness)
 
 
 # ---------------------------------------------------------------------------
@@ -225,15 +225,157 @@ def test_matrix_order_examples():
     assert matrix_order(Matrix([[-1, 0], [0, -1]])) == 2
 
 
-def test_matrix_order_respects_bound():
-    assert matrix_order(Matrix([[0, -1], [1, 0]]), bound=3) == INFINITE_ORDER
-
-
 def test_finite_order_bound_small_dims():
     # dim 1: orders 1, 2 -> lcm 2; dim 2 adds 3, 4, 6 -> lcm 12
     assert finite_order_bound(1) == 2
     assert finite_order_bound(2) == 12
     assert finite_order_bound(4) % 12 == 0
+
+
+# ---------------------------------------------------------------------------
+# symmetric definiteness: fraction-free pivots against a Fraction LDL^H
+# ---------------------------------------------------------------------------
+
+def _reference_definiteness(M):
+    """Pivoted LDL^H over Fractions: first negative diagonal -> witness e_i;
+    else the first positive diagonal is the pivot; an all-zero diagonal is
+    psd iff the rest vanishes, else v = e_i - M_ji e_j is the witness."""
+    n = len(M)
+    work = [[Fraction(v) for v in row] for row in M]
+    active = list(range(n))
+    steps = []
+
+    def lift(w):
+        v = dict(w)
+        for piv, mult in reversed(steps):
+            v[piv] = -sum(f * v.get(i, 0) for i, f in mult.items())
+        return [v.get(i, 0) for i in range(n)]
+
+    while active:
+        neg = next((i for i in active if work[i][i] < 0), None)
+        if neg is not None:
+            return False, False, lift({neg: 1})
+        piv = next((i for i in active if work[i][i] > 0), None)
+        if piv is None:
+            for i, j in itertools.combinations(active, 2):
+                if work[j][i] != 0:
+                    return False, False, lift({i: 1, j: -work[j][i]})
+            return True, False, None
+        d = work[piv][piv]
+        active.remove(piv)
+        mult = {}
+        for i in active:
+            f = work[i][piv] / d
+            if f:
+                mult[i] = f
+                for j in active:
+                    work[i][j] -= f * work[piv][j]
+        steps.append((piv, mult))
+    return True, True, None
+
+
+def _definiteness_cases(count=320, seed=13):
+    """Seeded integer and rational symmetric matrices, n <= 15: full random,
+    rank-deficient B B^T, B D B^T with one negative weight, zero diagonals,
+    B B^T padded with zero rows and columns, and L diag(D, Z) L^T with L
+    unit lower triangular, D > 0 of size p and Z of zero diagonal, whose
+    Schur complement after the p pivots of D is Z."""
+    rng = random.Random(seed)
+
+    def symmetric(n, entry):
+        M = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                M[i][j] = M[j][i] = entry()
+        return M
+
+    def gram(B, weights):
+        n = len(B)
+        return [[sum(w * B[i][t] * B[j][t] for t, w in enumerate(weights))
+                 for j in range(n)] for i in range(n)]
+
+    def small_int():
+        return rng.randint(-3, 3)
+
+    def small_rational():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    cases = []
+    for c in range(count):
+        n = rng.randint(1, 15)
+        kind = c % 7
+        if kind == 0:
+            M = symmetric(n, small_int)
+        elif kind == 1:
+            M = symmetric(n, small_rational)
+        elif kind == 2:
+            r = rng.randint(0, n - 1)
+            B = [[small_rational() for _ in range(r)] for _ in range(n)]
+            M = gram(B, [1] * r)
+        elif kind == 3:
+            r = rng.randint(1, n)
+            B = [[small_int() for _ in range(r)] for _ in range(n)]
+            weights = [1] * r
+            weights[rng.randrange(r)] = -1
+            M = gram(B, weights)
+        elif kind == 4:
+            M = symmetric(n, lambda: small_int() if rng.random() < 0.3 else 0)
+            for i in range(n):
+                M[i][i] = 0
+        elif kind == 5:
+            r = rng.randint(1, n)
+            B = [[small_int() for _ in range(r)] for _ in range(n)]
+            for i in rng.sample(range(n), rng.randint(0, n - 1)):
+                B[i] = [0] * r
+            M = gram(B, [1] * r)
+        else:
+            p = rng.randint(0, n - 1)
+            Z = symmetric(n, lambda: small_rational() if rng.random() < 0.3
+                          else 0)
+            for i in range(n):
+                for j in range(n):
+                    if min(i, j) < p:
+                        Z[i][j] = 0
+                Z[i][i] = Fraction(rng.randint(1, 9), rng.randint(1, 4)) \
+                    if i < p else 0
+            # L mixes only the first p coordinates into the others, so no
+            # diagonal entry turns negative before the pivots of D are done
+            L = [[small_rational() if j < min(i, p) else int(i == j)
+                  for j in range(n)] for i in range(n)]
+            M = [[sum(L[i][a] * Z[a][b] * L[j][b]
+                      for a in range(n) for b in range(n))
+                  for j in range(n)] for i in range(n)]
+        if rng.random() < 0.5:
+            M = [[Fraction(v) for v in row] for row in M]
+        cases.append(M)
+    return cases
+
+
+def test_symmetric_definiteness_matches_fraction_reference():
+    seen = set()
+    for M in _definiteness_cases():
+        got = symmetric_definiteness(M)
+        assert got == _reference_definiteness(M), M
+        psd, pd, witness = got
+        seen.add((psd, pd))
+        if not psd:
+            n = len(M)
+            assert sum(witness[i] * M[i][j] * witness[j]
+                       for i in range(n) for j in range(n)) < 0
+    # every outcome is exercised
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
+def test_symmetric_definiteness_zero_diagonal_witness():
+    # after the pivot 0 the Schur complement on {1, 2} is [[0, -1/2],
+    # [-1/2, 0]]: the witness carries the true entry -1/2, not the
+    # fraction-free integer that stands for it
+    M = [[1, 1, 1], [1, 1, Fraction(1, 2)], [1, Fraction(1, 2), 1]]
+    psd, pd, witness = symmetric_definiteness(M)
+    assert (psd, pd, witness) == _reference_definiteness(M)
+    assert not psd
+    assert sum(witness[i] * M[i][j] * witness[j]
+               for i in range(3) for j in range(3)) < 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Tests for number-field spec validation, unit search, regular
 representations, the builtin catalog, and maximal-rank group forging."""
 
+import itertools
 import math
+import random
 
+import mpmath
 import pytest
 import sympy as sp
 from sympy import Matrix, eye
@@ -10,8 +13,8 @@ from sympy import Matrix, eye
 from toraldyn.cohomology import classify, entropy
 from toraldyn.example_forge import (
     ForgeError, NumberFieldSpec, UnitSystem, build_max_rank_group, builtin,
-    _unit_power, builtin_names, embedding_entropy, regular_representation,
-    unit_search)
+    _log_vector, _unit_power, builtin_names, embedding_entropy,
+    regular_representation, unit_search)
 
 SQRT2_FIELD = NumberFieldSpec((1, 0, -2))          # x^2 - 2
 GOLDEN_FIELD = NumberFieldSpec((1, -1, -1))        # x^2 - x - 1
@@ -67,6 +70,63 @@ def test_unit_power_matches_repeated_multiplication(monkeypatch):
     monkeypatch.setattr(NumberFieldSpec, "multiply", counted)
     _unit_power(CUBIC_FIELD, u, -64)
     assert len(calls) <= 2 * (64).bit_length()
+
+
+def _ascending(poly_expr, k):
+    out = [0] * k
+    for (e,), c in sp.Poly(poly_expr, sp.Symbol("x")).terms():
+        out[e] = int(c)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("field, bound", [
+    (GOLDEN_FIELD, 3), (CUBIC_FIELD, 3), (QUARTIC_FIELD, 2)],
+    ids=["golden", "cubic", "quartic"])
+def test_field_arithmetic_matches_sympy_on_the_box(field, bound):
+    # integer norm, product and inverse against sympy's resultant, Poly
+    # remainder and invert, on every element of the coefficient box; each
+    # element is multiplied by a seeded partner from the box
+    x = sp.Symbol("x")
+    k = field.degree
+    f = field.min_poly.as_expr()
+    box = list(itertools.product(range(-bound, bound + 1), repeat=k))
+    rng = random.Random(k)
+    units = 0
+    for u in box:
+        e = field.element(u).as_expr()
+        norm = field.norm(u)
+        assert norm == int(sp.resultant(f, e, x)), u
+        v = rng.choice(box)
+        product = sp.rem(sp.expand(e * field.element(v).as_expr()), f, x)
+        assert field.multiply(u, v) == _ascending(product, k), (u, v)
+        if abs(norm) == 1:
+            units += 1
+            assert field.inverse(u) == _ascending(sp.invert(e, f, x), k), u
+        else:
+            with pytest.raises(ForgeError):
+                field.inverse(u)
+    assert units > 0
+
+
+@pytest.mark.parametrize("field, bound", [
+    (GOLDEN_FIELD, 2), (CUBIC_FIELD, 4), (QUARTIC_FIELD, 2)],
+    ids=["golden", "cubic", "quartic"])
+def test_log_vector_matches_mpmath_at_80_digits(field, bound):
+    # log|sigma_j(u)| for the searched units and a high power of one of
+    # them, against mpmath roots of the field polynomial at 80 digits
+    us = unit_search(field, bound)
+    units = list(us.units) + [_unit_power(field, us.units[0], -7)]
+    with mpmath.workdps(80):
+        thetas = sorted(mpmath.re(r) for r in mpmath.polyroots(
+            field.coeffs, maxsteps=200, extraprec=300))
+        for u in units:
+            got = _log_vector(field, u)
+            assert len(got) == field.degree
+            for th, value in zip(thetas, got):
+                expected = mpmath.log(abs(mpmath.polyval(
+                    list(reversed(u)), th)))
+                assert abs(mpmath.mpf(value._mpf_) - expected) \
+                    < mpmath.mpf(10) ** -55
 
 
 # ---------------------------------------------------------------------------
