@@ -13,9 +13,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-import mpmath
 import sympy as sp
-from sympy import I, Matrix, Poly
+from sympy import I, Matrix, Poly, kronecker_product
 
 from .exact_algebra import (
     INFINITE_ORDER,
@@ -135,54 +134,49 @@ def hermitian_coords(H: Matrix):
     return coords
 
 
-def h11_matrix(f: TorusAutomorphism) -> Matrix:
-    """Integer matrix of H -> A^T H conj(A) on the Hermitian basis
-    (k^2 x k^2); the same convention as ``pullback`` on (1,1)-classes."""
-    k = f.k
-    At = f.A.T
-    Abar = f.A.conjugate()
-    cols = []
-    for E in hermitian_basis(k):
-        B = At * E * Abar
-        cols.append([sp.expand(c) for c in hermitian_coords(B)])
-    M = Matrix(cols).T
-    if not all(v.is_Integer for v in M):
-        raise ExactAlgebraError("H^{1,1} action matrix is not integral")
-    return M
-
-
 # ---------------------------------------------------------------------------
-# H^{p,p} action via compound (exterior power) matrices
+# f* on H^{p,p}: the compound (exterior power) matrices of the linear part
 
 
 def _subsets(k: int, p: int):
     return list(itertools.combinations(range(k), p))
 
 
-def _minor(A: Matrix, rows, cols):
-    return A.extract(list(rows), list(cols)).det() if rows else sp.Integer(1)
-
-
-def hpp_matrix(f: TorusAutomorphism, p: int) -> Matrix:
-    """Exact matrix of f* on H^{p,p}(T^k, C) in the dz_S ^ dzbar_T basis.
-
-    f*(dz_S ^ dzbar_T) = sum_{S',T'} det(A[S,S']) conj(det(A[T,T']))
-    dz_{S'} ^ dzbar_{T'}; entries are Gaussian integers.
-    """
+@lru_cache(maxsize=None)
+def compound(f: TorusAutomorphism, p: int) -> sp.ImmutableMatrix:
+    """The p-th compound of the linear part, C[S', S] = det A[S, S'] over
+    ascending p-subsets, so that f*(dz_S) = sum_{S'} C[S', S] dz_{S'} and
+    f*(dz_S ^ dzbar_T) = sum_{S',T'} C[S', S] conj(C[T', T]) dz_{S'} ^
+    dzbar_{T'}.  Every action of f on cohomology is read from it.  Memoised
+    per automorphism."""
     k = f.k
     if not 0 <= p <= k:
         raise ValueError(f"p must lie in [0, {k}]")
     subs = _subsets(k, p)
-    comp = Matrix([[_minor(f.A, S, Sp) for S in subs] for Sp in subs])
-    compc = comp.conjugate()
-    n = len(subs)
-    M = sp.zeros(n * n, n * n)
-    for a, _ in enumerate(subs):       # target (S', T')
-        for b, _ in enumerate(subs):
-            for c, _ in enumerate(subs):   # source (S, T)
-                for d, _ in enumerate(subs):
-                    M[a * n + b, c * n + d] = sp.expand(comp[a, c] * compc[b, d])
+    return sp.ImmutableMatrix(
+        [[sp.expand(f.A.extract(list(S), list(Sp)).det()) for S in subs]
+         for Sp in subs])
+
+
+def h11_matrix(f: TorusAutomorphism) -> Matrix:
+    """Integer matrix of f* on H^{1,1} in the Hermitian basis (k^2 x k^2):
+    H -> C H C^H with C = compound(f, 1) = A^T."""
+    C = compound(f, 1)
+    Ch = C.H
+    cols = [[sp.expand(c) for c in hermitian_coords(C * E * Ch)]
+            for E in hermitian_basis(f.k)]
+    M = Matrix(cols).T
+    if not all(v.is_Integer for v in M):
+        raise ExactAlgebraError("H^{1,1} action matrix is not integral")
     return M
+
+
+def hpp_matrix(f: TorusAutomorphism, p: int) -> Matrix:
+    """Exact matrix of f* on H^{p,p}(T^k, C) in the dz_S ^ dzbar_T basis,
+    the pair (S, T) at index (index of S) * C(k, p) + (index of T):
+    C (x) conj(C) for C = compound(f, p).  Entries are Gaussian integers."""
+    C = compound(f, p)
+    return Matrix(kronecker_product(C, C.conjugate())).applyfunc(sp.expand)
 
 
 # ---------------------------------------------------------------------------
@@ -214,36 +208,16 @@ def _moduli_squared_desc(f: TorusAutomorphism) -> tuple:
     return tuple(out)
 
 
-def _numeric_spectral_radius(M: Matrix, dps: int = 40) -> float:
-    p = charpoly(M)
-    # squarefree part: repeated roots stall the numeric root finder
-    p = p.quo(p.gcd(p.diff(X)))
-    coeffs = [complex(c) for c in p.all_coeffs()]
-    with mpmath.workdps(dps):
-        roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=200)
-        return float(max(abs(r) for r in roots)) if roots else 1.0
-
-
-def dynamical_degree(f: TorusAutomorphism, p: int,
-                     verify: bool = True) -> AlgebraicReal:
+def dynamical_degree(f: TorusAutomorphism, p: int) -> AlgebraicReal:
     """Certified p-th dynamical degree: (product of the p largest eigenvalue
-    moduli of the linear part)^2 == spectral radius of f* on H^{p,p}.
-
-    With ``verify=True`` the value is cross-checked against the numerically
-    computed spectral radius of the exact H^{p,p} action matrix.
-    """
+    moduli of the linear part)^2, the spectral radius of f* on H^{p,p}
+    (``hpp_matrix``)."""
     k = f.k
     if not 0 <= p <= k:
         raise ValueError(f"p must lie in [0, {k}]")
     ys = _moduli_squared_desc(f)
     d_expr = sp.expand(sp.Mul(*ys[:p])) if p else sp.Integer(1)
-    d = AlgebraicReal(d_expr)
-    if verify and 0 < p < k:
-        rho = _numeric_spectral_radius(hpp_matrix(f, p))
-        if abs(float(d) - rho) > 1e-9 * max(1.0, rho):
-            raise ExactAlgebraError(
-                f"dynamical degree cross-check failed: {float(d)} vs {rho}")
-    return d
+    return AlgebraicReal(d_expr)
 
 
 @dataclass
@@ -288,8 +262,8 @@ def classify(f: TorusAutomorphism) -> str:
     return FINITE_ORDER
 
 
-def degree_profile(f: TorusAutomorphism, verify: bool = False) -> DegreeProfile:
-    degrees = [dynamical_degree(f, p, verify=verify) for p in range(f.k + 1)]
+def degree_profile(f: TorusAutomorphism) -> DegreeProfile:
+    degrees = [dynamical_degree(f, p) for p in range(f.k + 1)]
     return DegreeProfile(f.k, degrees, entropy(f), classify(f))
 
 
@@ -443,22 +417,20 @@ def intersection_number(classes):
 
 
 def pullback(f: TorusAutomorphism, c: CohomClass) -> CohomClass:
-    """f* on H^{p,p}: coordinates transform by compound matrices of A."""
+    """f* on H^{p,p}: the coefficient of dz_S ^ dzbar_T moves by column S
+    of C = compound(f, p) and column T of conj(C)."""
     if f.k != c.k:
         raise ValueError("dimension mismatch")
     subs = _subsets(f.k, c.p)
-    comp = {}
-    for S in {key[0] for key in c.coeffs} | {key[1] for key in c.coeffs}:
-        for Sp in subs:
-            comp[(S, Sp)] = _minor(f.A, S, Sp)
+    index = {S: i for i, S in enumerate(subs)}
+    C = compound(f, c.p)
+    Cbar = C.conjugate()
     coeffs: dict = {}
     for (S, T), v in c.coeffs.items():
-        for Sp in subs:
-            dS = comp[(S, Sp)]
+        for Sp, dS in zip(subs, C.col(index[S])):
             if dS == 0:
                 continue
-            for Tp in subs:
-                dT = sp.conjugate(comp[(T, Tp)])
+            for Tp, dT in zip(subs, Cbar.col(index[T])):
                 if dT == 0:
                     continue
                 key = (Sp, Tp)

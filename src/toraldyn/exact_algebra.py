@@ -1131,15 +1131,6 @@ def root_moduli(p: Poly | sp.Expr, eps=Fraction(1, 10**12)):
                 # a disk's |z|^2 image is positive, so it meets no
                 # candidate <= 0 once refined
                 idxs = _match_roots_by_disks(f, cands)
-            elif f.degree() == 1:
-                cands = [c for c in cands if exact_sign(c) > 0]
-                # single rational root -a0/a1; modulus squared is (a0/a1)^2
-                a1, a0 = f.all_coeffs()
-                m2 = Rational(a0, a1) ** 2
-                matched = [i for i, c in enumerate(cands) if exact_equal(c, m2)]
-                if not matched:
-                    raise ExactAlgebraError("candidate set missed a rational root")
-                idxs = [matched[0]]
             else:
                 cands = [c for c in cands if exact_sign(c) > 0]
                 idxs = [_match_root_to_candidate(r, cands)
@@ -1455,6 +1446,10 @@ def is_unimodular(A: list) -> bool:
 # ---------------------------------------------------------------------------
 # LLL-based integer relation candidates
 
+# digits of the logarithms whose integer relations are sought, in the rank
+# of pi and in the forge's unit search
+_LOG_DIGITS = 60
+
 
 def lll_reduce(rows: list) -> list:
     """LLL-reduced basis (delta = 99/100) of the lattice spanned by linearly
@@ -1526,7 +1521,8 @@ def lll_reduce(rows: list) -> list:
 
 def integer_relations(values, tolerance=Fraction(1, 10**12),
                       height_cap: int = 10**6, scale_digits: int = 40):
-    """Candidate integer relations e with |sum e_i v_i| < tolerance.
+    """Candidate integer relations e with |sum e_i v_i| < tolerance, for
+    real sympy values evaluated to ``scale_digits + 15`` digits.
 
     Candidates come from LLL (delta = 0.99) on the scaled-value lattice and
     are NOT certified; callers must verify each candidate exactly.
@@ -1534,15 +1530,8 @@ def integer_relations(values, tolerance=Fraction(1, 10**12),
     n = len(values)
     if n == 0:
         return []
-    eval_eps = Fraction(1, 10 ** (scale_digits + 10))
-    mids = []
-    for v in values:
-        if isinstance(v, CertifiedReal):
-            mids.append(v.midpoint(eval_eps))
-        elif isinstance(v, (int, Fraction, float)):
-            mids.append(Fraction(v))
-        else:
-            mids.append(Fraction(sp.Rational(sp.sympify(v).evalf(scale_digits + 15))))
+    mids = [Fraction(sp.Rational(sp.sympify(v).evalf(scale_digits + 15)))
+            for v in values]
     C = 10**scale_digits
     rows = []
     for i in range(n):

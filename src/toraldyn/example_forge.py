@@ -21,8 +21,9 @@ import mpmath
 import sympy as sp
 from sympy import Matrix, I, eye
 
-from .exact_algebra import (X, CertifiedReal, RealRoot, _det_int, _isolate,
-                            exact_sign, integer_relations, lll_reduce)
+from .exact_algebra import (X, CertifiedReal, RealRoot, _LOG_DIGITS, _det_int,
+                            _isolate, exact_sign, integer_relations,
+                            lll_reduce)
 from .cohomology import TorusAutomorphism
 from .group_structure import GroupSpec, GroupAnalysis, analyze_group
 
@@ -157,9 +158,6 @@ class UnitSystem:
     @property
     def rank(self) -> int:
         return len(self.units)
-
-
-_LOG_DIGITS = 60
 
 
 @functools.lru_cache(maxsize=None)

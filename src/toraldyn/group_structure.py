@@ -45,6 +45,7 @@ from .exact_algebra import (
     IntegerLattice,
     RealRoot,
     X,
+    _LOG_DIGITS,
     charpoly,
     exact_equal,
     finite_order_bound,
@@ -369,9 +370,8 @@ class PiRankResult:
     rank: int
     kernel: IntegerLattice
     table: CharacterTable      # the characters (pi coordinates) it was built from
-
-
-_LOG_DIGITS = 60
+    u_words: list              # basis of the saturated kernel (_kernel_split)
+    free_words: list           # words completing it to a basis of Z^n
 
 
 def _kernel_candidates(n: int, log_rows):
@@ -418,7 +418,8 @@ def pi_rank(spec: GroupSpec, table: CharacterTable) -> PiRankResult:
     basis = [tuple(row) for row in hermite_normal_form_rows(verified)[0]
              if any(row)] if verified else []
     kernel = IntegerLattice(n, tuple(basis))
-    return PiRankResult(n - len(basis), kernel, table)
+    return PiRankResult(n - len(basis), kernel, table,
+                        *_kernel_split(n, kernel.basis))
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +462,7 @@ def assert_structure_theorems(spec: GroupSpec,
     k = spec.k
     r = analysis.rank
     # positive entropy of the free part, certified on basis words + sums
-    _kernel, comp = _kernel_split(spec, analysis)
+    comp = analysis.free_words
     cert_words = list(comp) + [
         [a + b for a, b in zip(u, v)]
         for u, v in itertools.combinations(comp, 2)]
@@ -503,13 +504,12 @@ class DecompositionResult:
     relation_lattice: IntegerLattice
 
 
-def _kernel_split(spec: GroupSpec, analysis: PiRankResult):
+def _kernel_split(n: int, kernel_basis):
     """Split Z^n along the kernel of pi with one Smith normal form.
 
     Returns (kernel_words, complement_words): a basis of the saturated
     kernel and words completing it to a basis of Z^n."""
-    n = spec.n
-    B = [list(v) for v in analysis.kernel.basis]
+    B = [list(v) for v in kernel_basis]
     if not B:
         return [], [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     _D, _U, V = smith_normal_form_with_transforms(B)
@@ -600,7 +600,7 @@ def decompose(spec: GroupSpec, analysis: PiRankResult) -> DecompositionResult:
     input generators are exact for finite and infinite U alike
     (``_u_structure``); an infinite U at maximal rank r = k-1 raises."""
     r = analysis.rank
-    u_words, free_words = _kernel_split(spec, analysis)
+    u_words, free_words = analysis.u_words, analysis.free_words
     for w in u_words:
         if not verify_zero_entropy_word(spec, w):
             raise ExactAlgebraError("kernel saturation produced a word "

@@ -258,7 +258,7 @@ def test_reports_do_not_call_sympy_minimal_polynomial(monkeypatch, capsys):
 
 
 def test_analysis_computes_each_artifact_once(monkeypatch):
-    calls = {"find_characters": 0, "pi_rank": 0}
+    calls = {"find_characters": 0, "pi_rank": 0, "_kernel_split": 0}
     # facts certified by construction: the analysis decides none of them
     class_algebra = {"wedge": 0, "is_nef": 0, "pullback": 0}
     moduli = {}
@@ -285,13 +285,19 @@ def test_analysis_computes_each_artifact_once(monkeypatch):
                 monkeypatch.setattr(module, name,
                                     counted(class_algebra, name, fn))
     monkeypatch.setattr(cohomology, "eigenvalue_moduli", eigenvalue_moduli)
-    cohomology._moduli_squared_desc.cache_clear()
-    spec = builtin("cubic_T3")
-    analysis = group_structure.analyze_group(spec)
-    build_analysis_report(analysis, 12, 0)
-    assert calls == {"find_characters": 1, "pi_rank": 1}
-    assert sorted(moduli.values()) == [1] * spec.n
-    assert class_algebra == {"wedge": 0, "is_nef": 0, "pullback": 0}
+    # pell_plus_torsion has a nontrivial kernel of pi to split
+    for name in ("cubic_T3", "pell_plus_torsion"):
+        for tally in (calls, class_algebra):
+            tally.update(dict.fromkeys(tally, 0))
+        moduli.clear()
+        cohomology._moduli_squared_desc.cache_clear()
+        spec = builtin(name)
+        analysis = group_structure.analyze_group(spec)
+        build_analysis_report(analysis, 12, 0)
+        assert calls == {"find_characters": 1, "pi_rank": 1,
+                         "_kernel_split": 1}, name
+        assert sorted(moduli.values()) == [1] * spec.n, name
+        assert class_algebra == {"wedge": 0, "is_nef": 0, "pullback": 0}, name
 
 
 def test_analyze_reports_are_deterministic(capsys):

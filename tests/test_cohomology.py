@@ -1,5 +1,6 @@
 """Tests for the torus cohomology model: actions, degrees, class algebra."""
 
+import itertools
 import math
 import random
 
@@ -7,7 +8,9 @@ import pytest
 import sympy as sp
 from sympy import I, Matrix, eye
 
-from toraldyn.exact_algebra import charpoly, exact_equal, exact_is_zero
+from toraldyn.example_forge import builtin
+from toraldyn.exact_algebra import (
+    charpoly, exact_equal, exact_is_zero, spectral_radius)
 from toraldyn.cohomology import (
     BudgetExceededError, CohomClass, TorusAutomorphism, classify,
     degree_profile, dynamical_degree, entropy, enumerate_degree_values,
@@ -90,6 +93,44 @@ def test_hpp_edge_degrees():
         hpp_matrix(CAT, 3)
 
 
+def _random_unimodular(rng, k):
+    """A seeded Gaussian-integer matrix of unit determinant: a product of
+    elementary matrices, times a diagonal unit."""
+    A = sp.diag(rng.choice((1, -1, I, -I)), *[1] * (k - 1))
+    for _ in range(4):
+        i, j = rng.sample(range(k), 2)
+        E = eye(k)
+        E[i, j] = rng.randint(-2, 2) + I * rng.randint(-2, 2)
+        A = A * E
+    return TorusAutomorphism(A)
+
+
+def test_pullback_is_hpp_matrix_on_coefficients():
+    # the class algebra and the matrix of f* read the same compound matrix
+    # in the same (S, T) order
+    rng = random.Random(14)
+    for _ in range(4):
+        f = _random_unimodular(rng, 3)
+        for p in (1, 2):
+            subs = list(itertools.combinations(range(3), p))
+            keys = [(S, T) for S in subs for T in subs]
+            coeffs = {key: rng.randint(-3, 3) + I * rng.randint(-3, 3)
+                      for key in keys}
+            image = pullback(f, CohomClass(3, p, coeffs))
+            expected = hpp_matrix(f, p) * Matrix([coeffs[key] for key in keys])
+            for key, v in zip(keys, expected):
+                assert sp.expand(image.coeffs.get(key, 0) - v) == 0
+
+
+@pytest.mark.parametrize("f", [
+    CAT, SHEAR, TorusAutomorphism([[1 + I, 1], [I, 1]]),
+    *builtin("cubic_T3").generators], ids=lambda f: f.name)
+def test_dynamical_degree_is_hpp_spectral_radius(f):
+    for p in range(1, f.k):
+        assert exact_equal(dynamical_degree(f, p).expr,
+                           spectral_radius(hpp_matrix(f, p)).expr)
+
+
 # ---------------------------------------------------------------------------
 # degrees, entropy, classification
 # ---------------------------------------------------------------------------
@@ -102,7 +143,7 @@ def test_dynamical_degree_examples():
 
 
 def test_degree_profile_endpoints():
-    prof = degree_profile(CAT, verify=True)
+    prof = degree_profile(CAT)
     assert exact_equal(prof.degrees[0].expr, 1)
     assert exact_equal(prof.degrees[-1].expr, 1)
     assert prof.classification == "positive_entropy"

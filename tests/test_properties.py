@@ -81,8 +81,8 @@ def hermitian_classes(draw, k):
 def test_degree_power_law(f):
     f2 = f.power(2)
     for p in range(f.k + 1):
-        d = dynamical_degree(f, p, verify=False)
-        d2 = dynamical_degree(f2, p, verify=False)
+        d = dynamical_degree(f, p)
+        d2 = dynamical_degree(f2, p)
         from toraldyn.exact_algebra import CertifiedReal
         assert _intervals_agree(d2, CertifiedReal(sp.expand(d.expr ** 2)))
 
@@ -90,9 +90,9 @@ def test_degree_power_law(f):
 @COMMON
 @given(unit_matrices())
 def test_degree_log_concavity_bound(f):
-    d1 = dynamical_degree(f, 1, verify=False)
+    d1 = dynamical_degree(f, 1)
     for p in range(f.k + 1):
-        dp = dynamical_degree(f, p, verify=False)
+        dp = dynamical_degree(f, p)
         lo_p, _ = _interval(dp)
         _, hi_1 = _interval(d1)
         assert lo_p <= hi_1 ** p + Fraction(1, 10**9)
@@ -148,7 +148,7 @@ def test_kronecker_three_way_equivalence(f):
     assert (tag == "positive_entropy") == (not zero_entropy)
     assert zero_entropy == cyclotomic
     # spectral radius of the H^{1,1} action is exactly 1 iff zero entropy
-    d1 = dynamical_degree(f, 1, verify=False)
+    d1 = dynamical_degree(f, 1)
     assert exact_is_zero(sp.expand(d1.expr - 1)) == zero_entropy
 
 
