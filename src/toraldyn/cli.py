@@ -82,15 +82,8 @@ def _expr_json(value, digits: int) -> dict:
     return out
 
 
-def _gaussian_pair(v) -> list:
-    v = sp.sympify(v)
-    re, im = sp.re(v), sp.im(v)
-    return [str(int(re)), str(int(im))]
-
-
-def _matrix_json(M: Matrix) -> list:
-    return [[_gaussian_pair(M[i, j]) for j in range(M.cols)]
-            for i in range(M.rows)]
+def _matrix_json(g: TorusAutomorphism) -> list:
+    return [[[str(re), str(im)] for re, im in row] for row in g.pairs]
 
 
 def _lattice_json(lat: IntegerLattice) -> dict:
@@ -201,7 +194,7 @@ def _generator_report(g: TorusAutomorphism, digits: int) -> dict:
     prof = degree_profile(g)
     return {
         "name": g.name,
-        "matrix": _matrix_json(g.A),
+        "matrix": _matrix_json(g),
         "h11_charpoly": [str(int(c)) for c in h11_charpoly(g).all_coeffs()],
         "degrees": [_certified_json(d, digits) for d in prof.degrees],
         "entropy": _certified_json(prof.entropy, digits),
@@ -353,7 +346,7 @@ def cmd_forge(args) -> int:
         "kind": "torus_group",
         "complex_dim": str(forged.field.degree),
         "generators": [
-            {"name": g.name, "matrix": _matrix_json(g.A)}
+            {"name": g.name, "matrix": _matrix_json(g)}
             for g in forged.group.generators],
     }
     report = build_analysis_report(forged.analysis, args.precision, args.seed)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import sympy as sp
 from sympy import I, Matrix, Poly, kronecker_product
@@ -23,6 +23,7 @@ from .exact_algebra import (
     ExactAlgebraError,
     X,
     charpoly,
+    exact_equal,
     exact_is_zero,
     exact_sign,
     is_cyclotomic_product,
@@ -36,8 +37,6 @@ POSITIVE_ENTROPY = "positive_entropy"
 PARABOLIC = "parabolic"
 FINITE_ORDER = "finite_order_on_cohomology"
 
-GAUSSIAN_UNITS = (sp.Integer(1), sp.Integer(-1), I, -I)
-
 
 class BudgetExceededError(RuntimeError):
     def __init__(self, estimate):
@@ -45,31 +44,54 @@ class BudgetExceededError(RuntimeError):
         self.estimate = estimate
 
 
-def _gaussian_integer(v):
-    """``v`` as the canonical sympy Gaussian integer ``a + b*I``."""
+def _gaussian_integer(v) -> tuple:
+    """``v`` as the integer pair ``(re, im)`` of a Gaussian integer."""
     re, im = sp.expand(v).as_real_imag()
     if not (re.is_Integer and im.is_Integer):
         raise ValueError("entries must be Gaussian integers")
-    return re + im * I
+    return int(re), int(im)
+
+
+def _pair_product(P, Q) -> tuple:
+    """Product of two square matrices of Gaussian-integer pairs."""
+    return tuple(
+        tuple((sum(a[0] * b[0] - a[1] * b[1] for a, b in zip(row, col)),
+               sum(a[0] * b[1] + a[1] * b[0] for a, b in zip(row, col)))
+              for col in zip(*Q))
+        for row in P)
 
 
 class TorusAutomorphism:
     """Linear part of an automorphism of T^k: a Gaussian-integer matrix
-    with unit determinant, each entry expanded once to the canonical
-    ``a + b*I`` so that ``==``, ``hash`` and the group operations are exact.
-    Translations act trivially on cohomology and are not modeled."""
+    with unit determinant.  Its canonical entries are the integer pairs
+    ``pairs[i][j] = (re, im)``, so ``==``, ``hash``, ``compose`` and
+    ``power`` are integer arithmetic; ``A`` is the same matrix with sympy
+    entries ``re + im*I``.  Translations act trivially on cohomology and are
+    not modeled."""
 
     def __init__(self, A, name: str = ""):
         A = sp.ImmutableMatrix(A)
         if not A.is_square or A.rows == 0:
             raise ValueError("matrix must be square and nonempty")
-        A = A.applyfunc(_gaussian_integer)
-        d = _gaussian_integer(A.det())
-        if d not in GAUSSIAN_UNITS:
-            raise ValueError(f"determinant {d} is not a unit of Z[i]")
-        self.A = A
+        self.pairs = tuple(tuple(map(_gaussian_integer, row))
+                           for row in A.tolist())
         self.k = A.rows
         self.name = name or f"aut_{self.k}"
+        d = sp.expand(self.A.det())
+        if _gaussian_integer(d) not in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            raise ValueError(f"determinant {d} is not a unit of Z[i]")
+
+    @classmethod
+    def _from_pairs(cls, pairs, name: str) -> "TorusAutomorphism":
+        """A product of automorphisms, so its determinant is a unit."""
+        out = cls.__new__(cls)
+        out.pairs, out.k, out.name = pairs, len(pairs), name
+        return out
+
+    @cached_property
+    def A(self) -> sp.ImmutableMatrix:
+        return sp.ImmutableMatrix([[sp.Integer(re) + sp.Integer(im) * I
+                                    for re, im in row] for row in self.pairs])
 
     def inverse(self) -> "TorusAutomorphism":
         # det is a unit u, and 1/u = conj(u), so no division is needed
@@ -78,20 +100,25 @@ class TorusAutomorphism:
                                  name=self.name + "^-1")
 
     def compose(self, other: "TorusAutomorphism") -> "TorusAutomorphism":
-        return TorusAutomorphism(self.A * other.A,
-                                 name=f"{self.name}*{other.name}")
+        return self._from_pairs(_pair_product(self.pairs, other.pairs),
+                                f"{self.name}*{other.name}")
 
     def power(self, n: int) -> "TorusAutomorphism":
-        if n == 0:
-            return TorusAutomorphism(sp.eye(self.k), name="id")
-        base = self if n > 0 else self.inverse()
-        return TorusAutomorphism(base.A ** abs(n), name=f"{self.name}^{n}")
+        """f^n by repeated squaring on the integer pairs."""
+        base = (self if n >= 0 else self.inverse()).pairs
+        acc = tuple(tuple((int(i == j), 0) for j in range(self.k))
+                    for i in range(self.k))
+        for bit in bin(abs(n))[2:]:
+            acc = _pair_product(acc, acc)
+            if bit == "1":
+                acc = _pair_product(acc, base)
+        return self._from_pairs(acc, f"{self.name}^{n}" if n else "id")
 
     def __eq__(self, other):
-        return isinstance(other, TorusAutomorphism) and self.A == other.A
+        return isinstance(other, TorusAutomorphism) and self.pairs == other.pairs
 
     def __hash__(self):
-        return hash(self.A)
+        return hash(self.pairs)
 
     def __repr__(self):
         return f"TorusAutomorphism({self.name}, k={self.k})"
@@ -101,36 +128,45 @@ class TorusAutomorphism:
 # H^{1,1} integer model
 
 
+def _hermitian_cells(k: int) -> list:
+    """The cells (j, l) of the Hermitian coordinates: the diagonal, then the
+    cells above it."""
+    return [(j, j) for j in range(k)] + list(
+        itertools.combinations(range(k), 2))
+
+
+@lru_cache(maxsize=None)
+def hermitian_basis_sparse(k: int):
+    """``hermitian_basis(k)``, each matrix as a short tuple of
+    (row, col, (re, im)) entries."""
+    out = []
+    for j, l in _hermitian_cells(k):
+        if j == l:
+            out.append(((j, j, (1, 0)),))
+        else:
+            out += [((j, l, (1, 0)), (l, j, (1, 0))),
+                    ((j, l, (0, 1)), (l, j, (0, -1)))]
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def hermitian_basis(k: int):
     """Integer basis of Hermitian k x k matrices:
     E_jj; E_jl + E_lj; i(E_jl - E_lj) for j < l."""
     basis = []
-    for j in range(k):
+    for entries in hermitian_basis_sparse(k):
         E = sp.zeros(k, k)
-        E[j, j] = 1
+        for i, j, (re, im) in entries:
+            E[i, j] = re + im * I
         basis.append(sp.ImmutableMatrix(E))
-    for j in range(k):
-        for l in range(j + 1, k):
-            E = sp.zeros(k, k)
-            E[j, l] = 1
-            E[l, j] = 1
-            basis.append(sp.ImmutableMatrix(E))
-            E = sp.zeros(k, k)
-            E[j, l] = I
-            E[l, j] = -I
-            basis.append(sp.ImmutableMatrix(E))
     return tuple(basis)
 
 
 def hermitian_coords(H: Matrix):
     """Coordinates of a Hermitian matrix in hermitian_basis(k)."""
-    k = H.rows
-    coords = [H[j, j] for j in range(k)]
-    for j in range(k):
-        for l in range(j + 1, k):
-            coords.append(sp.re(H[j, l]))
-            coords.append(sp.im(H[j, l]))
+    coords = []
+    for j, l in _hermitian_cells(H.rows):
+        coords += [H[j, j]] if j == l else [sp.re(H[j, l]), sp.im(H[j, l])]
     return coords
 
 
@@ -160,15 +196,25 @@ def compound(f: TorusAutomorphism, p: int) -> sp.ImmutableMatrix:
 
 def h11_matrix(f: TorusAutomorphism) -> Matrix:
     """Integer matrix of f* on H^{1,1} in the Hermitian basis (k^2 x k^2):
-    H -> C H C^H with C = compound(f, 1) = A^T."""
-    C = compound(f, 1)
-    Ch = C.H
-    cols = [[sp.expand(c) for c in hermitian_coords(C * E * Ch)]
-            for E in hermitian_basis(f.k)]
-    M = Matrix(cols).T
-    if not all(v.is_Integer for v in M):
-        raise ExactAlgebraError("H^{1,1} action matrix is not integral")
-    return M
+    H -> C H C^H with C = compound(f, 1) = A^T, on the integer (re, im)
+    pairs of C.  Column t holds the coordinates of C E_t C^H."""
+    C = [[_gaussian_integer(v) for v in row]
+         for row in compound(f, 1).tolist()]
+    cols = []
+    for E in hermitian_basis_sparse(f.k):
+        col = []
+        for a, b in _hermitian_cells(f.k):
+            # (C E C^H)[a, b] = sum of C[a][s] e conj(C[b][t]) over the
+            # entries e of E at (s, t)
+            re = im = 0
+            for s, t, (er, ei) in E:
+                (xr, xi), (yr, yi) = C[a][s], C[b][t]
+                pr, pi = xr * er - xi * ei, xr * ei + xi * er
+                re += pr * yr + pi * yi
+                im += pi * yr - pr * yi
+            col += [re] if a == b else [re, im]
+        cols.append(col)
+    return Matrix(cols).T
 
 
 def hpp_matrix(f: TorusAutomorphism, p: int) -> Matrix:
@@ -515,7 +561,7 @@ def enumerate_degree_values(k: int, entry_bound: int,
         p = Poly(list(coeffs), X)
         mods = root_moduli(p)
         d1 = AlgebraicReal(sp.expand(mods[0][0].expr ** 2))
-        if not any(exact_is_zero(d1.expr - v.expr) for v in values):
+        if not any(exact_equal(d1.expr, v.expr) for v in values):
             values.append(d1)
     values.sort(key=float)
     return values

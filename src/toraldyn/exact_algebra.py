@@ -3,11 +3,11 @@
 Everything in this module is exact: matrices carry arbitrary-precision
 (Gaussian) integers, polynomials have integer coefficients, and real
 algebraic numbers are represented by an exact sympy expression together
-with certified rational enclosures that can be refined on demand.  Numbers
-that come from a polynomial with a non-real root are decided by the
-real-algebraic kernel (``RealRoot``): an irreducible integer polynomial and
-a rational isolating interval, refined with integer arithmetic only.  No
-decision anywhere in this module is made from bare floats.
+with certified rational enclosures that can be refined on demand.  Signs,
+equalities and root-modulus matches are decided by the real-algebraic
+kernel (``RealRoot``): an irreducible integer polynomial and a rational
+isolating interval, refined with integer arithmetic only.  No decision
+anywhere in this module is made from bare floats.
 """
 
 from __future__ import annotations
@@ -127,18 +127,23 @@ def exact_is_zero(expr) -> bool:
 
 
 def exact_equal(a, b) -> bool:
-    """Exact equality; decided by the real-algebraic kernel when either
-    side is a ``RealRoot``."""
-    if isinstance(a, RealRoot) or isinstance(b, RealRoot):
-        return real_root(a) == real_root(b)
-    return exact_is_zero(sp.sympify(a) - sp.sympify(b))
+    """Exact equality of two real algebraic values, decided by the integer
+    kernel (``real_root``); outside its grammar it raises
+    ``ExactAlgebraError``."""
+    return real_root(a) == real_root(b)
 
 
 def exact_sign(expr) -> int:
-    """Sign of an exact real algebraic expression, decided exactly."""
+    """Sign of an exact real algebraic expression, decided by the integer
+    kernel.  Only a value outside its grammar, such as ``re()`` of a
+    non-real ``CRootOf``, takes the ladder: ``exact_is_zero``, then
+    adaptive evaluation of the nonzero value."""
     expr = sp.sympify(expr)
     if expr.is_Rational:
         return (expr.p > 0) - (expr.p < 0)
+    root = _kernel_root(expr)
+    if root is not None:
+        return root.compare(0)
     if exact_is_zero(expr):
         return 0
     # nonzero, so adaptive evaluation eventually resolves the sign
@@ -194,40 +199,15 @@ class CertifiedReal:
             self._interval = _enclosure_of_expr(self.expr, eps)
         return self._interval
 
-    def midpoint(self, eps=Fraction(1, 10**15)) -> Fraction:
-        lo, hi = self.enclosure(eps)
-        return (lo + hi) / 2
-
     def __float__(self) -> float:
-        return float(self.midpoint(Fraction(1, 10**17)))
-
-    def is_zero(self) -> bool:
-        return exact_is_zero(self.expr)
+        lo, hi = self.enclosure(Fraction(1, 10**17))
+        return float((lo + hi) / 2)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, CertifiedReal):
-            other = other.expr
-        return exact_equal(self.expr, other)
+        return exact_equal(self, other)
 
     # equality is exact, so no hash of the expression tree agrees with it
     __hash__ = None
-
-    def compare(self, other) -> int:
-        if isinstance(other, CertifiedReal):
-            other = other.expr
-        return exact_sign(self.expr - sp.sympify(other))
-
-    def __lt__(self, other):
-        return self.compare(other) < 0
-
-    def __le__(self, other):
-        return self.compare(other) <= 0
-
-    def __gt__(self, other):
-        return self.compare(other) > 0
-
-    def __ge__(self, other):
-        return self.compare(other) >= 0
 
     def __repr__(self):
         return f"{type(self).__name__}({self.expr} ~ {float(self):.12g})"
@@ -399,9 +379,6 @@ class RealRoot(CertifiedReal):
             self._bisect()
         k = math.floor((self._lo - lo0) / width)
         return lo0 + k * width, lo0 + (k + 1) * width
-
-    def is_zero(self) -> bool:
-        return self.is_rational and self._lo == 0
 
     def compare(self, other) -> int:
         other = real_root(other)
@@ -1054,28 +1031,11 @@ def _modulus_squared_candidates(f: Poly) -> list:
         radicals=False)))
 
 
-def _match_root_to_candidate(root, cands) -> int:
-    """Index of the unique candidate equal to |root|^2, decided by refinement."""
-    prec = 30
-    while prec <= 4000:
-        approx = complex(root.evalf(prec))
-        m2 = approx.real**2 + approx.imag**2
-        tol = 10.0 ** (-(prec // 2) + 4) * max(1.0, m2)
-        hits = []
-        for i, c in enumerate(cands):
-            lo, hi = _enclosure_of_expr(c, Fraction(1, 10 ** (prec // 2)))
-            if float(lo) - tol <= m2 <= float(hi) + tol:
-                hits.append(i)
-        if len(hits) == 1:
-            return hits[0]
-        prec *= 2
-    raise ExactAlgebraError("failed to certify root-modulus matching")
-
-
 def _match_roots_by_disks(f: Poly, cands) -> list:
-    """For each root z of an integer polynomial, the index of the candidate
-    equal to |z|^2: the one candidate whose isolating interval meets the
-    interval image of z's certified inclusion disk."""
+    """For each root z of an irreducible integer polynomial, the index of
+    the candidate equal to |z|^2: the one candidate whose isolating interval
+    meets the interval image of z's certified inclusion disk.  The image is
+    positive once the disk excludes 0, so it meets no candidate <= 0."""
     kernel = [real_root(c) for c in cands]
     coeffs = [(Fraction(int(c)), Fraction(0)) for c in f.all_coeffs()]
 
@@ -1104,9 +1064,10 @@ def root_moduli(p: Poly | sp.Expr, eps=Fraction(1, 10**12)):
     Returns a list of ``(AlgebraicReal, multiplicity)`` sorted by descending
     modulus.  Moduli are merged exactly: two roots contribute to the same
     entry iff their moduli agree as algebraic numbers (same root of the
-    squarefree modulus-squared resultant).  A factor with a non-real root
-    is matched to the candidates by certified inclusion disks; entries whose
-    enclosures overlap are ordered by exact comparison.
+    squarefree modulus-squared resultant).  Every irreducible factor is
+    matched to its candidates by certified inclusion disks and the integer
+    kernel; entries whose enclosures overlap are ordered by exact
+    comparison.
     """
     p = Poly(p, X) if not isinstance(p, Poly) else p
     if p.is_zero:
@@ -1127,17 +1088,8 @@ def root_moduli(p: Poly | sp.Expr, eps=Fraction(1, 10**12)):
             if f.degree() == 0:
                 continue
             cands = _modulus_squared_candidates(f)
-            if has_nonreal_root(gaussian_coeffs(f)):
-                # a disk's |z|^2 image is positive, so it meets no
-                # candidate <= 0 once refined
-                idxs = _match_roots_by_disks(f, cands)
-            else:
-                cands = [c for c in cands if exact_sign(c) > 0]
-                idxs = [_match_root_to_candidate(r, cands)
-                        for r in f.all_roots(radicals=False)]
-            for i in idxs:
-                key = cands[i]
-                result[key] = result.get(key, 0) + mult
+            for i in _match_roots_by_disks(f, cands):
+                result[cands[i]] = result.get(cands[i], 0) + mult
     # (modulus, multiplicity, modulus squared)
     moduli = [(AlgebraicReal(sp.sqrt(c)), m, c) for c, m in result.items()]
     if zero_mult:

@@ -48,12 +48,14 @@ from .exact_algebra import (
     _LOG_DIGITS,
     charpoly,
     exact_equal,
+    exact_is_zero,
     finite_order_bound,
     gaussian_coeffs,
     has_nonreal_root,
     hermite_normal_form_rows,
     integer_relations,
     modulus_squared_roots,
+    real_root,
     smith_normal_form_with_transforms,
 )
 
@@ -335,13 +337,17 @@ def _validate_characters(spec: GroupSpec, table: CharacterTable):
         raise AssertionError(
             f"THEOREM VIOLATION: {table.m} characters exceed h1 = {k * k}")
     # the characters attain the top degree d1 of each positive-entropy
-    # generator, derived independently from the root moduli
+    # generator, derived independently from the root moduli.  A sympy
+    # multiplier is compared by exact_is_zero, not by the kernel: its
+    # numeric rung refines sympy's cached interval of d1's CRootOf, and the
+    # report prints that interval, so this rung is part of the output
     for j, g in enumerate(spec.generators):
         if has_zero_entropy(g):
             continue
         d1 = _moduli_squared_desc(g)[0]
-        if not any(exact_equal(c.multipliers[j], d1)
-                   for c in table.characters):
+        tops = [c.multipliers[j] for c in table.characters]
+        if not any(m == d1 if isinstance(m, RealRoot)
+                   else exact_is_zero(m - d1) for m in tops):
             raise AssertionError(
                 "THEOREM VIOLATION: no invariant nef class attains d1")
 
@@ -351,11 +357,14 @@ def _validate_characters(spec: GroupSpec, table: CharacterTable):
 
 
 def word_automorphism(spec: GroupSpec, e) -> TorusAutomorphism:
-    """The group element with exponent vector e over the generators."""
-    acc = TorusAutomorphism(eye(spec.k), name="word")
-    for g, ej in zip(spec.generators, e):
-        if ej:
-            acc = acc.compose(g.power(int(ej)))
+    """The group element with exponent vector e over the generators,
+    composed from its first nonzero factor on."""
+    factors = [g.power(int(ej)) for g, ej in zip(spec.generators, e) if ej]
+    if not factors:
+        return TorusAutomorphism(eye(spec.k), name="word")
+    acc = factors[0]
+    for f in factors[1:]:
+        acc = acc.compose(f)
     return acc
 
 
@@ -396,12 +405,10 @@ def _kernel_candidates(n: int, log_rows):
 
 
 def _log_value(m):
-    """log |mu|^2 to _LOG_DIGITS digits, exactly 0 when |mu|^2 == 1."""
-    if exact_equal(m, 1):
-        return sp.Integer(0)
-    if isinstance(m, RealRoot):
-        return m.log(_LOG_DIGITS)
-    return sp.log(m).evalf(_LOG_DIGITS)
+    """log |mu|^2 to _LOG_DIGITS digits from the kernel's enclosure,
+    exactly 0 when |mu|^2 == 1."""
+    m = real_root(m)
+    return sp.Integer(0) if m == 1 else m.log(_LOG_DIGITS)
 
 
 def pi_rank(spec: GroupSpec, table: CharacterTable) -> PiRankResult:

@@ -31,6 +31,7 @@ from .cohomology import (
     CohomClass,
     TorusAutomorphism,
     hermitian_basis,
+    hermitian_basis_sparse,
     hermitian_coords,
     intersection_number,
     is_kahler,
@@ -81,21 +82,6 @@ def _gdet(A):
             im += sign * (a[0] * d[1] + a[1] * d[0])
         sign = -sign
     return (re, im)
-
-
-@lru_cache(maxsize=None)
-def _hermitian_basis_sparse(k: int):
-    """Each basis matrix as a short tuple of (row, col, (re, im)) entries."""
-    out = []
-    for E in hermitian_basis(k):
-        entries = []
-        for i in range(k):
-            for j in range(k):
-                if E[i, j] != 0:
-                    re, im = E[i, j].as_real_imag()
-                    entries.append((i, j, (int(re), int(im))))
-        out.append(tuple(entries))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +151,7 @@ def _partial_terms(k: int, order: int) -> dict:
     """For each ascending ``order``-tuple of Hermitian basis indices, the
     nonzero ``_partial_term``s of every choice of one entry cell from each
     basis matrix of the tuple."""
-    sparse = _hermitian_basis_sparse(k)
+    sparse = hermitian_basis_sparse(k)
     table = {}
     for idx in itertools.combinations_with_replacement(range(len(sparse)),
                                                        order):
@@ -196,7 +182,7 @@ def q_gram_fractions(contexts, k: int):
     if len(contexts) != k - 2:
         raise ValueError("q needs exactly k-2 context classes")
     mixed, scale = _mixed_minors(contexts, k)
-    nb = len(_hermitian_basis_sparse(k))
+    nb = len(hermitian_basis_sparse(k))
     G = [[Fraction(0)] * nb for _ in range(nb)]
     for (a, b), val in _mixed_partials(mixed, k, 2).items():
         G[a][b] = G[b][a] = Fraction(-val, scale)

@@ -13,7 +13,8 @@ import mpmath
 import pytest
 import sympy
 
-from toraldyn import cohomology, group_structure
+from toraldyn import (cohomology, exact_algebra, group_structure,
+                      hodge_riemann)
 from toraldyn.cli import (EXIT_INVALID, EXIT_OK, EXIT_VIOLATION,
                           build_analysis_report, load_group_argument, main)
 from toraldyn.example_forge import builtin, builtin_names
@@ -67,6 +68,26 @@ def test_analyze_infinite_u_relation_lattice(capsys):
     dec = _json_of(out)["decomposition"]
     assert dec["u_finite"] is False
     assert dec["relation_lattice"]["basis"] == [["5", "-1"]]
+
+
+def test_analyze_close_real_moduli(capsys):
+    # the companion of x^3 - a^2 x^2 + 2a x - 1, a = 10^9: two real roots lie
+    # within about a^-2.5 of 1/a, so matching each root to its modulus takes
+    # enclosures narrower than about 1e-13 of the moduli
+    path = ROOT / "tests" / "data" / "close_moduli_T3.json"
+    code, out, err = _run(capsys, "analyze", str(path))
+    assert code == EXIT_OK, err[-2000:]
+    rep = _json_of(out)
+    assert rep["rank"] == "1"
+    lo, hi = (Fraction(v) for v in
+              rep["generators"][0]["entropy"]["interval"])
+    a = 10**9
+    with mpmath.workdps(50):
+        top = max(abs(r) for r in mpmath.polyroots(
+            [1, -a * a, 2 * a, -1], maxsteps=200, extraprec=200))
+        entropy = 2 * mpmath.log(top)
+        assert (mpmath.mpf(lo.numerator) / lo.denominator <= entropy
+                <= mpmath.mpf(hi.numerator) / hi.denominator)
 
 
 def test_analyze_gaussian_finite_order(tmp_path, capsys):
@@ -255,6 +276,35 @@ def test_reports_do_not_call_sympy_minimal_polynomial(monkeypatch, capsys):
         code, out, err = _run(capsys, *argv)
         assert code == EXIT_OK, (argv, err[-2000:])
         assert _json_of(out)
+
+
+@pytest.mark.parametrize("argv,calls", [
+    (["analyze", "cubic_T3"], 3),
+    (["analyze", "pell_plus_torsion"], 2),
+    (["forge", "--poly", "1,-1,-3,1,1", "--bound", "2"], 7),
+    (["enumerate", "--dim", "2", "--bound", "2"], 0),
+], ids=["cubic_T3", "pell_plus_torsion", "forge_quartic", "enumerate_2_2"])
+def test_exact_is_zero_only_decides_the_printed_d1(monkeypatch, capsys,
+                                                    argv, calls):
+    # the integer kernel decides every sign and equality of a request; the
+    # one exact_is_zero left is the d1 check, whose numeric rung refines
+    # the sympy interval that the report prints
+    callers = {}
+    real = exact_algebra.exact_is_zero
+
+    def exact_is_zero(expr):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):   # comprehensions
+            frame = frame.f_back
+        name = frame.f_code.co_name
+        callers[name] = callers.get(name, 0) + 1
+        return real(expr)
+
+    for module in (exact_algebra, cohomology, group_structure, hodge_riemann):
+        monkeypatch.setattr(module, "exact_is_zero", exact_is_zero)
+    code, _, err = _run(capsys, *argv)
+    assert code == EXIT_OK, err[-2000:]
+    assert callers == ({"_validate_characters": calls} if calls else {})
 
 
 def test_analysis_computes_each_artifact_once(monkeypatch):

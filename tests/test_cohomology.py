@@ -14,7 +14,7 @@ from toraldyn.exact_algebra import (
 from toraldyn.cohomology import (
     BudgetExceededError, CohomClass, TorusAutomorphism, classify,
     degree_profile, dynamical_degree, entropy, enumerate_degree_values,
-    h11_matrix, hermitian_basis, hermitian_coords, hpp_matrix,
+    h11_charpoly, h11_matrix, hermitian_basis, hermitian_coords, hpp_matrix,
     intersection_number, is_kahler, is_nef, pullback, wedge, wedge_all)
 
 CAT = TorusAutomorphism([[2, 1], [1, 1]], name="cat")
@@ -83,6 +83,38 @@ def test_h11_matches_direct_conjugation():
             direct = sp.expand(f.A.T * H * f.A.conjugate())
             lhs = sp.expand(h11_matrix(f) * coords)
             assert lhs == sp.expand(Matrix(hermitian_coords(direct)))
+
+
+def _h11_matrix_by_products(f):
+    """f* on H^{1,1} by its defining formula H -> C H C^H in sympy matrix
+    products, C = compound(f, 1) = A^T: the reference for h11_matrix."""
+    C = f.A.T
+    cols = [[sp.expand(c) for c in hermitian_coords(C * E * C.H)]
+            for E in hermitian_basis(f.k)]
+    return Matrix(cols).T
+
+
+def _unimodular_gaussian(rng, k):
+    """A seeded product of elementary matrices I + u E_ij and one diagonal
+    unit, u a unit of Z[i]."""
+    units = (1, -1, I, -I)
+    M = sp.diag(rng.choice(units), *[1] * (k - 1))
+    for _ in range(rng.randint(2, 6)):
+        i, j = rng.sample(range(k), 2)
+        E = eye(k)
+        E[i, j] = rng.choice(units)
+        M = M * E
+    return M
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_h11_matrix_matches_conjugation_formula(k):
+    rng = random.Random(20261018 + k)
+    for _ in range(8):
+        f = TorusAutomorphism(_unimodular_gaussian(rng, k))
+        expected = _h11_matrix_by_products(f)
+        assert h11_matrix(f) == expected
+        assert h11_charpoly(f).all_coeffs() == charpoly(expected).all_coeffs()
 
 
 def test_hpp_edge_degrees():

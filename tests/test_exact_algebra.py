@@ -158,18 +158,33 @@ def _nonreal_oracle_cases():
     ]
 
 
-@pytest.mark.parametrize("p", _nonreal_oracle_cases())
-def test_root_moduli_nonreal_matches_mpmath(p):
+def _assert_moduli_match_mpmath(p, dps=50):
     ours = root_moduli(p)
-    oracle = _oracle_moduli(p)
+    oracle = _oracle_moduli(p, dps)
     assert [m for _, m in ours] == [mult for _, mult in oracle]
     for (value, _), (expected, _) in zip(ours, oracle):
         lo, hi = value.enclosure(Fraction(1, 10**30))
-        with mpmath.workdps(50):
-            slack = mpmath.mpf(10) ** -40
+        with mpmath.workdps(dps):
+            slack = mpmath.mpf(10) ** (10 - dps)
             assert (mpmath.mpf(lo.numerator) / lo.denominator - slack
                     <= expected
                     <= mpmath.mpf(hi.numerator) / hi.denominator + slack)
+
+
+@pytest.mark.parametrize("p", _nonreal_oracle_cases())
+def test_root_moduli_nonreal_matches_mpmath(p):
+    _assert_moduli_match_mpmath(p)
+
+
+def test_root_moduli_close_real_moduli_match_mpmath():
+    # a totally real cubic with two roots about 4.5e-23 apart near 1/a: its
+    # squared moduli and their product differ by about 1e-31, so each root
+    # is matched only by enclosures narrower than that, about 1e-13 of the
+    # values themselves
+    a = 10**9
+    p = X**3 - 2 * a * a * X**2 + 4 * a * X - 2
+    # 80 digits: the largest modulus, about 2*10^18, is compared to 10^-30
+    _assert_moduli_match_mpmath(p, dps=80)
 
 
 def test_root_moduli_zero_rejected():

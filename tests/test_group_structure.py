@@ -389,7 +389,7 @@ def test_relation_lattice_of_infinite_u(mats, basis):
 
 def test_relation_lattice_of_shear_powers():
     # P^(a c_1 + b c_2) = 1 iff (c_1, c_2) is a multiple of (b, -a)/gcd(a, b);
-    # the 900 pairs take about 10 s in-process (budget 60 s)
+    # the 900 pairs take about 5 s in-process (budget 60 s)
     start = time.perf_counter()
     for a, b in itertools.product(range(1, 31), repeat=2):
         spec = GroupSpec.from_matrices([(SHEAR ** a).tolist(),
