@@ -39,6 +39,9 @@ EXIT_VIOLATION = 2
 EXIT_INVALID = 3
 
 DEFAULT_DIGITS = 12
+# the widest --precision accepted: interval endpoints stay far below
+# Python's 4300-digit limit on integer-to-string conversion
+MAX_DIGITS = 1000
 
 
 class CliInputError(ValueError):
@@ -179,6 +182,13 @@ def _require_at_least(option: str, value: int, low: int) -> None:
         raise CliInputError(f"{option} must be at least {low}, got {value}")
 
 
+def _require_precision(digits: int) -> None:
+    _require_at_least("--precision", digits, 0)
+    if digits > MAX_DIGITS:
+        raise CliInputError(
+            f"--precision must be at most {MAX_DIGITS}, got {digits}")
+
+
 def _forge_or_raise(coeffs: tuple, bound: int):
     try:
         return build_max_rank_group(NumberFieldSpec(coeffs), bound)
@@ -285,7 +295,7 @@ def _emit(report: dict, json_out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(args) -> int:
-    _require_at_least("--precision", args.precision, 0)
+    _require_precision(args.precision)
     spec, forged = load_group_argument(args.spec)
     analysis = analyze_group(spec) if forged is None else forged.analysis
     report = build_analysis_report(analysis, args.precision, args.seed)
@@ -336,7 +346,7 @@ def cmd_hodge_check(args) -> int:
 
 
 def cmd_forge(args) -> int:
-    _require_at_least("--precision", args.precision, 0)
+    _require_precision(args.precision)
     try:
         coeffs = tuple(int(c) for c in args.poly.split(","))
     except ValueError as exc:
@@ -358,7 +368,7 @@ def cmd_forge(args) -> int:
 def cmd_enumerate(args) -> int:
     _require_at_least("--dim", args.dim, 1)
     _require_at_least("--bound", args.bound, 0)
-    _require_at_least("--precision", args.precision, 0)
+    _require_precision(args.precision)
     try:
         values = enumerate_degree_values(args.dim, args.bound)
     except BudgetExceededError as exc:

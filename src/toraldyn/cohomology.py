@@ -37,6 +37,11 @@ POSITIVE_ENTROPY = "positive_entropy"
 PARABOLIC = "parabolic"
 FINITE_ORDER = "finite_order_on_cohomology"
 
+# the most points a brute-force box search may visit: the matrices of
+# ``enumerate_degree_values`` and the coefficient box of the forge's unit
+# search
+SEARCH_BUDGET = 3_000_000
+
 
 class BudgetExceededError(RuntimeError):
     def __init__(self, estimate):
@@ -160,14 +165,6 @@ def hermitian_basis(k: int):
             E[i, j] = re + im * I
         basis.append(sp.ImmutableMatrix(E))
     return tuple(basis)
-
-
-def hermitian_coords(H: Matrix):
-    """Coordinates of a Hermitian matrix in hermitian_basis(k)."""
-    coords = []
-    for j, l in _hermitian_cells(H.rows):
-        coords += [H[j, j]] if j == l else [sp.re(H[j, l]), sp.im(H[j, l])]
-    return coords
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +529,7 @@ def _charpoly_int(rows):
 
 
 def enumerate_degree_values(k: int, entry_bound: int,
-                            budget: int = 3_000_000):
+                            budget: int = SEARCH_BUDGET):
     """Distinct exact d_1 values over all A in SL(k,Z) with |entries| <= bound.
 
     Exhibits the discreteness of the first dynamical degree (desk scale).

@@ -1111,13 +1111,6 @@ def root_moduli(p: Poly | sp.Expr, eps=Fraction(1, 10**12)):
     return [(m, mult) for m, mult, _ in moduli]
 
 
-def spectral_radius(M: Matrix, eps=Fraction(1, 10**12)) -> AlgebraicReal:
-    """Certified spectral radius of an exact (Gaussian-)integer matrix."""
-    p, _ = real_charpoly(M)
-    mods = root_moduli(p, eps)
-    return mods[0][0]
-
-
 # ---------------------------------------------------------------------------
 # cyclotomic tests and finite order
 
@@ -1267,35 +1260,33 @@ def hermite_normal_form_rows(A: list) -> tuple[list, list]:
     return H, U
 
 
-def smith_normal_form_with_transforms(A: list) -> tuple[list, list, list]:
-    """Smith normal form: returns (D, U, V) with D = U @ A @ V, U,V unimodular."""
+def smith_normal_form_with_transforms(A: list) -> tuple[list, list]:
+    """Smith normal form D = U A V with U, V unimodular; returns
+    (D, V^-1).  U is not formed.  V^-1 is built by the inverse moves: the
+    column op col_i -= q col_j on V is the row op row_j += q row_i on V^-1,
+    and a column swap is the same row swap."""
     D = [list(map(int, row)) for row in A]
     m = len(D)
     n = len(D[0]) if m else 0
-    U = _eye_rows(m)
-    V = _eye_rows(n)
+    Vinv = _eye_rows(n)
 
     def row_op(i, j, q):  # row_i -= q*row_j
         for c in range(n):
             D[i][c] -= q * D[j][c]
-        for c in range(m):
-            U[i][c] -= q * U[j][c]
 
     def col_op(i, j, q):  # col_i -= q*col_j
         for r in range(m):
             D[r][i] -= q * D[r][j]
-        for r in range(n):
-            V[r][i] -= q * V[r][j]
+        for c in range(n):
+            Vinv[j][c] += q * Vinv[i][c]
 
     def swap_rows(i, j):
         D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
         for r in range(m):
             D[r][i], D[r][j] = D[r][j], D[r][i]
-        for r in range(n):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
+        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     t = 0
     while t < min(m, n):
@@ -1330,7 +1321,6 @@ def smith_normal_form_with_transforms(A: list) -> tuple[list, list, list]:
                         dirty = True
         if D[t][t] < 0:
             D[t] = [-v for v in D[t]]
-            U[t] = [-v for v in U[t]]
         # enforce divisibility d_t | D[i][j]
         offending = None
         for i in range(t + 1, m):
@@ -1344,31 +1334,7 @@ def smith_normal_form_with_transforms(A: list) -> tuple[list, list, list]:
             row_op(t, offending, -1)  # add the offending row, redo pivot at t
             continue
         t += 1
-    return D, U, V
-
-
-@dataclass(frozen=True)
-class HermiteSmithResult:
-    rank: int
-    hermite: tuple
-    hermite_transform: tuple  # H = U A
-    smith: tuple
-    smith_row_transform: tuple  # D = U A V
-    smith_col_transform: tuple
-    invariant_factors: tuple
-
-
-def hermite_smith(lattice: IntegerLattice) -> HermiteSmithResult:
-    """Canonical Hermite and Smith normal forms with unimodular transforms."""
-    A = [list(v) for v in lattice.basis]
-    if not A:
-        return HermiteSmithResult(0, (), (), (), (), (), ())
-    H, UH = hermite_normal_form_rows(A)
-    D, US, VS = smith_normal_form_with_transforms(A)
-    rank = sum(1 for row in H if any(row))
-    inv = tuple(D[i][i] for i in range(min(len(D), len(D[0]))) if D[i][i] != 0)
-    tt = lambda M: tuple(tuple(r) for r in M)
-    return HermiteSmithResult(rank, tt(H), tt(UH), tt(D), tt(US), tt(VS), inv)
+    return D, Vinv
 
 
 def _det_int(A: list) -> int:
@@ -1389,10 +1355,6 @@ def _det_int(A: list) -> int:
                 M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
         prev = M[k][k]
     return sign * M[n - 1][n - 1] if n else 1
-
-
-def is_unimodular(A: list) -> bool:
-    return abs(_det_int(A)) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,9 @@ import mpmath
 import sympy as sp
 from sympy import Matrix, I, eye
 
-from .exact_algebra import (X, CertifiedReal, RealRoot, _LOG_DIGITS, _det_int,
-                            _isolate, exact_sign, integer_relations,
-                            lll_reduce)
-from .cohomology import TorusAutomorphism
+from .exact_algebra import (X, RealRoot, _LOG_DIGITS, _det_int, _isolate,
+                            integer_relations, lll_reduce)
+from .cohomology import SEARCH_BUDGET, TorusAutomorphism
 from .group_structure import GroupSpec, GroupAnalysis, analyze_group
 
 
@@ -66,14 +65,6 @@ class NumberFieldSpec:
     @property
     def min_poly(self) -> sp.Poly:
         return sp.Poly(list(self.coeffs), X)
-
-    def real_embeddings(self):
-        """The k real roots of the minimal polynomial (certified)."""
-        return self.min_poly.all_roots()
-
-    def element(self, u) -> sp.Poly:
-        """Coefficients (ascending, in the power basis) -> polynomial."""
-        return sp.Poly(list(reversed([int(c) for c in u])), X)
 
     def _reduce(self, coeffs) -> tuple:
         """Ascending integer coefficients reduced modulo the monic minimal
@@ -281,6 +272,11 @@ def unit_search(field: NumberFieldSpec, coeff_bound: int) -> UnitSystem:
     if coeff_bound < 1:
         raise ForgeError("coefficient bound must be positive")
     k = field.degree
+    points = (2 * coeff_bound + 1) ** k
+    if points > SEARCH_BUDGET:
+        raise ForgeError(
+            f"coefficient box of {points} points exceeds the search budget "
+            f"of {SEARCH_BUDGET}; lower the bound")
     target = k - 1
     candidates = []
     seen = set()
@@ -343,23 +339,6 @@ def regular_representation(u, field: NumberFieldSpec) -> TorusAutomorphism:
     label = "+".join(f"{c}t^{e}" if e else str(c)
                      for e, c in enumerate(u) if c) or "0"
     return TorusAutomorphism(M, name=f"mult({label})")
-
-
-def embedding_entropy(field: NumberFieldSpec, u) -> CertifiedReal:
-    """Entropy of the regular representation predicted by the embeddings:
-    2 * sum of log|sigma(u)| over real embeddings with |sigma(u)| > 1.
-
-    Independent of the cohomological computation; used to cross-check it.
-    """
-    upoly = field.element(u).as_expr()
-    big = []
-    for th in field.real_embeddings():
-        sq = sp.expand(upoly.subs(X, th) ** 2)
-        if exact_sign(sq - 1) > 0:
-            big.append(sq)
-    if not big:
-        return CertifiedReal(sp.Integer(0))
-    return CertifiedReal(sp.log(sp.Mul(*big)))
 
 
 @dataclass(frozen=True)

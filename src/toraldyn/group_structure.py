@@ -40,7 +40,6 @@ from .cohomology import (
     wedge_all,
 )
 from .exact_algebra import (
-    CertifiedReal,
     ExactAlgebraError,
     IntegerLattice,
     RealRoot,
@@ -270,12 +269,6 @@ class Character:
         """w w^H, nef as v^H (w w^H) v = |w^H v|^2; built when read."""
         w = self.eigenvector
         return CohomClass.from_hermitian(w * w.H)
-
-    def taus(self):
-        """log of the per-generator multipliers, as certified reals."""
-        return tuple(
-            CertifiedReal(0) if exact_equal(m, 1) else CertifiedReal(sp.log(m))
-            for m in self.modulus_squared)
 
 
 @dataclass
@@ -519,9 +512,7 @@ def _kernel_split(n: int, kernel_basis):
     B = [list(v) for v in kernel_basis]
     if not B:
         return [], [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    _D, _U, V = smith_normal_form_with_transforms(B)
-    Vinv = Matrix(V).inv()
-    words = [[int(Vinv[i, j]) for j in range(n)] for i in range(n)]
+    _D, words = smith_normal_form_with_transforms(B)
     s = len(B)
     return words[:s], words[s:]
 

@@ -25,15 +25,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 import sympy as sp
-from sympy import Matrix, Rational
+from sympy import Matrix
 
 from .cohomology import (
     CohomClass,
     TorusAutomorphism,
     hermitian_basis,
     hermitian_basis_sparse,
-    hermitian_coords,
-    intersection_number,
     is_kahler,
     is_nef,
     pullback,
@@ -251,28 +249,6 @@ def restrict_symmetric(G, vectors):
 
 
 @dataclass
-class QForm:
-    """The symmetric form q(c,c') = -intersection(c, c', c_1, ..., c_{k-2})
-    as an exact rational Gram matrix over the real Hermitian basis."""
-    k: int
-    context: tuple
-    gram: Matrix
-
-    def evaluate(self, c: CohomClass, cprime: CohomClass) -> sp.Expr:
-        x = Matrix(hermitian_coords(c.to_hermitian()))
-        y = Matrix(hermitian_coords(cprime.to_hermitian()))
-        return sp.expand((x.T * self.gram * y)[0])
-
-
-@dataclass
-class PrimitiveSpace:
-    k: int
-    context: tuple
-    basis: list            # coordinate vectors over the Hermitian basis
-    degenerate: bool       # context wedge vanished identically
-
-
-@dataclass
 class PositivityReport:
     kind: str              # "hodge_riemann_pd" | "gromov_psd"
     k: int
@@ -281,13 +257,6 @@ class PositivityReport:
     degenerate: bool = False
     witness: list | None = None
     fuzz: "FuzzReport | None" = None
-
-    @property
-    def min_eigenvalue_sign(self) -> int:
-        """Certified sign of the smallest restricted eigenvalue."""
-        if not self.passed:
-            return -1
-        return 1 if self.definite else 0
 
 
 @dataclass
@@ -301,41 +270,6 @@ class FuzzReport:
     @property
     def passed(self):
         return not self.failures
-
-
-def _contexts_to_fractions(classes):
-    return [gmat_from_class(c) for c in classes]
-
-
-def q_form(c: CohomClass, cprime: CohomClass, context) -> sp.Expr:
-    """q(c, c') = -intersection(c, c', c_1, ..., c_{k-2}), exact."""
-    context = list(context)
-    k = c.k
-    if len(context) != k - 2:
-        raise ValueError("q needs exactly k-2 context classes")
-    return sp.expand(-intersection_number([c, cprime, *context]))
-
-
-def q_gram_matrix(context, k: int) -> Matrix:
-    """Exact rational Gram matrix of q over the real Hermitian basis."""
-    G = q_gram_fractions(_contexts_to_fractions(context), k)
-    return Matrix([[Rational(v.numerator, v.denominator) for v in row]
-                   for row in G])
-
-
-def build_q_form(context, k: int) -> QForm:
-    context = tuple(context)
-    return QForm(k, context, q_gram_matrix(context, k))
-
-
-def primitive_space(context) -> PrimitiveSpace:
-    """Kernel of c -> c ^ c_1 ^ ... ^ c_{k-1} (a hyperplane when the context
-    wedge is nonzero; the full space, flagged degenerate, otherwise)."""
-    context = list(context)
-    k = context[0].k
-    ell = primitive_functional_fractions(_contexts_to_fractions(context), k)
-    basis, degenerate = _kernel_of_functional(ell)
-    return PrimitiveSpace(k, tuple(context), basis, degenerate)
 
 
 def _primitive_q_definiteness(mats, k: int):
@@ -374,7 +308,8 @@ def check_gromov_semipositive(context, samples: int = 0,
     for c in context:
         if not is_nef(c):
             raise ValueError("context classes must be nef")
-    decided = _primitive_q_definiteness(_contexts_to_fractions(context), k)
+    mats = [gmat_from_class(c) for c in context]
+    decided = _primitive_q_definiteness(mats, k)
     if decided is None:
         return PositivityReport("gromov_psd", k, passed=True, definite=False,
                                 degenerate=True)

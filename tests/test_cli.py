@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface and its JSON contracts."""
 
+import copy
 import json
 import math
 import os
@@ -12,10 +13,11 @@ from pathlib import Path
 import mpmath
 import pytest
 import sympy
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from toraldyn import (cohomology, exact_algebra, group_structure,
                       hodge_riemann)
-from toraldyn.cli import (EXIT_INVALID, EXIT_OK, EXIT_VIOLATION,
+from toraldyn.cli import (EXIT_INVALID, EXIT_OK, EXIT_VIOLATION, MAX_DIGITS,
                           build_analysis_report, load_group_argument, main)
 from toraldyn.example_forge import builtin, builtin_names
 
@@ -449,10 +451,19 @@ def test_enumerate_budget_refusal(capsys):
     (None, ["hodge-check", "--dim", "2", "--samples", "-5"]),
     ({"kind": "torus_group", "complex_dim": "0",
       "generators": [{"matrix": []}]}, None),
+    (None, ["analyze", "cat_T2", "--precision", "1001"]),
+    (None, ["forge", "--poly", "1,-1,-2,1", "--precision", "1001"]),
+    (None, ["enumerate", "--dim", "2", "--bound", "2", "--precision",
+            "3000"]),
+    (None, ["forge", "--poly", "1,-1,-2,1", "--bound", "100"]),
+    ({"kind": "number_field", "min_poly": ["1", "-1", "-2", "1"],
+      "coeff_bound": 1000}, None),
 ], ids=["list_spec", "string_generators", "non_object_generator",
         "string_coeff_bound", "enumerate_dim_0", "enumerate_dim_negative",
         "enumerate_bound_negative", "negative_precision",
-        "negative_samples", "empty_matrix"])
+        "negative_samples", "empty_matrix", "analyze_precision_over_cap",
+        "forge_precision_over_cap", "enumerate_precision_over_cap",
+        "forge_box_over_budget", "spec_box_over_budget"])
 def test_invalid_input_exits_3(tmp_path, capsys, spec, argv):
     if argv is None:
         path = tmp_path / "spec.json"
@@ -461,6 +472,102 @@ def test_invalid_input_exits_3(tmp_path, capsys, spec, argv):
     code, _, err = _run(capsys, *argv)
     assert code == EXIT_INVALID
     assert err.startswith("invalid input:")
+
+
+def test_precision_cap_is_inclusive(capsys):
+    code, out, _ = _run(capsys, "analyze", "cat_T2", "--precision",
+                        str(MAX_DIGITS))
+    assert code == EXIT_OK
+    lo, hi = (Fraction(v) for v in
+              _json_of(out)["generators"][0]["entropy"]["interval"])
+    assert hi - lo <= Fraction(1, 10**MAX_DIGITS)
+
+
+# ---------------------------------------------------------------------------
+# bounded fuzz of the exit-code contract
+# ---------------------------------------------------------------------------
+
+# in-range values and values past every cap; --samples stays in-range, as a
+# hodge-check of 10^6 samples is valid input that runs for minutes
+FUZZ_INTS = st.one_of(st.integers(-5, 40), st.integers(1001, 10**6))
+FUZZ_BOUNDS = st.one_of(st.integers(-2, 4), st.integers(1001, 10**6))
+
+
+@st.composite
+def _cheap_argv(draw):
+    command = draw(st.sampled_from(["analyze", "enumerate", "hodge-check",
+                                    "forge"]))
+    precision = ["--precision", str(draw(FUZZ_INTS))]
+    seed = ["--seed", str(draw(FUZZ_INTS))]
+    if command == "analyze":
+        name = draw(st.sampled_from(["cat_T2", "pell_T2", "torsion_i"]))
+        return ["analyze", name, *precision, *seed]
+    if command == "enumerate":
+        return ["enumerate", "--dim", str(draw(st.integers(1, 2))),
+                "--bound", str(draw(st.integers(0, 1))), *precision]
+    if command == "hodge-check":
+        return ["hodge-check", "--dim", str(draw(st.integers(2, 3))),
+                "--samples", str(draw(st.integers(-5, 40))), *seed]
+    return ["forge", "--poly", "1,-1,-2,1", "--bound",
+            str(draw(FUZZ_BOUNDS)), *precision, *seed]
+
+
+_CAT_SPEC = {"kind": "torus_group", "complex_dim": "2", "generators": [
+    {"name": "cat", "matrix": [[["2", "0"], ["1", "0"]],
+                               [["1", "0"], ["1", "0"]]]}]}
+_FIELD_SPEC = {"kind": "number_field", "min_poly": ["1", "0", "-2"],
+               "coeff_bound": "2"}
+# every field of the two spec kinds, as a path of keys and indices
+_SPEC_FIELDS = (
+    [(_CAT_SPEC, path) for path in (
+        ("kind",), ("complex_dim",), ("generators",), ("generators", 0),
+        ("generators", 0, "name"), ("generators", 0, "matrix"),
+        ("generators", 0, "matrix", 0), ("generators", 0, "matrix", 0, 0),
+        ("generators", 0, "matrix", 0, 0, 0))]
+    + [(_FIELD_SPEC, path) for path in (
+        ("kind",), ("min_poly",), ("min_poly", 0), ("coeff_bound",))])
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.integers(10**6, 10**7),
+    st.floats(), st.text(max_size=4), st.lists(st.none(), max_size=2),
+    st.dictionaries(st.sampled_from(["kind", "x"]), st.none(), max_size=2))
+
+
+def _assert_contract(capsys, argv):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (EXIT_OK, EXIT_VIOLATION, EXIT_INVALID), (argv, code)
+    assert "Traceback" not in err, (argv, err)
+
+
+_FUZZ = settings(max_examples=100, derandomize=True, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def test_cli_contract_fuzz(tmp_path, capsys):
+    # in-process: about 3-5 s for both searches (budget 30 s)
+    start = time.perf_counter()
+
+    @_FUZZ
+    @given(_cheap_argv())
+    def argv_keeps_contract(argv):
+        _assert_contract(capsys, argv)
+
+    @_FUZZ
+    @given(st.sampled_from(_SPEC_FIELDS), _JSON_VALUES)
+    def spec_keeps_contract(field, value):
+        base, path = field
+        spec = copy.deepcopy(base)
+        node = spec
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        _assert_contract(capsys, ["analyze", str(spec_path)])
+
+    argv_keeps_contract()
+    spec_keeps_contract()
+    assert time.perf_counter() - start < 30
 
 
 def test_expanding_pair_answers_rank_1(tmp_path, capsys):

@@ -4,17 +4,21 @@ representations, the builtin catalog, and maximal-rank group forging."""
 import itertools
 import math
 import random
+import time
+from fractions import Fraction
 
 import mpmath
 import pytest
 import sympy as sp
 from sympy import Matrix, eye
 
-from toraldyn.cohomology import classify, entropy
+from toraldyn.cohomology import classify, degree_profile, entropy
 from toraldyn.example_forge import (
     ForgeError, NumberFieldSpec, UnitSystem, build_max_rank_group, builtin,
-    _log_vector, _unit_power, builtin_names, embedding_entropy,
-    regular_representation, unit_search)
+    _log_vector, _unit_power, builtin_names, regular_representation,
+    unit_search)
+
+from oracles import embedding_entropy, field_element
 
 SQRT2_FIELD = NumberFieldSpec((1, 0, -2))          # x^2 - 2
 GOLDEN_FIELD = NumberFieldSpec((1, -1, -1))        # x^2 - x - 1
@@ -93,11 +97,11 @@ def test_field_arithmetic_matches_sympy_on_the_box(field, bound):
     rng = random.Random(k)
     units = 0
     for u in box:
-        e = field.element(u).as_expr()
+        e = field_element(u).as_expr()
         norm = field.norm(u)
         assert norm == int(sp.resultant(f, e, x)), u
         v = rng.choice(box)
-        product = sp.rem(sp.expand(e * field.element(v).as_expr()), f, x)
+        product = sp.rem(sp.expand(e * field_element(v).as_expr()), f, x)
         assert field.multiply(u, v) == _ascending(product, k), (u, v)
         if abs(norm) == 1:
             units += 1
@@ -169,6 +173,9 @@ def test_unit_search_quartic_three_independent_units():
 def test_unit_search_failure_reports_bound():
     with pytest.raises(ForgeError, match="bound"):
         unit_search(NumberFieldSpec((1, 0, -79)), 1)
+    # 201^3 = 8,120,601 points: refused before the search, naming the budget
+    with pytest.raises(ForgeError, match="budget of 3000000"):
+        unit_search(CUBIC_FIELD, 100)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +222,44 @@ def test_build_max_rank_pell():
     forged = build_max_rank_group(SQRT2_FIELD, 3)
     assert forged.analysis.rank.rank == 1
     assert forged.analysis.structure.rank_bound_ok
+
+
+# Shanks' simplest cubics x^3 - a x^2 - (a + 3) x - 1 (Shanks, Math. Comp.
+# 28, 1974): totally real and cyclic for every integer a, with the root rho
+# and rho + 1 independent units, so the forge reaches rank 2 = k - 1 at
+# coefficient bound 1 at every height a.  The set holds -1, 5, 1000 and one
+# seeded draw.
+SHANKS_A = [-1, 5, 1000, random.Random(1974).randint(-100, 100)]
+
+
+def _shanks_field(a):
+    return NumberFieldSpec((1, -a, -(a + 3), -1))
+
+
+def test_shanks_simplest_cubics_reach_rank_k_minus_1():
+    # each of the eight forges takes about 0.8 s in-process, about 6 s in
+    # all (budget 20 s)
+    start = time.perf_counter()
+    for a in SHANKS_A:
+        field = _shanks_field(a)
+        forged = build_max_rank_group(field, 1)
+        assert forged.analysis.rank.rank == 2
+        assert forged.analysis.decomposition.u_finite is True
+        for g, u in zip(forged.group.generators, forged.units.units):
+            lo, hi = degree_profile(g).entropy.enclosure(
+                Fraction(1, 2 * 10**40))
+            assert hi - lo <= Fraction(1, 10**40)
+            with mpmath.workdps(60):
+                # the oracle is good to about 10^-48 at these heights
+                slack = mpmath.mpf(10) ** -45
+                value = embedding_entropy(field, u, 50)
+                assert (mpmath.mpf(lo.numerator) / lo.denominator - slack
+                        <= value
+                        <= mpmath.mpf(hi.numerator) / hi.denominator + slack)
+        # the roots of the a -> -a - 3 cubic are the 1/rho: the same field
+        moved = build_max_rank_group(_shanks_field(-a - 3), 1)
+        assert moved.analysis.rank.rank == 2
+    assert time.perf_counter() - start < 20
 
 
 def test_builtin_catalog():

@@ -13,13 +13,48 @@ from toraldyn.cohomology import (CohomClass, TorusAutomorphism,
                                  hermitian_basis, intersection_number,
                                  wedge, wedge_all)
 from toraldyn.hodge_riemann import (
-    build_q_form, check_gromov_semipositive, check_hodge_riemann_definite,
-    colinearity_witness, gromov_fuzz, lemma_4_3_check, primitive_space,
-    q_form, q_gram_matrix, solve_ab_pair, symmetric_definiteness)
+    _kernel_of_functional, check_gromov_semipositive,
+    check_hodge_riemann_definite, colinearity_witness, gmat_from_class,
+    gromov_fuzz, lemma_4_3_check, primitive_functional_fractions,
+    q_gram_fractions, solve_ab_pair, symmetric_definiteness)
+
+from oracles import hermitian_coords
 
 D10 = CohomClass.from_hermitian(sp.diag(1, 0))
 D01 = CohomClass.from_hermitian(sp.diag(0, 1))
 IDENT2 = CohomClass.identity_class(2)
+
+
+def _q(c, cprime, context):
+    """q(c, c') = -intersection(c, c', c_1, ..., c_{k-2}), from the class
+    algebra: the reference for the integer Gram path."""
+    return sp.expand(-intersection_number([c, cprime, *context]))
+
+
+def _gram(context, k):
+    """Gram matrix of q over the Hermitian basis, as the CLI builds it."""
+    return q_gram_fractions([gmat_from_class(c) for c in context], k)
+
+
+def _evaluate(G, c, cprime):
+    """x^T G y for the Hermitian coordinates x of c and y of c'."""
+    x = hermitian_coords(c.to_hermitian())
+    y = hermitian_coords(cprime.to_hermitian())
+    return sp.expand(sum(x[i] * sp.Rational(g.numerator, g.denominator) * y[j]
+                         for i, row in enumerate(G)
+                         for j, g in enumerate(row)))
+
+
+def _is_symmetric(G):
+    return all(G[i][j] == G[j][i] for i in range(len(G))
+               for j in range(len(G)))
+
+
+def _primitive_basis(context):
+    """(basis, degenerate) of the kernel of c -> c ^ c_1 ^ ... ^ c_{k-1}."""
+    k = context[0].k
+    return _kernel_of_functional(primitive_functional_fractions(
+        [gmat_from_class(c) for c in context], k))
 
 
 def _random_psd(rng, k, rank_one=False):
@@ -50,9 +85,12 @@ def _gaussian_psd(rng, k, rank_one=False):
 # ---------------------------------------------------------------------------
 
 def test_q_form_examples():
-    assert q_form(D10, D01, []) == -1
-    assert q_form(IDENT2, IDENT2, []) == -2
-    assert q_form(D10, CohomClass.zero(2, 1), []) == 0
+    assert _q(D10, D01, []) == -1
+    assert _q(IDENT2, IDENT2, []) == -2
+    assert _q(D10, CohomClass.zero(2, 1), []) == 0
+    G = _gram([], 2)
+    assert _evaluate(G, D10, D01) == -1
+    assert _evaluate(G, IDENT2, IDENT2) == -2
 
 
 def test_q_form_symmetric():
@@ -60,19 +98,19 @@ def test_q_form_symmetric():
     for k in (2, 3):
         cs = [_random_psd(rng, k) for _ in range(k)]
         ctx = cs[2:k]
-        assert q_form(cs[0], cs[1], ctx) == q_form(cs[1], cs[0], ctx)
+        assert _q(cs[0], cs[1], ctx) == _q(cs[1], cs[0], ctx)
 
 
 def test_q_gram_matches_pointwise_values():
     rng = random.Random(37)
     for k in (2, 3):
         ctx = [_random_psd(rng, k) for _ in range(k - 2)]
-        q = build_q_form(ctx, k)
-        assert q.gram == q.gram.T
+        G = _gram(ctx, k)
+        assert _is_symmetric(G)
         for _ in range(5):
             a = _random_psd(rng, k)
             b = _random_psd(rng, k)
-            assert sp.expand(q.evaluate(a, b) - q_form(a, b, ctx)) == 0
+            assert sp.expand(_evaluate(G, a, b) - _q(a, b, ctx)) == 0
     # k = 4, a Gaussian-rational context (denominator 3) and singular
     # rank-one nef contexts, against Gaussian test pairs
     rng = random.Random(59)
@@ -85,19 +123,18 @@ def test_q_gram_matches_pointwise_values():
     )
     for k, draw in cases:
         ctx = draw()
-        q = build_q_form(ctx, k)
-        assert q.gram == q.gram.T
+        G = _gram(ctx, k)
+        assert _is_symmetric(G)
         for _ in range(3):
             a = _gaussian_psd(rng, k)
             b = _gaussian_psd(rng, k)
-            assert sp.expand(q.evaluate(a, b) - q_form(a, b, ctx)) == 0
+            assert sp.expand(_evaluate(G, a, b) - _q(a, b, ctx)) == 0
 
 
 def test_non_rational_context_is_value_error():
     s2 = CohomClass.from_hermitian(sp.diag(1, sp.sqrt(2), 1))
-    calls = (lambda: primitive_space([s2, s2]),
-             lambda: build_q_form([s2], 3),
-             lambda: q_gram_matrix([s2], 3),
+    calls = (lambda: _primitive_basis([s2, s2]),
+             lambda: _gram([s2], 3),
              lambda: check_gromov_semipositive([s2, s2]),
              lambda: check_hodge_riemann_definite(s2))
     for call in calls:
@@ -110,20 +147,20 @@ def test_non_rational_context_is_value_error():
 # ---------------------------------------------------------------------------
 
 def test_primitive_space_identity_is_trace_zero():
-    ps = primitive_space([IDENT2])
-    assert not ps.degenerate
-    assert len(ps.basis) == 3
+    vectors, degenerate = _primitive_basis([IDENT2])
+    assert not degenerate
+    assert len(vectors) == 3
     basis = hermitian_basis(2)
-    for vec in ps.basis:
+    for vec in vectors:
         H = sum((sp.Rational(v) * E for v, E in zip(vec, basis)),
                 sp.zeros(2, 2))
         assert sp.trace(H) == 0
 
 
 def test_primitive_space_degenerate_context():
-    ps = primitive_space([CohomClass.zero(2, 1)])
-    assert ps.degenerate
-    assert len(ps.basis) == 4
+    vectors, degenerate = _primitive_basis([CohomClass.zero(2, 1)])
+    assert degenerate
+    assert len(vectors) == 4
 
 
 def test_primitive_space_generic_rank_ones():
@@ -132,9 +169,9 @@ def test_primitive_space_generic_rank_ones():
               Matrix([j + 1 if i == (j + 1) % k else 0 for i in range(k)])
               for j in range(k - 1)]
         ctx = [CohomClass.from_hermitian(v * v.T) for v in vs]
-        ps = primitive_space(ctx)
-        if not ps.degenerate:
-            assert len(ps.basis) == k * k - 1
+        vectors, degenerate = _primitive_basis(ctx)
+        if not degenerate:
+            assert len(vectors) == k * k - 1
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +180,7 @@ def test_primitive_space_generic_rank_ones():
 
 def test_hr_identity_k2_matches_direct_expansion():
     rep = check_hodge_riemann_definite(IDENT2)
-    assert rep.passed and rep.definite and rep.min_eigenvalue_sign == 1
+    assert rep.passed and rep.definite
     # direct expansion: on trace-zero H = [[a, b],[conj b, -a]],
     # q(H,H) = -2 det H = 2(a^2 + |b|^2) > 0
     a, br, bi = sp.symbols("a b_r b_i", real=True)

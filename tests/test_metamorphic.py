@@ -74,15 +74,17 @@ def _same_multiplier_multiset(a, b):
     return not rest
 
 
-@pytest.mark.parametrize("original", ["parabolic_T2", "pell_plus_torsion"])
+@pytest.mark.parametrize("original", ["parabolic_T2", "pell_plus_torsion",
+                                      "cubic_T3"])
 @pytest.mark.parametrize("corner", [1, I], ids=["E12", "iE12"])
 def test_conjugation_keeps_invariants(original, corner):
     # parabolic_T2 is not semisimple, so its conjugates have no squarefree
     # generator and take the B_t branch of the eigen path; each case runs
-    # in-process in about 0.3 s (budget 10 s)
+    # in-process in about 0.3 s, a cubic_T3 case in about 1 s (budget 10 s)
     start = time.perf_counter()
     spec = builtin(original)
-    P = eye(2) + corner * Matrix([[0, 1], [0, 0]])
+    P = eye(spec.k)
+    P[0, 1] = corner
     moved = GroupSpec.from_matrices(
         [(P * g.A * P.inv()).tolist() for g in spec.generators])
     before, after = analyze_group(spec), analyze_group(moved)
