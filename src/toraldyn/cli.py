@@ -42,6 +42,8 @@ DEFAULT_DIGITS = 12
 # the widest --precision accepted: interval endpoints stay far below
 # Python's 4300-digit limit on integer-to-string conversion
 MAX_DIGITS = 1000
+# the most hodge-check samples accepted: about 45 s at k = 4
+MAX_SAMPLES = 10_000
 
 
 class CliInputError(ValueError):
@@ -177,16 +179,11 @@ def load_group_argument(arg: str):
         f"(builtins: {', '.join(builtin_names())})")
 
 
-def _require_at_least(option: str, value: int, low: int) -> None:
+def _require_in_range(option: str, value: int, low: int, high=None) -> None:
     if value < low:
         raise CliInputError(f"{option} must be at least {low}, got {value}")
-
-
-def _require_precision(digits: int) -> None:
-    _require_at_least("--precision", digits, 0)
-    if digits > MAX_DIGITS:
-        raise CliInputError(
-            f"--precision must be at most {MAX_DIGITS}, got {digits}")
+    if high is not None and value > high:
+        raise CliInputError(f"{option} must be at most {high}, got {value}")
 
 
 def _forge_or_raise(coeffs: tuple, bound: int):
@@ -295,7 +292,7 @@ def _emit(report: dict, json_out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(args) -> int:
-    _require_precision(args.precision)
+    _require_in_range("--precision", args.precision, 0, MAX_DIGITS)
     spec, forged = load_group_argument(args.spec)
     analysis = analyze_group(spec) if forged is None else forged.analysis
     report = build_analysis_report(analysis, args.precision, args.seed)
@@ -310,7 +307,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_hodge_check(args) -> int:
     k, samples, seed = args.dim, args.samples, args.seed
-    _require_at_least("--samples", samples, 0)
+    _require_in_range("--samples", samples, 0, MAX_SAMPLES)
     if k not in (2, 3, 4):
         raise CliInputError(
             f"dimension {k} refused: the exact positivity suite is budgeted "
@@ -346,7 +343,7 @@ def cmd_hodge_check(args) -> int:
 
 
 def cmd_forge(args) -> int:
-    _require_precision(args.precision)
+    _require_in_range("--precision", args.precision, 0, MAX_DIGITS)
     try:
         coeffs = tuple(int(c) for c in args.poly.split(","))
     except ValueError as exc:
@@ -366,9 +363,9 @@ def cmd_forge(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    _require_at_least("--dim", args.dim, 1)
-    _require_at_least("--bound", args.bound, 0)
-    _require_precision(args.precision)
+    _require_in_range("--dim", args.dim, 1)
+    _require_in_range("--bound", args.bound, 0)
+    _require_in_range("--precision", args.precision, 0, MAX_DIGITS)
     try:
         values = enumerate_degree_values(args.dim, args.bound)
     except BudgetExceededError as exc:

@@ -21,7 +21,7 @@ from .exact_algebra import (
     AlgebraicReal,
     CertifiedReal,
     ExactAlgebraError,
-    X,
+    _square_and_multiply,
     charpoly,
     exact_equal,
     exact_is_zero,
@@ -111,12 +111,8 @@ class TorusAutomorphism:
     def power(self, n: int) -> "TorusAutomorphism":
         """f^n by repeated squaring on the integer pairs."""
         base = (self if n >= 0 else self.inverse()).pairs
-        acc = tuple(tuple((int(i == j), 0) for j in range(self.k))
-                    for i in range(self.k))
-        for bit in bin(abs(n))[2:]:
-            acc = _pair_product(acc, acc)
-            if bit == "1":
-                acc = _pair_product(acc, base)
+        acc = _square_and_multiply(_pair_product, base,
+                                   _identity(self.k).pairs, abs(n))
         return self._from_pairs(acc, f"{self.name}^{n}" if n else "id")
 
     def __eq__(self, other):
@@ -127,6 +123,11 @@ class TorusAutomorphism:
 
     def __repr__(self):
         return f"TorusAutomorphism({self.name}, k={self.k})"
+
+
+def _identity(k: int, name: str = "id") -> TorusAutomorphism:
+    return TorusAutomorphism._from_pairs(tuple(
+        tuple((int(i == j), 0) for j in range(k)) for i in range(k)), name)
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +192,12 @@ def compound(f: TorusAutomorphism, p: int) -> sp.ImmutableMatrix:
          for Sp in subs])
 
 
-def h11_matrix(f: TorusAutomorphism) -> Matrix:
-    """Integer matrix of f* on H^{1,1} in the Hermitian basis (k^2 x k^2):
-    H -> C H C^H with C = compound(f, 1) = A^T, on the integer (re, im)
-    pairs of C.  Column t holds the coordinates of C E_t C^H."""
+@lru_cache(maxsize=None)
+def h11_matrix(f: TorusAutomorphism) -> tuple:
+    """Integer matrix of f* on H^{1,1} in the Hermitian basis (k^2 x k^2),
+    as rows of ints: H -> C H C^H with C = compound(f, 1) = A^T, on the
+    integer (re, im) pairs of C.  Column t holds the coordinates of
+    C E_t C^H.  Memoised per automorphism."""
     C = [[_gaussian_integer(v) for v in row]
          for row in compound(f, 1).tolist()]
     cols = []
@@ -211,7 +214,7 @@ def h11_matrix(f: TorusAutomorphism) -> Matrix:
                 im += pi * yr - pr * yi
             col += [re] if a == b else [re, im]
         cols.append(col)
-    return Matrix(cols).T
+    return tuple(zip(*cols))
 
 
 def hpp_matrix(f: TorusAutomorphism, p: int) -> Matrix:
@@ -283,7 +286,7 @@ def entropy(f: TorusAutomorphism) -> CertifiedReal:
 @lru_cache(maxsize=None)
 def h11_charpoly(f: TorusAutomorphism) -> Poly:
     """Integer characteristic polynomial of the H^{1,1} action.  Memoised
-    per automorphism: the zero-entropy test and the report share it."""
+    per automorphism: the zero-entropy test, order and report share it."""
     return charpoly(h11_matrix(f))
 
 
@@ -291,7 +294,7 @@ def h11_charpoly(f: TorusAutomorphism) -> Poly:
 def has_zero_entropy(f: TorusAutomorphism) -> bool:
     """Exact zero-entropy test: the H^{1,1} action has a cyclotomic-product
     characteristic polynomial (Kronecker).  Memoised per automorphism."""
-    return is_cyclotomic_product(h11_charpoly(f))
+    return is_cyclotomic_product(h11_charpoly(f).all_coeffs())
 
 
 @lru_cache(maxsize=None)
@@ -300,7 +303,8 @@ def classify(f: TorusAutomorphism) -> str:
     per automorphism: the analysis and the report's degree profile share it."""
     if not has_zero_entropy(f):
         return POSITIVE_ENTROPY
-    if matrix_order(h11_matrix(f)) == INFINITE_ORDER:
+    if matrix_order(h11_matrix(f),
+                    h11_charpoly(f).all_coeffs()) == INFINITE_ORDER:
         return PARABOLIC
     return FINITE_ORDER
 
@@ -508,26 +512,6 @@ def is_kahler(c: CohomClass) -> bool:
 # discreteness of d_1 at desk scale
 
 
-def _charpoly_int(rows):
-    """Integer characteristic polynomial coefficients (Faddeev-LeVerrier)."""
-    n = len(rows)
-    A = [row[:] for row in rows]
-    coeffs = [1]
-    Mk = [row[:] for row in rows]
-    for k in range(1, n + 1):
-        tr = sum(Mk[i][i] for i in range(n))
-        assert tr % k == 0
-        ck = -tr // k
-        coeffs.append(ck)
-        if k == n:
-            break
-        # Mk <- A (Mk + ck I)
-        B = [[Mk[i][j] + (ck if i == j else 0) for j in range(n)] for i in range(n)]
-        Mk = [[sum(A[i][l] * B[l][j] for l in range(n)) for j in range(n)]
-              for i in range(n)]
-    return coeffs
-
-
 def enumerate_degree_values(k: int, entry_bound: int,
                             budget: int = SEARCH_BUDGET):
     """Distinct exact d_1 values over all A in SL(k,Z) with |entries| <= bound.
@@ -542,20 +526,19 @@ def enumerate_degree_values(k: int, entry_bound: int,
     estimate = (2 * entry_bound + 1) ** (k * k)
     if estimate > budget:
         raise BudgetExceededError(estimate)
-    from .exact_algebra import _det_int
+    from .exact_algebra import _det_int, _eye_rows
 
     # the identity automorphism exists at every bound
-    charpolys = {tuple(_charpoly_int([[1 if i == j else 0 for j in range(k)]
-                                      for i in range(k)]))}
+    p = charpoly(_eye_rows(k))
+    charpolys = {tuple(p.all_coeffs()): p}
     for entries in itertools.product(range(-entry_bound, entry_bound + 1),
                                      repeat=k * k):
         rows = [list(entries[i * k:(i + 1) * k]) for i in range(k)]
-        if _det_int(rows) != 1:
-            continue
-        charpolys.add(tuple(_charpoly_int(rows)))
+        if _det_int(rows) == 1:
+            p = charpoly(rows)
+            charpolys[tuple(p.all_coeffs())] = p
     values = []
-    for coeffs in sorted(charpolys):
-        p = Poly(list(coeffs), X)
+    for _, p in sorted(charpolys.items()):
         mods = root_moduli(p)
         d1 = AlgebraicReal(sp.expand(mods[0][0].expr ** 2))
         if not any(exact_equal(d1.expr, v.expr) for v in values):

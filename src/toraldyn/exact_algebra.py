@@ -21,6 +21,7 @@ from fractions import Fraction
 import mpmath
 import sympy as sp
 from sympy import ZZ, Matrix, Poly, Rational
+from sympy.polys.densearith import dup_mul, dup_rem
 from sympy.polys.factortools import dup_factor_list
 from sympy.polys.matrices import DomainMatrix
 
@@ -986,16 +987,21 @@ def symmetric_definiteness(M):
 # characteristic polynomials
 
 
-def charpoly(M: Matrix) -> Poly:
-    """Exact monic characteristic polynomial of a square matrix.
+def charpoly(M) -> Poly:
+    """Exact monic characteristic polynomial of a square matrix, a sympy
+    matrix or rows.
 
     Works over ZZ, QQ, ZZ[i] and QQ(i); uses sympy's fraction-free domain
-    machinery, so no rounding occurs.
+    machinery, so no rounding occurs.  Rows of Python ints go to a
+    ``DomainMatrix`` over ZZ directly, without a sympy matrix.
     """
-    M = Matrix(M)
-    if not M.is_square:
+    if (isinstance(M, (list, tuple))
+            and all(type(v) is int for row in M for v in row)):
+        dm = DomainMatrix.from_list(M, ZZ)
+    else:
+        dm = DomainMatrix.from_Matrix(Matrix(M))
+    if not dm.is_square:
         raise ExactAlgebraError("charpoly requires a square matrix")
-    dm = DomainMatrix.from_Matrix(M)
     dom = dm.domain
     coeffs = [dom.to_sympy(c) for c in dm.charpoly()]
     return Poly(coeffs, X)
@@ -1112,85 +1118,89 @@ def root_moduli(p: Poly | sp.Expr, eps=Fraction(1, 10**12)):
 
 
 # ---------------------------------------------------------------------------
-# cyclotomic tests and finite order
+# cyclotomic tests and finite order, on integer coefficient lists (leading
+# first) and integer rows
 
 
-def _cyclotomic_index(f: Poly):
-    """Return m such that f == Phi_m, or None."""
-    d = f.degree()
-    if f.LC() != 1:
+def _square_and_multiply(mul, base, one, n: int):
+    """base^n for n >= 0 under the associative product ``mul``."""
+    acc = one
+    for bit in bin(n)[2:]:
+        acc = mul(acc, acc)
+        if bit == "1":
+            acc = mul(acc, base)
+    return acc
+
+
+@functools.lru_cache(maxsize=None)
+def _totient(m: int) -> int:
+    return sum(math.gcd(j, m) == 1 for j in range(1, m + 1))
+
+
+def _cyclotomic_index(g):
+    """m with g == Phi_m, or None, for an irreducible integer polynomial g:
+    the least m with phi(m) = deg g and x^m == 1 modulo g, as such an m is
+    a multiple of the order of g's roots.  phi(m) >= sqrt(m/2) bounds m by
+    2 deg^2, and phi(m) is even for m > 2."""
+    e = len(g) - 1
+    if g[0] != 1 or e < 1 or (e > 1 and e % 2):
         return None
-    for m in range(1, 2 * d * d + 7):
-        if sp.totient(m) == d and Poly(sp.cyclotomic_poly(m, X), X) == f:
-            return m
-    return None
+
+    def mulmod(a, b):
+        return dup_rem(dup_mul(a, b, ZZ), g, ZZ)
+
+    return next((m for m in range(1, 2 * e * e + 7) if _totient(m) == e
+                 and _square_and_multiply(mulmod, [1, 0], [1], m) == [1]),
+                None)
 
 
-def is_cyclotomic_product(p: Poly | sp.Expr) -> bool:
-    """True iff every irreducible factor of p is cyclotomic (Kronecker)."""
-    p = Poly(p, X) if not isinstance(p, Poly) else p
-    if p.is_zero:
-        raise ExactAlgebraError("zero polynomial")
-    if p.LC() != 1:
-        raise ExactAlgebraError("is_cyclotomic_product requires a monic polynomial")
-    if p.degree() == 0:
-        return True
-    _, factors = p.factor_list()
-    for f, _ in factors:
-        f = Poly(f, X)
-        if f.degree() == 0:
-            continue
-        if _cyclotomic_index(f) is None:
-            return False
-    return True
+@functools.lru_cache(maxsize=None)
+def _cyclotomic_indices(p: tuple):
+    """The indices m of the factors Phi_m of the monic integer polynomial
+    with coefficients ``p``, or None when a factor is not cyclotomic.
+    Memoised: the zero-entropy test and the order of one matrix share it."""
+    p = [int(c) for c in p]
+    if p[0] != 1:
+        raise ExactAlgebraError("a monic polynomial is required")
+    indices = [_cyclotomic_index(f) for f in _irreducible_factors(p)]
+    return None if None in indices else tuple(indices)
+
+
+def is_cyclotomic_product(p) -> bool:
+    """True iff every irreducible factor of the monic integer polynomial
+    with coefficients ``p`` (leading first) is cyclotomic (Kronecker)."""
+    return _cyclotomic_indices(tuple(p)) is not None
 
 
 def finite_order_bound(dim: int) -> int:
-    """lcm of all m with totient(m) <= dim: bound for orders of integer matrices."""
-    b = 1
-    m = 1
-    while True:
-        if sp.totient(m) <= dim:
-            b = math.lcm(b, m)
-        # totient(m) >= sqrt(m/2), so once m > 2*dim^2 no further m qualifies
-        if m > 2 * dim * dim + 2:
-            break
-        m += 1
-    return b
+    """lcm of all m with phi(m) <= dim: bound for orders of integer
+    matrices.  phi(m) >= sqrt(m/2), so no m > 2 dim^2 qualifies."""
+    return math.lcm(*(m for m in range(1, 2 * dim * dim + 1)
+                      if _totient(m) <= dim))
 
 
-def matrix_order(M: Matrix):
-    """Exact multiplicative order of an integer matrix, or ``"infinite"``.
+def _int_product(A, B) -> list:
+    cols = list(zip(*B))
+    return [[sum(a * b for a, b in zip(row, col)) for col in cols]
+            for row in A]
 
-    Decided structurally: the order is finite iff the characteristic
-    polynomial is a product of cyclotomics and the matrix is diagonalizable
-    (its squarefree characteristic part annihilates it); in that case the
-    order is the lcm of the cyclotomic indices.
+
+def matrix_order(M, p):
+    """Exact multiplicative order of an integer matrix given as rows, or
+    ``"infinite"``, from its characteristic polynomial ``p`` (coefficients
+    leading first).
+
+    The eigenvalues of a matrix of finite order are roots of unity, so p
+    is a product of cyclotomics Phi_m.  Then the order is finite iff M^n = I
+    for the lcm n of the indices m, by integer repeated squaring, and it is
+    n: a factor Phi_m gives an eigenvalue of order m.
     """
-    M = Matrix(M)
-    n = M.rows
-    p = charpoly(M)
-    coeffs = p.all_coeffs()
-    if any(sp.im(c) != 0 for c in coeffs):
-        raise ExactAlgebraError("matrix_order expects a real integer matrix")
-    if not is_cyclotomic_product(p):
+    indices = _cyclotomic_indices(tuple(p))
+    if indices is None:
         return INFINITE_ORDER
-    _, factors = p.factor_list()
-    radical = Poly([1], X)
-    order = 1
-    for f, _ in factors:
-        f = Poly(f, X)
-        if f.degree() == 0:
-            continue
-        radical = radical * f
-        order = math.lcm(order, _cyclotomic_index(f))
-    # diagonalizability: radical(charpoly) must annihilate M
-    acc = sp.zeros(n, n)
-    for c in radical.all_coeffs():
-        acc = acc * M + c * sp.eye(n)
-    if not acc.is_zero_matrix:
-        return INFINITE_ORDER
-    return order
+    n, eye = math.lcm(*indices), _eye_rows(len(M))
+    power = _square_and_multiply(_int_product, M, eye, n)
+    return n if power == eye else INFINITE_ORDER
 
 
 # ---------------------------------------------------------------------------

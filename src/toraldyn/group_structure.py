@@ -26,14 +26,16 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import sympy as sp
-from sympy import Matrix, eye
+from sympy import Matrix
 from sympy.polys.agca.extensions import FiniteExtension
 from sympy.polys.matrices import DomainMatrix
 
 from .cohomology import (
     CohomClass,
     TorusAutomorphism,
+    _identity,
     _moduli_squared_desc,
+    _pair_product,
     has_zero_entropy,
     is_nef,
     pullback,
@@ -354,7 +356,7 @@ def word_automorphism(spec: GroupSpec, e) -> TorusAutomorphism:
     composed from its first nonzero factor on."""
     factors = [g.power(int(ej)) for g, ej in zip(spec.generators, e) if ej]
     if not factors:
-        return TorusAutomorphism(eye(spec.k), name="word")
+        return _identity(spec.k, "word")
     acc = factors[0]
     for f in factors[1:]:
         acc = acc.compose(f)
@@ -530,7 +532,7 @@ def _enumerate_closure(k: int, autos, cap: int = ENUMERATION_CAP):
     for sign, group in ((1, autos), (-1, [g.inverse() for g in autos])):
         for i, g in enumerate(group):
             steps.append((g, tuple(sign if j == i else 0 for j in range(s))))
-    ident = TorusAutomorphism(eye(k))
+    ident = _identity(k)
     label = {ident: (0,) * s}
     frontier = [ident]
     relations = set()
@@ -578,10 +580,15 @@ def _u_structure(spec: GroupSpec, u_words):
     N, D = finite_order_bound(2 * k), math.lcm(*range(1, k))
     logs = []
     for w in u_words:
-        X = word_automorphism(spec, w).power(N).A - eye(k)
-        L = sum((X ** m * ((-1) ** (m + 1) * D // m) for m in range(1, k)),
-                sp.zeros(k))
-        logs.append([int(part(v)) for part in (sp.re, sp.im) for v in L])
+        P = word_automorphism(spec, w).power(N).pairs
+        X = [[(re - (i == j), im) for j, (re, im) in enumerate(row)]
+             for i, row in enumerate(P)]
+        log, Xm = [0] * (2 * k * k), X
+        for m in range(1, k):
+            flat = [v[part] for part in (0, 1) for row in Xm for v in row]
+            log = [a + (-1) ** (m + 1) * D // m * b for a, b in zip(log, flat)]
+            Xm = _pair_product(Xm, X)
+        logs.append(log)
     H, T = hermite_normal_form_rows(logs)
     kernel = [t for h, t in zip(H, T) if not any(h)]
     words = _combine(hermite_normal_form_rows(kernel)[0], u_words, n)
@@ -674,7 +681,7 @@ def check_theorem_4_6(spec: GroupSpec, classes) -> Theorem46Report:
     # the hypothesis "zero entropy => identity", decided on ker(pi), where
     # every zero-entropy element lies: a non-identity element there refutes
     # it if its entropy is zero and contradicts the theorem otherwise
-    ident = TorusAutomorphism(eye(k))
+    ident = _identity(k)
     for e in verified:
         if word_automorphism(spec, e) != ident:
             if verify_zero_entropy_word(spec, e):

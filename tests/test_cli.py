@@ -15,10 +15,11 @@ import pytest
 import sympy
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from toraldyn import (cohomology, exact_algebra, group_structure,
+from toraldyn import (cli, cohomology, exact_algebra, group_structure,
                       hodge_riemann)
 from toraldyn.cli import (EXIT_INVALID, EXIT_OK, EXIT_VIOLATION, MAX_DIGITS,
-                          build_analysis_report, load_group_argument, main)
+                          MAX_SAMPLES, build_analysis_report,
+                          load_group_argument, main)
 from toraldyn.example_forge import builtin, builtin_names
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -352,6 +353,32 @@ def test_analysis_computes_each_artifact_once(monkeypatch):
         assert class_algebra == {"wedge": 0, "is_nef": 0, "pullback": 0}, name
 
 
+@pytest.mark.parametrize("name", ["parabolic_T2", "torsion_i"])
+def test_zero_entropy_certificate_is_computed_once(monkeypatch, capsys, name):
+    # the classification reuses the H^{1,1} charpoly of the zero-entropy
+    # test: one charpoly per generator on its k^2 x k^2 integer rows
+    calls = {}
+    real = exact_algebra.charpoly
+
+    def charpoly(M):
+        key = tuple(map(tuple, sympy.Matrix(M).tolist()))
+        calls[key] = calls.get(key, 0) + 1
+        return real(M)
+
+    for module in (exact_algebra, cohomology, group_structure):
+        monkeypatch.setattr(module, "charpoly", charpoly)
+    for fn in (cohomology.h11_charpoly, cohomology.has_zero_entropy,
+               cohomology.classify):
+        fn.cache_clear()
+    code, _, _ = _run(capsys, "analyze", name)
+    assert code == EXIT_OK
+    for g in builtin(name).generators:
+        rows = tuple(map(tuple, sympy.Matrix(cohomology.h11_matrix(g))
+                         .tolist()))
+        assert len(rows) == g.k ** 2
+        assert calls.get(rows) == 1, g.name
+
+
 def test_analyze_reports_are_deterministic(capsys):
     _, out1, _ = _run(capsys, "analyze", "pell_T2")
     _, out2, _ = _run(capsys, "analyze", "pell_T2")
@@ -449,6 +476,7 @@ def test_enumerate_budget_refusal(capsys):
     (None, ["enumerate", "--dim", "2", "--bound", "-1"]),
     (None, ["analyze", "cat_T2", "--precision", "-1"]),
     (None, ["hodge-check", "--dim", "2", "--samples", "-5"]),
+    (None, ["hodge-check", "--dim", "2", "--samples", str(MAX_SAMPLES + 1)]),
     ({"kind": "torus_group", "complex_dim": "0",
       "generators": [{"matrix": []}]}, None),
     (None, ["analyze", "cat_T2", "--precision", "1001"]),
@@ -461,9 +489,10 @@ def test_enumerate_budget_refusal(capsys):
 ], ids=["list_spec", "string_generators", "non_object_generator",
         "string_coeff_bound", "enumerate_dim_0", "enumerate_dim_negative",
         "enumerate_bound_negative", "negative_precision",
-        "negative_samples", "empty_matrix", "analyze_precision_over_cap",
-        "forge_precision_over_cap", "enumerate_precision_over_cap",
-        "forge_box_over_budget", "spec_box_over_budget"])
+        "negative_samples", "samples_over_cap", "empty_matrix",
+        "analyze_precision_over_cap", "forge_precision_over_cap",
+        "enumerate_precision_over_cap", "forge_box_over_budget",
+        "spec_box_over_budget"])
 def test_invalid_input_exits_3(tmp_path, capsys, spec, argv):
     if argv is None:
         path = tmp_path / "spec.json"
@@ -483,12 +512,25 @@ def test_precision_cap_is_inclusive(capsys):
     assert hi - lo <= Fraction(1, 10**MAX_DIGITS)
 
 
+def test_samples_cap_is_inclusive(monkeypatch, capsys):
+    # the cap is checked, not run: the fuzz sees the count and draws none
+    seen = []
+
+    def fuzz(k, samples, seed):
+        seen.append(samples)
+        return hodge_riemann.gromov_fuzz(k, 0, seed)
+
+    monkeypatch.setattr(cli, "gromov_fuzz", fuzz)
+    code, _, _ = _run(capsys, "hodge-check", "--dim", "2", "--samples",
+                      str(MAX_SAMPLES))
+    assert code == EXIT_OK and seen == [MAX_SAMPLES]
+
+
 # ---------------------------------------------------------------------------
 # bounded fuzz of the exit-code contract
 # ---------------------------------------------------------------------------
 
-# in-range values and values past every cap; --samples stays in-range, as a
-# hodge-check of 10^6 samples is valid input that runs for minutes
+# in-range values and values past every cap
 FUZZ_INTS = st.one_of(st.integers(-5, 40), st.integers(1001, 10**6))
 FUZZ_BOUNDS = st.one_of(st.integers(-2, 4), st.integers(1001, 10**6))
 
@@ -507,7 +549,9 @@ def _cheap_argv(draw):
                 "--bound", str(draw(st.integers(0, 1))), *precision]
     if command == "hodge-check":
         return ["hodge-check", "--dim", str(draw(st.integers(2, 3))),
-                "--samples", str(draw(st.integers(-5, 40))), *seed]
+                "--samples", str(draw(st.one_of(
+                    st.integers(-5, 40), st.integers(MAX_SAMPLES + 1, 10**6)))),
+                *seed]
     return ["forge", "--poly", "1,-1,-2,1", "--bound",
             str(draw(FUZZ_BOUNDS)), *precision, *seed]
 

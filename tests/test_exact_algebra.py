@@ -16,8 +16,9 @@ from toraldyn.exact_algebra import (
     IntegerLattice, RealRoot, charpoly, exact_equal, exact_is_zero,
     exact_sign, finite_order_bound, hermite_normal_form_rows,
     integer_relations, is_cyclotomic_product, lll_reduce, matrix_order,
-    _kernel_root, minimal_polynomial, real_charpoly, real_root, root_moduli,
-    smith_normal_form_with_transforms, symmetric_definiteness)
+    _cyclotomic_index, _kernel_root, minimal_polynomial, real_charpoly,
+    real_root, root_moduli, smith_normal_form_with_transforms,
+    symmetric_definiteness)
 
 from oracles import hermitian_coords, spectral_radius
 
@@ -212,15 +213,15 @@ def test_unit_determinant_moduli_product_is_one():
 # ---------------------------------------------------------------------------
 
 def test_cyclotomic_examples():
-    assert is_cyclotomic_product((X - 1) ** 4)
-    assert not is_cyclotomic_product(X**2 - 3 * X + 1)
-    assert is_cyclotomic_product(X**2 + X + 1)
-    assert is_cyclotomic_product(sp.Poly(1, X, domain="ZZ"))
+    assert is_cyclotomic_product([1, -4, 6, -4, 1])       # (x - 1)^4
+    assert not is_cyclotomic_product([1, -3, 1])
+    assert is_cyclotomic_product([1, 1, 1])
+    assert is_cyclotomic_product([1])
 
 
 def test_cyclotomic_rejects_non_monic():
     with pytest.raises(ExactAlgebraError):
-        is_cyclotomic_product(2 * X - 2)
+        is_cyclotomic_product([2, -2])
 
 
 def test_cyclotomic_vs_moduli_cross_check_exhaustive_deg2():
@@ -231,15 +232,20 @@ def test_cyclotomic_vs_moduli_cross_check_exhaustive_deg2():
             continue  # zero root; modulus 0, not covered by the equivalence
         mods = root_moduli(p)
         all_one = (len(mods) == 1 and exact_is_zero(mods[0][0].expr - 1))
-        assert is_cyclotomic_product(p) == all_one, (b, c)
+        assert is_cyclotomic_product(p.all_coeffs()) == all_one, (b, c)
+
+
+def _order(rows):
+    rows = [[int(v) for v in row] for row in rows]
+    return matrix_order(rows, charpoly(rows).all_coeffs())
 
 
 def test_matrix_order_examples():
-    assert matrix_order(Matrix([[0, -1], [1, 0]])) == 4
-    assert matrix_order(eye(3)) == 1
-    assert matrix_order(Matrix([[1, 1], [0, 1]])) == INFINITE_ORDER
-    assert matrix_order(Matrix([[2, 1], [1, 1]])) == INFINITE_ORDER
-    assert matrix_order(Matrix([[-1, 0], [0, -1]])) == 2
+    assert _order([[0, -1], [1, 0]]) == 4
+    assert _order(eye(3).tolist()) == 1
+    assert _order([[1, 1], [0, 1]]) == INFINITE_ORDER
+    assert _order([[2, 1], [1, 1]]) == INFINITE_ORDER
+    assert _order([[-1, 0], [0, -1]]) == 2
 
 
 def test_finite_order_bound_small_dims():
@@ -247,6 +253,93 @@ def test_finite_order_bound_small_dims():
     assert finite_order_bound(1) == 2
     assert finite_order_bound(2) == 12
     assert finite_order_bound(4) % 12 == 0
+
+
+# independent oracles for the integer certificate: sympy's cyclotomic
+# polynomials, floating-point roots and brute-force matrix powers
+
+
+def _phi(m):
+    return tuple(int(c) for c in sp.Poly(sp.cyclotomic_poly(m, X), X)
+                 .all_coeffs())
+
+
+def test_cyclotomic_index_of_every_phi_m_up_to_120():
+    for m in range(1, 121):
+        assert _cyclotomic_index(_phi(m)) == m
+
+
+def test_cyclotomic_products_with_multiplicity():
+    rng = random.Random(1988)
+    draws = [[5, 5, 12], [60, 60]] + [
+        [rng.randint(1, 60) for _ in range(rng.randint(1, 3))]
+        for _ in range(40)]
+    for ms in draws:
+        p = sp.Poly(sp.Mul(*[sp.cyclotomic_poly(m, X) for m in ms]), X)
+        assert is_cyclotomic_product(p.all_coeffs()), ms
+
+
+def test_salem_polynomials_are_not_cyclotomic_products():
+    lehmer = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]
+    salem_quartic = [1, -1, -1, -1, 1]
+    for p in (lehmer, salem_quartic):
+        off_circle = [r for r in sp.Poly(p, X).nroots(n=30)
+                      if abs(abs(r) - 1) > 1e-6]
+        assert len(off_circle) == 2
+        assert not is_cyclotomic_product(p)
+
+
+def _companion(coeffs):
+    n = len(coeffs) - 1
+    return Matrix(n, n, lambda i, j:
+                  -coeffs[n - i] if j == n - 1 else int(i == j + 1))
+
+
+def _brute_force_order(A, limit=120):
+    """The least n <= limit with A^n = I, else INFINITE_ORDER."""
+    A = DomainMatrix.from_Matrix(A)
+    one, P = DomainMatrix.eye(A.shape[0], A.domain), A
+    for n in range(1, limit + 1):
+        if P == one:
+            return n
+        P = P * A
+    return INFINITE_ORDER
+
+
+def test_matrix_order_against_brute_force():
+    rng = random.Random(63)
+    cases = [[7, 9], [1], [2, 2], [4, 6, 10]]
+    while len(cases) < 14:
+        ms = [rng.randint(1, 24) for _ in range(rng.randint(1, 3))]
+        if math.lcm(*ms) <= 120:
+            cases.append(ms)
+    for ms in cases:
+        A = sp.diag(*[_companion(_phi(m)) for m in ms])
+        assert _order(A.tolist()) == _brute_force_order(A) \
+            == math.lcm(*ms), ms
+    # a Jordan block of a cyclotomic companion has infinite order
+    C = _companion(_phi(3))
+    J = Matrix(sp.BlockMatrix([[C, eye(2)], [sp.zeros(2), C]]))
+    assert _order(J.tolist()) == _brute_force_order(J) == INFINITE_ORDER
+
+
+def test_matrix_order_of_finite_order_h11_actions():
+    from toraldyn.cohomology import TorusAutomorphism, h11_matrix
+    torsion = [Matrix([[0, -1], [1, 0]]), Matrix([[0, -1], [1, 1]]),
+               Matrix([[-1, -1], [1, 0]]), Matrix([[I, 0], [0, -I]]),
+               Matrix([[0, I], [I, 0]])]
+    rng = random.Random(2)
+    for _ in range(10):
+        P = eye(2)
+        for _ in range(rng.randint(1, 4)):
+            i, j = rng.sample(range(2), 2)
+            E = eye(2)
+            E[i, j] = rng.choice((1, -1, I, -I)) * rng.randint(1, 2)
+            P = P * E
+        f = TorusAutomorphism(sp.expand(P * rng.choice(torsion) * P.inv()))
+        n = _order(h11_matrix(f))
+        assert n != INFINITE_ORDER
+        assert n == _brute_force_order(Matrix(h11_matrix(f)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 import sympy as sp
 from sympy import Matrix, eye
 
+from toraldyn.cli import EXIT_INVALID, main
 from toraldyn.cohomology import classify, degree_profile, entropy
 from toraldyn.example_forge import (
     ForgeError, NumberFieldSpec, UnitSystem, build_max_rank_group, builtin,
@@ -236,6 +237,19 @@ def _shanks_field(a):
     return NumberFieldSpec((1, -a, -(a + 3), -1))
 
 
+def _assert_entropies_match_embeddings(forged, field):
+    for g, u in zip(forged.group.generators, forged.units.units):
+        lo, hi = degree_profile(g).entropy.enclosure(Fraction(1, 2 * 10**40))
+        assert hi - lo <= Fraction(1, 10**40)
+        with mpmath.workdps(60):
+            # the oracle is good to about 10^-48 at these heights
+            slack = mpmath.mpf(10) ** -45
+            value = embedding_entropy(field, u, 50)
+            assert (mpmath.mpf(lo.numerator) / lo.denominator - slack
+                    <= value
+                    <= mpmath.mpf(hi.numerator) / hi.denominator + slack)
+
+
 def test_shanks_simplest_cubics_reach_rank_k_minus_1():
     # each of the eight forges takes about 0.8 s in-process, about 6 s in
     # all (budget 20 s)
@@ -245,21 +259,36 @@ def test_shanks_simplest_cubics_reach_rank_k_minus_1():
         forged = build_max_rank_group(field, 1)
         assert forged.analysis.rank.rank == 2
         assert forged.analysis.decomposition.u_finite is True
-        for g, u in zip(forged.group.generators, forged.units.units):
-            lo, hi = degree_profile(g).entropy.enclosure(
-                Fraction(1, 2 * 10**40))
-            assert hi - lo <= Fraction(1, 10**40)
-            with mpmath.workdps(60):
-                # the oracle is good to about 10^-48 at these heights
-                slack = mpmath.mpf(10) ** -45
-                value = embedding_entropy(field, u, 50)
-                assert (mpmath.mpf(lo.numerator) / lo.denominator - slack
-                        <= value
-                        <= mpmath.mpf(hi.numerator) / hi.denominator + slack)
+        _assert_entropies_match_embeddings(forged, field)
         # the roots of the a -> -a - 3 cubic are the 1/rho: the same field
         moved = build_max_rank_group(_shanks_field(-a - 3), 1)
         assert moved.analysis.rank.rank == 2
     assert time.perf_counter() - start < 20
+
+
+# Gras' simplest quartics x^4 - a x^3 - 6 x^2 + a x + 1 (M.-N. Gras, 1977;
+# Lazarus, 1991): totally real and cyclic.  The forge reaches rank 3 = k - 1
+# at coefficient bound 2 for a = 1, 2 and at bound 3 for a = 4; f_{-a}(x) =
+# f_a(-x), so a -> -a gives the same field.
+def _gras_field(a):
+    return NumberFieldSpec((1, -a, -6, a, 1))
+
+
+def test_gras_simplest_quartics_reach_rank_k_minus_1(capsys):
+    start = time.perf_counter()
+    for a, bound in ((1, 2), (2, 2), (4, 3), (-1, 2)):
+        field = _gras_field(a)
+        forged = build_max_rank_group(field, bound)
+        assert forged.analysis.rank.rank == 3, a
+        assert forged.analysis.decomposition.u_finite is True, a
+        if a > 0:
+            _assert_entropies_match_embeddings(forged, field)
+    # the forge's ceiling: the a = 4 units of height 3 leave the box of
+    # bound 2, which holds too few independent units
+    assert main(["forge", "--poly", "1,-4,-6,4,1", "--bound", "2"]) \
+        == EXIT_INVALID
+    assert "invalid input" in capsys.readouterr().err
+    assert time.perf_counter() - start < 15
 
 
 def test_builtin_catalog():
