@@ -21,11 +21,13 @@ from .exact_algebra import (
     AlgebraicReal,
     CertifiedReal,
     ExactAlgebraError,
+    _eye_rows,
     _square_and_multiply,
     charpoly,
     exact_equal,
     exact_is_zero,
     exact_sign,
+    gaussian_det,
     is_cyclotomic_product,
     matrix_order,
     real_charpoly,
@@ -57,6 +59,16 @@ def _gaussian_integer(v) -> tuple:
     return int(re), int(im)
 
 
+def _gaussian(z):
+    """The sympy number ``re + im*I`` of an integer pair."""
+    return sp.Integer(z[0]) + sp.Integer(z[1]) * I
+
+
+def _pair_matrix(rows) -> sp.ImmutableMatrix:
+    """A matrix of integer pairs as a sympy matrix of ``re + im*I``."""
+    return sp.ImmutableMatrix([[_gaussian(z) for z in row] for row in rows])
+
+
 def _pair_product(P, Q) -> tuple:
     """Product of two square matrices of Gaussian-integer pairs."""
     return tuple(
@@ -82,9 +94,9 @@ class TorusAutomorphism:
                            for row in A.tolist())
         self.k = A.rows
         self.name = name or f"aut_{self.k}"
-        d = sp.expand(self.A.det())
-        if _gaussian_integer(d) not in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            raise ValueError(f"determinant {d} is not a unit of Z[i]")
+        d = gaussian_det(self.pairs)
+        if d not in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            raise ValueError(f"determinant {_gaussian(d)} is not a unit of Z[i]")
 
     @classmethod
     def _from_pairs(cls, pairs, name: str) -> "TorusAutomorphism":
@@ -95,14 +107,19 @@ class TorusAutomorphism:
 
     @cached_property
     def A(self) -> sp.ImmutableMatrix:
-        return sp.ImmutableMatrix([[sp.Integer(re) + sp.Integer(im) * I
-                                    for re, im in row] for row in self.pairs])
+        return _pair_matrix(self.pairs)
 
     def inverse(self) -> "TorusAutomorphism":
-        # det is a unit u, and 1/u = conj(u), so no division is needed
-        adj = self.A.adjugate()
-        return TorusAutomorphism(adj * sp.conjugate(self.A.det()),
-                                 name=self.name + "^-1")
+        """conj(u) adj(A) for the unit u = det A.  Row and column i of
+        compound(f, k-1) omit index k-1-i, as the subsets ascend, so
+        adj(A)[i][j] = (-1)^(i+j) compound(f, k-1)[k-1-i][k-1-j]."""
+        ur, ui = gaussian_det(self.pairs)
+        return self._from_pairs(tuple(
+            tuple(((-1) ** (i + j) * (ur * cr + ui * ci),
+                   (-1) ** (i + j) * (ur * ci - ui * cr))
+                  for j, (cr, ci) in enumerate(reversed(row)))
+            for i, row in enumerate(reversed(compound(self, self.k - 1)))),
+            self.name + "^-1")
 
     def compose(self, other: "TorusAutomorphism") -> "TorusAutomorphism":
         return self._from_pairs(_pair_product(self.pairs, other.pairs),
@@ -177,19 +194,18 @@ def _subsets(k: int, p: int):
 
 
 @lru_cache(maxsize=None)
-def compound(f: TorusAutomorphism, p: int) -> sp.ImmutableMatrix:
+def compound(f: TorusAutomorphism, p: int) -> tuple:
     """The p-th compound of the linear part, C[S', S] = det A[S, S'] over
     ascending p-subsets, so that f*(dz_S) = sum_{S'} C[S', S] dz_{S'} and
     f*(dz_S ^ dzbar_T) = sum_{S',T'} C[S', S] conj(C[T', T]) dz_{S'} ^
-    dzbar_{T'}.  Every action of f on cohomology is read from it.  Memoised
-    per automorphism."""
+    dzbar_{T'}.  Every action of f on cohomology is read from it.  Rows of
+    integer (re, im) pairs, memoised per automorphism."""
     k = f.k
     if not 0 <= p <= k:
         raise ValueError(f"p must lie in [0, {k}]")
     subs = _subsets(k, p)
-    return sp.ImmutableMatrix(
-        [[sp.expand(f.A.extract(list(S), list(Sp)).det()) for S in subs]
-         for Sp in subs])
+    return tuple(tuple(gaussian_det([[f.pairs[r][c] for c in Sp] for r in S])
+                       for S in subs) for Sp in subs)
 
 
 @lru_cache(maxsize=None)
@@ -198,8 +214,7 @@ def h11_matrix(f: TorusAutomorphism) -> tuple:
     as rows of ints: H -> C H C^H with C = compound(f, 1) = A^T, on the
     integer (re, im) pairs of C.  Column t holds the coordinates of
     C E_t C^H.  Memoised per automorphism."""
-    C = [[_gaussian_integer(v) for v in row]
-         for row in compound(f, 1).tolist()]
+    C = compound(f, 1)
     cols = []
     for E in hermitian_basis_sparse(f.k):
         col = []
@@ -221,7 +236,7 @@ def hpp_matrix(f: TorusAutomorphism, p: int) -> Matrix:
     """Exact matrix of f* on H^{p,p}(T^k, C) in the dz_S ^ dzbar_T basis,
     the pair (S, T) at index (index of S) * C(k, p) + (index of T):
     C (x) conj(C) for C = compound(f, p).  Entries are Gaussian integers."""
-    C = compound(f, p)
+    C = _pair_matrix(compound(f, p))
     return Matrix(kronecker_product(C, C.conjugate())).applyfunc(sp.expand)
 
 
@@ -470,7 +485,7 @@ def pullback(f: TorusAutomorphism, c: CohomClass) -> CohomClass:
         raise ValueError("dimension mismatch")
     subs = _subsets(f.k, c.p)
     index = {S: i for i, S in enumerate(subs)}
-    C = compound(f, c.p)
+    C = _pair_matrix(compound(f, c.p))
     Cbar = C.conjugate()
     coeffs: dict = {}
     for (S, T), v in c.coeffs.items():
@@ -526,15 +541,13 @@ def enumerate_degree_values(k: int, entry_bound: int,
     estimate = (2 * entry_bound + 1) ** (k * k)
     if estimate > budget:
         raise BudgetExceededError(estimate)
-    from .exact_algebra import _det_int, _eye_rows
-
     # the identity automorphism exists at every bound
     p = charpoly(_eye_rows(k))
     charpolys = {tuple(p.all_coeffs()): p}
     for entries in itertools.product(range(-entry_bound, entry_bound + 1),
                                      repeat=k * k):
         rows = [list(entries[i * k:(i + 1) * k]) for i in range(k)]
-        if _det_int(rows) == 1:
+        if gaussian_det([[(v, 0) for v in row] for row in rows]) == (1, 0):
             p = charpoly(rows)
             charpolys[tuple(p.all_coeffs())] = p
     values = []

@@ -872,7 +872,36 @@ def modulus_squared_roots(f, mus) -> list:
 
 
 # ---------------------------------------------------------------------------
-# exact definiteness of Hermitian forms
+# the exact determinant and exact definiteness of Hermitian forms
+
+
+def gaussian_det(rows) -> tuple:
+    """Determinant of a square matrix of Gaussian integers, given and
+    returned as ``(re, im)`` pairs ((1, 0) for the 0 x 0 matrix), by
+    fraction-free Bareiss elimination (Bareiss, Math. Comp. 22, 1968): after
+    step t, entry (i, j) is the minor over rows and columns 0..t and (i, j),
+    so dividing it by the previous pivot q (times conj(q), over |q|^2) is
+    exact.  A zero pivot swaps in a later row and flips the sign."""
+    M = [list(row) for row in rows]
+    n, sign, (qr, qi) = len(M), 1, (1, 0)
+    for t in range(n - 1):
+        if not any(M[t][t]):
+            swap = next((i for i in range(t + 1, n) if any(M[i][t])), None)
+            if swap is None:
+                return (0, 0)
+            M[t], M[swap], sign = M[swap], M[t], -sign
+        (pr, pi), norm = M[t][t], qr * qr + qi * qi
+        for row in M[t + 1:]:
+            ar, ai = row[t]
+            for j in range(t + 1, n):
+                (xr, xi), (br, bi) = row[j], M[t][j]
+                ur = pr * xr - pi * xi - ar * br + ai * bi
+                ui = pr * xi + pi * xr - ar * bi - ai * br
+                row[j] = ((ur * qr + ui * qi) // norm,
+                          (ui * qr - ur * qi) // norm)
+        qr, qi = pr, pi
+    re, im = M[-1][-1] if n else (1, 0)
+    return sign * re, sign * im
 
 
 def _real_sign(v) -> int:
@@ -900,9 +929,10 @@ def _expanded(v):
 
 def _integer_rows(M):
     """``(rows, scale)``: the matrix times the lcm ``scale`` of its
-    denominators, as Python ints, when every entry is an int or a Fraction;
-    None otherwise."""
-    if not all(isinstance(v, (int, Fraction)) for row in M for v in row):
+    denominators, as Python ints, when every entry is an int, a Fraction or
+    a sympy Rational; None otherwise."""
+    if not all(isinstance(v, (int, Fraction, Rational))
+               for row in M for v in row):
         return None
     scale = math.lcm(*(v.denominator for row in M for v in row))
     return [[v.numerator * (scale // v.denominator) for v in row]
@@ -915,13 +945,14 @@ def symmetric_definiteness(M):
 
     ``witness`` is a vector v with v^H M v < 0 when M is not psd, else None.
 
-    Rational rows (ints and Fractions; real, so symmetric) are scaled to
-    integers once and eliminated fraction-free by the symmetric Bareiss
-    update (Bareiss 1968): after each pivot, an entry is the minor of the
-    scaled matrix over the pivots so far and that entry, so the division by
-    the previous pivot is exact, and the Schur-complement entry is the
-    integer over ``scale * prev``.  Pivots are positive, so every sign is the
-    sign of the integer.  Algebraic rows are updated in their field.
+    Rational rows (ints, Fractions and sympy Rationals; real, so symmetric)
+    are scaled to integers once and eliminated fraction-free by the
+    symmetric Bareiss update (Bareiss 1968): after each pivot, an entry is
+    the minor of the scaled matrix over the pivots so far and that entry, so
+    the division by the previous pivot is exact, and the Schur-complement
+    entry is the integer over ``scale * prev``.  Pivots are positive, so
+    every sign is the sign of the integer.  Algebraic rows are updated in
+    their field.
     """
     n = len(M)
     ints = _integer_rows(M)
@@ -1345,26 +1376,6 @@ def smith_normal_form_with_transforms(A: list) -> tuple[list, list]:
             continue
         t += 1
     return D, Vinv
-
-
-def _det_int(A: list) -> int:
-    """Exact integer determinant (Bareiss)."""
-    n = len(A)
-    M = [list(map(int, row)) for row in A]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
-            if swap is None:
-                return 0
-            M[k], M[swap] = M[swap], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1] if n else 1
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ import mpmath
 import sympy as sp
 from sympy import Matrix, I, eye
 
-from .exact_algebra import (X, RealRoot, _LOG_DIGITS, _det_int, _isolate,
+from .exact_algebra import (X, RealRoot, _LOG_DIGITS, _isolate,
+                            _square_and_multiply, gaussian_det,
                             integer_relations, lll_reduce)
 from .cohomology import SEARCH_BUDGET, TorusAutomorphism
 from .group_structure import GroupSpec, GroupAnalysis, analyze_group
@@ -92,7 +93,8 @@ class NumberFieldSpec:
     def norm(self, u) -> int:
         """Field norm of an element of Z[theta]: the determinant of its
         multiplication matrix (Cohen, GTM 138, section 4.3)."""
-        return _det_int(self.multiplication_matrix(u))
+        M = self.multiplication_matrix(u)
+        return gaussian_det([[(v, 0) for v in row] for row in M])[0]
 
     def multiply(self, u, v):
         """Exact product in Z[theta], as ascending power-basis coefficients."""
@@ -107,13 +109,13 @@ class NumberFieldSpec:
         """Exact inverse of a unit of Z[theta] (norm +-1 required): the
         first column of the adjugate of the multiplication matrix M, times
         det M = 1 / det M."""
-        M = self.multiplication_matrix(u)
-        det = _det_int(M)
+        M = [[(v, 0) for v in row] for row in self.multiplication_matrix(u)]
+        det = gaussian_det(M)[0]
         if abs(det) != 1:
             raise ForgeError("inverse requested for a non-unit")
         # adj(M)[i][0] is (-1)^i times the minor without row 0 and column i
-        return tuple(det * (-1) ** i * _det_int([row[:i] + row[i + 1:]
-                                                  for row in M[1:]])
+        return tuple(det * (-1) ** i * gaussian_det([row[:i] + row[i + 1:]
+                                                     for row in M[1:]])[0]
                      for i in range(self.degree))
 
 
@@ -123,11 +125,15 @@ _ONE = lambda k: (1,) + (0,) * (k - 1)
 def _unit_power(field: NumberFieldSpec, u, e: int):
     """u**e in Z[theta], exact, for any integer exponent."""
     base = tuple(u) if e >= 0 else field.inverse(u)
-    acc, e = _ONE(field.degree), abs(e)
-    while e:                            # binary powering
-        if e & 1:
-            acc = field.multiply(acc, base)
-        base, e = field.multiply(base, base), e >> 1
+    return _square_and_multiply(field.multiply, base, _ONE(field.degree),
+                                abs(e))
+
+
+def _unit_product(field: NumberFieldSpec, units, exponents):
+    """prod units[i]**exponents[i] in Z[theta], exact."""
+    acc = _ONE(field.degree)
+    for u, e in zip(units, exponents):
+        acc = field.multiply(acc, _unit_power(field, u, e))
     return acc
 
 
@@ -222,10 +228,7 @@ def _is_trivial_unit(field: NumberFieldSpec, u) -> bool:
 
 def _verify_relation(field: NumberFieldSpec, units, exponents) -> bool:
     """Exact check of prod units[i]**exponents[i] = +-1 in Z[theta]."""
-    acc = _ONE(field.degree)
-    for u, e in zip(units, exponents):
-        acc = field.multiply(acc, _unit_power(field, u, e))
-    return _is_trivial_unit(field, acc)
+    return _is_trivial_unit(field, _unit_product(field, units, exponents))
 
 
 def _lll_reduce_units(field: NumberFieldSpec, units, logs):
@@ -248,9 +251,7 @@ def _lll_reduce_units(field: NumberFieldSpec, units, logs):
         e = row[:n]
         if not any(e):
             continue
-        u = _ONE(field.degree)
-        for ui, ei in zip(units, e):
-            u = field.multiply(u, _unit_power(field, ui, ei))
+        u = _unit_product(field, units, e)
         if _is_trivial_unit(field, u):
             continue
         lv = _log_vector(field, u)

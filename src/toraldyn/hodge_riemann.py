@@ -38,7 +38,8 @@ from .cohomology import (
     wedge,
     wedge_all,
 )
-from .exact_algebra import exact_is_zero, exact_sign, symmetric_definiteness
+from .exact_algebra import (_integer_rows, exact_is_zero, exact_sign,
+                            gaussian_det, symmetric_definiteness)
 
 # ---------------------------------------------------------------------------
 # Gaussian-rational matrices as lists of (re, im) pairs
@@ -55,31 +56,6 @@ def gmat_from_class(c: CohomClass):
     H = c.to_hermitian()
     k = H.rows
     return [[_to_frac_pair(H[i, j]) for j in range(k)] for i in range(k)]
-
-
-def _gdet(A):
-    """Exact determinant by cofactor expansion (matrices here are tiny)."""
-    n = len(A)
-    if n == 0:
-        return (1, 0)
-    if n == 1:
-        return A[0][0]
-    if n == 2:
-        return (A[0][0][0] * A[1][1][0] - A[0][0][1] * A[1][1][1]
-                - A[0][1][0] * A[1][0][0] + A[0][1][1] * A[1][0][1],
-                A[0][0][0] * A[1][1][1] + A[0][0][1] * A[1][1][0]
-                - A[0][1][0] * A[1][0][1] - A[0][1][1] * A[1][0][0])
-    re = 0
-    im = 0
-    sign = 1
-    for j in range(n):
-        a = A[0][j]
-        if a[0] or a[1]:
-            d = _gdet([row[:j] + row[j + 1:] for row in A[1:]])
-            re += sign * (a[0] * d[0] - a[1] * d[1])
-            im += sign * (a[0] * d[1] + a[1] * d[0])
-        sign = -sign
-    return (re, im)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +93,7 @@ def _mixed_minors(contexts, k: int):
         for R, rows in kept:
             sub = [F[r] for r in rows]
             for C, cols in kept:
-                d = _gdet([[row[c] for c in cols] for row in sub])
+                d = gaussian_det([[row[c] for c in cols] for row in sub])
                 acc = mixed[R, C]
                 mixed[R, C] = (acc[0] + sign * d[0], acc[1] + sign * d[1])
     return mixed, scale
@@ -225,22 +201,20 @@ def _kernel_of_functional(ell):
 
 
 def restrict_symmetric(G, vectors):
-    """B^T G B, as Fractions, for a rational symmetric G and a list of
-    integer coordinate vectors.  G is scaled once to integers by the lcm of
-    its denominators; the product is taken in integers over the nonzero
-    coordinates of each vector."""
+    """B^T (sG) B, as ints, for a rational symmetric G and a list of integer
+    coordinate vectors, where s > 0 is the lcm of the denominators of G.  A
+    positive scale keeps every sign, so definiteness is read from it; the
+    product is taken over the nonzero coordinates of each vector."""
     n = len(G)
     m = len(vectors)
-    scale = math.lcm(*(v.denominator for row in G for v in row))
-    Gi = [[v.numerator * (scale // v.denominator) for v in row] for row in G]
+    Gi, _ = _integer_rows(G)
     support = [[(j, v[j]) for j in range(n) if v[j]] for v in vectors]
     GB = [[sum(Gi[i][j] * c for j, c in nz) for i in range(n)]
           for nz in support]
-    R = [[Fraction(0)] * m for _ in range(m)]
+    R = [[0] * m for _ in range(m)]
     for a in range(m):
         for b in range(a, m):
-            val = sum(c * GB[b][i] for i, c in support[a])
-            R[a][b] = R[b][a] = Fraction(val, scale)
+            R[a][b] = R[b][a] = sum(c * GB[b][i] for i, c in support[a])
     return R
 
 

@@ -8,10 +8,10 @@ import pytest
 import sympy as sp
 from sympy import I, Matrix, eye
 
-from toraldyn.example_forge import builtin
+from toraldyn.example_forge import builtin, builtin_names
 from toraldyn.exact_algebra import charpoly, exact_equal, exact_is_zero
 from toraldyn.cohomology import (
-    BudgetExceededError, CohomClass, TorusAutomorphism, classify,
+    BudgetExceededError, CohomClass, TorusAutomorphism, classify, compound,
     degree_profile, dynamical_degree, entropy, enumerate_degree_values,
     h11_charpoly, h11_matrix, hermitian_basis, hpp_matrix,
     intersection_number, is_kahler, is_nef, pullback, wedge, wedge_all)
@@ -33,8 +33,12 @@ PELL_ENTROPY = 2 * math.log(1 + math.sqrt(2))
 # ---------------------------------------------------------------------------
 
 def test_automorphism_requires_unit_determinant():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"^determinant 2 is not a unit of Z\[i\]$"):
         TorusAutomorphism([[2, 0], [0, 1]])
+    with pytest.raises(ValueError,
+                       match=r"^determinant 1 \+ I is not a unit of Z\[i\]$"):
+        TorusAutomorphism([[1 + I, 0], [0, 1]])
     with pytest.raises(ValueError):
         TorusAutomorphism([[sp.Rational(1, 2), 0], [0, 2]])
     TorusAutomorphism([[I, 0], [0, 1]])  # det i is fine
@@ -116,6 +120,31 @@ def test_h11_matrix_matches_conjugation_formula(k):
         expected = _h11_matrix_by_products(f)
         assert Matrix(h11_matrix(f)) == expected
         assert h11_charpoly(f).all_coeffs() == charpoly(expected).all_coeffs()
+
+
+def _compound_by_minors(f, p):
+    """C[S', S] = det A[S, S'] by sympy minors: the reference for
+    compound."""
+    subs = list(itertools.combinations(range(f.k), p))
+    return Matrix([[sp.expand(f.A.extract(list(S), list(Sp)).det())
+                    for S in subs] for Sp in subs])
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_compound_and_inverse_match_sympy(k):
+    rng = random.Random(20261019 + k)
+    autos = [g for name in builtin_names() for g in builtin(name).generators
+             if g.k == k]
+    autos += [TorusAutomorphism(_unimodular_gaussian(rng, k))
+              for _ in range(4)]
+    autos += [_random_unimodular(rng, k) for _ in range(2)]
+    for f in autos:
+        for p in range(k + 1):
+            C = compound(f, p)
+            assert Matrix([[re + im * I for re, im in row] for row in C]) \
+                == _compound_by_minors(f, p), (f.A, p)
+        assert f.inverse().A == f.A.inv().applyfunc(sp.expand), f.A
+        assert f.inverse().compose(f).A == eye(k)
 
 
 def test_hpp_edge_degrees():

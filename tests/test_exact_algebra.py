@@ -11,10 +11,11 @@ import sympy as sp
 from sympy import I, Matrix, eye
 from sympy.polys.matrices import DomainMatrix
 
+from toraldyn import exact_algebra
 from toraldyn.exact_algebra import (
     X, AlgebraicReal, CertifiedReal, ExactAlgebraError, INFINITE_ORDER,
     IntegerLattice, RealRoot, charpoly, exact_equal, exact_is_zero,
-    exact_sign, finite_order_bound, hermite_normal_form_rows,
+    exact_sign, finite_order_bound, gaussian_det, hermite_normal_form_rows,
     integer_relations, is_cyclotomic_product, lll_reduce, matrix_order,
     _cyclotomic_index, _kernel_root, minimal_polynomial, real_charpoly,
     real_root, root_moduli, smith_normal_form_with_transforms,
@@ -486,6 +487,75 @@ def test_symmetric_definiteness_zero_diagonal_witness():
     assert not psd
     assert sum(witness[i] * M[i][j] * witness[j]
                for i in range(3) for j in range(3)) < 0
+
+
+def test_symmetric_definiteness_sympy_rationals_take_the_integer_path(
+        monkeypatch):
+    # the Hermitian matrix of a rational class holds sympy Rationals (One,
+    # Zero, Half, ...); they are scaled to integers like Fractions, so no
+    # entry is updated in a sympy field
+    def field_update(v):
+        raise AssertionError("a rational matrix was updated in a field")
+
+    monkeypatch.setattr(exact_algebra, "_expanded", field_update)
+    for M in _definiteness_cases():
+        rows = [[sp.Rational(v) for v in row] for row in M]
+        assert symmetric_definiteness(rows) == symmetric_definiteness(M)
+    assert symmetric_definiteness(eye(3).tolist()) == (True, True, None)
+
+
+# ---------------------------------------------------------------------------
+# the exact determinant: fraction-free Bareiss over Z[i] against sympy
+# ---------------------------------------------------------------------------
+
+def _sympy_det(rows):
+    n = len(rows)
+    M = Matrix(n, n, lambda i, j: rows[i][j][0] + I * rows[i][j][1])
+    re, im = sp.expand(M.det()).as_real_imag()
+    return int(re), int(im)
+
+
+@pytest.mark.parametrize("gaussian", [False, True],
+                         ids=["integer", "gaussian"])
+def test_gaussian_det_matches_sympy(gaussian):
+    rng = random.Random(20261019 + gaussian)
+
+    def entry():
+        # sparse, so zero pivots also turn up in the middle of elimination
+        if rng.random() < 0.4:
+            return (0, 0)
+        return (rng.randint(-3, 3), rng.randint(-3, 3) if gaussian else 0)
+
+    ur, ui = (1, 1) if gaussian else (2, 0)
+    kinds = set()
+    for n in range(7):
+        for trial in range(16):
+            rows = [[entry() for _ in range(n)] for _ in range(n)]
+            kind = trial % 4 if n else 0
+            if kind == 1:
+                # zero leading pivots: only the last row can start
+                for row in rows[:-1]:
+                    row[0] = (0, 0)
+            elif kind == 2 and n > 1:
+                # singular: the last row is a Gaussian multiple of the first
+                rows[-1] = [(ur * a - ui * b, ur * b + ui * a)
+                            for a, b in rows[0]]
+            elif kind == 3:
+                # singular: a zero column
+                j = rng.randrange(n)
+                for row in rows:
+                    row[j] = (0, 0)
+            before = [list(row) for row in rows]
+            got = gaussian_det(rows)
+            assert got == _sympy_det(rows), rows
+            assert rows == before                   # the input is not changed
+            if kind in (2, 3) and n > 1:
+                assert got == (0, 0)
+            kinds.add((kind, got == (0, 0)))
+    assert gaussian_det([]) == (1, 0)
+    # every kind of case is exercised, with regular and singular outcomes
+    assert {kind for kind, _ in kinds} == {0, 1, 2, 3}
+    assert {singular for _, singular in kinds} == {False, True}
 
 
 # ---------------------------------------------------------------------------
