@@ -11,6 +11,9 @@ bug, never accepted); 3 = invalid input, a refused budget, or input the exact
 machinery cannot certify (unsupported input).  All integers in JSON
 are arbitrary-precision decimal strings; every inexact number is tagged as an
 approximation and accompanied by a certified rational interval.
+
+Each subcommand imports its machinery after its input checks, so refusals and
+the whole of ``hodge-check`` run without sympy.
 """
 
 from __future__ import annotations
@@ -20,19 +23,15 @@ import json
 import os
 import sys
 from fractions import Fraction
-
-import sympy as sp
-from sympy import I, Matrix
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .exact_algebra import (AlgebraicReal, CertifiedReal, ExactAlgebraError,
-                            IntegerLattice, RealRoot, exact_sign)
-from .cohomology import (BudgetExceededError, CohomClass, TorusAutomorphism,
-                         degree_profile, enumerate_degree_values, h11_charpoly)
-from .hodge_riemann import check_hodge_riemann_definite, gromov_fuzz
-from .group_structure import GroupAnalysis, GroupSpec, analyze_group
-from .example_forge import (ForgeError, NumberFieldSpec, build_max_rank_group,
-                            builtin, builtin_names)
+from .integer_kernel import ExactAlgebraError
+
+if TYPE_CHECKING:
+    from .cohomology import TorusAutomorphism
+    from .exact_algebra import CertifiedReal, IntegerLattice
+    from .group_structure import GroupAnalysis, GroupSpec
 
 EXIT_OK = 0
 EXIT_VIOLATION = 2
@@ -59,11 +58,13 @@ def _frac_str(q: Fraction) -> str:
 
 
 def _approx_str(q: Fraction, digits: int) -> str:
+    import sympy as sp
     return sp.Float(sp.Rational(q.numerator, q.denominator),
                     digits + 3).__str__()
 
 
 def _certified_json(value: CertifiedReal, digits: int) -> dict:
+    from .exact_algebra import AlgebraicReal
     eps = Fraction(1, 2 * 10**digits)
     lo, hi = value.enclosure(eps)
     out = {
@@ -80,6 +81,7 @@ def _certified_json(value: CertifiedReal, digits: int) -> dict:
 def _expr_json(value, digits: int) -> dict:
     """An exact value and its interval; a ``RealRoot`` (a multiplier of a
     factor with a non-real root) gives the interval from its own isolation."""
+    from .exact_algebra import CertifiedReal, RealRoot
     if not isinstance(value, RealRoot):
         value = CertifiedReal(value)
     out = _certified_json(value, digits)
@@ -104,27 +106,28 @@ def _words_json(words) -> list:
 # input loading
 # ---------------------------------------------------------------------------
 
-def _entry_from_pair(pair):
+def _entry_from_pair(pair) -> tuple:
     if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
         raise CliInputError("matrix entries must be [re, im] pairs")
     try:
-        re, im = int(str(pair[0])), int(str(pair[1]))
+        return int(str(pair[0])), int(str(pair[1]))
     except ValueError as exc:
         raise CliInputError(f"non-integer matrix entry {pair!r}") from exc
-    return re + im * I
 
 
 def _group_from_json(data: dict) -> GroupSpec:
+    """A torus_group spec's group; its whole shape is checked before import."""
     try:
         k = int(str(data["complex_dim"]))
         gens = data["generators"]
     except (KeyError, ValueError) as exc:
         raise CliInputError(f"malformed torus_group spec: {exc}") from exc
+    _require_in_range("complex_dim", k, 1)
     if not isinstance(gens, list):
         raise CliInputError("generators must be a list")
     if not gens:
         raise CliInputError("at least one generator required")
-    autos, labels = [], []
+    named = []
     for idx, g in enumerate(gens):
         if not isinstance(g, dict):
             raise CliInputError(f"generator {idx} must be an object")
@@ -134,13 +137,16 @@ def _group_from_json(data: dict) -> GroupSpec:
                 or any(not isinstance(r, list) or len(r) != k
                        for r in rows)):
             raise CliInputError(f"generator {name}: matrix must be {k}x{k}")
-        M = Matrix([[_entry_from_pair(v) for v in r] for r in rows])
+        named.append((name, [[_entry_from_pair(v) for v in r] for r in rows]))
+    from .cohomology import TorusAutomorphism, _pair_matrix
+    from .group_structure import GroupSpec
+    autos = []
+    for name, rows in named:
         try:
-            autos.append(TorusAutomorphism(M, name=name))
+            autos.append(TorusAutomorphism(_pair_matrix(rows), name=name))
         except ValueError as exc:
             raise CliInputError(f"generator {name}: {exc}") from exc
-        labels.append(name)
-    return GroupSpec(tuple(autos), tuple(labels))
+    return GroupSpec(tuple(autos), tuple(name for name, _ in named))
 
 
 def _field_from_json(data: dict) -> tuple:
@@ -172,6 +178,7 @@ def load_group_argument(arg: str):
             forged = _forge_or_raise(*_field_from_json(data))
             return forged.group, forged
         raise CliInputError(f"unknown spec kind {kind!r}")
+    from .example_forge import builtin, builtin_names
     if arg in builtin_names():
         return builtin(arg), None
     raise CliInputError(
@@ -187,6 +194,8 @@ def _require_in_range(option: str, value: int, low: int, high=None) -> None:
 
 
 def _forge_or_raise(coeffs: tuple, bound: int):
+    from .example_forge import (ForgeError, NumberFieldSpec,
+                                build_max_rank_group)
     try:
         return build_max_rank_group(NumberFieldSpec(coeffs), bound)
     except ForgeError as exc:
@@ -198,6 +207,7 @@ def _forge_or_raise(coeffs: tuple, bound: int):
 # ---------------------------------------------------------------------------
 
 def _generator_report(g: TorusAutomorphism, digits: int) -> dict:
+    from .cohomology import degree_profile, h11_charpoly
     prof = degree_profile(g)
     return {
         "name": g.name,
@@ -273,8 +283,12 @@ def _forged_json(forged) -> dict:
 def _emit(report: dict, json_out: str | None) -> None:
     text = json.dumps(report, indent=2, sort_keys=True)
     if json_out:
-        with open(json_out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(json_out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise CliInputError(f"cannot write report to {json_out}: "
+                                f"{exc.strerror or exc}") from exc
         text = f"report written to {json_out}"
     try:
         print(text)
@@ -294,6 +308,7 @@ def _emit(report: dict, json_out: str | None) -> None:
 def cmd_analyze(args) -> int:
     _require_in_range("--precision", args.precision, 0, MAX_DIGITS)
     spec, forged = load_group_argument(args.spec)
+    from .group_structure import analyze_group
     analysis = analyze_group(spec) if forged is None else forged.analysis
     report = build_analysis_report(analysis, args.precision, args.seed)
     if forged is not None:
@@ -312,7 +327,9 @@ def cmd_hodge_check(args) -> int:
         raise CliInputError(
             f"dimension {k} refused: the exact positivity suite is budgeted "
             "for k in {2, 3, 4}")
-    identity = check_hodge_riemann_definite(CohomClass.identity_class(k))
+    from .hodge_riemann import gromov_fuzz, hodge_riemann_definite
+    identity = hodge_riemann_definite(
+        [[(int(i == j), 0) for j in range(k)] for i in range(k)])
     fuzz = gromov_fuzz(k, samples, seed)
     report = {
         "tool": f"toraldyn {__version__}",
@@ -366,6 +383,8 @@ def cmd_enumerate(args) -> int:
     _require_in_range("--dim", args.dim, 1)
     _require_in_range("--bound", args.bound, 0)
     _require_in_range("--precision", args.precision, 0, MAX_DIGITS)
+    from .cohomology import BudgetExceededError, enumerate_degree_values
+    from .exact_algebra import exact_sign
     try:
         values = enumerate_degree_values(args.dim, args.bound)
     except BudgetExceededError as exc:

@@ -20,20 +20,19 @@ from .exact_algebra import (
     INFINITE_ORDER,
     AlgebraicReal,
     CertifiedReal,
-    ExactAlgebraError,
     _eye_rows,
     _square_and_multiply,
     charpoly,
     exact_equal,
     exact_is_zero,
     exact_sign,
-    gaussian_det,
     is_cyclotomic_product,
     matrix_order,
     real_charpoly,
     root_moduli,
-    symmetric_definiteness,
 )
+from .integer_kernel import (ExactAlgebraError, _hermitian_cells, gaussian_det,
+                             hermitian_basis_sparse, symmetric_definiteness)
 
 POSITIVE_ENTROPY = "positive_entropy"
 PARABOLIC = "parabolic"
@@ -149,27 +148,6 @@ def _identity(k: int, name: str = "id") -> TorusAutomorphism:
 
 # ---------------------------------------------------------------------------
 # H^{1,1} integer model
-
-
-def _hermitian_cells(k: int) -> list:
-    """The cells (j, l) of the Hermitian coordinates: the diagonal, then the
-    cells above it."""
-    return [(j, j) for j in range(k)] + list(
-        itertools.combinations(range(k), 2))
-
-
-@lru_cache(maxsize=None)
-def hermitian_basis_sparse(k: int):
-    """``hermitian_basis(k)``, each matrix as a short tuple of
-    (row, col, (re, im)) entries."""
-    out = []
-    for j, l in _hermitian_cells(k):
-        if j == l:
-            out.append(((j, j, (1, 0)),))
-        else:
-            out += [((j, l, (1, 0)), (l, j, (1, 0))),
-                    ((j, l, (0, 1)), (l, j, (0, -1)))]
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)

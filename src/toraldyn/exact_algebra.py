@@ -25,14 +25,13 @@ from sympy.polys.densearith import dup_mul, dup_rem
 from sympy.polys.factortools import dup_factor_list
 from sympy.polys.matrices import DomainMatrix
 
+from .integer_kernel import (ExactAlgebraError, gaussian_det,
+                             symmetric_definiteness)
+
 X = sp.Symbol("x")
 _Y = sp.Symbol("y", positive=True)
 
 INFINITE_ORDER = "infinite"
-
-
-class ExactAlgebraError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +154,29 @@ def exact_sign(expr) -> int:
             return 1 if v > 0 else -1
         prec *= 2
     raise ExactAlgebraError(f"could not resolve sign of {expr}")
+
+
+def _real_sign(v) -> int:
+    """Exact sign of the real part of an entry on the algebraic branch of
+    ``symmetric_definiteness``; ints and Fractions are compared natively."""
+    if isinstance(v, (int, Fraction)):
+        return (v > 0) - (v < 0)
+    v = sp.re(v)
+    if v.is_Rational:
+        return (v.p > 0) - (v.p < 0)
+    return exact_sign(v)
+
+
+def _is_zero(v) -> bool:
+    if isinstance(v, (int, Fraction)) or v.is_Rational:
+        return v == 0
+    return exact_is_zero(v)
+
+
+def _expanded(v):
+    # sympy entries stay expanded, so every sign and zero test sees a sum of
+    # terms rather than a nested tree
+    return v if isinstance(v, Fraction) else sp.expand(v)
 
 
 def _enclosure_of_expr(expr, eps: Fraction) -> tuple[Fraction, Fraction]:
@@ -869,149 +891,6 @@ def modulus_squared_roots(f, mus) -> list:
         return out
 
     return _at_rising_precision(attempt, "the roots of a non-real factor")
-
-
-# ---------------------------------------------------------------------------
-# the exact determinant and exact definiteness of Hermitian forms
-
-
-def gaussian_det(rows) -> tuple:
-    """Determinant of a square matrix of Gaussian integers, given and
-    returned as ``(re, im)`` pairs ((1, 0) for the 0 x 0 matrix), by
-    fraction-free Bareiss elimination (Bareiss, Math. Comp. 22, 1968): after
-    step t, entry (i, j) is the minor over rows and columns 0..t and (i, j),
-    so dividing it by the previous pivot q (times conj(q), over |q|^2) is
-    exact.  A zero pivot swaps in a later row and flips the sign."""
-    M = [list(row) for row in rows]
-    n, sign, (qr, qi) = len(M), 1, (1, 0)
-    for t in range(n - 1):
-        if not any(M[t][t]):
-            swap = next((i for i in range(t + 1, n) if any(M[i][t])), None)
-            if swap is None:
-                return (0, 0)
-            M[t], M[swap], sign = M[swap], M[t], -sign
-        (pr, pi), norm = M[t][t], qr * qr + qi * qi
-        for row in M[t + 1:]:
-            ar, ai = row[t]
-            for j in range(t + 1, n):
-                (xr, xi), (br, bi) = row[j], M[t][j]
-                ur = pr * xr - pi * xi - ar * br + ai * bi
-                ui = pr * xi + pi * xr - ar * bi - ai * br
-                row[j] = ((ur * qr + ui * qi) // norm,
-                          (ui * qr - ur * qi) // norm)
-        qr, qi = pr, pi
-    re, im = M[-1][-1] if n else (1, 0)
-    return sign * re, sign * im
-
-
-def _real_sign(v) -> int:
-    """Exact sign of the real part of a rational or an algebraic sympy
-    number; ints and Fractions are compared natively."""
-    if isinstance(v, (int, Fraction)):
-        return (v > 0) - (v < 0)
-    v = sp.re(v)
-    if v.is_Rational:
-        return (v.p > 0) - (v.p < 0)
-    return exact_sign(v)
-
-
-def _is_zero(v) -> bool:
-    if isinstance(v, (int, Fraction)) or v.is_Rational:
-        return v == 0
-    return exact_is_zero(v)
-
-
-def _expanded(v):
-    # sympy entries stay expanded, so every sign and zero test sees a sum of
-    # terms rather than a nested tree
-    return v if isinstance(v, Fraction) else sp.expand(v)
-
-
-def _integer_rows(M):
-    """``(rows, scale)``: the matrix times the lcm ``scale`` of its
-    denominators, as Python ints, when every entry is an int, a Fraction or
-    a sympy Rational; None otherwise."""
-    if not all(isinstance(v, (int, Fraction, Rational))
-               for row in M for v in row):
-        return None
-    scale = math.lcm(*(v.denominator for row in M for v in row))
-    return [[v.numerator * (scale // v.denominator) for v in row]
-            for row in M], scale
-
-
-def symmetric_definiteness(M):
-    """Exact ``(psd, pd, witness)`` of a Hermitian matrix given as rows of
-    ints, Fractions or algebraic sympy numbers, by pivoted LDL^H elimination.
-
-    ``witness`` is a vector v with v^H M v < 0 when M is not psd, else None.
-
-    Rational rows (ints, Fractions and sympy Rationals; real, so symmetric)
-    are scaled to integers once and eliminated fraction-free by the
-    symmetric Bareiss update (Bareiss 1968): after each pivot, an entry is
-    the minor of the scaled matrix over the pivots so far and that entry, so
-    the division by the previous pivot is exact, and the Schur-complement
-    entry is the integer over ``scale * prev``.  Pivots are positive, so
-    every sign is the sign of the integer.  Algebraic rows are updated in
-    their field.
-    """
-    n = len(M)
-    ints = _integer_rows(M)
-    work, scale = ints if ints is not None else ([list(r) for r in M], None)
-    prev = 1
-    active = list(range(n))
-    # each step replaces the basis vector e_i of every remaining index i by
-    # e_i - conj(f_i) e_piv, which is M-orthogonal to e_piv
-    steps = []
-
-    def entry(i, j):
-        """Entry (i, j) of the current Schur complement."""
-        return work[i][j] if scale is None else Fraction(work[i][j],
-                                                         scale * prev)
-
-    def ratio(a, d):
-        return a / d if scale is None else Fraction(a, d)
-
-    def lift(w):
-        """Original coordinates of a vector given over the active indices;
-        the multiplier of index i at a step is f_i = M_i,piv / M_piv,piv."""
-        v = dict(w)
-        for piv, d, col in reversed(steps):
-            v[piv] = -sum(ratio(a, d).conjugate() * v.get(i, 0)
-                          for i, a in col.items())
-        return [v.get(i, 0) for i in range(n)]
-
-    while active:
-        signs = {i: _real_sign(work[i][i]) for i in active}
-        neg = next((i for i in active if signs[i] < 0), None)
-        if neg is not None:
-            return False, False, lift({neg: 1})
-        piv = next((i for i in active if signs[i] > 0), None)
-        if piv is None:
-            # zero diagonal: psd iff all remaining entries vanish; otherwise
-            # v = e_i - M_ji e_j has v^H M v = -2 |M_ij|^2 < 0
-            for i, j in itertools.combinations(active, 2):
-                if not _is_zero(work[j][i]):
-                    return False, False, lift({i: 1, j: -entry(j, i)})
-            return True, False, None
-        d = work[piv][piv]
-        active.remove(piv)
-        col = {i: work[i][piv] for i in active if work[i][piv]}
-        if scale is None:
-            for i, a in col.items():
-                f = a / d
-                for j in active:
-                    work[i][j] = _expanded(work[i][j] - f * work[piv][j])
-        else:
-            # every row moves, also those with a zero multiplier: the
-            # fraction-free entries carry the pivot product
-            row = work[piv]
-            for x, i in enumerate(active):
-                wi, a = work[i], work[i][piv]
-                for j in active[x:]:
-                    wi[j] = work[j][i] = (d * wi[j] - a * row[j]) // prev
-            prev = d
-        steps.append((piv, d, col))
-    return True, True, None
 
 
 # ---------------------------------------------------------------------------

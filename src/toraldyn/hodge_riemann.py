@@ -13,7 +13,9 @@ relevant minors of the context sum is taken by inclusion-exclusion over
 subset sums, and the only division is by the product of the scales at the
 end (the mixed discriminant is multilinear).  No matrix is inverted, so
 singular context sums (rank-one nef classes) need no special case.
-"""
+
+Only the class-level checkers import sympy and ``cohomology`` (at call time):
+the fuzz and ``hodge_riemann_definite`` run on ``integer_kernel`` alone."""
 
 from __future__ import annotations
 
@@ -23,39 +25,29 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import sympy as sp
-from sympy import Matrix
+from .integer_kernel import (_integer_rows, gaussian_det,
+                             hermitian_basis_sparse, symmetric_definiteness)
 
-from .cohomology import (
-    CohomClass,
-    TorusAutomorphism,
-    hermitian_basis,
-    hermitian_basis_sparse,
-    is_kahler,
-    is_nef,
-    pullback,
-    wedge,
-    wedge_all,
-)
-from .exact_algebra import (_integer_rows, exact_is_zero, exact_sign,
-                            gaussian_det, symmetric_definiteness)
+if TYPE_CHECKING:
+    import sympy as sp
+    from .cohomology import CohomClass, TorusAutomorphism
 
 # ---------------------------------------------------------------------------
 # Gaussian-rational matrices as lists of (re, im) pairs
 
 
 def _to_frac_pair(v):
-    re, im = sp.sympify(v).as_real_imag()
+    re, im = v.as_real_imag()
     if not (re.is_Rational and im.is_Rational):
         raise ValueError("context classes must have Gaussian-rational entries")
     return (Fraction(re.p, re.q), Fraction(im.p, im.q))
 
 
 def gmat_from_class(c: CohomClass):
-    H = c.to_hermitian()
-    k = H.rows
-    return [[_to_frac_pair(H[i, j]) for j in range(k)] for i in range(k)]
+    rows = c.to_hermitian().tolist()
+    return [[_to_frac_pair(v) for v in row] for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -258,17 +250,26 @@ def _primitive_q_definiteness(mats, k: int):
     return symmetric_definiteness(R)
 
 
-def check_hodge_riemann_definite(omega: CohomClass) -> PositivityReport:
+def hodge_riemann_definite(mat) -> PositivityReport:
     """Classical Hodge-Riemann: q is positive definite on the primitive
-    hyperplane of a Kahler class; certified by exact rational pivots."""
-    if not is_kahler(omega):
-        raise ValueError("check_hodge_riemann_definite requires a Kahler class")
-    k = omega.k
+    hyperplane of a Kahler class M = A + iB of Gaussian-rational (re, im)
+    pairs ([[A, -B], [B, A]] > 0); certified by exact rational pivots."""
+    k = len(mat)
+    real = ([[z[0] for z in row] + [-z[1] for z in row] for row in mat]
+            + [[z[1] for z in row] + [z[0] for z in row] for row in mat])
+    if not symmetric_definiteness(real)[1]:
+        raise ValueError("the Hodge-Riemann check requires a Kahler class")
     # omega^k > 0, so the primitive space of omega is a hyperplane
-    _, pd, witness = _primitive_q_definiteness(
-        [gmat_from_class(omega)] * (k - 1), k)
+    _, pd, witness = _primitive_q_definiteness([mat] * (k - 1), k)
     return PositivityReport("hodge_riemann_pd", k, passed=pd, definite=pd,
                             witness=witness)
+
+
+def check_hodge_riemann_definite(omega: CohomClass) -> PositivityReport:
+    """``hodge_riemann_definite`` of a real (1,1)-class."""
+    if not omega.is_real():
+        raise ValueError("the Hodge-Riemann check requires a Kahler class")
+    return hodge_riemann_definite(gmat_from_class(omega))
 
 
 def check_gromov_semipositive(context, samples: int = 0,
@@ -277,6 +278,7 @@ def check_gromov_semipositive(context, samples: int = 0,
     q (from the first k-2 classes) restricted to the primitive space of the
     full context is PSD; decided by exact pivots.  A vanishing context wedge
     is flagged degenerate and skipped."""
+    from .cohomology import is_nef
     context = list(context)
     k = context[0].k
     for c in context:
@@ -331,6 +333,8 @@ class ColinearityResult:
 
 def colinearity_witness(c: CohomClass, cprime: CohomClass) -> ColinearityResult:
     """For nef c, c': either c ^ c' != 0 or the two classes are colinear."""
+    import sympy as sp
+    from .cohomology import is_nef, wedge
     if not (is_nef(c) and is_nef(cprime)):
         raise ValueError("colinearity dichotomy requires nef classes")
     w = wedge(c, cprime)
@@ -361,6 +365,8 @@ class SolveABResult:
 
 def _ab_constraint_matrix(c, cprime, context):
     """Rows of the linear system a*u + b*v = 0 ranging over a spanning set."""
+    import sympy as sp
+    from .cohomology import CohomClass, hermitian_basis, wedge, wedge_all
     k = c.k
     m = len(context)
     wc = wedge_all([c, *context]) if context else c
@@ -381,13 +387,15 @@ def _ab_constraint_matrix(c, cprime, context):
             vv = v.coeffs.get(key, sp.Integer(0))
             rows.append((sp.re(uu), sp.re(vv)))
             rows.append((sp.im(uu), sp.im(vv)))
-    return Matrix(rows) if rows else sp.zeros(1, 2)
+    return sp.Matrix(rows) if rows else sp.zeros(1, 2)
 
 
 def solve_ab_pair(c: CohomClass, cprime: CohomClass, context) -> SolveABResult:
     """Cor-3.5 solver: find (a,b) != 0 with (a c + b c') ^ context ^ (anything)
     = 0, given c ^ c' ^ context = 0; uniqueness certified when c ^ context != 0.
     """
+    import sympy as sp
+    from .cohomology import is_nef, wedge_all
     context = list(context)
     k = c.k
     if len(context) > k - 2:
@@ -424,11 +432,6 @@ class Lemma43Result:
     reason: str = ""
 
 
-def _class_eigen_holds(g: TorusAutomorphism, cls: CohomClass, lam) -> bool:
-    diff = pullback(g, cls) - cls.scale(lam)
-    return diff.is_zero()
-
-
 def lemma_4_3_check(g: TorusAutomorphism, c: CohomClass, cprime: CohomClass,
                     context, lam, lam_prime) -> Lemma43Result:
     """Verify one instance of the eigenclass-wedge lemma exactly.
@@ -436,6 +439,9 @@ def lemma_4_3_check(g: TorusAutomorphism, c: CohomClass, cprime: CohomClass,
     Hypotheses: nef classes, g*(ctx^c) = lam ctx^c, g*(ctx^c') = lam' ctx^c',
     lam != lam', ctx^c != 0, ctx^c^c' = 0.  Conclusion: ctx^c' = 0.
     """
+    import sympy as sp
+    from .cohomology import is_nef, pullback, wedge, wedge_all
+    from .exact_algebra import exact_is_zero, exact_sign
     context = list(context)
     for cl in (c, cprime, *context):
         if not is_nef(cl):
@@ -448,9 +454,9 @@ def lemma_4_3_check(g: TorusAutomorphism, c: CohomClass, cprime: CohomClass,
     ctx_cp = wedge_all([*context, cprime]) if context else cprime
     if ctx_c.is_zero():
         return Lemma43Result("vacuous", "context ^ c = 0")
-    if not _class_eigen_holds(g, ctx_c, lam):
+    if not (pullback(g, ctx_c) - ctx_c.scale(lam)).is_zero():
         return Lemma43Result("vacuous", "context ^ c is not a lam-eigenclass")
-    if not _class_eigen_holds(g, ctx_cp, lam_prime):
+    if not (pullback(g, ctx_cp) - ctx_cp.scale(lam_prime)).is_zero():
         return Lemma43Result("vacuous", "context ^ c' is not a lam'-eigenclass")
     if not wedge(ctx_c, cprime).is_zero():
         return Lemma43Result("vacuous", "context ^ c ^ c' != 0")

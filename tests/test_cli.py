@@ -15,7 +15,7 @@ import pytest
 import sympy
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from toraldyn import (cli, cohomology, exact_algebra, group_structure,
+from toraldyn import (cohomology, exact_algebra, group_structure,
                       hodge_riemann)
 from toraldyn.cli import (EXIT_INVALID, EXIT_OK, EXIT_VIOLATION, MAX_DIGITS,
                           MAX_SAMPLES, build_analysis_report,
@@ -35,6 +35,14 @@ def _run(capsys, *argv):
 
 def _json_of(stdout):
     return json.loads(stdout)
+
+
+def _src_env():
+    """The environment of a fresh interpreter that imports this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    return env
 
 
 # ---------------------------------------------------------------------------
@@ -242,11 +250,8 @@ def test_report_matches_golden(name, argv):
     # a fresh interpreter, as users run it: the printed interval of a bare
     # CRootOf depends on how far sympy's process-wide root cache was refined
     # by earlier computations in the same process
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "toraldyn.cli", *argv],
-                          capture_output=True, env=env)
+                          capture_output=True, env=_src_env())
     assert proc.returncode == EXIT_OK, proc.stderr.decode()[-2000:]
     assert proc.stdout == (GOLDEN_DIR / f"{name}.json").read_bytes()
 
@@ -254,12 +259,9 @@ def test_report_matches_golden(name, argv):
 def test_reader_closing_stdout_early_gets_an_exit_code():
     # the reader goes away before the report is written: the verdict still
     # comes as the exit code, and stderr holds no traceback
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "toraldyn.cli", "analyze", "pell_T2"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env())
     proc.stdout.close()
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) in (EXIT_OK, EXIT_VIOLATION, EXIT_INVALID)
@@ -303,7 +305,8 @@ def test_exact_is_zero_only_decides_the_printed_d1(monkeypatch, capsys,
         callers[name] = callers.get(name, 0) + 1
         return real(expr)
 
-    for module in (exact_algebra, cohomology, group_structure, hodge_riemann):
+    # hodge_riemann imports exact_is_zero from exact_algebra at call time
+    for module in (exact_algebra, cohomology, group_structure):
         monkeypatch.setattr(module, "exact_is_zero", exact_is_zero)
     code, _, err = _run(capsys, *argv)
     assert code == EXIT_OK, err[-2000:]
@@ -513,17 +516,87 @@ def test_precision_cap_is_inclusive(capsys):
 
 
 def test_samples_cap_is_inclusive(monkeypatch, capsys):
-    # the cap is checked, not run: the fuzz sees the count and draws none
+    # the cap is checked, not run: the fuzz sees the count and draws none;
+    # cmd_hodge_check reads hodge_riemann.gromov_fuzz when it runs
     seen = []
+    real = hodge_riemann.gromov_fuzz
 
     def fuzz(k, samples, seed):
         seen.append(samples)
-        return hodge_riemann.gromov_fuzz(k, 0, seed)
+        return real(k, 0, seed)
 
-    monkeypatch.setattr(cli, "gromov_fuzz", fuzz)
+    monkeypatch.setattr(hodge_riemann, "gromov_fuzz", fuzz)
     code, _, _ = _run(capsys, "hodge-check", "--dim", "2", "--samples",
                       str(MAX_SAMPLES))
     assert code == EXIT_OK and seen == [MAX_SAMPLES]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "cat_T2"],
+    ["hodge-check", "--dim", "2", "--samples", "1"],
+], ids=["analyze", "hodge_check"])
+def test_unwritable_json_path_exits_3(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "report.json"
+    code, stdout, err = _run(capsys, *argv, "--json", str(out))
+    assert code == EXIT_INVALID and stdout == ""
+    assert err.startswith(f"invalid input: cannot write report to {out}: ")
+    assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# start-up: a refusal and hodge-check load neither sympy nor mpmath
+# ---------------------------------------------------------------------------
+
+def _numeric_modules_after(code):
+    """The sympy* and mpmath* modules a fresh interpreter has loaded after
+    running ``code``."""
+    probe = code + ("\nimport sys\nprint(sorted(m for m in sys.modules"
+                    " if m.split('.')[0] in ('sympy', 'mpmath')))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          env=_src_env(), text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout.splitlines()[-1]
+
+
+def test_importing_the_cli_loads_no_sympy():
+    assert _numeric_modules_after("import toraldyn.cli") == "[]"
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_hodge_check_loads_no_sympy(k):
+    argv = ["hodge-check", "--dim", str(k), "--samples", "20", "--seed", "7"]
+    code = f"from toraldyn.cli import main\nassert main({argv!r}) == 0"
+    assert _numeric_modules_after(code) == "[]"
+
+
+_CAT_ROWS = [[["2", "0"], ["1", "0"]], [["1", "0"], ["1", "0"]]]
+
+
+@pytest.mark.parametrize("spec,argv", [
+    ([], None),
+    ({"kind": "torus_group", "complex_dim": 2, "generators": "ab"}, None),
+    ({"kind": "torus_group", "complex_dim": 2, "generators": [1]}, None),
+    ({"kind": "torus_group", "complex_dim": "0",
+      "generators": [{"matrix": []}]}, None),
+    ({"kind": "torus_group", "complex_dim": 2,
+      "generators": [{"matrix": _CAT_ROWS}, {"matrix": _CAT_ROWS[:1]}]}, None),
+    ({"kind": "torus_group", "complex_dim": 2,
+      "generators": [{"matrix": _CAT_ROWS}, {"matrix": [
+          [["2", "0"], ["1", "0"]], [["1", "0"], ["1.5", "0"]]]}]}, None),
+    (None, ["hodge-check", "--dim", "7"]),
+    (None, ["enumerate", "--dim", "0", "--bound", "2"]),
+    (None, ["analyze", "cat_T2", "--precision", "-1"]),
+], ids=["list_spec", "string_generators", "non_object_generator",
+        "empty_matrix", "short_matrix_after_a_valid_one",
+        "non_integer_entry_after_a_valid_one", "hodge_check_dim_7",
+        "enumerate_dim_0", "negative_precision"])
+def test_refusal_loads_no_sympy(tmp_path, spec, argv):
+    if argv is None:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        argv = ["analyze", str(path)]
+    code = f"from toraldyn.cli import main\nassert main({argv!r}) == 3"
+    assert _numeric_modules_after(code) == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -536,24 +609,25 @@ FUZZ_BOUNDS = st.one_of(st.integers(-2, 4), st.integers(1001, 10**6))
 
 
 @st.composite
-def _cheap_argv(draw):
+def _cheap_argv(draw, json_paths):
     command = draw(st.sampled_from(["analyze", "enumerate", "hodge-check",
                                     "forge"]))
     precision = ["--precision", str(draw(FUZZ_INTS))]
     seed = ["--seed", str(draw(FUZZ_INTS))]
+    out = draw(st.sampled_from([[], *(["--json", p] for p in json_paths)]))
     if command == "analyze":
         name = draw(st.sampled_from(["cat_T2", "pell_T2", "torsion_i"]))
-        return ["analyze", name, *precision, *seed]
+        return ["analyze", name, *precision, *seed, *out]
     if command == "enumerate":
         return ["enumerate", "--dim", str(draw(st.integers(1, 2))),
-                "--bound", str(draw(st.integers(0, 1))), *precision]
+                "--bound", str(draw(st.integers(0, 1))), *precision, *out]
     if command == "hodge-check":
         return ["hodge-check", "--dim", str(draw(st.integers(2, 3))),
                 "--samples", str(draw(st.one_of(
                     st.integers(-5, 40), st.integers(MAX_SAMPLES + 1, 10**6)))),
-                *seed]
+                *seed, *out]
     return ["forge", "--poly", "1,-1,-2,1", "--bound",
-            str(draw(FUZZ_BOUNDS)), *precision, *seed]
+            str(draw(FUZZ_BOUNDS)), *precision, *seed, *out]
 
 
 _CAT_SPEC = {"kind": "torus_group", "complex_dim": "2", "generators": [
@@ -591,8 +665,12 @@ def test_cli_contract_fuzz(tmp_path, capsys):
     # in-process: about 3-5 s for both searches (budget 30 s)
     start = time.perf_counter()
 
+    # a writable report path and one in a directory that does not exist
+    json_paths = [str(tmp_path / "report.json"),
+                  str(tmp_path / "missing" / "report.json")]
+
     @_FUZZ
-    @given(_cheap_argv())
+    @given(_cheap_argv(json_paths))
     def argv_keeps_contract(argv):
         _assert_contract(capsys, argv)
 

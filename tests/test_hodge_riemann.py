@@ -15,8 +15,9 @@ from toraldyn.cohomology import (CohomClass, TorusAutomorphism,
 from toraldyn.hodge_riemann import (
     _kernel_of_functional, check_gromov_semipositive,
     check_hodge_riemann_definite, colinearity_witness, gmat_from_class,
-    gromov_fuzz, lemma_4_3_check, primitive_functional_fractions,
-    q_gram_fractions, solve_ab_pair, symmetric_definiteness)
+    gromov_fuzz, hodge_riemann_definite, lemma_4_3_check,
+    primitive_functional_fractions, q_gram_fractions, solve_ab_pair,
+    symmetric_definiteness)
 
 from oracles import hermitian_coords
 
@@ -206,6 +207,18 @@ def test_hr_random_kahler_catalog():
 def test_hr_rejects_non_kahler():
     with pytest.raises(ValueError):
         check_hodge_riemann_definite(D10)
+
+
+def test_hr_pairs_decide_kahler_on_the_complex_form():
+    # [[1, i], [-i, 1]] is psd with kernel (1, i), so not Kahler, although
+    # its real part, the identity, is positive definite
+    with pytest.raises(ValueError, match="Kahler"):
+        hodge_riemann_definite([[(1, 0), (0, 1)], [(0, -1), (1, 0)]])
+    pairs = [[(2, 0), (0, 1)], [(0, -1), (2, 0)]]
+    rep = hodge_riemann_definite(pairs)
+    assert rep.passed and rep.definite
+    omega = CohomClass.from_hermitian(Matrix([[2, I], [-I, 2]]))
+    assert check_hodge_riemann_definite(omega) == rep
 
 
 # ---------------------------------------------------------------------------
