@@ -28,7 +28,6 @@ from .exact_algebra import (
     exact_sign,
     is_cyclotomic_product,
     matrix_order,
-    real_charpoly,
     root_moduli,
 )
 from .integer_kernel import (ExactAlgebraError, _hermitian_cells, gaussian_det,
@@ -223,12 +222,15 @@ def hpp_matrix(f: TorusAutomorphism, p: int) -> Matrix:
 
 
 def eigenvalue_moduli(f: TorusAutomorphism):
-    """Certified moduli (with multiplicity) of the eigenvalues of the linear part."""
-    p, doubled = real_charpoly(f.A)
-    mods = root_moduli(p)
-    if doubled:
-        mods = [(m, mult // 2) for m, mult in mods]
-    return mods
+    """Certified moduli (with multiplicity) of the eigenvalues of the linear
+    part A, read from the integer real form [[Re A, -Im A], [Im A, Re A]]:
+    its charpoly is p * conj(p) for p the charpoly of A, so every modulus
+    appears there twice."""
+    re = [[z[0] for z in row] for row in f.pairs]
+    im = [[z[1] for z in row] for row in f.pairs]
+    real_form = ([r + [-v for v in i] for r, i in zip(re, im)]
+                 + [i + r for r, i in zip(re, im)])
+    return [(m, mult // 2) for m, mult in root_moduli(charpoly(real_form))]
 
 
 @lru_cache(maxsize=None)

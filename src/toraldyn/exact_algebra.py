@@ -438,14 +438,11 @@ class RealRoot(CertifiedReal):
 
     __hash__ = None
 
-    def log(self, digits: int) -> sp.Float:
-        """log of a positive value to ``digits`` digits: an approximation
-        for lattice reduction, not a decision."""
-        lo, hi = self.enclosure(Fraction(1, 10 ** (digits + 10)))
-        with mpmath.workdps(digits + 10):
-            mid = (lo + hi) / 2
-            v = mpmath.log(mpmath.mpf(mid.numerator) / mid.denominator)
-        return sp.Float(v, digits)
+    def log(self) -> Fraction:
+        """log of a positive value to ``_LOG_DIGITS`` digits: an
+        approximation for lattice reduction, not a decision."""
+        return _log_midpoint(
+            *self.enclosure(Fraction(1, 10 ** (_LOG_DIGITS + 10))))
 
 
 def real_root(v) -> RealRoot:
@@ -707,6 +704,22 @@ def _mpf_fraction(v) -> Fraction:
     return Fraction(man * 2**exp) if exp >= 0 else Fraction(man, 2**-exp)
 
 
+# digits of the logarithms whose integer relations are sought, in the rank
+# of pi and in the forge's unit search
+_LOG_DIGITS = 60
+
+
+def _log_midpoint(lo: Fraction, hi: Fraction) -> Fraction:
+    """log of the midpoint of a positive enclosure, taken at
+    ``_LOG_DIGITS + 10`` working digits and rounded to nearest at
+    ``_LOG_DIGITS`` digits, as that binary value exactly."""
+    mid = (lo + hi) / 2
+    with mpmath.workdps(_LOG_DIGITS + 10):
+        v = mpmath.log(mpmath.mpf(mid.numerator) / mid.denominator)
+    with mpmath.workdps(_LOG_DIGITS):
+        return _mpf_fraction(+v)
+
+
 def _root_disks(poly, prec: int):
     """Certified inclusion disks ``((re, im), radius)`` of the roots of a
     squarefree polynomial with Gaussian-rational coefficients, one root in
@@ -915,24 +928,6 @@ def charpoly(M) -> Poly:
     dom = dm.domain
     coeffs = [dom.to_sympy(c) for c in dm.charpoly()]
     return Poly(coeffs, X)
-
-
-def real_charpoly(M: Matrix) -> Poly:
-    """Characteristic polynomial times its complex conjugate when needed.
-
-    For a real matrix this is just ``charpoly(M)``.  For a Gaussian-integer
-    matrix the product ``p * conj(p)`` has integer coefficients and its root
-    moduli are those of ``p`` with doubled multiplicity.
-    Returns ``(poly, doubled)``.
-    """
-    p = charpoly(M)
-    coeffs = p.all_coeffs()
-    if all(sp.im(c) == 0 for c in coeffs):
-        return p, False
-    conj = Poly([sp.conjugate(c) for c in coeffs], X)
-    prod = (p * conj).as_expr()
-    prod = sp.expand(prod)
-    return Poly(prod, X), True
 
 
 # ---------------------------------------------------------------------------
@@ -1260,11 +1255,6 @@ def smith_normal_form_with_transforms(A: list) -> tuple[list, list]:
 # ---------------------------------------------------------------------------
 # LLL-based integer relation candidates
 
-# digits of the logarithms whose integer relations are sought, in the rank
-# of pi and in the forge's unit search
-_LOG_DIGITS = 60
-
-
 def lll_reduce(rows: list) -> list:
     """LLL-reduced basis (delta = 99/100) of the lattice spanned by linearly
     independent integer rows.
@@ -1333,10 +1323,23 @@ def lll_reduce(rows: list) -> list:
     return b
 
 
-def integer_relations(values, tolerance=Fraction(1, 10**12),
-                      height_cap: int = 10**6, scale_digits: int = 40):
-    """Candidate integer relations e with |sum e_i v_i| < tolerance, for
-    real sympy values evaluated to ``scale_digits + 15`` digits.
+# the scale of the rounded values in an LLL relation lattice
+_RELATION_SCALE = 10**40
+
+
+def _relation_rows(vectors) -> list:
+    """Rows [e_i | round(10^40 v_i)] of the relation lattice of the real
+    vectors v_i (Fractions or ints)."""
+    n = len(vectors)
+    return [[int(i == j) for j in range(n)]
+            + [round(x * _RELATION_SCALE) for x in v]
+            for i, v in enumerate(vectors)]
+
+
+def integer_relations(values):
+    """Candidate integer relations e with |e_i| <= 10^4 and
+    |sum e_i v_i| < 10^-12, for exact rational approximations v_i
+    (Fractions or ints) of real values.
 
     Candidates come from LLL (delta = 0.99) on the scaled-value lattice and
     are NOT certified; callers must verify each candidate exactly.
@@ -1344,25 +1347,16 @@ def integer_relations(values, tolerance=Fraction(1, 10**12),
     n = len(values)
     if n == 0:
         return []
-    mids = [Fraction(sp.Rational(sp.sympify(v).evalf(scale_digits + 15)))
-            for v in values]
-    C = 10**scale_digits
-    rows = []
-    for i in range(n):
-        row = [0] * n + [int(round(mids[i] * C))]
-        row[i] = 1
-        rows.append(row)
-    red = lll_reduce(rows)
-    tol = Fraction(tolerance)
+    red = lll_reduce(_relation_rows([[v] for v in values]))
     cands = []
     for row in red:
         e = row[:n]
-        if not any(e) or max(abs(v) for v in e) > height_cap:
+        if not any(e) or max(abs(v) for v in e) > 10**4:
             continue
-        resid = abs(sum(Fraction(ei) * mi for ei, mi in zip(e, mids)))
+        resid = abs(sum(ei * v for ei, v in zip(e, values)))
         # allow for the rounding error of the scaled entries
-        slack = Fraction(sum(abs(v) for v in e), 2 * C)
-        if resid <= tol + slack:
+        slack = Fraction(sum(abs(v) for v in e), 2 * _RELATION_SCALE)
+        if resid <= Fraction(1, 10**12) + slack:
             if e[next(i for i, v in enumerate(e) if v)] < 0:
                 e = [-v for v in e]
             if e not in cands:

@@ -14,16 +14,15 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 
-import mpmath
 import sympy as sp
 from sympy import Matrix, I, eye
 
 from .exact_algebra import (X, RealRoot, _LOG_DIGITS, _isolate,
-                            _square_and_multiply, gaussian_det,
-                            integer_relations, lll_reduce)
+                            _log_midpoint, _relation_rows,
+                            _square_and_multiply, gaussian_det, lll_reduce)
 from .cohomology import SEARCH_BUDGET, TorusAutomorphism
 from .group_structure import GroupSpec, GroupAnalysis, analyze_group
 
@@ -142,14 +141,15 @@ class UnitSystem:
     """Multiplicatively independent infinite-order units of Z[theta].
 
     ``log_embeddings[i][j]`` is log|sigma_j(u_i)| over the real embeddings
-    sigma_j, carried as high-precision floats; independence of the units is
-    certified by the relation loop in :func:`unit_search` (every LLL-proposed
-    relation prod u_i**e_i = +-1 is refuted by exact arithmetic in Z[theta])
-    together with a full-rank log matrix.
+    sigma_j, to ``_LOG_DIGITS`` digits as exact Fractions.  Independence of
+    the units is certified by :func:`build_max_rank_group`: every relation
+    prod u_i**e_i = +-1 that LLL proposes in the rank of pi is refuted by
+    the exact zero-entropy test of its word, since by Kronecker a unit of a
+    totally real field with all |sigma_j(u)| = 1 is +-1.
     """
     field: NumberFieldSpec
     units: tuple                # ascending power-basis coefficient tuples
-    log_embeddings: tuple       # tuple of tuples of sympy Floats
+    log_embeddings: tuple       # tuple of tuples of Fractions
     certificate: str = ""
 
     @property
@@ -179,7 +179,7 @@ def _log_vector(field: NumberFieldSpec, u):
     for a nonzero u.  Each sigma_j(u) = u(theta_j) is enclosed in Fractions
     from an enclosure of theta_j, narrowed until it has one sign and a
     relative width below 10^-(digits + 10); the log of its midpoint is taken
-    at that precision."""
+    by ``_log_midpoint``."""
     tol = Fraction(1, 10 ** (_LOG_DIGITS + 10))
     vec = []
     for root in _embedding_roots(field.coeffs):
@@ -189,17 +189,15 @@ def _log_vector(field: NumberFieldSpec, u):
             if (a > 0 or b < 0) and b - a <= tol * min(abs(a), abs(b)):
                 break
             eps /= 10 ** 10
-        mid = abs(a + b) / 2
-        with mpmath.workdps(_LOG_DIGITS + 10):
-            v = mpmath.log(mpmath.mpf(mid.numerator) / mid.denominator)
-        vec.append(sp.Float(v, _LOG_DIGITS))
+        vec.append(_log_midpoint(abs(a), abs(b)))
     return tuple(vec)
 
 
-def _numeric_rank(rows, threshold=Fraction(1, 10**30)) -> int:
-    """Rank of a small real matrix by fraction-exact Gaussian elimination of
-    the high-precision entries, with an explicit pivot threshold."""
-    work = [[Fraction(sp.Rational(v)) for v in row] for row in rows]
+def _numeric_rank(rows) -> int:
+    """Rank of a small real matrix of Fraction logs by exact Gaussian
+    elimination, with a pivot threshold of 10^-30."""
+    threshold = Fraction(1, 10**30)
+    work = [list(row) for row in rows]
     rank = 0
     cols = len(rows[0]) if rows else 0
     for j in range(cols):
@@ -226,11 +224,6 @@ def _is_trivial_unit(field: NumberFieldSpec, u) -> bool:
     return u[0] in (1, -1) and not any(body)
 
 
-def _verify_relation(field: NumberFieldSpec, units, exponents) -> bool:
-    """Exact check of prod units[i]**exponents[i] = +-1 in Z[theta]."""
-    return _is_trivial_unit(field, _unit_product(field, units, exponents))
-
-
 def _lll_reduce_units(field: NumberFieldSpec, units, logs):
     """LLL-reduce the log-embedding lattice of the selected units; returns
     an equally-sized independent system of (usually shorter) units obtained
@@ -238,14 +231,7 @@ def _lll_reduce_units(field: NumberFieldSpec, units, logs):
     n = len(units)
     if n <= 1:
         return list(units), list(logs)
-    scale = 10**40
-    rows = []
-    for i, lv in enumerate(logs):
-        row = [0] * n + [int(round(Fraction(sp.Rational(v)) * scale))
-                         for v in lv]
-        row[i] = 1
-        rows.append(row)
-    red = lll_reduce(rows)
+    red = lll_reduce(_relation_rows(logs))
     out_units, out_logs = [], []
     for row in red:
         e = row[:n]
@@ -268,7 +254,7 @@ def unit_search(field: NumberFieldSpec, coeff_bound: int) -> UnitSystem:
     """Find k-1 multiplicatively independent infinite-order units of
     Z[theta] by exhaustive enumeration over the coefficient box
     |a_i| <= coeff_bound, followed by LLL reduction of the log-embedding
-    lattice and an exact refutation loop for every proposed relation.
+    lattice.  Their independence is certified by ``build_max_rank_group``.
     """
     if coeff_bound < 1:
         raise ForgeError("coefficient bound must be positive")
@@ -303,8 +289,6 @@ def unit_search(field: NumberFieldSpec, coeff_bound: int) -> UnitSystem:
         if len(selected) == target:
             break
         lv = _log_vector(field, u)
-        if max(abs(v) for v in lv) < sp.Float(10) ** (-30):
-            continue  # numerically torsion; cannot happen in a real field
         if _numeric_rank(logs + [lv]) == len(logs) + 1:
             selected.append(u)
             logs.append(lv)
@@ -313,20 +297,7 @@ def unit_search(field: NumberFieldSpec, coeff_bound: int) -> UnitSystem:
             f"only {len(selected)} independent units found with coefficient "
             f"bound {coeff_bound}; need {target} — increase the bound")
     selected, logs = _lll_reduce_units(field, selected, logs)
-    # relation loop: every candidate relation proposed by LLL on the log
-    # coordinates must fail the exact product test, else the system is
-    # dependent and the numeric rank lied.
-    for coord in range(k):
-        col = [lv[coord] for lv in logs]
-        for e in integer_relations(col, tolerance=Fraction(1, 10**25),
-                                   height_cap=10**3):
-            if _verify_relation(field, selected, e):
-                raise ForgeError(
-                    f"units are multiplicatively dependent: relation {e} "
-                    "verified exactly")
-    cert = (f"log-rank {target} at {_LOG_DIGITS} digits; all LLL-proposed "
-            "relations refuted exactly in Z[theta]")
-    return UnitSystem(field, tuple(selected), tuple(logs), cert)
+    return UnitSystem(field, tuple(selected), tuple(logs))
 
 
 # ---------------------------------------------------------------------------
@@ -355,17 +326,24 @@ class ForgedGroup:
 def build_max_rank_group(field: NumberFieldSpec,
                          coeff_bound: int = 4) -> ForgedGroup:
     """Forge the rank-(k-1) group of a totally real degree-k field and run
-    the full structural pipeline on it, asserting r = k-1 exactly."""
+    the full structural pipeline on it.
+
+    The rank of pi is k-1 minus the number of verified kernel words, and a
+    word of the units' regular representations has zero entropy exactly
+    when its unit product is +-1.  So the rank is k-1 iff every relation
+    LLL proposes is refuted exactly; a verified one is a ``ForgeError``."""
     units = unit_search(field, coeff_bound)
     gens = tuple(regular_representation(u, field) for u in units.units)
     spec = GroupSpec(gens, tuple(g.name for g in gens))
     analysis = analyze_group(spec)
-    r = analysis.rank.rank if analysis.rank is not None else None
-    if r != field.degree - 1:
-        raise AssertionError(
-            "THEOREM VIOLATION: certified independent units of a totally "
-            f"real degree-{field.degree} field produced rank {r}, "
-            f"expected {field.degree - 1}")
+    kernel = analysis.rank.kernel.basis
+    if kernel:
+        raise ForgeError(
+            f"units are multiplicatively dependent: relation "
+            f"{list(kernel[0])} verified exactly")
+    units = replace(units, certificate=(
+        f"log-rank {units.rank} at {_LOG_DIGITS} digits; all LLL-proposed "
+        "relations refuted exactly in Z[theta]"))
     return ForgedGroup(field, units, spec, analysis)
 
 

@@ -24,6 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from fractions import Fraction
 
 import sympy as sp
 from sympy import Matrix
@@ -385,7 +386,7 @@ def _kernel_candidates(n: int, log_rows):
     basis = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for taus in log_rows:
         vals = [sum(b[j] * taus[j] for j in range(n)) for b in basis]
-        cands = integer_relations(vals, height_cap=10**4)
+        cands = integer_relations(vals)
         new = []
         for cand in cands:
             vec = [sum(cb * b[j] for cb, b in zip(cand, basis))
@@ -400,10 +401,10 @@ def _kernel_candidates(n: int, log_rows):
 
 
 def _log_value(m):
-    """log |mu|^2 to _LOG_DIGITS digits from the kernel's enclosure,
-    exactly 0 when |mu|^2 == 1."""
+    """log |mu|^2 to _LOG_DIGITS digits from the kernel's enclosure, as a
+    Fraction; exactly 0 when |mu|^2 == 1."""
     m = real_root(m)
-    return sp.Integer(0) if m == 1 else m.log(_LOG_DIGITS)
+    return 0 if m == 1 else m.log()
 
 
 def pi_rank(spec: GroupSpec, table: CharacterTable) -> PiRankResult:
@@ -673,8 +674,8 @@ def check_theorem_4_6(spec: GroupSpec, classes) -> Theorem46Report:
     if wedge_all(classes).is_zero():
         return Theorem46Report("vacuous", reason="context wedge is zero")
     # rank of the induced pi, with exact multiplicative verification
-    log_rows = ([sp.Integer(0) if exact_equal(lam, 1)
-                 else sp.log(sp.Abs(lam)).evalf(_LOG_DIGITS) for lam in row]
+    log_rows = ([0 if exact_equal(lam, 1) else Fraction(sp.Rational(
+                    sp.log(sp.Abs(lam)).evalf(_LOG_DIGITS))) for lam in row]
                 for row in multipliers)
     verified = [e for e in _kernel_candidates(n, log_rows)
                 if all(_trivial_multiplier(row, e) for row in multipliers)]

@@ -8,7 +8,7 @@ import sympy as sp
 from sympy import Matrix
 
 from toraldyn.cohomology import _hermitian_cells
-from toraldyn.exact_algebra import X, AlgebraicReal, real_charpoly, root_moduli
+from toraldyn.exact_algebra import X, AlgebraicReal, charpoly, root_moduli
 
 
 def hermitian_coords(H: Matrix) -> list:
@@ -19,10 +19,22 @@ def hermitian_coords(H: Matrix) -> list:
     return coords
 
 
+def charpoly_times_conjugate(M: Matrix):
+    """``(p, False)`` for a real matrix with characteristic polynomial p,
+    else ``(p * conj(p), True)``: an integer polynomial whose root moduli are
+    those of p with doubled multiplicity."""
+    p = charpoly(M)
+    coeffs = p.all_coeffs()
+    if all(sp.im(c) == 0 for c in coeffs):
+        return p, False
+    conj = sp.Poly([sp.conjugate(c) for c in coeffs], X)
+    return sp.Poly(sp.expand((p * conj).as_expr()), X), True
+
+
 def spectral_radius(M: Matrix) -> AlgebraicReal:
     """Certified spectral radius of an exact (Gaussian-)integer matrix,
     read from the moduli of its real characteristic polynomial."""
-    p, _ = real_charpoly(M)
+    p, _ = charpoly_times_conjugate(M)
     return root_moduli(p)[0][0]
 
 

@@ -17,11 +17,10 @@ from toraldyn.exact_algebra import (
     IntegerLattice, RealRoot, charpoly, exact_equal, exact_is_zero,
     exact_sign, finite_order_bound, gaussian_det, hermite_normal_form_rows,
     integer_relations, is_cyclotomic_product, lll_reduce, matrix_order,
-    _cyclotomic_index, _kernel_root, minimal_polynomial, real_charpoly,
-    real_root, root_moduli, smith_normal_form_with_transforms,
+    _cyclotomic_index, _kernel_root, minimal_polynomial, real_root, root_moduli, smith_normal_form_with_transforms,
     symmetric_definiteness)
 
-from oracles import hermitian_coords, spectral_radius
+from oracles import charpoly_times_conjugate, hermitian_coords, spectral_radius
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +151,7 @@ def _nonreal_oracle_cases():
             cases.append(p.as_expr())
     while len(cases) < 10:     # p * conj(p) of SL(2, Z[i]) generators
         M = _elementary_product(rng, 2, rng.randint(3, 5), (1, -1, I, -I))
-        p, doubled = real_charpoly(M)
+        p, doubled = charpoly_times_conjugate(M)
         if doubled:
             cases.append(p.as_expr())
     return cases + [
@@ -621,13 +620,18 @@ def test_lattice_rejects_wrong_length():
 # integer relation candidates
 # ---------------------------------------------------------------------------
 
+def _digits60(expr) -> Fraction:
+    """A real sympy value to 60 digits, as the exact binary Fraction."""
+    return Fraction(sp.Rational(sp.N(expr, 60)))
+
+
 def test_relation_ln2_ln4():
-    cands = integer_relations([sp.log(2), sp.log(4)])
+    cands = integer_relations([_digits60(sp.log(2)), _digits60(sp.log(4))])
     assert [2, -1] in cands
 
 
 def test_relation_tau_minus_tau():
-    t = sp.log(1 + sp.sqrt(2))
+    t = _digits60(sp.log(1 + sp.sqrt(2)))
     cands = integer_relations([t, -t])
     assert [1, 1] in cands
 
@@ -636,12 +640,12 @@ def test_relation_lll_failure_is_exact_algebra_error():
     # at the 10^40 scale of (t, 2t) an LLL that rounds mu_kj through float
     # breaks its own size reduction; the integral one finds the relation
     t = sp.log((7 + 3 * sp.sqrt(5)) / 2)
-    assert integer_relations([t, 2 * t]) == [[2, -1]]
+    assert integer_relations([_digits60(t), _digits60(2 * t)]) == [[2, -1]]
 
 
 def test_no_relation_ln2_ln3():
-    cands = integer_relations([sp.log(2), sp.log(3)],
-                              tolerance=Fraction(1, 10**12))
+    # at the fixed tolerance 10^-12
+    cands = integer_relations([_digits60(sp.log(2)), _digits60(sp.log(3))])
     # oracle: exhaustive search over |e_i| <= 50 finds no relation
     l2, l3 = math.log(2), math.log(3)
     for a in range(-50, 51):

@@ -12,12 +12,15 @@ import pytest
 import sympy as sp
 from sympy import Matrix, eye
 
+from toraldyn import example_forge
 from toraldyn.cli import EXIT_INVALID, main
 from toraldyn.cohomology import classify, degree_profile, entropy
+from toraldyn.exact_algebra import _LOG_DIGITS, real_root
 from toraldyn.example_forge import (
     ForgeError, NumberFieldSpec, UnitSystem, build_max_rank_group, builtin,
-    _log_vector, _unit_power, builtin_names, regular_representation,
-    unit_search)
+    _log_vector, _unit_power, _unit_product, builtin_names,
+    regular_representation, unit_search)
+from toraldyn.group_structure import find_characters
 
 from oracles import embedding_entropy, field_element
 
@@ -130,8 +133,46 @@ def test_log_vector_matches_mpmath_at_80_digits(field, bound):
             for th, value in zip(thetas, got):
                 expected = mpmath.log(abs(mpmath.polyval(
                     list(reversed(u)), th)))
-                assert abs(mpmath.mpf(value._mpf_) - expected) \
-                    < mpmath.mpf(10) ** -55
+                assert abs(mpmath.mpf(value.numerator) / value.denominator
+                           - expected) < mpmath.mpf(10) ** -55
+
+
+def _sympy_float_log(lo, hi):
+    """log of the midpoint of [lo, hi] at _LOG_DIGITS + 10 digits, rounded
+    by ``sp.Float(v, _LOG_DIGITS)``: the sympy route the logs used to take,
+    as an exact Fraction."""
+    mid = (lo + hi) / 2
+    with mpmath.workdps(_LOG_DIGITS + 10):
+        v = mpmath.log(mpmath.mpf(mid.numerator) / mid.denominator)
+    return Fraction(sp.Rational(sp.Float(v, _LOG_DIGITS)))
+
+
+def test_logs_are_the_sympy_float_values(monkeypatch):
+    # RealRoot.log on the character multipliers of the builtins
+    count = 0
+    for name in builtin_names():
+        for ch in find_characters(builtin(name)).characters:
+            for m in ch.multipliers:
+                m = real_root(m)
+                if m == 1:
+                    continue
+                expected = _sympy_float_log(
+                    *m.enclosure(Fraction(1, 10 ** (_LOG_DIGITS + 10))))
+                assert m.log() == expected, (name, m)
+                count += 1
+    assert count >= 4
+    # _log_vector on seeded unit products, against the same enclosures
+    # taken through the sympy rounding
+    rng = random.Random(20261019)
+    cases = []
+    for field, bound in ((CUBIC_FIELD, 4), (QUARTIC_FIELD, 2)):
+        units = unit_search(field, bound).units
+        for _ in range(4):
+            e = [rng.randint(-6, 6) for _ in units]
+            cases.append((field, _unit_product(field, units, e)))
+    got = [_log_vector(field, u) for field, u in cases]
+    monkeypatch.setattr(example_forge, "_log_midpoint", _sympy_float_log)
+    assert got == [_log_vector(field, u) for field, u in cases]
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +195,7 @@ def test_unit_search_golden():
 
 
 def test_unit_search_cubic_two_independent_units():
-    us = unit_search(CUBIC_FIELD, 4)
+    us = build_max_rank_group(CUBIC_FIELD, 4).units
     assert us.rank == 2
     assert "refuted exactly" in us.certificate
     # numeric independence double-check via 2x2 log minors
@@ -165,10 +206,25 @@ def test_unit_search_cubic_two_independent_units():
 
 def test_unit_search_quartic_three_independent_units():
     # its 10^40-scaled log lattice defeats an LLL rounding through float
-    us = unit_search(QUARTIC_FIELD, 2)
+    us = build_max_rank_group(QUARTIC_FIELD, 2).units
     assert us.rank == 3
     assert "refuted exactly" in us.certificate
     assert all(abs(QUARTIC_FIELD.norm(u)) == 1 for u in us.units)
+
+
+def test_dependent_units_are_a_forge_error(monkeypatch, capsys):
+    # a search that returned the dependent pair (u, u^2) of the cubic field:
+    # the rank of pi verifies the relation u^2 = u^2 exactly, and the forge
+    # refuses with exit 3 instead of reporting a rank below k - 1
+    u = (0, 1, 0)
+    pair = (u, CUBIC_FIELD.multiply(u, u))
+    monkeypatch.setattr(example_forge, "unit_search",
+                        lambda field, bound: UnitSystem(field, pair, ()))
+    with pytest.raises(ForgeError, match=r"multiplicatively dependent: "
+                       r"relation \[2, -1\] verified exactly"):
+        build_max_rank_group(CUBIC_FIELD, 4)
+    assert main(["forge", "--poly", "1,-1,-2,1"]) == EXIT_INVALID
+    assert "multiplicatively dependent" in capsys.readouterr().err
 
 
 def test_unit_search_failure_reports_bound():
