@@ -7,10 +7,11 @@ Subcommands
     enumerate  distinct first dynamical degrees at a coefficient bound
 
 Exit codes: 0 = all assertions pass; 2 = theorem violation (an implementation
-bug, never accepted); 3 = invalid input, a refused budget, or input the exact
-machinery cannot certify (unsupported input).  All integers in JSON
-are arbitrary-precision decimal strings; every inexact number is tagged as an
-approximation and accompanied by a certified rational interval.
+bug, never accepted); 3 = invalid input (a usage error among them), a refused
+budget, or input the exact machinery cannot certify (unsupported input).  All
+integers in JSON are arbitrary-precision decimal strings; every inexact number
+is tagged as an approximation and accompanied by a certified rational
+interval.
 
 Each subcommand imports its machinery after its input checks, so refusals and
 the whole of ``hodge-check`` run without sympy.
@@ -43,6 +44,10 @@ DEFAULT_DIGITS = 12
 MAX_DIGITS = 1000
 # the most hodge-check samples accepted: about 45 s at k = 4
 MAX_SAMPLES = 10_000
+# the names of example_forge's builtin catalog, so that an unknown name is
+# refused without importing it (and sympy)
+BUILTIN_NAMES = ("cat_T2", "cubic_T3", "parabolic_T2", "pell_T2",
+                 "pell_plus_torsion", "torsion_i")
 
 
 class CliInputError(ValueError):
@@ -178,12 +183,12 @@ def load_group_argument(arg: str):
             forged = _forge_or_raise(*_field_from_json(data))
             return forged.group, forged
         raise CliInputError(f"unknown spec kind {kind!r}")
-    from .example_forge import builtin, builtin_names
-    if arg in builtin_names():
+    if arg in BUILTIN_NAMES:
+        from .example_forge import builtin
         return builtin(arg), None
     raise CliInputError(
         f"{arg!r} is neither a file nor a builtin name "
-        f"(builtins: {', '.join(builtin_names())})")
+        f"(builtins: {', '.join(BUILTIN_NAMES)})")
 
 
 def _require_in_range(option: str, value: int, low: int, high=None) -> None:
@@ -416,8 +421,17 @@ def cmd_enumerate(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits 3 like any invalid input: 2 means a proved
+    theorem violation.  Subparsers are made of the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="toraldyn",
         description=("Exact cohomological dynamics of commuting automorphism "
                      "groups of complex tori (C/Z[i])^k."))

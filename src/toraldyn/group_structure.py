@@ -23,8 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from fractions import Fraction
+from functools import lru_cache
 
 import sympy as sp
 from sympy import Matrix
@@ -32,22 +31,17 @@ from sympy.polys.agca.extensions import FiniteExtension
 from sympy.polys.matrices import DomainMatrix
 
 from .cohomology import (
-    CohomClass,
     TorusAutomorphism,
     _identity,
     _moduli_squared_desc,
     _pair_product,
     has_zero_entropy,
-    is_nef,
-    pullback,
-    wedge_all,
 )
 from .exact_algebra import (
     ExactAlgebraError,
     IntegerLattice,
     RealRoot,
     X,
-    _LOG_DIGITS,
     charpoly,
     exact_equal,
     exact_is_zero,
@@ -266,12 +260,6 @@ class Character:
         """The exact |mu_j|^2 per generator as sympy values."""
         return tuple(m.expr if isinstance(m, RealRoot) else m
                      for m in self.multipliers)
-
-    @cached_property
-    def eigenclass(self) -> CohomClass:
-        """w w^H, nef as v^H (w w^H) v = |w^H v|^2; built when read."""
-        w = self.eigenvector
-        return CohomClass.from_hermitian(w * w.H)
 
 
 @dataclass
@@ -617,89 +605,6 @@ def decompose(spec: GroupSpec, analysis: PiRankResult) -> DecompositionResult:
             "THEOREM VIOLATION: infinite zero-entropy part at maximal rank")
     return DecompositionResult(r, free_words, u_words, u_order is not None,
                                u_order, lattice)
-
-
-# ---------------------------------------------------------------------------
-# invariant-class form of the structure theorem
-
-
-@dataclass
-class Theorem46Report:
-    status: str                # "holds" | "vacuous"
-    rank: int | None = None
-    reason: str = ""
-    witness: object = None
-
-
-def _class_multiplier(g: TorusAutomorphism, c: CohomClass):
-    """lambda with pullback(g, c) = lambda c, or None."""
-    key, base = next(iter(c.coeffs.items()))
-    image = pullback(g, c)
-    lam = sp.simplify(image.coeffs.get(key, sp.Integer(0)) / base)
-    if (image - c.scale(lam)).is_zero():
-        return lam
-    return None
-
-
-def _trivial_multiplier(row, e) -> bool:
-    """Whether prod_j |lam_j|^e_j == 1, decided exactly."""
-    pos = sp.Mul(*[sp.Abs(lam) ** ej for lam, ej in zip(row, e) if ej > 0])
-    neg = sp.Mul(*[sp.Abs(lam) ** -ej for lam, ej in zip(row, e) if ej < 0])
-    return exact_equal(sp.expand(pos), sp.expand(neg))
-
-
-def check_theorem_4_6(spec: GroupSpec, classes) -> Theorem46Report:
-    """Invariant-class structure theorem: a positive-entropy group preserving
-    k-1 nef classes with nonzero wedge is commutative and free of rank
-    <= k-1.  Hypotheses are checked exactly; a hypotheses-true,
-    conclusion-false instance raises (build-breaking)."""
-    classes = list(classes)
-    k = spec.k
-    n = spec.n
-    if len(classes) != k - 1:
-        raise ValueError("exactly k-1 classes required")
-    multipliers = []       # multipliers[i][j] for class i, generator j
-    for c in classes:
-        if c.is_zero() or not is_nef(c):
-            return Theorem46Report("vacuous", reason="class not nef/nonzero",
-                                   witness=c)
-        row = []
-        for g in spec.generators:
-            lam = _class_multiplier(g, c)
-            if lam is None:
-                return Theorem46Report(
-                    "vacuous", reason="class not preserved", witness=(g, c))
-            row.append(lam)
-        multipliers.append(row)
-    if wedge_all(classes).is_zero():
-        return Theorem46Report("vacuous", reason="context wedge is zero")
-    # rank of the induced pi, with exact multiplicative verification
-    log_rows = ([0 if exact_equal(lam, 1) else Fraction(sp.Rational(
-                    sp.log(sp.Abs(lam)).evalf(_LOG_DIGITS))) for lam in row]
-                for row in multipliers)
-    verified = [e for e in _kernel_candidates(n, log_rows)
-                if all(_trivial_multiplier(row, e) for row in multipliers)]
-    # the hypothesis "zero entropy => identity", decided on ker(pi), where
-    # every zero-entropy element lies: a non-identity element there refutes
-    # it if its entropy is zero and contradicts the theorem otherwise
-    ident = _identity(k)
-    for e in verified:
-        if word_automorphism(spec, e) != ident:
-            if verify_zero_entropy_word(spec, e):
-                return Theorem46Report(
-                    "vacuous", reason="zero-entropy non-identity word",
-                    witness=e)
-            raise AssertionError(
-                f"THEOREM VIOLATION: nontrivial word {e} in ker(pi)")
-    comm = check_commuting(spec)
-    if not comm.commutes:
-        raise AssertionError(
-            f"THEOREM VIOLATION: non-commuting pair {comm.witness}")
-    r = n - len(verified)
-    if r > k - 1:
-        raise AssertionError(
-            f"THEOREM VIOLATION: rank {r} exceeds k-1 = {k - 1}")
-    return Theorem46Report("holds", rank=r)
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,15 @@ every positivity statement here is decided by exact pivot tests.  Randomness
 only ever chooses the contexts, never the decision.
 
 Context classes enter as Hermitian matrices of Gaussian-rational (re, im)
-pairs; any other entry is refused with ``ValueError``.  The Gram matrix of q
-and the primitive functional both come from one division-free kernel: each
+pairs.  The Gram matrix of q comes from one division-free kernel: each
 context is scaled to Gaussian-integer entries, the mixed part of the
-relevant minors of the context sum is taken by inclusion-exclusion over
-subset sums, and the only division is by the product of the scales at the
-end (the mixed discriminant is multilinear).  No matrix is inverted, so
-singular context sums (rank-one nef classes) need no special case.
-
-Only the class-level checkers import sympy and ``cohomology`` (at call time):
-the fuzz and ``hodge_riemann_definite`` run on ``integer_kernel`` alone."""
+(k-2)-minors of the context sum is taken by inclusion-exclusion over subset
+sums, and the only division is by the product of the scales (the mixed
+discriminant is multilinear).  The mixed discriminant is also symmetric, so
+the primitive functional X -> X ^ c_1 ^ ... ^ c_{k-1} is -q(X, c_{k-1}) and
+costs no second pass.  No matrix is inverted, so singular context sums
+(rank-one nef classes) need no special case.  Everything here runs on
+Python ints and ``integer_kernel``."""
 
 from __future__ import annotations
 
@@ -25,30 +24,9 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
-from .integer_kernel import (_integer_rows, gaussian_det,
+from .integer_kernel import (_hermitian_cells, gaussian_det,
                              hermitian_basis_sparse, symmetric_definiteness)
-
-if TYPE_CHECKING:
-    import sympy as sp
-    from .cohomology import CohomClass, TorusAutomorphism
-
-# ---------------------------------------------------------------------------
-# Gaussian-rational matrices as lists of (re, im) pairs
-
-
-def _to_frac_pair(v):
-    re, im = v.as_real_imag()
-    if not (re.is_Rational and im.is_Rational):
-        raise ValueError("context classes must have Gaussian-rational entries")
-    return (Fraction(re.p, re.q), Fraction(im.p, im.q))
-
-
-def gmat_from_class(c: CohomClass):
-    rows = c.to_hermitian().tolist()
-    return [[_to_frac_pair(v) for v in row] for row in rows]
-
 
 # ---------------------------------------------------------------------------
 # mixed minors: the one exact kernel behind q and the primitive functional
@@ -92,94 +70,105 @@ def _mixed_minors(contexts, k: int):
 
 
 def _partial_term(cells):
-    """``(rows, cols, sign, v)`` of the partial derivative
-    d^n det / dF[r_1][c_1] ... dF[r_n][c_n] times v_1 ... v_n, for cells
+    """``(rows, cols, sign, v)`` of the second partial derivative
+    d^2 det / dF[r_1][c_1] dF[r_2][c_2] times v_1 v_2, for cells
     (r_i, c_i, v_i) with Gaussian-integer v_i: the partial is the minor
     without ``rows`` and ``cols`` (ascending), signed by (-1)^(sum r +
     sum c) and by the parities of the row and column orders, and v is the
-    product of the v_i.  None when two cells share a row or a column, where
+    product of the v_i.  None when the cells share a row or a column, where
     the partial vanishes."""
-    rows = [r for r, _, _ in cells]
-    cols = [c for _, c, _ in cells]
-    if len(set(rows)) < len(rows) or len(set(cols)) < len(cols):
+    (r1, c1, z1), (r2, c2, z2) = cells
+    if r1 == r2 or c1 == c2:
         return None
-    inversions = sum(a > b for a, b in itertools.combinations(rows, 2))
-    inversions += sum(a > b for a, b in itertools.combinations(cols, 2))
-    sign = (-1) ** (sum(rows) + sum(cols) + inversions)
-    v = (1, 0)
-    for _, _, z in cells:
-        v = (v[0] * z[0] - v[1] * z[1], v[0] * z[1] + v[1] * z[0])
-    return tuple(sorted(rows)), tuple(sorted(cols)), sign, v
+    sign = (-1) ** (r1 + r2 + c1 + c2 + (r1 > r2) + (c1 > c2))
+    v = (z1[0] * z2[0] - z1[1] * z2[1], z1[0] * z2[1] + z1[1] * z2[0])
+    return (min(r1, r2), max(r1, r2)), (min(c1, c2), max(c1, c2)), sign, v
 
 
 @lru_cache(maxsize=None)
-def _partial_terms(k: int, order: int) -> dict:
-    """For each ascending ``order``-tuple of Hermitian basis indices, the
-    nonzero ``_partial_term``s of every choice of one entry cell from each
-    basis matrix of the tuple."""
+def _partial_terms(k: int) -> dict:
+    """For each pair a <= b of Hermitian basis indices, the nonzero
+    ``_partial_term``s of every choice of one entry cell from each of the
+    two basis matrices."""
     sparse = hermitian_basis_sparse(k)
     table = {}
-    for idx in itertools.combinations_with_replacement(range(len(sparse)),
-                                                       order):
+    for a, b in itertools.combinations_with_replacement(range(len(sparse)),
+                                                        2):
         terms = (_partial_term(cells)
-                 for cells in itertools.product(*(sparse[i] for i in idx)))
-        table[idx] = tuple(t for t in terms if t is not None)
+                 for cells in itertools.product(sparse[a], sparse[b]))
+        table[a, b] = tuple(t for t in terms if t is not None)
     return table
 
 
-def _mixed_partials(mixed, k: int, order: int) -> dict:
-    """Real part of the mixed partial of order ``order`` at each ascending
-    tuple of Hermitian basis matrices, scaled like ``mixed``."""
-    return {idx: sum(sign * (mixed[R, C][0] * v[0] - mixed[R, C][1] * v[1])
-                     for R, C, sign, v in terms)
-            for idx, terms in _partial_terms(k, order).items()}
+def _mixed_partials(mixed, k: int) -> dict:
+    """Real part of the mixed second partial at each pair a <= b of
+    Hermitian basis matrices, scaled like ``mixed``."""
+    return {ab: sum(sign * (mixed[R, C][0] * v[0] - mixed[R, C][1] * v[1])
+                    for R, C, sign, v in terms)
+            for ab, terms in _partial_terms(k).items()}
 
 
-def q_gram_fractions(contexts, k: int):
-    """Gram matrix of q(.,.) over the real Hermitian basis, as Fractions.
+def _q_gram(contexts, k: int):
+    """``(G, scale)``: G, minus the mixed second partials as ints, over
+    ``scale`` is the Gram matrix of q over the real Hermitian basis.
 
-    contexts: k-2 Hermitian Gaussian-rational (re, im) matrices.  q(X, Y) is
-    minus the mixed part of the st coefficient of det(F + sX + tY), i.e.
-    minus the sum of X[r1][c1] Y[r2][c2] times the mixed (k-2)-minor of the
-    contexts without rows r1, r2 and columns c1, c2 (signed second partials
-    of det).  Each basis matrix has at most two entries, so an entry costs
-    at most four products.
-    """
+    q(X, Y) is minus the mixed part of the st coefficient of
+    det(F + sX + tY), i.e. minus the sum of X[r1][c1] Y[r2][c2] times the
+    mixed (k-2)-minor of the contexts without rows r1, r2 and columns
+    c1, c2.  Each basis matrix has at most two entries, so an entry costs
+    at most four products."""
     if len(contexts) != k - 2:
         raise ValueError("q needs exactly k-2 context classes")
     mixed, scale = _mixed_minors(contexts, k)
     nb = len(hermitian_basis_sparse(k))
-    G = [[Fraction(0)] * nb for _ in range(nb)]
-    for (a, b), val in _mixed_partials(mixed, k, 2).items():
-        G[a][b] = G[b][a] = Fraction(-val, scale)
-    return G
+    G = [[0] * nb for _ in range(nb)]
+    for (a, b), val in _mixed_partials(mixed, k).items():
+        G[a][b] = G[b][a] = -val
+    return G, scale
+
+
+def _functional(G, M):
+    """``(ell, s)``: ell over ``s`` is -G x, as ints, with x the coordinates
+    of the Hermitian matrix M of Gaussian-rational pairs (in
+    ``_hermitian_cells`` order: a diagonal entry, or the real and imaginary
+    parts of an entry above it).  With G from ``_q_gram``, ell is
+    X -> -q(X, M) times the scale of G."""
+    x = [v for j, l in _hermitian_cells(len(M))
+         for v in (M[j][j][:1] if j == l else M[j][l])]
+    s = math.lcm(*(v.denominator for v in x))
+    x = [int(v * s) for v in x]
+    return [-sum(g * c for g, c in zip(row, x) if c) for row in G], s
+
+
+def q_gram_fractions(contexts, k: int):
+    """Gram matrix of q(.,.) over the real Hermitian basis, as Fractions;
+    contexts: k-2 Hermitian Gaussian-rational (re, im) matrices."""
+    G, scale = _q_gram(contexts, k)
+    return [[Fraction(g, scale) for g in row] for row in G]
 
 
 def primitive_functional_fractions(contexts, k: int):
-    """Linear functional X -> intersection(X, c_1, ..., c_{k-1}) over the
-    Hermitian basis; its kernel is the primitive hyperplane.
-
-    The value on X is the mixed part of the linear term of det(F + sX):
-    the sum of X[r][c] times the signed mixed (k-1)-minor without row r and
-    column c."""
+    """Linear functional X -> intersection(X, c_1, ..., c_{k-1}) =
+    -q(X, c_{k-1}) over the Hermitian basis, as Fractions; its kernel is the
+    primitive hyperplane."""
     if len(contexts) != k - 1:
         raise ValueError("primitive space needs k-1 context classes")
-    mixed, scale = _mixed_minors(contexts, k)
-    return [Fraction(val, scale)
-            for val in _mixed_partials(mixed, k, 1).values()]
+    G, scale = _q_gram(contexts[:-1], k)
+    ell, s = _functional(G, contexts[-1])
+    return [Fraction(v, scale * s) for v in ell]
 
 
 def _kernel_of_functional(ell):
-    """Integer-friendly basis of the kernel of a rational functional."""
+    """``(basis, degenerate)``: integer vectors spanning the kernel of a
+    rational functional; the unit vectors, and True, when it vanishes."""
     n = len(ell)
-    den = math.lcm(*(Fraction(v).denominator for v in ell)) if ell else 1
+    den = math.lcm(*(v.denominator for v in ell))
     ints = [int(v * den) for v in ell]
-    g = math.gcd(*ints) if any(ints) else 1
-    ell = [v // g for v in ints] if g else ints
-    piv = next((i for i, v in enumerate(ell) if v != 0), None)
+    g = math.gcd(*ints)
+    piv = next((i for i, v in enumerate(ints) if v != 0), None)
     if piv is None:
-        return [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-                for i in range(n)], True
+        return [[int(i == j) for j in range(n)] for i in range(n)], True
+    ell = [v // g for v in ints]
     basis = []
     for i in range(n):
         if i == piv:
@@ -193,15 +182,13 @@ def _kernel_of_functional(ell):
 
 
 def restrict_symmetric(G, vectors):
-    """B^T (sG) B, as ints, for a rational symmetric G and a list of integer
-    coordinate vectors, where s > 0 is the lcm of the denominators of G.  A
-    positive scale keeps every sign, so definiteness is read from it; the
-    product is taken over the nonzero coordinates of each vector."""
+    """B^T G B, as ints, for an integer symmetric G and a list of integer
+    coordinate vectors; the product is taken over the nonzero coordinates
+    of each vector."""
     n = len(G)
     m = len(vectors)
-    Gi, _ = _integer_rows(G)
     support = [[(j, v[j]) for j in range(n) if v[j]] for v in vectors]
-    GB = [[sum(Gi[i][j] * c for j, c in nz) for i in range(n)]
+    GB = [[sum(G[i][j] * c for j, c in nz) for i in range(n)]
           for nz in support]
     R = [[0] * m for _ in range(m)]
     for a in range(m):
@@ -216,13 +203,11 @@ def restrict_symmetric(G, vectors):
 
 @dataclass
 class PositivityReport:
-    kind: str              # "hodge_riemann_pd" | "gromov_psd"
+    kind: str              # "hodge_riemann_pd"
     k: int
     passed: bool
     definite: bool
-    degenerate: bool = False
     witness: list | None = None
-    fuzz: "FuzzReport | None" = None
 
 
 @dataclass
@@ -241,13 +226,14 @@ class FuzzReport:
 def _primitive_q_definiteness(mats, k: int):
     """Exact ``(psd, pd, witness)`` of q, built from the first k-2 of the
     k-1 contexts ``mats``, on the primitive hyperplane of all of them; None
-    when the context wedge vanishes and there is no such hyperplane."""
-    ell = primitive_functional_fractions(mats, k)
-    basis, degenerate = _kernel_of_functional(ell)
+    when the context wedge vanishes and there is no such hyperplane.  One
+    mixed-minor pass: the functional -q(., c_{k-1}) is read off the Gram
+    matrix, and both are positive multiples of the true ones."""
+    G, _ = _q_gram(mats[:-1], k)
+    basis, degenerate = _kernel_of_functional(_functional(G, mats[-1])[0])
     if degenerate:
         return None
-    R = restrict_symmetric(q_gram_fractions(mats[:k - 2], k), basis)
-    return symmetric_definiteness(R)
+    return symmetric_definiteness(restrict_symmetric(G, basis))
 
 
 def hodge_riemann_definite(mat) -> PositivityReport:
@@ -263,36 +249,6 @@ def hodge_riemann_definite(mat) -> PositivityReport:
     _, pd, witness = _primitive_q_definiteness([mat] * (k - 1), k)
     return PositivityReport("hodge_riemann_pd", k, passed=pd, definite=pd,
                             witness=witness)
-
-
-def check_hodge_riemann_definite(omega: CohomClass) -> PositivityReport:
-    """``hodge_riemann_definite`` of a real (1,1)-class."""
-    if not omega.is_real():
-        raise ValueError("the Hodge-Riemann check requires a Kahler class")
-    return hodge_riemann_definite(gmat_from_class(omega))
-
-
-def check_gromov_semipositive(context, samples: int = 0,
-                              seed: int = 0) -> PositivityReport:
-    """Gromov/Timorin semipositivity for one nef context (k-1 classes):
-    q (from the first k-2 classes) restricted to the primitive space of the
-    full context is PSD; decided by exact pivots.  A vanishing context wedge
-    is flagged degenerate and skipped."""
-    from .cohomology import is_nef
-    context = list(context)
-    k = context[0].k
-    for c in context:
-        if not is_nef(c):
-            raise ValueError("context classes must be nef")
-    mats = [gmat_from_class(c) for c in context]
-    decided = _primitive_q_definiteness(mats, k)
-    if decided is None:
-        return PositivityReport("gromov_psd", k, passed=True, definite=False,
-                                degenerate=True)
-    psd, pd, witness = decided
-    fuzz = gromov_fuzz(k, samples, seed) if samples else None
-    return PositivityReport("gromov_psd", k, passed=psd and (fuzz is None or fuzz.passed),
-                            definite=pd, witness=witness, fuzz=fuzz)
 
 
 def _random_pd_context(rng: random.Random, k: int, spread: int = 2):
@@ -318,149 +274,3 @@ def gromov_fuzz(k: int, samples: int, seed: int) -> FuzzReport:
         elif not decided[0]:
             report.failures.append((s, decided[2]))
     return report
-
-
-# ---------------------------------------------------------------------------
-# colinearity (Cor 3.2) and the (a,b)-pair solver (Cor 3.5)
-
-
-@dataclass
-class ColinearityResult:
-    kind: str              # "colinear" | "wedge_nonzero"
-    # when set, c' = ratio * c; None when c = 0 and c' != 0
-    ratio: sp.Expr | None = None
-
-
-def colinearity_witness(c: CohomClass, cprime: CohomClass) -> ColinearityResult:
-    """For nef c, c': either c ^ c' != 0 or the two classes are colinear."""
-    import sympy as sp
-    from .cohomology import is_nef, wedge
-    if not (is_nef(c) and is_nef(cprime)):
-        raise ValueError("colinearity dichotomy requires nef classes")
-    w = wedge(c, cprime)
-    if not w.is_zero():
-        return ColinearityResult("wedge_nonzero")
-    # verify colinearity exactly and extract the ratio
-    if c.is_zero():
-        # c = 0 is colinear with anything, but only c' = 0 is a multiple of it
-        return ColinearityResult("colinear",
-                                 ratio=sp.Integer(0) if cprime.is_zero() else None)
-    key, base = next(iter(c.coeffs.items()))
-    other = cprime.coeffs.get(key, sp.Integer(0))
-    ratio = sp.expand(other / base)
-    if not (cprime - c.scale(ratio)).is_zero():
-        raise AssertionError(
-            "THEOREM VIOLATION: nef classes with zero wedge are not colinear")
-    return ColinearityResult("colinear", ratio=ratio)
-
-
-@dataclass
-class SolveABResult:
-    status: str            # "solved" | "hypothesis_violated"
-    a: sp.Expr | None = None
-    b: sp.Expr | None = None
-    kernel_dimension: int | None = None
-    unique: bool | None = None
-
-
-def _ab_constraint_matrix(c, cprime, context):
-    """Rows of the linear system a*u + b*v = 0 ranging over a spanning set."""
-    import sympy as sp
-    from .cohomology import CohomClass, hermitian_basis, wedge, wedge_all
-    k = c.k
-    m = len(context)
-    wc = wedge_all([c, *context]) if context else c
-    wcp = wedge_all([cprime, *context]) if context else cprime
-    extra = k - m - 2
-    basis_cls = [CohomClass.from_hermitian(E) for E in hermitian_basis(k)]
-    rows = []
-    for combo in itertools.combinations_with_replacement(range(len(basis_cls)),
-                                                         extra):
-        u = wc
-        v = wcp
-        for i in combo:
-            u = wedge(u, basis_cls[i])
-            v = wedge(v, basis_cls[i])
-        keys = set(u.coeffs) | set(v.coeffs)
-        for key in keys:
-            uu = u.coeffs.get(key, sp.Integer(0))
-            vv = v.coeffs.get(key, sp.Integer(0))
-            rows.append((sp.re(uu), sp.re(vv)))
-            rows.append((sp.im(uu), sp.im(vv)))
-    return sp.Matrix(rows) if rows else sp.zeros(1, 2)
-
-
-def solve_ab_pair(c: CohomClass, cprime: CohomClass, context) -> SolveABResult:
-    """Cor-3.5 solver: find (a,b) != 0 with (a c + b c') ^ context ^ (anything)
-    = 0, given c ^ c' ^ context = 0; uniqueness certified when c ^ context != 0.
-    """
-    import sympy as sp
-    from .cohomology import is_nef, wedge_all
-    context = list(context)
-    k = c.k
-    if len(context) > k - 2:
-        raise ValueError("context may have at most k-2 classes")
-    for cl in (c, cprime, *context):
-        if not is_nef(cl):
-            raise ValueError("all classes must be nef")
-    hyp = wedge_all([c, cprime, *context])
-    if not hyp.is_zero():
-        return SolveABResult("hypothesis_violated")
-    M = _ab_constraint_matrix(c, cprime, context)
-    ker = M.nullspace()
-    if not ker:
-        raise AssertionError("THEOREM VIOLATION: Cor 3.5 kernel is empty")
-    sol = ker[0]
-    res = SolveABResult("solved", a=sp.nsimplify(sol[0]), b=sp.nsimplify(sol[1]),
-                        kernel_dimension=len(ker))
-    c_ctx = wedge_all([c, *context]) if context else c
-    if not c_ctx.is_zero():
-        res.unique = len(ker) == 1
-        if not res.unique:
-            raise AssertionError(
-                "THEOREM VIOLATION: Cor 3.5 kernel not one-dimensional")
-    return res
-
-
-# ---------------------------------------------------------------------------
-# Lemma 4.3 instance verification
-
-
-@dataclass
-class Lemma43Result:
-    status: str            # "holds" | "vacuous" | "violation"
-    reason: str = ""
-
-
-def lemma_4_3_check(g: TorusAutomorphism, c: CohomClass, cprime: CohomClass,
-                    context, lam, lam_prime) -> Lemma43Result:
-    """Verify one instance of the eigenclass-wedge lemma exactly.
-
-    Hypotheses: nef classes, g*(ctx^c) = lam ctx^c, g*(ctx^c') = lam' ctx^c',
-    lam != lam', ctx^c != 0, ctx^c^c' = 0.  Conclusion: ctx^c' = 0.
-    """
-    import sympy as sp
-    from .cohomology import is_nef, pullback, wedge, wedge_all
-    from .exact_algebra import exact_is_zero, exact_sign
-    context = list(context)
-    for cl in (c, cprime, *context):
-        if not is_nef(cl):
-            return Lemma43Result("vacuous", "non-nef input class")
-    if exact_is_zero(sp.expand(sp.sympify(lam) - sp.sympify(lam_prime))):
-        return Lemma43Result("vacuous", "lambda == lambda'")
-    if exact_sign(sp.sympify(lam)) <= 0 or exact_sign(sp.sympify(lam_prime)) <= 0:
-        return Lemma43Result("vacuous", "eigenvalues must be positive reals")
-    ctx_c = wedge_all([*context, c]) if context else c
-    ctx_cp = wedge_all([*context, cprime]) if context else cprime
-    if ctx_c.is_zero():
-        return Lemma43Result("vacuous", "context ^ c = 0")
-    if not (pullback(g, ctx_c) - ctx_c.scale(lam)).is_zero():
-        return Lemma43Result("vacuous", "context ^ c is not a lam-eigenclass")
-    if not (pullback(g, ctx_cp) - ctx_cp.scale(lam_prime)).is_zero():
-        return Lemma43Result("vacuous", "context ^ c' is not a lam'-eigenclass")
-    if not wedge(ctx_c, cprime).is_zero():
-        return Lemma43Result("vacuous", "context ^ c ^ c' != 0")
-    if ctx_cp.is_zero():
-        return Lemma43Result("holds")
-    return Lemma43Result(
-        "violation", "hypotheses hold but context ^ c' != 0")

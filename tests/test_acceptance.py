@@ -22,10 +22,10 @@ from toraldyn.cohomology import (CohomClass, classify, dynamical_degree,
 from toraldyn.example_forge import NumberFieldSpec, builtin
 from toraldyn.group_structure import (assert_structure_theorems, decompose,
                                       find_characters, pi_rank)
-from toraldyn.hodge_riemann import (check_hodge_riemann_definite, gromov_fuzz,
-                                    solve_ab_pair)
+from toraldyn.hodge_riemann import gromov_fuzz
 
 from oracles import embedding_entropy
+from statements import check_hodge_riemann_definite, solve_ab_pair
 
 
 def _run_criterion(num, budget, body):

@@ -15,11 +15,11 @@ import pytest
 import sympy
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from toraldyn import (cohomology, exact_algebra, group_structure,
-                      hodge_riemann)
-from toraldyn.cli import (EXIT_INVALID, EXIT_OK, EXIT_VIOLATION, MAX_DIGITS,
-                          MAX_SAMPLES, build_analysis_report,
-                          load_group_argument, main)
+from toraldyn import (cohomology, exact_algebra, example_forge,
+                      group_structure, hodge_riemann)
+from toraldyn.cli import (BUILTIN_NAMES, EXIT_INVALID, EXIT_OK,
+                          EXIT_VIOLATION, MAX_DIGITS, MAX_SAMPLES,
+                          build_analysis_report, load_group_argument, main)
 from toraldyn.example_forge import builtin, builtin_names
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -190,6 +190,22 @@ def test_analyze_non_commuting_exits_3(tmp_path, capsys):
 def test_analyze_unknown_name_exits_3(capsys):
     code, _, err = _run(capsys, "analyze", "not_a_builtin")
     assert code == EXIT_INVALID and "builtin" in err
+
+
+def test_builtin_names_are_the_catalog():
+    assert list(BUILTIN_NAMES) == sorted(example_forge._CATALOG)
+
+
+@pytest.mark.parametrize("argv", [
+    ["frobnicate"],
+    ["analyze"],
+    ["enumerate", "--dim", "x", "--bound", "1"],
+], ids=["unknown_command", "missing_spec", "non_integer_dim"])
+def test_usage_error_exits_3(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INVALID
+    assert "usage: toraldyn" in capsys.readouterr().err
 
 
 def test_analyze_malformed_matrix_exits_3(tmp_path, capsys):
@@ -402,6 +418,16 @@ def test_hodge_check_k2(capsys):
     assert rep["semipositivity_fuzz"]["failures"] == "0"
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_hodge_check_matches_its_seed_7_report(capsys, k):
+    # the committed seed-7 reports pin the Hodge-Riemann kernel byte for byte
+    code, out, err = _run(capsys, "hodge-check", "--dim", str(k),
+                          "--samples", "1000", "--seed", "7")
+    golden = ROOT / "tests" / "data" / f"hodge_check_k{k}_seed7.json"
+    assert (code, err) == (EXIT_OK, "")
+    assert out == golden.read_text()
+
+
 def test_hodge_check_k5_refused(capsys):
     code, _, err = _run(capsys, "hodge-check", "--dim", "5", "--samples", "1")
     assert code == EXIT_INVALID and "budget" in err
@@ -586,10 +612,11 @@ _CAT_ROWS = [[["2", "0"], ["1", "0"]], [["1", "0"], ["1", "0"]]]
     (None, ["hodge-check", "--dim", "7"]),
     (None, ["enumerate", "--dim", "0", "--bound", "2"]),
     (None, ["analyze", "cat_T2", "--precision", "-1"]),
+    (None, ["analyze", "not_a_builtin"]),
 ], ids=["list_spec", "string_generators", "non_object_generator",
         "empty_matrix", "short_matrix_after_a_valid_one",
         "non_integer_entry_after_a_valid_one", "hodge_check_dim_7",
-        "enumerate_dim_0", "negative_precision"])
+        "enumerate_dim_0", "negative_precision", "unknown_builtin"])
 def test_refusal_loads_no_sympy(tmp_path, spec, argv):
     if argv is None:
         path = tmp_path / "spec.json"

@@ -21,9 +21,11 @@ from toraldyn.cohomology import (
 from toraldyn.example_forge import builtin, builtin_names
 from toraldyn.group_structure import (
     DegenerateSpectrumError, GroupSpec, analyze_group,
-    assert_structure_theorems, check_commuting, check_theorem_4_6, decompose,
+    assert_structure_theorems, check_commuting, decompose,
     _log_value, _u_structure, find_characters, pi_rank,
     verify_zero_entropy_word, word_automorphism)
+
+from statements import check_theorem_4_6, eigenclass
 
 PELL_MATRIX = [[1, 2], [1, 1]]
 PELL = GroupSpec.from_matrices([PELL_MATRIX], ("pell",))
@@ -96,7 +98,7 @@ def test_character_eigenclasses_exact(spec):
     # find_characters certifies these facts by construction; decide them here
     table = find_characters(spec)
     for ch in table.characters:
-        cls = ch.eigenclass
+        cls = eigenclass(ch)
         assert is_nef(cls) and not cls.is_zero()
         for g, msq in zip(spec.generators, ch.modulus_squared):
             assert pullback(g, cls) == cls.scale(msq)
@@ -218,7 +220,7 @@ def test_repeated_spectrum_characters(mats, semisimple, budget):
     assert table.semisimple == semisimple
     assert table.m > 0 if semisimple else table.m == 0
     for ch in table.characters:
-        cls = ch.eigenclass
+        cls = eigenclass(ch)
         assert is_nef(cls) and not cls.is_zero()
         for g, msq in zip(spec.generators, ch.modulus_squared):
             assert _reduces_to_zero(pullback(g, cls) - cls.scale(msq))
@@ -478,7 +480,7 @@ def test_theorem_4_6_zero_entropy_kernel_word_vacuous():
     # entropy; no word of [-2, 2]^2 shows it
     A = Matrix([[2, 1], [1, 1]])
     spec = GroupSpec.from_matrices([A.tolist(), (-A ** 3).tolist()])
-    c = find_characters(spec).characters[0].eigenclass
+    c = eigenclass(find_characters(spec).characters[0])
     rep = check_theorem_4_6(spec, [c])
     assert rep.status == "vacuous" and rep.witness == [3, -1]
 

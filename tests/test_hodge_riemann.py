@@ -12,14 +12,15 @@ from toraldyn.exact_algebra import exact_is_zero, exact_sign
 from toraldyn.cohomology import (CohomClass, TorusAutomorphism,
                                  hermitian_basis, intersection_number,
                                  wedge, wedge_all)
+from toraldyn import hodge_riemann
 from toraldyn.hodge_riemann import (
-    _kernel_of_functional, check_gromov_semipositive,
-    check_hodge_riemann_definite, colinearity_witness, gmat_from_class,
-    gromov_fuzz, hodge_riemann_definite, lemma_4_3_check,
-    primitive_functional_fractions, q_gram_fractions, solve_ab_pair,
-    symmetric_definiteness)
+    _kernel_of_functional, gromov_fuzz, hodge_riemann_definite,
+    primitive_functional_fractions, q_gram_fractions, symmetric_definiteness)
 
 from oracles import hermitian_coords
+from statements import (check_gromov_semipositive,
+                        check_hodge_riemann_definite, colinearity_witness,
+                        gmat_from_class, lemma_4_3_check, solve_ab_pair)
 
 D10 = CohomClass.from_hermitian(sp.diag(1, 0))
 D01 = CohomClass.from_hermitian(sp.diag(0, 1))
@@ -248,6 +249,22 @@ def test_gromov_fuzz_500_tuples():
         total_failures += len(rep.failures)
         assert rep.samples == samples
     assert total_failures == 0
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_gromov_fuzz_makes_one_mixed_minor_pass_per_sample(monkeypatch, k):
+    # the primitive functional is read off the q Gram matrix, so each
+    # sample takes the minors of its k-2 contexts of q once
+    real = hodge_riemann._mixed_minors
+    passes = []
+
+    def counted(contexts, kk):
+        passes.append(len(contexts))
+        return real(contexts, kk)
+
+    monkeypatch.setattr(hodge_riemann, "_mixed_minors", counted)
+    assert gromov_fuzz(k, 12, seed=5).passed
+    assert passes == [k - 2] * 12
 
 
 @pytest.mark.parametrize("k", [3, 4])
