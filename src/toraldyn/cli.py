@@ -14,7 +14,9 @@ is tagged as an approximation and accompanied by a certified rational
 interval.
 
 Each subcommand imports its machinery after its input checks, so refusals and
-the whole of ``hodge-check`` run without sympy.
+the whole of ``hodge-check`` run without sympy.  ``analyze`` imports sympy
+only when a generator has positive entropy: a family of zero-entropy
+generators is decided and reported on integers (``integer_model``).
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from . import __version__
 from .integer_kernel import ExactAlgebraError
 
 if TYPE_CHECKING:
-    from .cohomology import TorusAutomorphism
-    from .exact_algebra import CertifiedReal, IntegerLattice
-    from .group_structure import GroupAnalysis, GroupSpec
+    from .exact_algebra import CertifiedReal
+    from .group_structure import GroupAnalysis
+    from .integer_model import GroupSpec, IntegerLattice, TorusAutomorphism
 
 EXIT_OK = 0
 EXIT_VIOLATION = 2
@@ -44,8 +46,8 @@ DEFAULT_DIGITS = 12
 MAX_DIGITS = 1000
 # the most hodge-check samples accepted: about 45 s at k = 4
 MAX_SAMPLES = 10_000
-# the names of example_forge's builtin catalog, so that an unknown name is
-# refused without importing it (and sympy)
+# the names of the builtin catalog (``integer_model``), so that an unknown
+# name is refused before any machinery is imported
 BUILTIN_NAMES = ("cat_T2", "cubic_T3", "parabolic_T2", "pell_T2",
                  "pell_plus_torsion", "torsion_i")
 
@@ -63,23 +65,49 @@ def _frac_str(q: Fraction) -> str:
 
 
 def _approx_str(q: Fraction, digits: int) -> str:
-    import sympy as sp
-    return sp.Float(sp.Rational(q.numerator, q.denominator),
-                    digits + 3).__str__()
+    """q to ``digits + 3`` significant digits as sympy prints a ``Float`` of
+    that precision: rounded to nearest at the binary precision of that many
+    digits, printed with the digits that precision holds."""
+    from mpmath.libmp import (dps_to_prec, from_rational, prec_to_dps,
+                              round_nearest, to_str)
+    prec = dps_to_prec(digits + 3)
+    text = to_str(from_rational(q.numerator, q.denominator, prec,
+                                round_nearest),
+                  prec_to_dps(prec), strip_zeros=False)
+    if text.startswith("-.0"):
+        return "-0." + text[3:]
+    if text.startswith(".0"):
+        return "0." + text[2:]
+    return text
 
 
-def _certified_json(value: CertifiedReal, digits: int) -> dict:
-    from .exact_algebra import AlgebraicReal
-    eps = Fraction(1, 2 * 10**digits)
-    lo, hi = value.enclosure(eps)
+def _certified_json(value: CertifiedReal | Fraction, digits: int) -> dict:
+    """The interval, approximation and (for an ``AlgebraicReal``) minimal
+    polynomial of a certified real; a Fraction, a value the integer model
+    decides exactly, is its own point interval."""
+    if isinstance(value, Fraction):
+        lo = hi = value
+    else:
+        lo, hi = value.enclosure(Fraction(1, 2 * 10**digits))
     out = {
         "interval": [_frac_str(lo), _frac_str(hi)],
         "approx": _approx_str((lo + hi) / 2, digits),
         "approx_is_approximation": True,
     }
-    if isinstance(value, AlgebraicReal):
-        out["min_poly"] = [str(c) for c in
-                           value.minimal_polynomial.all_coeffs()]
+    if not isinstance(value, Fraction):
+        from .exact_algebra import AlgebraicReal
+        if isinstance(value, AlgebraicReal):
+            out["min_poly"] = [str(c) for c in
+                               value.minimal_polynomial.all_coeffs()]
+    return out
+
+
+def _degree_json(value: CertifiedReal | Fraction, digits: int) -> dict:
+    """A dynamical degree; a rational one p/q (1 at zero entropy) has the
+    minimal polynomial q x - p."""
+    out = _certified_json(value, digits)
+    if isinstance(value, Fraction):
+        out["min_poly"] = [str(value.denominator), str(-value.numerator)]
     return out
 
 
@@ -143,12 +171,11 @@ def _group_from_json(data: dict) -> GroupSpec:
                        for r in rows)):
             raise CliInputError(f"generator {name}: matrix must be {k}x{k}")
         named.append((name, [[_entry_from_pair(v) for v in r] for r in rows]))
-    from .cohomology import TorusAutomorphism, _pair_matrix
-    from .group_structure import GroupSpec
+    from .integer_model import GroupSpec, TorusAutomorphism
     autos = []
     for name, rows in named:
         try:
-            autos.append(TorusAutomorphism(_pair_matrix(rows), name=name))
+            autos.append(TorusAutomorphism(rows, name=name))
         except ValueError as exc:
             raise CliInputError(f"generator {name}: {exc}") from exc
     return GroupSpec(tuple(autos), tuple(name for name, _ in named))
@@ -184,8 +211,8 @@ def load_group_argument(arg: str):
             return forged.group, forged
         raise CliInputError(f"unknown spec kind {kind!r}")
     if arg in BUILTIN_NAMES:
-        from .example_forge import builtin
-        return builtin(arg), None
+        from .integer_model import catalog_group
+        return catalog_group(arg), None
     raise CliInputError(
         f"{arg!r} is neither a file nor a builtin name "
         f"(builtins: {', '.join(BUILTIN_NAMES)})")
@@ -212,13 +239,13 @@ def _forge_or_raise(coeffs: tuple, bound: int):
 # ---------------------------------------------------------------------------
 
 def _generator_report(g: TorusAutomorphism, digits: int) -> dict:
-    from .cohomology import degree_profile, h11_charpoly
+    from .integer_model import degree_profile, h11_charpoly
     prof = degree_profile(g)
     return {
         "name": g.name,
         "matrix": _matrix_json(g),
-        "h11_charpoly": [str(int(c)) for c in h11_charpoly(g).all_coeffs()],
-        "degrees": [_certified_json(d, digits) for d in prof.degrees],
+        "h11_charpoly": [str(c) for c in h11_charpoly(g)],
+        "degrees": [_degree_json(d, digits) for d in prof.degrees],
         "entropy": _certified_json(prof.entropy, digits),
         "classification": prof.classification,
     }

@@ -4,38 +4,36 @@ Classes of bidegree (p,p) are stored exactly over the monomial basis
 dz_S ^ dzbar_T (S, T ascending p-subsets of {0..k-1}).  Sign convention,
 used everywhere: a basis monomial is dz_{s1}..dz_{sp} dzbar_{t1}..dzbar_{tp}
 with both blocks ascending and the dz block first; products are reordered
-to this shape by counting transpositions.
+to this shape by counting transpositions.  The integer model of an
+automorphism (its pairs, compounds, ``H^{1,1}`` action and the decisions on
+them) lives in ``integer_model`` and is re-exported here.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import sympy as sp
-from sympy import I, Matrix, Poly, kronecker_product
+from sympy import I, Matrix, kronecker_product
 
 from .exact_algebra import (
-    INFINITE_ORDER,
     AlgebraicReal,
     CertifiedReal,
-    _eye_rows,
-    _square_and_multiply,
     charpoly,
     exact_equal,
     exact_is_zero,
     exact_sign,
-    is_cyclotomic_product,
-    matrix_order,
     root_moduli,
 )
-from .integer_kernel import (ExactAlgebraError, _hermitian_cells, gaussian_det,
-                             hermitian_basis_sparse, symmetric_definiteness)
-
-POSITIVE_ENTROPY = "positive_entropy"
-PARABOLIC = "parabolic"
-FINITE_ORDER = "finite_order_on_cohomology"
+from .integer_kernel import (ExactAlgebraError, _hermitian_cells,
+                             gaussian_det, hermitian_basis_sparse,
+                             symmetric_definiteness)
+# the integer model of an automorphism and its integer decisions, re-exported
+# under their names here
+from .integer_model import (TorusAutomorphism, _eye_rows, _identity,
+                            _subsets, classify, compound, degree_profile,
+                            h11_charpoly, h11_matrix, has_zero_entropy)
 
 # the most points a brute-force box search may visit: the matrices of
 # ``enumerate_degree_values`` and the coefficient box of the forge's unit
@@ -49,14 +47,6 @@ class BudgetExceededError(RuntimeError):
         self.estimate = estimate
 
 
-def _gaussian_integer(v) -> tuple:
-    """``v`` as the integer pair ``(re, im)`` of a Gaussian integer."""
-    re, im = sp.expand(v).as_real_imag()
-    if not (re.is_Integer and im.is_Integer):
-        raise ValueError("entries must be Gaussian integers")
-    return int(re), int(im)
-
-
 def _gaussian(z):
     """The sympy number ``re + im*I`` of an integer pair."""
     return sp.Integer(z[0]) + sp.Integer(z[1]) * I
@@ -67,86 +57,8 @@ def _pair_matrix(rows) -> sp.ImmutableMatrix:
     return sp.ImmutableMatrix([[_gaussian(z) for z in row] for row in rows])
 
 
-def _pair_product(P, Q) -> tuple:
-    """Product of two square matrices of Gaussian-integer pairs."""
-    return tuple(
-        tuple((sum(a[0] * b[0] - a[1] * b[1] for a, b in zip(row, col)),
-               sum(a[0] * b[1] + a[1] * b[0] for a, b in zip(row, col)))
-              for col in zip(*Q))
-        for row in P)
-
-
-class TorusAutomorphism:
-    """Linear part of an automorphism of T^k: a Gaussian-integer matrix
-    with unit determinant.  Its canonical entries are the integer pairs
-    ``pairs[i][j] = (re, im)``, so ``==``, ``hash``, ``compose`` and
-    ``power`` are integer arithmetic; ``A`` is the same matrix with sympy
-    entries ``re + im*I``.  Translations act trivially on cohomology and are
-    not modeled."""
-
-    def __init__(self, A, name: str = ""):
-        A = sp.ImmutableMatrix(A)
-        if not A.is_square or A.rows == 0:
-            raise ValueError("matrix must be square and nonempty")
-        self.pairs = tuple(tuple(map(_gaussian_integer, row))
-                           for row in A.tolist())
-        self.k = A.rows
-        self.name = name or f"aut_{self.k}"
-        d = gaussian_det(self.pairs)
-        if d not in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            raise ValueError(f"determinant {_gaussian(d)} is not a unit of Z[i]")
-
-    @classmethod
-    def _from_pairs(cls, pairs, name: str) -> "TorusAutomorphism":
-        """A product of automorphisms, so its determinant is a unit."""
-        out = cls.__new__(cls)
-        out.pairs, out.k, out.name = pairs, len(pairs), name
-        return out
-
-    @cached_property
-    def A(self) -> sp.ImmutableMatrix:
-        return _pair_matrix(self.pairs)
-
-    def inverse(self) -> "TorusAutomorphism":
-        """conj(u) adj(A) for the unit u = det A.  Row and column i of
-        compound(f, k-1) omit index k-1-i, as the subsets ascend, so
-        adj(A)[i][j] = (-1)^(i+j) compound(f, k-1)[k-1-i][k-1-j]."""
-        ur, ui = gaussian_det(self.pairs)
-        return self._from_pairs(tuple(
-            tuple(((-1) ** (i + j) * (ur * cr + ui * ci),
-                   (-1) ** (i + j) * (ur * ci - ui * cr))
-                  for j, (cr, ci) in enumerate(reversed(row)))
-            for i, row in enumerate(reversed(compound(self, self.k - 1)))),
-            self.name + "^-1")
-
-    def compose(self, other: "TorusAutomorphism") -> "TorusAutomorphism":
-        return self._from_pairs(_pair_product(self.pairs, other.pairs),
-                                f"{self.name}*{other.name}")
-
-    def power(self, n: int) -> "TorusAutomorphism":
-        """f^n by repeated squaring on the integer pairs."""
-        base = (self if n >= 0 else self.inverse()).pairs
-        acc = _square_and_multiply(_pair_product, base,
-                                   _identity(self.k).pairs, abs(n))
-        return self._from_pairs(acc, f"{self.name}^{n}" if n else "id")
-
-    def __eq__(self, other):
-        return isinstance(other, TorusAutomorphism) and self.pairs == other.pairs
-
-    def __hash__(self):
-        return hash(self.pairs)
-
-    def __repr__(self):
-        return f"TorusAutomorphism({self.name}, k={self.k})"
-
-
-def _identity(k: int, name: str = "id") -> TorusAutomorphism:
-    return TorusAutomorphism._from_pairs(tuple(
-        tuple((int(i == j), 0) for j in range(k)) for i in range(k)), name)
-
-
 # ---------------------------------------------------------------------------
-# H^{1,1} integer model
+# H^{1,1}: the Hermitian basis
 
 
 @lru_cache(maxsize=None)
@@ -163,50 +75,7 @@ def hermitian_basis(k: int):
 
 
 # ---------------------------------------------------------------------------
-# f* on H^{p,p}: the compound (exterior power) matrices of the linear part
-
-
-def _subsets(k: int, p: int):
-    return list(itertools.combinations(range(k), p))
-
-
-@lru_cache(maxsize=None)
-def compound(f: TorusAutomorphism, p: int) -> tuple:
-    """The p-th compound of the linear part, C[S', S] = det A[S, S'] over
-    ascending p-subsets, so that f*(dz_S) = sum_{S'} C[S', S] dz_{S'} and
-    f*(dz_S ^ dzbar_T) = sum_{S',T'} C[S', S] conj(C[T', T]) dz_{S'} ^
-    dzbar_{T'}.  Every action of f on cohomology is read from it.  Rows of
-    integer (re, im) pairs, memoised per automorphism."""
-    k = f.k
-    if not 0 <= p <= k:
-        raise ValueError(f"p must lie in [0, {k}]")
-    subs = _subsets(k, p)
-    return tuple(tuple(gaussian_det([[f.pairs[r][c] for c in Sp] for r in S])
-                       for S in subs) for Sp in subs)
-
-
-@lru_cache(maxsize=None)
-def h11_matrix(f: TorusAutomorphism) -> tuple:
-    """Integer matrix of f* on H^{1,1} in the Hermitian basis (k^2 x k^2),
-    as rows of ints: H -> C H C^H with C = compound(f, 1) = A^T, on the
-    integer (re, im) pairs of C.  Column t holds the coordinates of
-    C E_t C^H.  Memoised per automorphism."""
-    C = compound(f, 1)
-    cols = []
-    for E in hermitian_basis_sparse(f.k):
-        col = []
-        for a, b in _hermitian_cells(f.k):
-            # (C E C^H)[a, b] = sum of C[a][s] e conj(C[b][t]) over the
-            # entries e of E at (s, t)
-            re = im = 0
-            for s, t, (er, ei) in E:
-                (xr, xi), (yr, yi) = C[a][s], C[b][t]
-                pr, pi = xr * er - xi * ei, xr * ei + xi * er
-                re += pr * yr + pi * yi
-                im += pi * yr - pr * yi
-            col += [re] if a == b else [re, im]
-        cols.append(col)
-    return tuple(zip(*cols))
+# f* on H^{p,p}: read from the compound matrices of the integer model
 
 
 def hpp_matrix(f: TorusAutomorphism, p: int) -> Matrix:
@@ -261,14 +130,6 @@ def dynamical_degree(f: TorusAutomorphism, p: int) -> AlgebraicReal:
     return AlgebraicReal(d_expr)
 
 
-@dataclass
-class DegreeProfile:
-    k: int
-    degrees: list          # AlgebraicReal per p in 0..k
-    entropy: CertifiedReal
-    classification: str
-
-
 def entropy(f: TorusAutomorphism) -> CertifiedReal:
     """Topological entropy, computed cohomologically: max_p log d_p
     = 2 * sum of log|lambda| over eigenvalues with |lambda| > 1 (exact)."""
@@ -276,37 +137,6 @@ def entropy(f: TorusAutomorphism) -> CertifiedReal:
     if not ys:
         return CertifiedReal(sp.Integer(0))
     return CertifiedReal(sp.log(sp.expand(sp.Mul(*ys))))
-
-
-@lru_cache(maxsize=None)
-def h11_charpoly(f: TorusAutomorphism) -> Poly:
-    """Integer characteristic polynomial of the H^{1,1} action.  Memoised
-    per automorphism: the zero-entropy test, order and report share it."""
-    return charpoly(h11_matrix(f))
-
-
-@lru_cache(maxsize=None)
-def has_zero_entropy(f: TorusAutomorphism) -> bool:
-    """Exact zero-entropy test: the H^{1,1} action has a cyclotomic-product
-    characteristic polynomial (Kronecker).  Memoised per automorphism."""
-    return is_cyclotomic_product(h11_charpoly(f).all_coeffs())
-
-
-@lru_cache(maxsize=None)
-def classify(f: TorusAutomorphism) -> str:
-    """Exact trichotomy on the H^{1,1} action; no floating point.  Memoised
-    per automorphism: the analysis and the report's degree profile share it."""
-    if not has_zero_entropy(f):
-        return POSITIVE_ENTROPY
-    if matrix_order(h11_matrix(f),
-                    h11_charpoly(f).all_coeffs()) == INFINITE_ORDER:
-        return PARABOLIC
-    return FINITE_ORDER
-
-
-def degree_profile(f: TorusAutomorphism) -> DegreeProfile:
-    degrees = [dynamical_degree(f, p) for p in range(f.k + 1)]
-    return DegreeProfile(f.k, degrees, entropy(f), classify(f))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ with certified rational enclosures that can be refined on demand.  Signs,
 equalities and root-modulus matches are decided by the real-algebraic
 kernel (``RealRoot``): an irreducible integer polynomial and a rational
 isolating interval, refined with integer arithmetic only.  No decision
-anywhere in this module is made from bare floats.
+anywhere in this module is made from bare floats.  The decisions on integers
+alone (cyclotomic products, matrix orders, lattice reductions) live in the
+sympy-free ``integer_model`` and are re-exported here.
 """
 
 from __future__ import annotations
@@ -15,23 +17,27 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 import sympy as sp
 from sympy import ZZ, Matrix, Poly, Rational
-from sympy.polys.densearith import dup_mul, dup_rem
 from sympy.polys.factortools import dup_factor_list
 from sympy.polys.matrices import DomainMatrix
 
 from .integer_kernel import (ExactAlgebraError, gaussian_det,
                              symmetric_definiteness)
+# the integer decisions and lattices live in the sympy-free integer model;
+# they are re-exported under their names here
+from .integer_model import (INFINITE_ORDER, IntegerLattice, _relation_rows,
+                            _square_and_multiply, finite_order_bound,
+                            hermite_normal_form_rows, integer_charpoly,
+                            integer_relations, is_cyclotomic_product,
+                            lll_reduce, matrix_order,
+                            smith_normal_form_with_transforms)
 
 X = sp.Symbol("x")
 _Y = sp.Symbol("y", positive=True)
-
-INFINITE_ORDER = "infinite"
 
 
 # ---------------------------------------------------------------------------
@@ -914,15 +920,14 @@ def charpoly(M) -> Poly:
     """Exact monic characteristic polynomial of a square matrix, a sympy
     matrix or rows.
 
-    Works over ZZ, QQ, ZZ[i] and QQ(i); uses sympy's fraction-free domain
-    machinery, so no rounding occurs.  Rows of Python ints go to a
-    ``DomainMatrix`` over ZZ directly, without a sympy matrix.
+    Rows of Python ints take ``integer_charpoly``; any other matrix, over
+    ZZ, QQ, ZZ[i] or QQ(i), takes sympy's fraction-free ``DomainMatrix``
+    charpoly, so no rounding occurs.
     """
     if (isinstance(M, (list, tuple))
             and all(type(v) is int for row in M for v in row)):
-        dm = DomainMatrix.from_list(M, ZZ)
-    else:
-        dm = DomainMatrix.from_Matrix(Matrix(M))
+        return Poly(integer_charpoly(M), X)
+    dm = DomainMatrix.from_Matrix(Matrix(M))
     if not dm.is_square:
         raise ExactAlgebraError("charpoly requires a square matrix")
     dom = dm.domain
@@ -1020,345 +1025,3 @@ def root_moduli(p: Poly | sp.Expr, eps=Fraction(1, 10**12)):
 
     moduli.sort(key=functools.cmp_to_key(descending))
     return [(m, mult) for m, mult, _ in moduli]
-
-
-# ---------------------------------------------------------------------------
-# cyclotomic tests and finite order, on integer coefficient lists (leading
-# first) and integer rows
-
-
-def _square_and_multiply(mul, base, one, n: int):
-    """base^n for n >= 0 under the associative product ``mul``."""
-    acc = one
-    for bit in bin(n)[2:]:
-        acc = mul(acc, acc)
-        if bit == "1":
-            acc = mul(acc, base)
-    return acc
-
-
-@functools.lru_cache(maxsize=None)
-def _totient(m: int) -> int:
-    return sum(math.gcd(j, m) == 1 for j in range(1, m + 1))
-
-
-def _cyclotomic_index(g):
-    """m with g == Phi_m, or None, for an irreducible integer polynomial g:
-    the least m with phi(m) = deg g and x^m == 1 modulo g, as such an m is
-    a multiple of the order of g's roots.  phi(m) >= sqrt(m/2) bounds m by
-    2 deg^2, and phi(m) is even for m > 2."""
-    e = len(g) - 1
-    if g[0] != 1 or e < 1 or (e > 1 and e % 2):
-        return None
-
-    def mulmod(a, b):
-        return dup_rem(dup_mul(a, b, ZZ), g, ZZ)
-
-    return next((m for m in range(1, 2 * e * e + 7) if _totient(m) == e
-                 and _square_and_multiply(mulmod, [1, 0], [1], m) == [1]),
-                None)
-
-
-@functools.lru_cache(maxsize=None)
-def _cyclotomic_indices(p: tuple):
-    """The indices m of the factors Phi_m of the monic integer polynomial
-    with coefficients ``p``, or None when a factor is not cyclotomic.
-    Memoised: the zero-entropy test and the order of one matrix share it."""
-    p = [int(c) for c in p]
-    if p[0] != 1:
-        raise ExactAlgebraError("a monic polynomial is required")
-    indices = [_cyclotomic_index(f) for f in _irreducible_factors(p)]
-    return None if None in indices else tuple(indices)
-
-
-def is_cyclotomic_product(p) -> bool:
-    """True iff every irreducible factor of the monic integer polynomial
-    with coefficients ``p`` (leading first) is cyclotomic (Kronecker)."""
-    return _cyclotomic_indices(tuple(p)) is not None
-
-
-def finite_order_bound(dim: int) -> int:
-    """lcm of all m with phi(m) <= dim: bound for orders of integer
-    matrices.  phi(m) >= sqrt(m/2), so no m > 2 dim^2 qualifies."""
-    return math.lcm(*(m for m in range(1, 2 * dim * dim + 1)
-                      if _totient(m) <= dim))
-
-
-def _int_product(A, B) -> list:
-    cols = list(zip(*B))
-    return [[sum(a * b for a, b in zip(row, col)) for col in cols]
-            for row in A]
-
-
-def matrix_order(M, p):
-    """Exact multiplicative order of an integer matrix given as rows, or
-    ``"infinite"``, from its characteristic polynomial ``p`` (coefficients
-    leading first).
-
-    The eigenvalues of a matrix of finite order are roots of unity, so p
-    is a product of cyclotomics Phi_m.  Then the order is finite iff M^n = I
-    for the lcm n of the indices m, by integer repeated squaring, and it is
-    n: a factor Phi_m gives an eigenvalue of order m.
-    """
-    indices = _cyclotomic_indices(tuple(p))
-    if indices is None:
-        return INFINITE_ORDER
-    n, eye = math.lcm(*indices), _eye_rows(len(M))
-    power = _square_and_multiply(_int_product, M, eye, n)
-    return n if power == eye else INFINITE_ORDER
-
-
-# ---------------------------------------------------------------------------
-# integer lattices: Hermite and Smith normal forms with transforms
-
-
-@dataclass(frozen=True)
-class IntegerLattice:
-    ambient_rank: int
-    basis: tuple  # tuple of tuples of ints (rows)
-
-    def __post_init__(self):
-        for v in self.basis:
-            if len(v) != self.ambient_rank:
-                raise ExactAlgebraError("basis vector of wrong length")
-
-
-def _eye_rows(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def hermite_normal_form_rows(A: list) -> tuple[list, list]:
-    """Row-style HNF: returns (H, U) with H = U @ A, U unimodular.
-
-    H is in row echelon form with positive pivots and entries above each
-    pivot reduced into [0, pivot).  Zero rows are pushed to the bottom.
-    """
-    H = [list(map(int, row)) for row in A]
-    m = len(H)
-    n = len(H[0]) if m else 0
-    U = _eye_rows(m)
-    r = 0
-    for c in range(n):
-        # gcd-reduce column c below row r
-        piv = None
-        for i in range(r, m):
-            if H[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        H[r], H[piv] = H[piv], H[r]
-        U[r], U[piv] = U[piv], U[r]
-        for i in range(r + 1, m):
-            while H[i][c] != 0:
-                q = H[r][c] // H[i][c]
-                for j in range(n):
-                    H[r][j] -= q * H[i][j]
-                for j in range(m):
-                    U[r][j] -= q * U[i][j]
-                H[r], H[i] = H[i], H[r]
-                U[r], U[i] = U[i], U[r]
-        if H[r][c] < 0:
-            H[r] = [-v for v in H[r]]
-            U[r] = [-v for v in U[r]]
-        # reduce entries above the pivot
-        for i in range(r):
-            q = H[i][c] // H[r][c]
-            if q:
-                for j in range(n):
-                    H[i][j] -= q * H[r][j]
-                for j in range(m):
-                    U[i][j] -= q * U[r][j]
-        r += 1
-        if r == m:
-            break
-    return H, U
-
-
-def smith_normal_form_with_transforms(A: list) -> tuple[list, list]:
-    """Smith normal form D = U A V with U, V unimodular; returns
-    (D, V^-1).  U is not formed.  V^-1 is built by the inverse moves: the
-    column op col_i -= q col_j on V is the row op row_j += q row_i on V^-1,
-    and a column swap is the same row swap."""
-    D = [list(map(int, row)) for row in A]
-    m = len(D)
-    n = len(D[0]) if m else 0
-    Vinv = _eye_rows(n)
-
-    def row_op(i, j, q):  # row_i -= q*row_j
-        for c in range(n):
-            D[i][c] -= q * D[j][c]
-
-    def col_op(i, j, q):  # col_i -= q*col_j
-        for r in range(m):
-            D[r][i] -= q * D[r][j]
-        for c in range(n):
-            Vinv[j][c] += q * Vinv[i][c]
-
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-
-    def swap_cols(i, j):
-        for r in range(m):
-            D[r][i], D[r][j] = D[r][j], D[r][i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
-
-    t = 0
-    while t < min(m, n):
-        # find a nonzero pivot of minimal absolute value in the trailing block
-        piv = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if D[i][j] != 0 and (best is None or abs(D[i][j]) < best):
-                    best = abs(D[i][j])
-                    piv = (i, j)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, m):
-                if D[i][t] != 0:
-                    q = D[i][t] // D[t][t]
-                    row_op(i, t, q)
-                    if D[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, n):
-                if D[t][j] != 0:
-                    q = D[t][j] // D[t][t]
-                    col_op(j, t, q)
-                    if D[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-        if D[t][t] < 0:
-            D[t] = [-v for v in D[t]]
-        # enforce divisibility d_t | D[i][j]
-        offending = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if D[i][j] % D[t][t] != 0:
-                    offending = i
-                    break
-            if offending is not None:
-                break
-        if offending is not None:
-            row_op(t, offending, -1)  # add the offending row, redo pivot at t
-            continue
-        t += 1
-    return D, Vinv
-
-
-# ---------------------------------------------------------------------------
-# LLL-based integer relation candidates
-
-def lll_reduce(rows: list) -> list:
-    """LLL-reduced basis (delta = 99/100) of the lattice spanned by linearly
-    independent integer rows.
-
-    Integral LLL (Cohen, *A Course in Computational Algebraic Number Theory*,
-    GTM 138, Algorithm 2.6.7), in integer arithmetic only: the Gram-Schmidt
-    data are the Gram determinants d_i and lambda_kj = d_j mu_kj, updated by
-    exact division; size reduction rounds lambda_kj / d_j to the nearest
-    integer, halves up, and the Lovasz test is a cross-multiplication.  The
-    reduction order is sympy's ``DomainMatrix.lll``, so the two agree
-    wherever sympy's float rounding of mu_kj is exact."""
-    b = [[int(x) for x in row] for row in rows]
-    m = len(b)
-    # d[j + 1] is the Gram determinant of rows 0..j; lam[k][j] for j < k
-    d = [1] + [0] * m
-    lam = [[0] * m for _ in range(m)]
-
-    def size_reduce(k, j):
-        dj = d[j + 1]
-        if 2 * abs(lam[k][j]) > dj:
-            r = (2 * lam[k][j] + dj) // (2 * dj)
-            b[k] = [x - r * y for x, y in zip(b[k], b[j])]
-            lam[k][j] -= r * dj
-            for i in range(j):
-                lam[k][i] -= r * lam[j][i]
-
-    def swap(k, kmax):
-        b[k], b[k - 1] = b[k - 1], b[k]
-        for j in range(k - 1):
-            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
-        lk = lam[k][k - 1]
-        new = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
-        for i in range(k + 1, kmax + 1):
-            t = lam[i][k]
-            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
-            lam[i][k - 1] = (new * t + lk * lam[i][k]) // d[k + 1]
-        d[k] = new
-
-    k, kmax = 0, -1
-    while k < m:
-        if k > kmax:  # incremental Gram-Schmidt of row k
-            kmax = k
-            for j in range(k + 1):
-                u = sum(x * y for x, y in zip(b[k], b[j]))
-                for i in range(j):
-                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
-                if j < k:
-                    lam[k][j] = u
-                elif u == 0:
-                    raise ValueError("lll_reduce: rows are linearly dependent")
-                else:
-                    d[k + 1] = u
-        if k == 0:
-            k = 1
-            continue
-        size_reduce(k, k - 1)
-        # Lovasz, delta = 99/100: keep unless d_k d_{k-2} + lambda^2 <
-        # delta d_{k-1}^2, in Cohen's 1-based d_i (d[k + 1], d[k - 1], d[k])
-        if 100 * (d[k + 1] * d[k - 1] + lam[k][k - 1] ** 2) < 99 * d[k] ** 2:
-            swap(k, kmax)
-            k = max(k - 1, 1)
-        else:
-            for j in range(k - 2, -1, -1):
-                size_reduce(k, j)
-            k += 1
-    return b
-
-
-# the scale of the rounded values in an LLL relation lattice
-_RELATION_SCALE = 10**40
-
-
-def _relation_rows(vectors) -> list:
-    """Rows [e_i | round(10^40 v_i)] of the relation lattice of the real
-    vectors v_i (Fractions or ints)."""
-    n = len(vectors)
-    return [[int(i == j) for j in range(n)]
-            + [round(x * _RELATION_SCALE) for x in v]
-            for i, v in enumerate(vectors)]
-
-
-def integer_relations(values):
-    """Candidate integer relations e with |e_i| <= 10^4 and
-    |sum e_i v_i| < 10^-12, for exact rational approximations v_i
-    (Fractions or ints) of real values.
-
-    Candidates come from LLL (delta = 0.99) on the scaled-value lattice and
-    are NOT certified; callers must verify each candidate exactly.
-    """
-    n = len(values)
-    if n == 0:
-        return []
-    red = lll_reduce(_relation_rows([[v] for v in values]))
-    cands = []
-    for row in red:
-        e = row[:n]
-        if not any(e) or max(abs(v) for v in e) > 10**4:
-            continue
-        resid = abs(sum(ei * v for ei, v in zip(e, values)))
-        # allow for the rounding error of the scaled entries
-        slack = Fraction(sum(abs(v) for v in e), 2 * _RELATION_SCALE)
-        if resid <= Fraction(1, 10**12) + slack:
-            if e[next(i for i, v in enumerate(e) if v)] < 0:
-                e = [-v for v in e]
-            if e not in cands:
-                cands.append(e)
-    return cands

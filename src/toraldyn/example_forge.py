@@ -6,8 +6,9 @@ basis).  Any k-1 multiplicatively independent units give a commutative free
 group of positive-entropy automorphisms whose log-character rank hits the
 structural ceiling r = k-1, so the rank bound is sharp in every dimension.
 This module constructs such groups from scratch (brute-force unit search plus
-LLL reduction of the log-embedding lattice) and also ships a small catalog of
-hand-picked builtin examples used throughout the test suite.
+LLL reduction of the log-embedding lattice).  ``builtin`` serves the small
+catalog of hand-picked examples used throughout the test suite, whose
+integer tables live in ``integer_model``.
 """
 
 from __future__ import annotations
@@ -18,13 +19,13 @@ from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 
 import sympy as sp
-from sympy import Matrix, I, eye
 
 from .exact_algebra import (X, RealRoot, _LOG_DIGITS, _isolate,
                             _log_midpoint, _relation_rows,
                             _square_and_multiply, gaussian_det, lll_reduce)
 from .cohomology import SEARCH_BUDGET, TorusAutomorphism
 from .group_structure import GroupSpec, GroupAnalysis, analyze_group
+from .integer_model import _CATALOG, catalog_group
 
 
 class ForgeError(ValueError):
@@ -307,10 +308,10 @@ def unit_search(field: NumberFieldSpec, coeff_bound: int) -> UnitSystem:
 def regular_representation(u, field: NumberFieldSpec) -> TorusAutomorphism:
     """Multiplication by u on the power basis of Z[theta], as an integer
     matrix acting on T^k; its determinant is the field norm of u."""
-    M = Matrix(field.multiplication_matrix(u))
     label = "+".join(f"{c}t^{e}" if e else str(c)
                      for e, c in enumerate(u) if c) or "0"
-    return TorusAutomorphism(M, name=f"mult({label})")
+    return TorusAutomorphism(field.multiplication_matrix(u),
+                             name=f"mult({label})")
 
 
 @dataclass(frozen=True)
@@ -348,48 +349,16 @@ def build_max_rank_group(field: NumberFieldSpec,
 
 
 # ---------------------------------------------------------------------------
-# builtin catalog
+# builtin catalog: integer tables in ``integer_model``
 # ---------------------------------------------------------------------------
-
-def _cubic_t3() -> GroupSpec:
-    field = NumberFieldSpec((1, -1, -2, 1))
-    # -theta rather than theta: its norm is +1, so both generators land
-    # in SL(3, Z) instead of merely GL(3, Z)
-    gens = (regular_representation((0, -1, 0), field),      # -theta
-            regular_representation((-2, 0, 1), field))      # theta^2 - 2
-    return GroupSpec(gens, ("-theta", "theta^2-2"))
-
-
-_CATALOG = {
-    # the Anosov cat map: smallest positive-entropy automorphism of T^2
-    "cat_T2": lambda: GroupSpec.from_matrices(
-        [[[2, 1], [1, 1]]], ("cat",)),
-    # multiplication by 1 + sqrt(2) in Z[sqrt(2)] (Pell unit)
-    "pell_T2": lambda: GroupSpec.from_matrices(
-        [[[1, 2], [1, 1]]], ("pell",)),
-    # two commuting unipotents: zero entropy, infinite order, rank 0
-    "parabolic_T2": lambda: GroupSpec.from_matrices(
-        [[[1, 1], [0, 1]], [[1, I], [0, 1]]], ("shear_1", "shear_i")),
-    # scalar multiplication by i: finite order on cohomology
-    "torsion_i": lambda: GroupSpec.from_matrices(
-        [(I * eye(2)).tolist()], ("i",)),
-    # Pell unit extended by the order-4 torsion part
-    "pell_plus_torsion": lambda: GroupSpec.from_matrices(
-        [[[1, 2], [1, 1]], (I * eye(2)).tolist()], ("pell", "i")),
-    # rank-2 group on T^3 from two independent units of x^3 - x^2 - 2x + 1
-    "cubic_T3": _cubic_t3,
-}
-
 
 def builtin(name: str) -> GroupSpec:
     """Catalog of ready-made example groups; see ``builtin_names()``."""
-    try:
-        make = _CATALOG[name]
-    except KeyError:
+    if name not in _CATALOG:
         raise ForgeError(
             f"unknown builtin {name!r}; available: "
-            + ", ".join(sorted(_CATALOG))) from None
-    return make()
+            + ", ".join(sorted(_CATALOG)))
+    return catalog_group(name)
 
 
 def builtin_names():

@@ -9,13 +9,9 @@ kernel of pi with exact cyclotomic tests, checks the structural bounds, and
 splits the group into a zero-entropy part U and a free positive-entropy
 complement.
 
-The common eigenvectors come from one path.  One matrix B of the family's
-span (a generator with a squarefree charpoly, else a combination
-sum_j t^(j-1) A_j^T) is split over the irreducible factors f of its
-charpoly over Q(i), with every kernel computed by elimination in the field
-Q(i)[x]/(f).  That each generator has a single eigenvalue on every
-eigenspace of B is certified exactly, so no eigenvalue is ever compared as
-a number.
+It loads no sympy: a family whose generators all have zero entropy is
+decided on the integers of ``integer_model``, and the common eigenvectors
+of any other family come from ``characters``, imported on first use.
 """
 
 from __future__ import annotations
@@ -25,33 +21,19 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import sympy as sp
-from sympy import Matrix
-from sympy.polys.agca.extensions import FiniteExtension
-from sympy.polys.matrices import DomainMatrix
-
-from .cohomology import (
+from .integer_kernel import ExactAlgebraError
+from .integer_model import (
+    FINITE_ORDER,
+    GroupSpec,
+    IntegerLattice,
     TorusAutomorphism,
     _identity,
-    _moduli_squared_desc,
     _pair_product,
-    has_zero_entropy,
-)
-from .exact_algebra import (
-    ExactAlgebraError,
-    IntegerLattice,
-    RealRoot,
-    X,
-    charpoly,
-    exact_equal,
-    exact_is_zero,
+    classify,
     finite_order_bound,
-    gaussian_coeffs,
-    has_nonreal_root,
+    has_zero_entropy,
     hermite_normal_form_rows,
     integer_relations,
-    modulus_squared_roots,
-    real_root,
     smith_normal_form_with_transforms,
 )
 
@@ -67,39 +49,6 @@ class DegenerateSpectrumError(ExactAlgebraError):
         if detail:
             msg += f": {detail}"
         super().__init__(msg)
-
-
-@dataclass(frozen=True)
-class GroupSpec:
-    """Finitely many torus automorphisms generating a matrix group."""
-    generators: tuple
-    labels: tuple = ()
-
-    def __post_init__(self):
-        gens = tuple(self.generators)
-        if not gens:
-            raise ValueError("at least one generator required")
-        k = gens[0].k
-        if any(g.k != k for g in gens):
-            raise ValueError("generators must act on the same torus")
-        labels = tuple(self.labels) or tuple(
-            g.name or f"g{j}" for j, g in enumerate(gens))
-        if len(labels) != len(gens):
-            raise ValueError("one label per generator")
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "labels", labels)
-
-    @classmethod
-    def from_matrices(cls, mats, labels=()):
-        return cls(tuple(TorusAutomorphism(M) for M in mats), tuple(labels))
-
-    @property
-    def k(self) -> int:
-        return self.generators[0].k
-
-    @property
-    def n(self) -> int:
-        return len(self.generators)
 
 
 @dataclass(frozen=True)
@@ -120,146 +69,7 @@ def check_commuting(spec: GroupSpec) -> CommutingReport:
 
 
 # ---------------------------------------------------------------------------
-# characters from common eigenvectors
-
-
-def _separating_operators(mats):
-    """Candidates for B with their charpolys, in order: the first of the
-    transposed generators A_j^T with a squarefree charpoly, else
-    B_t = sum_j t^(j-1) A_j^T for t = 1, 2, ....  Two distinct joint
-    eigenvalue tuples collide under B_t for at most n-1 values of t (the
-    roots of a nonzero polynomial of degree n-1), and there are at most
-    k(k-1)/2 pairs of tuples, so one of the first (n-1) k(k-1)/2 + 1 values
-    of t separates them all."""
-    for M in mats:
-        p = charpoly(M)
-        if sp.gcd(p, p.diff()).degree() == 0:
-            yield M, p
-            return
-    k, n = mats[0].rows, len(mats)
-    for t in range(1, (n - 1) * k * (k - 1) // 2 + 2):
-        B = sum((t**j * M for j, M in enumerate(mats[1:], 1)), mats[0])
-        yield B, charpoly(B)
-
-
-def _kernel(M: DomainMatrix):
-    """A basis of ker M as columns and its free rows, where the basis is
-    the identity."""
-    rref, pivots = M.rref()
-    free = [i for i in range(M.shape[1]) if i not in pivots]
-    return rref.nullspace_from_rref(pivots).transpose(), free
-
-
-def _conjugate_coefficients(expr):
-    """The polynomial in X whose coefficients are those of ``expr``,
-    conjugated."""
-    return sp.Add(*[sp.conjugate(c) * X ** e
-                    for (e,), c in sp.Poly(expr, X).terms()], sp.Integer(0))
-
-
-def _factor_eigensystem(B: Matrix, p: sp.Poly, mats):
-    """Common eigenvectors of ``mats`` with their exact |mu_j|^2, from the
-    irreducible factors f of p = charpoly(B) over Q(i), and whether the
-    family is semisimple; None when B does not separate the joint
-    eigenvalues.
-
-    All arithmetic happens in the field K = Q(i)[x]/(f), where x stands for
-    a root theta of f.  V = ker(B - theta) is found by elimination over K,
-    and mu_j = tr(A_j on V) / dim V.  The separation certificate is
-    (A_j - mu_j)^(dim V) V = 0, which puts every common eigenvector of the
-    family inside ker(B - theta) into V cap ker(A_j - mu_j), whose basis is
-    returned.  The root itself is substituted only into the final
-    expressions.  On a factor of degree >= 2 with a non-real root, every
-    |mu_j|^2 is also a ``RealRoot``, isolated from the root's certified
-    inclusion disk, and all decisions are made on it.  The family is
-    semisimple iff sum_f deg f * dim V = k and every A_j is scalar on
-    every V."""
-    k = B.rows
-    out, covered, whole = [], 0, True
-    for factor, _mult in sp.factor_list(p.as_expr(), gaussian=True)[1]:
-        fpoly = sp.Poly(factor, X)
-        K = FiniteExtension(sp.Poly(factor, X, domain=sp.QQ_I))
-
-        def lift(M):
-            return DomainMatrix([[K.from_sympy(v) for v in row]
-                                 for row in M.tolist()], M.shape, K)
-
-        V, free = _kernel(lift(B) - DomainMatrix.eye(k, K) * K.generator)
-        d = len(free)
-        mus, images = [], []
-        for A in map(lift, mats):
-            AV = A * V
-            rows = AV.to_list()
-            mu = sum((rows[i][c] for c, i in enumerate(free)), K.zero) / d
-            N = AV - V * mu
-            P = N
-            for _ in range(d - 1):
-                P = A * P - P * mu
-            if not P.is_zero_matrix:
-                return None
-            mus.append(K.to_sympy(mu))
-            images.append(N)
-        covered += fpoly.degree() * d
-        W = V
-        if not all(N.is_zero_matrix for N in images):
-            W = V * _kernel(DomainMatrix.vstack(*images))[0]
-            whole = False
-        ws = [Matrix([K.to_sympy(v) for v in col])
-              for col in W.transpose().to_list()]
-
-        def moduli(theta):
-            theta_conj = sp.conjugate(theta)
-            modsq = []
-            for mu in mus:
-                mu_bar = _conjugate_coefficients(mu)
-                if theta_conj == theta:
-                    msq = sp.rem(sp.expand(mu * mu_bar), factor, X).subs(
-                        X, theta)
-                else:
-                    msq = sp.expand(mu.subs(X, theta)
-                                    * mu_bar.subs(X, theta_conj))
-                modsq.append(sp.expand(msq))
-            return modsq
-
-        c = fpoly.all_coeffs()
-        if fpoly.degree() == 1:
-            roots = [(-c[1] / c[0], moduli(-c[1] / c[0]))]
-        elif has_nonreal_root(gaussian_coeffs(fpoly)):
-            roots = [(theta, [RealRoot(msq, *iso) for msq, iso
-                              in zip(moduli(theta), isolated)])
-                     for theta, isolated in modulus_squared_roots(
-                         gaussian_coeffs(fpoly),
-                         [gaussian_coeffs(mu) for mu in mus])]
-        else:
-            roots = [(theta, moduli(theta)) for theta in fpoly.all_roots()]
-        out.extend((w.subs(X, theta), tuple(modsq))
-                   for theta, modsq in roots for w in ws)
-    return out, covered == k and whole
-
-
-def _common_eigenvectors(spec: GroupSpec):
-    """All common eigenvectors with their exact per-generator |mu_j|^2.
-
-    Returns (list of (vector, moduli_squared), semisimple)."""
-    mats = [g.A.T for g in spec.generators]
-    for B, p in _separating_operators(mats):
-        found = _factor_eigensystem(B, p, mats)
-        if found is not None:
-            return found
-    raise ExactAlgebraError("no B_t separates the joint eigenvalues")
-
-
-@dataclass
-class Character:
-    """A multiplicative character of the group on an invariant nef class."""
-    eigenvector: Matrix
-    multipliers: tuple         # |mu_j|^2 per generator, as decided
-
-    @property
-    def modulus_squared(self) -> tuple:
-        """The exact |mu_j|^2 per generator as sympy values."""
-        return tuple(m.expr if isinstance(m, RealRoot) else m
-                     for m in self.multipliers)
+# characters
 
 
 @dataclass
@@ -276,64 +86,36 @@ class CharacterTable:
         return len(self.characters)
 
 
-def _same_moduli(a: tuple, b: tuple) -> bool:
-    return all(exact_equal(x, y) for x, y in zip(a, b))
-
-
 def find_characters(spec: GroupSpec) -> CharacterTable:
     """Characters of the group on its invariant nef directions.
 
     Each common eigenvector w of the transposed generators yields the nef
     eigenclass w w^H with pullback multiplier |mu_j|^2 under generator j,
     by construction: A_j^T w = mu_j w and w != 0 are proved exactly.  The
-    eigenvectors come from one routine: B is the first generator with a
-    squarefree charpoly, else the first B_t = sum_j t^(j-1) A_j^T whose
-    eigenspaces pass the separation certificate (A_j^T - mu_j)^(dim V) V = 0
-    over each factor field Q(i)[x]/(f).  The
-    trivial character (all multipliers 1) is dropped; the rest are
-    deduplicated exactly.  Non-semisimple families are supported as long as
-    every generator has zero entropy (their characters are all trivial);
-    a non-semisimple family with a positive-entropy generator is rejected.
+    eigenvectors come from one routine (``characters``): B is the first
+    generator with a squarefree charpoly, else the first
+    B_t = sum_j t^(j-1) A_j^T whose eigenspaces pass the separation
+    certificate (A_j^T - mu_j)^(dim V) V = 0 over each factor field
+    Q(i)[x]/(f).  The trivial character (all multipliers 1) is dropped; the
+    rest are deduplicated exactly.  A non-semisimple family with a
+    positive-entropy generator is rejected.
+
+    When every generator has zero entropy, every eigenvalue is a root of
+    unity (Kronecker), so every multiplier is 1 and m = 0, and no eigenvector
+    is computed.  Commuting matrices with such spectra are simultaneously
+    diagonalizable iff each has finite order, and finite order on H^{1,1}
+    is finite order on T^k, so the family is semisimple iff every generator
+    has finite order on cohomology.
     """
     comm = check_commuting(spec)
     if not comm.commutes:
         raise ValueError(f"generators {comm.witness} do not commute")
-    eigenvectors, semisimple = _common_eigenvectors(spec)
-    characters = []
-    for w, modsq in eigenvectors:
-        if all(exact_equal(m, 1) for m in modsq):
-            continue
-        if any(_same_moduli(modsq, c.multipliers) for c in characters):
-            continue
-        characters.append(Character(w, modsq))
-    if not semisimple and not all(
-            has_zero_entropy(g) for g in spec.generators):
-        raise DegenerateSpectrumError(
-            "non-semisimple family with a positive-entropy generator")
-    table = CharacterTable(spec.k, characters, eigenvectors, semisimple)
-    _validate_characters(spec, table)
-    return table
-
-
-def _validate_characters(spec: GroupSpec, table: CharacterTable):
-    k = spec.k
-    if table.m > k * k:
-        raise AssertionError(
-            f"THEOREM VIOLATION: {table.m} characters exceed h1 = {k * k}")
-    # the characters attain the top degree d1 of each positive-entropy
-    # generator, derived independently from the root moduli.  A sympy
-    # multiplier is compared by exact_is_zero, not by the kernel: its
-    # numeric rung refines sympy's cached interval of d1's CRootOf, and the
-    # report prints that interval, so this rung is part of the output
-    for j, g in enumerate(spec.generators):
-        if has_zero_entropy(g):
-            continue
-        d1 = _moduli_squared_desc(g)[0]
-        tops = [c.multipliers[j] for c in table.characters]
-        if not any(m == d1 if isinstance(m, RealRoot)
-                   else exact_is_zero(m - d1) for m in tops):
-            raise AssertionError(
-                "THEOREM VIOLATION: no invariant nef class attains d1")
+    gens = spec.generators
+    if all(has_zero_entropy(g) for g in gens):
+        return CharacterTable(spec.k, [], [], all(
+            classify(g) == FINITE_ORDER for g in gens))
+    from .characters import factor_field_table
+    return factor_field_table(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +173,7 @@ def _kernel_candidates(n: int, log_rows):
 def _log_value(m):
     """log |mu|^2 to _LOG_DIGITS digits from the kernel's enclosure, as a
     Fraction; exactly 0 when |mu|^2 == 1."""
+    from .exact_algebra import real_root
     m = real_root(m)
     return 0 if m == 1 else m.log()
 
@@ -433,7 +216,13 @@ def _nonzero_wedge_chain(table: CharacterTable, count: int) -> bool:
     of the w are linearly independent.  Eigenvectors with pairwise distinct
     multiplier tuples (|mu_j|^2)_j are, so those tuples are the certificate.
     Over an eigenbasis sum_w log|mu_j|^2 = log|det g_j|^2 = 0: the rank of
-    pi is below the number of distinct tuples, so r+1 of them exist."""
+    pi is below the number of distinct tuples, so r+1 of them exist.  A
+    chain of length 1 is one eigenclass: every commuting family has a
+    common eigenvector, so it needs no computed eigenvector (a zero-entropy
+    family has none)."""
+    if count <= 1:
+        return True
+    from .characters import _same_moduli
     distinct = []
     for _w, modsq in table.eigenvectors:
         if not any(_same_moduli(modsq, t) for t in distinct):
@@ -625,7 +414,6 @@ class GroupAnalysis:
 def analyze_group(spec: GroupSpec) -> GroupAnalysis:
     """Full pipeline: commutativity, per-generator classification,
     characters, rank, structural assertions, and the U x free split."""
-    from .cohomology import classify
     comm = check_commuting(spec)
     classes = [classify(g) for g in spec.generators]
     out = GroupAnalysis(spec, comm, classes)

@@ -1,0 +1,713 @@
+"""The integer model of torus automorphisms, on Python ints alone.
+
+The linear part of an automorphism of T^k = (C/Z[i])^k is a Gaussian-integer
+matrix of unit determinant, held as ``(re, im)`` pairs of ints.  Every fact
+about it that is an integer fact is decided here, loading neither sympy nor
+mpmath: the compounds and the action on H^{1,1}, the characteristic
+polynomial, zero entropy (Kronecker: a product of cyclotomic polynomials),
+the multiplicative order and the classification, the dynamical degrees of a
+zero-entropy automorphism, the Hermite, Smith and LLL lattice reductions,
+and the builtin catalog.  So a family whose generators all have zero entropy
+is analyzed on integers alone; only a positive-entropy generator reaches the
+certified algebraic reals of ``cohomology`` and ``exact_algebra``.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property, lru_cache
+
+from .integer_kernel import (ExactAlgebraError, _hermitian_cells, gaussian_det,
+                             hermitian_basis_sparse)
+
+INFINITE_ORDER = "infinite"
+
+POSITIVE_ENTROPY = "positive_entropy"
+PARABOLIC = "parabolic"
+FINITE_ORDER = "finite_order_on_cohomology"
+
+
+def _square_and_multiply(mul, base, one, n: int):
+    """base^n for n >= 0 under the associative product ``mul``."""
+    acc = one
+    for bit in bin(n)[2:]:
+        acc = mul(acc, acc)
+        if bit == "1":
+            acc = mul(acc, base)
+    return acc
+
+
+def _eye_rows(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _int_product(A, B) -> list:
+    cols = list(zip(*B))
+    return [[sum(a * b for a, b in zip(row, col)) for col in cols]
+            for row in A]
+
+
+def _pair_product(P, Q) -> tuple:
+    """Product of two square matrices of Gaussian-integer pairs."""
+    return tuple(
+        tuple((sum(a[0] * b[0] - a[1] * b[1] for a, b in zip(row, col)),
+               sum(a[0] * b[1] + a[1] * b[0] for a, b in zip(row, col)))
+              for col in zip(*Q))
+        for row in P)
+
+
+# ---------------------------------------------------------------------------
+# automorphisms and the groups they generate
+
+
+def _gaussian_integer(v) -> tuple:
+    """``v`` as the integer pair ``(re, im)`` of a Gaussian integer: an int,
+    an ``(re, im)`` pair of ints, or a sympy number (which imports sympy)."""
+    if isinstance(v, int):
+        return int(v), 0
+    if isinstance(v, tuple):
+        if len(v) == 2 and all(isinstance(x, int) for x in v):
+            return int(v[0]), int(v[1])
+        raise ValueError("entries must be Gaussian integers")
+    import sympy as sp
+    re, im = sp.expand(v).as_real_imag()
+    if not (re.is_Integer and im.is_Integer):
+        raise ValueError("entries must be Gaussian integers")
+    return int(re), int(im)
+
+
+def _pair_str(z) -> str:
+    """A Gaussian integer pair as sympy prints ``re + im*I``."""
+    re, im = z
+    if not im:
+        return str(re)
+    imag = "I" if abs(im) == 1 else f"{abs(im)}*I"
+    if not re:
+        return imag if im > 0 else "-" + imag
+    return f"{re} {'+' if im > 0 else '-'} {imag}"
+
+
+class TorusAutomorphism:
+    """Linear part of an automorphism of T^k: a Gaussian-integer matrix
+    with unit determinant.  Its canonical entries are the integer pairs
+    ``pairs[i][j] = (re, im)``, so ``==``, ``hash``, ``compose`` and
+    ``power`` are integer arithmetic; ``A`` is the same matrix with sympy
+    entries ``re + im*I``.  Translations act trivially on cohomology and are
+    not modeled.
+
+    The rows may hold ints, ``(re, im)`` pairs of ints or sympy numbers; a
+    sympy matrix is read by its ``tolist()``."""
+
+    def __init__(self, A, name: str = ""):
+        rows = A.tolist() if hasattr(A, "tolist") else A
+        k = len(rows)
+        if k == 0 or any(not isinstance(row, (list, tuple)) or len(row) != k
+                         for row in rows):
+            raise ValueError("matrix must be square and nonempty")
+        self.pairs = tuple(tuple(map(_gaussian_integer, row))
+                           for row in rows)
+        self.k = k
+        self.name = name or f"aut_{self.k}"
+        d = gaussian_det(self.pairs)
+        if d not in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            raise ValueError(f"determinant {_pair_str(d)} is not a unit of "
+                             "Z[i]")
+
+    @classmethod
+    def _from_pairs(cls, pairs, name: str) -> "TorusAutomorphism":
+        """A product of automorphisms, so its determinant is a unit."""
+        out = cls.__new__(cls)
+        out.pairs, out.k, out.name = pairs, len(pairs), name
+        return out
+
+    @cached_property
+    def A(self):
+        """The matrix as a sympy ``ImmutableMatrix`` (imports sympy)."""
+        from .cohomology import _pair_matrix
+        return _pair_matrix(self.pairs)
+
+    def inverse(self) -> "TorusAutomorphism":
+        """conj(u) adj(A) for the unit u = det A.  Row and column i of
+        compound(f, k-1) omit index k-1-i, as the subsets ascend, so
+        adj(A)[i][j] = (-1)^(i+j) compound(f, k-1)[k-1-i][k-1-j]."""
+        ur, ui = gaussian_det(self.pairs)
+        return self._from_pairs(tuple(
+            tuple(((-1) ** (i + j) * (ur * cr + ui * ci),
+                   (-1) ** (i + j) * (ur * ci - ui * cr))
+                  for j, (cr, ci) in enumerate(reversed(row)))
+            for i, row in enumerate(reversed(compound(self, self.k - 1)))),
+            self.name + "^-1")
+
+    def compose(self, other: "TorusAutomorphism") -> "TorusAutomorphism":
+        return self._from_pairs(_pair_product(self.pairs, other.pairs),
+                                f"{self.name}*{other.name}")
+
+    def power(self, n: int) -> "TorusAutomorphism":
+        """f^n by repeated squaring on the integer pairs."""
+        base = (self if n >= 0 else self.inverse()).pairs
+        acc = _square_and_multiply(_pair_product, base,
+                                   _identity(self.k).pairs, abs(n))
+        return self._from_pairs(acc, f"{self.name}^{n}" if n else "id")
+
+    def __eq__(self, other):
+        return isinstance(other, TorusAutomorphism) and self.pairs == other.pairs
+
+    def __hash__(self):
+        return hash(self.pairs)
+
+    def __repr__(self):
+        return f"TorusAutomorphism({self.name}, k={self.k})"
+
+
+def _identity(k: int, name: str = "id") -> TorusAutomorphism:
+    return TorusAutomorphism._from_pairs(tuple(
+        tuple((int(i == j), 0) for j in range(k)) for i in range(k)), name)
+
+
+@dataclass(frozen=True)
+class GroupSpec:
+    """Finitely many torus automorphisms generating a matrix group."""
+    generators: tuple
+    labels: tuple = ()
+
+    def __post_init__(self):
+        gens = tuple(self.generators)
+        if not gens:
+            raise ValueError("at least one generator required")
+        k = gens[0].k
+        if any(g.k != k for g in gens):
+            raise ValueError("generators must act on the same torus")
+        labels = tuple(self.labels) or tuple(
+            g.name or f"g{j}" for j, g in enumerate(gens))
+        if len(labels) != len(gens):
+            raise ValueError("one label per generator")
+        object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "labels", labels)
+
+    @classmethod
+    def from_matrices(cls, mats, labels=()):
+        return cls(tuple(TorusAutomorphism(M) for M in mats), tuple(labels))
+
+    @property
+    def k(self) -> int:
+        return self.generators[0].k
+
+    @property
+    def n(self) -> int:
+        return len(self.generators)
+
+
+# ---------------------------------------------------------------------------
+# f* on H^{p,p}: the compound (exterior power) matrices of the linear part
+
+
+def _subsets(k: int, p: int):
+    return list(itertools.combinations(range(k), p))
+
+
+@lru_cache(maxsize=None)
+def compound(f: TorusAutomorphism, p: int) -> tuple:
+    """The p-th compound of the linear part, C[S', S] = det A[S, S'] over
+    ascending p-subsets, so that f*(dz_S) = sum_{S'} C[S', S] dz_{S'} and
+    f*(dz_S ^ dzbar_T) = sum_{S',T'} C[S', S] conj(C[T', T]) dz_{S'} ^
+    dzbar_{T'}.  Every action of f on cohomology is read from it.  Rows of
+    integer (re, im) pairs, memoised per automorphism."""
+    k = f.k
+    if not 0 <= p <= k:
+        raise ValueError(f"p must lie in [0, {k}]")
+    subs = _subsets(k, p)
+    return tuple(tuple(gaussian_det([[f.pairs[r][c] for c in Sp] for r in S])
+                       for S in subs) for Sp in subs)
+
+
+@lru_cache(maxsize=None)
+def h11_matrix(f: TorusAutomorphism) -> tuple:
+    """Integer matrix of f* on H^{1,1} in the Hermitian basis (k^2 x k^2),
+    as rows of ints: H -> C H C^H with C = compound(f, 1) = A^T, on the
+    integer (re, im) pairs of C.  Column t holds the coordinates of
+    C E_t C^H.  Memoised per automorphism."""
+    C = compound(f, 1)
+    cols = []
+    for E in hermitian_basis_sparse(f.k):
+        col = []
+        for a, b in _hermitian_cells(f.k):
+            # (C E C^H)[a, b] = sum of C[a][s] e conj(C[b][t]) over the
+            # entries e of E at (s, t)
+            re = im = 0
+            for s, t, (er, ei) in E:
+                (xr, xi), (yr, yi) = C[a][s], C[b][t]
+                pr, pi = xr * er - xi * ei, xr * ei + xi * er
+                re += pr * yr + pi * yi
+                im += pi * yr - pr * yi
+            col += [re] if a == b else [re, im]
+        cols.append(col)
+    return tuple(zip(*cols))
+
+
+# ---------------------------------------------------------------------------
+# characteristic polynomials, cyclotomic tests and finite order, on integer
+# coefficient tuples (leading first) and integer rows
+
+
+def integer_charpoly(M) -> tuple:
+    """det(xI - M) of a square matrix of ints, leading coefficient first,
+    by the division-free bordering recurrence of Samuelson and Berkowitz
+    (Berkowitz, IPL 18, 1984).  Bordering the leading t x t block A by a
+    column C, a row R and a corner a gives
+
+        det(xI - [[A, C], [R, a]]) = (x - a) det(xI - A) - R adj(xI - A) C,
+
+    and for det(xI - A) = sum_j c_j x^(t-j), adj(xI - A) is sum_i x^i
+    sum_{j <= t-1-i} c_j A^(t-1-i-j), so only s_m = R A^m C is needed."""
+    n = len(M)
+    if any(len(row) != n for row in M):
+        raise ExactAlgebraError("charpoly requires a square matrix")
+    c = [1]
+    for t in range(n):
+        R, v = M[t][:t], [M[i][t] for i in range(t)]
+        s = []
+        for m in range(t):
+            s.append(sum(r * x for r, x in zip(R, v)))
+            if m < t - 1:
+                v = [sum(a * x for a, x in zip(M[i][:t], v))
+                     for i in range(t)]
+        a = M[t][t]
+        c = [(c[u] if u <= t else 0) - (a * c[u - 1] if u else 0)
+             - sum(c[j] * s[u - 2 - j] for j in range(u - 1))
+             for u in range(t + 2)]
+    return tuple(c)
+
+
+@lru_cache(maxsize=None)
+def _indices_up_to(d: int) -> tuple:
+    """Every m with phi(m) <= d, ascending, from a totient sieve:
+    phi(m) >= sqrt(m/2) bounds m by 2 d^2."""
+    limit = 2 * d * d + 2
+    phi = list(range(limit + 1))
+    for q in range(2, limit + 1):
+        if phi[q] == q:     # q is prime
+            for j in range(q, limit + 1, q):
+                phi[j] -= phi[j] // q
+    return tuple(m for m in range(1, limit + 1) if phi[m] <= d)
+
+
+def _divide_monic(p: list, g) -> tuple:
+    """(quotient, remainder) of integer polynomials (leading first) by a
+    monic g with deg g <= deg p."""
+    p, n = list(p), len(g) - 1
+    for i in range(len(p) - n):
+        if p[i]:
+            for j in range(1, n + 1):
+                p[i + j] -= p[i] * g[j]
+    return p[:len(p) - n], p[len(p) - n:]
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(m: int) -> tuple:
+    """Phi_m: x^m - 1 divided by Phi_d for every proper divisor d of m."""
+    p = [1] + [0] * (m - 1) + [-1]
+    for d in range(1, m):
+        if m % d == 0:
+            p = _divide_monic(p, _cyclotomic(d))[0]
+    return tuple(p)
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_indices(p: tuple):
+    """The distinct indices m, ascending, of the factors Phi_m of the monic
+    integer polynomial with coefficients ``p``, or None when it is not a
+    product of cyclotomic polynomials.  Each Phi_m with phi(m) <= deg p is
+    divided out while it divides, so no factorization is needed (Bradford
+    and Davenport, *Effective tests for cyclotomic polynomials*, ISSAC 1988,
+    also decide this without factoring); a product of cyclotomics leaves 1.
+    Memoised: the zero-entropy test and the order of one matrix share it."""
+    p = [int(c) for c in p]
+    if p[0] != 1:
+        raise ExactAlgebraError("a monic polynomial is required")
+    indices = []
+    for m in _indices_up_to(len(p) - 1):
+        if len(p) == 1:
+            break
+        phi = _cyclotomic(m)
+        while len(phi) <= len(p):
+            quotient, rem = _divide_monic(p, phi)
+            if any(rem):
+                break
+            p = quotient
+            if indices[-1:] != [m]:
+                indices.append(m)
+    return tuple(indices) if len(p) == 1 else None
+
+
+def is_cyclotomic_product(p) -> bool:
+    """True iff every irreducible factor of the monic integer polynomial
+    with coefficients ``p`` (leading first) is cyclotomic (Kronecker)."""
+    return _cyclotomic_indices(tuple(p)) is not None
+
+
+def finite_order_bound(dim: int) -> int:
+    """lcm of all m with phi(m) <= dim: bound for orders of integer
+    matrices."""
+    return math.lcm(*_indices_up_to(dim))
+
+
+def matrix_order(M, p):
+    """Exact multiplicative order of an integer matrix given as rows, or
+    ``"infinite"``, from its characteristic polynomial ``p`` (coefficients
+    leading first).
+
+    The eigenvalues of a matrix of finite order are roots of unity, so p
+    is a product of cyclotomics Phi_m.  Then the order is finite iff M^n = I
+    for the lcm n of the indices m, by integer repeated squaring, and it is
+    n: a factor Phi_m gives an eigenvalue of order m.
+    """
+    indices = _cyclotomic_indices(tuple(p))
+    if indices is None:
+        return INFINITE_ORDER
+    n, eye = math.lcm(*indices), _eye_rows(len(M))
+    power = _square_and_multiply(_int_product, M, eye, n)
+    return n if power == eye else INFINITE_ORDER
+
+
+# ---------------------------------------------------------------------------
+# zero entropy, classification and the degrees of a zero-entropy automorphism
+
+
+@lru_cache(maxsize=None)
+def h11_charpoly(f: TorusAutomorphism) -> tuple:
+    """Integer characteristic polynomial of the H^{1,1} action, leading
+    coefficient first.  Memoised per automorphism: the zero-entropy test,
+    order and report share it."""
+    return integer_charpoly(h11_matrix(f))
+
+
+@lru_cache(maxsize=None)
+def has_zero_entropy(f: TorusAutomorphism) -> bool:
+    """Exact zero-entropy test: the H^{1,1} action has a cyclotomic-product
+    characteristic polynomial (Kronecker).  Memoised per automorphism."""
+    return is_cyclotomic_product(h11_charpoly(f))
+
+
+@lru_cache(maxsize=None)
+def classify(f: TorusAutomorphism) -> str:
+    """Exact trichotomy on the H^{1,1} action; no floating point.  Memoised
+    per automorphism: the analysis and the report's degree profile share it."""
+    if not has_zero_entropy(f):
+        return POSITIVE_ENTROPY
+    if matrix_order(h11_matrix(f), h11_charpoly(f)) == INFINITE_ORDER:
+        return PARABOLIC
+    return FINITE_ORDER
+
+
+@dataclass
+class DegreeProfile:
+    k: int
+    degrees: list          # per p in 0..k: Fraction(1) or an AlgebraicReal
+    entropy: object        # Fraction(0) or a CertifiedReal
+    classification: str
+
+
+def degree_profile(f: TorusAutomorphism) -> DegreeProfile:
+    """The dynamical degrees d_0 .. d_k, the entropy and the class of f.
+
+    At zero entropy every eigenvalue of A is a root of unity (Kronecker), so
+    every d_p is 1 and the entropy is 0: exact Fractions, with no root
+    moduli computed.  Otherwise the certified values of ``cohomology``."""
+    if has_zero_entropy(f):
+        return DegreeProfile(f.k, [Fraction(1)] * (f.k + 1), Fraction(0),
+                             classify(f))
+    from .cohomology import dynamical_degree, entropy
+    degrees = [dynamical_degree(f, p) for p in range(f.k + 1)]
+    return DegreeProfile(f.k, degrees, entropy(f), classify(f))
+
+
+# ---------------------------------------------------------------------------
+# integer lattices: Hermite and Smith normal forms with transforms
+
+
+@dataclass(frozen=True)
+class IntegerLattice:
+    ambient_rank: int
+    basis: tuple  # tuple of tuples of ints (rows)
+
+    def __post_init__(self):
+        for v in self.basis:
+            if len(v) != self.ambient_rank:
+                raise ExactAlgebraError("basis vector of wrong length")
+
+
+def hermite_normal_form_rows(A: list) -> tuple[list, list]:
+    """Row-style HNF: returns (H, U) with H = U @ A, U unimodular.
+
+    H is in row echelon form with positive pivots and entries above each
+    pivot reduced into [0, pivot).  Zero rows are pushed to the bottom.
+    """
+    H = [list(map(int, row)) for row in A]
+    m = len(H)
+    n = len(H[0]) if m else 0
+    U = _eye_rows(m)
+    r = 0
+    for c in range(n):
+        # gcd-reduce column c below row r
+        piv = None
+        for i in range(r, m):
+            if H[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        H[r], H[piv] = H[piv], H[r]
+        U[r], U[piv] = U[piv], U[r]
+        for i in range(r + 1, m):
+            while H[i][c] != 0:
+                q = H[r][c] // H[i][c]
+                for j in range(n):
+                    H[r][j] -= q * H[i][j]
+                for j in range(m):
+                    U[r][j] -= q * U[i][j]
+                H[r], H[i] = H[i], H[r]
+                U[r], U[i] = U[i], U[r]
+        if H[r][c] < 0:
+            H[r] = [-v for v in H[r]]
+            U[r] = [-v for v in U[r]]
+        # reduce entries above the pivot
+        for i in range(r):
+            q = H[i][c] // H[r][c]
+            if q:
+                for j in range(n):
+                    H[i][j] -= q * H[r][j]
+                for j in range(m):
+                    U[i][j] -= q * U[r][j]
+        r += 1
+        if r == m:
+            break
+    return H, U
+
+
+def smith_normal_form_with_transforms(A: list) -> tuple[list, list]:
+    """Smith normal form D = U A V with U, V unimodular; returns
+    (D, V^-1).  U is not formed.  V^-1 is built by the inverse moves: the
+    column op col_i -= q col_j on V is the row op row_j += q row_i on V^-1,
+    and a column swap is the same row swap."""
+    D = [list(map(int, row)) for row in A]
+    m = len(D)
+    n = len(D[0]) if m else 0
+    Vinv = _eye_rows(n)
+
+    def row_op(i, j, q):  # row_i -= q*row_j
+        for c in range(n):
+            D[i][c] -= q * D[j][c]
+
+    def col_op(i, j, q):  # col_i -= q*col_j
+        for r in range(m):
+            D[r][i] -= q * D[r][j]
+        for c in range(n):
+            Vinv[j][c] += q * Vinv[i][c]
+
+    def swap_rows(i, j):
+        D[i], D[j] = D[j], D[i]
+
+    def swap_cols(i, j):
+        for r in range(m):
+            D[r][i], D[r][j] = D[r][j], D[r][i]
+        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
+
+    t = 0
+    while t < min(m, n):
+        # find a nonzero pivot of minimal absolute value in the trailing block
+        piv = None
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if D[i][j] != 0 and (best is None or abs(D[i][j]) < best):
+                    best = abs(D[i][j])
+                    piv = (i, j)
+        if piv is None:
+            break
+        swap_rows(t, piv[0])
+        swap_cols(t, piv[1])
+        dirty = True
+        while dirty:
+            dirty = False
+            for i in range(t + 1, m):
+                if D[i][t] != 0:
+                    q = D[i][t] // D[t][t]
+                    row_op(i, t, q)
+                    if D[i][t] != 0:
+                        swap_rows(t, i)
+                        dirty = True
+            for j in range(t + 1, n):
+                if D[t][j] != 0:
+                    q = D[t][j] // D[t][t]
+                    col_op(j, t, q)
+                    if D[t][j] != 0:
+                        swap_cols(t, j)
+                        dirty = True
+        if D[t][t] < 0:
+            D[t] = [-v for v in D[t]]
+        # enforce divisibility d_t | D[i][j]
+        offending = None
+        for i in range(t + 1, m):
+            for j in range(t + 1, n):
+                if D[i][j] % D[t][t] != 0:
+                    offending = i
+                    break
+            if offending is not None:
+                break
+        if offending is not None:
+            row_op(t, offending, -1)  # add the offending row, redo pivot at t
+            continue
+        t += 1
+    return D, Vinv
+
+
+# ---------------------------------------------------------------------------
+# LLL-based integer relation candidates
+
+def lll_reduce(rows: list) -> list:
+    """LLL-reduced basis (delta = 99/100) of the lattice spanned by linearly
+    independent integer rows.
+
+    Integral LLL (Cohen, *A Course in Computational Algebraic Number Theory*,
+    GTM 138, Algorithm 2.6.7), in integer arithmetic only: the Gram-Schmidt
+    data are the Gram determinants d_i and lambda_kj = d_j mu_kj, updated by
+    exact division; size reduction rounds lambda_kj / d_j to the nearest
+    integer, halves up, and the Lovasz test is a cross-multiplication.  The
+    reduction order is sympy's ``DomainMatrix.lll``, so the two agree
+    wherever sympy's float rounding of mu_kj is exact."""
+    b = [[int(x) for x in row] for row in rows]
+    m = len(b)
+    # d[j + 1] is the Gram determinant of rows 0..j; lam[k][j] for j < k
+    d = [1] + [0] * m
+    lam = [[0] * m for _ in range(m)]
+
+    def size_reduce(k, j):
+        dj = d[j + 1]
+        if 2 * abs(lam[k][j]) > dj:
+            r = (2 * lam[k][j] + dj) // (2 * dj)
+            b[k] = [x - r * y for x, y in zip(b[k], b[j])]
+            lam[k][j] -= r * dj
+            for i in range(j):
+                lam[k][i] -= r * lam[j][i]
+
+    def swap(k, kmax):
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        lk = lam[k][k - 1]
+        new = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+            lam[i][k - 1] = (new * t + lk * lam[i][k]) // d[k + 1]
+        d[k] = new
+
+    k, kmax = 0, -1
+    while k < m:
+        if k > kmax:  # incremental Gram-Schmidt of row k
+            kmax = k
+            for j in range(k + 1):
+                u = sum(x * y for x, y in zip(b[k], b[j]))
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                elif u == 0:
+                    raise ValueError("lll_reduce: rows are linearly dependent")
+                else:
+                    d[k + 1] = u
+        if k == 0:
+            k = 1
+            continue
+        size_reduce(k, k - 1)
+        # Lovasz, delta = 99/100: keep unless d_k d_{k-2} + lambda^2 <
+        # delta d_{k-1}^2, in Cohen's 1-based d_i (d[k + 1], d[k - 1], d[k])
+        if 100 * (d[k + 1] * d[k - 1] + lam[k][k - 1] ** 2) < 99 * d[k] ** 2:
+            swap(k, kmax)
+            k = max(k - 1, 1)
+        else:
+            for j in range(k - 2, -1, -1):
+                size_reduce(k, j)
+            k += 1
+    return b
+
+
+# the scale of the rounded values in an LLL relation lattice
+_RELATION_SCALE = 10**40
+
+
+def _relation_rows(vectors) -> list:
+    """Rows [e_i | round(10^40 v_i)] of the relation lattice of the real
+    vectors v_i (Fractions or ints)."""
+    n = len(vectors)
+    return [[int(i == j) for j in range(n)]
+            + [round(x * _RELATION_SCALE) for x in v]
+            for i, v in enumerate(vectors)]
+
+
+def integer_relations(values):
+    """Candidate integer relations e with |e_i| <= 10^4 and
+    |sum e_i v_i| < 10^-12, for exact rational approximations v_i
+    (Fractions or ints) of real values.
+
+    Candidates come from LLL (delta = 0.99) on the scaled-value lattice and
+    are NOT certified; callers must verify each candidate exactly.
+    """
+    n = len(values)
+    if n == 0:
+        return []
+    red = lll_reduce(_relation_rows([[v] for v in values]))
+    cands = []
+    for row in red:
+        e = row[:n]
+        if not any(e) or max(abs(v) for v in e) > 10**4:
+            continue
+        resid = abs(sum(ei * v for ei, v in zip(e, values)))
+        # allow for the rounding error of the scaled entries
+        slack = Fraction(sum(abs(v) for v in e), 2 * _RELATION_SCALE)
+        if resid <= Fraction(1, 10**12) + slack:
+            if e[next(i for i, v in enumerate(e) if v)] < 0:
+                e = [-v for v in e]
+            if e not in cands:
+                cands.append(e)
+    return cands
+
+
+# ---------------------------------------------------------------------------
+# builtin catalog: per generator its label, its name and its rows (ints, or
+# (re, im) pairs for non-real entries)
+
+_I = (0, 1)
+
+_CATALOG = {
+    # the Anosov cat map: smallest positive-entropy automorphism of T^2
+    "cat_T2": (("cat", "aut_2", [[2, 1], [1, 1]]),),
+    # multiplication by 1 + sqrt(2) in Z[sqrt(2)] (Pell unit)
+    "pell_T2": (("pell", "aut_2", [[1, 2], [1, 1]]),),
+    # two commuting unipotents: zero entropy, infinite order, rank 0
+    "parabolic_T2": (("shear_1", "aut_2", [[1, 1], [0, 1]]),
+                     ("shear_i", "aut_2", [[1, _I], [0, 1]])),
+    # scalar multiplication by i: finite order on cohomology
+    "torsion_i": (("i", "aut_2", [[_I, 0], [0, _I]]),),
+    # Pell unit extended by the order-4 torsion part
+    "pell_plus_torsion": (("pell", "aut_2", [[1, 2], [1, 1]]),
+                          ("i", "aut_2", [[_I, 0], [0, _I]])),
+    # rank-2 group on T^3 from two independent units of x^3 - x^2 - 2x + 1:
+    # the regular representations of -theta (norm +1, so in SL(3, Z)) and
+    # theta^2 - 2 on the power basis
+    "cubic_T3": (("-theta", "mult(-1t^1)",
+                  [[0, 0, 1], [-1, 0, -2], [0, -1, -1]]),
+                 ("theta^2-2", "mult(-2+1t^2)",
+                  [[-2, -1, -1], [0, 0, 1], [1, 1, 1]])),
+}
+
+
+def catalog_group(name: str) -> GroupSpec:
+    """The builtin example group ``name``, a key of ``_CATALOG``."""
+    entries = _CATALOG[name]
+    return GroupSpec(tuple(TorusAutomorphism(rows, name=gen)
+                           for _, gen, rows in entries),
+                     tuple(label for label, _, _ in entries))

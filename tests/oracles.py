@@ -3,12 +3,18 @@
 The library does not run these: each recomputes a value that the library
 certifies by another path, so the tests can compare the two."""
 
+import functools
+import math
+
 import mpmath
 import sympy as sp
-from sympy import Matrix
+from sympy import ZZ, Matrix
+from sympy.polys.densearith import dup_mul, dup_rem
 
 from toraldyn.cohomology import _hermitian_cells
-from toraldyn.exact_algebra import X, AlgebraicReal, charpoly, root_moduli
+from toraldyn.exact_algebra import (X, AlgebraicReal, _irreducible_factors,
+                                    _square_and_multiply, charpoly,
+                                    root_moduli)
 
 
 def hermitian_coords(H: Matrix) -> list:
@@ -56,3 +62,35 @@ def embedding_entropy(field, u, dps: int = 50):
         total = 2 * sum(mpmath.log(v) for v in values if v > 1)
     with mpmath.workdps(dps):
         return +total
+
+
+@functools.lru_cache(maxsize=None)
+def _totient(m: int) -> int:
+    return sum(math.gcd(j, m) == 1 for j in range(1, m + 1))
+
+
+def _cyclotomic_index(g):
+    """m with g == Phi_m, or None, for an irreducible integer polynomial g:
+    the least m with phi(m) = deg g and x^m == 1 modulo g, as such an m is
+    a multiple of the order of g's roots.  phi(m) >= sqrt(m/2) bounds m by
+    2 deg^2, and phi(m) is even for m > 2."""
+    e = len(g) - 1
+    if g[0] != 1 or e < 1 or (e > 1 and e % 2):
+        return None
+
+    def mulmod(a, b):
+        return dup_rem(dup_mul(a, b, ZZ), g, ZZ)
+
+    return next((m for m in range(1, 2 * e * e + 7) if _totient(m) == e
+                 and _square_and_multiply(mulmod, [1, 0], [1], m) == [1]),
+                None)
+
+
+def cyclotomic_indices_by_factoring(p):
+    """The distinct indices m, ascending, of the factors Phi_m of a monic
+    integer polynomial, or None when a factor is not cyclotomic: sympy's
+    factorization over Z and an index per irreducible factor.  The
+    reference for the division-based ``integer_model._cyclotomic_indices``."""
+    indices = [_cyclotomic_index(f)
+               for f in _irreducible_factors([int(c) for c in p])]
+    return None if None in indices else tuple(sorted(indices))

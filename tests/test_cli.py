@@ -1,9 +1,11 @@
 """End-to-end tests of the command-line surface and its JSON contracts."""
 
+import ast
 import copy
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -15,11 +17,12 @@ import pytest
 import sympy
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from toraldyn import (cohomology, exact_algebra, example_forge,
-                      group_structure, hodge_riemann)
+from toraldyn import (characters, cohomology, exact_algebra, example_forge,
+                      group_structure, hodge_riemann, integer_model)
 from toraldyn.cli import (BUILTIN_NAMES, EXIT_INVALID, EXIT_OK,
                           EXIT_VIOLATION, MAX_DIGITS, MAX_SAMPLES,
-                          build_analysis_report, load_group_argument, main)
+                          _approx_str, build_analysis_report,
+                          load_group_argument, main)
 from toraldyn.example_forge import builtin, builtin_names
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -322,7 +325,7 @@ def test_exact_is_zero_only_decides_the_printed_d1(monkeypatch, capsys,
         return real(expr)
 
     # hodge_riemann imports exact_is_zero from exact_algebra at call time
-    for module in (exact_algebra, cohomology, group_structure):
+    for module in (exact_algebra, cohomology, characters):
         monkeypatch.setattr(module, "exact_is_zero", exact_is_zero)
     code, _, err = _run(capsys, *argv)
     assert code == EXIT_OK, err[-2000:]
@@ -368,7 +371,10 @@ def test_analysis_computes_each_artifact_once(monkeypatch):
         build_analysis_report(analysis, 12, 0)
         assert calls == {"find_characters": 1, "pi_rank": 1,
                          "_kernel_split": 1}, name
-        assert sorted(moduli.values()) == [1] * spec.n, name
+        # a zero-entropy generator's degrees need no root moduli
+        positive = [g for g in spec.generators
+                    if cohomology.classify(g) == "positive_entropy"]
+        assert sorted(moduli.values()) == [1] * len(positive), name
         assert class_algebra == {"wedge": 0, "is_nef": 0, "pullback": 0}, name
 
 
@@ -377,15 +383,15 @@ def test_zero_entropy_certificate_is_computed_once(monkeypatch, capsys, name):
     # the classification reuses the H^{1,1} charpoly of the zero-entropy
     # test: one charpoly per generator on its k^2 x k^2 integer rows
     calls = {}
-    real = exact_algebra.charpoly
+    real = integer_model.integer_charpoly
 
-    def charpoly(M):
+    def integer_charpoly(M):
         key = tuple(map(tuple, sympy.Matrix(M).tolist()))
         calls[key] = calls.get(key, 0) + 1
         return real(M)
 
-    for module in (exact_algebra, cohomology, group_structure):
-        monkeypatch.setattr(module, "charpoly", charpoly)
+    for module in (integer_model, exact_algebra):
+        monkeypatch.setattr(module, "integer_charpoly", integer_charpoly)
     for fn in (cohomology.h11_charpoly, cohomology.has_zero_entropy,
                cohomology.classify):
         fn.cache_clear()
@@ -624,6 +630,54 @@ def test_refusal_loads_no_sympy(tmp_path, spec, argv):
         argv = ["analyze", str(path)]
     code = f"from toraldyn.cli import main\nassert main({argv!r}) == 3"
     assert _numeric_modules_after(code) == "[]"
+
+
+# zero-entropy specs of random-spectra seed 41, cycle 0, each committed with
+# its report; one parabolic and one non-real split SL(3, Z) generator, one
+# Gaussian finite-order SL(2, Z[i]) generator and one pair (g, g^2)
+SEED41_ZERO_ENTROPY = ("seed41_sl3_parabolic", "seed41_sl3_nonreal_split",
+                       "seed41_sl2zi_finite_gaussian", "seed41_pair_zero")
+
+
+@pytest.mark.parametrize("name", SEED41_ZERO_ENTROPY)
+def test_zero_entropy_report_matches_its_committed_stdout(capsys, name):
+    data = ROOT / "tests" / "data"
+    code, out, err = _run(capsys, "analyze", str(data / f"{name}.json"))
+    assert code == EXIT_OK and err == ""
+    assert out == (data / f"{name}_report.json").read_text()
+
+
+@pytest.mark.parametrize("target", [
+    *(f"tests/data/{name}.json" for name in SEED41_ZERO_ENTROPY),
+    "tests/data/parabolic_pow5_T2.json", "parabolic_T2", "torsion_i"])
+def test_zero_entropy_analyze_loads_no_sympy(target):
+    # every decision of a zero-entropy family is an integer one; mpmath
+    # prints the approximations
+    path = ROOT / target
+    argv = ["analyze", str(path) if path.exists() else target]
+    code = f"from toraldyn.cli import main\nassert main({argv!r}) == 0"
+    loaded = ast.literal_eval(_numeric_modules_after(code))
+    assert not [m for m in loaded if m.split(".")[0] == "sympy"]
+
+
+def test_approx_str_is_sympy_float_str():
+    # the mpmath.libmp route prints what str(sympy.Float) printed, signs,
+    # zero, one and huge and tiny exponents included, at every precision
+    rng = random.Random(2026)
+    values = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 3),
+              Fraction(-2, 3), Fraction(10**400 + 7, 3),
+              Fraction(-1, 10**500), Fraction(7, 2**3000),
+              Fraction(99999, 100000), Fraction(-5, 10**6)]
+    for _ in range(40):
+        num = rng.randint(1, 10**rng.randint(1, 60)) * rng.choice((1, -1))
+        den = rng.randint(1, 10**rng.randint(1, 60))
+        values.append(Fraction(num, den) * Fraction(10) ** rng.randint(-40, 40))
+    for digits in (0, 1, 12, 50, 1000):
+        for q in values:
+            expected = str(sympy.Float(sympy.Rational(q.numerator,
+                                                      q.denominator),
+                                       digits + 3))
+            assert _approx_str(q, digits) == expected, (q, digits)
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,11 @@ from toraldyn.exact_algebra import (
     IntegerLattice, RealRoot, charpoly, exact_equal, exact_is_zero,
     exact_sign, finite_order_bound, gaussian_det, hermite_normal_form_rows,
     integer_relations, is_cyclotomic_product, lll_reduce, matrix_order,
-    _cyclotomic_index, _kernel_root, minimal_polynomial, real_root, root_moduli, smith_normal_form_with_transforms,
+    _kernel_root, minimal_polynomial, real_root, root_moduli, smith_normal_form_with_transforms,
     symmetric_definiteness)
 
-from oracles import charpoly_times_conjugate, hermitian_coords, spectral_radius
+from oracles import (_cyclotomic_index, charpoly_times_conjugate,
+                     hermitian_coords, spectral_radius)
 
 
 # ---------------------------------------------------------------------------

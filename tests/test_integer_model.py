@@ -1,0 +1,199 @@
+"""The sympy-free integer model against the sympy routines it replaced.
+
+The builtin tables are rebuilt from the sympy constructors, the Berkowitz
+charpoly is compared with sympy's ``DomainMatrix`` charpoly, the
+division-based cyclotomic indices with the factor-based ones, and the
+integer semisimple flag of a zero-entropy family with the factor-field
+eigen path."""
+
+import random
+from pathlib import Path
+
+import pytest
+import sympy as sp
+from hypothesis import given, settings, strategies as st
+from sympy import I, Matrix, ZZ, eye
+from sympy.polys.densearith import dup_mul
+from sympy.polys.matrices import DomainMatrix
+
+from toraldyn.characters import _common_eigenvectors
+from toraldyn.cli import load_group_argument
+from toraldyn.example_forge import (NumberFieldSpec, builtin, builtin_names,
+                                    regular_representation)
+from toraldyn.integer_model import (FINITE_ORDER, GroupSpec,
+                                    TorusAutomorphism, _cyclotomic,
+                                    _cyclotomic_indices, _pair_str,
+                                    classify, has_zero_entropy, h11_matrix,
+                                    integer_charpoly)
+from toraldyn.group_structure import find_characters
+
+from oracles import cyclotomic_indices_by_factoring
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+# ---------------------------------------------------------------------------
+# the builtin catalog
+
+
+def _cubic_t3():
+    field = NumberFieldSpec((1, -1, -2, 1))
+    return GroupSpec((regular_representation((0, -1, 0), field),
+                      regular_representation((-2, 0, 1), field)),
+                     ("-theta", "theta^2-2"))
+
+
+# each builtin as it was built from sympy matrices and the forge
+SYMPY_CATALOG = {
+    "cat_T2": lambda: GroupSpec.from_matrices(
+        [Matrix([[2, 1], [1, 1]])], ("cat",)),
+    "pell_T2": lambda: GroupSpec.from_matrices(
+        [Matrix([[1, 2], [1, 1]])], ("pell",)),
+    "parabolic_T2": lambda: GroupSpec.from_matrices(
+        [Matrix([[1, 1], [0, 1]]), Matrix([[1, I], [0, 1]])],
+        ("shear_1", "shear_i")),
+    "torsion_i": lambda: GroupSpec.from_matrices([I * eye(2)], ("i",)),
+    "pell_plus_torsion": lambda: GroupSpec.from_matrices(
+        [Matrix([[1, 2], [1, 1]]), I * eye(2)], ("pell", "i")),
+    "cubic_T3": _cubic_t3,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMPY_CATALOG))
+def test_builtin_tables_are_the_sympy_constructions(name):
+    table, built = builtin(name), SYMPY_CATALOG[name]()
+    assert table.labels == built.labels
+    assert [g.name for g in table.generators] == \
+        [g.name for g in built.generators]
+    assert [g.pairs for g in table.generators] == \
+        [g.pairs for g in built.generators]
+    assert [g.A for g in table.generators] == [g.A for g in built.generators]
+
+
+def test_builtin_tables_cover_the_catalog():
+    assert builtin_names() == sorted(SYMPY_CATALOG)
+
+
+def test_pair_str_is_sympy_str():
+    # the determinant named when a matrix is refused reads as sympy printed it
+    parts = list(range(-3, 4)) + [10**20, -(10**20) - 1]
+    for re in parts:
+        for im in parts:
+            assert _pair_str((re, im)) == str(sp.Integer(re) + sp.Integer(im) * I)
+
+
+# ---------------------------------------------------------------------------
+# the Berkowitz charpoly and the division-based cyclotomic indices
+
+
+def _seeded_matrices():
+    """Seeded integer matrices of sizes 1 to 9, entries in [-3, 3], and the
+    H^{1,1} actions of seeded automorphisms of positive and zero entropy."""
+    rng = random.Random(1984)
+    mats = [[[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            for n in range(1, 10) for _ in range(4)]
+    for k, units in ((2, (1, -1, I, -I)), (3, (1, -1))):
+        for _ in range(6):
+            A = eye(k)
+            for _ in range(rng.randint(2, 6)):
+                i, j = rng.sample(range(k), 2)
+                E = eye(k)
+                E[i, j] = rng.choice(units)
+                A = A * E
+            mats.append([list(r) for r in h11_matrix(TorusAutomorphism(A))])
+    return mats
+
+
+def test_integer_charpoly_is_the_domain_matrix_charpoly():
+    for M in _seeded_matrices():
+        expected = [int(c) for c in DomainMatrix.from_list(M, ZZ).charpoly()]
+        assert list(integer_charpoly(M)) == expected, M
+
+
+def test_cyclotomic_indices_match_the_factor_based_routine():
+    # charpolys of seeded matrices, positive entropy and singular ones
+    # among them, and seeded products of cyclotomics with multiplicity
+    rng = random.Random(1988)
+    polys = [integer_charpoly(M) for M in _seeded_matrices()]
+    for _ in range(30):
+        p = [1]
+        for _ in range(rng.randint(1, 4)):
+            p = dup_mul(p, list(_cyclotomic(rng.randint(1, 40))), ZZ)
+        polys.append(p)
+    assert any(cyclotomic_indices_by_factoring(p) is None for p in polys)
+    assert any(cyclotomic_indices_by_factoring(p) for p in polys)
+    for p in polys:
+        assert _cyclotomic_indices(tuple(p)) == \
+            cyclotomic_indices_by_factoring(p), p
+
+
+# ---------------------------------------------------------------------------
+# the semisimple flag of a zero-entropy family: the eigen path is the
+# reference
+
+
+ZERO_ENTROPY_FAMILIES = {
+    "parabolic_T2": lambda: builtin("parabolic_T2"),
+    "torsion_i": lambda: builtin("torsion_i"),
+    "identity_T2": lambda: GroupSpec.from_matrices([eye(2)]),
+    "unipotent_pair_T3": lambda: GroupSpec.from_matrices([
+        eye(3) + Matrix(3, 3, lambda a, b: int((a, b) == (0, 1))),
+        eye(3) + Matrix(3, 3, lambda a, b: int((a, b) == (0, 2)))]),
+    "gaussian_finite_order": lambda: GroupSpec.from_matrices(
+        [[[-I, 0], [1 + I, I]]]),
+    **{name: (lambda name=name: load_group_argument(
+        str(DATA / f"{name}.json"))[0])
+       for name in ("parabolic_pow5_T2", "seed41_sl3_parabolic",
+                    "seed41_sl3_nonreal_split",
+                    "seed41_sl2zi_finite_gaussian", "seed41_pair_zero")},
+}
+
+
+def _check_semisimple_flag(spec):
+    assert all(has_zero_entropy(g) for g in spec.generators)
+    eigenvectors, semisimple = _common_eigenvectors(spec)
+    assert eigenvectors
+    assert semisimple == all(classify(g) == FINITE_ORDER
+                             for g in spec.generators)
+    assert find_characters(spec).semisimple == semisimple
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_ENTROPY_FAMILIES))
+def test_zero_entropy_semisimple_flag_matches_the_eigen_path(name):
+    _check_semisimple_flag(ZERO_ENTROPY_FAMILIES[name]())
+
+
+# zero-entropy cores: finite order and parabolic, in SL(2, Z[i]) and SL(3, Z)
+CORES = {
+    2: ([[0, -1], [1, 0]], [[0, -1], [1, 1]], [[I, 0], [0, -I]],
+        [[0, I], [I, 0]], [[-1, 0], [0, -1]],
+        [[1, 1], [0, 1]], [[1, I], [0, 1]], [[-1, 1], [0, -1]]),
+    3: ([[0, -1, 0], [1, 0, 0], [0, 0, 1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
+        [[-1, 0, 0], [0, -1, 0], [0, 0, 1]], [[0, -1, 0], [1, -1, 0], [0, 0, 1]],
+        [[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[1, 1, 0], [0, 1, 1], [0, 0, 1]],
+        [[-1, 1, 0], [0, -1, 0], [0, 0, 1]]),
+}
+
+
+@st.composite
+def _zero_entropy_pairs(draw):
+    """(g, g^j) with g = P D P^-1 for a core D of finite order or parabolic
+    and P a product of elementary matrices with unit entries."""
+    k = draw(st.sampled_from((2, 3)))
+    units = (1, -1, I, -I) if k == 2 else (1, -1)
+    P = eye(k)
+    for _ in range(draw(st.integers(1, 4))):
+        i, j = draw(st.permutations(range(k)))[:2]
+        E = eye(k)
+        E[i, j] = draw(st.sampled_from(units))
+        P = P * E
+    conj = TorusAutomorphism(P)
+    g = conj.compose(TorusAutomorphism(draw(st.sampled_from(CORES[k]))))
+    g = g.compose(conj.inverse())
+    return GroupSpec((g, g.power(draw(st.sampled_from((-2, -1, 2, 3))))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_zero_entropy_pairs())
+def test_zero_entropy_pairs_semisimple_flag_matches_the_eigen_path(spec):
+    _check_semisimple_flag(spec)
