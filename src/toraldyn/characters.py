@@ -181,21 +181,22 @@ def _same_moduli(a: tuple, b: tuple) -> bool:
 
 def factor_field_table(spec: GroupSpec) -> CharacterTable:
     """The character table of a commuting family with a positive-entropy
-    generator (``group_structure.find_characters``): the trivial character
-    (all multipliers 1) is dropped and the rest are deduplicated exactly; a
-    non-semisimple family is rejected."""
+    generator (``group_structure.find_characters``): the multiplier tuples
+    are deduplicated exactly, once, and each distinct tuple but the trivial
+    one (all multipliers 1) is a character; a non-semisimple family is
+    rejected."""
     eigenvectors, semisimple = _common_eigenvectors(spec)
-    characters = []
+    distinct = []       # (w, multipliers) at the first w of each tuple
     for w, modsq in eigenvectors:
-        if all(exact_equal(m, 1) for m in modsq):
-            continue
-        if any(_same_moduli(modsq, c.multipliers) for c in characters):
-            continue
-        characters.append(Character(w, modsq))
+        if not any(_same_moduli(modsq, t) for _, t in distinct):
+            distinct.append((w, modsq))
+    characters = [Character(w, modsq) for w, modsq in distinct
+                  if not all(exact_equal(m, 1) for m in modsq)]
     if not semisimple:
         raise DegenerateSpectrumError(
             "non-semisimple family with a positive-entropy generator")
-    table = CharacterTable(spec.k, characters, eigenvectors, semisimple)
+    table = CharacterTable(spec.k, characters, eigenvectors,
+                           [modsq for _, modsq in distinct], semisimple)
     _validate_characters(spec, table)
     return table
 

@@ -14,9 +14,10 @@ is tagged as an approximation and accompanied by a certified rational
 interval.
 
 Each subcommand imports its machinery after its input checks, so refusals and
-the whole of ``hodge-check`` run without sympy.  ``analyze`` imports sympy
-only when a generator has positive entropy: a family of zero-entropy
-generators is decided and reported on integers (``integer_model``).
+the whole of ``hodge-check`` run without sympy or mpmath.  ``analyze`` imports
+sympy only when a generator has positive entropy: a family of zero-entropy
+generators is decided on integers (``integer_model``) and printed on them
+(``_approx_str``).
 """
 
 from __future__ import annotations
@@ -46,10 +47,8 @@ DEFAULT_DIGITS = 12
 MAX_DIGITS = 1000
 # the most hodge-check samples accepted: about 45 s at k = 4
 MAX_SAMPLES = 10_000
-# the names of the builtin catalog (``integer_model``), so that an unknown
-# name is refused before any machinery is imported
-BUILTIN_NAMES = ("cat_T2", "cubic_T3", "parabolic_T2", "pell_T2",
-                 "pell_plus_torsion", "torsion_i")
+# log2(10), mpmath's factor between decimal digits and bits
+_BITS_PER_DIGIT = 3.3219280948873626
 
 
 class CliInputError(ValueError):
@@ -66,48 +65,70 @@ def _frac_str(q: Fraction) -> str:
 
 def _approx_str(q: Fraction, digits: int) -> str:
     """q to ``digits + 3`` significant digits as sympy prints a ``Float`` of
-    that precision: rounded to nearest at the binary precision of that many
-    digits, printed with the digits that precision holds."""
-    from mpmath.libmp import (dps_to_prec, from_rational, prec_to_dps,
-                              round_nearest, to_str)
-    prec = dps_to_prec(digits + 3)
-    text = to_str(from_rational(q.numerator, q.denominator, prec,
-                                round_nearest),
-                  prec_to_dps(prec), strip_zeros=False)
-    if text.startswith("-.0"):
-        return "-0." + text[3:]
-    if text.startswith(".0"):
-        return "0." + text[2:]
-    return text
+    that precision (mpmath's ``to_str``), on integers alone: q rounded to
+    nearest, ties to even, at the binary precision of that many digits, its
+    decimal digits floored with three guard digits and rounded half up to
+    the digits that precision holds, in fixed-point form near unit
+    magnitude.  Outside 2^-3500 .. 2^3500 in magnitude, where mpmath scales
+    by an approximate power of ten, the digits here stay exact."""
+    prec = round((digits + 4) * _BITS_PER_DIGIT)
+    dps = max(1, round(prec / _BITS_PER_DIGIT) - 1)
+    if q == 0:
+        return "0.0"
+    # |q| = m 2^e to nearest, 2^(prec-1) <= m <= 2^prec
+    x = abs(q)
+    e = x.numerator.bit_length() - x.denominator.bit_length() - prec
+    e += x >= Fraction(2) ** (e + prec)
+    m = round(x / Fraction(2) ** e)
+    fixprec = max(int((dps + 3) * _BITS_PER_DIGIT) + 10 - m.bit_length() - e,
+                  0)
+    fixdps = int(fixprec / _BITS_PER_DIGIT + 0.5)
+    shift = e + fixprec
+    fixed = m << shift if shift >= 0 else m >> -shift
+    text = str(fixed * 10**fixdps >> fixprec)
+    exponent = len(text) - fixdps - 1
+    if len(text) > dps and text[dps] in "56789":
+        text = str(int(text[:dps]) + 1)
+        if len(text) > dps:
+            text, exponent = text[:dps], exponent + 1
+    else:
+        text = text[:dps]
+    split = 1
+    if min(-(dps // 3), -5) < exponent < dps:
+        if exponent < 0:
+            text = "0" * -exponent + text
+        else:
+            split = exponent + 1
+        exponent = 0
+    text = "-" * (q < 0) + text[:split] + "." + text[split:]
+    return text if exponent == 0 else f"{text}e{exponent:+d}"
 
 
 def _certified_json(value: CertifiedReal | Fraction, digits: int) -> dict:
-    """The interval, approximation and (for an ``AlgebraicReal``) minimal
-    polynomial of a certified real; a Fraction, a value the integer model
-    decides exactly, is its own point interval."""
+    """The interval and approximation of a certified real; a Fraction, a
+    value the integer model decides exactly, is its own point interval."""
     if isinstance(value, Fraction):
         lo = hi = value
     else:
         lo, hi = value.enclosure(Fraction(1, 2 * 10**digits))
-    out = {
+    return {
         "interval": [_frac_str(lo), _frac_str(hi)],
         "approx": _approx_str((lo + hi) / 2, digits),
         "approx_is_approximation": True,
     }
-    if not isinstance(value, Fraction):
-        from .exact_algebra import AlgebraicReal
-        if isinstance(value, AlgebraicReal):
-            out["min_poly"] = [str(c) for c in
-                               value.minimal_polynomial.all_coeffs()]
-    return out
 
 
 def _degree_json(value: CertifiedReal | Fraction, digits: int) -> dict:
-    """A dynamical degree; a rational one p/q (1 at zero entropy) has the
-    minimal polynomial q x - p."""
+    """A dynamical degree or an ``enumerate`` d1 with its minimal
+    polynomial, the one place a report prints one: the integer kernel's
+    (``real_root``), or q x - p for a rational p/q (1 at zero entropy)."""
     out = _certified_json(value, digits)
     if isinstance(value, Fraction):
-        out["min_poly"] = [str(value.denominator), str(-value.numerator)]
+        poly = (value.denominator, -value.numerator)
+    else:
+        from .exact_algebra import real_root
+        poly = real_root(value).poly
+    out["min_poly"] = [str(c) for c in poly]
     return out
 
 
@@ -210,12 +231,12 @@ def load_group_argument(arg: str):
             forged = _forge_or_raise(*_field_from_json(data))
             return forged.group, forged
         raise CliInputError(f"unknown spec kind {kind!r}")
-    if arg in BUILTIN_NAMES:
-        from .integer_model import catalog_group
+    from .integer_model import _CATALOG, catalog_group
+    if arg in _CATALOG:
         return catalog_group(arg), None
     raise CliInputError(
         f"{arg!r} is neither a file nor a builtin name "
-        f"(builtins: {', '.join(BUILTIN_NAMES)})")
+        f"(builtins: {', '.join(sorted(_CATALOG))})")
 
 
 def _require_in_range(option: str, value: int, low: int, high=None) -> None:
@@ -428,12 +449,12 @@ def cmd_enumerate(args) -> int:
         "kind": "degree_enumeration",
         "k": str(args.dim),
         "entry_bound": str(args.bound),
-        "distinct_d1": [_certified_json(v, digits) for v in values],
+        "distinct_d1": [_degree_json(v, digits) for v in values],
         "count": str(len(values)),
     }
     if positive:
         vmin = positive[0]
-        report["min_positive_entropy_d1"] = _certified_json(vmin, digits)
+        report["min_positive_entropy_d1"] = _degree_json(vmin, digits)
         report["gap_statement"] = (
             "no first dynamical degree lies strictly between 1 and "
             + _approx_str(sum(vmin.enclosure(), Fraction(0)) / 2, digits))

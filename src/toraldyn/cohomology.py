@@ -18,7 +18,6 @@ import sympy as sp
 from sympy import I, Matrix, kronecker_product
 
 from .exact_algebra import (
-    AlgebraicReal,
     CertifiedReal,
     charpoly,
     exact_equal,
@@ -109,7 +108,7 @@ def _moduli_squared_desc(f: TorusAutomorphism) -> tuple:
 
     Memoised per automorphism so that one ``eigenvalue_moduli`` pass serves
     every degree, the entropy and the characters.  Only sympy expressions
-    are cached: a shared ``AlgebraicReal`` would narrow its interval in
+    are cached: a shared ``CertifiedReal`` would narrow its interval in
     place and change what later callers print."""
     out = []
     for m, mult in eigenvalue_moduli(f):
@@ -118,7 +117,7 @@ def _moduli_squared_desc(f: TorusAutomorphism) -> tuple:
     return tuple(out)
 
 
-def dynamical_degree(f: TorusAutomorphism, p: int) -> AlgebraicReal:
+def dynamical_degree(f: TorusAutomorphism, p: int) -> CertifiedReal:
     """Certified p-th dynamical degree: (product of the p largest eigenvalue
     moduli of the linear part)^2, the spectral radius of f* on H^{p,p}
     (``hpp_matrix``)."""
@@ -127,7 +126,7 @@ def dynamical_degree(f: TorusAutomorphism, p: int) -> AlgebraicReal:
         raise ValueError(f"p must lie in [0, {k}]")
     ys = _moduli_squared_desc(f)
     d_expr = sp.expand(sp.Mul(*ys[:p])) if p else sp.Integer(1)
-    return AlgebraicReal(d_expr)
+    return CertifiedReal(d_expr)
 
 
 def entropy(f: TorusAutomorphism) -> CertifiedReal:
@@ -337,8 +336,7 @@ def is_kahler(c: CohomClass) -> bool:
 # discreteness of d_1 at desk scale
 
 
-def enumerate_degree_values(k: int, entry_bound: int,
-                            budget: int = SEARCH_BUDGET):
+def enumerate_degree_values(k: int, entry_bound: int):
     """Distinct exact d_1 values over all A in SL(k,Z) with |entries| <= bound.
 
     Exhibits the discreteness of the first dynamical degree (desk scale).
@@ -349,7 +347,7 @@ def enumerate_degree_values(k: int, entry_bound: int,
     if entry_bound < 0:
         raise ValueError("entry_bound must be >= 0")
     estimate = (2 * entry_bound + 1) ** (k * k)
-    if estimate > budget:
+    if estimate > SEARCH_BUDGET:
         raise BudgetExceededError(estimate)
     # the identity automorphism exists at every bound
     p = charpoly(_eye_rows(k))
@@ -363,7 +361,7 @@ def enumerate_degree_values(k: int, entry_bound: int,
     values = []
     for _, p in sorted(charpolys.items()):
         mods = root_moduli(p)
-        d1 = AlgebraicReal(sp.expand(mods[0][0].expr ** 2))
+        d1 = CertifiedReal(sp.expand(mods[0][0].expr ** 2))
         if not any(exact_equal(d1.expr, v.expr) for v in values):
             values.append(d1)
     values.sort(key=float)

@@ -6,7 +6,8 @@ algebraic numbers are represented by an exact sympy expression together
 with certified rational enclosures that can be refined on demand.  Signs,
 equalities and root-modulus matches are decided by the real-algebraic
 kernel (``RealRoot``): an irreducible integer polynomial and a rational
-isolating interval, refined with integer arithmetic only.  No decision
+isolating interval, refined with integer arithmetic only; its ``poly`` is
+the minimal polynomial of the number (``real_root(v).poly``).  No decision
 anywhere in this module is made from bare floats.  The decisions on integers
 alone (cyclotomic products, matrix orders, lattice reductions) live in the
 sympy-free ``integer_model`` and are re-exported here.
@@ -128,8 +129,13 @@ def exact_is_zero(expr) -> bool:
         except (TypeError, ValueError):
             break
         prec *= 2
-    # algebraic number: zero iff its minimal polynomial is x
-    return minimal_polynomial(simplified).all_coeffs() == [1, 0]
+    # algebraic number: zero iff its minimal polynomial is x; no str() of
+    # the expression, which would refine sympy's cached root intervals
+    root = _kernel_root(simplified)
+    if root is None:
+        raise ExactAlgebraError("no minimal polynomial outside the integer "
+                                "kernel's grammar")
+    return root.poly == (1, 0)
 
 
 def exact_equal(a, b) -> bool:
@@ -240,37 +246,6 @@ class CertifiedReal:
 
     def __repr__(self):
         return f"{type(self).__name__}({self.expr} ~ {float(self):.12g})"
-
-
-class AlgebraicReal(CertifiedReal):
-    """A real algebraic number: exact expression + integer minimal polynomial.
-
-    The enclosures are those of ``CertifiedReal`` (adaptive evaluation of
-    the expression); the minimal polynomial is decided by the integer kernel
-    (``minimal_polynomial``), which never touches sympy's cache of root
-    intervals, so reading it leaves every printed enclosure unchanged."""
-
-    def __init__(self, expr, minpoly: Poly | None = None):
-        super().__init__(expr)
-        self._minpoly = minpoly
-
-    @property
-    def minimal_polynomial(self) -> Poly:
-        if self._minpoly is None:
-            self._minpoly = minimal_polynomial(self.expr)
-        return self._minpoly
-
-
-def minimal_polynomial(expr) -> Poly:
-    """The primitive integer minimal polynomial of a real algebraic number,
-    with a positive leading coefficient, decided by integer arithmetic alone
-    inside the grammar of ``_kernel_root``.  Outside it, such as non-real
-    atoms or ``I``, it raises ``ExactAlgebraError``."""
-    root = _kernel_root(expr)
-    if root is None:
-        raise ExactAlgebraError("no minimal polynomial outside the integer "
-                                "kernel's grammar")
-    return Poly(root.poly, X)
 
 
 # ---------------------------------------------------------------------------
@@ -939,6 +914,10 @@ def charpoly(M) -> Poly:
 # certified root moduli
 
 
+# the half-width to which root_moduli encloses every modulus
+_MODULUS_EPS = Fraction(1, 10**12)
+
+
 def _modulus_squared_candidates(f: Poly) -> list:
     """Distinct real roots of the composed product of f with itself (the
     products of two roots of f): they contain |lambda|^2 for all roots."""
@@ -974,21 +953,20 @@ def _match_roots_by_disks(f: Poly, cands) -> list:
     return _at_rising_precision(attempt, "root-modulus matching")
 
 
-def root_moduli(p: Poly | sp.Expr, eps=Fraction(1, 10**12)):
+def root_moduli(p: Poly | sp.Expr):
     """All complex-root moduli of an integer polynomial, exactly merged.
 
-    Returns a list of ``(AlgebraicReal, multiplicity)`` sorted by descending
-    modulus.  Moduli are merged exactly: two roots contribute to the same
-    entry iff their moduli agree as algebraic numbers (same root of the
-    squarefree modulus-squared resultant).  Every irreducible factor is
-    matched to its candidates by certified inclusion disks and the integer
-    kernel; entries whose enclosures overlap are ordered by exact
-    comparison.
+    Returns a list of ``(CertifiedReal, multiplicity)`` sorted by descending
+    modulus, each enclosed within ``_MODULUS_EPS``.  Moduli are merged
+    exactly: two roots contribute to the same entry iff their moduli agree
+    as algebraic numbers (same root of the squarefree modulus-squared
+    resultant).  Every irreducible factor is matched to its candidates by
+    certified inclusion disks and the integer kernel; entries whose
+    enclosures overlap are ordered by exact comparison.
     """
     p = Poly(p, X) if not isinstance(p, Poly) else p
     if p.is_zero:
         raise ExactAlgebraError("root_moduli of the zero polynomial")
-    eps = Fraction(eps)
     # strip roots at the origin
     zero_mult = 0
     coeffs = p.all_coeffs()
@@ -1007,15 +985,16 @@ def root_moduli(p: Poly | sp.Expr, eps=Fraction(1, 10**12)):
             for i in _match_roots_by_disks(f, cands):
                 result[cands[i]] = result.get(cands[i], 0) + mult
     # (modulus, multiplicity, modulus squared)
-    moduli = [(AlgebraicReal(sp.sqrt(c)), m, c) for c, m in result.items()]
+    moduli = [(CertifiedReal(sp.sqrt(c)), m, c) for c, m in result.items()]
     if zero_mult:
-        moduli.append((AlgebraicReal(sp.Integer(0)), zero_mult,
+        moduli.append((CertifiedReal(sp.Integer(0)), zero_mult,
                        sp.Integer(0)))
     for m, _, _ in moduli:
-        m.enclosure(eps)
+        m.enclosure(_MODULUS_EPS)
 
     def descending(a, b):
-        (alo, ahi), (blo, bhi) = a[0].enclosure(eps), b[0].enclosure(eps)
+        (alo, ahi), (blo, bhi) = (a[0].enclosure(_MODULUS_EPS),
+                                  b[0].enclosure(_MODULUS_EPS))
         if ahi < blo:
             return 1
         if bhi < alo:

@@ -6,9 +6,8 @@ basis).  Any k-1 multiplicatively independent units give a commutative free
 group of positive-entropy automorphisms whose log-character rank hits the
 structural ceiling r = k-1, so the rank bound is sharp in every dimension.
 This module constructs such groups from scratch (brute-force unit search plus
-LLL reduction of the log-embedding lattice).  ``builtin`` serves the small
-catalog of hand-picked examples used throughout the test suite, whose
-integer tables live in ``integer_model``.
+LLL reduction of the log-embedding lattice).  The small catalog of
+hand-picked examples lives in ``integer_model`` (``catalog_group``).
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from .exact_algebra import (X, RealRoot, _LOG_DIGITS, _isolate,
                             _square_and_multiply, gaussian_det, lll_reduce)
 from .cohomology import SEARCH_BUDGET, TorusAutomorphism
 from .group_structure import GroupSpec, GroupAnalysis, analyze_group
-from .integer_model import _CATALOG, catalog_group
 
 
 class ForgeError(ValueError):
@@ -347,19 +345,3 @@ def build_max_rank_group(field: NumberFieldSpec,
         "relations refuted exactly in Z[theta]"))
     return ForgedGroup(field, units, spec, analysis)
 
-
-# ---------------------------------------------------------------------------
-# builtin catalog: integer tables in ``integer_model``
-# ---------------------------------------------------------------------------
-
-def builtin(name: str) -> GroupSpec:
-    """Catalog of ready-made example groups; see ``builtin_names()``."""
-    if name not in _CATALOG:
-        raise ForgeError(
-            f"unknown builtin {name!r}; available: "
-            + ", ".join(sorted(_CATALOG)))
-    return catalog_group(name)
-
-
-def builtin_names():
-    return sorted(_CATALOG)

@@ -79,6 +79,7 @@ class CharacterTable:
     # all (vector, multipliers) found; a multiplier is a RealRoot where the
     # eigenvalue's factor has a non-real root, else an exact sympy value
     eigenvectors: list
+    distinct_multipliers: list  # their distinct tuples, the trivial included
     semisimple: bool
 
     @property
@@ -112,7 +113,7 @@ def find_characters(spec: GroupSpec) -> CharacterTable:
         raise ValueError(f"generators {comm.witness} do not commute")
     gens = spec.generators
     if all(has_zero_entropy(g) for g in gens):
-        return CharacterTable(spec.k, [], [], all(
+        return CharacterTable(spec.k, [], [], [], all(
             classify(g) == FINITE_ORDER for g in gens))
     from .characters import factor_field_table
     return factor_field_table(spec)
@@ -220,16 +221,7 @@ def _nonzero_wedge_chain(table: CharacterTable, count: int) -> bool:
     chain of length 1 is one eigenclass: every commuting family has a
     common eigenvector, so it needs no computed eigenvector (a zero-entropy
     family has none)."""
-    if count <= 1:
-        return True
-    from .characters import _same_moduli
-    distinct = []
-    for _w, modsq in table.eigenvectors:
-        if not any(_same_moduli(modsq, t) for t in distinct):
-            distinct.append(modsq)
-            if len(distinct) >= count:
-                return True
-    return False
+    return count <= 1 or len(table.distinct_multipliers) >= count
 
 
 def assert_structure_theorems(spec: GroupSpec,
@@ -297,7 +289,7 @@ def _kernel_split(n: int, kernel_basis):
     return words[:s], words[s:]
 
 
-def _enumerate_closure(k: int, autos, cap: int = ENUMERATION_CAP):
+def _enumerate_closure(k: int, autos):
     """(order, nonzero relation vectors) of the finite group generated by
     commuting automorphisms, from one breadth-first walk.
 
@@ -328,9 +320,9 @@ def _enumerate_closure(k: int, autos, cap: int = ENUMERATION_CAP):
                     continue
                 label[P] = e_next
                 nxt.append(P)
-                if len(label) > cap:
-                    raise ExactAlgebraError(
-                        f"group enumeration exceeded cap {cap}")
+                if len(label) > ENUMERATION_CAP:
+                    raise ExactAlgebraError("group enumeration exceeded cap "
+                                            f"{ENUMERATION_CAP}")
         frontier = nxt
     return len(label), sorted(relations)
 

@@ -251,9 +251,10 @@ def hodge_riemann_definite(mat) -> PositivityReport:
                             witness=witness)
 
 
-def _random_pd_context(rng: random.Random, k: int, spread: int = 2):
-    """Random positive-definite Gaussian-integer Hermitian matrix B B* + I."""
-    B = [[(rng.randint(-spread, spread), rng.randint(-spread, spread))
+def _random_pd_context(rng: random.Random, k: int):
+    """Random positive-definite Gaussian-integer Hermitian matrix B B* + I,
+    the entries of B with parts in [-2, 2]."""
+    B = [[(rng.randint(-2, 2), rng.randint(-2, 2))
           for _ in range(k)] for _ in range(k)]
     # (B B*)[i][j] = sum_l B[i][l] conj(B[j][l])
     return [[(sum(a[0] * b[0] + a[1] * b[1] for a, b in zip(B[i], B[j]))

@@ -405,7 +405,7 @@ def classify(f: TorusAutomorphism) -> str:
 @dataclass
 class DegreeProfile:
     k: int
-    degrees: list          # per p in 0..k: Fraction(1) or an AlgebraicReal
+    degrees: list          # per p in 0..k: Fraction(1) or a CertifiedReal
     entropy: object        # Fraction(0) or a CertifiedReal
     classification: str
 
@@ -677,8 +677,8 @@ def integer_relations(values):
 
 
 # ---------------------------------------------------------------------------
-# builtin catalog: per generator its label, its name and its rows (ints, or
-# (re, im) pairs for non-real entries)
+# builtin catalog, the one list of builtin names: per generator its label, its
+# name and its rows (ints, or (re, im) pairs for non-real entries)
 
 _I = (0, 1)
 

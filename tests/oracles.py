@@ -12,7 +12,7 @@ from sympy import ZZ, Matrix
 from sympy.polys.densearith import dup_mul, dup_rem
 
 from toraldyn.cohomology import _hermitian_cells
-from toraldyn.exact_algebra import (X, AlgebraicReal, _irreducible_factors,
+from toraldyn.exact_algebra import (X, CertifiedReal, _irreducible_factors,
                                     _square_and_multiply, charpoly,
                                     root_moduli)
 
@@ -37,7 +37,7 @@ def charpoly_times_conjugate(M: Matrix):
     return sp.Poly(sp.expand((p * conj).as_expr()), X), True
 
 
-def spectral_radius(M: Matrix) -> AlgebraicReal:
+def spectral_radius(M: Matrix) -> CertifiedReal:
     """Certified spectral radius of an exact (Gaussian-)integer matrix,
     read from the moduli of its real characteristic polynomial."""
     p, _ = charpoly_times_conjugate(M)

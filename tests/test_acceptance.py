@@ -14,12 +14,14 @@ import mpmath
 import sympy as sp
 from sympy import Matrix
 
-from toraldyn.exact_algebra import X, charpoly, exact_is_zero, exact_sign
+from toraldyn.exact_algebra import (X, charpoly, exact_is_zero, exact_sign,
+                                    real_root)
 from toraldyn.cohomology import (CohomClass, classify, dynamical_degree,
                                  entropy, enumerate_degree_values,
                                  h11_matrix, hermitian_basis,
                                  intersection_number)
-from toraldyn.example_forge import NumberFieldSpec, builtin
+from toraldyn.example_forge import NumberFieldSpec
+from toraldyn.integer_model import catalog_group
 from toraldyn.group_structure import (assert_structure_theorems, decompose,
                                       find_characters, pi_rank)
 from toraldyn.hodge_riemann import gromov_fuzz
@@ -52,7 +54,7 @@ def _run_criterion(num, budget, body):
 
 def test_criterion_1_cat_map():
     def body():
-        f = builtin("cat_T2").generators[0]
+        f = catalog_group("cat_T2").generators[0]
         d1 = dynamical_degree(f, 1)
         target = (7 + 3 * sp.sqrt(5)) / 2
         lo, hi = d1.enclosure(Fraction(1, 2 * 10**10))
@@ -73,7 +75,7 @@ def test_criterion_1_cat_map():
 
 def test_criterion_2_pell_group():
     def body():
-        spec = builtin("pell_T2")
+        spec = catalog_group("pell_T2")
         h = float(entropy(spec.generators[0]))
         assert abs(h - 2 * math.log(1 + math.sqrt(2))) < 1e-9
         res = pi_rank(spec, find_characters(spec))
@@ -91,7 +93,7 @@ def test_criterion_2_pell_group():
 
 def test_criterion_3_cubic_t3():
     def body():
-        spec = builtin("cubic_T3")
+        spec = catalog_group("cubic_T3")
         a, b = (g.A for g in spec.generators)
         assert a * b == b * a, "generators do not commute"
         assert a.det() == 1 and b.det() == 1, "not in SL(3, Z)"
@@ -116,7 +118,7 @@ def test_criterion_3_cubic_t3():
 
 def test_criterion_4_pell_plus_torsion():
     def body():
-        spec = builtin("pell_plus_torsion")
+        spec = catalog_group("pell_plus_torsion")
         dec = decompose(spec, pi_rank(spec, find_characters(spec)))
         assert dec.u_finite and dec.u_order == 4, "U is not Z/4"
         assert dec.rank == 1 and len(dec.free_words) == 1
@@ -130,7 +132,7 @@ def test_criterion_4_pell_plus_torsion():
 
 def test_criterion_5_parabolic_pair():
     def body():
-        spec = builtin("parabolic_T2")
+        spec = catalog_group("parabolic_T2")
         certificate = sp.Poly((X - 1) ** 4, X)
         for g in spec.generators:
             assert classify(g) == "parabolic"
@@ -223,7 +225,7 @@ def test_criterion_8_degree_discreteness():
         target = sp.expand(((3 + sp.sqrt(5)) / 2) ** 2)
         assert exact_is_zero(sp.expand(vmin.expr - target)), \
             f"minimum {vmin.expr} != ((3+sqrt(5))/2)^2"
-        assert vmin.minimal_polynomial.all_coeffs() == [1, -7, 1]
+        assert real_root(vmin).poly == (1, -7, 1)
         return (f"{len(values)} distinct d1 values; min positive-entropy "
                 "value = ((3+sqrt(5))/2)^2 exactly")
     _run_criterion(8, 30.0, body)

@@ -17,13 +17,12 @@ import pytest
 import sympy
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from toraldyn import (characters, cohomology, exact_algebra, example_forge,
+from toraldyn import (characters, cohomology, exact_algebra,
                       group_structure, hodge_riemann, integer_model)
-from toraldyn.cli import (BUILTIN_NAMES, EXIT_INVALID, EXIT_OK,
-                          EXIT_VIOLATION, MAX_DIGITS, MAX_SAMPLES,
-                          _approx_str, build_analysis_report,
+from toraldyn.cli import (EXIT_INVALID, EXIT_OK, EXIT_VIOLATION, MAX_DIGITS,
+                          MAX_SAMPLES, _approx_str, build_analysis_report,
                           load_group_argument, main)
-from toraldyn.example_forge import builtin, builtin_names
+from toraldyn.integer_model import _CATALOG, catalog_group
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_DIR = ROOT / "perfbench" / "golden"
@@ -193,10 +192,8 @@ def test_analyze_non_commuting_exits_3(tmp_path, capsys):
 def test_analyze_unknown_name_exits_3(capsys):
     code, _, err = _run(capsys, "analyze", "not_a_builtin")
     assert code == EXIT_INVALID and "builtin" in err
-
-
-def test_builtin_names_are_the_catalog():
-    assert list(BUILTIN_NAMES) == sorted(example_forge._CATALOG)
+    assert err.endswith("(builtins: cat_T2, cubic_T3, parabolic_T2, pell_T2, "
+                        "pell_plus_torsion, torsion_i)\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -294,7 +291,7 @@ def test_reports_do_not_call_sympy_minimal_polynomial(monkeypatch, capsys):
         raise AssertionError("sympy.minimal_polynomial was called")
 
     monkeypatch.setattr(sympy, "minimal_polynomial", refuse)
-    for argv in ([["analyze", name] for name in builtin_names()]
+    for argv in ([["analyze", name] for name in sorted(_CATALOG)]
                  + [["forge", "--poly", "1,-1,-2,1"],
                     ["forge", "--poly", "1,-1,-3,1,1", "--bound", "2"]]):
         code, out, err = _run(capsys, *argv)
@@ -366,7 +363,7 @@ def test_analysis_computes_each_artifact_once(monkeypatch):
             tally.update(dict.fromkeys(tally, 0))
         moduli.clear()
         cohomology._moduli_squared_desc.cache_clear()
-        spec = builtin(name)
+        spec = catalog_group(name)
         analysis = group_structure.analyze_group(spec)
         build_analysis_report(analysis, 12, 0)
         assert calls == {"find_characters": 1, "pi_rank": 1,
@@ -397,7 +394,7 @@ def test_zero_entropy_certificate_is_computed_once(monkeypatch, capsys, name):
         fn.cache_clear()
     code, _, _ = _run(capsys, "analyze", name)
     assert code == EXIT_OK
-    for g in builtin(name).generators:
+    for g in catalog_group(name).generators:
         rows = tuple(map(tuple, sympy.Matrix(cohomology.h11_matrix(g))
                          .tolist()))
         assert len(rows) == g.k ** 2
@@ -651,13 +648,61 @@ def test_zero_entropy_report_matches_its_committed_stdout(capsys, name):
     *(f"tests/data/{name}.json" for name in SEED41_ZERO_ENTROPY),
     "tests/data/parabolic_pow5_T2.json", "parabolic_T2", "torsion_i"])
 def test_zero_entropy_analyze_loads_no_sympy(target):
-    # every decision of a zero-entropy family is an integer one; mpmath
-    # prints the approximations
+    # every decision of a zero-entropy family is an integer one
     path = ROOT / target
     argv = ["analyze", str(path) if path.exists() else target]
     code = f"from toraldyn.cli import main\nassert main({argv!r}) == 0"
     loaded = ast.literal_eval(_numeric_modules_after(code))
     assert not [m for m in loaded if m.split(".")[0] == "sympy"]
+
+
+def test_zero_entropy_analyze_loads_neither_sympy_nor_mpmath():
+    # the approximations 1 and 0 of a zero-entropy report are printed on
+    # integers too
+    argv = ["analyze", str(ROOT / "tests" / "data" / "seed41_pair_zero.json")]
+    code = f"from toraldyn.cli import main\nassert main({argv!r}) == 0"
+    assert _numeric_modules_after(code) == "[]"
+
+
+def _mpmath_approx_str(q: Fraction, digits: int) -> str:
+    # the mpmath.libmp route the CLI printed with before its integer port
+    from mpmath.libmp import (dps_to_prec, from_rational, prec_to_dps,
+                              round_nearest, to_str)
+    prec = dps_to_prec(digits + 3)
+    text = to_str(from_rational(q.numerator, q.denominator, prec,
+                                round_nearest),
+                  prec_to_dps(prec), strip_zeros=False)
+    if text.startswith("-.0"):
+        return "-0." + text[3:]
+    if text.startswith(".0"):
+        return "0." + text[2:]
+    return text
+
+
+def test_approx_str_is_mpmath_to_str():
+    # both signs, zero, magnitudes 1e-30 to 1e30, decimal, dyadic (ties at
+    # the binary precision) and near-power-of-ten values (carries in the
+    # decimal rounding), digits 0 to 60 and 1000
+    rng = random.Random(23)
+    values = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)]
+    while len(values) < 5200:
+        kind = rng.randrange(3)
+        if kind == 0:
+            q = Fraction(rng.randint(1, 10 ** rng.randint(1, 60)),
+                         rng.randint(1, 10 ** rng.randint(1, 60)))
+        elif kind == 1:
+            q = Fraction(rng.randint(1, 2 ** rng.randint(1, 250)),
+                         2 ** rng.randint(0, 250))
+        else:
+            n = rng.randint(1, 40)
+            q = Fraction(10**n - rng.randint(0, 3), 10 ** rng.randint(0, n))
+        q *= Fraction(10) ** rng.randint(-30, 30)
+        if Fraction(1, 10**30) <= q <= 10**30:
+            values.append(q * rng.choice((1, -1)))
+    for i, q in enumerate(values):
+        digits = 1000 if i % 100 == 0 else rng.randint(0, 60)
+        assert _approx_str(q, digits) == _mpmath_approx_str(q, digits), \
+            (q, digits)
 
 
 def test_approx_str_is_sympy_float_str():

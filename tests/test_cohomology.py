@@ -8,7 +8,7 @@ import pytest
 import sympy as sp
 from sympy import I, Matrix, eye
 
-from toraldyn.example_forge import builtin, builtin_names
+from toraldyn.integer_model import _CATALOG, catalog_group
 from toraldyn.exact_algebra import charpoly, exact_equal, exact_is_zero
 from toraldyn.cohomology import (
     BudgetExceededError, CohomClass, TorusAutomorphism, classify, compound,
@@ -133,7 +133,7 @@ def _compound_by_minors(f, p):
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_compound_and_inverse_match_sympy(k):
     rng = random.Random(20261019 + k)
-    autos = [g for name in builtin_names() for g in builtin(name).generators
+    autos = [g for name in sorted(_CATALOG) for g in catalog_group(name).generators
              if g.k == k]
     autos += [TorusAutomorphism(_unimodular_gaussian(rng, k))
               for _ in range(4)]
@@ -186,7 +186,7 @@ def test_pullback_is_hpp_matrix_on_coefficients():
 
 @pytest.mark.parametrize("f", [
     CAT, SHEAR, TorusAutomorphism([[1 + I, 1], [I, 1]]),
-    *builtin("cubic_T3").generators], ids=lambda f: f.name)
+    *catalog_group("cubic_T3").generators], ids=lambda f: f.name)
 def test_dynamical_degree_is_hpp_spectral_radius(f):
     for p in range(1, f.k):
         assert exact_equal(dynamical_degree(f, p).expr,

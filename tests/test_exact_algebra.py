@@ -13,11 +13,11 @@ from sympy.polys.matrices import DomainMatrix
 
 from toraldyn import exact_algebra
 from toraldyn.exact_algebra import (
-    X, AlgebraicReal, CertifiedReal, ExactAlgebraError, INFINITE_ORDER,
+    X, CertifiedReal, ExactAlgebraError, INFINITE_ORDER,
     IntegerLattice, RealRoot, charpoly, exact_equal, exact_is_zero,
     exact_sign, finite_order_bound, gaussian_det, hermite_normal_form_rows,
     integer_relations, is_cyclotomic_product, lll_reduce, matrix_order,
-    _kernel_root, minimal_polynomial, real_root, root_moduli, smith_normal_form_with_transforms,
+    _kernel_root, real_root, root_moduli, smith_normal_form_with_transforms,
     symmetric_definiteness)
 
 from oracles import (_cyclotomic_index, charpoly_times_conjugate,
@@ -752,14 +752,14 @@ def test_certified_real_equality_is_exact_and_unhashable():
     a = CertifiedReal((1 + sp.sqrt(2)) ** 2)
     b = CertifiedReal(3 + 2 * sp.sqrt(2))
     assert a == b
-    for v in (a, AlgebraicReal(sp.sqrt(2))):
+    for v in (a, CertifiedReal(sp.sqrt(2))):
         with pytest.raises(TypeError):
             hash(v)
 
 
 def test_algebraic_real_min_poly():
-    a = AlgebraicReal(sp.sqrt(2) + 1)
-    assert a.minimal_polynomial == sp.Poly(X**2 - 2 * X - 1, X)
+    assert sp.Poly(real_root(sp.sqrt(2) + 1).poly, X) == sp.Poly(
+        X**2 - 2 * X - 1, X)
 
 
 def test_exact_sign_and_equality():
@@ -854,8 +854,8 @@ def test_kernel_minimal_polynomial_oracle(p, exprs):
         oracle = sp.Poly(sp.minimal_polynomial(e, X), X)
         root = _kernel_root(e)
         assert sp.Poly(root.poly, X) == oracle, e
-        assert minimal_polynomial(e) == oracle
-        assert AlgebraicReal(e).minimal_polynomial == oracle
+        assert sp.Poly(real_root(e).poly, X) == oracle
+        assert sp.Poly(real_root(CertifiedReal(e)).poly, X) == oracle
         assert exact_is_zero(e) == (oracle.all_coeffs() == [1, 0]), e
         lo, hi = root.enclosure(Fraction(1, 10**30))
         v = Fraction(str(sp.N(e, 50)))
@@ -873,7 +873,7 @@ def test_kernel_grammar():
         real_root(sp.I * theta)
     # ... where no minimal polynomial is computed
     with pytest.raises(ExactAlgebraError):
-        minimal_polynomial(sp.I * theta)
+        real_root(CertifiedReal(sp.I * theta))
     # the square root of a zero that sympy does not see
     zero = sp.Add(theta**3, -theta, -1, evaluate=False)
     assert _kernel_root(sp.Pow(zero, sp.S.Half, evaluate=False)).poly == (1, 0)
@@ -897,7 +897,7 @@ def test_kernel_leaves_sympy_root_cache_alone():
              sp.sqrt(r[3] - r[2]) ** 3]
     before = _real_root_intervals()
     for e in exprs:
-        AlgebraicReal(e).minimal_polynomial
+        real_root(CertifiedReal(e)).poly
         _kernel_root(e).enclosure(Fraction(1, 10**30))
         real_root(e)
     assert _real_root_intervals() == before

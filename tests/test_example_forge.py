@@ -17,10 +17,11 @@ from toraldyn.cli import EXIT_INVALID, main
 from toraldyn.cohomology import classify, degree_profile, entropy
 from toraldyn.exact_algebra import _LOG_DIGITS, real_root
 from toraldyn.example_forge import (
-    ForgeError, NumberFieldSpec, UnitSystem, build_max_rank_group, builtin,
-    _log_vector, _unit_power, _unit_product, builtin_names,
-    regular_representation, unit_search)
+    ForgeError, NumberFieldSpec, UnitSystem, build_max_rank_group,
+    _log_vector, _unit_power, _unit_product, regular_representation,
+    unit_search)
 from toraldyn.group_structure import find_characters
+from toraldyn.integer_model import _CATALOG, catalog_group
 
 from oracles import embedding_entropy, field_element
 
@@ -150,8 +151,8 @@ def _sympy_float_log(lo, hi):
 def test_logs_are_the_sympy_float_values(monkeypatch):
     # RealRoot.log on the character multipliers of the builtins
     count = 0
-    for name in builtin_names():
-        for ch in find_characters(builtin(name)).characters:
+    for name in sorted(_CATALOG):
+        for ch in find_characters(catalog_group(name)).characters:
             for m in ch.multipliers:
                 m = real_root(m)
                 if m == 1:
@@ -348,26 +349,26 @@ def test_gras_simplest_quartics_reach_rank_k_minus_1(capsys):
 
 
 def test_builtin_catalog():
-    assert set(builtin_names()) == {
+    assert set(sorted(_CATALOG)) == {
         "cat_T2", "pell_T2", "parabolic_T2", "torsion_i",
         "pell_plus_torsion", "cubic_T3"}
-    assert builtin("cat_T2").generators[0].A == Matrix([[2, 1], [1, 1]])
-    assert builtin("pell_T2").generators[0].A == Matrix([[1, 2], [1, 1]])
-    par = builtin("parabolic_T2")
+    assert catalog_group("cat_T2").generators[0].A == Matrix([[2, 1], [1, 1]])
+    assert catalog_group("pell_T2").generators[0].A == Matrix([[1, 2], [1, 1]])
+    par = catalog_group("parabolic_T2")
     assert [classify(g) for g in par.generators] == ["parabolic", "parabolic"]
-    assert classify(builtin("torsion_i").generators[0]) == \
+    assert classify(catalog_group("torsion_i").generators[0]) == \
         "finite_order_on_cohomology"
-    with pytest.raises(ForgeError):
-        builtin("no_such_example")
+    with pytest.raises(KeyError):
+        catalog_group("no_such_example")
 
 
 def test_builtin_cat_entropy():
-    h = float(entropy(builtin("cat_T2").generators[0]))
+    h = float(entropy(catalog_group("cat_T2").generators[0]))
     assert h == pytest.approx(2 * math.log((3 + math.sqrt(5)) / 2), abs=1e-9)
 
 
 def test_builtin_cubic_t3_generators():
-    spec = builtin("cubic_T3")
+    spec = catalog_group("cubic_T3")
     assert spec.k == 3
     a, b = (g.A for g in spec.generators)
     assert a * b == b * a

@@ -18,7 +18,7 @@ from toraldyn.exact_algebra import (
     hermite_normal_form_rows)
 from toraldyn.cohomology import (
     CohomClass, TorusAutomorphism, dynamical_degree, is_nef, pullback)
-from toraldyn.example_forge import builtin, builtin_names
+from toraldyn.integer_model import _CATALOG, catalog_group
 from toraldyn.group_structure import (
     DegenerateSpectrumError, GroupSpec, analyze_group,
     assert_structure_theorems, check_commuting, decompose,
@@ -91,9 +91,9 @@ def test_identity_group_characters():
 SL3_NONREAL = GroupSpec.from_matrices([[[1, -1, -1], [0, 1, -1], [1, -1, 0]]])
 
 
-@pytest.mark.parametrize("spec", [builtin(name) for name in builtin_names()]
+@pytest.mark.parametrize("spec", [catalog_group(name) for name in sorted(_CATALOG)]
                          + [SL3_NONREAL],
-                         ids=builtin_names() + ["sl3_nonreal_irreducible"])
+                         ids=sorted(_CATALOG) + ["sl3_nonreal_irreducible"])
 def test_character_eigenclasses_exact(spec):
     # find_characters certifies these facts by construction; decide them here
     table = find_characters(spec)
@@ -297,11 +297,13 @@ def test_structure_pell():
 
 
 def test_structure_dependent_eigenvectors_have_no_wedge_chain():
-    # two parallel eigenvectors: every pair of eigenclasses wedges to zero
+    # two parallel eigenvectors: every pair of eigenclasses wedges to zero,
+    # and their one multiplier tuple is the table's only distinct tuple
     res = pi_rank(PELL, find_characters(PELL))
     w, modsq = res.table.eigenvectors[0]
     table = dataclasses.replace(res.table,
-                                eigenvectors=[(w, modsq), (2 * w, modsq)])
+                                eigenvectors=[(w, modsq), (2 * w, modsq)],
+                                distinct_multipliers=[modsq])
     with pytest.raises(AssertionError, match="wedge chain"):
         assert_structure_theorems(PELL, dataclasses.replace(res, table=table))
 

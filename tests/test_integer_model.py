@@ -18,13 +18,12 @@ from sympy.polys.matrices import DomainMatrix
 
 from toraldyn.characters import _common_eigenvectors
 from toraldyn.cli import load_group_argument
-from toraldyn.example_forge import (NumberFieldSpec, builtin, builtin_names,
-                                    regular_representation)
-from toraldyn.integer_model import (FINITE_ORDER, GroupSpec,
+from toraldyn.example_forge import NumberFieldSpec, regular_representation
+from toraldyn.integer_model import (_CATALOG, FINITE_ORDER, GroupSpec,
                                     TorusAutomorphism, _cyclotomic,
                                     _cyclotomic_indices, _pair_str,
-                                    classify, has_zero_entropy, h11_matrix,
-                                    integer_charpoly)
+                                    catalog_group, classify, has_zero_entropy,
+                                    h11_matrix, integer_charpoly)
 from toraldyn.group_structure import find_characters
 
 from oracles import cyclotomic_indices_by_factoring
@@ -61,7 +60,7 @@ SYMPY_CATALOG = {
 
 @pytest.mark.parametrize("name", sorted(SYMPY_CATALOG))
 def test_builtin_tables_are_the_sympy_constructions(name):
-    table, built = builtin(name), SYMPY_CATALOG[name]()
+    table, built = catalog_group(name), SYMPY_CATALOG[name]()
     assert table.labels == built.labels
     assert [g.name for g in table.generators] == \
         [g.name for g in built.generators]
@@ -71,7 +70,7 @@ def test_builtin_tables_are_the_sympy_constructions(name):
 
 
 def test_builtin_tables_cover_the_catalog():
-    assert builtin_names() == sorted(SYMPY_CATALOG)
+    assert sorted(_CATALOG) == sorted(SYMPY_CATALOG)
 
 
 def test_pair_str_is_sympy_str():
@@ -133,8 +132,8 @@ def test_cyclotomic_indices_match_the_factor_based_routine():
 
 
 ZERO_ENTROPY_FAMILIES = {
-    "parabolic_T2": lambda: builtin("parabolic_T2"),
-    "torsion_i": lambda: builtin("torsion_i"),
+    "parabolic_T2": lambda: catalog_group("parabolic_T2"),
+    "torsion_i": lambda: catalog_group("torsion_i"),
     "identity_T2": lambda: GroupSpec.from_matrices([eye(2)]),
     "unipotent_pair_T3": lambda: GroupSpec.from_matrices([
         eye(3) + Matrix(3, 3, lambda a, b: int((a, b) == (0, 1))),

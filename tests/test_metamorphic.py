@@ -15,7 +15,7 @@ import pytest
 from sympy import I, Matrix, eye
 
 from toraldyn.exact_algebra import exact_equal
-from toraldyn.example_forge import builtin
+from toraldyn.integer_model import catalog_group
 from toraldyn.group_structure import GroupSpec, analyze_group
 
 PELL = Matrix([[1, 2], [1, 1]])
@@ -34,7 +34,7 @@ def _invariants(spec):
 def test_nielsen_move_keeps_invariants(original, moved):
     start = time.perf_counter()
     spec = GroupSpec.from_matrices([M.tolist() for M in moved])
-    assert _invariants(spec) == _invariants(builtin(original))
+    assert _invariants(spec) == _invariants(catalog_group(original))
     assert time.perf_counter() - start < 10
 
 
@@ -42,7 +42,7 @@ def test_nielsen_move_keeps_invariants(original, moved):
                                       "pell_plus_torsion"])
 def test_square_extra_keeps_invariants(original):
     start = time.perf_counter()
-    spec = builtin(original)
+    spec = catalog_group(original)
     g1 = spec.generators[0]
     moved = GroupSpec(spec.generators + (g1.power(2),))
     assert _invariants(moved) == _invariants(spec)
@@ -54,7 +54,7 @@ def test_shear_power_extra_moves_relation_lattice():
     # the extra generator shear_1^5 adds exactly the relation (5, 0, -1).
     # Runs in-process in about 0.2 s (budget 10 s)
     start = time.perf_counter()
-    spec = builtin("parabolic_T2")
+    spec = catalog_group("parabolic_T2")
     moved = GroupSpec(spec.generators + (spec.generators[0].power(5),))
     assert _invariants(moved) == _invariants(spec) == (0, False, None)
     assert (analyze_group(moved).decomposition.relation_lattice.basis
@@ -82,7 +82,7 @@ def test_conjugation_keeps_invariants(original, corner):
     # generator and take the B_t branch of the eigen path; each case runs
     # in-process in about 0.3 s, a cubic_T3 case in about 1 s (budget 10 s)
     start = time.perf_counter()
-    spec = builtin(original)
+    spec = catalog_group(original)
     P = eye(spec.k)
     P[0, 1] = corner
     moved = GroupSpec.from_matrices(

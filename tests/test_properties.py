@@ -14,7 +14,7 @@ from toraldyn.exact_algebra import charpoly, exact_is_zero, is_cyclotomic_produc
 from toraldyn.cohomology import (CohomClass, TorusAutomorphism, classify,
                                  dynamical_degree, entropy, h11_matrix,
                                  intersection_number, pullback)
-from toraldyn.example_forge import builtin, builtin_names
+from toraldyn.integer_model import _CATALOG, catalog_group
 from toraldyn.group_structure import (find_characters, pi_rank,
                                       verify_zero_entropy_word)
 
@@ -167,9 +167,9 @@ def _in_lattice(basis, vec):
     return all(v.is_Integer for v in sol)
 
 
-@pytest.mark.parametrize("name", sorted(builtin_names()))
+@pytest.mark.parametrize("name", sorted(sorted(_CATALOG)))
 def test_kernel_completeness_small_words(name):
-    spec = builtin(name)
+    spec = catalog_group(name)
     table = find_characters(spec)
     res = pi_rank(spec, table)
     basis = res.kernel.basis
