@@ -220,7 +220,8 @@ def load_group_argument(arg: str):
         try:
             with open(arg) as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        # ValueError covers a bad encoding, bad JSON and an over-long int
+        except (OSError, ValueError, RecursionError) as exc:
             raise CliInputError(f"cannot read spec file {arg}: {exc}") from exc
         if not isinstance(data, dict):
             raise CliInputError(f"spec file {arg} must hold a JSON object")

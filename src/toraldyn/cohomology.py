@@ -6,7 +6,8 @@ used everywhere: a basis monomial is dz_{s1}..dz_{sp} dzbar_{t1}..dzbar_{tp}
 with both blocks ascending and the dz block first; products are reordered
 to this shape by counting transpositions.  The integer model of an
 automorphism (its pairs, compounds, ``H^{1,1}`` action and the decisions on
-them) lives in ``integer_model`` and is re-exported here.
+them) lives in ``integer_model``; the names this module uses or that are
+timed as its layer are imported here.
 """
 
 from __future__ import annotations
@@ -25,14 +26,12 @@ from .exact_algebra import (
     exact_sign,
     root_moduli,
 )
-from .integer_kernel import (ExactAlgebraError, _hermitian_cells,
-                             gaussian_det, hermitian_basis_sparse,
-                             symmetric_definiteness)
-# the integer model of an automorphism and its integer decisions, re-exported
-# under their names here
-from .integer_model import (TorusAutomorphism, _eye_rows, _identity,
-                            _subsets, classify, compound, degree_profile,
-                            h11_charpoly, h11_matrix, has_zero_entropy)
+from .integer_kernel import (ExactAlgebraError, gaussian_det,
+                             hermitian_basis_sparse, symmetric_definiteness)
+# the integer model of an automorphism; these are used here or wrapped as
+# this module's layer by the benchmark tracer
+from .integer_model import (TorusAutomorphism, _eye_rows, _subsets, classify,
+                            compound, degree_profile, h11_matrix)
 
 # the most points a brute-force box search may visit: the matrices of
 # ``enumerate_degree_values`` and the coefficient box of the forge's unit

@@ -10,7 +10,8 @@ isolating interval, refined with integer arithmetic only; its ``poly`` is
 the minimal polynomial of the number (``real_root(v).poly``).  No decision
 anywhere in this module is made from bare floats.  The decisions on integers
 alone (cyclotomic products, matrix orders, lattice reductions) live in the
-sympy-free ``integer_model`` and are re-exported here.
+sympy-free ``integer_model``; the few that this module uses or that are
+timed as its layer are imported here.
 """
 
 from __future__ import annotations
@@ -28,14 +29,10 @@ from sympy.polys.matrices import DomainMatrix
 
 from .integer_kernel import (ExactAlgebraError, gaussian_det,
                              symmetric_definiteness)
-# the integer decisions and lattices live in the sympy-free integer model;
-# they are re-exported under their names here
-from .integer_model import (INFINITE_ORDER, IntegerLattice, _relation_rows,
-                            _square_and_multiply, finite_order_bound,
-                            hermite_normal_form_rows, integer_charpoly,
-                            integer_relations, is_cyclotomic_product,
-                            lll_reduce, matrix_order,
-                            smith_normal_form_with_transforms)
+# the integer decisions live in the sympy-free integer model; these are
+# used here or wrapped as this module's layer by the benchmark tracer
+from .integer_model import (integer_charpoly, integer_relations,
+                            is_cyclotomic_product, matrix_order)
 
 X = sp.Symbol("x")
 _Y = sp.Symbol("y", positive=True)

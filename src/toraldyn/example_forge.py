@@ -6,8 +6,10 @@ basis).  Any k-1 multiplicatively independent units give a commutative free
 group of positive-entropy automorphisms whose log-character rank hits the
 structural ceiling r = k-1, so the rank bound is sharp in every dimension.
 This module constructs such groups from scratch (brute-force unit search plus
-LLL reduction of the log-embedding lattice).  The small catalog of
-hand-picked examples lives in ``integer_model`` (``catalog_group``).
+LLL reduction of the log-embedding lattice).  A unit is its regular
+representation, and a product of units is read off the product of their
+matrices.  The small catalog of hand-picked examples lives in
+``integer_model`` (``catalog_group``).
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ from fractions import Fraction
 
 import sympy as sp
 
-from .exact_algebra import (X, RealRoot, _LOG_DIGITS, _isolate,
-                            _log_midpoint, _relation_rows,
-                            _square_and_multiply, gaussian_det, lll_reduce)
-from .cohomology import SEARCH_BUDGET, TorusAutomorphism
-from .group_structure import GroupSpec, GroupAnalysis, analyze_group
+from .exact_algebra import X, RealRoot, _LOG_DIGITS, _isolate, _log_midpoint
+from .cohomology import SEARCH_BUDGET
+from .group_structure import GroupAnalysis, analyze_group, word_automorphism
+from .integer_kernel import gaussian_det
+from .integer_model import (GroupSpec, TorusAutomorphism, _relation_rows,
+                            lll_reduce)
 
 
 class ForgeError(ValueError):
@@ -93,46 +96,6 @@ class NumberFieldSpec:
         multiplication matrix (Cohen, GTM 138, section 4.3)."""
         M = self.multiplication_matrix(u)
         return gaussian_det([[(v, 0) for v in row] for row in M])[0]
-
-    def multiply(self, u, v):
-        """Exact product in Z[theta], as ascending power-basis coefficients."""
-        prod = [0] * (len(u) + len(v) - 1)
-        for i, a in enumerate(u):
-            if a:
-                for j, b in enumerate(v):
-                    prod[i + j] += a * b
-        return self._reduce(prod)
-
-    def inverse(self, u):
-        """Exact inverse of a unit of Z[theta] (norm +-1 required): the
-        first column of the adjugate of the multiplication matrix M, times
-        det M = 1 / det M."""
-        M = [[(v, 0) for v in row] for row in self.multiplication_matrix(u)]
-        det = gaussian_det(M)[0]
-        if abs(det) != 1:
-            raise ForgeError("inverse requested for a non-unit")
-        # adj(M)[i][0] is (-1)^i times the minor without row 0 and column i
-        return tuple(det * (-1) ** i * gaussian_det([row[:i] + row[i + 1:]
-                                                     for row in M[1:]])[0]
-                     for i in range(self.degree))
-
-
-_ONE = lambda k: (1,) + (0,) * (k - 1)
-
-
-def _unit_power(field: NumberFieldSpec, u, e: int):
-    """u**e in Z[theta], exact, for any integer exponent."""
-    base = tuple(u) if e >= 0 else field.inverse(u)
-    return _square_and_multiply(field.multiply, base, _ONE(field.degree),
-                                abs(e))
-
-
-def _unit_product(field: NumberFieldSpec, units, exponents):
-    """prod units[i]**exponents[i] in Z[theta], exact."""
-    acc = _ONE(field.degree)
-    for u, e in zip(units, exponents):
-        acc = field.multiply(acc, _unit_power(field, u, e))
-    return acc
 
 
 @dataclass(frozen=True)
@@ -216,7 +179,7 @@ def _numeric_rank(rows) -> int:
     return rank
 
 
-def _is_trivial_unit(field: NumberFieldSpec, u) -> bool:
+def _is_trivial_unit(u) -> bool:
     """True for the torsion units +-1 (the only torsion in a totally real
     field)."""
     body = tuple(u[1:])
@@ -226,18 +189,20 @@ def _is_trivial_unit(field: NumberFieldSpec, u) -> bool:
 def _lll_reduce_units(field: NumberFieldSpec, units, logs):
     """LLL-reduce the log-embedding lattice of the selected units; returns
     an equally-sized independent system of (usually shorter) units obtained
-    as exact products of the input units."""
+    as exact products of the input units.  A product is column 0 of the
+    word M of the units' regular representations: M e_0 = M(1)."""
     n = len(units)
     if n <= 1:
         return list(units), list(logs)
+    spec = GroupSpec(tuple(regular_representation(u, field) for u in units))
     red = lll_reduce(_relation_rows(logs))
     out_units, out_logs = [], []
     for row in red:
         e = row[:n]
         if not any(e):
             continue
-        u = _unit_product(field, units, e)
-        if _is_trivial_unit(field, u):
+        u = tuple(r[0][0] for r in word_automorphism(spec, e).pairs)
+        if _is_trivial_unit(u):
             continue
         lv = _log_vector(field, u)
         if _numeric_rank(out_logs + [lv]) == len(out_logs) + 1:
@@ -268,7 +233,7 @@ def unit_search(field: NumberFieldSpec, coeff_bound: int) -> UnitSystem:
     seen = set()
     for coeffs in itertools.product(range(-coeff_bound, coeff_bound + 1),
                                     repeat=k):
-        if _is_trivial_unit(field, coeffs) or not any(coeffs):
+        if _is_trivial_unit(coeffs) or not any(coeffs):
             continue
         canon = coeffs
         for c in coeffs:

@@ -34,7 +34,6 @@ from .integer_model import (
     has_zero_entropy,
     hermite_normal_form_rows,
     integer_relations,
-    smith_normal_form_with_transforms,
 )
 
 ENUMERATION_CAP = 10**6
@@ -276,17 +275,30 @@ class DecompositionResult:
     relation_lattice: IntegerLattice
 
 
+def _left_kernel(rows) -> list:
+    """A basis of the saturated lattice {c : sum c_i rows[i] = 0}: the rows
+    of the Hermite transform T whose row of H = T rows is zero (Cohen,
+    GTM 138, section 2.4)."""
+    H, T = hermite_normal_form_rows(rows)
+    return [t for h, t in zip(H, T) if not any(h)]
+
+
+def _columns(rows, n: int) -> list:
+    return [[row[j] for row in rows] for j in range(n)]
+
+
 def _kernel_split(n: int, kernel_basis):
-    """Split Z^n along the kernel of pi with one Smith normal form.
+    """Split Z^n along the kernel of pi with two Hermite forms.
 
     Returns (kernel_words, complement_words): a basis of the saturated
-    kernel and words completing it to a basis of Z^n."""
-    B = [list(v) for v in kernel_basis]
-    if not B:
-        return [], [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    _D, words = smith_normal_form_with_transforms(B)
-    s = len(B)
-    return words[:s], words[s:]
+    kernel and words completing it to a basis of Z^n.  The p independent
+    vectors orthogonal to the kernel are the left kernel of its columns.
+    The Hermite form H = T P of their columns P has p nonzero rows on top,
+    so the rows of the unimodular T below them span the saturated kernel
+    and the rows above complete them."""
+    perp = _left_kernel(_columns(kernel_basis, n))
+    T = hermite_normal_form_rows(_columns(perp, n))[1]
+    return T[len(perp):], T[:len(perp)]
 
 
 def _enumerate_closure(k: int, autos):
@@ -359,8 +371,7 @@ def _u_structure(spec: GroupSpec, u_words):
             log = [a + (-1) ** (m + 1) * D // m * b for a, b in zip(log, flat)]
             Xm = _pair_product(Xm, X)
         logs.append(log)
-    H, T = hermite_normal_form_rows(logs)
-    kernel = [t for h, t in zip(H, T) if not any(h)]
+    kernel = _left_kernel(logs)
     words = _combine(hermite_normal_form_rows(kernel)[0], u_words, n)
     order, relations = _enumerate_closure(
         k, [word_automorphism(spec, w) for w in words])

@@ -6,8 +6,8 @@ about it that is an integer fact is decided here, loading neither sympy nor
 mpmath: the compounds and the action on H^{1,1}, the characteristic
 polynomial, zero entropy (Kronecker: a product of cyclotomic polynomials),
 the multiplicative order and the classification, the dynamical degrees of a
-zero-entropy automorphism, the Hermite, Smith and LLL lattice reductions,
-and the builtin catalog.  So a family whose generators all have zero entropy
+zero-entropy automorphism, the Hermite and LLL lattice reductions, and
+the builtin catalog.  So a family whose generators all have zero entropy
 is analyzed on integers alone; only a positive-entropy generator reaches the
 certified algebraic reals of ``cohomology`` and ``exact_algebra``.
 """
@@ -425,7 +425,7 @@ def degree_profile(f: TorusAutomorphism) -> DegreeProfile:
 
 
 # ---------------------------------------------------------------------------
-# integer lattices: Hermite and Smith normal forms with transforms
+# integer lattices: the Hermite normal form with its transform
 
 
 @dataclass(frozen=True)
@@ -485,83 +485,6 @@ def hermite_normal_form_rows(A: list) -> tuple[list, list]:
         if r == m:
             break
     return H, U
-
-
-def smith_normal_form_with_transforms(A: list) -> tuple[list, list]:
-    """Smith normal form D = U A V with U, V unimodular; returns
-    (D, V^-1).  U is not formed.  V^-1 is built by the inverse moves: the
-    column op col_i -= q col_j on V is the row op row_j += q row_i on V^-1,
-    and a column swap is the same row swap."""
-    D = [list(map(int, row)) for row in A]
-    m = len(D)
-    n = len(D[0]) if m else 0
-    Vinv = _eye_rows(n)
-
-    def row_op(i, j, q):  # row_i -= q*row_j
-        for c in range(n):
-            D[i][c] -= q * D[j][c]
-
-    def col_op(i, j, q):  # col_i -= q*col_j
-        for r in range(m):
-            D[r][i] -= q * D[r][j]
-        for c in range(n):
-            Vinv[j][c] += q * Vinv[i][c]
-
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-
-    def swap_cols(i, j):
-        for r in range(m):
-            D[r][i], D[r][j] = D[r][j], D[r][i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
-
-    t = 0
-    while t < min(m, n):
-        # find a nonzero pivot of minimal absolute value in the trailing block
-        piv = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if D[i][j] != 0 and (best is None or abs(D[i][j]) < best):
-                    best = abs(D[i][j])
-                    piv = (i, j)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, m):
-                if D[i][t] != 0:
-                    q = D[i][t] // D[t][t]
-                    row_op(i, t, q)
-                    if D[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, n):
-                if D[t][j] != 0:
-                    q = D[t][j] // D[t][t]
-                    col_op(j, t, q)
-                    if D[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-        if D[t][t] < 0:
-            D[t] = [-v for v in D[t]]
-        # enforce divisibility d_t | D[i][j]
-        offending = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if D[i][j] % D[t][t] != 0:
-                    offending = i
-                    break
-            if offending is not None:
-                break
-        if offending is not None:
-            row_op(t, offending, -1)  # add the offending row, redo pivot at t
-            continue
-        t += 1
-    return D, Vinv
 
 
 # ---------------------------------------------------------------------------

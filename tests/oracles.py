@@ -11,10 +11,10 @@ import sympy as sp
 from sympy import ZZ, Matrix
 from sympy.polys.densearith import dup_mul, dup_rem
 
-from toraldyn.cohomology import _hermitian_cells
 from toraldyn.exact_algebra import (X, CertifiedReal, _irreducible_factors,
-                                    _square_and_multiply, charpoly,
-                                    root_moduli)
+                                    charpoly, root_moduli)
+from toraldyn.integer_kernel import _hermitian_cells
+from toraldyn.integer_model import _square_and_multiply
 
 
 def hermitian_coords(H: Matrix) -> list:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import sympy as sp
 
-from toraldyn.cohomology import (CohomClass, TorusAutomorphism, _identity,
+from toraldyn.cohomology import (CohomClass, TorusAutomorphism,
                                  hermitian_basis, is_nef, pullback, wedge,
                                  wedge_all)
 from toraldyn.exact_algebra import (_LOG_DIGITS, exact_equal, exact_is_zero,
@@ -24,6 +24,7 @@ from toraldyn.group_structure import (GroupSpec, _kernel_candidates,
                                       check_commuting,
                                       verify_zero_entropy_word,
                                       word_automorphism)
+from toraldyn.integer_model import _identity
 from toraldyn.hodge_riemann import (FuzzReport, PositivityReport,
                                     _primitive_q_definiteness, gromov_fuzz,
                                     hodge_riemann_definite)

@@ -389,8 +389,8 @@ def test_zero_entropy_certificate_is_computed_once(monkeypatch, capsys, name):
 
     for module in (integer_model, exact_algebra):
         monkeypatch.setattr(module, "integer_charpoly", integer_charpoly)
-    for fn in (cohomology.h11_charpoly, cohomology.has_zero_entropy,
-               cohomology.classify):
+    for fn in (integer_model.h11_charpoly, integer_model.has_zero_entropy,
+               integer_model.classify):
         fn.cache_clear()
     code, _, _ = _run(capsys, "analyze", name)
     assert code == EXIT_OK
@@ -518,21 +518,31 @@ def test_enumerate_budget_refusal(capsys):
     (None, ["forge", "--poly", "1,-1,-2,1", "--bound", "100"]),
     ({"kind": "number_field", "min_poly": ["1", "-1", "-2", "1"],
       "coeff_bound": 1000}, None),
+    # unreadable spec files, as raw bytes
+    (b'\xff\xfe{"kind": "torus_group"}', None),
+    (b'{"kind": "torus_group", "complex_dim": ' + b"1" * 4301 + b"}", None),
+    (b"[" * 200_000 + b"]" * 200_000, None),
 ], ids=["list_spec", "string_generators", "non_object_generator",
         "string_coeff_bound", "enumerate_dim_0", "enumerate_dim_negative",
         "enumerate_bound_negative", "negative_precision",
         "negative_samples", "samples_over_cap", "empty_matrix",
         "analyze_precision_over_cap", "forge_precision_over_cap",
         "enumerate_precision_over_cap", "forge_box_over_budget",
-        "spec_box_over_budget"])
+        "spec_box_over_budget", "not_utf8_spec", "over_long_int_spec",
+        "deeply_nested_spec"])
 def test_invalid_input_exits_3(tmp_path, capsys, spec, argv):
     if argv is None:
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps(spec))
+        if isinstance(spec, bytes):
+            path.write_bytes(spec)
+        else:
+            path.write_text(json.dumps(spec))
         argv = ["analyze", str(path)]
     code, _, err = _run(capsys, *argv)
     assert code == EXIT_INVALID
     assert err.startswith("invalid input:")
+    if isinstance(spec, bytes):
+        assert "cannot read spec file" in err
 
 
 def test_precision_cap_is_inclusive(capsys):

@@ -8,13 +8,14 @@ import pytest
 import sympy as sp
 from sympy import I, Matrix, eye
 
-from toraldyn.integer_model import _CATALOG, catalog_group
+from toraldyn import integer_model
+from toraldyn.integer_model import _CATALOG, catalog_group, h11_charpoly
 from toraldyn.exact_algebra import charpoly, exact_equal, exact_is_zero
 from toraldyn.cohomology import (
     BudgetExceededError, CohomClass, TorusAutomorphism, classify, compound,
     degree_profile, dynamical_degree, entropy, enumerate_degree_values,
-    h11_charpoly, h11_matrix, hermitian_basis, hpp_matrix,
-    intersection_number, is_kahler, is_nef, pullback, wedge, wedge_all)
+    h11_matrix, hermitian_basis, hpp_matrix, intersection_number, is_kahler,
+    is_nef, pullback, wedge, wedge_all)
 
 from oracles import hermitian_coords, spectral_radius
 
@@ -57,6 +58,27 @@ def test_gaussian_compose_is_exact():
     assert g.compose(g) == g.power(2)
     assert hash(g.compose(g)) == hash(g.power(2))
     assert g.compose(g.inverse()) == TorusAutomorphism(eye(2))
+
+
+def test_power_is_repeated_squaring(monkeypatch):
+    # f^e equals e-fold composition of f or f^-1, and takes O(log e)
+    # products of integer pairs, not e
+    g = TorusAutomorphism([[1 + I, 1], [I, 1]])
+    for e in range(-7, 8):
+        expected = TorusAutomorphism(eye(2))
+        for _ in range(abs(e)):
+            expected = expected.compose(g if e > 0 else g.inverse())
+        assert g.power(e) == expected, e
+    calls = []
+    product = integer_model._pair_product
+
+    def counted(P, Q):
+        calls.append(1)
+        return product(P, Q)
+
+    monkeypatch.setattr(integer_model, "_pair_product", counted)
+    g.power(-64)
+    assert len(calls) <= 2 * (64).bit_length()
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,9 @@ from toraldyn.cohomology import classify, degree_profile, entropy
 from toraldyn.exact_algebra import _LOG_DIGITS, real_root
 from toraldyn.example_forge import (
     ForgeError, NumberFieldSpec, UnitSystem, build_max_rank_group,
-    _log_vector, _unit_power, _unit_product, regular_representation,
-    unit_search)
-from toraldyn.group_structure import find_characters
-from toraldyn.integer_model import _CATALOG, catalog_group
+    _log_vector, regular_representation, unit_search)
+from toraldyn.group_structure import find_characters, word_automorphism
+from toraldyn.integer_model import _CATALOG, GroupSpec, catalog_group
 
 from oracles import embedding_entropy, field_element
 
@@ -52,33 +51,17 @@ def test_field_norms():
     assert CUBIC_FIELD.norm((0, 1, 0)) == -1
 
 
+def _element(g):
+    """The element that the regular representation g multiplies by: its
+    column 0, g e_0 = g(1)."""
+    return tuple(row[0][0] for row in g.pairs)
+
+
 def test_field_arithmetic_round_trip():
-    u = (1, 1)
-    inv = SQRT2_FIELD.inverse(u)
-    assert SQRT2_FIELD.multiply(u, inv) == (1, 0)
-    with pytest.raises(ForgeError):
-        SQRT2_FIELD.inverse((2, 0))
-
-
-def test_unit_power_matches_repeated_multiplication(monkeypatch):
-    u = (0, 1, 0)                                   # theta, a unit
-    for e in range(-7, 8):
-        base = u if e >= 0 else CUBIC_FIELD.inverse(u)
-        expected = (1, 0, 0)
-        for _ in range(abs(e)):
-            expected = CUBIC_FIELD.multiply(expected, base)
-        assert _unit_power(CUBIC_FIELD, u, e) == expected
-    # binary powering: O(log e) products, not e
-    calls = []
-    multiply = NumberFieldSpec.multiply
-
-    def counted(self, a, b):
-        calls.append(1)
-        return multiply(self, a, b)
-
-    monkeypatch.setattr(NumberFieldSpec, "multiply", counted)
-    _unit_power(CUBIC_FIELD, u, -64)
-    assert len(calls) <= 2 * (64).bit_length()
+    g = regular_representation((1, 1), SQRT2_FIELD)
+    assert _element(g.compose(g.inverse())) == (1, 0)
+    with pytest.raises(ValueError):
+        regular_representation((2, 0), SQRT2_FIELD)
 
 
 def _ascending(poly_expr, k):
@@ -92,29 +75,35 @@ def _ascending(poly_expr, k):
     (GOLDEN_FIELD, 3), (CUBIC_FIELD, 3), (QUARTIC_FIELD, 2)],
     ids=["golden", "cubic", "quartic"])
 def test_field_arithmetic_matches_sympy_on_the_box(field, bound):
-    # integer norm, product and inverse against sympy's resultant, Poly
-    # remainder and invert, on every element of the coefficient box; each
-    # element is multiplied by a seeded partner from the box
+    # integer norm against sympy's resultant on every element of the
+    # coefficient box; the product and inverse of the regular
+    # representations, read at column 0, against sympy's Poly remainder and
+    # invert on every unit of the box, each multiplied by a seeded unit
+    # partner.  A non-unit has no regular representation on the torus
     x = sp.Symbol("x")
     k = field.degree
     f = field.min_poly.as_expr()
     box = list(itertools.product(range(-bound, bound + 1), repeat=k))
-    rng = random.Random(k)
-    units = 0
+    norms = {}
     for u in box:
+        norms[u] = field.norm(u)
+        assert norms[u] == int(sp.resultant(f, field_element(u).as_expr(),
+                                            x)), u
+    units = [u for u in box if abs(norms[u]) == 1]
+    rng = random.Random(k)
+    for u in box:
+        if abs(norms[u]) != 1:
+            with pytest.raises(ValueError):
+                regular_representation(u, field)
+            continue
+        g, v = regular_representation(u, field), rng.choice(units)
         e = field_element(u).as_expr()
-        norm = field.norm(u)
-        assert norm == int(sp.resultant(f, e, x)), u
-        v = rng.choice(box)
         product = sp.rem(sp.expand(e * field_element(v).as_expr()), f, x)
-        assert field.multiply(u, v) == _ascending(product, k), (u, v)
-        if abs(norm) == 1:
-            units += 1
-            assert field.inverse(u) == _ascending(sp.invert(e, f, x), k), u
-        else:
-            with pytest.raises(ForgeError):
-                field.inverse(u)
-    assert units > 0
+        assert _element(g.compose(regular_representation(v, field))) == \
+            _ascending(product, k), (u, v)
+        assert _element(g.inverse()) == \
+            _ascending(sp.invert(e, f, x), k), u
+    assert units
 
 
 @pytest.mark.parametrize("field, bound", [
@@ -124,7 +113,8 @@ def test_log_vector_matches_mpmath_at_80_digits(field, bound):
     # log|sigma_j(u)| for the searched units and a high power of one of
     # them, against mpmath roots of the field polynomial at 80 digits
     us = unit_search(field, bound)
-    units = list(us.units) + [_unit_power(field, us.units[0], -7)]
+    units = list(us.units) + [_element(
+        regular_representation(us.units[0], field).power(-7))]
     with mpmath.workdps(80):
         thetas = sorted(mpmath.re(r) for r in mpmath.polyroots(
             field.coeffs, maxsteps=200, extraprec=300))
@@ -167,10 +157,11 @@ def test_logs_are_the_sympy_float_values(monkeypatch):
     rng = random.Random(20261019)
     cases = []
     for field, bound in ((CUBIC_FIELD, 4), (QUARTIC_FIELD, 2)):
-        units = unit_search(field, bound).units
+        spec = GroupSpec(tuple(regular_representation(u, field)
+                               for u in unit_search(field, bound).units))
         for _ in range(4):
-            e = [rng.randint(-6, 6) for _ in units]
-            cases.append((field, _unit_product(field, units, e)))
+            e = [rng.randint(-6, 6) for _ in range(spec.n)]
+            cases.append((field, _element(word_automorphism(spec, e))))
     got = [_log_vector(field, u) for field, u in cases]
     monkeypatch.setattr(example_forge, "_log_midpoint", _sympy_float_log)
     assert got == [_log_vector(field, u) for field, u in cases]
@@ -218,7 +209,7 @@ def test_dependent_units_are_a_forge_error(monkeypatch, capsys):
     # the rank of pi verifies the relation u^2 = u^2 exactly, and the forge
     # refuses with exit 3 instead of reporting a rank below k - 1
     u = (0, 1, 0)
-    pair = (u, CUBIC_FIELD.multiply(u, u))
+    pair = (u, _element(regular_representation(u, CUBIC_FIELD).power(2)))
     monkeypatch.setattr(example_forge, "unit_search",
                         lambda field, bound: UnitSystem(field, pair, ()))
     with pytest.raises(ForgeError, match=r"multiplicatively dependent: "

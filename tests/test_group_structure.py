@@ -13,12 +13,11 @@ import pytest
 import sympy as sp
 from sympy import I, Matrix, eye
 
-from toraldyn.exact_algebra import (
-    IntegerLattice, RealRoot, exact_equal,
-    hermite_normal_form_rows)
+from toraldyn.exact_algebra import RealRoot, exact_equal
 from toraldyn.cohomology import (
     CohomClass, TorusAutomorphism, dynamical_degree, is_nef, pullback)
-from toraldyn.integer_model import _CATALOG, catalog_group
+from toraldyn.integer_model import (_CATALOG, IntegerLattice, catalog_group,
+                                    hermite_normal_form_rows)
 from toraldyn.group_structure import (
     DegenerateSpectrumError, GroupSpec, analyze_group,
     assert_structure_theorems, check_commuting, decompose,
@@ -363,9 +362,20 @@ def test_decompose_single_generator():
 
 def test_decompose_merge_reconstructs_group():
     # U-words and free-words together form a finite-index (here full)
-    # basis of the word lattice: the stacked matrix is unimodular
-    for spec in (PELL, PELL_PAIR, PELL_TORSION, PARABOLIC):
+    # basis of the word lattice: the stacked matrix is unimodular, so the
+    # n - r U-words span a saturated lattice.  In the last three families
+    # coordinate vectors do not span the kernel of pi: it is 3 c_1 = 2 c_2
+    # for (P^2, P^3), and 2 c_1 + 3 c_2 + 5 c_3 = 0 for (g^2, g^3, g^5) with
+    # g the cat map plus 1 in SL(3, Z)
+    pell = Matrix(PELL_MATRIX)
+    cat_1 = Matrix([[2, 1, 0], [1, 1, 0], [0, 0, 1]])
+    for spec in (PELL, PELL_PAIR, PELL_TORSION, PARABOLIC,
+                 GroupSpec.from_matrices([pell ** 2, pell ** 3]),
+                 GroupSpec.from_matrices([pell ** 2, pell ** 3, I * eye(2)]),
+                 GroupSpec.from_matrices([cat_1 ** 2, cat_1 ** 3,
+                                          cat_1 ** 5])):
         dec = decompose(spec, pi_rank(spec, find_characters(spec)))
+        assert len(dec.u_words) == spec.n - dec.rank
         rows = [list(w) for w in dec.u_words] + \
             [list(w) for w in dec.free_words]
         M = Matrix(rows)
