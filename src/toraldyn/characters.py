@@ -6,9 +6,11 @@ take the one common-eigenvector path here, which needs sympy.  One matrix B
 of the family's span (a generator with a squarefree charpoly, else a
 combination sum_j t^(j-1) A_j^T) is split over the irreducible factors f of
 its charpoly over Q(i), with every kernel computed by elimination in the
-field Q(i)[x]/(f).  That each generator has a single eigenvalue on every
-eigenspace of B is certified exactly, so no eigenvalue is ever compared as
-a number.
+field Q(i)[x]/(f).  Up to that field every matrix stays on the integer
+pairs of ``TorusAutomorphism.pairs``, and every charpoly comes from the
+Samuelson-Berkowitz recurrence over Z[i].  That each generator has a single
+eigenvalue on every eigenspace of B is certified exactly, so no eigenvalue
+is ever compared as a number.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from sympy import Matrix
 from sympy.polys.agca.extensions import FiniteExtension
 from sympy.polys.matrices import DomainMatrix
 
-from .cohomology import _moduli_squared_desc
+from .cohomology import _gaussian, _moduli_squared_desc
 from .exact_algebra import (
     ExactAlgebraError,
     RealRoot,
@@ -43,15 +45,17 @@ def _separating_operators(mats):
     eigenvalue tuples collide under B_t for at most n-1 values of t (the
     roots of a nonzero polynomial of degree n-1), and there are at most
     k(k-1)/2 pairs of tuples, so one of the first (n-1) k(k-1)/2 + 1 values
-    of t separates them all."""
+    of t separates them all.  Every matrix is rows of integer pairs."""
     for M in mats:
         p = charpoly(M)
         if sp.gcd(p, p.diff()).degree() == 0:
             yield M, p
             return
-    k, n = mats[0].rows, len(mats)
+    k, n = len(mats[0]), len(mats)
     for t in range(1, (n - 1) * k * (k - 1) // 2 + 2):
-        B = sum((t**j * M for j, M in enumerate(mats[1:], 1)), mats[0])
+        B = tuple(tuple((sum(t**j * M[r][c][0] for j, M in enumerate(mats)),
+                         sum(t**j * M[r][c][1] for j, M in enumerate(mats)))
+                        for c in range(k)) for r in range(k))
         yield B, charpoly(B)
 
 
@@ -70,15 +74,16 @@ def _conjugate_coefficients(expr):
                     for (e,), c in sp.Poly(expr, X).terms()], sp.Integer(0))
 
 
-def _factor_eigensystem(B: Matrix, p: sp.Poly, mats):
+def _factor_eigensystem(B, p: sp.Poly, mats):
     """Common eigenvectors of ``mats`` with their exact |mu_j|^2, from the
     irreducible factors f of p = charpoly(B) over Q(i), and whether the
     family is semisimple; None when B does not separate the joint
     eigenvalues.
 
-    All arithmetic happens in the field K = Q(i)[x]/(f), where x stands for
-    a root theta of f.  V = ker(B - theta) is found by elimination over K,
-    and mu_j = tr(A_j on V) / dim V.  The separation certificate is
+    B and ``mats`` are rows of integer pairs, lifted into the field
+    K = Q(i)[x]/(f), where x stands for a root theta of f, and all
+    arithmetic happens there.  V = ker(B - theta) is found by elimination
+    over K, and mu_j = tr(A_j on V) / dim V.  The separation certificate is
     (A_j - mu_j)^(dim V) V = 0, which puts every common eigenvector of the
     family inside ker(B - theta) into V cap ker(A_j - mu_j), whose basis is
     returned.  The root itself is substituted only into the final
@@ -87,15 +92,15 @@ def _factor_eigensystem(B: Matrix, p: sp.Poly, mats):
     inclusion disk, and all decisions are made on it.  The family is
     semisimple iff sum_f deg f * dim V = k and every A_j is scalar on
     every V."""
-    k = B.rows
+    k = len(B)
     out, covered, whole = [], 0, True
     for factor, _mult in sp.factor_list(p.as_expr(), gaussian=True)[1]:
         fpoly = sp.Poly(factor, X)
         K = FiniteExtension(sp.Poly(factor, X, domain=sp.QQ_I))
 
         def lift(M):
-            return DomainMatrix([[K.from_sympy(v) for v in row]
-                                 for row in M.tolist()], M.shape, K)
+            return DomainMatrix([[K.from_sympy(_gaussian(z)) for z in row]
+                                 for row in M], (k, k), K)
 
         V, free = _kernel(lift(B) - DomainMatrix.eye(k, K) * K.generator)
         d = len(free)
@@ -154,7 +159,7 @@ def _common_eigenvectors(spec: GroupSpec):
     """All common eigenvectors with their exact per-generator |mu_j|^2.
 
     Returns (list of (vector, moduli_squared), semisimple)."""
-    mats = [g.A.T for g in spec.generators]
+    mats = [tuple(zip(*g.pairs)) for g in spec.generators]
     for B, p in _separating_operators(mats):
         found = _factor_eigensystem(B, p, mats)
         if found is not None:

@@ -16,22 +16,23 @@ import itertools
 from functools import lru_cache
 
 import sympy as sp
-from sympy import I, Matrix, kronecker_product
+from sympy import I, Matrix, Poly
 
 from .exact_algebra import (
     CertifiedReal,
-    charpoly,
+    X,
     exact_equal,
     exact_is_zero,
     exact_sign,
     root_moduli,
 )
 from .integer_kernel import (ExactAlgebraError, gaussian_det,
-                             hermitian_basis_sparse, symmetric_definiteness)
+                             symmetric_definiteness)
 # the integer model of an automorphism; these are used here or wrapped as
 # this module's layer by the benchmark tracer
 from .integer_model import (TorusAutomorphism, _eye_rows, _subsets, classify,
-                            compound, degree_profile, h11_matrix)
+                            compound, degree_profile, gaussian_charpoly,
+                            h11_matrix, integer_charpoly, times_conjugate)
 
 # the most points a brute-force box search may visit: the matrices of
 # ``enumerate_degree_values`` and the coefficient box of the forge's unit
@@ -56,48 +57,16 @@ def _pair_matrix(rows) -> sp.ImmutableMatrix:
 
 
 # ---------------------------------------------------------------------------
-# H^{1,1}: the Hermitian basis
-
-
-@lru_cache(maxsize=None)
-def hermitian_basis(k: int):
-    """Integer basis of Hermitian k x k matrices:
-    E_jj; E_jl + E_lj; i(E_jl - E_lj) for j < l."""
-    basis = []
-    for entries in hermitian_basis_sparse(k):
-        E = sp.zeros(k, k)
-        for i, j, (re, im) in entries:
-            E[i, j] = re + im * I
-        basis.append(sp.ImmutableMatrix(E))
-    return tuple(basis)
-
-
-# ---------------------------------------------------------------------------
-# f* on H^{p,p}: read from the compound matrices of the integer model
-
-
-def hpp_matrix(f: TorusAutomorphism, p: int) -> Matrix:
-    """Exact matrix of f* on H^{p,p}(T^k, C) in the dz_S ^ dzbar_T basis,
-    the pair (S, T) at index (index of S) * C(k, p) + (index of T):
-    C (x) conj(C) for C = compound(f, p).  Entries are Gaussian integers."""
-    C = _pair_matrix(compound(f, p))
-    return Matrix(kronecker_product(C, C.conjugate())).applyfunc(sp.expand)
-
-
-# ---------------------------------------------------------------------------
 # dynamical degrees and entropy
 
 
 def eigenvalue_moduli(f: TorusAutomorphism):
     """Certified moduli (with multiplicity) of the eigenvalues of the linear
-    part A, read from the integer real form [[Re A, -Im A], [Im A, Re A]]:
-    its charpoly is p * conj(p) for p the charpoly of A, so every modulus
-    appears there twice."""
-    re = [[z[0] for z in row] for row in f.pairs]
-    im = [[z[1] for z in row] for row in f.pairs]
-    real_form = ([r + [-v for v in i] for r, i in zip(re, im)]
-                 + [i + r for r, i in zip(re, im)])
-    return [(m, mult // 2) for m, mult in root_moduli(charpoly(real_form))]
+    part A, read from the integer polynomial p * conj(p) for p the charpoly
+    of A over Z[i] (the charpoly of the real form [[Re A, -Im A], [Im A,
+    Re A]]), in which every modulus appears twice."""
+    p = times_conjugate(gaussian_charpoly(f.pairs))
+    return [(m, mult // 2) for m, mult in root_moduli(Poly(p, X))]
 
 
 @lru_cache(maxsize=None)
@@ -119,7 +88,7 @@ def _moduli_squared_desc(f: TorusAutomorphism) -> tuple:
 def dynamical_degree(f: TorusAutomorphism, p: int) -> CertifiedReal:
     """Certified p-th dynamical degree: (product of the p largest eigenvalue
     moduli of the linear part)^2, the spectral radius of f* on H^{p,p}
-    (``hpp_matrix``)."""
+    (C (x) conj(C) for C = ``compound(f, p)``)."""
     k = f.k
     if not 0 <= p <= k:
         raise ValueError(f"p must lie in [0, {k}]")
@@ -349,17 +318,16 @@ def enumerate_degree_values(k: int, entry_bound: int):
     if estimate > SEARCH_BUDGET:
         raise BudgetExceededError(estimate)
     # the identity automorphism exists at every bound
-    p = charpoly(_eye_rows(k))
-    charpolys = {tuple(p.all_coeffs()): p}
+    charpolys = {integer_charpoly(_eye_rows(k))}
     for entries in itertools.product(range(-entry_bound, entry_bound + 1),
                                      repeat=k * k):
-        rows = [list(entries[i * k:(i + 1) * k]) for i in range(k)]
-        if gaussian_det([[(v, 0) for v in row] for row in rows]) == (1, 0):
-            p = charpoly(rows)
-            charpolys[tuple(p.all_coeffs())] = p
+        rows = [[(v, 0) for v in entries[i * k:(i + 1) * k]]
+                for i in range(k)]
+        if gaussian_det(rows) == (1, 0):
+            charpolys.add(integer_charpoly(rows))
     values = []
-    for _, p in sorted(charpolys.items()):
-        mods = root_moduli(p)
+    for p in sorted(charpolys):
+        mods = root_moduli(Poly(p, X))
         d1 = CertifiedReal(sp.expand(mods[0][0].expr ** 2))
         if not any(exact_equal(d1.expr, v.expr) for v in values):
             values.append(d1)

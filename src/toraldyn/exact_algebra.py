@@ -23,16 +23,16 @@ from fractions import Fraction
 
 import mpmath
 import sympy as sp
-from sympy import ZZ, Matrix, Poly, Rational
+from sympy import I, ZZ, Poly, Rational
 from sympy.polys.factortools import dup_factor_list
-from sympy.polys.matrices import DomainMatrix
 
 from .integer_kernel import (ExactAlgebraError, gaussian_det,
                              symmetric_definiteness)
 # the integer decisions live in the sympy-free integer model; these are
 # used here or wrapped as this module's layer by the benchmark tracer
-from .integer_model import (integer_charpoly, integer_relations,
-                            is_cyclotomic_product, matrix_order)
+from .integer_model import (_gaussian_integer, gaussian_charpoly,
+                            integer_relations, is_cyclotomic_product,
+                            matrix_order)
 
 X = sp.Symbol("x")
 _Y = sp.Symbol("y", positive=True)
@@ -889,22 +889,14 @@ def modulus_squared_roots(f, mus) -> list:
 
 
 def charpoly(M) -> Poly:
-    """Exact monic characteristic polynomial of a square matrix, a sympy
-    matrix or rows.
-
-    Rows of Python ints take ``integer_charpoly``; any other matrix, over
-    ZZ, QQ, ZZ[i] or QQ(i), takes sympy's fraction-free ``DomainMatrix``
-    charpoly, so no rounding occurs.
-    """
-    if (isinstance(M, (list, tuple))
-            and all(type(v) is int for row in M for v in row)):
-        return Poly(integer_charpoly(M), X)
-    dm = DomainMatrix.from_Matrix(Matrix(M))
-    if not dm.is_square:
-        raise ExactAlgebraError("charpoly requires a square matrix")
-    dom = dm.domain
-    coeffs = [dom.to_sympy(c) for c in dm.charpoly()]
-    return Poly(coeffs, X)
+    """Exact monic characteristic polynomial of a square Gaussian-integer
+    matrix: a sympy matrix or rows, each entry an int, an ``(re, im)`` pair
+    or a sympy number, read by ``_gaussian_integer``.  The coefficients are
+    those of the Samuelson-Berkowitz recurrence ``gaussian_charpoly``."""
+    rows = M.tolist() if hasattr(M, "tolist") else M
+    pairs = [[_gaussian_integer(v) for v in row] for row in rows]
+    return Poly([re + im * I if im else re
+                 for re, im in gaussian_charpoly(pairs)], X)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ from fractions import Fraction
 
 import sympy as sp
 
-from .exact_algebra import X, RealRoot, _LOG_DIGITS, _isolate, _log_midpoint
+from .exact_algebra import (X, RealRoot, _LOG_DIGITS, _irreducible_factors,
+                            _isolate, _log_midpoint)
 from .cohomology import SEARCH_BUDGET
 from .group_structure import GroupAnalysis, analyze_group, word_automorphism
 from .integer_kernel import gaussian_det
@@ -52,21 +53,20 @@ class NumberFieldSpec:
             raise ForgeError("field degree must be at least 2")
         if cs[0] != 1:
             raise ForgeError("minimal polynomial must be monic")
-        p = self.min_poly
-        if not p.is_irreducible:
-            raise ForgeError(f"{p.as_expr()} is reducible over the rationals")
-        if p.count_roots() != self.degree:
-            raise ForgeError(
-                f"{p.as_expr()} is not totally real "
-                f"({p.count_roots()} of {self.degree} roots are real)")
+        # decided by the integer kernel; the distinct irreducible factors of
+        # a square such as (x^2 - 2)^2 are not cs alone
+        if _irreducible_factors(cs) != [cs]:
+            problem = "is reducible over the rationals"
+        elif (real := len(_embedding_roots(cs))) != self.degree:
+            problem = (f"is not totally real ({real} of {self.degree} roots "
+                       "are real)")
+        else:
+            return
+        raise ForgeError(f"{sp.Poly(list(cs), X).as_expr()} {problem}")
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def min_poly(self) -> sp.Poly:
-        return sp.Poly(list(self.coeffs), X)
 
     def _reduce(self, coeffs) -> tuple:
         """Ascending integer coefficients reduced modulo the monic minimal
@@ -123,7 +123,8 @@ class UnitSystem:
 def _embedding_roots(coeffs) -> tuple:
     """The real embeddings theta_j of the field, ascending, as ``RealRoot``s
     of its minimal polynomial; they carry no sympy value, as only their
-    enclosures are read."""
+    enclosures are read.  ``NumberFieldSpec`` counts them to decide that
+    the field is totally real, so the forge reuses that isolation."""
     return tuple(RealRoot(None, coeffs, lo, hi) for lo, hi in _isolate(coeffs))
 
 

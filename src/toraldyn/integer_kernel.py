@@ -145,8 +145,8 @@ def _hermitian_cells(k: int) -> list:
 
 @lru_cache(maxsize=None)
 def hermitian_basis_sparse(k: int):
-    """``cohomology.hermitian_basis(k)``, each matrix as a short tuple of
-    (row, col, (re, im)) entries."""
+    """Integer basis of Hermitian k x k matrices, E_jj; E_jl + E_lj;
+    i(E_jl - E_lj) for j < l, each as a tuple of (row, col, (re, im))."""
     out = []
     for j, l in _hermitian_cells(k):
         if j == l:

@@ -50,13 +50,19 @@ def _int_product(A, B) -> list:
             for row in A]
 
 
+def _pair_dot(xs, ys) -> tuple:
+    """sum x y over two sequences of Gaussian-integer pairs, as far as the
+    shorter one goes."""
+    re = im = 0
+    for (a, b), (c, d) in zip(xs, ys):
+        re += a * c - b * d
+        im += a * d + b * c
+    return re, im
+
+
 def _pair_product(P, Q) -> tuple:
     """Product of two square matrices of Gaussian-integer pairs."""
-    return tuple(
-        tuple((sum(a[0] * b[0] - a[1] * b[1] for a, b in zip(row, col)),
-               sum(a[0] * b[1] + a[1] * b[0] for a, b in zip(row, col)))
-              for col in zip(*Q))
-        for row in P)
+    return tuple(tuple(_pair_dot(row, col) for col in zip(*Q)) for row in P)
 
 
 # ---------------------------------------------------------------------------
@@ -248,15 +254,16 @@ def h11_matrix(f: TorusAutomorphism) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# characteristic polynomials, cyclotomic tests and finite order, on integer
-# coefficient tuples (leading first) and integer rows
+# characteristic polynomials over Z[i], cyclotomic tests and finite order, on
+# coefficient tuples (leading first) and rows of ints or integer pairs
 
 
-def integer_charpoly(M) -> tuple:
-    """det(xI - M) of a square matrix of ints, leading coefficient first,
-    by the division-free bordering recurrence of Samuelson and Berkowitz
-    (Berkowitz, IPL 18, 1984).  Bordering the leading t x t block A by a
-    column C, a row R and a corner a gives
+def gaussian_charpoly(M) -> tuple:
+    """det(xI - M) as ``(re, im)`` pairs, leading first, for rows of pairs
+    or ints (v is (v, 0)): the one charpoly routine, the division-free
+    bordering recurrence of Samuelson and Berkowitz (Berkowitz, IPL 18,
+    1984) over Z[i].  Bordering the leading t x t block A by a column C, a
+    row R and a corner a gives
 
         det(xI - [[A, C], [R, a]]) = (x - a) det(xI - A) - R adj(xI - A) C,
 
@@ -265,20 +272,36 @@ def integer_charpoly(M) -> tuple:
     n = len(M)
     if any(len(row) != n for row in M):
         raise ExactAlgebraError("charpoly requires a square matrix")
-    c = [1]
+    M = [[v if isinstance(v, tuple) else (v, 0) for v in row] for row in M]
+    c = [(1, 0)]
     for t in range(n):
-        R, v = M[t][:t], [M[i][t] for i in range(t)]
-        s = []
+        # v runs through A^m C; a row of M against it reads its first t
+        v, s = [M[i][t] for i in range(t)], []
         for m in range(t):
-            s.append(sum(r * x for r, x in zip(R, v)))
+            s.append(_pair_dot(M[t], v))
             if m < t - 1:
-                v = [sum(a * x for a, x in zip(M[i][:t], v))
-                     for i in range(t)]
-        a = M[t][t]
-        c = [(c[u] if u <= t else 0) - (a * c[u - 1] if u else 0)
-             - sum(c[j] * s[u - 2 - j] for j in range(u - 1))
-             for u in range(t + 2)]
+                v = [_pair_dot(M[i], v) for i in range(t)]
+        # c_u -= a c_(u-1) + sum_j c_j s_(u-2-j), from the top, c_(t+1) = 0
+        a, c = M[t][t], c + [(0, 0)]
+        for u in range(t + 1, 0, -1):
+            d = _pair_dot([a, *c[:u - 1]], [c[u - 1], *reversed(s[:u - 1])])
+            c[u] = (c[u][0] - d[0], c[u][1] - d[1])
     return tuple(c)
+
+
+def integer_charpoly(M) -> tuple:
+    """det(xI - M) of a square matrix of ints, as ints leading first."""
+    return tuple(re for re, _ in gaussian_charpoly(M))
+
+
+def times_conjugate(p) -> tuple:
+    """The integer coefficients of p * conj(p) for pair coefficients p; for
+    p = det(xI - A), the charpoly of [[Re A, -Im A], [Im A, Re A]]."""
+    out = [0] * (2 * len(p) - 1)
+    for i, (ar, ai) in enumerate(p):
+        for j, (br, bi) in enumerate(p):
+            out[i + j] += ar * br + ai * bi
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -10,11 +10,34 @@ import mpmath
 import sympy as sp
 from sympy import ZZ, Matrix
 from sympy.polys.densearith import dup_mul, dup_rem
+from sympy.polys.matrices import DomainMatrix
 
 from toraldyn.exact_algebra import (X, CertifiedReal, _irreducible_factors,
-                                    charpoly, root_moduli)
-from toraldyn.integer_kernel import _hermitian_cells
-from toraldyn.integer_model import _square_and_multiply
+                                    root_moduli)
+from toraldyn.cohomology import _pair_matrix
+from toraldyn.integer_kernel import _hermitian_cells, hermitian_basis_sparse
+from toraldyn.integer_model import _square_and_multiply, compound
+
+
+@functools.lru_cache(maxsize=None)
+def hermitian_basis(k: int):
+    """``hermitian_basis_sparse(k)`` as sympy matrices: E_jj; E_jl + E_lj;
+    i(E_jl - E_lj) for j < l."""
+    basis = []
+    for entries in hermitian_basis_sparse(k):
+        E = sp.zeros(k, k)
+        for i, j, (re, im) in entries:
+            E[i, j] = re + im * sp.I
+        basis.append(sp.ImmutableMatrix(E))
+    return tuple(basis)
+
+
+def hpp_matrix(f, p: int) -> Matrix:
+    """The matrix of f* on H^{p,p}(T^k, C) in the dz_S ^ dzbar_T basis, the
+    pair (S, T) at index (index of S) * C(k, p) + (index of T): the
+    Kronecker product C (x) conj(C) for C = compound(f, p), over sympy."""
+    C = _pair_matrix(compound(f, p))
+    return Matrix(sp.kronecker_product(C, C.conjugate())).applyfunc(sp.expand)
 
 
 def hermitian_coords(H: Matrix) -> list:
@@ -25,11 +48,19 @@ def hermitian_coords(H: Matrix) -> list:
     return coords
 
 
+def domain_matrix_charpoly(M) -> sp.Poly:
+    """The characteristic polynomial of a matrix over ZZ, QQ, ZZ[i] or
+    QQ(i) from sympy's fraction-free ``DomainMatrix`` charpoly: the reference
+    for the library's Samuelson-Berkowitz recurrence."""
+    dm = DomainMatrix.from_Matrix(Matrix(M))
+    return sp.Poly([dm.domain.to_sympy(c) for c in dm.charpoly()], X)
+
+
 def charpoly_times_conjugate(M: Matrix):
     """``(p, False)`` for a real matrix with characteristic polynomial p,
     else ``(p * conj(p), True)``: an integer polynomial whose root moduli are
     those of p with doubled multiplicity."""
-    p = charpoly(M)
+    p = domain_matrix_charpoly(M)
     coeffs = p.all_coeffs()
     if all(sp.im(c) == 0 for c in coeffs):
         return p, False

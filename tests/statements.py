@@ -15,9 +15,8 @@ from fractions import Fraction
 
 import sympy as sp
 
-from toraldyn.cohomology import (CohomClass, TorusAutomorphism,
-                                 hermitian_basis, is_nef, pullback, wedge,
-                                 wedge_all)
+from toraldyn.cohomology import (CohomClass, TorusAutomorphism, is_nef,
+                                 pullback, wedge, wedge_all)
 from toraldyn.exact_algebra import (_LOG_DIGITS, exact_equal, exact_is_zero,
                                     exact_sign)
 from toraldyn.group_structure import (GroupSpec, _kernel_candidates,
@@ -28,6 +27,8 @@ from toraldyn.integer_model import _identity
 from toraldyn.hodge_riemann import (FuzzReport, PositivityReport,
                                     _primitive_q_definiteness, gromov_fuzz,
                                     hodge_riemann_definite)
+
+from oracles import hermitian_basis
 
 # ---------------------------------------------------------------------------
 # classes as Gaussian-rational (re, im) matrices

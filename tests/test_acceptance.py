@@ -18,15 +18,14 @@ from toraldyn.exact_algebra import (X, charpoly, exact_is_zero, exact_sign,
                                     real_root)
 from toraldyn.cohomology import (CohomClass, classify, dynamical_degree,
                                  entropy, enumerate_degree_values,
-                                 h11_matrix, hermitian_basis,
-                                 intersection_number)
+                                 h11_matrix, intersection_number)
 from toraldyn.example_forge import NumberFieldSpec
 from toraldyn.integer_model import catalog_group
 from toraldyn.group_structure import (assert_structure_theorems, decompose,
                                       find_characters, pi_rank)
 from toraldyn.hodge_riemann import gromov_fuzz
 
-from oracles import embedding_entropy
+from oracles import embedding_entropy, hermitian_basis
 from statements import check_hodge_riemann_definite, solve_ab_pair
 
 

@@ -14,10 +14,11 @@ from toraldyn.exact_algebra import charpoly, exact_equal, exact_is_zero
 from toraldyn.cohomology import (
     BudgetExceededError, CohomClass, TorusAutomorphism, classify, compound,
     degree_profile, dynamical_degree, entropy, enumerate_degree_values,
-    h11_matrix, hermitian_basis, hpp_matrix, intersection_number, is_kahler,
-    is_nef, pullback, wedge, wedge_all)
+    h11_matrix, intersection_number, is_kahler, is_nef, pullback, wedge,
+    wedge_all)
 
-from oracles import hermitian_coords, spectral_radius
+from oracles import (hermitian_basis, hermitian_coords, hpp_matrix,
+                     spectral_radius)
 
 CAT = TorusAutomorphism([[2, 1], [1, 1]], name="cat")
 PELL = TorusAutomorphism([[1, 2], [1, 1]], name="pell")

@@ -47,7 +47,7 @@ def test_charpoly_h11_unipotent_gaussian():
     M = h11_matrix(f)
     assert charpoly(M) == sp.Poly((X - 1) ** 4, X)
     A = Matrix([[1, 1 + I], [0, 1]])
-    from toraldyn.cohomology import hermitian_basis
+    from oracles import hermitian_basis
     cols = [hermitian_coords(A.T * E * A.conjugate())
             for E in hermitian_basis(2)]
     oracle = Matrix.hstack(*[Matrix(c) for c in cols])

@@ -44,6 +44,30 @@ def test_field_validation():
     assert CUBIC_FIELD.degree == 3
 
 
+@pytest.mark.parametrize("coeffs, message", [
+    ((1, 0, -4), "x**2 - 4 is reducible over the rationals"),
+    ((1, 2, 1), "x**2 + 2*x + 1 is reducible over the rationals"),
+    # a square: its one distinct irreducible factor is x^2 - 2
+    ((1, 0, -4, 0, 4), "x**4 - 4*x**2 + 4 is reducible over the rationals"),
+    ((1, 0, 0, -2), "x**3 - 2 is not totally real (1 of 3 roots are real)"),
+    ((1, 0, 1), "x**2 + 1 is not totally real (0 of 2 roots are real)"),
+    ((1, 0, -2, 0, -1),
+     "x**4 - 2*x**2 - 1 is not totally real (2 of 4 roots are real)"),
+])
+def test_field_refusal_messages(coeffs, message):
+    # irreducibility and total reality are decided by the integer kernel;
+    # the messages read as sympy prints the polynomial
+    with pytest.raises(ForgeError) as err:
+        NumberFieldSpec(coeffs)
+    assert str(err.value) == message
+    x = sp.Symbol("x")
+    p = sp.Poly(list(coeffs), x)
+    if "reducible" in message:
+        assert not p.is_irreducible
+    else:
+        assert p.is_irreducible and p.count_roots() != len(coeffs) - 1
+
+
 def test_field_norms():
     assert SQRT2_FIELD.norm((1, 1)) == -1           # N(1 + sqrt 2)
     assert GOLDEN_FIELD.norm((0, 1)) == -1          # N(theta) = -1
@@ -82,7 +106,7 @@ def test_field_arithmetic_matches_sympy_on_the_box(field, bound):
     # partner.  A non-unit has no regular representation on the torus
     x = sp.Symbol("x")
     k = field.degree
-    f = field.min_poly.as_expr()
+    f = sp.Poly(list(field.coeffs), x).as_expr()
     box = list(itertools.product(range(-bound, bound + 1), repeat=k))
     norms = {}
     for u in box:

@@ -10,14 +10,13 @@ from sympy import I, Matrix, eye
 
 from toraldyn.exact_algebra import exact_is_zero, exact_sign
 from toraldyn.cohomology import (CohomClass, TorusAutomorphism,
-                                 hermitian_basis, intersection_number,
-                                 wedge, wedge_all)
+                                 intersection_number, wedge, wedge_all)
 from toraldyn import hodge_riemann
 from toraldyn.hodge_riemann import (
     _kernel_of_functional, gromov_fuzz, hodge_riemann_definite,
     primitive_functional_fractions, q_gram_fractions, symmetric_definiteness)
 
-from oracles import hermitian_coords
+from oracles import hermitian_basis, hermitian_coords
 from statements import (check_gromov_semipositive,
                         check_hodge_riemann_definite, colinearity_witness,
                         gmat_from_class, lemma_4_3_check, solve_ab_pair)

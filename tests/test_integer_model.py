@@ -1,7 +1,8 @@
 """The sympy-free integer model against the sympy routines it replaced.
 
 The builtin tables are rebuilt from the sympy constructors, the Berkowitz
-charpoly is compared with sympy's ``DomainMatrix`` charpoly, the
+charpoly over Z and Z[i] is compared with sympy's ``DomainMatrix``
+charpoly, p * conj(p) with the charpoly of the real form, the
 division-based cyclotomic indices with the factor-based ones, and the
 integer semisimple flag of a zero-entropy family with the factor-field
 eigen path."""
@@ -12,21 +13,23 @@ from pathlib import Path
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
-from sympy import I, Matrix, ZZ, eye
+from sympy import I, Matrix, ZZ, ZZ_I, eye
 from sympy.polys.densearith import dup_mul
 from sympy.polys.matrices import DomainMatrix
 
 from toraldyn.characters import _common_eigenvectors
 from toraldyn.cli import load_group_argument
+from toraldyn.exact_algebra import charpoly
 from toraldyn.example_forge import NumberFieldSpec, regular_representation
 from toraldyn.integer_model import (_CATALOG, FINITE_ORDER, GroupSpec,
                                     TorusAutomorphism, _cyclotomic,
                                     _cyclotomic_indices, _pair_str,
-                                    catalog_group, classify, has_zero_entropy,
-                                    h11_matrix, integer_charpoly)
+                                    catalog_group, classify, gaussian_charpoly,
+                                    has_zero_entropy, h11_matrix,
+                                    integer_charpoly, times_conjugate)
 from toraldyn.group_structure import find_characters
 
-from oracles import cyclotomic_indices_by_factoring
+from oracles import cyclotomic_indices_by_factoring, domain_matrix_charpoly
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -107,6 +110,69 @@ def test_integer_charpoly_is_the_domain_matrix_charpoly():
     for M in _seeded_matrices():
         expected = [int(c) for c in DomainMatrix.from_list(M, ZZ).charpoly()]
         assert list(integer_charpoly(M)) == expected, M
+
+
+def _seeded_pair_matrices():
+    """Seeded Gaussian-integer matrices as rows of (re, im) pairs, k = 1 to
+    6: dense ones with entries in [-3, 3] + [-3, 3] i, real ones, block sums
+    diag(M, M) and scalar-plus-nilpotent ones (charpolys that are not
+    squarefree), and singular ones (a repeated row, a zero row)."""
+    rng = random.Random(1985)
+
+    def dense(k, im=3):
+        return [[(rng.randint(-3, 3), rng.randint(-im, im)) for _ in range(k)]
+                for _ in range(k)]
+
+    mats = []
+    for k in range(1, 7):
+        for _ in range(3):
+            mats += [dense(k), dense(k, im=0)]
+        A = dense(k)
+        mats += [A[:-1] + [A[0]], A[:-1] + [[(0, 0)] * k]]
+        T, z = dense(k), (rng.randint(-3, 3), rng.randint(-3, 3))
+        for i in range(k):      # z I plus a strictly upper part: (x - z)^k
+            T[i][:i + 1] = [(0, 0)] * i + [z]
+        mats.append(T)
+        if 2 * k <= 6:
+            B = dense(k)
+            mats.append([row + [(0, 0)] * k for row in B]
+                        + [[(0, 0)] * k + row for row in B])
+    return mats
+
+
+def test_gaussian_charpoly_is_the_domain_matrix_charpoly():
+    mats = _seeded_pair_matrices()
+    refs = [DomainMatrix.from_list(M, ZZ_I).charpoly() for M in mats]
+    # the seeds hold non-squarefree and singular charpolys
+    squarefree = [sp.Poly([c.x + c.y * I for c in p], sp.Symbol("x"))
+                  .is_sqf for p in refs]
+    assert not all(squarefree) and any(squarefree)
+    assert any(ZZ_I.is_zero(p[-1]) for p in refs)
+    for M, ref in zip(mats, refs):
+        assert gaussian_charpoly(M) == tuple((int(c.x), int(c.y))
+                                             for c in ref), M
+
+
+def test_times_conjugate_is_the_real_form_charpoly():
+    # p * conj(p) against the charpoly of [[Re A, -Im A], [Im A, Re A]]
+    for M in _seeded_pair_matrices():
+        re = [[z[0] for z in row] for row in M]
+        im = [[z[1] for z in row] for row in M]
+        real_form = ([r + [-v for v in i] for r, i in zip(re, im)]
+                     + [i + r for r, i in zip(re, im)])
+        expected = DomainMatrix.from_list(real_form, ZZ).charpoly()
+        assert list(times_conjugate(gaussian_charpoly(M))) == \
+            [int(c) for c in expected], M
+
+
+def test_charpoly_reads_sympy_gaussian_matrices():
+    # exact_algebra.charpoly reads sympy entries by _gaussian_integer and
+    # builds the Poly that sympy's DomainMatrix charpoly built
+    for M in _seeded_pair_matrices():
+        A = Matrix([[re + im * I for re, im in row] for row in M])
+        expected = domain_matrix_charpoly(A)
+        p = charpoly(A)
+        assert p == expected and p.domain == expected.domain, M
 
 
 def test_cyclotomic_indices_match_the_factor_based_routine():
