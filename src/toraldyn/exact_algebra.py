@@ -35,7 +35,6 @@ from .integer_model import (_gaussian_integer, gaussian_charpoly,
                             matrix_order)
 
 X = sp.Symbol("x")
-_Y = sp.Symbol("y", positive=True)
 
 
 # ---------------------------------------------------------------------------
@@ -779,12 +778,13 @@ def _at_rising_precision(attempt, what: str):
 
 
 def _modulus_squared_annihilator(f, mu) -> tuple:
-    """Integer polynomial with root |mu(theta)|^2 for every root theta of f.
+    """The distinct irreducible factors, with their Sturm sequences, of an
+    integer polynomial with root |mu(theta)|^2 for every root theta of f.
 
-    f and mu have Gaussian-rational coefficients (leading first), deg mu <
-    deg f.  The polynomial is prod_{i,j} (z - mu(x_i) conj(mu(x_j))) over
-    the roots x_i of f, i.e. Res_x(f, Res_y(conj f, z - mu(x) conj(mu)(y)))
-    up to a constant; its k-th power sum is |Tr(mu^k)|^2, the trace taken
+    f and mu have Gaussian-rational coefficients (leading first).  The
+    polynomial is prod_{i,j} (z - mu(x_i) conj(mu(x_j))) over the roots
+    x_i of f, i.e. Res_x(f, Res_y(conj f, z - mu(x) conj(mu)(y))) up to a
+    constant; its k-th power sum is |Tr(mu^k)|^2, the trace taken
     in Q(i)[x]/(f), so Newton's identities give it from traces alone."""
     d = len(f) - 1
     c = [_cdiv(a, f[0]) for a in f[1:]]          # monic: x^d + c_1 x^(d-1)...
@@ -811,7 +811,8 @@ def _modulus_squared_annihilator(f, mu) -> tuple:
         for m, a in enumerate(h):
             trace = _cadd(trace, _cmul(a, P[m]))
         sums.append(_cabs2(trace))
-    return _from_power_sums(sums)
+    factors = _irreducible_factors(_from_power_sums(sums))
+    return factors, [_sturm_sequence(g) for g in factors]
 
 
 def _rectangle(interval) -> tuple:
@@ -830,18 +831,32 @@ def _meets(disk, rect) -> bool:
     return dx * dx + dy * dy <= r * r
 
 
+def _moduli_in_disk(disk, mus, annihilators, bits: int):
+    """For the root z of f held by a certified ``disk``: the triple
+    ``(poly, lo, hi)`` isolating |mu(z)|^2 for each mu, the one root of the
+    factors of its ``_modulus_squared_annihilator(f, mu)`` in the interval
+    image of the disk; None while some image holds none or several."""
+    isolated = []
+    for mu, (factors, sturm) in zip(mus, annihilators):
+        lo, hi = _abs2_range(_disk_image(mu, disk, bits), bits)
+        found = _root_in(factors, sturm, lo, hi)
+        if found is None:
+            return None
+        isolated.append(found)
+    return isolated
+
+
 def modulus_squared_roots(f, mus) -> list:
     """For each root theta of a squarefree polynomial f over Q(i) of degree
     >= 2: ``(theta, [(poly, lo, hi), ...])``, where theta is the sympy
     ``CRootOf`` of that root and the k-th triple isolates |mu_k(theta)|^2
-    as a root of its annihilator (``_modulus_squared_annihilator``).
+    as a root of its annihilator (``_moduli_in_disk``).
 
     Each root is held by a certified inclusion disk; theta is the one
-    ``CRootOf`` whose isolating region meets that disk, and |mu_k(theta)|^2
-    the one annihilator root inside the interval image of the disk.  A
-    non-real f is handled through its norm f * conj(f), whose roots off f
-    are excluded by their disks' images under f.  Precision rises until
-    every choice is unique."""
+    ``CRootOf`` whose isolating region meets that disk.  A non-real f is
+    handled through its norm f * conj(f), whose roots off f are excluded by
+    their disks' images under f.  Precision rises until every choice is
+    unique."""
     f = [_cdiv(c, f[0]) for c in f]
     real = all(im == 0 for _, im in f)
     norm = f if real else _cpoly_mul(f, [(re, -im) for re, im in f])
@@ -849,10 +864,7 @@ def modulus_squared_roots(f, mus) -> list:
         radicals=False)
     # sympy's isolating regions, read but never written back to its cache
     regions = [t._get_interval() for t in roots]
-    annihilators = []
-    for mu in mus:
-        factors = _irreducible_factors(_modulus_squared_annihilator(f, mu))
-        annihilators.append((factors, [_sturm_sequence(g) for g in factors]))
+    annihilators = [_modulus_squared_annihilator(f, mu) for mu in mus]
 
     def attempt(prec):
         disks = _root_disks(norm, prec)
@@ -871,13 +883,9 @@ def modulus_squared_roots(f, mus) -> list:
                 for i in hits:
                     regions[i] = regions[i].refine()
                 return None
-            isolated = []
-            for mu, (factors, sturm) in zip(mus, annihilators):
-                lo, hi = _abs2_range(_disk_image(mu, D, prec + 8), prec + 8)
-                found = _root_in(factors, sturm, lo, hi)
-                if found is None:
-                    return None
-                isolated.append(found)
+            isolated = _moduli_in_disk(D, mus, annihilators, prec + 8)
+            if isolated is None:
+                return None
             out.append((roots[hits[0]], isolated))
         return out
 
@@ -907,39 +915,33 @@ def charpoly(M) -> Poly:
 _MODULUS_EPS = Fraction(1, 10**12)
 
 
-def _modulus_squared_candidates(f: Poly) -> list:
-    """Distinct real roots of the composed product of f with itself (the
-    products of two roots of f): they contain |lambda|^2 for all roots."""
-    f = _normalized(f.all_coeffs())
-    return list(dict.fromkeys(Poly(_composed(f, f, False), _Y).real_roots(
-        radicals=False)))
-
-
-def _match_roots_by_disks(f: Poly, cands) -> list:
-    """For each root z of an irreducible integer polynomial, the index of
-    the candidate equal to |z|^2: the one candidate whose isolating interval
-    meets the interval image of z's certified inclusion disk.  The image is
-    positive once the disk excludes 0, so it meets no candidate <= 0."""
-    kernel = [real_root(c) for c in cands]
-    coeffs = [(Fraction(int(c)), Fraction(0)) for c in f.all_coeffs()]
+def _moduli_squared(f) -> list:
+    """|z|^2 for each root z of an irreducible integer polynomial (leading
+    first), as a sympy rational or the real ``CRootOf`` of its minimal
+    polynomial, each isolated in a certified disk of z by
+    ``_moduli_in_disk``."""
+    f = [(Fraction(c), Fraction(0)) for c in f]
+    x = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(0))]
+    factors, sturm = annihilator = _modulus_squared_annihilator(f, x)
 
     def attempt(prec):
-        disks = _root_disks(coeffs, prec)
-        if disks is None:
+        disks = _root_disks(f, prec) or []
+        found = [_moduli_in_disk(D, [x], [annihilator], prec + 8)
+                 for D in disks]
+        if not disks or None in found:
             return None
-        idxs = []
-        for disk in disks:
-            lo, hi = _abs2_range(disk, prec + 8)
-            hits = [i for i, c in enumerate(kernel)
-                    if c._lo <= hi and lo <= c._hi]
-            if len(hits) != 1:
-                for i in hits:
-                    kernel[i].enclosure(Fraction(1, 2**prec))
-                return None
-            idxs.append(hits[0])
-        return idxs
+        return [isolated[0] for isolated in found]
 
-    return _at_rising_precision(attempt, "root-modulus matching")
+    out = []
+    for g, lo, hi in _at_rising_precision(attempt, "root moduli"):
+        if lo == hi:
+            out.append(Rational(lo.numerator, lo.denominator))
+            continue
+        # CRootOf numbers the real roots of g ascending from 0
+        seq = sturm[factors.index(g)]
+        below = _sign_changes(seq, -_root_bound(g)) - _sign_changes(seq, lo)
+        out.append(sp.CRootOf(Poly(g, X), below))
+    return out
 
 
 def root_moduli(p: Poly | sp.Expr):
@@ -949,30 +951,22 @@ def root_moduli(p: Poly | sp.Expr):
     modulus, each enclosed within ``_MODULUS_EPS``.  Moduli are merged
     exactly: two roots contribute to the same entry iff their moduli agree
     as algebraic numbers (same root of the squarefree modulus-squared
-    resultant).  Every irreducible factor is matched to its candidates by
-    certified inclusion disks and the integer kernel; entries whose
-    enclosures overlap are ordered by exact comparison.
+    resultant).  Every irreducible factor isolates its roots' squared
+    moduli by ``_moduli_squared``; entries whose enclosures overlap are
+    ordered by exact comparison.
     """
-    p = Poly(p, X) if not isinstance(p, Poly) else p
-    if p.is_zero:
+    coeffs = Poly(p, X).all_coeffs()
+    if not any(coeffs):
         raise ExactAlgebraError("root_moduli of the zero polynomial")
     # strip roots at the origin
     zero_mult = 0
-    coeffs = p.all_coeffs()
-    while coeffs and coeffs[-1] == 0:
+    while coeffs[-1] == 0:
         coeffs.pop()
         zero_mult += 1
-    p = Poly(coeffs, X) if coeffs else Poly([1], X)
     result: dict = {}
-    if p.degree() > 0:
-        _, factors = p.factor_list()
-        for f, mult in factors:
-            f = Poly(f, X)
-            if f.degree() == 0:
-                continue
-            cands = _modulus_squared_candidates(f)
-            for i in _match_roots_by_disks(f, cands):
-                result[cands[i]] = result.get(cands[i], 0) + mult
+    for f, mult in dup_factor_list(list(_normalized(coeffs)), ZZ)[1]:
+        for c in _moduli_squared(f):
+            result[c] = result.get(c, 0) + mult
     # (modulus, multiplicity, modulus squared)
     moduli = [(CertifiedReal(sp.sqrt(c)), m, c) for c, m in result.items()]
     if zero_mult:

@@ -272,21 +272,33 @@ def test_report_matches_golden(name, argv):
     assert proc.stdout == (GOLDEN_DIR / f"{name}.json").read_bytes()
 
 
-# positive-entropy specs that no golden covers, each committed with its
-# report: a Gaussian generator with a non-real trace, diag(C, C) alone (B_t
-# at t = 1) and with diag(C, C^-1) (B the second generator), and two Pell
-# powers with the torsion i
-@pytest.mark.parametrize("name", ["sl2zi_nonreal_trace", "diag_cc_T6",
-                                  "diag_cc_pair_T6", "pell2_pell3_i"])
-def test_spec_report_matches_its_committed_stdout(name):
+def _analyze_spec(name):
+    return ["analyze", str(ROOT / "tests" / "data" / f"{name}.json")]
+
+
+# positive-entropy requests that no golden covers, each committed with its
+# stdout as tests/data/<name>_report.json: a Gaussian generator with a
+# non-real trace, diag(C, C) alone (B_t at t = 1) and with diag(C, C^-1) (B
+# the second generator), two Pell powers with the torsion i, three
+# positive-entropy draws of random-spectra seed 41 (cycle 0) and the k = 4
+# forge of the benchmark catalog
+@pytest.mark.parametrize("name,argv", [
+    *(pytest.param(name, _analyze_spec(name), id=name) for name in (
+        "sl2zi_nonreal_trace", "diag_cc_T6", "diag_cc_pair_T6",
+        "pell2_pell3_i", "seed41_sl3_real_split_positive",
+        "seed41_sl2zi_real_trace_positive", "seed41_sl3_nonreal_irreducible")),
+    pytest.param("forge_quartic",
+                 ["forge", "--poly", "1,-1,-3,1,1", "--bound", "2"],
+                 id="forge_quartic"),
+])
+def test_spec_report_matches_its_committed_stdout(name, argv):
     # a fresh interpreter, as in test_report_matches_golden
-    data = ROOT / "tests" / "data"
-    proc = subprocess.run([sys.executable, "-m", "toraldyn.cli", "analyze",
-                           str(data / f"{name}.json")],
+    proc = subprocess.run([sys.executable, "-m", "toraldyn.cli", *argv],
                           capture_output=True, env=_src_env())
     assert proc.returncode == EXIT_OK, proc.stderr.decode()[-2000:]
     assert proc.stderr == b""
-    assert proc.stdout == (data / f"{name}_report.json").read_bytes()
+    path = ROOT / "tests" / "data" / f"{name}_report.json"
+    assert proc.stdout == path.read_bytes()
 
 
 def test_reader_closing_stdout_early_gets_an_exit_code():

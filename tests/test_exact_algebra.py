@@ -160,6 +160,11 @@ def _nonreal_oracle_cases():
         sp.cyclotomic_poly(5, X) * sp.cyclotomic_poly(12, X),  # all |z| = 1
         (X**2 - X + 1) ** 2 * (X - 1) * (X**3 - 2 * X**2 + X - 1),
         (X**4 - X + 1) * (X**4 + X + 1),    # equal moduli across factors
+        # a linear factor isolates |root|^2 = 4 like any other factor
+        (X - 2) * (X**2 - 3),
+        # lambda, 1/lambda, -lambda, -1/lambda: two factors, each modulus twice
+        (X**2 - 3 * X + 1) * (X**2 + 3 * X + 1),
+        X**4 - X + 1,                       # two conjugate pairs alone
     ]
 
 
