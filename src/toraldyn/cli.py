@@ -29,8 +29,7 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from . import __version__
-from .integer_kernel import ExactAlgebraError
+from . import ExactAlgebraError, __version__
 
 if TYPE_CHECKING:
     from .exact_algebra import CertifiedReal
@@ -391,7 +390,7 @@ def cmd_hodge_check(args) -> int:
         "k": str(k),
         "identity_form": {
             "passed": identity.passed,
-            "positive_definite_on_primitive": identity.definite,
+            "positive_definite_on_primitive": identity.passed,
             "certificate": ("all Schur pivots of the restricted form "
                             "negative-definite side verified exactly"
                             if identity.passed else "failed"),

@@ -26,13 +26,13 @@ from .exact_algebra import (
     exact_sign,
     root_moduli,
 )
-from .integer_kernel import (ExactAlgebraError, gaussian_det,
-                             symmetric_definiteness)
+from . import ExactAlgebraError
 # the integer model of an automorphism; these are used here or wrapped as
 # this module's layer by the benchmark tracer
 from .integer_model import (TorusAutomorphism, _eye_rows, _subsets, classify,
                             compound, degree_profile, gaussian_charpoly,
-                            h11_matrix, integer_charpoly, times_conjugate)
+                            gaussian_det, h11_matrix, integer_charpoly,
+                            symmetric_definiteness, times_conjugate)
 
 # the most points a brute-force box search may visit: the matrices of
 # ``enumerate_degree_values`` and the coefficient box of the forge's unit

@@ -26,13 +26,13 @@ import sympy as sp
 from sympy import I, ZZ, Poly, Rational
 from sympy.polys.factortools import dup_factor_list
 
-from .integer_kernel import (ExactAlgebraError, gaussian_det,
-                             symmetric_definiteness)
+from . import ExactAlgebraError
 # the integer decisions live in the sympy-free integer model; these are
 # used here or wrapped as this module's layer by the benchmark tracer
-from .integer_model import (_gaussian_integer, gaussian_charpoly,
-                            integer_relations, is_cyclotomic_product,
-                            matrix_order)
+from .integer_model import (_cabs2, _cadd, _cmul, _cpoly_mul, _csub,
+                            _divide_monic, _gaussian_integer,
+                            gaussian_charpoly, integer_relations,
+                            is_cyclotomic_product, matrix_order)
 
 X = sp.Symbol("x")
 
@@ -603,33 +603,9 @@ def _kernel_root(v):
 # interval image and every comparison below is exact.
 
 
-def _cmul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _cadd(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _csub(a, b):
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def _cabs2(a) -> Fraction:
-    return a[0] * a[0] + a[1] * a[1]
-
-
 def _cdiv(a, b):
     n = _cabs2(b)
     return ((a[0] * b[0] + a[1] * b[1]) / n, (a[1] * b[0] - a[0] * b[1]) / n)
-
-
-def _cpoly_mul(a, b) -> list:
-    out = [(Fraction(0), Fraction(0))] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = _cadd(out[i + j], _cmul(x, y))
-    return out
 
 
 def _horner(poly, z):
@@ -787,28 +763,22 @@ def _modulus_squared_annihilator(f, mu) -> tuple:
     constant; its k-th power sum is |Tr(mu^k)|^2, the trace taken
     in Q(i)[x]/(f), so Newton's identities give it from traces alone."""
     d = len(f) - 1
-    c = [_cdiv(a, f[0]) for a in f[1:]]          # monic: x^d + c_1 x^(d-1)...
+    c = [_cdiv(a, f[0]) for a in f]          # monic: x^d + c_1 x^(d-1)...
     zero = (Fraction(0), Fraction(0))
     # power sums of the roots of f, P_0 .. P_(d-1)
     P = [(Fraction(d), Fraction(0))]
     for k in range(1, d):
-        s = _cmul((Fraction(k), Fraction(0)), c[k - 1])
+        s = _cmul((Fraction(k), Fraction(0)), c[k])
         for i in range(1, k):
-            s = _cadd(s, _cmul(c[i - 1], P[k - i]))
+            s = _cadd(s, _cmul(c[i], P[k - i]))
         P.append((-s[0], -s[1]))
-    mu_asc = list(reversed(mu))
-    h = [(Fraction(1), Fraction(0))]
+    # mu^k modulo f, leading first, padded to d coefficients
+    h = [zero] * (d - 1) + [(Fraction(1), Fraction(0))]
     sums = []
     for _ in range(d * d):
-        prod = _cpoly_mul(h, mu_asc)
-        # reduce modulo f: x^d = -(c_1 x^(d-1) + ... + c_d)
-        for top in range(len(prod) - 1, d - 1, -1):
-            lead, prod[top] = prod[top], zero
-            for i in range(1, d + 1):
-                prod[top - i] = _csub(prod[top - i], _cmul(lead, c[i - 1]))
-        h = prod[:d]
+        h = _divide_monic(_cpoly_mul(h, mu), c)[1]
         trace = zero
-        for m, a in enumerate(h):
+        for m, a in enumerate(reversed(h)):
             trace = _cadd(trace, _cmul(a, P[m]))
         sums.append(_cabs2(trace))
     factors = _irreducible_factors(_from_power_sums(sums))
@@ -945,7 +915,8 @@ def _moduli_squared(f) -> list:
 
 
 def root_moduli(p: Poly | sp.Expr):
-    """All complex-root moduli of an integer polynomial, exactly merged.
+    """All complex-root moduli of an integer polynomial with a nonzero
+    constant term, exactly merged; root 0 raises ``ExactAlgebraError``.
 
     Returns a list of ``(CertifiedReal, multiplicity)`` sorted by descending
     modulus, each enclosed within ``_MODULUS_EPS``.  Moduli are merged
@@ -956,22 +927,14 @@ def root_moduli(p: Poly | sp.Expr):
     ordered by exact comparison.
     """
     coeffs = Poly(p, X).all_coeffs()
-    if not any(coeffs):
-        raise ExactAlgebraError("root_moduli of the zero polynomial")
-    # strip roots at the origin
-    zero_mult = 0
-    while coeffs[-1] == 0:
-        coeffs.pop()
-        zero_mult += 1
+    if not coeffs[-1]:
+        raise ExactAlgebraError("root_moduli of a polynomial with root 0")
     result: dict = {}
     for f, mult in dup_factor_list(list(_normalized(coeffs)), ZZ)[1]:
         for c in _moduli_squared(f):
             result[c] = result.get(c, 0) + mult
     # (modulus, multiplicity, modulus squared)
     moduli = [(CertifiedReal(sp.sqrt(c)), m, c) for c, m in result.items()]
-    if zero_mult:
-        moduli.append((CertifiedReal(sp.Integer(0)), zero_mult,
-                       sp.Integer(0)))
     for m, _, _ in moduli:
         m.enclosure(_MODULUS_EPS)
 

@@ -25,9 +25,8 @@ from .exact_algebra import (X, RealRoot, _LOG_DIGITS, _irreducible_factors,
                             _isolate, _log_midpoint)
 from .cohomology import SEARCH_BUDGET
 from .group_structure import GroupAnalysis, analyze_group, word_automorphism
-from .integer_kernel import gaussian_det
-from .integer_model import (GroupSpec, TorusAutomorphism, _relation_rows,
-                            lll_reduce)
+from .integer_model import (GroupSpec, TorusAutomorphism, _divide_monic,
+                            _relation_rows, gaussian_det, lll_reduce)
 
 
 class ForgeError(ValueError):
@@ -70,26 +69,15 @@ class NumberFieldSpec:
 
     def _reduce(self, coeffs) -> tuple:
         """Ascending integer coefficients reduced modulo the monic minimal
-        polynomial: theta^k = -(c_1 theta^(k-1) + ... + c_k)."""
-        k = self.degree
-        out = [int(c) for c in coeffs]
-        for top in range(len(out) - 1, k - 1, -1):
-            lead = out[top]
-            if lead:
-                for i in range(1, k + 1):
-                    out[top - i] -= lead * self.coeffs[i]
-        return tuple(out[:k]) + (0,) * (k - len(out))
+        polynomial, as k ascending coefficients."""
+        p = [0] * self.degree + [int(c) for c in reversed(coeffs)]
+        return tuple(reversed(_divide_monic(p, self.coeffs)[1]))
 
     def multiplication_matrix(self, u) -> list:
         """Integer matrix of multiplication by u on the power basis, as
         rows; column j is u * theta^j."""
-        k = self.degree
-        col = self._reduce(u)
-        cols = [col]
-        for _ in range(k - 1):
-            col = self._reduce((0,) + col)      # times theta
-            cols.append(col)
-        return [[c[i] for c in cols] for i in range(k)]
+        cols = [self._reduce((0,) * j + tuple(u)) for j in range(self.degree)]
+        return [list(row) for row in zip(*cols)]
 
     def norm(self, u) -> int:
         """Field norm of an element of Z[theta]: the determinant of its

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .integer_kernel import ExactAlgebraError
+from . import ExactAlgebraError
 from .integer_model import (
     FINITE_ORDER,
     GroupSpec,

@@ -14,7 +14,7 @@ discriminant is multilinear).  The mixed discriminant is also symmetric, so
 the primitive functional X -> X ^ c_1 ^ ... ^ c_{k-1} is -q(X, c_{k-1}) and
 costs no second pass.  No matrix is inverted, so singular context sums
 (rank-one nef classes) need no special case.  Everything here runs on
-Python ints and ``integer_kernel``."""
+Python ints and ``integer_model``."""
 
 from __future__ import annotations
 
@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .integer_kernel import (_hermitian_cells, gaussian_det,
-                             hermitian_basis_sparse, symmetric_definiteness)
+from .integer_model import (_hermitian_cells, gaussian_det,
+                            hermitian_basis_sparse, symmetric_definiteness)
 
 # ---------------------------------------------------------------------------
 # mixed minors: the one exact kernel behind q and the primitive functional
@@ -203,10 +203,8 @@ def restrict_symmetric(G, vectors):
 
 @dataclass
 class PositivityReport:
-    kind: str              # "hodge_riemann_pd"
     k: int
     passed: bool
-    definite: bool
     witness: list | None = None
 
 
@@ -247,8 +245,7 @@ def hodge_riemann_definite(mat) -> PositivityReport:
         raise ValueError("the Hodge-Riemann check requires a Kahler class")
     # omega^k > 0, so the primitive space of omega is a hyperplane
     _, pd, witness = _primitive_q_definiteness([mat] * (k - 1), k)
-    return PositivityReport("hodge_riemann_pd", k, passed=pd, definite=pd,
-                            witness=witness)
+    return PositivityReport(k, passed=pd, witness=witness)
 
 
 def _random_pd_context(rng: random.Random, k: int):

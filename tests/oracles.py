@@ -15,8 +15,8 @@ from sympy.polys.matrices import DomainMatrix
 from toraldyn.exact_algebra import (X, CertifiedReal, _irreducible_factors,
                                     root_moduli)
 from toraldyn.cohomology import _pair_matrix
-from toraldyn.integer_kernel import _hermitian_cells, hermitian_basis_sparse
-from toraldyn.integer_model import _square_and_multiply, compound
+from toraldyn.integer_model import (_hermitian_cells, _square_and_multiply,
+                                    compound, hermitian_basis_sparse)
 
 
 @functools.lru_cache(maxsize=None)

@@ -614,19 +614,27 @@ def test_unwritable_json_path_exits_3(tmp_path, capsys, argv):
 # start-up: a refusal and hodge-check load neither sympy nor mpmath
 # ---------------------------------------------------------------------------
 
-def _numeric_modules_after(code):
-    """The sympy* and mpmath* modules a fresh interpreter has loaded after
+def _modules_after(code, packages):
+    """The modules of ``packages`` a fresh interpreter has loaded after
     running ``code``."""
     probe = code + ("\nimport sys\nprint(sorted(m for m in sys.modules"
-                    " if m.split('.')[0] in ('sympy', 'mpmath')))")
+                    f" if m.split('.')[0] in {packages!r}))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           env=_src_env(), text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     return proc.stdout.splitlines()[-1]
 
 
+def _numeric_modules_after(code):
+    """The sympy* and mpmath* modules loaded after running ``code``."""
+    return _modules_after(code, ("sympy", "mpmath"))
+
+
 def test_importing_the_cli_loads_no_sympy():
     assert _numeric_modules_after("import toraldyn.cli") == "[]"
+    # nor any package module but the root, which holds ExactAlgebraError
+    assert (_modules_after("import toraldyn.cli", ("toraldyn",))
+            == "['toraldyn', 'toraldyn.cli']")
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])

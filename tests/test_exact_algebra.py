@@ -14,12 +14,12 @@ from sympy.polys.matrices import DomainMatrix
 from toraldyn import exact_algebra
 from toraldyn.exact_algebra import (
     X, CertifiedReal, ExactAlgebraError, RealRoot, charpoly, exact_equal,
-    exact_is_zero, exact_sign, gaussian_det, integer_relations,
-    is_cyclotomic_product, matrix_order, _kernel_root, real_root,
-    root_moduli, symmetric_definiteness)
+    exact_is_zero, exact_sign, integer_relations, is_cyclotomic_product,
+    matrix_order, _kernel_root, real_root, root_moduli)
 from toraldyn.integer_model import (INFINITE_ORDER, IntegerLattice,
-                                    finite_order_bound,
-                                    hermite_normal_form_rows, lll_reduce)
+                                    finite_order_bound, gaussian_det,
+                                    hermite_normal_form_rows, lll_reduce,
+                                    symmetric_definiteness)
 
 from oracles import (_cyclotomic_index, charpoly_times_conjugate,
                      hermitian_coords, spectral_radius)
@@ -200,6 +200,8 @@ def test_root_moduli_close_real_moduli_match_mpmath():
 def test_root_moduli_zero_rejected():
     with pytest.raises(ExactAlgebraError):
         root_moduli(sp.Poly(0, X, domain="ZZ"))
+    with pytest.raises(ExactAlgebraError):
+        root_moduli(sp.Poly(X**3 - 3 * X**2 + X, X))
 
 
 def test_unit_determinant_moduli_product_is_one():
