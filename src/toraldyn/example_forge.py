@@ -24,7 +24,8 @@ import sympy as sp
 from .exact_algebra import (X, RealRoot, _LOG_DIGITS, _irreducible_factors,
                             _isolate, _log_midpoint)
 from .cohomology import SEARCH_BUDGET
-from .group_structure import GroupAnalysis, analyze_group, word_automorphism
+from .group_structure import (GroupAnalysis, analyze_group, verified_kernel,
+                              word_automorphism)
 from .integer_model import (GroupSpec, TorusAutomorphism, _divide_monic,
                             _relation_rows, gaussian_det, lll_reduce)
 
@@ -91,11 +92,14 @@ class UnitSystem:
     """Multiplicatively independent infinite-order units of Z[theta].
 
     ``log_embeddings[i][j]`` is log|sigma_j(u_i)| over the real embeddings
-    sigma_j, to ``_LOG_DIGITS`` digits as exact Fractions.  Independence of
-    the units is certified by :func:`build_max_rank_group`: every relation
-    prod u_i**e_i = +-1 that LLL proposes in the rank of pi is refuted by
-    the exact zero-entropy test of its word, since by Kronecker a unit of a
-    totally real field with all |sigma_j(u)| = 1 is +-1.
+    sigma_j, to ``_LOG_DIGITS`` digits as exact Fractions.  The one
+    independence test of the forge is the rank of pi's verified kernel
+    (``verified_kernel``): every relation prod u_i**e_i = +-1 that LLL
+    proposes is refuted by the exact zero-entropy test of its word, since
+    by Kronecker a unit of a totally real field with all |sigma_j(u)| = 1
+    is +-1.  ``unit_search`` selects the units with it, and
+    :func:`build_max_rank_group` certifies them with it again through
+    ``pi_rank``.
     """
     field: NumberFieldSpec
     units: tuple                # ascending power-basis coefficient tuples
@@ -144,70 +148,29 @@ def _log_vector(field: NumberFieldSpec, u):
     return tuple(vec)
 
 
-def _numeric_rank(rows) -> int:
-    """Rank of a small real matrix of Fraction logs by exact Gaussian
-    elimination, with a pivot threshold of 10^-30."""
-    threshold = Fraction(1, 10**30)
-    work = [list(row) for row in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for j in range(cols):
-        piv = None
-        for i in range(rank, len(work)):
-            if abs(work[i][j]) > threshold:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        for i in range(len(work)):
-            if i != rank and work[i][j] != 0:
-                f = work[i][j] / work[rank][j]
-                work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
-        rank += 1
-    return rank
-
-
-def _is_trivial_unit(u) -> bool:
-    """True for the torsion units +-1 (the only torsion in a totally real
-    field)."""
-    body = tuple(u[1:])
-    return u[0] in (1, -1) and not any(body)
-
-
 def _lll_reduce_units(field: NumberFieldSpec, units, logs):
-    """LLL-reduce the log-embedding lattice of the selected units; returns
-    an equally-sized independent system of (usually shorter) units obtained
-    as exact products of the input units.  A product is column 0 of the
-    word M of the units' regular representations: M e_0 = M(1)."""
-    n = len(units)
-    if n <= 1:
-        return list(units), list(logs)
+    """LLL-reduce the log-embedding lattice of independent units; returns
+    an equally-sized system of (usually shorter) units obtained as exact
+    products of the input units, with their logs.  The reduced rows are a
+    unimodular transform of the rows [e_i | logs_i], so their exponent block
+    has determinant +-1 and the units it gives are independent too.  A
+    product is column 0 of the word M of the units' regular
+    representations: M e_0 = M(1)."""
     spec = GroupSpec(tuple(regular_representation(u, field) for u in units))
-    red = lll_reduce(_relation_rows(logs))
-    out_units, out_logs = [], []
-    for row in red:
-        e = row[:n]
-        if not any(e):
-            continue
-        u = tuple(r[0][0] for r in word_automorphism(spec, e).pairs)
-        if _is_trivial_unit(u):
-            continue
-        lv = _log_vector(field, u)
-        if _numeric_rank(out_logs + [lv]) == len(out_logs) + 1:
-            out_units.append(u)
-            out_logs.append(lv)
-    if len(out_units) < n:
-        # reduction degenerated; keep the original independent system
-        return list(units), list(logs)
-    return out_units, out_logs
+    reduced = [tuple(r[0][0] for r in
+                     word_automorphism(spec, row[:len(units)]).pairs)
+               for row in lll_reduce(_relation_rows(logs))]
+    return reduced, [_log_vector(field, u) for u in reduced]
 
 
 def unit_search(field: NumberFieldSpec, coeff_bound: int) -> UnitSystem:
     """Find k-1 multiplicatively independent infinite-order units of
     Z[theta] by exhaustive enumeration over the coefficient box
     |a_i| <= coeff_bound, followed by LLL reduction of the log-embedding
-    lattice.  Their independence is certified by ``build_max_rank_group``.
+    lattice.  A unit u is kept when ``verified_kernel`` certifies no word
+    over the regular representations of the units kept so far and u, with
+    the units' logs over the embeddings as its rows: the rank of pi is the
+    one independence test, and it rejects the torsion units +-1 as well.
     """
     if coeff_bound < 1:
         raise ForgeError("coefficient bound must be positive")
@@ -222,8 +185,6 @@ def unit_search(field: NumberFieldSpec, coeff_bound: int) -> UnitSystem:
     seen = set()
     for coeffs in itertools.product(range(-coeff_bound, coeff_bound + 1),
                                     repeat=k):
-        if _is_trivial_unit(coeffs) or not any(coeffs):
-            continue
         canon = coeffs
         for c in coeffs:
             if c:
@@ -237,13 +198,14 @@ def unit_search(field: NumberFieldSpec, coeff_bound: int) -> UnitSystem:
             continue
         candidates.append(canon)
     candidates.sort(key=lambda u: (max(abs(c) for c in u), u))
-    selected, logs = [], []
+    selected, gens, logs = [], [], []
     for u in candidates:
         if len(selected) == target:
             break
-        lv = _log_vector(field, u)
-        if _numeric_rank(logs + [lv]) == len(logs) + 1:
+        g, lv = regular_representation(u, field), _log_vector(field, u)
+        if not verified_kernel(GroupSpec(tuple(gens + [g])), zip(*logs, lv)):
             selected.append(u)
+            gens.append(g)
             logs.append(lv)
     if len(selected) < target:
         raise ForgeError(

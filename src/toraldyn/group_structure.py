@@ -170,6 +170,15 @@ def _kernel_candidates(n: int, log_rows):
     return basis
 
 
+def verified_kernel(spec: GroupSpec, log_rows) -> list:
+    """The kernel words of pi over the generators of ``spec`` that are
+    certified: the LLL candidates of ``_kernel_candidates`` for the log rows
+    (each n values, one per generator) whose word has exactly zero
+    entropy."""
+    return [v for v in _kernel_candidates(spec.n, log_rows)
+            if verify_zero_entropy_word(spec, v)]
+
+
 def _log_value(m):
     """log |mu|^2 to _LOG_DIGITS digits from the kernel's enclosure, as a
     Fraction; exactly 0 when |mu|^2 == 1."""
@@ -185,10 +194,8 @@ def pi_rank(spec: GroupSpec, table: CharacterTable) -> PiRankResult:
     by the exact zero-entropy certificate, so the reported kernel is sound.
     """
     n = spec.n
-    log_rows = ([_log_value(m) for m in c.multipliers]
-                for c in table.characters)
-    verified = [v for v in _kernel_candidates(n, log_rows)
-                if verify_zero_entropy_word(spec, v)]
+    verified = verified_kernel(spec, ([_log_value(m) for m in c.multipliers]
+                                      for c in table.characters))
     basis = [tuple(row) for row in hermite_normal_form_rows(verified)[0]
              if any(row)] if verified else []
     kernel = IntegerLattice(n, tuple(basis))

@@ -280,16 +280,21 @@ def _analyze_spec(name):
 # stdout as tests/data/<name>_report.json: a Gaussian generator with a
 # non-real trace, diag(C, C) alone (B_t at t = 1) and with diag(C, C^-1) (B
 # the second generator), two Pell powers with the torsion i, three
-# positive-entropy draws of random-spectra seed 41 (cycle 0) and the k = 4
-# forge of the benchmark catalog
+# positive-entropy draws of random-spectra seed 41 (cycle 0), the k = 4
+# forge of the benchmark catalog, and the forges of Q(sqrt 2), of the golden
+# field and of the cubic field at bound 2, which pin the units the forge
+# selects
 @pytest.mark.parametrize("name,argv", [
     *(pytest.param(name, _analyze_spec(name), id=name) for name in (
         "sl2zi_nonreal_trace", "diag_cc_T6", "diag_cc_pair_T6",
         "pell2_pell3_i", "seed41_sl3_real_split_positive",
         "seed41_sl2zi_real_trace_positive", "seed41_sl3_nonreal_irreducible")),
-    pytest.param("forge_quartic",
-                 ["forge", "--poly", "1,-1,-3,1,1", "--bound", "2"],
-                 id="forge_quartic"),
+    *(pytest.param(name, ["forge", "--poly", poly, "--bound", bound],
+                   id=name) for name, poly, bound in (
+        ("forge_quartic", "1,-1,-3,1,1", "2"),
+        ("forge_sqrt2", "1,0,-2", "3"),
+        ("forge_golden", "1,-1,-1", "2"),
+        ("forge_cubic_bound2", "1,-1,-2,1", "2"))),
 ])
 def test_spec_report_matches_its_committed_stdout(name, argv):
     # a fresh interpreter, as in test_report_matches_golden

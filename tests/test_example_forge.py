@@ -18,9 +18,11 @@ from toraldyn.cohomology import classify, degree_profile, entropy
 from toraldyn.exact_algebra import _LOG_DIGITS, real_root
 from toraldyn.example_forge import (
     ForgeError, NumberFieldSpec, UnitSystem, build_max_rank_group,
-    _log_vector, regular_representation, unit_search)
-from toraldyn.group_structure import find_characters, word_automorphism
-from toraldyn.integer_model import _CATALOG, GroupSpec, catalog_group
+    _lll_reduce_units, _log_vector, regular_representation, unit_search)
+from toraldyn.group_structure import (find_characters, verified_kernel,
+                                      word_automorphism)
+from toraldyn.integer_model import (_CATALOG, GroupSpec, catalog_group,
+                                    lll_reduce)
 
 from oracles import embedding_entropy, field_element
 
@@ -226,6 +228,77 @@ def test_unit_search_quartic_three_independent_units():
     assert us.rank == 3
     assert "refuted exactly" in us.certificate
     assert all(abs(QUARTIC_FIELD.norm(u)) == 1 for u in us.units)
+
+
+def _unit_kernel(field, units):
+    """The verified kernel over the regular representations of ``units``,
+    with their logs over the embeddings as rows, as ``unit_search`` asks
+    it."""
+    spec = GroupSpec(tuple(regular_representation(u, field) for u in units))
+    return verified_kernel(spec, zip(*(_log_vector(field, u) for u in units)))
+
+
+def test_verified_kernel_decides_unit_independence():
+    # 1 + sqrt 2 and its square 3 + 2 sqrt 2: the word u^2 (u^2)^-1 = 1
+    assert _unit_kernel(SQRT2_FIELD, [(1, 1), (3, 2)]) == [[2, -1]]
+    # 1 + sqrt 2 and -1 + sqrt 2 = (1 + sqrt 2)^-1: their product is 1
+    assert _unit_kernel(SQRT2_FIELD, [(1, 1), (-1, 1)]) == [[1, 1]]
+    # the torsion unit -1 is a kernel word on its own
+    assert _unit_kernel(CUBIC_FIELD, [(0, 1, 0), (-1, 0, 0)]) == [[0, 1]]
+    # the unit systems that the searches select are independent
+    for field, bound in ((CUBIC_FIELD, 2), (CUBIC_FIELD, 4),
+                         (QUARTIC_FIELD, 2)):
+        assert _unit_kernel(field, unit_search(field, bound).units) == []
+
+
+def test_quartic_search_rejects_its_one_dependent_candidate(monkeypatch):
+    # theta^2 after theta^3 and theta^2 - theta^3: (theta^2)^3 = (theta^3)^2
+    # is verified, and no other candidate of the box is rejected
+    asked = []
+
+    def recording(spec, log_rows):
+        kernel = verified_kernel(spec, log_rows)
+        asked.append(([_element(g) for g in spec.generators], kernel))
+        return kernel
+
+    monkeypatch.setattr(example_forge, "verified_kernel", recording)
+    unit_search(QUARTIC_FIELD, 2)
+    rejected = [(units, kernel) for units, kernel in asked if kernel]
+    assert rejected == [([(0, 0, 0, 1), (0, 0, 1, -1), (0, 0, 1, 0)],
+                         [[2, 0, -3]])]
+    assert len(asked) == 4
+
+
+@pytest.mark.parametrize("field, bound", [
+    (SQRT2_FIELD, 3), (CUBIC_FIELD, 4), (QUARTIC_FIELD, 2)],
+    ids=["sqrt2", "cubic", "quartic"])
+def test_lll_reduce_units_is_unimodular(field, bound, monkeypatch):
+    # the exponent block of the LLL rows has determinant +-1, so the reduced
+    # units generate the group of the selected ones and stay independent;
+    # each is the word of its row over the selected units
+    selected, rows = [], []
+
+    def recording_lll(basis):
+        reduced = lll_reduce(basis)
+        rows.extend(reduced)
+        return reduced
+
+    def recording_reduce(f, units, logs):
+        selected.extend(units)
+        return _lll_reduce_units(f, units, logs)
+
+    monkeypatch.setattr(example_forge, "lll_reduce", recording_lll)
+    monkeypatch.setattr(example_forge, "_lll_reduce_units", recording_reduce)
+    us = unit_search(field, bound)
+    n = field.degree - 1
+    exponents = [row[:n] for row in rows]
+    assert len(exponents) == n == us.rank
+    assert Matrix(exponents).det() in (1, -1)
+    spec = GroupSpec(tuple(regular_representation(u, field)
+                           for u in selected))
+    for e, u, logs in zip(exponents, us.units, us.log_embeddings):
+        assert _element(word_automorphism(spec, e)) == u
+        assert logs == _log_vector(field, u)
 
 
 def test_dependent_units_are_a_forge_error(monkeypatch, capsys):
