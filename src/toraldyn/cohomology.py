@@ -31,8 +31,9 @@ from . import ExactAlgebraError
 # this module's layer by the benchmark tracer
 from .integer_model import (TorusAutomorphism, _eye_rows, _subsets, classify,
                             compound, degree_profile, gaussian_charpoly,
-                            gaussian_det, h11_matrix, integer_charpoly,
-                            symmetric_definiteness, times_conjugate)
+                            gaussian_det, h11_matrix, hermitian_real_form,
+                            integer_charpoly, symmetric_definiteness,
+                            times_conjugate)
 
 # the most points a brute-force box search may visit: the matrices of
 # ``enumerate_degree_values`` and the coefficient box of the forge's unit
@@ -283,12 +284,26 @@ def pullback(f: TorusAutomorphism, c: CohomClass) -> CohomClass:
 
 def _definiteness(c: CohomClass, test: str):
     """Exact (psd, pd) of the Hermitian form of a (1,1)-class; a class that
-    is not real is neither."""
+    is not real is neither.  A form with real entries is decided as it
+    stands, a Gaussian-rational one on its integer ``hermitian_real_form``;
+    any other entry raises ``ExactAlgebraError``."""
     if c.p != 1:
         raise ValueError(f"{test} test implemented for (1,1)-classes")
+    H = c.to_hermitian()
+    if H.has(I):
+        pairs = [[sp.expand(v).as_real_imag() for v in row]
+                 for row in H.tolist()]
+        decidable = all(x.is_Rational for row in pairs for z in row for x in z)
+        rows = hermitian_real_form(pairs)
+    else:
+        decidable = all(r.is_real for r in H.atoms(sp.CRootOf))
+        rows = H.tolist()
+    if not decidable:
+        raise ExactAlgebraError(f"the {test} test decides classes with real "
+                                "or Gaussian-rational entries only")
     if not c.is_real():
         return False, False
-    return symmetric_definiteness(c.to_hermitian().tolist())[:2]
+    return symmetric_definiteness(rows)[:2]
 
 
 def is_nef(c: CohomClass) -> bool:

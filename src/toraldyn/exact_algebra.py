@@ -41,93 +41,36 @@ X = sp.Symbol("x")
 # scalar helpers
 
 
-def _rootof_reduction(expr):
-    """Try to decide ``expr == 0`` by polynomial reduction modulo the
-    defining polynomials of its ``CRootOf`` atoms.
-
-    Returns True (proved zero), False (proved nonzero), or None (undecided).
-    A zero remainder always certifies zero.  A nonzero remainder certifies
-    nonzero only in the single-real-root case, where the coefficients live
-    in the field Q(i)(theta) and the defining polynomial stays irreducible.
-    """
-    roots = sorted(expr.atoms(sp.polys.rootoftools.ComplexRootOf),
-                   key=sp.default_sort_key)
-    if not roots or len(roots) > 4:
-        return None
-    syms = [sp.Dummy(f"t{i}") for i in range(len(roots))]
-    lifted = expr.xreplace(dict(zip(roots, syms)))
-    minpolys = [r.poly.as_expr().subs(r.poly.gen, t)
-                for r, t in zip(roots, syms)]
-    try:
-        # clear denominators first: a valid expression never divides by an
-        # element that vanishes at the roots, so zero is decided by the
-        # numerator alone
-        num, _den = sp.fraction(sp.together(lifted))
-        num = sp.expand(num)
-        _, rem = sp.reduced(num, minpolys, *syms, order="lex")
-    except (sp.PolynomialError, sp.polys.polyerrors.ComputationFailed,
-            sp.polys.polyerrors.CoercionFailed, ZeroDivisionError):
-        return None
-    rem = sp.expand(rem)
-    if rem == 0:
-        return True
-    if len(roots) == 1 and roots[0].is_real:
-        # nonzero remainder certifies nonzero only when the coefficients are
-        # rational or Gaussian rational, i.e. no other algebraic irrationals
-        try:
-            dom = sp.Poly(num, *syms).domain
-        except sp.PolynomialError:
-            return None
-        if (dom.is_ZZ or dom.is_QQ or dom.is_GaussianRing
-                or dom.is_GaussianField):
-            return False
-    return None
-
-
 def exact_is_zero(expr) -> bool:
     """Decide ``expr == 0`` exactly for algebraic sympy expressions.
 
-    The rungs, in order: polynomial reduction modulo the defining
-    polynomials of the ``CRootOf`` atoms (or sympy's assumptions when there
-    are none), numeric refutation of a nonzero value at 30 to 240 digits,
-    and last the minimal polynomial (zero iff it is x), decided by the
-    integer kernel (``_kernel_root``).  A zero outside the kernel's
-    grammar, such as one in non-real atoms or ``I``, that the reduction
-    does not prove raises ``ExactAlgebraError``.  The numeric rung refines
-    sympy's cached isolating intervals of the ``CRootOf`` atoms, from which
-    the reports print their intervals, so the order of the rungs is part of
-    the output."""
-    expr = sp.sympify(expr)
+    After the expanded expression is checked for a rational, a nonzero
+    value is refuted numerically at 30 to 240 digits; what is left is
+    decided by the integer kernel (``_kernel_root``): zero iff the minimal
+    polynomial is x.  A value in non-real ``CRootOf`` atoms, whose numeric
+    evaluation near zero takes minutes, and a zero outside the kernel's
+    grammar, such as one in ``I``, raise ``ExactAlgebraError``.  The
+    numeric rung refines sympy's cached isolating intervals of the
+    ``CRootOf`` atoms, from which the reports print their intervals, so it
+    is part of the output."""
+    expr = sp.expand(expr)
     if expr.is_Rational:
         return expr == 0
-    # asking sympy's assumption system about CRootOf sums triggers slow
-    # adaptive evaluation, so reduce modulo the defining polynomials first
-    if expr.has(sp.polys.rootoftools.ComplexRootOf):
-        decided = _rootof_reduction(sp.expand(expr))
-        if decided is not None:
-            return decided
-        simplified = sp.expand(expr)
-    else:
-        z = expr.is_zero
-        if z is not None:
-            return bool(z)
-        simplified = sp.expand(expr)
-        z = simplified.is_zero
-        if z is not None:
-            return bool(z)
-    # refute nonzero values numerically before certifying symbolically
+    if not all(r.is_real for r in expr.atoms(sp.CRootOf)):
+        raise ExactAlgebraError("a value in non-real roots is outside the "
+                                "integer kernel")
     prec = 30
     while prec <= 240:
-        v = sp.N(simplified, prec)
+        v = sp.N(expr, prec)
         try:
             if abs(complex(v)) > 10.0 ** (-prec + 10):
                 return False
         except (TypeError, ValueError):
             break
         prec *= 2
-    # algebraic number: zero iff its minimal polynomial is x; no str() of
-    # the expression, which would refine sympy's cached root intervals
-    root = _kernel_root(simplified)
+    # no str() of the expression, which would refine sympy's cached root
+    # intervals
+    root = _kernel_root(expr)
     if root is None:
         raise ExactAlgebraError("no minimal polynomial outside the integer "
                                 "kernel's grammar")
@@ -143,48 +86,17 @@ def exact_equal(a, b) -> bool:
 
 def exact_sign(expr) -> int:
     """Sign of an exact real algebraic expression, decided by the integer
-    kernel.  Only a value outside its grammar, such as ``re()`` of a
-    non-real ``CRootOf``, takes the ladder: ``exact_is_zero``, then
-    adaptive evaluation of the nonzero value."""
+    kernel; a value outside its grammar, such as ``re()`` of a non-real
+    ``CRootOf``, raises ``ExactAlgebraError``."""
     expr = sp.sympify(expr)
     if expr.is_Rational:
         return (expr.p > 0) - (expr.p < 0)
     root = _kernel_root(expr)
-    if root is not None:
-        return root.compare(0)
-    if exact_is_zero(expr):
-        return 0
-    # nonzero, so adaptive evaluation eventually resolves the sign
-    prec = 30
-    while prec <= 10000:
-        v = expr.evalf(prec)
-        if v.is_comparable and abs(v) > sp.Float(10) ** (-prec + 6):
-            return 1 if v > 0 else -1
-        prec *= 2
-    raise ExactAlgebraError(f"could not resolve sign of {expr}")
-
-
-def _real_sign(v) -> int:
-    """Exact sign of the real part of an entry on the algebraic branch of
-    ``symmetric_definiteness``; ints and Fractions are compared natively."""
-    if isinstance(v, (int, Fraction)):
-        return (v > 0) - (v < 0)
-    v = sp.re(v)
-    if v.is_Rational:
-        return (v.p > 0) - (v.p < 0)
-    return exact_sign(v)
-
-
-def _is_zero(v) -> bool:
-    if isinstance(v, (int, Fraction)) or v.is_Rational:
-        return v == 0
-    return exact_is_zero(v)
-
-
-def _expanded(v):
-    # sympy entries stay expanded, so every sign and zero test sees a sum of
-    # terms rather than a nested tree
-    return v if isinstance(v, Fraction) else sp.expand(v)
+    if root is None:
+        # no str(expr): printing a sum of CRootOfs refines sympy's cache
+        raise ExactAlgebraError("no sign outside the integer kernel's "
+                                "grammar")
+    return root.compare(0)
 
 
 def _enclosure_of_expr(expr, eps: Fraction) -> tuple[Fraction, Fraction]:

@@ -26,7 +26,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .integer_model import (_hermitian_cells, gaussian_det,
-                            hermitian_basis_sparse, symmetric_definiteness)
+                            hermitian_basis_sparse, hermitian_real_form,
+                            symmetric_definiteness)
 
 # ---------------------------------------------------------------------------
 # mixed minors: the one exact kernel behind q and the primitive functional
@@ -239,9 +240,7 @@ def hodge_riemann_definite(mat) -> PositivityReport:
     hyperplane of a Kahler class M = A + iB of Gaussian-rational (re, im)
     pairs ([[A, -B], [B, A]] > 0); certified by exact rational pivots."""
     k = len(mat)
-    real = ([[z[0] for z in row] + [-z[1] for z in row] for row in mat]
-            + [[z[1] for z in row] + [z[0] for z in row] for row in mat])
-    if not symmetric_definiteness(real)[1]:
+    if not symmetric_definiteness(hermitian_real_form(mat))[1]:
         raise ValueError("the Hodge-Riemann check requires a Kahler class")
     # omega^k > 0, so the primitive space of omega is a hyperplane
     _, pd, witness = _primitive_q_definiteness([mat] * (k - 1), k)

@@ -6,9 +6,11 @@ about it that is an integer fact is decided here, loading neither sympy nor
 mpmath: the determinant, the compounds and the action on H^{1,1}, the
 characteristic polynomial, zero entropy (Kronecker: a product of cyclotomic
 polynomials), the multiplicative order and the classification, the dynamical
-degrees of a zero-entropy automorphism, Hermitian definiteness (whose
-algebraic branch alone reaches sympy, through ``exact_algebra``), the
-Hermite and LLL lattice reductions, and the builtin catalog.  So a family
+degrees of a zero-entropy automorphism, definiteness of a real symmetric
+matrix and of the integer real form of a Hermitian one over Q(i) (whose
+real algebraic branch alone reaches sympy, for the signs and zeros of
+``exact_algebra``'s integer kernel), the Hermite and LLL lattice
+reductions, and the builtin catalog.  So a family
 whose generators all have zero entropy is analyzed on integers alone; only a
 positive-entropy generator reaches the certified algebraic reals of
 ``cohomology`` and ``exact_algebra``.
@@ -283,51 +285,62 @@ def _integer_rows(M):
             for row in M], scale
 
 
+def hermitian_real_form(pairs) -> list:
+    """The real symmetric form [[Re, -Im], [Im, Re]] of a Hermitian matrix
+    given as rows of ``(re, im)`` pairs: x^H M x for x = p + iq is the form
+    at (p, q), so both have the same definiteness."""
+    return ([[z[0] for z in row] + [-z[1] for z in row] for row in pairs]
+            + [[z[1] for z in row] + [z[0] for z in row] for row in pairs])
+
+
 def symmetric_definiteness(M):
-    """Exact ``(psd, pd, witness)`` of a Hermitian matrix given as rows of
-    ints, Fractions or algebraic sympy numbers, by pivoted LDL^H elimination.
+    """Exact ``(psd, pd, witness)`` of a real symmetric matrix given as rows
+    of ints, Fractions or real algebraic sympy numbers, by pivoted LDL^T
+    elimination; a Hermitian matrix over Q(i) is decided on its
+    ``hermitian_real_form``.
 
-    ``witness`` is a vector v with v^H M v < 0 when M is not psd, else None.
+    ``witness`` is a vector v with v^T M v < 0 when M is not psd, else None.
 
-    Rational rows (ints, Fractions and sympy Rationals; real, so symmetric)
-    are scaled to integers once and eliminated fraction-free by the
-    symmetric Bareiss update (Bareiss 1968): after each pivot, an entry is
-    the minor of the scaled matrix over the pivots so far and that entry, so
-    the division by the previous pivot is exact, and the Schur-complement
-    entry is the integer over ``scale * prev``.  Pivots are positive, so
-    every sign is the sign of the integer.  Algebraic rows are updated in
-    their field.
+    The update is fraction-free (Bareiss 1968): with pivot d, entry (i, j)
+    becomes d M_ij - M_i,piv M_piv,j, a positive multiple of the Schur
+    complement.  Rational rows (ints, Fractions and sympy Rationals) are
+    scaled to integers once and each update is divided exactly by the
+    previous pivot: an entry is then the minor of the scaled matrix over
+    the pivots so far and that entry, and the Schur-complement entry is the
+    integer over ``scale * prev``.  Real algebraic rows keep the undivided
+    updates, polynomials in their atoms, whose signs and zeros the integer
+    kernel decides (``exact_sign``, ``exact_is_zero``); their witness is
+    scaled by the pivots rather than divided by them.
     """
     n = len(M)
     ints = _integer_rows(M)
     if ints is None:
-        from . import exact_algebra as field
+        from sympy import expand
+        from .exact_algebra import exact_is_zero as is_zero
+        from .exact_algebra import exact_sign as sign
         work, scale = [list(r) for r in M], None
-        sign, is_zero = field._real_sign, field._is_zero
     else:
         (work, scale), sign, is_zero = (ints, lambda v: (v > 0) - (v < 0),
                                         lambda v: v == 0)
     prev = 1
     active = list(range(n))
     # each step replaces the basis vector e_i of every remaining index i by
-    # e_i - conj(f_i) e_piv, which is M-orthogonal to e_piv
+    # e_i - f_i e_piv, which is M-orthogonal to e_piv
     steps = []
-
-    def entry(i, j):
-        """Entry (i, j) of the current Schur complement."""
-        return work[i][j] if scale is None else Fraction(work[i][j],
-                                                         scale * prev)
-
-    def ratio(a, d):
-        return a / d if scale is None else Fraction(a, d)
 
     def lift(w):
         """Original coordinates of a vector given over the active indices;
-        the multiplier of index i at a step is f_i = M_i,piv / M_piv,piv."""
+        the multiplier of index i at a step is f_i = M_i,piv / M_piv,piv.
+        An algebraic vector is multiplied by the pivot instead."""
         v = dict(w)
         for piv, d, col in reversed(steps):
-            v[piv] = -sum(ratio(a, d).conjugate() * v.get(i, 0)
-                          for i, a in col.items())
+            if scale is None:
+                top = -sum(a * v.get(i, 0) for i, a in col.items())
+                v = {i: expand(d * x) for i, x in v.items()}
+                v[piv] = expand(top)
+            else:
+                v[piv] = -sum(Fraction(a, d) * v.get(i, 0)
+                              for i, a in col.items())
         return [v.get(i, 0) for i in range(n)]
 
     while active:
@@ -338,27 +351,25 @@ def symmetric_definiteness(M):
         piv = next((i for i in active if signs[i] > 0), None)
         if piv is None:
             # zero diagonal: psd iff all remaining entries vanish; otherwise
-            # v = e_i - M_ji e_j has v^H M v = -2 |M_ij|^2 < 0
+            # v = e_i - c M_ji e_j has v^T M v = -2 c M_ij^2 < 0 for c > 0
             for i, j in itertools.combinations(active, 2):
                 if not is_zero(work[j][i]):
-                    return False, False, lift({i: 1, j: -entry(j, i)})
+                    c = work[j][i] if scale is None else Fraction(
+                        work[j][i], scale * prev)
+                    return False, False, lift({i: 1, j: -c})
             return True, False, None
         d = work[piv][piv]
         active.remove(piv)
         col = {i: work[i][piv] for i in active if work[i][piv]}
-        if scale is None:
-            for i, a in col.items():
-                f = a / d
-                for j in active:
-                    work[i][j] = field._expanded(work[i][j] - f * work[piv][j])
-        else:
-            # every row moves, also those with a zero multiplier: the
-            # fraction-free entries carry the pivot product
-            row = work[piv]
-            for x, i in enumerate(active):
-                wi, a = work[i], work[i][piv]
-                for j in active[x:]:
-                    wi[j] = work[j][i] = (d * wi[j] - a * row[j]) // prev
+        # every row moves, also those with a zero multiplier: the entries
+        # carry the pivot product
+        row = work[piv]
+        for x, i in enumerate(active):
+            wi, a = work[i], work[i][piv]
+            for j in active[x:]:
+                v = d * wi[j] - a * row[j]
+                wi[j] = work[j][i] = expand(v) if scale is None else v // prev
+        if scale is not None:
             prev = d
         steps.append((piv, d, col))
     return True, True, None

@@ -125,3 +125,27 @@ def cyclotomic_indices_by_factoring(p):
     indices = [_cyclotomic_index(f)
                for f in _irreducible_factors([int(c) for c in p])]
     return None if None in indices else tuple(sorted(indices))
+
+
+def reduces_to_zero(cls) -> bool:
+    """Whether every coefficient of a class is proved zero by reduction: each
+    CRootOf atom becomes a symbol taken modulo the factor over Q(i) of its
+    polynomial that vanishes at it, and a zero remainder is the proof.  The
+    reference for class identities on eigenclasses: the library's
+    ``exact_is_zero`` decides a zero by the minimal polynomial of a real
+    value and refuses one in non-real atoms, while this reduction also
+    ties a root of a Gaussian factor to its conjugate."""
+    atoms = set().union(*(v.atoms(sp.CRootOf) for v in cls.coeffs.values()))
+    if not atoms:
+        return cls.is_zero()
+    subs, moduli = {}, []
+    for n, r in enumerate(sorted(atoms, key=sp.default_sort_key)):
+        x, t, value = r.poly.gen, sp.Dummy(f"t{n}"), sp.N(r, 15)
+        factors = sp.factor_list(r.poly.as_expr(), gaussian=True)[1]
+        q = min((q for q, _ in factors),
+                key=lambda q: abs(complex(q.subs(x, value))))
+        subs[r] = t
+        moduli.append(q.subs(x, t))
+    return all(
+        sp.reduced(sp.expand(v.xreplace(subs)), moduli, *subs.values())[1]
+        == 0 for v in cls.coeffs.values())

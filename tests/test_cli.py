@@ -355,7 +355,8 @@ def test_exact_is_zero_only_decides_the_printed_d1(monkeypatch, capsys,
         callers[name] = callers.get(name, 0) + 1
         return real(expr)
 
-    # hodge_riemann imports exact_is_zero from exact_algebra at call time
+    # cohomology and characters bind exact_is_zero at import;
+    # symmetric_definiteness reads it from exact_algebra at call time
     for module in (exact_algebra, cohomology, characters):
         monkeypatch.setattr(module, "exact_is_zero", exact_is_zero)
     code, _, err = _run(capsys, *argv)

@@ -338,6 +338,21 @@ def test_nef_kahler_examples():
     assert not is_nef(CohomClass.from_hermitian(sp.diag(1, -1)))
 
 
+@pytest.mark.parametrize("H", [
+    [[0, I], [-I, 0]],
+    [[2, 1 + I], [1 - I, 1]],                   # singular
+    [[2, I / 2], [-I / 2, 1]],
+], ids=["zero_diagonal", "singular", "definite"])
+def test_nef_kahler_of_gaussian_rational_classes(H):
+    # decided on the integer real form; sympy decides the real form here
+    M = Matrix(H)
+    re, im = M.applyfunc(sp.re), M.applyfunc(sp.im)
+    real = Matrix(sp.BlockMatrix([[re, -im], [im, re]]))
+    c = CohomClass.from_hermitian(M)
+    assert (is_nef(c), is_kahler(c)) == (real.is_positive_semidefinite,
+                                         real.is_positive_definite)
+
+
 def test_cohom_class_equality_is_exact_and_unhashable():
     # equal classes whose coefficients are different expression trees
     a = CohomClass.from_hermitian(sp.diag((1 + sp.sqrt(2)) ** 2, 0))

@@ -501,11 +501,13 @@ def test_symmetric_definiteness_sympy_rationals_take_the_integer_path(
         monkeypatch):
     # the Hermitian matrix of a rational class holds sympy Rationals (One,
     # Zero, Half, ...); they are scaled to integers like Fractions, so no
-    # entry is updated in a sympy field
-    def field_update(v):
-        raise AssertionError("a rational matrix was updated in a field")
+    # entry is decided in a sympy field: the field path takes its signs and
+    # zeros from exact_algebra at call time
+    def field_decision(v):
+        raise AssertionError("a rational matrix was decided in a field")
 
-    monkeypatch.setattr(exact_algebra, "_expanded", field_update)
+    for name in ("exact_sign", "exact_is_zero"):
+        monkeypatch.setattr(exact_algebra, name, field_decision)
     for M in _definiteness_cases():
         rows = [[sp.Rational(v) for v in row] for row in M]
         assert symmetric_definiteness(rows) == symmetric_definiteness(M)
@@ -755,6 +757,17 @@ def test_exact_sign_and_equality():
     assert exact_sign(sp.sqrt(2) ** 2 - 2) == 0
     assert exact_equal(sp.sqrt(8), 2 * sp.sqrt(2))
     assert not exact_equal(sp.sqrt(2), Fraction(141421356, 10**8))
+
+
+def test_non_real_values_are_refused():
+    # the integer kernel decides real algebraic values only; a zero in a
+    # non-real root and the real part of one raise instead of being guessed
+    r = sp.CRootOf(X**3 - X + 1, 1)
+    assert not r.is_real
+    with pytest.raises(ExactAlgebraError):
+        exact_is_zero(r**3 - r + 1)
+    with pytest.raises(ExactAlgebraError):
+        exact_sign(sp.re(r))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 import sympy as sp
 from sympy import I, Matrix, eye
 
+from toraldyn import ExactAlgebraError
 from toraldyn.exact_algebra import RealRoot, exact_equal
 from toraldyn.cohomology import (
     CohomClass, TorusAutomorphism, dynamical_degree, is_nef, pullback)
@@ -24,6 +25,7 @@ from toraldyn.group_structure import (
     _log_value, _u_structure, find_characters, pi_rank,
     verify_zero_entropy_word, word_automorphism)
 
+from oracles import reduces_to_zero
 from statements import check_theorem_4_6, eigenclass
 
 PELL_MATRIX = [[1, 2], [1, 1]]
@@ -90,17 +92,38 @@ def test_identity_group_characters():
 SL3_NONREAL = GroupSpec.from_matrices([[[1, -1, -1], [0, 1, -1], [1, -1, 0]]])
 
 
-@pytest.mark.parametrize("spec", [catalog_group(name) for name in sorted(_CATALOG)]
-                         + [SL3_NONREAL],
+def _check_eigenclass(spec, ch) -> bool:
+    """Assert that a character's eigenclass is a nonzero nef class with the
+    character's multipliers; True when its eigenvector is non-real.  A real
+    eigenclass is decided by ``is_nef`` and ``is_zero``.  A non-real one is
+    w w^H with w != 0 (a nonzero rational coordinate), so nonzero and nef
+    by construction (v^H w w^H v = |w^H v|^2); ``is_nef`` refuses its
+    entries at once."""
+    cls, w = eigenclass(ch), ch.eigenvector
+    real = all(x.is_real for x in w)
+    if real:
+        assert is_nef(cls) and not cls.is_zero()
+    else:
+        assert cls.to_hermitian() == w * w.H
+        assert any(x.is_Rational and x != 0 for x in w)
+        start = time.perf_counter()
+        with pytest.raises(ExactAlgebraError):
+            is_nef(cls)
+        assert time.perf_counter() - start < 1
+    for g, msq in zip(spec.generators, ch.modulus_squared):
+        assert reduces_to_zero(pullback(g, cls) - cls.scale(msq))
+    return not real
+
+
+@pytest.mark.parametrize("spec, nonreal", [(catalog_group(name), 0)
+                                           for name in sorted(_CATALOG)]
+                         + [(SL3_NONREAL, 1)],
                          ids=sorted(_CATALOG) + ["sl3_nonreal_irreducible"])
-def test_character_eigenclasses_exact(spec):
+def test_character_eigenclasses_exact(spec, nonreal):
     # find_characters certifies these facts by construction; decide them here
     table = find_characters(spec)
-    for ch in table.characters:
-        cls = eigenclass(ch)
-        assert is_nef(cls) and not cls.is_zero()
-        for g, msq in zip(spec.generators, ch.modulus_squared):
-            assert pullback(g, cls) == cls.scale(msq)
+    assert sum(_check_eigenclass(spec, ch)
+               for ch in table.characters) == nonreal
 
 
 @pytest.mark.parametrize("spec", [
@@ -179,50 +202,27 @@ def _mpmath_pi_rank(spec):
         return sum(1 for s in singular if s > mpmath.mpf(10) ** -20)
 
 
-def _reduces_to_zero(cls):
-    """Whether every coefficient of a class is proved zero by reduction: each
-    CRootOf atom becomes a symbol taken modulo the factor over Q(i) of its
-    polynomial that vanishes at it.  ``exact_is_zero`` reduces modulo the
-    atom's own polynomial over Q, which cannot tie a root of a Gaussian
-    factor to its conjugate, the root of the conjugate factor."""
-    atoms = set().union(*(v.atoms(sp.CRootOf) for v in cls.coeffs.values()))
-    if not atoms:
-        return cls.is_zero()
-    subs, moduli = {}, []
-    for n, r in enumerate(sorted(atoms, key=sp.default_sort_key)):
-        x, t, value = r.poly.gen, sp.Dummy(f"t{n}"), sp.N(r, 30)
-        factors = sp.factor_list(r.poly.as_expr(), gaussian=True)[1]
-        q = min((q for q, _ in factors),
-                key=lambda q: abs(complex(q.subs(x, value))))
-        subs[r] = t
-        moduli.append(q.subs(x, t))
-    return all(
-        sp.reduced(sp.expand(v.xreplace(subs)), moduli, *subs.values())[1]
-        == 0 for v in cls.coeffs.values())
-
-
-@pytest.mark.parametrize("mats, semisimple, budget", [
-    ([sp.diag(C3, C3)], True, 10),
-    ([sp.diag(C3, C3), sp.diag(C3, C3.inv())], True, 20),
-    ([sp.diag(Matrix(PELL_MATRIX), Matrix(PELL_MATRIX), 1)], True, 10),
-    ([sp.diag(G2, G2)], True, 20),
-    ([eye(3) + _unit(0, 1), eye(3) + _unit(0, 2)], False, 10),
+@pytest.mark.parametrize("mats, semisimple, nonreal, budget", [
+    ([sp.diag(C3, C3)], True, 1, 10),
+    ([sp.diag(C3, C3), sp.diag(C3, C3.inv())], True, 2, 20),
+    ([sp.diag(Matrix(PELL_MATRIX), Matrix(PELL_MATRIX), 1)], True, 0, 10),
+    ([sp.diag(G2, G2)], True, 2, 20),
+    ([eye(3) + _unit(0, 1), eye(3) + _unit(0, 2)], False, 0, 10),
 ], ids=["diag_cc_T6", "diag_cc_pair_T6", "pell_pell_one_T5", "diag_gg_T4",
         "unipotent_pair_T3"])
-def test_repeated_spectrum_characters(mats, semisimple, budget):
-    # in-process about 0.1 to 6 s each, most of it in is_nef on the
-    # non-real eigenclasses; the budgets leave room for a loaded machine.
+def test_repeated_spectrum_characters(mats, semisimple, nonreal, budget):
+    # in-process about 0.1 to 3 s each, most of it in sympy's evaluation of
+    # the non-real CRootOfs whose Gaussian factors reduces_to_zero picks;
+    # is_nef refuses those classes at once.  The budgets leave room for a
+    # loaded machine.
     # diag_cc_T6 is the regression case of a hang in sympy's eigenvects
     start = time.perf_counter()
     spec = GroupSpec.from_matrices([M.tolist() for M in mats])
     table = find_characters(spec)
     assert table.semisimple == semisimple
     assert table.m > 0 if semisimple else table.m == 0
-    for ch in table.characters:
-        cls = eigenclass(ch)
-        assert is_nef(cls) and not cls.is_zero()
-        for g, msq in zip(spec.generators, ch.modulus_squared):
-            assert _reduces_to_zero(pullback(g, cls) - cls.scale(msq))
+    assert sum(_check_eigenclass(spec, ch)
+               for ch in table.characters) == nonreal
     assert pi_rank(spec, table).rank == _mpmath_pi_rank(spec)
     assert time.perf_counter() - start < budget
 

@@ -8,7 +8,8 @@ import pytest
 import sympy as sp
 from sympy import I, Matrix, eye
 
-from toraldyn.exact_algebra import exact_is_zero, exact_sign
+from toraldyn.exact_algebra import exact_sign
+from toraldyn.integer_model import hermitian_real_form
 from toraldyn.cohomology import (CohomClass, TorusAutomorphism,
                                  intersection_number, wedge, wedge_all)
 from toraldyn import hodge_riemann
@@ -290,14 +291,18 @@ def test_gromov_semipositive_with_inline_fuzz():
 # ---------------------------------------------------------------------------
 
 S2 = sp.sqrt(2)
-# Hermitian matrices over Q(sqrt 2) with known (psd, pd); the pivots of the
-# last two divide by algebraic numbers
+# symmetric matrices over Q(sqrt 2) with known (psd, pd); the pivots of the
+# last two are algebraic numbers
 QUADRATIC_FIELD_CASES = [
     ([[1, S2], [S2, 1]], (False, False)),                       # det -1
     ([[S2, 1], [1, S2 / 2]], (True, False)),                    # det 0
     ([[1 + S2, 1, 0], [1, S2, 1], [0, 1, 2]], (True, True)),    # minors 1 + sqrt 2
     ([[1 + S2, 1, 0], [1, S2, 1], [0, 1, S2 - 1]], (False, False)),  # det -sqrt 2
 ]
+
+
+def _pairs(M):
+    return [[sp.expand(v).as_real_imag() for v in row] for row in M.tolist()]
 
 
 def test_symmetric_definiteness_oracle():
@@ -308,11 +313,12 @@ def test_symmetric_definiteness_oracle():
         n = rng.randint(1, 4)
         B = Matrix(n, n, lambda i, j: rng.randint(-3, 3))
         M = B + B.T if rng.random() < 0.5 else B * B.T
-        cases.append((M, [[Fraction(int(M[i, j])) for j in range(n)]
-                          for i in range(n)],
+        cases.append(([[Fraction(int(M[i, j])) for j in range(n)]
+                       for i in range(n)],
                       (M.is_positive_semidefinite, M.is_positive_definite)))
-    # Gaussian-integer Hermitian matrices, against the real form
-    # [[Re, -Im], [Im, Re]] of x^H M x on x = p + iq
+    # Gaussian-integer Hermitian matrices, decided on hermitian_real_form and
+    # compared with sympy on the real form [[Re, -Im], [Im, Re]] of x^H M x
+    # at x = p + iq, built here from sympy's re and im
     rng = random.Random(44)
     for _ in range(40):
         n = rng.randint(1, 3)
@@ -320,21 +326,21 @@ def test_symmetric_definiteness_oracle():
         M = (B + B.H if rng.random() < 0.5 else B * B.H).applyfunc(sp.expand)
         re, im = M.applyfunc(sp.re), M.applyfunc(sp.im)
         real = Matrix(sp.BlockMatrix([[re, -im], [im, re]]))
-        cases.append((M, M.tolist(), (real.is_positive_semidefinite,
-                                      real.is_positive_definite)))
+        rows = hermitian_real_form(_pairs(M))
+        assert Matrix(rows) == real
+        cases.append((rows, (real.is_positive_semidefinite,
+                             real.is_positive_definite)))
     # zero diagonal, nonzero off-diagonal
-    M = Matrix([[0, I], [-I, 0]])
-    cases.append((M, M.tolist(), (False, False)))
-    for rows, expected in QUADRATIC_FIELD_CASES:
-        cases.append((Matrix(rows), rows, expected))
-    for M, rows, expected in cases:
+    cases.append((hermitian_real_form(_pairs(Matrix([[0, I], [-I, 0]]))),
+                  (False, False)))
+    cases += QUADRATIC_FIELD_CASES
+    for rows, expected in cases:
         psd, pd, witness = symmetric_definiteness(rows)
         assert (psd, pd) == expected
         if not psd:
-            # v^H M v < 0 exactly
+            # v^T M v < 0 exactly
             v = Matrix([sp.sympify(x) for x in witness])
-            val = sp.expand((v.H * M * v)[0])
-            assert exact_is_zero(sp.im(val)) and exact_sign(sp.re(val)) < 0
+            assert exact_sign(sp.expand((v.T * Matrix(rows) * v)[0])) < 0
 
 
 # ---------------------------------------------------------------------------
