@@ -13,11 +13,14 @@ integers in JSON are arbitrary-precision decimal strings; every inexact number
 is tagged as an approximation and accompanied by a certified rational
 interval.
 
-Each subcommand imports its machinery after its input checks, so refusals and
-the whole of ``hodge-check`` run without sympy or mpmath.  ``analyze`` imports
-sympy only when a generator has positive entropy: a family of zero-entropy
-generators is decided on integers (``integer_model``) and printed on them
-(``_approx_str``).
+Each subcommand imports its machinery after its input checks, so a refused
+option, spec or search box (``SEARCH_BUDGET``) and the whole of
+``hodge-check`` run without sympy or mpmath.  Only the refusals that need the
+machinery load it: ``example_forge`` decides whether a ``--poly`` is monic,
+irreducible and totally real, and whether its box holds enough units.
+``analyze`` imports sympy only when a generator has positive entropy: a
+family of zero-entropy generators is decided on integers (``integer_model``)
+and printed on them (``_approx_str``).
 """
 
 from __future__ import annotations
@@ -46,6 +49,9 @@ DEFAULT_DIGITS = 12
 MAX_DIGITS = 1000
 # the most hodge-check samples accepted: about 45 s at k = 4
 MAX_SAMPLES = 10_000
+# the most points a brute-force box search may visit: the (2B+1)^(k^2)
+# matrices of enumerate and the (2B+1)^k coefficient box of a forge
+SEARCH_BUDGET = 3_000_000
 # log2(10), mpmath's factor between decimal digits and bits
 _BITS_PER_DIGIT = 3.3219280948873626
 
@@ -246,7 +252,23 @@ def _require_in_range(option: str, value: int, low: int, high=None) -> None:
         raise CliInputError(f"{option} must be at most {high}, got {value}")
 
 
+def _require_box_in_budget(box: str, bound: int, dim: int) -> None:
+    """Refuse a search over the (2B+1)^d points of ``dim`` coordinates in
+    [-bound, bound] when they are more than ``SEARCH_BUDGET``.  A side of
+    n bits makes (2B+1)^d at least 2^((n - 1) d), so a huge box is refused
+    before any power is taken; the message names the box, not its size."""
+    side = 2 * bound + 1
+    if ((side.bit_length() - 1) * dim >= SEARCH_BUDGET.bit_length()
+            or side ** dim > SEARCH_BUDGET):
+        raise CliInputError(f"{box} exceeds the search budget of "
+                            f"{SEARCH_BUDGET} points; lower the bound")
+
+
 def _forge_or_raise(coeffs: tuple, bound: int):
+    """The one way into the forge, for ``forge`` and a number_field spec."""
+    _require_in_range("the coefficient bound", bound, 1)
+    _require_box_in_budget("the unit search over the (2B+1)^k coefficient box",
+                           bound, len(coeffs) - 1)
     from .example_forge import (ForgeError, NumberFieldSpec,
                                 build_max_rank_group)
     try:
@@ -436,14 +458,13 @@ def cmd_enumerate(args) -> int:
     _require_in_range("--dim", args.dim, 1)
     _require_in_range("--bound", args.bound, 0)
     _require_in_range("--precision", args.precision, 0, MAX_DIGITS)
-    from .cohomology import BudgetExceededError, enumerate_degree_values
-    from .exact_algebra import exact_sign
-    try:
-        values = enumerate_degree_values(args.dim, args.bound)
-    except BudgetExceededError as exc:
-        raise CliInputError(str(exc)) from exc
+    _require_box_in_budget("the search over the (2B+1)^(k^2) matrices",
+                           args.bound, args.dim ** 2)
+    from .cohomology import enumerate_degree_values
+    from .exact_algebra import real_root
+    values = enumerate_degree_values(args.dim, args.bound)
     digits = args.precision
-    positive = [v for v in values if exact_sign(v.expr - 1) > 0]
+    positive = [v for v in values if real_root(v).compare(1) > 0]
     report = {
         "tool": f"toraldyn {__version__}",
         "kind": "degree_enumeration",

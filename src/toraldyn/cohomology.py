@@ -23,7 +23,7 @@ from .exact_algebra import (
     X,
     exact_equal,
     exact_is_zero,
-    exact_sign,
+    real_root,
     root_moduli,
 )
 from . import ExactAlgebraError
@@ -34,17 +34,6 @@ from .integer_model import (TorusAutomorphism, _eye_rows, _subsets, classify,
                             gaussian_det, h11_matrix, hermitian_real_form,
                             integer_charpoly, symmetric_definiteness,
                             times_conjugate)
-
-# the most points a brute-force box search may visit: the matrices of
-# ``enumerate_degree_values`` and the coefficient box of the forge's unit
-# search
-SEARCH_BUDGET = 3_000_000
-
-
-class BudgetExceededError(RuntimeError):
-    def __init__(self, estimate):
-        super().__init__(f"enumeration budget exceeded: ~{estimate} matrices")
-        self.estimate = estimate
 
 
 def _gaussian(z):
@@ -101,7 +90,7 @@ def dynamical_degree(f: TorusAutomorphism, p: int) -> CertifiedReal:
 def entropy(f: TorusAutomorphism) -> CertifiedReal:
     """Topological entropy, computed cohomologically: max_p log d_p
     = 2 * sum of log|lambda| over eigenvalues with |lambda| > 1 (exact)."""
-    ys = [y for y in _moduli_squared_desc(f) if exact_sign(y - 1) > 0]
+    ys = [y for y in _moduli_squared_desc(f) if real_root(y).compare(1) > 0]
     if not ys:
         return CertifiedReal(sp.Integer(0))
     return CertifiedReal(sp.log(sp.expand(sp.Mul(*ys))))
@@ -323,15 +312,9 @@ def enumerate_degree_values(k: int, entry_bound: int):
     """Distinct exact d_1 values over all A in SL(k,Z) with |entries| <= bound.
 
     Exhibits the discreteness of the first dynamical degree (desk scale).
-    Raises BudgetExceededError when the search space is too large.
+    The caller bounds the box: ``k >= 1``, ``entry_bound >= 0`` and the
+    (2B+1)^(k^2) matrices within the CLI's search budget.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if entry_bound < 0:
-        raise ValueError("entry_bound must be >= 0")
-    estimate = (2 * entry_bound + 1) ** (k * k)
-    if estimate > SEARCH_BUDGET:
-        raise BudgetExceededError(estimate)
     # the identity automorphism exists at every bound
     charpolys = {integer_charpoly(_eye_rows(k))}
     for entries in itertools.product(range(-entry_bound, entry_bound + 1),

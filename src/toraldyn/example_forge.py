@@ -23,7 +23,6 @@ import sympy as sp
 
 from .exact_algebra import (X, RealRoot, _LOG_DIGITS, _irreducible_factors,
                             _isolate, _log_midpoint)
-from .cohomology import SEARCH_BUDGET
 from .group_structure import (GroupAnalysis, analyze_group, verified_kernel,
                               word_automorphism)
 from .integer_model import (GroupSpec, TorusAutomorphism, _divide_monic,
@@ -31,7 +30,7 @@ from .integer_model import (GroupSpec, TorusAutomorphism, _divide_monic,
 
 
 class ForgeError(ValueError):
-    """Construction failure: bad field, empty search, or budget exceeded."""
+    """Construction failure: a bad field, too few units, dependent units."""
 
 
 # ---------------------------------------------------------------------------
@@ -171,15 +170,10 @@ def unit_search(field: NumberFieldSpec, coeff_bound: int) -> UnitSystem:
     over the regular representations of the units kept so far and u, with
     the units' logs over the embeddings as its rows: the rank of pi is the
     one independence test, and it rejects the torsion units +-1 as well.
+    The caller bounds the box: the CLI refuses one of more points than its
+    search budget.
     """
-    if coeff_bound < 1:
-        raise ForgeError("coefficient bound must be positive")
     k = field.degree
-    points = (2 * coeff_bound + 1) ** k
-    if points > SEARCH_BUDGET:
-        raise ForgeError(
-            f"coefficient box of {points} points exceeds the search budget "
-            f"of {SEARCH_BUDGET}; lower the bound")
     target = k - 1
     candidates = []
     seen = set()

@@ -527,6 +527,36 @@ def test_enumerate_budget_refusal(capsys):
     assert code == EXIT_INVALID and "budget" in err
 
 
+# x^3001 - 2: a box this size is refused before the field is factored
+DEGREE_3001_POLY = "1," + "0," * 3000 + "-2"
+
+
+@pytest.mark.parametrize("argv", [
+    ["forge", "--poly", "1,-1,-2,1", "--bound", "100"],
+    ["enumerate", "--dim", "100", "--bound", "1"],
+    ["forge", "--poly", DEGREE_3001_POLY, "--bound", "1"],
+    None,
+], ids=["forge_bound_100", "enumerate_dim_100", "forge_degree_3001",
+        "spec_coeff_bound_1000"])
+def test_box_over_budget_refused_cold_in_under_1s(tmp_path, argv):
+    # the box is refused from bit lengths: a 4,772-digit point count is
+    # never printed, and the degree-3001 field is never factored
+    if argv is None:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"kind": "number_field",
+                                    "min_poly": ["1", "-1", "-2", "1"],
+                                    "coeff_bound": 1000}))
+        argv = ["analyze", str(path)]
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "toraldyn.cli", *argv],
+                          capture_output=True, env=_src_env(), text=True,
+                          timeout=60)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == EXIT_INVALID and "budget" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert elapsed < 1, f"refused in {elapsed:.2f}s"
+
+
 # ---------------------------------------------------------------------------
 # input contract
 # ---------------------------------------------------------------------------
@@ -668,10 +698,17 @@ _CAT_ROWS = [[["2", "0"], ["1", "0"]], [["1", "0"], ["1", "0"]]]
     (None, ["enumerate", "--dim", "0", "--bound", "2"]),
     (None, ["analyze", "cat_T2", "--precision", "-1"]),
     (None, ["analyze", "not_a_builtin"]),
+    (None, ["forge", "--poly", "1,-1,-2,1", "--bound", "0"]),
+    (None, ["forge", "--poly", "1,-1,-2,1", "--bound", "100"]),
+    (None, ["enumerate", "--dim", "4", "--bound", "9"]),
+    ({"kind": "number_field", "min_poly": ["1", "-1", "-2", "1"],
+      "coeff_bound": 1000}, None),
 ], ids=["list_spec", "string_generators", "non_object_generator",
         "empty_matrix", "short_matrix_after_a_valid_one",
         "non_integer_entry_after_a_valid_one", "hodge_check_dim_7",
-        "enumerate_dim_0", "negative_precision", "unknown_builtin"])
+        "enumerate_dim_0", "negative_precision", "unknown_builtin",
+        "forge_bound_0", "forge_box_over_budget", "enumerate_over_budget",
+        "spec_box_over_budget"])
 def test_refusal_loads_no_sympy(tmp_path, spec, argv):
     if argv is None:
         path = tmp_path / "spec.json"
@@ -797,15 +834,25 @@ def _cheap_argv(draw, json_paths):
         name = draw(st.sampled_from(["cat_T2", "pell_T2", "torsion_i"]))
         return ["analyze", name, *precision, *seed, *out]
     if command == "enumerate":
-        return ["enumerate", "--dim", str(draw(st.integers(1, 2))),
-                "--bound", str(draw(st.integers(0, 1))), *precision, *out]
+        dim, bound = draw(st.one_of(
+            st.tuples(st.integers(1, 2), st.integers(0, 1)),
+            # over the search budget: refused before the search
+            st.tuples(st.integers(4, 200), st.integers(1, 3))))
+        return ["enumerate", "--dim", str(dim), "--bound", str(bound),
+                *precision, *out]
     if command == "hodge-check":
         return ["hodge-check", "--dim", str(draw(st.integers(2, 3))),
                 "--samples", str(draw(st.one_of(
                     st.integers(-5, 40), st.integers(MAX_SAMPLES + 1, 10**6)))),
                 *seed, *out]
-    return ["forge", "--poly", "1,-1,-2,1", "--bound",
-            str(draw(FUZZ_BOUNDS)), *precision, *seed, *out]
+    poly, bound = draw(st.one_of(
+        st.tuples(st.just("1,-1,-2,1"), FUZZ_BOUNDS),
+        # x^d - 2 of degree 14 to 3001: over the search budget, refused
+        # before the field is factored
+        st.builds(lambda d, b: ("1," + "0," * (d - 1) + "-2", b),
+                  st.integers(14, 3001), st.integers(1, 2))))
+    return ["forge", "--poly", poly, "--bound", str(bound), *precision,
+            *seed, *out]
 
 
 _CAT_SPEC = {"kind": "torus_group", "complex_dim": "2", "generators": [

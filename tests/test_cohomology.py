@@ -12,10 +12,9 @@ from toraldyn import integer_model
 from toraldyn.integer_model import _CATALOG, catalog_group, h11_charpoly
 from toraldyn.exact_algebra import charpoly, exact_equal, exact_is_zero
 from toraldyn.cohomology import (
-    BudgetExceededError, CohomClass, TorusAutomorphism, classify, compound,
-    degree_profile, dynamical_degree, entropy, enumerate_degree_values,
-    h11_matrix, intersection_number, is_kahler, is_nef, pullback, wedge,
-    wedge_all)
+    CohomClass, TorusAutomorphism, classify, compound, degree_profile,
+    dynamical_degree, entropy, enumerate_degree_values, h11_matrix,
+    intersection_number, is_kahler, is_nef, pullback, wedge, wedge_all)
 
 from oracles import (hermitian_basis, hermitian_coords, hpp_matrix,
                      spectral_radius)
@@ -391,8 +390,3 @@ def test_enumerate_bound_zero_and_one():
     for bound in (0, 1):
         vals = enumerate_degree_values(2, bound)
         assert len(vals) == 1 and exact_equal(vals[0].expr, 1)
-
-
-def test_enumerate_budget_refusal():
-    with pytest.raises(BudgetExceededError):
-        enumerate_degree_values(4, 50)

@@ -319,9 +319,9 @@ def test_dependent_units_are_a_forge_error(monkeypatch, capsys):
 def test_unit_search_failure_reports_bound():
     with pytest.raises(ForgeError, match="bound"):
         unit_search(NumberFieldSpec((1, 0, -79)), 1)
-    # 201^3 = 8,120,601 points: refused before the search, naming the budget
-    with pytest.raises(ForgeError, match="budget of 3000000"):
-        unit_search(CUBIC_FIELD, 100)
+    # the caller bounds the box; an empty one holds no unit
+    with pytest.raises(ForgeError, match="only 0 independent units"):
+        unit_search(CUBIC_FIELD, 0)
 
 
 # ---------------------------------------------------------------------------
