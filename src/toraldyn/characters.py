@@ -200,7 +200,7 @@ def factor_field_table(spec: GroupSpec) -> CharacterTable:
     if not semisimple:
         raise DegenerateSpectrumError(
             "non-semisimple family with a positive-entropy generator")
-    table = CharacterTable(spec.k, characters, eigenvectors,
+    table = CharacterTable(characters, eigenvectors,
                            [modsq for _, modsq in distinct], semisimple)
     _validate_characters(spec, table)
     return table

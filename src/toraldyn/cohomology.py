@@ -13,6 +13,7 @@ timed as its layer are imported here.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 import sympy as sp
@@ -29,11 +30,10 @@ from .exact_algebra import (
 from . import ExactAlgebraError
 # the integer model of an automorphism; these are used here or wrapped as
 # this module's layer by the benchmark tracer
-from .integer_model import (TorusAutomorphism, _eye_rows, _subsets, classify,
-                            compound, degree_profile, gaussian_charpoly,
-                            gaussian_det, h11_matrix, hermitian_real_form,
-                            integer_charpoly, symmetric_definiteness,
-                            times_conjugate)
+from .integer_model import (TorusAutomorphism, _subsets, classify, compound,
+                            degree_profile, gaussian_charpoly, gaussian_det,
+                            h11_matrix, hermitian_real_form, integer_charpoly,
+                            symmetric_definiteness, times_conjugate)
 
 
 def _gaussian(z):
@@ -315,8 +315,8 @@ def enumerate_degree_values(k: int, entry_bound: int):
     The caller bounds the box: ``k >= 1``, ``entry_bound >= 0`` and the
     (2B+1)^(k^2) matrices within the CLI's search budget.
     """
-    # the identity automorphism exists at every bound
-    charpolys = {integer_charpoly(_eye_rows(k))}
+    # the identity automorphism exists at every bound: (x - 1)^k
+    charpolys = {tuple((-1) ** i * math.comb(k, i) for i in range(k + 1))}
     for entries in itertools.product(range(-entry_bound, entry_bound + 1),
                                      repeat=k * k):
         rows = [[(v, 0) for v in entries[i * k:(i + 1) * k]]

@@ -90,19 +90,16 @@ class NumberFieldSpec:
 class UnitSystem:
     """Multiplicatively independent infinite-order units of Z[theta].
 
-    ``log_embeddings[i][j]`` is log|sigma_j(u_i)| over the real embeddings
-    sigma_j, to ``_LOG_DIGITS`` digits as exact Fractions.  The one
-    independence test of the forge is the rank of pi's verified kernel
-    (``verified_kernel``): every relation prod u_i**e_i = +-1 that LLL
-    proposes is refuted by the exact zero-entropy test of its word, since
-    by Kronecker a unit of a totally real field with all |sigma_j(u)| = 1
-    is +-1.  ``unit_search`` selects the units with it, and
-    :func:`build_max_rank_group` certifies them with it again through
+    The one independence test of the forge is the rank of pi's verified
+    kernel (``verified_kernel``): every relation prod u_i**e_i = +-1 that
+    LLL proposes is refuted by the exact zero-entropy test of its word,
+    since by Kronecker a unit of a totally real field with all
+    |sigma_j(u)| = 1 is +-1.  ``unit_search`` selects the units with it,
+    and :func:`build_max_rank_group` certifies them with it again through
     ``pi_rank``.
     """
     field: NumberFieldSpec
     units: tuple                # ascending power-basis coefficient tuples
-    log_embeddings: tuple       # tuple of tuples of Fractions
     certificate: str = ""
 
     @property
@@ -147,19 +144,19 @@ def _log_vector(field: NumberFieldSpec, u):
     return tuple(vec)
 
 
-def _lll_reduce_units(field: NumberFieldSpec, units, logs):
-    """LLL-reduce the log-embedding lattice of independent units; returns
-    an equally-sized system of (usually shorter) units obtained as exact
-    products of the input units, with their logs.  The reduced rows are a
+def _lll_reduce_units(field: NumberFieldSpec, units, logs) -> tuple:
+    """LLL-reduce the log-embedding lattice of independent units, with
+    ``logs[i][j]`` = log|sigma_j(u_i)| over the real embeddings sigma_j;
+    returns an equally-sized system of (usually shorter) units obtained as
+    exact products of the input units.  The reduced rows are a
     unimodular transform of the rows [e_i | logs_i], so their exponent block
     has determinant +-1 and the units it gives are independent too.  A
     product is column 0 of the word M of the units' regular
     representations: M e_0 = M(1)."""
     spec = GroupSpec(tuple(regular_representation(u, field) for u in units))
-    reduced = [tuple(r[0][0] for r in
-                     word_automorphism(spec, row[:len(units)]).pairs)
-               for row in lll_reduce(_relation_rows(logs))]
-    return reduced, [_log_vector(field, u) for u in reduced]
+    return tuple(tuple(r[0][0] for r in
+                       word_automorphism(spec, row[:len(units)]).pairs)
+                 for row in lll_reduce(_relation_rows(logs)))
 
 
 def unit_search(field: NumberFieldSpec, coeff_bound: int) -> UnitSystem:
@@ -205,8 +202,7 @@ def unit_search(field: NumberFieldSpec, coeff_bound: int) -> UnitSystem:
         raise ForgeError(
             f"only {len(selected)} independent units found with coefficient "
             f"bound {coeff_bound}; need {target} — increase the bound")
-    selected, logs = _lll_reduce_units(field, selected, logs)
-    return UnitSystem(field, tuple(selected), tuple(logs))
+    return UnitSystem(field, _lll_reduce_units(field, selected, logs))
 
 
 # ---------------------------------------------------------------------------
@@ -225,15 +221,14 @@ def regular_representation(u, field: NumberFieldSpec) -> TorusAutomorphism:
 @dataclass(frozen=True)
 class ForgedGroup:
     """A sharpness witness: k-1 commuting positive-entropy automorphisms of
-    T^k with log-character rank exactly k-1."""
-    field: NumberFieldSpec
+    T^k with log-character rank exactly k-1; ``analysis.spec`` is the
+    group."""
     units: UnitSystem
-    group: GroupSpec
-    analysis: GroupAnalysis = dc_field(repr=False, default=None)
+    analysis: GroupAnalysis = dc_field(repr=False)
 
 
 def build_max_rank_group(field: NumberFieldSpec,
-                         coeff_bound: int = 4) -> ForgedGroup:
+                         coeff_bound: int) -> ForgedGroup:
     """Forge the rank-(k-1) group of a totally real degree-k field and run
     the full structural pipeline on it.
 
@@ -242,9 +237,8 @@ def build_max_rank_group(field: NumberFieldSpec,
     when its unit product is +-1.  So the rank is k-1 iff every relation
     LLL proposes is refuted exactly; a verified one is a ``ForgeError``."""
     units = unit_search(field, coeff_bound)
-    gens = tuple(regular_representation(u, field) for u in units.units)
-    spec = GroupSpec(gens, tuple(g.name for g in gens))
-    analysis = analyze_group(spec)
+    analysis = analyze_group(GroupSpec(tuple(
+        regular_representation(u, field) for u in units.units)))
     kernel = analysis.rank.kernel.basis
     if kernel:
         raise ForgeError(
@@ -253,5 +247,5 @@ def build_max_rank_group(field: NumberFieldSpec,
     units = replace(units, certificate=(
         f"log-rank {units.rank} at {_LOG_DIGITS} digits; all LLL-proposed "
         "relations refuted exactly in Z[theta]"))
-    return ForgedGroup(field, units, spec, analysis)
+    return ForgedGroup(units, analysis)
 

@@ -73,7 +73,6 @@ def check_commuting(spec: GroupSpec) -> CommutingReport:
 
 @dataclass
 class CharacterTable:
-    k: int
     characters: list           # nontrivial characters only
     # all (vector, multipliers) found; a multiplier is a RealRoot where the
     # eigenvalue's factor has a non-real root, else an exact sympy value
@@ -112,7 +111,7 @@ def find_characters(spec: GroupSpec) -> CharacterTable:
         raise ValueError(f"generators {comm.witness} do not commute")
     gens = spec.generators
     if all(has_zero_entropy(g) for g in gens):
-        return CharacterTable(spec.k, [], [], [], all(
+        return CharacterTable([], [], [], all(
             classify(g) == FINITE_ORDER for g in gens))
     from .characters import factor_field_table
     return factor_field_table(spec)
@@ -207,17 +206,6 @@ def pi_rank(spec: GroupSpec, table: CharacterTable) -> PiRankResult:
 # structure theorems
 
 
-@dataclass
-class StructureReport:
-    k: int
-    rank: int
-    rank_bound_ok: bool
-    binomial_bounds: list      # (n, binom(r,n), h_n, bound, ok)
-    wedge_chain_length: int
-    wedge_chain_ok: bool
-    positive_entropy_certified: bool
-
-
 def _nonzero_wedge_chain(table: CharacterTable, count: int) -> bool:
     """Whether count eigenclasses w w^H have a nonzero wedge, i.e. count
     of the w are linearly independent.  Eigenvectors with pairwise distinct
@@ -231,12 +219,14 @@ def _nonzero_wedge_chain(table: CharacterTable, count: int) -> bool:
 
 
 def assert_structure_theorems(spec: GroupSpec,
-                              analysis: PiRankResult) -> StructureReport:
-    """Check the structural bounds for the computed rank r.
+                              analysis: PiRankResult) -> list:
+    """Check the structural bounds for the computed rank r and return the
+    binomial rows (n, binom(r, n), h_n, bound) for 1 <= n <= r.
 
-    r <= k-1; binom(r,n) <= h_n = binom(k,n)^2 for 1 <= n <= r, strictly
-    below h_n when n divides r; and r+1 invariant nef classes with nonzero
-    wedge exist.  Violations raise (build-breaking)."""
+    Every complement word has positive entropy; r <= k-1;
+    binom(r,n) <= h_n = binom(k,n)^2, strictly below h_n when n divides r;
+    and r+1 invariant nef classes with nonzero wedge exist.  Violations
+    raise (build-breaking), so every returned row holds."""
     k = spec.k
     r = analysis.rank
     # positive entropy of the free part, certified on basis words + sums
@@ -257,15 +247,14 @@ def assert_structure_theorems(spec: GroupSpec,
         hn = math.comb(k, nn) ** 2
         limit = hn - 1 if r % nn == 0 else hn
         val = math.comb(r, nn)
-        ok = val <= limit
-        bounds.append((nn, val, hn, limit, ok))
-        if not ok:
+        bounds.append((nn, val, hn, limit))
+        if val > limit:
             raise AssertionError(
                 f"THEOREM VIOLATION: binom({r},{nn}) = {val} > {limit}")
     if not _nonzero_wedge_chain(analysis.table, r + 1):
         raise AssertionError(
             "THEOREM VIOLATION: no nonzero wedge chain of length r+1")
-    return StructureReport(k, r, True, bounds, r + 1, True, positive)
+    return bounds
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +263,7 @@ def assert_structure_theorems(spec: GroupSpec,
 
 @dataclass
 class DecompositionResult:
-    rank: int
-    free_words: list           # exponent vectors generating the free part
-    u_words: list              # exponent vectors generating U
-    u_finite: bool
-    u_order: int | None
+    u_order: int | None        # None when U is infinite
     relation_lattice: IntegerLattice
 
 
@@ -389,21 +374,20 @@ def _u_structure(spec: GroupSpec, u_words):
 
 def decompose(spec: GroupSpec, analysis: PiRankResult) -> DecompositionResult:
     """Split the group as (zero-entropy part U) x (free positive-entropy
-    part).  U's order, its finiteness and its relation lattice over the
-    input generators are exact for finite and infinite U alike
-    (``_u_structure``); an infinite U at maximal rank r = k-1 raises."""
-    r = analysis.rank
-    u_words, free_words = analysis.u_words, analysis.free_words
+    part), along the words of ``analysis``.  U's order, its finiteness and
+    its relation lattice over the input generators are exact for finite and
+    infinite U alike (``_u_structure``); an infinite U at maximal rank
+    r = k-1 raises."""
+    u_words = analysis.u_words
     for w in u_words:
         if not verify_zero_entropy_word(spec, w):
             raise ExactAlgebraError("kernel saturation produced a word "
                                     "with positive entropy")
     u_order, lattice = _u_structure(spec, u_words)
-    if r == spec.k - 1 and u_order is None:
+    if analysis.rank == spec.k - 1 and u_order is None:
         raise AssertionError(
             "THEOREM VIOLATION: infinite zero-entropy part at maximal rank")
-    return DecompositionResult(r, free_words, u_words, u_order is not None,
-                               u_order, lattice)
+    return DecompositionResult(u_order, lattice)
 
 
 # ---------------------------------------------------------------------------
@@ -414,23 +398,19 @@ def decompose(spec: GroupSpec, analysis: PiRankResult) -> DecompositionResult:
 class GroupAnalysis:
     spec: GroupSpec
     commuting: CommutingReport
-    classifications: list
-    table: CharacterTable | None = None
-    rank: PiRankResult | None = None
-    structure: StructureReport | None = None
+    rank: PiRankResult | None = None   # with the character table
+    binomial_bounds: list | None = None
     decomposition: DecompositionResult | None = None
 
 
 def analyze_group(spec: GroupSpec) -> GroupAnalysis:
-    """Full pipeline: commutativity, per-generator classification,
-    characters, rank, structural assertions, and the U x free split."""
+    """Full pipeline: commutativity, characters, rank, structural
+    assertions, and the U x free split."""
     comm = check_commuting(spec)
-    classes = [classify(g) for g in spec.generators]
-    out = GroupAnalysis(spec, comm, classes)
+    out = GroupAnalysis(spec, comm)
     if not comm.commutes:
         return out
-    out.table = find_characters(spec)
-    out.rank = pi_rank(spec, out.table)
-    out.structure = assert_structure_theorems(spec, out.rank)
+    out.rank = pi_rank(spec, find_characters(spec))
+    out.binomial_bounds = assert_structure_theorems(spec, out.rank)
     out.decomposition = decompose(spec, out.rank)
     return out

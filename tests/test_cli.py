@@ -20,8 +20,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from toraldyn import (characters, cohomology, exact_algebra,
                       group_structure, hodge_riemann, integer_model)
 from toraldyn.cli import (EXIT_INVALID, EXIT_OK, EXIT_VIOLATION, MAX_DIGITS,
-                          MAX_SAMPLES, _approx_str, build_analysis_report,
-                          load_group_argument, main)
+                          MAX_ENUMERATE_DIM, MAX_SAMPLES, _approx_str,
+                          build_analysis_report, load_group_argument, main)
 from toraldyn.integer_model import _CATALOG, catalog_group
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -187,6 +187,19 @@ def test_analyze_non_commuting_exits_3(tmp_path, capsys):
     assert code == EXIT_INVALID
     assert "commute" in err
     assert _json_of(out)["non_commuting_witness"] == ["0", "1"]
+
+
+def test_structure_violation_exits_2_with_no_report(monkeypatch, capsys):
+    # every check of assert_structure_theorems raises on a violation, so no
+    # report can carry a failed status: the report's statuses are constants
+    def violation(spec, analysis):
+        raise AssertionError("THEOREM VIOLATION: rank 2 exceeds k-1 = 1")
+
+    monkeypatch.setattr(group_structure, "assert_structure_theorems",
+                        violation)
+    code, out, err = _run(capsys, "analyze", "cat_T2")
+    assert code == EXIT_VIOLATION and out == ""
+    assert "THEOREM VIOLATION" in err
 
 
 def test_analyze_unknown_name_exits_3(capsys):
@@ -527,6 +540,53 @@ def test_enumerate_budget_refusal(capsys):
     assert code == EXIT_INVALID and "budget" in err
 
 
+_IDENTITY_ENUMERATION = """{
+  "count": "1",
+  "distinct_d1": [
+    {
+      "approx": "1.00000000000000",
+      "approx_is_approximation": true,
+      "interval": [
+        "1/1",
+        "1/1"
+      ],
+      "min_poly": [
+        "1",
+        "-1"
+      ]
+    }
+  ],
+  "entry_bound": "0",
+  "gap_statement": "all automorphisms in the search box have zero entropy \
+(d1 = 1)",
+  "k": "%d",
+  "kind": "degree_enumeration",
+  "tool": "toraldyn 0.1.0"
+}
+"""
+
+
+def test_enumerate_bound_0_is_the_identity_alone(capsys):
+    # the box is the zero matrix, so the one d1 is the identity's, from the
+    # closed form (x - 1)^k of its charpoly
+    for k in range(1, 41):
+        code, out, _ = _run(capsys, "enumerate", "--dim", str(k), "--bound",
+                            "0")
+        assert code == EXIT_OK and out == _IDENTITY_ENUMERATION % k, k
+
+
+def test_enumerate_at_the_dim_cap_runs_cold_in_under_2s():
+    argv = ["enumerate", "--dim", str(MAX_ENUMERATE_DIM), "--bound", "0"]
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "toraldyn.cli", *argv],
+                          capture_output=True, env=_src_env(), text=True,
+                          timeout=60)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert _json_of(proc.stdout)["k"] == str(MAX_ENUMERATE_DIM)
+    assert elapsed < 2, f"ran in {elapsed:.2f}s"
+
+
 # x^3001 - 2: a box this size is refused before the field is factored
 DEGREE_3001_POLY = "1," + "0," * 3000 + "-2"
 
@@ -703,12 +763,14 @@ _CAT_ROWS = [[["2", "0"], ["1", "0"]], [["1", "0"], ["1", "0"]]]
     (None, ["enumerate", "--dim", "4", "--bound", "9"]),
     ({"kind": "number_field", "min_poly": ["1", "-1", "-2", "1"],
       "coeff_bound": 1000}, None),
+    (None, ["enumerate", "--dim", str(MAX_ENUMERATE_DIM + 1), "--bound",
+            "0"]),
 ], ids=["list_spec", "string_generators", "non_object_generator",
         "empty_matrix", "short_matrix_after_a_valid_one",
         "non_integer_entry_after_a_valid_one", "hodge_check_dim_7",
         "enumerate_dim_0", "negative_precision", "unknown_builtin",
         "forge_bound_0", "forge_box_over_budget", "enumerate_over_budget",
-        "spec_box_over_budget"])
+        "spec_box_over_budget", "enumerate_dim_over_cap"])
 def test_refusal_loads_no_sympy(tmp_path, spec, argv):
     if argv is None:
         path = tmp_path / "spec.json"
@@ -837,7 +899,12 @@ def _cheap_argv(draw, json_paths):
         dim, bound = draw(st.one_of(
             st.tuples(st.integers(1, 2), st.integers(0, 1)),
             # over the search budget: refused before the search
-            st.tuples(st.integers(4, 200), st.integers(1, 3))))
+            st.tuples(st.integers(4, 200), st.integers(1, 3)),
+            # a one-point box on either side of the --dim cap, refused
+            # before any import above it
+            st.tuples(st.one_of(st.integers(1, MAX_ENUMERATE_DIM),
+                                st.integers(MAX_ENUMERATE_DIM + 1, 10**6)),
+                      st.just(0))))
         return ["enumerate", "--dim", str(dim), "--bound", str(bound),
                 *precision, *out]
     if command == "hodge-check":

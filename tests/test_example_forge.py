@@ -217,7 +217,7 @@ def test_unit_search_cubic_two_independent_units():
     assert us.rank == 2
     assert "refuted exactly" in us.certificate
     # numeric independence double-check via 2x2 log minors
-    L = [[float(v) for v in row] for row in us.log_embeddings]
+    L = [[float(v) for v in _log_vector(CUBIC_FIELD, u)] for u in us.units]
     minor = L[0][0] * L[1][1] - L[0][1] * L[1][0]
     assert abs(minor) > 1e-9
 
@@ -276,7 +276,7 @@ def test_lll_reduce_units_is_unimodular(field, bound, monkeypatch):
     # the exponent block of the LLL rows has determinant +-1, so the reduced
     # units generate the group of the selected ones and stay independent;
     # each is the word of its row over the selected units
-    selected, rows = [], []
+    selected, selected_logs, rows = [], [], []
 
     def recording_lll(basis):
         reduced = lll_reduce(basis)
@@ -285,6 +285,7 @@ def test_lll_reduce_units_is_unimodular(field, bound, monkeypatch):
 
     def recording_reduce(f, units, logs):
         selected.extend(units)
+        selected_logs.extend(logs)
         return _lll_reduce_units(f, units, logs)
 
     monkeypatch.setattr(example_forge, "lll_reduce", recording_lll)
@@ -296,9 +297,13 @@ def test_lll_reduce_units_is_unimodular(field, bound, monkeypatch):
     assert Matrix(exponents).det() in (1, -1)
     spec = GroupSpec(tuple(regular_representation(u, field)
                            for u in selected))
-    for e, u, logs in zip(exponents, us.units, us.log_embeddings):
+    for e, u in zip(exponents, us.units):
         assert _element(word_automorphism(spec, e)) == u
-        assert logs == _log_vector(field, u)
+        # the logs of a product are the sums of its factors' logs
+        logs = [sum(c * row[j] for c, row in zip(e, selected_logs))
+                for j in range(field.degree)]
+        assert all(abs(a - b) < Fraction(1, 10 ** (_LOG_DIGITS - 10))
+                   for a, b in zip(_log_vector(field, u), logs))
 
 
 def test_dependent_units_are_a_forge_error(monkeypatch, capsys):
@@ -308,7 +313,7 @@ def test_dependent_units_are_a_forge_error(monkeypatch, capsys):
     u = (0, 1, 0)
     pair = (u, _element(regular_representation(u, CUBIC_FIELD).power(2)))
     monkeypatch.setattr(example_forge, "unit_search",
-                        lambda field, bound: UnitSystem(field, pair, ()))
+                        lambda field, bound: UnitSystem(field, pair))
     with pytest.raises(ForgeError, match=r"multiplicatively dependent: "
                        r"relation \[2, -1\] verified exactly"):
         build_max_rank_group(CUBIC_FIELD, 4)
@@ -367,7 +372,7 @@ def test_entropy_matches_embedding_formula():
 def test_build_max_rank_pell():
     forged = build_max_rank_group(SQRT2_FIELD, 3)
     assert forged.analysis.rank.rank == 1
-    assert forged.analysis.structure.rank_bound_ok
+    assert forged.analysis.binomial_bounds == [(1, 1, 4, 3)]
 
 
 # Shanks' simplest cubics x^3 - a x^2 - (a + 3) x - 1 (Shanks, Math. Comp.
@@ -383,7 +388,7 @@ def _shanks_field(a):
 
 
 def _assert_entropies_match_embeddings(forged, field):
-    for g, u in zip(forged.group.generators, forged.units.units):
+    for g, u in zip(forged.analysis.spec.generators, forged.units.units):
         lo, hi = degree_profile(g).entropy.enclosure(Fraction(1, 2 * 10**40))
         assert hi - lo <= Fraction(1, 10**40)
         with mpmath.workdps(60):
@@ -403,7 +408,7 @@ def test_shanks_simplest_cubics_reach_rank_k_minus_1():
         field = _shanks_field(a)
         forged = build_max_rank_group(field, 1)
         assert forged.analysis.rank.rank == 2
-        assert forged.analysis.decomposition.u_finite is True
+        assert forged.analysis.decomposition.u_order == 1
         _assert_entropies_match_embeddings(forged, field)
         # the roots of the a -> -a - 3 cubic are the 1/rho: the same field
         moved = build_max_rank_group(_shanks_field(-a - 3), 1)
@@ -425,7 +430,7 @@ def test_gras_simplest_quartics_reach_rank_k_minus_1(capsys):
         field = _gras_field(a)
         forged = build_max_rank_group(field, bound)
         assert forged.analysis.rank.rank == 3, a
-        assert forged.analysis.decomposition.u_finite is True, a
+        assert forged.analysis.decomposition.u_order == 1, a
         if a > 0:
             _assert_entropies_match_embeddings(forged, field)
     # the forge's ceiling: the a = 4 units of height 3 leave the box of

@@ -18,7 +18,7 @@ from toraldyn.exact_algebra import RealRoot, exact_equal
 from toraldyn.cohomology import (
     CohomClass, TorusAutomorphism, dynamical_degree, is_nef, pullback)
 from toraldyn.integer_model import (_CATALOG, IntegerLattice, catalog_group,
-                                    hermite_normal_form_rows)
+                                    classify, hermite_normal_form_rows)
 from toraldyn.group_structure import (
     DegenerateSpectrumError, GroupSpec, analyze_group,
     assert_structure_theorems, check_commuting, decompose,
@@ -29,14 +29,12 @@ from oracles import reduces_to_zero
 from statements import check_theorem_4_6, eigenclass
 
 PELL_MATRIX = [[1, 2], [1, 1]]
-PELL = GroupSpec.from_matrices([PELL_MATRIX], ("pell",))
-PELL_PAIR = GroupSpec.from_matrices(
-    [[[1, 2], [1, 1]], [[-1, 2], [1, -1]]], ("pell", "pell_inv"))
+PELL = GroupSpec.from_matrices([PELL_MATRIX])
+PELL_PAIR = GroupSpec.from_matrices([[[1, 2], [1, 1]], [[-1, 2], [1, -1]]])
 PELL_TORSION = GroupSpec.from_matrices(
-    [[[1, 2], [1, 1]], (I * eye(2)).tolist()], ("pell", "i"))
-PARABOLIC = GroupSpec.from_matrices(
-    [[[1, 1], [0, 1]], [[1, I], [0, 1]]], ("s1", "si"))
-IDENTITY = GroupSpec.from_matrices([eye(2).tolist()], ("id",))
+    [[[1, 2], [1, 1]], (I * eye(2)).tolist()])
+PARABOLIC = GroupSpec.from_matrices([[[1, 1], [0, 1]], [[1, I], [0, 1]]])
+IDENTITY = GroupSpec.from_matrices([eye(2).tolist()])
 
 
 def test_pell_inverse_sanity():
@@ -288,11 +286,28 @@ def test_pi_is_additive_on_words():
 
 def test_structure_pell():
     res = pi_rank(PELL, find_characters(PELL))
-    rep = assert_structure_theorems(PELL, res)
-    assert rep.rank == 1 and rep.rank_bound_ok
-    assert rep.binomial_bounds == [(1, 1, 4, 3, True)]
-    assert rep.wedge_chain_length == 2 and rep.wedge_chain_ok
-    assert rep.positive_entropy_certified
+    assert assert_structure_theorems(PELL, res) == [(1, 1, 4, 3)]
+    assert res.rank == 1 and res.rank + 1 == 2
+
+
+def test_structure_rank_above_k_minus_1_is_a_violation():
+    # a rank r = k: the free part of Pell still has positive entropy, so
+    # the rank bound is the check that fails
+    res = dataclasses.replace(pi_rank(PELL, find_characters(PELL)), rank=2)
+    with pytest.raises(AssertionError,
+                       match="THEOREM VIOLATION: rank 2 exceeds k-1 = 1"):
+        assert_structure_theorems(PELL, res)
+
+
+def test_structure_zero_entropy_free_word_is_a_violation():
+    # the shear of parabolic_T2 has zero entropy, so it cannot be a word of
+    # the free part
+    spec = catalog_group("parabolic_T2")
+    res = dataclasses.replace(pi_rank(spec, find_characters(spec)),
+                              free_words=[[1, 0]])
+    with pytest.raises(AssertionError, match="THEOREM VIOLATION: complement "
+                                             "word with zero entropy"):
+        assert_structure_theorems(spec, res)
 
 
 def test_structure_dependent_eigenvectors_have_no_wedge_chain():
@@ -323,16 +338,15 @@ def test_structure_chain_skips_repeated_tuples(blocks, leading_repeat):
     (_, first), (_, second) = res.table.eigenvectors[:2]
     assert all(exact_equal(a, b)
                for a, b in zip(first, second)) == leading_repeat
-    rep = assert_structure_theorems(spec, res)
-    assert rep.rank == 1
-    assert rep.wedge_chain_length == 2 and rep.wedge_chain_ok
+    k = spec.k
+    assert assert_structure_theorems(spec, res) == [(1, 1, k * k, k * k - 1)]
+    assert res.rank == 1 and res.rank + 1 == 2
 
 
 def test_structure_identity_group():
     res = pi_rank(IDENTITY, find_characters(IDENTITY))
-    rep = assert_structure_theorems(IDENTITY, res)
-    assert rep.rank == 0 and rep.rank_bound_ok
-    assert rep.binomial_bounds == []
+    assert assert_structure_theorems(IDENTITY, res) == []
+    assert res.rank == 0
 
 
 # ---------------------------------------------------------------------------
@@ -340,24 +354,26 @@ def test_structure_identity_group():
 # ---------------------------------------------------------------------------
 
 def test_decompose_pell_plus_torsion():
-    dec = decompose(PELL_TORSION,
-                    pi_rank(PELL_TORSION, find_characters(PELL_TORSION)))
-    assert dec.rank == 1
-    assert dec.u_finite and dec.u_order == 4
-    assert dec.free_words == [[1, 0]]
-    assert dec.u_words == [[0, 1]]
+    res = pi_rank(PELL_TORSION, find_characters(PELL_TORSION))
+    dec = decompose(PELL_TORSION, res)
+    assert res.rank == 1
+    assert dec.u_order == 4
+    assert res.free_words == [[1, 0]]
+    assert res.u_words == [[0, 1]]
 
 
 def test_decompose_parabolic_whole_group_is_u():
-    dec = decompose(PARABOLIC, pi_rank(PARABOLIC, find_characters(PARABOLIC)))
-    assert dec.rank == 0 and dec.free_words == []
-    assert not dec.u_finite
-    assert Matrix(dec.u_words).rank() == 2
+    res = pi_rank(PARABOLIC, find_characters(PARABOLIC))
+    dec = decompose(PARABOLIC, res)
+    assert res.rank == 0 and res.free_words == []
+    assert dec.u_order is None
+    assert Matrix(res.u_words).rank() == 2
 
 
 def test_decompose_single_generator():
-    dec = decompose(PELL, pi_rank(PELL, find_characters(PELL)))
-    assert dec.rank == 1 and dec.free_words == [[1]] and dec.u_words == []
+    res = pi_rank(PELL, find_characters(PELL))
+    decompose(PELL, res)
+    assert res.rank == 1 and res.free_words == [[1]] and res.u_words == []
 
 
 def test_decompose_merge_reconstructs_group():
@@ -374,10 +390,11 @@ def test_decompose_merge_reconstructs_group():
                  GroupSpec.from_matrices([pell ** 2, pell ** 3, I * eye(2)]),
                  GroupSpec.from_matrices([cat_1 ** 2, cat_1 ** 3,
                                           cat_1 ** 5])):
-        dec = decompose(spec, pi_rank(spec, find_characters(spec)))
-        assert len(dec.u_words) == spec.n - dec.rank
-        rows = [list(w) for w in dec.u_words] + \
-            [list(w) for w in dec.free_words]
+        res = pi_rank(spec, find_characters(spec))
+        decompose(spec, res)
+        assert len(res.u_words) == spec.n - res.rank
+        rows = [list(w) for w in res.u_words] + \
+            [list(w) for w in res.free_words]
         M = Matrix(rows)
         assert M.rows == spec.n and abs(M.det()) == 1
 
@@ -396,8 +413,9 @@ SHEAR = Matrix([[1, 1], [0, 1]])
 ], ids=["P_P5", "iP_P6"])
 def test_relation_lattice_of_infinite_u(mats, basis):
     spec = GroupSpec.from_matrices([M.tolist() for M in mats])
-    dec = decompose(spec, pi_rank(spec, find_characters(spec)))
-    assert dec.rank == 0 and not dec.u_finite and dec.u_order is None
+    res = pi_rank(spec, find_characters(spec))
+    dec = decompose(spec, res)
+    assert res.rank == 0 and dec.u_order is None
     assert dec.relation_lattice.basis == basis
 
 
@@ -523,8 +541,8 @@ def test_theorem_4_6_non_invariant_vacuous():
 def test_analyze_group_pipeline():
     out = analyze_group(PELL_TORSION)
     assert out.commuting.commutes
-    assert out.classifications == ["positive_entropy",
-                                   "finite_order_on_cohomology"]
+    assert [classify(g) for g in out.spec.generators] == [
+        "positive_entropy", "finite_order_on_cohomology"]
     assert out.rank.rank == 1
     assert out.decomposition.u_order == 4
 
@@ -533,4 +551,4 @@ def test_analyze_group_stops_on_non_commuting():
     bad = GroupSpec.from_matrices([[[2, 1], [1, 1]], [[1, 1], [0, 1]]])
     out = analyze_group(bad)
     assert not out.commuting.commutes
-    assert out.table is None and out.rank is None
+    assert out.rank is None and out.binomial_bounds is None

@@ -22,8 +22,8 @@ PELL = Matrix([[1, 2], [1, 1]])
 
 
 def _invariants(spec):
-    dec = analyze_group(spec).decomposition
-    return dec.rank, dec.u_finite, dec.u_order
+    out = analyze_group(spec)
+    return out.rank.rank, out.decomposition.u_order
 
 
 @pytest.mark.parametrize("original, moved", [
@@ -56,7 +56,7 @@ def test_shear_power_extra_moves_relation_lattice():
     start = time.perf_counter()
     spec = catalog_group("parabolic_T2")
     moved = GroupSpec(spec.generators + (spec.generators[0].power(5),))
-    assert _invariants(moved) == _invariants(spec) == (0, False, None)
+    assert _invariants(moved) == _invariants(spec) == (0, None)
     assert (analyze_group(moved).decomposition.relation_lattice.basis
             == ((5, 0, -1),))
     assert time.perf_counter() - start < 10
@@ -93,8 +93,8 @@ def test_conjugation_keeps_invariants(original, corner):
     assert _invariants(moved) == _invariants(spec)
     assert (after.decomposition.relation_lattice.basis
             == before.decomposition.relation_lattice.basis)
-    assert after.table.semisimple == before.table.semisimple
+    assert after.rank.table.semisimple == before.rank.table.semisimple
     assert _same_multiplier_multiset(
-        [c.multipliers for c in after.table.characters],
-        [c.multipliers for c in before.table.characters])
+        [c.multipliers for c in after.rank.table.characters],
+        [c.multipliers for c in before.rank.table.characters])
     assert time.perf_counter() - start < 10
