@@ -4,16 +4,18 @@ Classes of bidegree (p,p) are stored exactly over the monomial basis
 dz_S ^ dzbar_T (S, T ascending p-subsets of {0..k-1}).  Sign convention,
 used everywhere: a basis monomial is dz_{s1}..dz_{sp} dzbar_{t1}..dzbar_{tp}
 with both blocks ascending and the dz block first; products are reordered
-to this shape by counting transpositions.  The integer model of an
-automorphism (its pairs, compounds, ``H^{1,1}`` action and the decisions on
-them) lives in ``integer_model``; the names this module uses or that are
-timed as its layer are imported here.
+to this shape by counting transpositions.  Nef and Kahler are decided for
+classes with Gaussian-rational entries, on integers; any other class is
+refused.  The integer model of an automorphism (its pairs, compounds,
+``H^{1,1}`` action and the decisions on them) lives in ``integer_model``;
+the names this module uses or that are timed as its layer are imported
+here.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
+from fractions import Fraction
 from functools import lru_cache
 
 import sympy as sp
@@ -33,7 +35,8 @@ from . import ExactAlgebraError
 from .integer_model import (TorusAutomorphism, _subsets, classify, compound,
                             degree_profile, gaussian_charpoly, gaussian_det,
                             h11_matrix, hermitian_real_form, integer_charpoly,
-                            symmetric_definiteness, times_conjugate)
+                            is_cyclotomic_product, symmetric_definiteness,
+                            times_conjugate)
 
 
 def _gaussian(z):
@@ -272,27 +275,20 @@ def pullback(f: TorusAutomorphism, c: CohomClass) -> CohomClass:
 
 
 def _definiteness(c: CohomClass, test: str):
-    """Exact (psd, pd) of the Hermitian form of a (1,1)-class; a class that
-    is not real is neither.  A form with real entries is decided as it
-    stands, a Gaussian-rational one on its integer ``hermitian_real_form``;
-    any other entry raises ``ExactAlgebraError``."""
+    """Exact (psd, pd) of the Hermitian form of a (1,1)-class, decided on the
+    integer ``hermitian_real_form`` of its Gaussian-rational entries; a class
+    that is not real is neither.  Any other entry raises
+    ``ExactAlgebraError``."""
     if c.p != 1:
         raise ValueError(f"{test} test implemented for (1,1)-classes")
-    H = c.to_hermitian()
-    if H.has(I):
-        pairs = [[sp.expand(v).as_real_imag() for v in row]
-                 for row in H.tolist()]
-        decidable = all(x.is_Rational for row in pairs for z in row for x in z)
-        rows = hermitian_real_form(pairs)
-    else:
-        decidable = all(r.is_real for r in H.atoms(sp.CRootOf))
-        rows = H.tolist()
-    if not decidable:
-        raise ExactAlgebraError(f"the {test} test decides classes with real "
-                                "or Gaussian-rational entries only")
+    pairs = [[sp.expand(v).as_real_imag() for v in row]
+             for row in c.to_hermitian().tolist()]
+    if not all(x.is_Rational for row in pairs for z in row for x in z):
+        raise ExactAlgebraError(f"the {test} test decides classes with "
+                                "Gaussian-rational entries only")
     if not c.is_real():
         return False, False
-    return symmetric_definiteness(rows)[:2]
+    return symmetric_definiteness(hermitian_real_form(pairs))[:2]
 
 
 def is_nef(c: CohomClass) -> bool:
@@ -315,19 +311,22 @@ def enumerate_degree_values(k: int, entry_bound: int):
     The caller bounds the box: ``k >= 1``, ``entry_bound >= 0`` and the
     (2B+1)^(k^2) matrices within the CLI's search budget.
     """
-    # the identity automorphism exists at every bound: (x - 1)^k
-    charpolys = {tuple((-1) ** i * math.comb(k, i) for i in range(k + 1))}
+    charpolys = set()
     for entries in itertools.product(range(-entry_bound, entry_bound + 1),
                                      repeat=k * k):
         rows = [[(v, 0) for v in entries[i * k:(i + 1) * k]]
                 for i in range(k)]
         if gaussian_det(rows) == (1, 0):
             charpolys.add(integer_charpoly(rows))
-    values = []
+    # the identity automorphism exists at every bound, and (Kronecker) d1 = 1
+    # exactly for a cyclotomic product
+    values = [Fraction(1)]
     for p in sorted(charpolys):
+        if is_cyclotomic_product(p):
+            continue
         mods = root_moduli(Poly(p, X))
         d1 = CertifiedReal(sp.expand(mods[0][0].expr ** 2))
-        if not any(exact_equal(d1.expr, v.expr) for v in values):
+        if not any(exact_equal(d1, v) for v in values):
             values.append(d1)
     values.sort(key=float)
     return values

@@ -173,21 +173,12 @@ def unit_search(field: NumberFieldSpec, coeff_bound: int) -> UnitSystem:
     k = field.degree
     target = k - 1
     candidates = []
-    seen = set()
-    for coeffs in itertools.product(range(-coeff_bound, coeff_bound + 1),
-                                    repeat=k):
-        canon = coeffs
-        for c in coeffs:
-            if c:
-                if c < 0:
-                    canon = tuple(-v for v in coeffs)  # -u has the same logs
-                break
-        if canon in seen:
-            continue
-        seen.add(canon)
-        if abs(field.norm(canon)) != 1:
-            continue
-        candidates.append(canon)
+    for u in itertools.product(range(-coeff_bound, coeff_bound + 1),
+                               repeat=k):
+        # -u has the same logs: keep the sign class whose first nonzero
+        # coefficient is positive, which also drops the zero vector
+        if next((c for c in u if c), 0) > 0 and abs(field.norm(u)) == 1:
+            candidates.append(u)
     candidates.sort(key=lambda u: (max(abs(c) for c in u), u))
     selected, gens, logs = [], [], []
     for u in candidates:

@@ -160,15 +160,15 @@ def primitive_functional_fractions(contexts, k: int):
 
 
 def _kernel_of_functional(ell):
-    """``(basis, degenerate)``: integer vectors spanning the kernel of a
-    rational functional; the unit vectors, and True, when it vanishes."""
+    """Integer vectors spanning the kernel of a rational functional; None
+    when it vanishes."""
     n = len(ell)
     den = math.lcm(*(v.denominator for v in ell))
     ints = [int(v * den) for v in ell]
     g = math.gcd(*ints)
     piv = next((i for i, v in enumerate(ints) if v != 0), None)
     if piv is None:
-        return [[int(i == j) for j in range(n)] for i in range(n)], True
+        return None
     ell = [v // g for v in ints]
     basis = []
     for i in range(n):
@@ -179,7 +179,7 @@ def _kernel_of_functional(ell):
         v[i] = ell[piv]
         v[piv] = -ell[i]
         basis.append(v)
-    return basis, False
+    return basis
 
 
 def restrict_symmetric(G, vectors):
@@ -227,8 +227,8 @@ def _primitive_q_definiteness(mats, k: int):
     mixed-minor pass: the functional -q(., c_{k-1}) is read off the Gram
     matrix, and both are positive multiples of the true ones."""
     G, _ = _q_gram(mats[:-1], k)
-    basis, degenerate = _kernel_of_functional(_functional(G, mats[-1])[0])
-    if degenerate:
+    basis = _kernel_of_functional(_functional(G, mats[-1])[0])
+    if basis is None:
         return None
     return symmetric_definiteness(restrict_symmetric(G, basis))
 

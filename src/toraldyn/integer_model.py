@@ -7,13 +7,11 @@ mpmath: the determinant, the compounds and the action on H^{1,1}, the
 characteristic polynomial, zero entropy (Kronecker: a product of cyclotomic
 polynomials), the multiplicative order and the classification, the dynamical
 degrees of a zero-entropy automorphism, definiteness of a real symmetric
-matrix and of the integer real form of a Hermitian one over Q(i) (whose
-real algebraic branch alone reaches sympy, for the signs and zeros of
-``exact_algebra``'s integer kernel), the Hermite and LLL lattice
-reductions, and the builtin catalog.  So a family
-whose generators all have zero entropy is analyzed on integers alone; only a
-positive-entropy generator reaches the certified algebraic reals of
-``cohomology`` and ``exact_algebra``.
+matrix of rationals and of the integer real form of a Hermitian one over
+Q(i), the Hermite and LLL lattice reductions, and the builtin catalog.  So
+a family whose generators all have zero entropy is analyzed on integers
+alone; only a positive-entropy generator reaches the certified algebraic
+reals of ``cohomology`` and ``exact_algebra``.
 """
 
 from __future__ import annotations
@@ -267,18 +265,6 @@ class GroupSpec:
 # Hermitian forms: exact definiteness and the integer Hermitian basis
 
 
-def _integer_rows(M):
-    """``(rows, scale)``: the matrix times the lcm ``scale`` of its
-    denominators, as Python ints, when every entry is rational (an int, a
-    Fraction or a sympy Rational, which sympy registers as
-    ``numbers.Rational``); None otherwise."""
-    if not all(isinstance(v, numbers.Rational) for row in M for v in row):
-        return None
-    scale = math.lcm(*(v.denominator for row in M for v in row))
-    return [[v.numerator * (scale // v.denominator) for v in row]
-            for row in M], scale
-
-
 def hermitian_real_form(pairs) -> list:
     """The real symmetric form [[Re, -Im], [Im, Re]] of a Hermitian matrix
     given as rows of ``(re, im)`` pairs: x^H M x for x = p + iq is the form
@@ -289,33 +275,26 @@ def hermitian_real_form(pairs) -> list:
 
 def symmetric_definiteness(M):
     """Exact ``(psd, pd, witness)`` of a real symmetric matrix given as rows
-    of ints, Fractions or real algebraic sympy numbers, by pivoted LDL^T
-    elimination; a Hermitian matrix over Q(i) is decided on its
-    ``hermitian_real_form``.
+    of rationals (any ``numbers.Rational``: ints, Fractions), by pivoted
+    LDL^T elimination; a Hermitian matrix over Q(i) is decided on its
+    ``hermitian_real_form``.  Any other entry raises ``ExactAlgebraError``.
 
     ``witness`` is a vector v with v^T M v < 0 when M is not psd, else None.
 
-    The update is fraction-free (Bareiss 1968): with pivot d, entry (i, j)
-    becomes d M_ij - M_i,piv M_piv,j, a positive multiple of the Schur
-    complement.  Rational rows (ints, Fractions and sympy Rationals) are
-    scaled to integers once and each update is divided exactly by the
-    previous pivot: an entry is then the minor of the scaled matrix over
-    the pivots so far and that entry, and the Schur-complement entry is the
-    integer over ``scale * prev``.  Real algebraic rows keep the undivided
-    updates, polynomials in their atoms, whose signs and zeros the integer
-    kernel decides (``exact_sign``, ``exact_is_zero``); their witness is
-    scaled by the pivots rather than divided by them.
+    The rows are scaled to integers once, and the update is fraction-free
+    (Bareiss 1968): with pivot d, entry (i, j) becomes (d M_ij - M_i,piv
+    M_piv,j) / prev, divided exactly by the previous pivot.  An entry is
+    then the minor of the scaled matrix over the pivots so far and that
+    entry, a positive multiple of the Schur complement, and the
+    Schur-complement entry is the integer over ``scale * prev``.
     """
     n = len(M)
-    ints = _integer_rows(M)
-    if ints is None:
-        from sympy import expand
-        from .exact_algebra import exact_is_zero as is_zero
-        from .exact_algebra import exact_sign as sign
-        work, scale = [list(r) for r in M], None
-    else:
-        (work, scale), sign, is_zero = (ints, lambda v: (v > 0) - (v < 0),
-                                        lambda v: v == 0)
+    if not all(isinstance(v, numbers.Rational) for row in M for v in row):
+        raise ExactAlgebraError("definiteness is decided on rational rows "
+                                "only")
+    scale = math.lcm(*(v.denominator for row in M for v in row))
+    work = [[v.numerator * (scale // v.denominator) for v in row]
+            for row in M]
     prev = 1
     active = list(range(n))
     # each step replaces the basis vector e_i of every remaining index i by
@@ -324,32 +303,24 @@ def symmetric_definiteness(M):
 
     def lift(w):
         """Original coordinates of a vector given over the active indices;
-        the multiplier of index i at a step is f_i = M_i,piv / M_piv,piv.
-        An algebraic vector is multiplied by the pivot instead."""
+        the multiplier of index i at a step is f_i = M_i,piv / M_piv,piv."""
         v = dict(w)
         for piv, d, col in reversed(steps):
-            if scale is None:
-                top = -sum(a * v.get(i, 0) for i, a in col.items())
-                v = {i: expand(d * x) for i, x in v.items()}
-                v[piv] = expand(top)
-            else:
-                v[piv] = -sum(Fraction(a, d) * v.get(i, 0)
-                              for i, a in col.items())
+            v[piv] = -sum(Fraction(a, d) * v.get(i, 0)
+                          for i, a in col.items())
         return [v.get(i, 0) for i in range(n)]
 
     while active:
-        signs = {i: sign(work[i][i]) for i in active}
-        neg = next((i for i in active if signs[i] < 0), None)
+        neg = next((i for i in active if work[i][i] < 0), None)
         if neg is not None:
             return False, False, lift({neg: 1})
-        piv = next((i for i in active if signs[i] > 0), None)
+        piv = next((i for i in active if work[i][i] > 0), None)
         if piv is None:
             # zero diagonal: psd iff all remaining entries vanish; otherwise
             # v = e_i - c M_ji e_j has v^T M v = -2 c M_ij^2 < 0 for c > 0
             for i, j in itertools.combinations(active, 2):
-                if not is_zero(work[j][i]):
-                    c = work[j][i] if scale is None else Fraction(
-                        work[j][i], scale * prev)
+                if work[j][i]:
+                    c = Fraction(work[j][i], scale * prev)
                     return False, False, lift({i: 1, j: -c})
             return True, False, None
         d = work[piv][piv]
@@ -361,10 +332,8 @@ def symmetric_definiteness(M):
         for x, i in enumerate(active):
             wi, a = work[i], work[i][piv]
             for j in active[x:]:
-                v = d * wi[j] - a * row[j]
-                wi[j] = work[j][i] = expand(v) if scale is None else v // prev
-        if scale is not None:
-            prev = d
+                wi[j] = work[j][i] = (d * wi[j] - a * row[j]) // prev
+        prev = d
         steps.append((piv, d, col))
     return True, True, None
 

@@ -12,6 +12,7 @@ from sympy import ZZ, Matrix
 from sympy.polys.densearith import dup_mul, dup_rem
 from sympy.polys.matrices import DomainMatrix
 
+from toraldyn import ExactAlgebraError
 from toraldyn.exact_algebra import (X, CertifiedReal, _irreducible_factors,
                                     root_moduli)
 from toraldyn.cohomology import _pair_matrix
@@ -30,6 +31,17 @@ def hermitian_basis(k: int):
             E[i, j] = re + im * sp.I
         basis.append(sp.ImmutableMatrix(E))
     return tuple(basis)
+
+
+def is_nef_by_sympy(cls) -> bool:
+    """Whether a (1,1)-class is nef, decided by sympy on its Hermitian
+    matrix: the reference for classes with real algebraic entries, which
+    the library's ``is_nef`` refuses.  Raises when sympy cannot decide."""
+    psd = cls.to_hermitian().is_positive_semidefinite
+    if psd is None:
+        raise ExactAlgebraError("sympy leaves the nefness of the class "
+                                "undecided")
+    return psd
 
 
 def hpp_matrix(f, p: int) -> Matrix:

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import sympy as sp
 
+from toraldyn import ExactAlgebraError
 from toraldyn.cohomology import (CohomClass, TorusAutomorphism, is_nef,
                                  pullback, wedge, wedge_all)
 from toraldyn.exact_algebra import (_LOG_DIGITS, exact_equal, exact_is_zero,
@@ -28,7 +29,7 @@ from toraldyn.hodge_riemann import (FuzzReport, PositivityReport,
                                     _primitive_q_definiteness, gromov_fuzz,
                                     hodge_riemann_definite)
 
-from oracles import hermitian_basis
+from oracles import hermitian_basis, is_nef_by_sympy
 
 # ---------------------------------------------------------------------------
 # classes as Gaussian-rational (re, im) matrices
@@ -44,6 +45,15 @@ def _to_frac_pair(v):
 def gmat_from_class(c: CohomClass):
     rows = c.to_hermitian().tolist()
     return [[_to_frac_pair(v) for v in row] for row in rows]
+
+
+def _nef(c: CohomClass) -> bool:
+    """``is_nef`` on a Gaussian-rational class; sympy decides a class with
+    real algebraic entries, which ``is_nef`` refuses."""
+    try:
+        return is_nef(c)
+    except ExactAlgebraError:
+        return is_nef_by_sympy(c)
 
 
 def eigenclass(character) -> CohomClass:
@@ -84,7 +94,7 @@ def check_gromov_semipositive(context, samples: int = 0,
     context = list(context)
     k = context[0].k
     for c in context:
-        if not is_nef(c):
+        if not _nef(c):
             raise ValueError("context classes must be nef")
     mats = [gmat_from_class(c) for c in context]
     decided = _primitive_q_definiteness(mats, k)
@@ -111,7 +121,7 @@ class ColinearityResult:
 
 def colinearity_witness(c: CohomClass, cprime: CohomClass) -> ColinearityResult:
     """For nef c, c': either c ^ c' != 0 or the two classes are colinear."""
-    if not (is_nef(c) and is_nef(cprime)):
+    if not (_nef(c) and _nef(cprime)):
         raise ValueError("colinearity dichotomy requires nef classes")
     w = wedge(c, cprime)
     if not w.is_zero():
@@ -173,7 +183,7 @@ def solve_ab_pair(c: CohomClass, cprime: CohomClass, context) -> SolveABResult:
     if len(context) > k - 2:
         raise ValueError("context may have at most k-2 classes")
     for cl in (c, cprime, *context):
-        if not is_nef(cl):
+        if not _nef(cl):
             raise ValueError("all classes must be nef")
     hyp = wedge_all([c, cprime, *context])
     if not hyp.is_zero():
@@ -213,7 +223,7 @@ def lemma_4_3_check(g: TorusAutomorphism, c: CohomClass, cprime: CohomClass,
     """
     context = list(context)
     for cl in (c, cprime, *context):
-        if not is_nef(cl):
+        if not _nef(cl):
             return Lemma43Result("vacuous", "non-nef input class")
     if exact_is_zero(sp.expand(sp.sympify(lam) - sp.sympify(lam_prime))):
         return Lemma43Result("vacuous", "lambda == lambda'")
@@ -276,7 +286,7 @@ def check_theorem_4_6(spec: GroupSpec, classes) -> Theorem46Report:
         raise ValueError("exactly k-1 classes required")
     multipliers = []       # multipliers[i][j] for class i, generator j
     for c in classes:
-        if c.is_zero() or not is_nef(c):
+        if c.is_zero() or not _nef(c):
             return Theorem46Report("vacuous", reason="class not nef/nonzero",
                                    witness=c)
         row = []

@@ -14,8 +14,7 @@ import mpmath
 import sympy as sp
 from sympy import Matrix
 
-from toraldyn.exact_algebra import (X, charpoly, exact_is_zero, exact_sign,
-                                    real_root)
+from toraldyn.exact_algebra import X, charpoly, exact_is_zero, real_root
 from toraldyn.cohomology import (CohomClass, classify, dynamical_degree,
                                  entropy, enumerate_degree_values,
                                  h11_matrix, intersection_number)
@@ -220,7 +219,7 @@ def test_criterion_8_degree_discreteness():
     def body():
         values = enumerate_degree_values(2, 2)
         assert len(values) < 50, "value set not finite at desk scale"
-        positive = [v for v in values if exact_sign(v.expr - 1) > 0]
+        positive = [v for v in values if real_root(v).compare(1) > 0]
         vmin = positive[0]
         target = sp.expand(((3 + sp.sqrt(5)) / 2) ** 2)
         assert exact_is_zero(sp.expand(vmin.expr - target)), \

@@ -368,8 +368,8 @@ def test_exact_is_zero_only_decides_the_printed_d1(monkeypatch, capsys,
         callers[name] = callers.get(name, 0) + 1
         return real(expr)
 
-    # cohomology and characters bind exact_is_zero at import;
-    # symmetric_definiteness reads it from exact_algebra at call time
+    # cohomology and characters bind exact_is_zero at import; a call
+    # through the exact_algebra module reads it there at call time
     for module in (exact_algebra, cohomology, characters):
         monkeypatch.setattr(module, "exact_is_zero", exact_is_zero)
     code, _, err = _run(capsys, *argv)
@@ -738,6 +738,19 @@ def test_hodge_check_loads_no_sympy(k):
     argv = ["hodge-check", "--dim", str(k), "--samples", "20", "--seed", "7"]
     code = f"from toraldyn.cli import main\nassert main({argv!r}) == 0"
     assert _numeric_modules_after(code) == "[]"
+
+
+def test_definiteness_refuses_an_irrational_entry_before_any_import():
+    code = ("from toraldyn import ExactAlgebraError\n"
+            "from toraldyn.integer_model import symmetric_definiteness\n"
+            "try:\n"
+            "    symmetric_definiteness([[1.5]])\n"
+            "except ExactAlgebraError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise SystemExit('1.5 was not refused')")
+    assert (_modules_after(code, ("sympy", "mpmath", "toraldyn"))
+            == "['toraldyn', 'toraldyn.integer_model']")
 
 
 _CAT_ROWS = [[["2", "0"], ["1", "0"]], [["1", "0"], ["1", "0"]]]

@@ -8,7 +8,7 @@ import pytest
 import sympy as sp
 from sympy import I, Matrix, eye
 
-from toraldyn import integer_model
+from toraldyn import cohomology, integer_model
 from toraldyn.integer_model import _CATALOG, catalog_group, h11_charpoly
 from toraldyn.exact_algebra import charpoly, exact_equal, exact_is_zero
 from toraldyn.cohomology import (
@@ -389,4 +389,14 @@ def test_wedge_all_volume_calibration():
 def test_enumerate_bound_zero_and_one():
     for bound in (0, 1):
         vals = enumerate_degree_values(2, bound)
-        assert len(vals) == 1 and exact_equal(vals[0].expr, 1)
+        assert len(vals) == 1 and exact_equal(vals[0], 1)
+
+
+def test_enumerate_decides_zero_entropy_on_integers(monkeypatch):
+    # Kronecker: a cyclotomic product has d1 = 1, so its moduli are not taken
+    def refuse(p):
+        raise AssertionError(f"root_moduli of a cyclotomic product {p}")
+
+    monkeypatch.setattr(cohomology, "root_moduli", refuse)
+    vals = enumerate_degree_values(200, 0)
+    assert len(vals) == 1 and exact_equal(vals[0], 1)

@@ -222,6 +222,21 @@ def test_unit_search_cubic_two_independent_units():
     assert abs(minor) > 1e-9
 
 
+def test_unit_search_visits_each_sign_class_once(monkeypatch):
+    # u and -u have the same logs: only the points whose first nonzero
+    # coefficient is positive are tested, so not the zero vector either
+    calls, norm = [], NumberFieldSpec.norm
+
+    def counted(field, u):
+        calls.append(tuple(u))
+        return norm(field, u)
+
+    monkeypatch.setattr(NumberFieldSpec, "norm", counted)
+    unit_search(CUBIC_FIELD, 2)
+    assert len(calls) == (5 ** 3 - 1) // 2
+    assert all(next(c for c in u if c) > 0 for u in calls)
+
+
 def test_unit_search_quartic_three_independent_units():
     # its 10^40-scaled log lattice defeats an LLL rounding through float
     us = build_max_rank_group(QUARTIC_FIELD, 2).units

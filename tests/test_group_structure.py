@@ -25,7 +25,7 @@ from toraldyn.group_structure import (
     _log_value, _u_structure, find_characters, pi_rank,
     verify_zero_entropy_word, word_automorphism)
 
-from oracles import reduces_to_zero
+from oracles import is_nef_by_sympy, reduces_to_zero
 from statements import check_theorem_4_6, eigenclass
 
 PELL_MATRIX = [[1, 2], [1, 1]]
@@ -93,21 +93,21 @@ SL3_NONREAL = GroupSpec.from_matrices([[[1, -1, -1], [0, 1, -1], [1, -1, 0]]])
 def _check_eigenclass(spec, ch) -> bool:
     """Assert that a character's eigenclass is a nonzero nef class with the
     character's multipliers; True when its eigenvector is non-real.  A real
-    eigenclass is decided by ``is_nef`` and ``is_zero``.  A non-real one is
-    w w^H with w != 0 (a nonzero rational coordinate), so nonzero and nef
-    by construction (v^H w w^H v = |w^H v|^2); ``is_nef`` refuses its
-    entries at once."""
+    eigenclass is decided by sympy (``is_nef_by_sympy``) and ``is_zero``.
+    A non-real one is w w^H with w != 0 (a nonzero rational coordinate), so
+    nonzero and nef by construction (v^H w w^H v = |w^H v|^2).  ``is_nef``
+    decides Gaussian-rational classes only and refuses either at once."""
     cls, w = eigenclass(ch), ch.eigenvector
     real = all(x.is_real for x in w)
     if real:
-        assert is_nef(cls) and not cls.is_zero()
+        assert is_nef_by_sympy(cls) and not cls.is_zero()
     else:
         assert cls.to_hermitian() == w * w.H
         assert any(x.is_Rational and x != 0 for x in w)
-        start = time.perf_counter()
-        with pytest.raises(ExactAlgebraError):
-            is_nef(cls)
-        assert time.perf_counter() - start < 1
+    start = time.perf_counter()
+    with pytest.raises(ExactAlgebraError):
+        is_nef(cls)
+    assert time.perf_counter() - start < 1
     for g, msq in zip(spec.generators, ch.modulus_squared):
         assert reduces_to_zero(pullback(g, cls) - cls.scale(msq))
     return not real

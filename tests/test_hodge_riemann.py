@@ -8,10 +8,12 @@ import pytest
 import sympy as sp
 from sympy import I, Matrix, eye
 
+from toraldyn import ExactAlgebraError
 from toraldyn.exact_algebra import exact_sign
 from toraldyn.integer_model import hermitian_real_form
 from toraldyn.cohomology import (CohomClass, TorusAutomorphism,
-                                 intersection_number, wedge, wedge_all)
+                                 intersection_number, is_kahler, is_nef, wedge,
+                                 wedge_all)
 from toraldyn import hodge_riemann
 from toraldyn.hodge_riemann import (
     _kernel_of_functional, gromov_fuzz, hodge_riemann_definite,
@@ -53,7 +55,8 @@ def _is_symmetric(G):
 
 
 def _primitive_basis(context):
-    """(basis, degenerate) of the kernel of c -> c ^ c_1 ^ ... ^ c_{k-1}."""
+    """Basis of the kernel of c -> c ^ c_1 ^ ... ^ c_{k-1}; None when the
+    functional vanishes."""
     k = context[0].k
     return _kernel_of_functional(primitive_functional_fractions(
         [gmat_from_class(c) for c in context], k))
@@ -149,8 +152,7 @@ def test_non_rational_context_is_value_error():
 # ---------------------------------------------------------------------------
 
 def test_primitive_space_identity_is_trace_zero():
-    vectors, degenerate = _primitive_basis([IDENT2])
-    assert not degenerate
+    vectors = _primitive_basis([IDENT2])
     assert len(vectors) == 3
     basis = hermitian_basis(2)
     for vec in vectors:
@@ -160,9 +162,7 @@ def test_primitive_space_identity_is_trace_zero():
 
 
 def test_primitive_space_degenerate_context():
-    vectors, degenerate = _primitive_basis([CohomClass.zero(2, 1)])
-    assert degenerate
-    assert len(vectors) == 4
+    assert _primitive_basis([CohomClass.zero(2, 1)]) is None
 
 
 def test_primitive_space_generic_rank_ones():
@@ -171,8 +171,8 @@ def test_primitive_space_generic_rank_ones():
               Matrix([j + 1 if i == (j + 1) % k else 0 for i in range(k)])
               for j in range(k - 1)]
         ctx = [CohomClass.from_hermitian(v * v.T) for v in vs]
-        vectors, degenerate = _primitive_basis(ctx)
-        if not degenerate:
+        vectors = _primitive_basis(ctx)
+        if vectors is not None:
             assert len(vectors) == k * k - 1
 
 
@@ -291,14 +291,27 @@ def test_gromov_semipositive_with_inline_fuzz():
 # ---------------------------------------------------------------------------
 
 S2 = sp.sqrt(2)
-# symmetric matrices over Q(sqrt 2) with known (psd, pd); the pivots of the
-# last two are algebraic numbers
+# symmetric matrices over Q(sqrt 2) with known (psd, pd), which sympy
+# decides and the library refuses
 QUADRATIC_FIELD_CASES = [
     ([[1, S2], [S2, 1]], (False, False)),                       # det -1
     ([[S2, 1], [1, S2 / 2]], (True, False)),                    # det 0
     ([[1 + S2, 1, 0], [1, S2, 1], [0, 1, 2]], (True, True)),    # minors 1 + sqrt 2
     ([[1 + S2, 1, 0], [1, S2, 1], [0, 1, S2 - 1]], (False, False)),  # det -sqrt 2
 ]
+
+
+@pytest.mark.parametrize("rows, expected", QUADRATIC_FIELD_CASES,
+                         ids=["det_minus_1", "singular", "definite",
+                              "det_minus_sqrt2"])
+def test_real_algebraic_rows_are_refused(rows, expected):
+    M = Matrix(rows)
+    assert (M.is_positive_semidefinite, M.is_positive_definite) == expected
+    c = CohomClass.from_hermitian(M)
+    for decide in (lambda: symmetric_definiteness(rows),
+                   lambda: is_nef(c), lambda: is_kahler(c)):
+        with pytest.raises(ExactAlgebraError):
+            decide()
 
 
 def _pairs(M):
@@ -333,7 +346,6 @@ def test_symmetric_definiteness_oracle():
     # zero diagonal, nonzero off-diagonal
     cases.append((hermitian_real_form(_pairs(Matrix([[0, I], [-I, 0]]))),
                   (False, False)))
-    cases += QUADRATIC_FIELD_CASES
     for rows, expected in cases:
         psd, pd, witness = symmetric_definiteness(rows)
         assert (psd, pd) == expected
