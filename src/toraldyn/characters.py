@@ -143,7 +143,7 @@ def _factor_eigensystem(B, p: sp.Poly, mats):
         if fpoly.degree() == 1:
             roots = [(-c[1] / c[0], moduli(-c[1] / c[0]))]
         elif has_nonreal_root(gaussian_coeffs(fpoly)):
-            roots = [(theta, [RealRoot(msq, *iso) for msq, iso
+            roots = [(theta, [RealRoot(*iso, expr=msq) for msq, iso
                               in zip(moduli(theta), isolated)])
                      for theta, isolated in modulus_squared_roots(
                          gaussian_coeffs(fpoly),

@@ -243,19 +243,20 @@ def _isolate(poly) -> list:
     return sorted(out)
 
 
-class RealRoot(CertifiedReal):
+class RealRoot:
     """A real algebraic number decided by integer arithmetic alone: the
     unique root of an irreducible primitive integer polynomial (positive
-    leading coefficient) in a rational isolating interval.  ``expr`` is the
-    same number as a sympy value; it is never evaluated here.
+    leading coefficient) in a rational isolating interval.  ``expr``, when
+    given, is the same number as a sympy value, a label for printing only;
+    it is never evaluated here.
 
     Enclosures are nodes of the bisection tree of the isolating interval the
     number was created with, so ``enclosure(eps)`` depends only on the
     number and ``eps``, never on how far earlier calls refined it."""
 
-    def __init__(self, expr, poly, lo: Fraction, hi: Fraction):
-        super().__init__(expr)
+    def __init__(self, poly, lo: Fraction, hi: Fraction, expr=None):
         self.poly = tuple(poly)
+        self.expr = expr
         self._root_interval = (lo, hi)      # the bisection tree's root
         self._lo, self._hi = lo, hi
         if lo != hi:
@@ -264,8 +265,7 @@ class RealRoot(CertifiedReal):
     @classmethod
     def rational(cls, q) -> "RealRoot":
         q = Fraction(q)
-        return cls(Rational(q.numerator, q.denominator),
-                   (q.denominator, -q.numerator), q, q)
+        return cls((q.denominator, -q.numerator), q, q)
 
     @property
     def is_rational(self) -> bool:
@@ -278,8 +278,8 @@ class RealRoot(CertifiedReal):
         else:
             self._hi = mid
 
-    def enclosure(self, eps=None) -> tuple[Fraction, Fraction]:
-        eps = Fraction(eps) if eps is not None else self._eps
+    def enclosure(self, eps) -> tuple[Fraction, Fraction]:
+        eps = Fraction(eps)
         if self.is_rational:
             return self._lo, self._hi
         lo0, hi0 = self._root_interval
@@ -325,8 +325,6 @@ class RealRoot(CertifiedReal):
                 return True
             self._bisect()
 
-    __hash__ = None
-
     def log(self) -> Fraction:
         """log of a positive value to ``_LOG_DIGITS`` digits: an
         approximation for lattice reduction, not a decision."""
@@ -340,7 +338,7 @@ def real_root(v) -> RealRoot:
     kernel's representation, decided by integer arithmetic alone."""
     if isinstance(v, Fraction):
         return RealRoot.rational(v)
-    if isinstance(v, CertifiedReal) and not isinstance(v, RealRoot):
+    if isinstance(v, CertifiedReal):
         v = v.expr
     root = _kernel_root(v)
     if root is None:
@@ -413,8 +411,8 @@ def _composed(f, g, add: bool) -> tuple:
     return _from_power_sums(sums)
 
 
-def _pick(expr, annihilator, image, *args) -> RealRoot:
-    """The root of ``annihilator`` that ``expr`` is: the one root of its
+def _pick(annihilator, image, *args) -> RealRoot:
+    """A value as a root of its ``annihilator``: the one root of its
     irreducible factors in ``image(prec, *boxes)``, an interval that holds
     the value, computed from enclosures of width 2^-prec of the RealRoots
     ``args``; prec rises until only one root is left in it."""
@@ -424,9 +422,8 @@ def _pick(expr, annihilator, image, *args) -> RealRoot:
     def attempt(prec):
         boxes = [a.enclosure(Fraction(1, 2**prec)) for a in args]
         found = _root_in(factors, sturm, *image(prec, *boxes))
-        return found and RealRoot(expr, *found)
+        return found and RealRoot(*found)
 
-    # no str(expr) here: printing a sum of CRootOfs evaluates them
     return _at_rising_precision(attempt, "a minimal polynomial")
 
 
@@ -439,7 +436,7 @@ def _product_image(_, a, b) -> tuple:
     return min(products), max(products)
 
 
-def _power(expr, a: RealRoot, k: int) -> RealRoot:
+def _power(a: RealRoot, k: int) -> RealRoot:
     """a^k for an integer k >= 1: the power sums of the roots of a^k are
     every k-th power sum of the roots of a."""
     if k == 1:
@@ -452,10 +449,10 @@ def _power(expr, a: RealRoot, k: int) -> RealRoot:
         return min(lo**k, hi**k), max(lo**k, hi**k)
 
     sums = _power_sums(a.poly, (len(a.poly) - 1) * k + 1)[k::k]
-    return _pick(expr, _from_power_sums(sums), image, a)
+    return _pick(_from_power_sums(sums), image, a)
 
 
-def _sqrt(expr, a: RealRoot):
+def _sqrt(a: RealRoot):
     """sqrt(a), a root of a.poly(y^2); None unless a >= 0."""
     sign = a.compare(0)
     if sign <= 0:
@@ -464,7 +461,7 @@ def _sqrt(expr, a: RealRoot):
     stretched[::2] = a.poly
     image = lambda prec, box: (_sqrt_down(max(box[0], Fraction(0)), prec + 8),
                                _sqrt_up(box[1], prec + 8))
-    return _pick(expr, stretched, image, a)
+    return _pick(stretched, image, a)
 
 
 def _kernel_root(v):
@@ -486,25 +483,21 @@ def _kernel_root(v):
         # roots first, ascending
         poly = _normalized(v.poly.all_coeffs())
         real = _isolate(poly)
-        return RealRoot(v, poly, *real[v.index]) if v.index < len(real) else None
+        return RealRoot(poly, *real[v.index]) if v.index < len(real) else None
     if v.is_Add or v.is_Mul:
         roots = [_kernel_root(t) for t in v.args]
         if any(r is None for r in roots):
             return None
         acc = roots[0]
         image = _sum_image if v.is_Add else _product_image
-        for i, b in enumerate(roots[1:], 2):
-            expr = v if i == len(roots) else v.func(*v.args[:i],
-                                                    evaluate=False)
-            acc = _pick(expr, _composed(acc.poly, b.poly, v.is_Add), image,
-                        acc, b)
+        for b in roots[1:]:
+            acc = _pick(_composed(acc.poly, b.poly, v.is_Add), image, acc, b)
         return acc
     if v.is_Pow and v.exp.is_Rational and v.exp > 0 and v.exp.q in (1, 2):
         base = _kernel_root(v.base)
         if base is not None and v.exp.q == 2:
-            # unevaluated: sympy would ask whether the base is negative
-            base = _sqrt(sp.Pow(v.base, sp.S.Half, evaluate=False), base)
-        return base and _power(v, base, int(v.exp.p))
+            base = _sqrt(base)
+        return base and _power(base, int(v.exp.p))
     return None
 
 

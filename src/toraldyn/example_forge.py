@@ -92,11 +92,12 @@ class UnitSystem:
 
     The one independence test of the forge is the rank of pi's verified
     kernel (``verified_kernel``): every relation prod u_i**e_i = +-1 that
-    LLL proposes is refuted by the exact zero-entropy test of its word,
+    ``integer_relations`` proposes from the units' log vectors over the
+    real embeddings is refuted by the exact zero-entropy test of its word,
     since by Kronecker a unit of a totally real field with all
     |sigma_j(u)| = 1 is +-1.  ``unit_search`` selects the units with it,
-    and :func:`build_max_rank_group` certifies them with it again through
-    ``pi_rank``.
+    ``_lll_reduce_units`` reduces them on the same lattice, and
+    :func:`build_max_rank_group` certifies them again through ``pi_rank``.
     """
     field: NumberFieldSpec
     units: tuple                # ascending power-basis coefficient tuples
@@ -113,7 +114,7 @@ def _embedding_roots(coeffs) -> tuple:
     of its minimal polynomial; they carry no sympy value, as only their
     enclosures are read.  ``NumberFieldSpec`` counts them to decide that
     the field is totally real, so the forge reuses that isolation."""
-    return tuple(RealRoot(None, coeffs, lo, hi) for lo, hi in _isolate(coeffs))
+    return tuple(RealRoot(coeffs, lo, hi) for lo, hi in _isolate(coeffs))
 
 
 def _interval_value(u, lo: Fraction, hi: Fraction):
@@ -165,7 +166,7 @@ def unit_search(field: NumberFieldSpec, coeff_bound: int) -> UnitSystem:
     |a_i| <= coeff_bound, followed by LLL reduction of the log-embedding
     lattice.  A unit u is kept when ``verified_kernel`` certifies no word
     over the regular representations of the units kept so far and u, with
-    the units' logs over the embeddings as its rows: the rank of pi is the
+    each unit's logs over the embeddings as its vector: the rank of pi is the
     one independence test, and it rejects the torsion units +-1 as well.
     The caller bounds the box: the CLI refuses one of more points than its
     search budget.
@@ -185,7 +186,7 @@ def unit_search(field: NumberFieldSpec, coeff_bound: int) -> UnitSystem:
         if len(selected) == target:
             break
         g, lv = regular_representation(u, field), _log_vector(field, u)
-        if not verified_kernel(GroupSpec(tuple(gens + [g])), zip(*logs, lv)):
+        if not verified_kernel(GroupSpec(tuple(gens + [g])), logs + [lv]):
             selected.append(u)
             gens.append(g)
             logs.append(lv)

@@ -148,42 +148,19 @@ class PiRankResult:
     free_words: list           # words completing it to a basis of Z^n
 
 
-def _kernel_candidates(n: int, log_rows):
-    """Iterative lattice refinement: uncertified HNF rows of LLL candidates
-    for the kernel of the map Z^n -> R^m whose coordinates ``log_rows``
-    yields lazily, each as n values (log|multiplier| per generator)."""
-    basis = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for taus in log_rows:
-        vals = [sum(b[j] * taus[j] for j in range(n)) for b in basis]
-        cands = integer_relations(vals)
-        new = []
-        for cand in cands:
-            vec = [sum(cb * b[j] for cb, b in zip(cand, basis))
-                   for j in range(n)]
-            if any(vec):
-                new.append(vec)
-        basis = [row for row in hermite_normal_form_rows(new)[0]
-                 if any(row)] if new else []
-        if not basis:
-            break
-    return basis
-
-
-def verified_kernel(spec: GroupSpec, log_rows) -> list:
+def verified_kernel(spec: GroupSpec, log_vectors) -> list:
     """The kernel words of pi over the generators of ``spec`` that are
-    certified: the LLL candidates of ``_kernel_candidates`` for the log rows
-    (each n values, one per generator) whose word has exactly zero
-    entropy."""
-    return [v for v in _kernel_candidates(spec.n, log_rows)
-            if verify_zero_entropy_word(spec, v)]
+    certified: the candidates of ``integer_relations`` for the log vectors
+    (one per generator) whose word has exactly zero entropy."""
+    return [e for e in integer_relations(log_vectors)
+            if verify_zero_entropy_word(spec, e)]
 
 
 def _log_value(m):
     """log |mu|^2 to _LOG_DIGITS digits from the kernel's enclosure, as a
-    Fraction; exactly 0 when |mu|^2 == 1."""
+    Fraction; exactly 0 when |mu|^2 == 1, whose enclosure is (1, 1)."""
     from .exact_algebra import real_root
-    m = real_root(m)
-    return 0 if m == 1 else m.log()
+    return real_root(m).log()
 
 
 def pi_rank(spec: GroupSpec, table: CharacterTable) -> PiRankResult:
@@ -193,10 +170,12 @@ def pi_rank(spec: GroupSpec, table: CharacterTable) -> PiRankResult:
     by the exact zero-entropy certificate, so the reported kernel is sound.
     """
     n = spec.n
-    verified = verified_kernel(spec, ([_log_value(m) for m in c.multipliers]
-                                      for c in table.characters))
-    basis = [tuple(row) for row in hermite_normal_form_rows(verified)[0]
-             if any(row)] if verified else []
+    verified = verified_kernel(spec, [
+        [_log_value(c.multipliers[j]) for c in table.characters]
+        for j in range(n)])
+    # the verified words are rows of an LLL basis, so independent: their
+    # Hermite form has no zero row
+    basis = [tuple(row) for row in hermite_normal_form_rows(verified)[0]]
     kernel = IntegerLattice(n, tuple(basis))
     return PiRankResult(n - len(basis), kernel, table,
                         *_kernel_split(n, kernel.basis))

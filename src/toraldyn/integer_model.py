@@ -746,31 +746,29 @@ def _relation_rows(vectors) -> list:
             for i, v in enumerate(vectors)]
 
 
-def integer_relations(values):
-    """Candidate integer relations e with |e_i| <= 10^4 and
-    |sum e_i v_i| < 10^-12, for exact rational approximations v_i
-    (Fractions or ints) of real values.
+def integer_relations(vectors):
+    """Candidate integer relations among real vectors, one per generator
+    (Fractions or ints): the rows e of one LLL reduction (delta = 0.99) of
+    the lattice ``_relation_rows(vectors)`` with every |e_i| <= 10^4 and,
+    in every coordinate, |sum e_i v_i| <= 10^-12 plus the rounding slack
+    sum |e_i| / (2 10^40) of the scaled entries (Cohen, GTM 138, section
+    2.7).  Each is signed so that its first nonzero entry is positive.
 
-    Candidates come from LLL (delta = 0.99) on the scaled-value lattice and
-    are NOT certified; callers must verify each candidate exactly.
+    The candidates are NOT certified; callers must verify each exactly.
     """
-    n = len(values)
-    if n == 0:
-        return []
-    red = lll_reduce(_relation_rows([[v] for v in values]))
+    n = len(vectors)
     cands = []
-    for row in red:
+    for row in lll_reduce(_relation_rows(vectors)):
         e = row[:n]
-        if not any(e) or max(abs(v) for v in e) > 10**4:
+        # a lattice vector with e = 0 is 0, so no LLL row has e = 0
+        if max(map(abs, e)) > 10**4:
             continue
-        resid = abs(sum(ei * v for ei, v in zip(e, values)))
-        # allow for the rounding error of the scaled entries
-        slack = Fraction(sum(abs(v) for v in e), 2 * _RELATION_SCALE)
-        if resid <= Fraction(1, 10**12) + slack:
-            if e[next(i for i, v in enumerate(e) if v)] < 0:
-                e = [-v for v in e]
-            if e not in cands:
-                cands.append(e)
+        bound = Fraction(1, 10**12) + Fraction(sum(map(abs, e)),
+                                               2 * _RELATION_SCALE)
+        if all(abs(sum(ei * v for ei, v in zip(e, coord))) <= bound
+               for coord in zip(*vectors)):
+            cands.append(e if e[next(i for i, v in enumerate(e) if v)] > 0
+                         else [-v for v in e])
     return cands
 
 

@@ -20,11 +20,10 @@ from toraldyn.cohomology import (CohomClass, TorusAutomorphism, is_nef,
                                  pullback, wedge, wedge_all)
 from toraldyn.exact_algebra import (_LOG_DIGITS, exact_equal, exact_is_zero,
                                     exact_sign)
-from toraldyn.group_structure import (GroupSpec, _kernel_candidates,
-                                      check_commuting,
+from toraldyn.group_structure import (GroupSpec, check_commuting,
                                       verify_zero_entropy_word,
                                       word_automorphism)
-from toraldyn.integer_model import _identity
+from toraldyn.integer_model import _identity, integer_relations
 from toraldyn.hodge_riemann import (FuzzReport, PositivityReport,
                                     _primitive_q_definiteness, gromov_fuzz,
                                     hodge_riemann_definite)
@@ -300,10 +299,10 @@ def check_theorem_4_6(spec: GroupSpec, classes) -> Theorem46Report:
     if wedge_all(classes).is_zero():
         return Theorem46Report("vacuous", reason="context wedge is zero")
     # rank of the induced pi, with exact multiplicative verification
-    log_rows = ([0 if exact_equal(lam, 1) else Fraction(sp.Rational(
-                    sp.log(sp.Abs(lam)).evalf(_LOG_DIGITS))) for lam in row]
-                for row in multipliers)
-    verified = [e for e in _kernel_candidates(n, log_rows)
+    log_columns = [[0 if exact_equal(row[j], 1) else Fraction(sp.Rational(
+                        sp.log(sp.Abs(row[j])).evalf(_LOG_DIGITS)))
+                    for row in multipliers] for j in range(n)]
+    verified = [e for e in integer_relations(log_columns)
                 if all(_trivial_multiplier(row, e) for row in multipliers)]
     # the hypothesis "zero entropy => identity", decided on ker(pi), where
     # every zero-entropy element lies: a non-identity element there refutes

@@ -616,13 +616,14 @@ def _digits60(expr) -> Fraction:
 
 
 def test_relation_ln2_ln4():
-    cands = integer_relations([_digits60(sp.log(2)), _digits60(sp.log(4))])
+    cands = integer_relations([[_digits60(sp.log(2))],
+                               [_digits60(sp.log(4))]])
     assert [2, -1] in cands
 
 
 def test_relation_tau_minus_tau():
     t = _digits60(sp.log(1 + sp.sqrt(2)))
-    cands = integer_relations([t, -t])
+    cands = integer_relations([[t], [-t]])
     assert [1, 1] in cands
 
 
@@ -630,12 +631,14 @@ def test_relation_lll_failure_is_exact_algebra_error():
     # at the 10^40 scale of (t, 2t) an LLL that rounds mu_kj through float
     # breaks its own size reduction; the integral one finds the relation
     t = sp.log((7 + 3 * sp.sqrt(5)) / 2)
-    assert integer_relations([_digits60(t), _digits60(2 * t)]) == [[2, -1]]
+    assert integer_relations([[_digits60(t)],
+                              [_digits60(2 * t)]]) == [[2, -1]]
 
 
 def test_no_relation_ln2_ln3():
     # at the fixed tolerance 10^-12
-    cands = integer_relations([_digits60(sp.log(2)), _digits60(sp.log(3))])
+    cands = integer_relations([[_digits60(sp.log(2))],
+                               [_digits60(sp.log(3))]])
     # oracle: exhaustive search over |e_i| <= 50 finds no relation
     l2, l3 = math.log(2), math.log(3)
     for a in range(-50, 51):
@@ -645,6 +648,15 @@ def test_no_relation_ln2_ln3():
     for e in cands:
         assert max(abs(v) for v in e) > 50 or \
             abs(e[0] * l2 + e[1] * l3) > 1e-12
+
+
+def test_relations_hold_in_every_coordinate():
+    # one LLL over both coordinates: each coordinate alone admits a
+    # 2-dimensional relation lattice, the three vectors together one line
+    a, b = _digits60(sp.log(2)), _digits60(sp.log(3))
+    assert integer_relations([[a, 0], [0, b], [a, b]]) == [[1, 1, -1]]
+    # (1, -1) holds in the first coordinate only
+    assert integer_relations([[a, 0], [a, b]]) == []
 
 
 def _gram_schmidt(rows):

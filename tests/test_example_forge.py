@@ -247,10 +247,10 @@ def test_unit_search_quartic_three_independent_units():
 
 def _unit_kernel(field, units):
     """The verified kernel over the regular representations of ``units``,
-    with their logs over the embeddings as rows, as ``unit_search`` asks
-    it."""
+    with each unit's logs over the embeddings as its vector, as
+    ``unit_search`` asks it."""
     spec = GroupSpec(tuple(regular_representation(u, field) for u in units))
-    return verified_kernel(spec, zip(*(_log_vector(field, u) for u in units)))
+    return verified_kernel(spec, [_log_vector(field, u) for u in units])
 
 
 def test_verified_kernel_decides_unit_independence():
@@ -271,8 +271,8 @@ def test_quartic_search_rejects_its_one_dependent_candidate(monkeypatch):
     # is verified, and no other candidate of the box is rejected
     asked = []
 
-    def recording(spec, log_rows):
-        kernel = verified_kernel(spec, log_rows)
+    def recording(spec, log_vectors):
+        kernel = verified_kernel(spec, log_vectors)
         asked.append(([_element(g) for g in spec.generators], kernel))
         return kernel
 

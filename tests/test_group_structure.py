@@ -13,7 +13,7 @@ import pytest
 import sympy as sp
 from sympy import I, Matrix, eye
 
-from toraldyn import ExactAlgebraError
+from toraldyn import ExactAlgebraError, integer_model
 from toraldyn.exact_algebra import RealRoot, exact_equal
 from toraldyn.cohomology import (
     CohomClass, TorusAutomorphism, dynamical_degree, is_nef, pullback)
@@ -265,6 +265,22 @@ def test_pi_rank_parabolic():
     res = pi_rank(PARABOLIC, table)
     assert res.rank == 0
     assert Matrix([list(v) for v in res.kernel.basis]).rank() == 2
+
+
+def test_pi_rank_reduces_one_lattice(monkeypatch):
+    # one relation search over every character at once: pell_plus_torsion
+    # has two characters, and pi_rank runs one LLL for both
+    spec = catalog_group("pell_plus_torsion")
+    table = find_characters(spec)
+    calls, lll_reduce = [], integer_model.lll_reduce
+
+    def counting(rows):
+        calls.append(rows)
+        return lll_reduce(rows)
+
+    monkeypatch.setattr(integer_model, "lll_reduce", counting)
+    assert table.m == 2 and pi_rank(spec, table).rank == 1
+    assert len(calls) == 1
 
 
 def test_pi_is_additive_on_words():

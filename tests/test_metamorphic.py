@@ -7,18 +7,22 @@ Time budget: each case runs in-process in about 1 s (budget 10 s).  The
 `square_extra` cases add g_1^2 as an extra generator: its log row is twice
 g_1's, a relation at the 10^40 scale of the LLL lattice.  The conjugation
 cases change the basis of the lattice Z[i]^k by an elementary matrix of
-GL(k, Z[i])."""
+GL(k, Z[i]).  The reversal cases reverse the order of the generators, which
+reverses every word of the kernel of pi."""
 
 import time
+from pathlib import Path
 
 import pytest
 from sympy import I, Matrix, eye
 
+from toraldyn.cli import load_group_argument
 from toraldyn.exact_algebra import exact_equal
-from toraldyn.integer_model import catalog_group
+from toraldyn.integer_model import catalog_group, hermite_normal_form_rows
 from toraldyn.group_structure import GroupSpec, analyze_group
 
 PELL = Matrix([[1, 2], [1, 1]])
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def _invariants(spec):
@@ -97,4 +101,25 @@ def test_conjugation_keeps_invariants(original, corner):
     assert _same_multiplier_multiset(
         [c.multipliers for c in after.rank.table.characters],
         [c.multipliers for c in before.rank.table.characters])
+    assert time.perf_counter() - start < 10
+
+
+@pytest.mark.parametrize("group", [
+    "cubic_T3", "pell_plus_torsion", "parabolic_T2",
+    *(str(DATA / f"{name}.json") for name in (
+        "pell2_pell3_i", "diag_cc_pair_T6", "seed41_pair_zero",
+        "parabolic_pow5_T2"))], ids=lambda group: Path(group).stem)
+def test_reversed_generators_reverse_the_kernel_of_pi(group):
+    # the one relation search over the generators' log vectors does not
+    # depend on their order: reversing them reverses every kernel word
+    start = time.perf_counter()
+    spec = load_group_argument(group)[0]
+    before = analyze_group(spec)
+    after = analyze_group(GroupSpec(spec.generators[::-1]))
+    reversed_kernel = hermite_normal_form_rows(
+        [row[::-1] for row in before.rank.kernel.basis])[0]
+    assert after.rank.kernel.basis == tuple(
+        tuple(row) for row in reversed_kernel if any(row))
+    assert after.rank.rank == before.rank.rank
+    assert after.decomposition.u_order == before.decomposition.u_order
     assert time.perf_counter() - start < 10
