@@ -21,16 +21,27 @@ irreducible and totally real, and whether its box holds enough units.
 ``analyze`` imports sympy only when a generator has positive entropy: a
 family of zero-entropy generators is decided on integers (``integer_model``)
 and printed on them (``_approx_str``).
+
+The process entry is ``run``: ``python -m toraldyn.cli`` and the
+``toraldyn`` console script call it.  It turns the cyclic GC off, calls
+``main``, flushes stdout and stderr and ends the process with
+``os._exit``.  A process that loaded sympy would otherwise spend about
+0.1 s tearing down its modules and a few hundredths of a second in GC
+passes over sympy's import-time objects; a request makes too little cyclic
+garbage for either to matter before the process ends.  ``main`` itself
+keeps normal GC and teardown, because its in-process callers (the tests,
+``perfbench/tracer.py``) go on running after it returns.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from . import ExactAlgebraError, __version__
 
@@ -372,15 +383,26 @@ def _emit(report: dict, json_out: str | None) -> None:
             raise CliInputError(f"cannot write report to {json_out}: "
                                 f"{exc.strerror or exc}") from exc
         text = f"report written to {json_out}"
+    _print(text, sys.stdout)
+
+
+def _print(text: str, stream) -> None:
+    """Print a line of the report or of a message to ``stream``; a reader
+    that has closed it loses the line, and the exit code still carries the
+    verdict."""
     try:
-        print(text)
-        sys.stdout.flush()
+        print(text, file=stream)
+        stream.flush()
     except BrokenPipeError:
-        # the reader closed stdout early; the exit code still carries the
-        # verdict, and the interpreter's exit flush must not raise again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        _drop_closed(stream)
+
+
+def _drop_closed(stream) -> None:
+    """Point a stream whose reader has gone at the null device, so that no
+    later write or the interpreter's exit flush raises again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +419,7 @@ def cmd_analyze(args) -> int:
         report["forged_from"] = _forged_json(forged)
     _emit(report, args.json)
     if not analysis.commuting.commutes:
-        print("generators do not commute; input rejected", file=sys.stderr)
+        _print("generators do not commute; input rejected", sys.stderr)
         return EXIT_INVALID
     return EXIT_OK
 
@@ -437,7 +459,7 @@ def cmd_hodge_check(args) -> int:
     _emit(report, args.json)
     if identity.passed and fuzz.passed:
         return EXIT_OK
-    print("THEOREM VIOLATION: positivity failure", file=sys.stderr)
+    _print("THEOREM VIOLATION: positivity failure", sys.stderr)
     return EXIT_VIOLATION
 
 
@@ -564,15 +586,30 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except CliInputError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
+        _print(f"invalid input: {exc}", sys.stderr)
         return EXIT_INVALID
     except ExactAlgebraError as exc:
-        print(f"unsupported input: {exc}", file=sys.stderr)
+        _print(f"unsupported input: {exc}", sys.stderr)
         return EXIT_INVALID
     except AssertionError as exc:
-        print(f"{exc}", file=sys.stderr)
+        _print(f"{exc}", sys.stderr)
         return EXIT_VIOLATION
 
 
+def run(argv=None) -> NoReturn:
+    """The process entry: ``main`` with the cyclic GC off, then the streams
+    flushed and ``os._exit`` with its code, skipping the interpreter's
+    teardown.  An exception that escapes ``main`` propagates and the
+    process ends as usual."""
+    gc.disable()
+    code = main(argv)
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except BrokenPipeError:
+            _drop_closed(stream)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -2,6 +2,7 @@
 
 import ast
 import copy
+import gc
 import json
 import math
 import os
@@ -17,11 +18,12 @@ import pytest
 import sympy
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from toraldyn import (characters, cohomology, exact_algebra,
+from toraldyn import (characters, cli, cohomology, exact_algebra,
                       group_structure, hodge_riemann, integer_model)
 from toraldyn.cli import (EXIT_INVALID, EXIT_OK, EXIT_VIOLATION, MAX_DIGITS,
                           MAX_ENUMERATE_DIM, MAX_SAMPLES, _approx_str,
-                          build_analysis_report, load_group_argument, main)
+                          build_analysis_report, load_group_argument, main,
+                          run)
 from toraldyn.integer_model import _CATALOG, catalog_group
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -329,6 +331,87 @@ def test_reader_closing_stdout_early_gets_an_exit_code():
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) in (EXIT_OK, EXIT_VIOLATION, EXIT_INVALID)
     assert "Traceback" not in err, err[-2000:]
+
+
+def _exit_code_to_gone_readers(argv, stdout_gone):
+    """The exit code of a cold CLI process whose stderr, and stdout when
+    ``stdout_gone``, is a pipe whose reader closed it before the start."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "toraldyn.cli", *argv],
+            stdout=write_end if stdout_gone else subprocess.DEVNULL,
+            stderr=write_end, env=_src_env(), timeout=60)
+    finally:
+        os.close(write_end)
+    return proc.returncode
+
+
+@pytest.mark.parametrize("argv, stdout_gone, code", [
+    (["analyze", "no_such_builtin"], False, EXIT_INVALID),
+    (["hodge-check", "--dim", "7"], False, EXIT_INVALID),
+    (["analyze", "pell_T2"], True, EXIT_OK),
+], ids=["unknown_builtin", "hodge_check_dim_7", "pell_T2_both_gone"])
+def test_reader_closing_stderr_keeps_the_exit_code(argv, stdout_gone, code):
+    # a refusal's message to a closed stderr is lost, not turned into a
+    # BrokenPipeError traceback that would exit 1
+    assert _exit_code_to_gone_readers(argv, stdout_gone) == code
+
+
+@pytest.fixture
+def exit_codes(monkeypatch):
+    """``run`` in-process: ``os._exit`` records its code instead of ending
+    the process, and the GC that ``run`` turns off is turned back on."""
+    codes = []
+    monkeypatch.setattr(os, "_exit", codes.append)
+    yield codes
+    gc.enable()
+
+
+def _raise(exc):
+    def command(args):
+        raise exc
+    return command
+
+
+@pytest.mark.parametrize("argv, command, code", [
+    (["analyze", "pell_T2"], None, EXIT_OK),
+    (["hodge-check", "--dim", "7"], None, EXIT_INVALID),
+    (["analyze", "pell_T2"], _raise(AssertionError("THEOREM VIOLATION")),
+     EXIT_VIOLATION),
+], ids=["ok", "invalid", "violation"])
+def test_run_exits_with_the_code_of_main(exit_codes, monkeypatch, capsys,
+                                         argv, command, code):
+    if command is not None:
+        monkeypatch.setattr(cli, "cmd_analyze", command)
+    run(argv)
+    assert exit_codes == [code]
+    assert not gc.isenabled()
+
+
+def test_run_prints_what_main_prints(exit_codes, capsys, tmp_path):
+    argv = ["analyze", "pell_plus_torsion"]
+    assert main(argv) == EXIT_OK
+    printed = capsys.readouterr()
+    run(argv)
+    assert capsys.readouterr() == printed
+    out = tmp_path / "report.json"
+    run([*argv, "--json", str(out)])
+    assert exit_codes == [EXIT_OK, EXIT_OK]
+    assert out.read_text() == printed.out
+
+
+def test_unexpected_error_escapes_run(exit_codes, monkeypatch):
+    monkeypatch.setattr(cli, "cmd_analyze", _raise(RuntimeError("boom")))
+    with pytest.raises(RuntimeError, match="boom"):
+        run(["analyze", "pell_T2"])
+    assert exit_codes == []
+
+
+def test_main_keeps_the_gc_on(capsys):
+    assert main(["analyze", "cat_T2"]) == EXIT_OK
+    assert gc.isenabled()
 
 
 def test_reports_do_not_call_sympy_minimal_polynomial(monkeypatch, capsys):

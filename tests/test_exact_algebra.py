@@ -627,7 +627,7 @@ def test_relation_tau_minus_tau():
     assert [1, 1] in cands
 
 
-def test_relation_lll_failure_is_exact_algebra_error():
+def test_integral_lll_finds_the_relation_of_t_and_2t():
     # at the 10^40 scale of (t, 2t) an LLL that rounds mu_kj through float
     # breaks its own size reduction; the integral one finds the relation
     t = sp.log((7 + 3 * sp.sqrt(5)) / 2)
