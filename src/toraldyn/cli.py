@@ -563,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--poly", required=True,
                     help="descending integer coefficients, e.g. 1,-1,-2,1")
     pf.add_argument("--bound", type=int, default=DEFAULT_COEFF_BOUND,
-                    help="unit search coefficient bound")
+                    help="unit search coefficient bound, a ceiling")
     pf.add_argument("--seed", type=int, default=0)
     pf.add_argument("--precision", type=int, default=DEFAULT_DIGITS,
                     metavar="DIGITS")

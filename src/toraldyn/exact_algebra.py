@@ -325,12 +325,6 @@ class RealRoot:
                 return True
             self._bisect()
 
-    def log(self) -> Fraction:
-        """log of a positive value to ``_LOG_DIGITS`` digits: an
-        approximation for lattice reduction, not a decision."""
-        return _log_midpoint(
-            *self.enclosure(Fraction(1, 10 ** (_LOG_DIGITS + 10))))
-
 
 def real_root(v) -> RealRoot:
     """``v`` (a RealRoot, a rational, a real ``CRootOf`` or a real algebraic
@@ -436,20 +430,25 @@ def _product_image(_, a, b) -> tuple:
     return min(products), max(products)
 
 
+def _power_image(k: int, _, box) -> tuple:
+    lo, hi = box
+    if k % 2 == 0 and lo < 0 < hi:
+        return Fraction(0), max(-lo, hi) ** k
+    return min(lo**k, hi**k), max(lo**k, hi**k)
+
+
+def _sqrt_image(prec: int, box) -> tuple:
+    return (_sqrt_down(max(box[0], Fraction(0)), prec + 8),
+            _sqrt_up(box[1], prec + 8))
+
+
 def _power(a: RealRoot, k: int) -> RealRoot:
     """a^k for an integer k >= 1: the power sums of the roots of a^k are
     every k-th power sum of the roots of a."""
     if k == 1:
         return a
-
-    def image(_, box):
-        lo, hi = box
-        if k % 2 == 0 and lo < 0 < hi:
-            return Fraction(0), max(-lo, hi) ** k
-        return min(lo**k, hi**k), max(lo**k, hi**k)
-
     sums = _power_sums(a.poly, (len(a.poly) - 1) * k + 1)[k::k]
-    return _pick(_from_power_sums(sums), image, a)
+    return _pick(_from_power_sums(sums), functools.partial(_power_image, k), a)
 
 
 def _sqrt(a: RealRoot):
@@ -459,9 +458,25 @@ def _sqrt(a: RealRoot):
         return RealRoot.rational(0) if sign == 0 else None
     stretched = [0] * (2 * len(a.poly) - 1)
     stretched[::2] = a.poly
-    image = lambda prec, box: (_sqrt_down(max(box[0], Fraction(0)), prec + 8),
-                               _sqrt_up(box[1], prec + 8))
-    return _pick(stretched, image, a)
+    return _pick(stretched, _sqrt_image, a)
+
+
+def interval(v, eps: Fraction) -> tuple[Fraction, Fraction]:
+    """Enclosure of a real value of the kernel's grammar (``_kernel_root``)
+    from its atoms' enclosures of width <= 2 eps; no minimal polynomial is
+    built and no ``CRootOf`` evaluated, so sympy's cache is untouched."""
+    if isinstance(v, sp.Basic) and (v.is_Add or v.is_Mul):
+        image = _sum_image if v.is_Add else _product_image
+        return functools.reduce(functools.partial(image, None),
+                                (interval(t, eps) for t in v.args))
+    if isinstance(v, sp.Pow) and v.exp.is_Rational and v.exp > 0 \
+            and v.exp.q in (1, 2):
+        box = interval(v.base, eps)
+        if v.exp.q == 2:
+            box = _sqrt_image((eps.denominator // eps.numerator).bit_length(),
+                              box)
+        return _power_image(int(v.exp.p), None, box)
+    return real_root(v).enclosure(eps)
 
 
 def _kernel_root(v):
@@ -576,6 +591,19 @@ def _log_midpoint(lo: Fraction, hi: Fraction) -> Fraction:
         v = mpmath.log(mpmath.mpf(mid.numerator) / mid.denominator)
     with mpmath.workdps(_LOG_DIGITS):
         return _mpf_fraction(+v)
+
+
+def log_abs(enclose) -> Fraction:
+    """log|v| of a nonzero real v from enclosures ``enclose(eps)`` that
+    shrink to v: eps falls from 10^-70 by 10^10 until one has one sign and
+    relative width below 10^-70, whose midpoint's log is ``_log_midpoint``.
+    pi's and the forge's log: an approximation for LLL that decides nothing."""
+    tol = eps = Fraction(1, 10 ** (_LOG_DIGITS + 10))
+    while True:
+        a, b = enclose(eps)
+        if (a > 0 or b < 0) and b - a <= tol * min(abs(a), abs(b)):
+            return _log_midpoint(abs(a), abs(b))
+        eps /= 10 ** 10
 
 
 def _root_disks(poly, prec: int):

@@ -22,7 +22,7 @@ from fractions import Fraction
 import sympy as sp
 
 from .exact_algebra import (X, RealRoot, _LOG_DIGITS, _irreducible_factors,
-                            _isolate, _log_midpoint)
+                            _isolate, log_abs)
 from .group_structure import (GroupAnalysis, analyze_group, verified_kernel,
                               word_automorphism)
 from .integer_model import (GroupSpec, TorusAutomorphism, _divide_monic,
@@ -127,22 +127,12 @@ def _interval_value(u, lo: Fraction, hi: Fraction):
 
 
 def _log_vector(field: NumberFieldSpec, u):
-    """log|sigma_j(u)| over the real embeddings, to ``_LOG_DIGITS`` digits,
-    for a nonzero u.  Each sigma_j(u) = u(theta_j) is enclosed in Fractions
-    from an enclosure of theta_j, narrowed until it has one sign and a
-    relative width below 10^-(digits + 10); the log of its midpoint is taken
-    by ``_log_midpoint``."""
-    tol = Fraction(1, 10 ** (_LOG_DIGITS + 10))
-    vec = []
-    for root in _embedding_roots(field.coeffs):
-        eps = tol
-        while True:
-            a, b = _interval_value(u, *root.enclosure(eps))
-            if (a > 0 or b < 0) and b - a <= tol * min(abs(a), abs(b)):
-                break
-            eps /= 10 ** 10
-        vec.append(_log_midpoint(abs(a), abs(b)))
-    return tuple(vec)
+    """log|sigma_j(u)| over the real embeddings for a nonzero u, by pi's
+    ``log_abs`` from enclosures of u(theta_j) over those of theta_j: an
+    approximation for LLL that decides nothing, as ``verified_kernel``
+    settles every relation it proposes exactly."""
+    return tuple(log_abs(lambda eps, root=root: _interval_value(
+        u, *root.enclosure(eps))) for root in _embedding_roots(field.coeffs))
 
 
 def _lll_reduce_units(field: NumberFieldSpec, units, logs) -> tuple:
@@ -160,31 +150,34 @@ def _lll_reduce_units(field: NumberFieldSpec, units, logs) -> tuple:
                  for row in lll_reduce(_relation_rows(logs)))
 
 
+def _shell(k: int, s: int):
+    """The points of [-s, s]^k with max |c| = s, in ascending order."""
+    for c in range(-s, s + 1) if k else ():
+        rest = (itertools.product(range(-s, s + 1), repeat=k - 1)
+                if abs(c) == s else _shell(k - 1, s))
+        yield from ((c,) + r for r in rest)
+
+
 def unit_search(field: NumberFieldSpec, coeff_bound: int) -> UnitSystem:
     """Find k-1 multiplicatively independent infinite-order units of
-    Z[theta] by exhaustive enumeration over the coefficient box
-    |a_i| <= coeff_bound, followed by LLL reduction of the log-embedding
-    lattice.  A unit u is kept when ``verified_kernel`` certifies no word
-    over the regular representations of the units kept so far and u, with
-    each unit's logs over the embeddings as its vector: the rank of pi is the
-    one independence test, and it rejects the torsion units +-1 as well.
-    The caller bounds the box: the CLI refuses one of more points than its
-    search budget.
+    Z[theta] over the shells max |a_i| = 1, 2, ..., coeff_bound, each
+    ascending, then LLL-reduce their log-embedding lattice.  A unit u is
+    kept when ``verified_kernel`` certifies no word over the regular
+    representations of the units kept so far and u (the one independence
+    test; it rejects +-1 too).  The walk stops at k-1 units, so the bound is
+    a ceiling.  The CLI refuses a box over its search budget.
     """
     k = field.degree
     target = k - 1
-    candidates = []
-    for u in itertools.product(range(-coeff_bound, coeff_bound + 1),
-                               repeat=k):
-        # -u has the same logs: keep the sign class whose first nonzero
-        # coefficient is positive, which also drops the zero vector
-        if next((c for c in u if c), 0) > 0 and abs(field.norm(u)) == 1:
-            candidates.append(u)
-    candidates.sort(key=lambda u: (max(abs(c) for c in u), u))
     selected, gens, logs = [], [], []
-    for u in candidates:
+    for u in itertools.chain.from_iterable(
+            _shell(k, s) for s in range(1, coeff_bound + 1)):
         if len(selected) == target:
             break
+        # -u has the same logs: keep the sign class whose first nonzero
+        # coefficient is positive
+        if next(c for c in u if c) < 0 or abs(field.norm(u)) != 1:
+            continue
         g, lv = regular_representation(u, field), _log_vector(field, u)
         if not verified_kernel(GroupSpec(tuple(gens + [g])), logs + [lv]):
             selected.append(u)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import ExactAlgebraError
 from .integer_model import (
@@ -157,17 +157,18 @@ def verified_kernel(spec: GroupSpec, log_vectors) -> list:
 
 
 def _log_value(m):
-    """log |mu|^2 to _LOG_DIGITS digits from the kernel's enclosure, as a
-    Fraction; exactly 0 when |mu|^2 == 1, whose enclosure is (1, 1)."""
-    from .exact_algebra import real_root
-    return real_root(m).log()
+    """log |mu|^2 as a Fraction by ``log_abs`` over ``interval``; exactly 0
+    when |mu|^2 is the rational 1, whose enclosure is (1, 1)."""
+    from .exact_algebra import interval, log_abs
+    return log_abs(partial(interval, m))
 
 
 def pi_rank(spec: GroupSpec, table: CharacterTable) -> PiRankResult:
     """Rank of the log-character homomorphism pi and its certified kernel.
 
-    Numeric lattice reduction proposes kernel vectors; each is promoted only
-    by the exact zero-entropy certificate, so the reported kernel is sound.
+    LLL proposes kernel vectors from logs (``_log_value``) that decide
+    nothing; each is promoted only by the exact zero-entropy certificate,
+    so the reported kernel is sound.
     """
     n = spec.n
     verified = verified_kernel(spec, [

@@ -6,16 +6,17 @@ import math
 import random
 import time
 from fractions import Fraction
+from functools import partial
 
 import mpmath
 import pytest
 import sympy as sp
 from sympy import Matrix, eye
 
-from toraldyn import example_forge
+from toraldyn import exact_algebra, example_forge
 from toraldyn.cli import EXIT_INVALID, main
 from toraldyn.cohomology import classify, degree_profile, entropy
-from toraldyn.exact_algebra import _LOG_DIGITS, real_root
+from toraldyn.exact_algebra import _LOG_DIGITS, interval, log_abs, real_root
 from toraldyn.example_forge import (
     ForgeError, NumberFieldSpec, UnitSystem, build_max_rank_group,
     _lll_reduce_units, _log_vector, regular_representation, unit_search)
@@ -165,19 +166,13 @@ def _sympy_float_log(lo, hi):
 
 
 def test_logs_are_the_sympy_float_values(monkeypatch):
-    # RealRoot.log on the character multipliers of the builtins
-    count = 0
-    for name in sorted(_CATALOG):
-        for ch in find_characters(catalog_group(name)).characters:
-            for m in ch.multipliers:
-                m = real_root(m)
-                if m == 1:
-                    continue
-                expected = _sympy_float_log(
-                    *m.enclosure(Fraction(1, 10 ** (_LOG_DIGITS + 10))))
-                assert m.log() == expected, (name, m)
-                count += 1
-    assert count >= 4
+    # the shared log routine on the character multipliers of the builtins,
+    # against the same enclosures taken through the sympy rounding
+    multipliers = [(name, m) for name in sorted(_CATALOG)
+                   for ch in find_characters(catalog_group(name)).characters
+                   for m in ch.multipliers if real_root(m) != 1]
+    assert len(multipliers) >= 4
+    got = [log_abs(partial(interval, m)) for _, m in multipliers]
     # _log_vector on seeded unit products, against the same enclosures
     # taken through the sympy rounding
     rng = random.Random(20261019)
@@ -188,9 +183,11 @@ def test_logs_are_the_sympy_float_values(monkeypatch):
         for _ in range(4):
             e = [rng.randint(-6, 6) for _ in range(spec.n)]
             cases.append((field, _element(word_automorphism(spec, e))))
-    got = [_log_vector(field, u) for field, u in cases]
-    monkeypatch.setattr(example_forge, "_log_midpoint", _sympy_float_log)
-    assert got == [_log_vector(field, u) for field, u in cases]
+    got_vectors = [_log_vector(field, u) for field, u in cases]
+    monkeypatch.setattr(exact_algebra, "_log_midpoint", _sympy_float_log)
+    for (name, m), value in zip(multipliers, got):
+        assert value == log_abs(partial(interval, m)), (name, m)
+    assert got_vectors == [_log_vector(field, u) for field, u in cases]
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +221,8 @@ def test_unit_search_cubic_two_independent_units():
 
 def test_unit_search_visits_each_sign_class_once(monkeypatch):
     # u and -u have the same logs: only the points whose first nonzero
-    # coefficient is positive are tested, so not the zero vector either
+    # coefficient is positive are tested, so not the zero vector either,
+    # and no point is normed twice
     calls, norm = [], NumberFieldSpec.norm
 
     def counted(field, u):
@@ -233,8 +231,13 @@ def test_unit_search_visits_each_sign_class_once(monkeypatch):
 
     monkeypatch.setattr(NumberFieldSpec, "norm", counted)
     unit_search(CUBIC_FIELD, 2)
-    assert len(calls) == (5 ** 3 - 1) // 2
     assert all(next(c for c in u if c) > 0 for u in calls)
+    assert len(set(calls)) == len(calls)
+    # the walk stops at k - 1 units, so a larger bound norms no more points
+    at_2 = list(calls)
+    calls.clear()
+    unit_search(CUBIC_FIELD, 40)
+    assert calls == at_2
 
 
 def test_unit_search_quartic_three_independent_units():

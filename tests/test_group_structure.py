@@ -7,16 +7,20 @@ import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 import sympy as sp
 from sympy import I, Matrix, eye
 
-from toraldyn import ExactAlgebraError, integer_model
+from toraldyn import ExactAlgebraError, exact_algebra, integer_model
+from toraldyn.cli import load_group_argument
 from toraldyn.exact_algebra import RealRoot, exact_equal
 from toraldyn.cohomology import (
     CohomClass, TorusAutomorphism, dynamical_degree, is_nef, pullback)
+from toraldyn.example_forge import (NumberFieldSpec, regular_representation,
+                                    unit_search)
 from toraldyn.integer_model import (_CATALOG, IntegerLattice, catalog_group,
                                     classify, hermite_normal_form_rows)
 from toraldyn.group_structure import (
@@ -28,6 +32,7 @@ from toraldyn.group_structure import (
 from oracles import is_nef_by_sympy, reduces_to_zero
 from statements import check_theorem_4_6, eigenclass
 
+DATA = Path(__file__).resolve().parent / "data"
 PELL_MATRIX = [[1, 2], [1, 1]]
 PELL = GroupSpec.from_matrices([PELL_MATRIX])
 PELL_PAIR = GroupSpec.from_matrices([[[1, 2], [1, 1]], [[-1, 2], [1, -1]]])
@@ -281,6 +286,34 @@ def test_pi_rank_reduces_one_lattice(monkeypatch):
     monkeypatch.setattr(integer_model, "lll_reduce", counting)
     assert table.m == 2 and pi_rank(spec, table).rank == 1
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("group", [
+    "cubic_T3", "cat_T2", "pell2_pell3_i", "forge_quartic"])
+def test_pi_builds_no_minimal_polynomial(group, monkeypatch):
+    # pi's logs come from interval enclosures of the multipliers: once the
+    # table is built, pi_rank composes, picks and factors no polynomial
+    if group == "forge_quartic":
+        field = NumberFieldSpec((1, -1, -3, 1, 1))
+        spec = GroupSpec(tuple(regular_representation(u, field)
+                               for u in unit_search(field, 2).units))
+    elif group in _CATALOG:
+        spec = catalog_group(group)
+    else:
+        spec = load_group_argument(str(DATA / f"{group}.json"))[0]
+    table = find_characters(spec)
+
+    def refuse(*args):
+        raise AssertionError("pi_rank built a minimal polynomial")
+
+    for name in ("_composed", "_pick", "_irreducible_factors"):
+        monkeypatch.setattr(exact_algebra, name, refuse)
+    got = pi_rank(spec, table)
+    monkeypatch.undo()
+    expected = pi_rank(spec, table)
+    assert got.rank == expected.rank > 0
+    assert (got.kernel, got.u_words, got.free_words) == \
+        (expected.kernel, expected.u_words, expected.free_words)
 
 
 def test_pi_is_additive_on_words():
