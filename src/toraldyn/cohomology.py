@@ -33,8 +33,8 @@ from . import ExactAlgebraError
 # the integer model of an automorphism; these are used here or wrapped as
 # this module's layer by the benchmark tracer
 from .integer_model import (TorusAutomorphism, _subsets, classify, compound,
-                            degree_profile, gaussian_charpoly, gaussian_det,
-                            h11_matrix, hermitian_real_form, integer_charpoly,
+                            degree_profile, gaussian_det, h11_matrix,
+                            hermitian_real_form, integer_charpoly,
                             is_cyclotomic_product, symmetric_definiteness,
                             times_conjugate)
 
@@ -58,7 +58,7 @@ def eigenvalue_moduli(f: TorusAutomorphism):
     part A, read from the integer polynomial p * conj(p) for p the charpoly
     of A over Z[i] (the charpoly of the real form [[Re A, -Im A], [Im A,
     Re A]]), in which every modulus appears twice."""
-    p = times_conjugate(gaussian_charpoly(f.pairs))
+    p = times_conjugate(f.charpoly)
     return [(m, mult // 2) for m, mult in root_moduli(Poly(p, X))]
 
 

@@ -29,8 +29,9 @@ from sympy.polys.factortools import dup_factor_list
 from . import ExactAlgebraError
 # the integer decisions live in the sympy-free integer model; these are
 # used here or wrapped as this module's layer by the benchmark tracer
-from .integer_model import (_cabs2, _cadd, _cmul, _cpoly_mul, _csub,
-                            _divide_monic, _gaussian_integer,
+from .integer_model import (_cabs2, _cadd, _cdiv, _cmul, _conjugate_products,
+                            _cpoly_mul, _csub, _divide_monic, _from_power_sums,
+                            _gaussian_integer, _normalized, _power_sums,
                             gaussian_charpoly, integer_relations,
                             is_cyclotomic_product, matrix_order)
 
@@ -172,20 +173,6 @@ def _sign_at(poly, q: Fraction) -> int:
         dk *= d
         acc = acc * n + c * dk
     return (acc > 0) - (acc < 0)
-
-
-def _normalized(coeffs) -> tuple:
-    """Primitive integer polynomial with a positive leading coefficient,
-    from rational coefficients (leading first)."""
-    coeffs = [Fraction(c) for c in coeffs]
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-    den = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
-    g = math.gcd(*ints)
-    if ints[0] < 0:
-        g = -g
-    return tuple(v // g for v in ints)
 
 
 def _irreducible_factors(poly) -> list:
@@ -368,30 +355,6 @@ def _root_in(factors, sturm, lo: Fraction, hi: Fraction):
 # interval image of the children's enclosures.
 
 
-def _power_sums(poly, count) -> list:
-    """Power sums P_0 .. P_(count-1) of the roots of an integer polynomial
-    (leading coefficient first), by Newton's identities."""
-    d = len(poly) - 1
-    c = [Fraction(a, poly[0]) for a in poly[1:]]
-    P = [Fraction(d)]
-    for k in range(1, count):
-        s = k * c[k - 1] if k <= d else 0
-        for i in range(1, min(k, d + 1)):
-            s += c[i - 1] * P[k - i]
-        P.append(-s)
-    return P
-
-
-def _from_power_sums(sums) -> tuple:
-    """The primitive integer polynomial of degree ``len(sums)`` whose roots
-    have the power sums P_1, P_2, ... = ``sums``, by Newton's identities."""
-    e = [Fraction(1)]
-    for k in range(1, len(sums) + 1):
-        e.append(sum((-1) ** (i - 1) * e[k - i] * sums[i - 1]
-                     for i in range(1, k + 1)) / k)
-    return _normalized([(-1) ** k * v for k, v in enumerate(e)])
-
-
 def _composed(f, g, add: bool) -> tuple:
     """Integer polynomial whose roots are a + b (``add``) or a * b over all
     roots a of f and b of g."""
@@ -521,11 +484,6 @@ def _kernel_root(v):
 #
 # Complex numbers are (re, im) pairs of Fractions, so every disk, every
 # interval image and every comparison below is exact.
-
-
-def _cdiv(a, b):
-    n = _cabs2(b)
-    return ((a[0] * b[0] + a[1] * b[1]) / n, (a[1] * b[0] - a[0] * b[1]) / n)
 
 
 def _horner(poly, z):
@@ -693,28 +651,15 @@ def _modulus_squared_annihilator(f, mu) -> tuple:
     f and mu have Gaussian-rational coefficients (leading first).  The
     polynomial is prod_{i,j} (z - mu(x_i) conj(mu(x_j))) over the roots
     x_i of f, i.e. Res_x(f, Res_y(conj f, z - mu(x) conj(mu)(y))) up to a
-    constant; its k-th power sum is |Tr(mu^k)|^2, the trace taken
-    in Q(i)[x]/(f), so Newton's identities give it from traces alone."""
-    d = len(f) - 1
-    c = [_cdiv(a, f[0]) for a in f]          # monic: x^d + c_1 x^(d-1)...
-    zero = (Fraction(0), Fraction(0))
-    # power sums of the roots of f, P_0 .. P_(d-1)
-    P = [(Fraction(d), Fraction(0))]
-    for k in range(1, d):
-        s = _cmul((Fraction(k), Fraction(0)), c[k])
-        for i in range(1, k):
-            s = _cadd(s, _cmul(c[i], P[k - i]))
-        P.append((-s[0], -s[1]))
-    # mu^k modulo f, leading first, padded to d coefficients
-    h = [zero] * (d - 1) + [(Fraction(1), Fraction(0))]
-    sums = []
-    for _ in range(d * d):
-        h = _divide_monic(_cpoly_mul(h, mu), c)[1]
-        trace = zero
-        for m, a in enumerate(reversed(h)):
-            trace = _cadd(trace, _cmul(a, P[m]))
-        sums.append(_cabs2(trace))
-    factors = _irreducible_factors(_from_power_sums(sums))
+    constant: the ``_conjugate_products`` of the charpoly of multiplication
+    by mu on Q(i)[x]/(f), whose roots are the mu(x_i)."""
+    d, c = len(f) - 1, [_cdiv(a, f[0]) for a in f]
+    # column q: mu x^(d-1-q) modulo f, leading first
+    cols = [_divide_monic(_cpoly_mul(
+        [(0, 0)] * q + [(1, 0)] + [(0, 0)] * (d - 1 - q), mu), c)[1]
+        for q in range(d)]
+    factors = _irreducible_factors(
+        _conjugate_products(gaussian_charpoly(list(zip(*cols)))))
     return factors, [_sturm_sequence(g) for g in factors]
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -95,6 +96,11 @@ def _cpoly_mul(a, b) -> list:
         for j, y in enumerate(b):
             out[i + j] = _cadd(out[i + j], _cmul(x, y))
     return out
+
+
+def _cdiv(a, b):
+    n = Fraction(_cabs2(b))
+    return ((a[0] * b[0] + a[1] * b[1]) / n, (a[1] * b[0] - a[0] * b[1]) / n)
 
 
 def gaussian_det(rows) -> tuple:
@@ -196,6 +202,11 @@ class TorusAutomorphism:
         from .cohomology import _pair_matrix
         return _pair_matrix(self.pairs)
 
+    @cached_property
+    def charpoly(self) -> tuple:
+        """det(xI - A) over Z[i] as ``(re, im)`` pairs, leading first."""
+        return gaussian_charpoly(self.pairs)
+
     def inverse(self) -> "TorusAutomorphism":
         """conj(u) adj(A) for the unit u = det A.  Row and column i of
         compound(f, k-1) omit index k-1-i, as the subsets ascend, so
@@ -266,9 +277,9 @@ class GroupSpec:
 
 
 def hermitian_real_form(pairs) -> list:
-    """The real symmetric form [[Re, -Im], [Im, Re]] of a Hermitian matrix
-    given as rows of ``(re, im)`` pairs: x^H M x for x = p + iq is the form
-    at (p, q), so both have the same definiteness."""
+    """The real form [[Re, -Im], [Im, Re]] of a matrix of ``(re, im)`` pairs;
+    of a Hermitian one it is symmetric, and x^H M x for x = p + iq is the
+    form at (p, q), so both have the same definiteness."""
     return ([[z[0] for z in row] + [-z[1] for z in row] for row in pairs]
             + [[z[1] for z in row] + [z[0] for z in row] for row in pairs])
 
@@ -387,7 +398,7 @@ def h11_matrix(f: TorusAutomorphism) -> tuple:
     """Integer matrix of f* on H^{1,1} in the Hermitian basis (k^2 x k^2),
     as rows of ints: H -> C H C^H with C = compound(f, 1) = A^T, on the
     integer (re, im) pairs of C.  Column t holds the coordinates of
-    C E_t C^H.  Memoised per automorphism."""
+    C E_t C^H.  The tests' reference; the tracer's named layer."""
     C = compound(f, 1)
     cols = []
     for E in hermitian_basis_sparse(f.k):
@@ -451,6 +462,51 @@ def times_conjugate(p) -> tuple:
     """The integer coefficients of p * conj(p) for pair coefficients p; for
     p = det(xI - A), the charpoly of [[Re A, -Im A], [Im A, Re A]]."""
     return tuple(re for re, _ in _cpoly_mul(p, [(re, -im) for re, im in p]))
+
+
+def _normalized(coeffs) -> tuple:
+    """Primitive integer polynomial with a positive leading coefficient,
+    from rational coefficients (leading first)."""
+    coeffs = [Fraction(c) for c in coeffs]
+    while coeffs and coeffs[0] == 0:
+        coeffs.pop(0)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
+    g = math.gcd(*ints)
+    if ints[0] < 0:
+        g = -g
+    return tuple(v // g for v in ints)
+
+
+def _power_sums(poly, count) -> list:
+    """Power sums P_0 .. P_(count-1) of the roots of a polynomial (leading
+    first) by Newton's identities: Fractions, or pairs for pair ones."""
+    d, pairs = len(poly) - 1, isinstance(poly[0], tuple)
+    mul = _cmul if pairs else operator.mul
+    c = [(_cdiv if pairs else Fraction)(a, poly[0]) for a in poly[1:]]
+    P = [(Fraction(d), 0) if pairs else Fraction(d)]
+    for k in range(1, count):
+        t = [mul(c[i - 1], P[k - i]) for i in range(1, min(k, d + 1))]
+        t += [mul((k, 0) if pairs else k, c[k - 1])] if k <= d else []
+        P.append(tuple(-sum(v) for v in zip(*t)) if pairs else -sum(t))
+    return P
+
+
+def _from_power_sums(sums) -> tuple:
+    """The primitive integer polynomial of degree ``len(sums)`` whose roots
+    have the power sums P_1, P_2, ... = ``sums``, by Newton's identities."""
+    e = [Fraction(1)]
+    for k in range(1, len(sums) + 1):
+        e.append(sum((-1) ** (i - 1) * e[k - i] * sums[i - 1]
+                     for i in range(1, k + 1)) / k)
+    return _normalized([(-1) ** k * v for k, v in enumerate(e)])
+
+
+def _conjugate_products(p) -> tuple:
+    """prod_{a,b} (x - r_a conj(r_b)) over the roots r of a pair polynomial,
+    from its power sums |P_m|^2 (Bostan, Flajolet, Salvy, Schost, JSC 2006)."""
+    sums = _power_sums(p, (len(p) - 1) ** 2 + 1)[1:]
+    return _from_power_sums([_cabs2(s) for s in sums])
 
 
 @lru_cache(maxsize=None)
@@ -554,26 +610,28 @@ def matrix_order(M, p):
 
 @lru_cache(maxsize=None)
 def h11_charpoly(f: TorusAutomorphism) -> tuple:
-    """Integer characteristic polynomial of the H^{1,1} action, leading
-    coefficient first.  Memoised per automorphism: the zero-entropy test,
-    order and report share it."""
-    return integer_charpoly(h11_matrix(f))
+    """Integer charpoly of f* on H^{1,1}, leading first: its roots are the
+    lambda_a conj(lambda_b) over the eigenvalues of A.  Memoised."""
+    return _conjugate_products(f.charpoly)
 
 
 @lru_cache(maxsize=None)
 def has_zero_entropy(f: TorusAutomorphism) -> bool:
-    """Exact zero-entropy test: the H^{1,1} action has a cyclotomic-product
-    characteristic polynomial (Kronecker).  Memoised per automorphism."""
-    return is_cyclotomic_product(h11_charpoly(f))
+    """Exact zero-entropy test: f* on H^{1,1} has spectral radius 1 iff
+    every |lambda| = 1, iff the degree-2k integer p * conj(p), p the charpoly
+    of A, is a cyclotomic product (Kronecker).  Memoised."""
+    return is_cyclotomic_product(times_conjugate(f.charpoly))
 
 
 @lru_cache(maxsize=None)
 def classify(f: TorusAutomorphism) -> str:
-    """Exact trichotomy on the H^{1,1} action; no floating point.  Memoised
-    per automorphism: the analysis and the report's degree profile share it."""
+    """Exact trichotomy on the H^{1,1} action; no floating point.  At zero
+    entropy A (x) conj(A) has finite order iff A has, read on the integer
+    real form of A.  Memoised: the analysis and the degree profile share it."""
     if not has_zero_entropy(f):
         return POSITIVE_ENTROPY
-    if matrix_order(h11_matrix(f), h11_charpoly(f)) == INFINITE_ORDER:
+    if matrix_order(hermitian_real_form(f.pairs),
+                    times_conjugate(f.charpoly)) == INFINITE_ORDER:
         return PARABOLIC
     return FINITE_ORDER
 

@@ -5,6 +5,7 @@ certifies by another path, so the tests can compare the two."""
 
 import functools
 import math
+from fractions import Fraction
 
 import mpmath
 import sympy as sp
@@ -13,7 +14,9 @@ from sympy.polys.densearith import dup_mul, dup_rem
 from sympy.polys.matrices import DomainMatrix
 
 from toraldyn import ExactAlgebraError
-from toraldyn.exact_algebra import (X, CertifiedReal, _irreducible_factors,
+from toraldyn.exact_algebra import (X, CertifiedReal, _at_rising_precision,
+                                    _irreducible_factors, _may_vanish, _meets,
+                                    _rectangle, _root_disks, gaussian_coeffs,
                                     root_moduli)
 from toraldyn.cohomology import _pair_matrix
 from toraldyn.integer_model import (_hermitian_cells, _square_and_multiply,
@@ -139,25 +142,53 @@ def cyclotomic_indices_by_factoring(p):
     return None if None in indices else tuple(sorted(indices))
 
 
+def _gaussian_factor(r):
+    """The factor over Q(i) of ``r.poly`` that vanishes at the CRootOf r:
+    the one that may vanish on the certified inclusion disk of
+    ``exact_algebra._root_disks`` that meets r's isolating region.  The
+    precision rises, and a local copy of the region is refined, until both
+    choices are unique; r is never evaluated numerically."""
+    x = r.poly.gen
+    factors = [q for q, _ in
+               sp.factor_list(r.poly.as_expr(), gaussian=True)[1]]
+    if len(factors) == 1:
+        return factors[0]
+    pairs = [gaussian_coeffs(q.subs(x, X)) for q in factors]
+    poly = [(Fraction(int(c)), Fraction(0)) for c in r.poly.all_coeffs()]
+    region = [r._get_interval()]
+
+    def attempt(prec):
+        disks = _root_disks(poly, prec)
+        if disks is None:
+            return None
+        hits = [D for D in disks if _meets(D, _rectangle(region[0]))]
+        if len(hits) != 1:
+            region[0] = region[0].refine()
+            return None
+        vanish = [q for q, c in zip(factors, pairs)
+                  if _may_vanish(c, hits[0], prec + 8)]
+        return vanish[0] if len(vanish) == 1 else None
+
+    return _at_rising_precision(attempt, "the Gaussian factor of a root")
+
+
 def reduces_to_zero(cls) -> bool:
     """Whether every coefficient of a class is proved zero by reduction: each
     CRootOf atom becomes a symbol taken modulo the factor over Q(i) of its
-    polynomial that vanishes at it, and a zero remainder is the proof.  The
-    reference for class identities on eigenclasses: the library's
-    ``exact_is_zero`` decides a zero by the minimal polynomial of a real
-    value and refuses one in non-real atoms, while this reduction also
-    ties a root of a Gaussian factor to its conjugate."""
+    polynomial that vanishes at it (``_gaussian_factor``), and a zero
+    remainder is the proof.  The reference for class identities on
+    eigenclasses: the library's ``exact_is_zero`` decides a zero by the
+    minimal polynomial of a real value and refuses one in non-real atoms,
+    while this reduction also ties a root of a Gaussian factor to its
+    conjugate."""
     atoms = set().union(*(v.atoms(sp.CRootOf) for v in cls.coeffs.values()))
     if not atoms:
         return cls.is_zero()
     subs, moduli = {}, []
     for n, r in enumerate(sorted(atoms, key=sp.default_sort_key)):
-        x, t, value = r.poly.gen, sp.Dummy(f"t{n}"), sp.N(r, 15)
-        factors = sp.factor_list(r.poly.as_expr(), gaussian=True)[1]
-        q = min((q for q, _ in factors),
-                key=lambda q: abs(complex(q.subs(x, value))))
+        t = sp.Dummy(f"t{n}")
         subs[r] = t
-        moduli.append(q.subs(x, t))
+        moduli.append(_gaussian_factor(r).subs(r.poly.gen, t))
     return all(
         sp.reduced(sp.expand(v.xreplace(subs)), moduli, *subs.values())[1]
         == 0 for v in cls.coeffs.values())

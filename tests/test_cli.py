@@ -2,7 +2,9 @@
 
 import ast
 import copy
+import functools
 import gc
+import itertools
 import json
 import math
 import os
@@ -321,6 +323,44 @@ def test_spec_report_matches_its_committed_stdout(name, argv):
     assert proc.stdout == path.read_bytes()
 
 
+# a fresh interpreter that runs cli.main with h11_matrix refusing in every
+# toraldyn namespace that binds it
+_H11_MATRIX_REFUSED = """
+import importlib, pkgutil, sys
+import toraldyn
+
+def refuse(f):
+    raise AssertionError("h11_matrix was called")
+
+for info in pkgutil.iter_modules(toraldyn.__path__):
+    module = importlib.import_module("toraldyn." + info.name)
+    if hasattr(module, "h11_matrix"):
+        module.h11_matrix = refuse
+from toraldyn.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv,expected", [
+    *(pytest.param(["analyze", name], GOLDEN_DIR / f"{name}.json", id=name)
+      for name in sorted(_CATALOG)),
+    pytest.param(_analyze_spec("pell2_pell3_i"),
+                 ROOT / "tests" / "data" / "pell2_pell3_i_report.json",
+                 id="pell2_pell3_i"),
+    pytest.param(["forge", "--poly", "1,-1,-3,1,1", "--bound", "2"],
+                 ROOT / "tests" / "data" / "forge_quartic_report.json",
+                 id="forge_quartic"),
+])
+def test_no_request_builds_the_h11_matrix(argv, expected):
+    # the zero-entropy test, the classification and the printed H^{1,1}
+    # charpoly are all read from the k x k charpoly: with h11_matrix
+    # refusing, every report is printed unchanged
+    proc = subprocess.run([sys.executable, "-c", _H11_MATRIX_REFUSED, *argv],
+                          capture_output=True, env=_src_env())
+    assert proc.returncode == EXIT_OK, proc.stderr.decode()[-2000:]
+    assert proc.stdout == expected.read_bytes()
+
+
 def test_reader_closing_stdout_early_gets_an_exit_code():
     # the reader goes away before the report is written: the verdict still
     # comes as the exit code, and stderr holds no traceback
@@ -508,27 +548,24 @@ def test_analysis_computes_each_artifact_once(monkeypatch):
 
 @pytest.mark.parametrize("name", ["parabolic_T2", "torsion_i"])
 def test_zero_entropy_certificate_is_computed_once(monkeypatch, capsys, name):
-    # the classification reuses the H^{1,1} charpoly of the zero-entropy
-    # test: one charpoly per generator on its k^2 x k^2 integer rows
+    # the zero-entropy test, the classification and the printed H^{1,1}
+    # charpoly all read the k x k charpoly of the generator, computed once;
+    # no charpoly of a k^2 x k^2 matrix is taken
     calls = {}
-    real = integer_model.integer_charpoly
+    real = integer_model.gaussian_charpoly
 
-    def integer_charpoly(M):
-        key = tuple(map(tuple, sympy.Matrix(M).tolist()))
+    def gaussian_charpoly(M):
+        key = tuple(map(tuple, M))
         calls[key] = calls.get(key, 0) + 1
         return real(M)
 
-    monkeypatch.setattr(integer_model, "integer_charpoly", integer_charpoly)
+    monkeypatch.setattr(integer_model, "gaussian_charpoly", gaussian_charpoly)
     for fn in (integer_model.h11_charpoly, integer_model.has_zero_entropy,
                integer_model.classify):
         fn.cache_clear()
     code, _, _ = _run(capsys, "analyze", name)
     assert code == EXIT_OK
-    for g in catalog_group(name).generators:
-        rows = tuple(map(tuple, sympy.Matrix(cohomology.h11_matrix(g))
-                         .tolist()))
-        assert len(rows) == g.k ** 2
-        assert calls.get(rows) == 1, g.name
+    assert calls == {g.pairs: 1 for g in catalog_group(name).generators}
 
 
 def test_analyze_reports_are_deterministic(capsys):
@@ -881,9 +918,12 @@ def test_refusal_loads_no_sympy(tmp_path, spec, argv):
 # Gaussian finite-order SL(2, Z[i]) generator and one pair (g, g^2)
 SEED41_ZERO_ENTROPY = ("seed41_sl3_parabolic", "seed41_sl3_nonreal_split",
                        "seed41_sl2zi_finite_gaussian", "seed41_pair_zero")
+# and the k = 6 family diag(i, 1, ..., 1), ..., diag(1, ..., 1, i), of
+# u_order 4^6, whose H^{1,1} charpolys have degree 36
+ZERO_ENTROPY_SPECS = (*SEED41_ZERO_ENTROPY, "diag_i_T6")
 
 
-@pytest.mark.parametrize("name", SEED41_ZERO_ENTROPY)
+@pytest.mark.parametrize("name", ZERO_ENTROPY_SPECS)
 def test_zero_entropy_report_matches_its_committed_stdout(capsys, name):
     data = ROOT / "tests" / "data"
     code, out, err = _run(capsys, "analyze", str(data / f"{name}.json"))
@@ -892,7 +932,7 @@ def test_zero_entropy_report_matches_its_committed_stdout(capsys, name):
 
 
 @pytest.mark.parametrize("target", [
-    *(f"tests/data/{name}.json" for name in SEED41_ZERO_ENTROPY),
+    *(f"tests/data/{name}.json" for name in ZERO_ENTROPY_SPECS),
     "tests/data/parabolic_pow5_T2.json", "parabolic_T2", "torsion_i"])
 def test_zero_entropy_analyze_loads_no_sympy(target):
     # every decision of a zero-entropy family is an integer one
@@ -1077,6 +1117,67 @@ def test_cli_contract_fuzz(tmp_path, capsys):
 
     argv_keeps_contract()
     spec_keeps_contract()
+    assert time.perf_counter() - start < 30
+
+
+# Gaussian entries with real and imaginary parts in [-2, 2]
+_SMALL = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+
+
+@functools.lru_cache(maxsize=None)
+def _small_unit_matrices(k):
+    """Every k x k matrix (k <= 2) of ``_SMALL`` entries with a unit of Z[i]
+    as its determinant."""
+    entries = [(a, b) for a in range(-2, 3) for b in range(-2, 3)]
+    units = ((1, 0), (-1, 0), (0, 1), (0, -1))
+    if k == 1:
+        return [[[u]] for u in units]
+    out = []
+    for (a, b), (c, d), (e, f), (g, h) in itertools.product(entries, repeat=4):
+        if (a * g - b * h - c * e + d * f, a * h + b * g - c * f - d * e) \
+                in units:
+            out.append([[(a, b), (c, d)], [(e, f), (g, h)]])
+    return out
+
+
+@st.composite
+def _small_spec_argv(draw, path):
+    """A torus_group spec of one to three generators of size k <= 2, each a
+    unit-determinant matrix or free ``_SMALL`` entries, under a declared
+    dimension that may differ; written to ``path`` and analyzed with
+    optional --precision and --seed."""
+    dim = draw(st.integers(1, 2))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.sampled_from((dim, dim, 1, 2)))
+        gens.append(draw(st.one_of(
+            st.sampled_from(_small_unit_matrices(k)),
+            st.lists(st.lists(_SMALL, min_size=k, max_size=k),
+                     min_size=k, max_size=k))))
+    path.write_text(json.dumps({
+        "kind": "torus_group", "complex_dim": str(dim),
+        "generators": [{"name": f"g{t}", "matrix": [
+            [[str(re), str(im)] for re, im in row] for row in M]}
+            for t, M in enumerate(gens)]}))
+    argv = ["analyze", str(path)]
+    if draw(st.booleans()):
+        argv += ["--precision", str(draw(st.integers(-2, 40)))]
+    if draw(st.booleans()):
+        argv += ["--seed", str(draw(st.integers(-2, 40)))]
+    return argv
+
+
+def test_cli_small_spec_fuzz(tmp_path, capsys):
+    # whole specs of small shape through cli.main, in-process: about 3 s
+    # (budget 30 s)
+    start = time.perf_counter()
+
+    @_FUZZ
+    @given(_small_spec_argv(tmp_path / "spec.json"))
+    def small_spec_keeps_contract(argv):
+        _assert_contract(capsys, argv)
+
+    small_spec_keeps_contract()
     assert time.perf_counter() - start < 30
 
 

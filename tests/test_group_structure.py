@@ -214,10 +214,11 @@ def _mpmath_pi_rank(spec):
 ], ids=["diag_cc_T6", "diag_cc_pair_T6", "pell_pell_one_T5", "diag_gg_T4",
         "unipotent_pair_T3"])
 def test_repeated_spectrum_characters(mats, semisimple, nonreal, budget):
-    # in-process about 0.1 to 3 s each, most of it in sympy's evaluation of
-    # the non-real CRootOfs whose Gaussian factors reduces_to_zero picks;
-    # is_nef refuses those classes at once.  The budgets leave room for a
-    # loaded machine.
+    # in-process about 0.1 to 2 s each, most of it in sympy's evaluation of
+    # the eigenvectors' non-real CRootOf entries (is_real, and is_nef's
+    # real and imaginary parts before it refuses); reduces_to_zero picks
+    # each Gaussian factor from certified disks without evaluating a root.
+    # The budgets leave room for a loaded machine.
     # diag_cc_T6 is the regression case of a hang in sympy's eigenvects
     start = time.perf_counter()
     spec = GroupSpec.from_matrices([M.tolist() for M in mats])

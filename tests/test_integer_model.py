@@ -3,10 +3,13 @@
 The builtin tables are rebuilt from the sympy constructors, the Berkowitz
 charpoly over Z and Z[i] is compared with sympy's ``DomainMatrix``
 charpoly, p * conj(p) with the charpoly of the real form, the
-division-based cyclotomic indices with the factor-based ones, and the
-integer semisimple flag of a zero-entropy family with the factor-field
-eigen path."""
+division-based cyclotomic indices with the factor-based ones, the H^{1,1}
+charpoly and verdicts read from the k x k charpoly with those of the
+k^2 x k^2 ``h11_matrix``, and the integer semisimple flag of a zero-entropy
+family with the factor-field eigen path."""
 
+import itertools
+import json
 import random
 from pathlib import Path
 
@@ -18,15 +21,18 @@ from sympy.polys.densearith import dup_mul
 from sympy.polys.matrices import DomainMatrix
 
 from toraldyn.characters import _common_eigenvectors
-from toraldyn.cli import load_group_argument
+from toraldyn.cli import _group_from_json, load_group_argument
 from toraldyn.exact_algebra import charpoly
 from toraldyn.example_forge import NumberFieldSpec, regular_representation
-from toraldyn.integer_model import (_CATALOG, FINITE_ORDER, GroupSpec,
+from toraldyn.integer_model import (_CATALOG, FINITE_ORDER, INFINITE_ORDER,
+                                    PARABOLIC, POSITIVE_ENTROPY, GroupSpec,
                                     TorusAutomorphism, _cyclotomic,
                                     _cyclotomic_indices, _pair_str,
                                     catalog_group, classify, gaussian_charpoly,
-                                    has_zero_entropy, h11_matrix,
-                                    integer_charpoly, times_conjugate)
+                                    h11_charpoly, has_zero_entropy,
+                                    h11_matrix, integer_charpoly,
+                                    is_cyclotomic_product, matrix_order,
+                                    times_conjugate)
 from toraldyn.group_structure import find_characters
 
 from oracles import cyclotomic_indices_by_factoring, domain_matrix_charpoly
@@ -158,6 +164,99 @@ def test_times_conjugate_is_the_real_form_charpoly():
         expected = DomainMatrix.from_list(real_form, ZZ).charpoly()
         assert list(times_conjugate(gaussian_charpoly(M))) == \
             [int(c) for c in expected], M
+
+
+# ---------------------------------------------------------------------------
+# H^{1,1} from the k x k charpoly against the k^2 x k^2 matrix
+
+
+def _h11_reference(f):
+    """The H^{1,1} charpoly, zero entropy and class of f, all read from the
+    k^2 x k^2 ``h11_matrix``."""
+    p = integer_charpoly(h11_matrix(f))
+    if not is_cyclotomic_product(p):
+        return p, False, POSITIVE_ENTROPY
+    finite = matrix_order(h11_matrix(f), p) != INFINITE_ORDER
+    return p, True, FINITE_ORDER if finite else PARABOLIC
+
+
+def _with_pairwise_words(specs):
+    """The generators of each spec with their products g h and g h^-1."""
+    out = []
+    for spec in specs:
+        pairs = list(itertools.combinations(spec.generators, 2))
+        out += [*spec.generators, *(g.compose(h) for g, h in pairs),
+                *(g.compose(h.inverse()) for g, h in pairs)]
+    return out
+
+
+def _h11_corpus():
+    """Seeded automorphisms for k = 2 to 6: i I, i times a Jordan block,
+    diag(i, 1, ..., 1), the unipotent Jordan block, their conjugates by
+    products of elementary matrices, and such products alone (parabolic or
+    of positive entropy)."""
+    rng = random.Random(38)
+    out = []
+    for k in range(2, 7):
+        def rows(entry):
+            return [[entry(i, j) for j in range(k)] for i in range(k)]
+
+        def elementary_product(length):
+            P = TorusAutomorphism(rows(lambda i, j: (int(i == j), 0)))
+            for _ in range(length):
+                a, b = rng.sample(range(k), 2)
+                c = (rng.randint(-1, 1), rng.randint(-1, 1))
+                P = P.compose(TorusAutomorphism(rows(
+                    lambda i, j: c if (i, j) == (a, b) else (int(i == j), 0))))
+            return P
+
+        cores = [TorusAutomorphism(rows(entry)) for entry in (
+            lambda i, j: (0, int(i == j)),
+            lambda i, j: (0, int(j in (i, i + 1))),
+            lambda i, j: (int(i == j > 0), int(i == j == 0)),
+            lambda i, j: (int(j in (i, i + 1)), 0))]
+        out += cores
+        for core in cores:
+            P = elementary_product(rng.randint(1, k))
+            out.append(P.compose(core).compose(P.inverse()))
+        out += [elementary_product(rng.randint(1, 2 * k)) for _ in range(4)]
+    return out
+
+
+def _data_specs():
+    return sorted(p for p in DATA.glob("*.json")
+                  if not p.name.endswith("_report.json")
+                  and not p.name.startswith("hodge_check"))
+
+
+def _forge_spec(name):
+    report = json.loads((DATA / f"{name}_report.json").read_text())
+    return _group_from_json(report["spec"])
+
+
+# every builtin, every tests/data spec and the cubic, quartic and degree-6
+# forges, each with its pairwise words, and the seeded corpus
+H11_FAMILIES = {
+    "builtins": lambda: _with_pairwise_words(
+        catalog_group(name) for name in _CATALOG),
+    "specs": lambda: _with_pairwise_words(
+        load_group_argument(str(p))[0] for p in _data_specs()),
+    "forges": lambda: _with_pairwise_words(_forge_spec(name) for name in (
+        "forge_cubic_bound2", "forge_quartic", "forge_deg6")),
+    "seeded": _h11_corpus,
+}
+
+
+@pytest.mark.parametrize("family", sorted(H11_FAMILIES))
+def test_h11_charpoly_and_verdicts_match_the_h11_matrix(family):
+    seen = set()
+    for f in H11_FAMILIES[family]():
+        expected = _h11_reference(f)
+        assert (h11_charpoly(f), has_zero_entropy(f), classify(f)) == \
+            expected, f.pairs
+        seen.add(expected[2])
+    if family == "seeded":
+        assert seen == {POSITIVE_ENTROPY, PARABOLIC, FINITE_ORDER}
 
 
 def test_charpoly_reads_sympy_gaussian_matrices():
