@@ -189,7 +189,15 @@ def factor_field_table(spec: GroupSpec) -> CharacterTable:
     generator (``group_structure.find_characters``): the multiplier tuples
     are deduplicated exactly, once, and each distinct tuple but the trivial
     one (all multipliers 1) is a character; a non-semisimple family is
-    rejected."""
+    rejected.
+
+    Both checks of ``_validate_characters`` hold by construction.  A
+    returned table is semisimple: its k eigenvectors form a basis of C^k
+    (``covered == k``, every generator scalar on every eigenspace), so at
+    most k tuples are distinct and ``m > k^2`` cannot fire.  Over that
+    eigenbasis of the A_j^T the multipliers of generator j are all of its
+    |lambda|^2, so their largest is d1, and for d1 > 1 its tuple is not the
+    trivial one: d1 lies on a character."""
     eigenvectors, semisimple = _common_eigenvectors(spec)
     distinct = []       # (w, multipliers) at the first w of each tuple
     for w, modsq in eigenvectors:

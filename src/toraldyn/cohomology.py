@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import sympy as sp
 from sympy import I, Matrix, Poly
@@ -214,11 +214,7 @@ def wedge(c1: CohomClass, c2: CohomClass) -> CohomClass:
 
 
 def wedge_all(classes) -> CohomClass:
-    classes = list(classes)
-    acc = classes[0]
-    for c in classes[1:]:
-        acc = wedge(acc, c)
-    return acc
+    return reduce(wedge, classes)
 
 
 @lru_cache(maxsize=None)
@@ -274,6 +270,15 @@ def pullback(f: TorusAutomorphism, c: CohomClass) -> CohomClass:
 # positivity of (1,1)-classes
 
 
+def _gaussian_rational(v):
+    """``(re, im)`` of ``v`` when its expanded form is ``re + im*I`` with
+    rational parts, read off the expression with no evaluation; else None."""
+    re, rest = sp.expand(v).as_coeff_Add()
+    im, unit = rest.as_coeff_Mul()
+    rational = re.is_Rational and im.is_Rational and unit in (1, I)
+    return (re, im) if rational else None
+
+
 def _definiteness(c: CohomClass, test: str):
     """Exact (psd, pd) of the Hermitian form of a (1,1)-class, decided on the
     integer ``hermitian_real_form`` of its Gaussian-rational entries; a class
@@ -281,9 +286,9 @@ def _definiteness(c: CohomClass, test: str):
     ``ExactAlgebraError``."""
     if c.p != 1:
         raise ValueError(f"{test} test implemented for (1,1)-classes")
-    pairs = [[sp.expand(v).as_real_imag() for v in row]
+    pairs = [[_gaussian_rational(v) for v in row]
              for row in c.to_hermitian().tolist()]
-    if not all(x.is_Rational for row in pairs for z in row for x in z):
+    if not all(z for row in pairs for z in row):
         raise ExactAlgebraError(f"the {test} test decides classes with "
                                 "Gaussian-rational entries only")
     if not c.is_real():

@@ -918,9 +918,9 @@ def test_refusal_loads_no_sympy(tmp_path, spec, argv):
 # Gaussian finite-order SL(2, Z[i]) generator and one pair (g, g^2)
 SEED41_ZERO_ENTROPY = ("seed41_sl3_parabolic", "seed41_sl3_nonreal_split",
                        "seed41_sl2zi_finite_gaussian", "seed41_pair_zero")
-# and the k = 6 family diag(i, 1, ..., 1), ..., diag(1, ..., 1, i), of
-# u_order 4^6, whose H^{1,1} charpolys have degree 36
-ZERO_ENTROPY_SPECS = (*SEED41_ZERO_ENTROPY, "diag_i_T6")
+# and the k = 6 and k = 7 members of the family diag(i, 1, ..., 1), ...,
+# diag(1, ..., 1, i), of u_order 4^k, whose H^{1,1} charpolys have degree k^2
+ZERO_ENTROPY_SPECS = (*SEED41_ZERO_ENTROPY, "diag_i_T6", "diag_i_T7")
 
 
 @pytest.mark.parametrize("name", ZERO_ENTROPY_SPECS)

@@ -8,7 +8,7 @@ import pytest
 import sympy as sp
 from sympy import I, Matrix, eye
 
-from toraldyn import cohomology, integer_model
+from toraldyn import ExactAlgebraError, cohomology, integer_model
 from toraldyn.integer_model import _CATALOG, catalog_group, h11_charpoly
 from toraldyn.exact_algebra import charpoly, exact_equal, exact_is_zero
 from toraldyn.cohomology import (
@@ -350,6 +350,21 @@ def test_nef_kahler_of_gaussian_rational_classes(H):
     c = CohomClass.from_hermitian(M)
     assert (is_nef(c), is_kahler(c)) == (real.is_positive_semidefinite,
                                          real.is_positive_definite)
+
+
+def test_nef_refuses_a_non_real_root_entry_without_evaluating_it(monkeypatch):
+    # the entry is refused before any entry is split into real and
+    # imaginary parts, which would evaluate the non-real root numerically
+    root = sp.CRootOf(sp.Symbol("x") ** 3 - sp.Symbol("x") - 1, 1)
+    c = CohomClass.from_hermitian(Matrix([[1, root],
+                                          [sp.conjugate(root), 1]]))
+
+    def evaluated(*args, **kwargs):
+        raise AssertionError("a CRootOf entry was evaluated")
+
+    monkeypatch.setattr(sp.ComplexRootOf, "eval_rational", evaluated)
+    with pytest.raises(ExactAlgebraError):
+        is_nef(c)
 
 
 def test_cohom_class_equality_is_exact_and_unhashable():

@@ -14,7 +14,8 @@ import pytest
 import sympy as sp
 from sympy import I, Matrix, eye
 
-from toraldyn import ExactAlgebraError, exact_algebra, integer_model
+from toraldyn import (ExactAlgebraError, exact_algebra, group_structure,
+                      integer_model)
 from toraldyn.cli import load_group_argument
 from toraldyn.exact_algebra import RealRoot, exact_equal
 from toraldyn.cohomology import (
@@ -480,6 +481,45 @@ def test_relation_lattice_of_shear_powers():
         assert _u_structure(spec, [[1, 0], [0, 1]]) == (
             None, IntegerLattice(2, ((b // g, -a // g),))), (a, b)
     assert time.perf_counter() - start < 60
+
+
+def _diag_i(k):
+    """diag(i, 1, ..., 1), ..., diag(1, ..., 1, i): U = (Z/4)^k."""
+    return GroupSpec.from_matrices([
+        [[I if i == j == a else int(i == j) for j in range(k)]
+         for i in range(k)] for a in range(k)])
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_u_of_the_diag_i_family_composes_each_element_once(k, monkeypatch):
+    # U = (Z/4)^k has relation lattice 4 Z^k; decompose composes each of
+    # the 4^k elements at most once, plus the powers that find each
+    # generator's order
+    spec = _diag_i(k)
+    units = [[int(i == j) for j in range(k)] for i in range(k)]
+    assert _u_structure(spec, units) == (4 ** k, IntegerLattice(k, tuple(
+        tuple(4 * (i == j) for j in range(k)) for i in range(k))))
+    analysis = pi_rank(spec, find_characters(spec))
+    compose, calls = TorusAutomorphism.compose, []
+
+    def counted(self, other):
+        calls.append(1)
+        return compose(self, other)
+
+    monkeypatch.setattr(TorusAutomorphism, "compose", counted)
+    assert decompose(spec, analysis).u_order == 4 ** k
+    assert len(calls) <= 4 ** k + 4 * k, len(calls)
+
+
+def test_enumeration_cap_counts_the_elements_of_u(monkeypatch):
+    # U = (Z/4)^4 has 256 elements: a cap of 256 admits it, 255 refuses it
+    spec, units = _diag_i(4), [[int(i == j) for j in range(4)]
+                               for i in range(4)]
+    monkeypatch.setattr(group_structure, "ENUMERATION_CAP", 256)
+    assert _u_structure(spec, units)[0] == 256
+    monkeypatch.setattr(group_structure, "ENUMERATION_CAP", 255)
+    with pytest.raises(ExactAlgebraError, match="exceeded cap 255"):
+        _u_structure(spec, units)
 
 
 def _brute_force_relations(spec, bound):
