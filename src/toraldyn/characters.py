@@ -191,10 +191,10 @@ def factor_field_table(spec: GroupSpec) -> CharacterTable:
     one (all multipliers 1) is a character; a non-semisimple family is
     rejected.
 
-    Both checks of ``_validate_characters`` hold by construction.  A
-    returned table is semisimple: its k eigenvectors form a basis of C^k
+    A returned table is semisimple: its k eigenvectors form a basis of C^k
     (``covered == k``, every generator scalar on every eigenspace), so at
-    most k tuples are distinct and ``m > k^2`` cannot fire.  Over that
+    most k tuples are distinct and the table has at most k characters.  The
+    check of ``_validate_characters`` holds by construction too.  Over that
     eigenbasis of the A_j^T the multipliers of generator j are all of its
     |lambda|^2, so their largest is d1, and for d1 > 1 its tuple is not the
     trivial one: d1 lies on a character."""
@@ -215,10 +215,6 @@ def factor_field_table(spec: GroupSpec) -> CharacterTable:
 
 
 def _validate_characters(spec: GroupSpec, table: CharacterTable):
-    k = spec.k
-    if table.m > k * k:
-        raise AssertionError(
-            f"THEOREM VIOLATION: {table.m} characters exceed h1 = {k * k}")
     # the characters attain the top degree d1 of each positive-entropy
     # generator, derived independently from the root moduli.  A sympy
     # multiplier is compared by exact_is_zero, not by the kernel: its

@@ -1,6 +1,5 @@
 """End-to-end tests of the command-line surface and its JSON contracts."""
 
-import ast
 import copy
 import functools
 import gc
@@ -29,7 +28,6 @@ from toraldyn.cli import (EXIT_INVALID, EXIT_OK, EXIT_VIOLATION, MAX_DIGITS,
 from toraldyn.integer_model import _CATALOG, catalog_group
 
 ROOT = Path(__file__).resolve().parents[1]
-GOLDEN_DIR = ROOT / "perfbench" / "golden"
 SRC_DIR = ROOT / "src"
 
 
@@ -269,96 +267,75 @@ def test_analyze_number_field_spec(tmp_path, capsys):
     assert rep["forged_from"]["min_poly"] == ["1", "0", "-2"]
 
 
-@pytest.mark.parametrize("name,argv", [
-    ("cat_T2", ["analyze", "cat_T2"]),
-    ("pell_T2", ["analyze", "pell_T2"]),
-    ("parabolic_T2", ["analyze", "parabolic_T2"]),
-    ("torsion_i", ["analyze", "torsion_i"]),
-    ("pell_plus_torsion", ["analyze", "pell_plus_torsion"]),
-    ("cubic_T3", ["analyze", "cubic_T3"]),
-    ("forge_cubic", ["forge", "--poly", "1,-1,-2,1"]),
-    ("enumerate_2_2", ["enumerate", "--dim", "2", "--bound", "2"]),
-])
-def test_report_matches_golden(name, argv):
-    # a fresh interpreter, as users run it: the printed interval of a bare
-    # CRootOf depends on how far sympy's process-wide root cache was refined
-    # by earlier computations in the same process
-    proc = subprocess.run([sys.executable, "-m", "toraldyn.cli", *argv],
-                          capture_output=True, env=_src_env())
-    assert proc.returncode == EXIT_OK, proc.stderr.decode()[-2000:]
-    assert proc.stdout == (GOLDEN_DIR / f"{name}.json").read_bytes()
-
-
-def _analyze_spec(name):
-    return ["analyze", str(ROOT / "tests" / "data" / f"{name}.json")]
-
-
-# positive-entropy requests that no golden covers, each committed with its
-# stdout as tests/data/<name>_report.json: a Gaussian generator with a
-# non-real trace, diag(C, C) alone (B_t at t = 1) and with diag(C, C^-1) (B
-# the second generator), two Pell powers with the torsion i, three
-# positive-entropy draws of random-spectra seed 41 (cycle 0), the k = 4
-# forge of the benchmark catalog, and the forges of Q(sqrt 2), of the golden
-# field and of the cubic field at bound 2, which pin the units the forge
-# selects
-@pytest.mark.parametrize("name,argv", [
-    *(pytest.param(name, _analyze_spec(name), id=name) for name in (
-        "sl2zi_nonreal_trace", "diag_cc_T6", "diag_cc_pair_T6",
-        "pell2_pell3_i", "seed41_sl3_real_split_positive",
-        "seed41_sl2zi_real_trace_positive", "seed41_sl3_nonreal_irreducible")),
-    *(pytest.param(name, ["forge", "--poly", poly, "--bound", bound],
-                   id=name) for name, poly, bound in (
-        ("forge_quartic", "1,-1,-3,1,1", "2"),
-        ("forge_sqrt2", "1,0,-2", "3"),
-        ("forge_golden", "1,-1,-1", "2"),
-        ("forge_cubic_bound2", "1,-1,-2,1", "2"))),
-])
-def test_spec_report_matches_its_committed_stdout(name, argv):
-    # a fresh interpreter, as in test_report_matches_golden
-    proc = subprocess.run([sys.executable, "-m", "toraldyn.cli", *argv],
-                          capture_output=True, env=_src_env())
-    assert proc.returncode == EXIT_OK, proc.stderr.decode()[-2000:]
-    assert proc.stderr == b""
-    path = ROOT / "tests" / "data" / f"{name}_report.json"
-    assert proc.stdout == path.read_bytes()
-
-
-# a fresh interpreter that runs cli.main with h11_matrix refusing in every
-# toraldyn namespace that binds it
-_H11_MATRIX_REFUSED = """
-import importlib, pkgutil, sys
-import toraldyn
+# the byte contract: each row of tests/contract.json is a request, the file
+# holding its committed stdout, whether it is too slow for tier-1 (ci_only;
+# CI runs every row) and whether it must load neither sympy nor mpmath.  The
+# rows are the perfbench goldens; positive-entropy requests that no golden
+# covers (a Gaussian generator with a non-real trace, diag(C, C) alone and
+# with diag(C, C^-1), two Pell powers with the torsion i, three draws of
+# random-spectra seed 41, and the forges of the quartic, Q(sqrt 2), the
+# golden field and the cubic at bound 2, which pin the units the forge
+# selects); zero-entropy specs whose every decision is an integer one (four
+# draws of random-spectra seed 41, diag(i, 1, ..., 1), ..., diag(1, ..., 1,
+# i) at k = 6 and 7, and (P, P^5)); the seed-7 Hodge-Riemann reports; and, in
+# CI only, forges whose --bound is a ceiling: a larger bound prints the same
+# units
+CONTRACT = json.loads((ROOT / "tests" / "contract.json").read_text())
+# a fresh interpreter per row, as users run it: the printed interval of a
+# bare CRootOf depends on how far sympy's process-wide root cache was refined
+# by earlier computations in the same process.  h11_matrix refuses before any
+# other package module is imported, so every later `from .integer_model
+# import h11_matrix` binds the refusal: the zero-entropy test, the
+# classification and the printed H^{1,1} charpoly are all read from the
+# k x k charpoly.  The loaded sympy* and mpmath* modules go to the file named
+# by the first argument
+_ROW_DRIVER = """
+import json, sys
+from toraldyn import integer_model
 
 def refuse(f):
     raise AssertionError("h11_matrix was called")
 
-for info in pkgutil.iter_modules(toraldyn.__path__):
-    module = importlib.import_module("toraldyn." + info.name)
-    if hasattr(module, "h11_matrix"):
-        module.h11_matrix = refuse
+integer_model.h11_matrix = refuse
 from toraldyn.cli import main
-sys.exit(main(sys.argv[1:]))
+code = main(sys.argv[2:])
+with open(sys.argv[1], "w") as out:
+    json.dump(sorted(m for m in sys.modules
+                     if m.split(".")[0] in ("sympy", "mpmath")), out)
+sys.exit(code)
 """
 
 
-@pytest.mark.parametrize("argv,expected", [
-    *(pytest.param(["analyze", name], GOLDEN_DIR / f"{name}.json", id=name)
-      for name in sorted(_CATALOG)),
-    pytest.param(_analyze_spec("pell2_pell3_i"),
-                 ROOT / "tests" / "data" / "pell2_pell3_i_report.json",
-                 id="pell2_pell3_i"),
-    pytest.param(["forge", "--poly", "1,-1,-3,1,1", "--bound", "2"],
-                 ROOT / "tests" / "data" / "forge_quartic_report.json",
-                 id="forge_quartic"),
-])
-def test_no_request_builds_the_h11_matrix(argv, expected):
-    # the zero-entropy test, the classification and the printed H^{1,1}
-    # charpoly are all read from the k x k charpoly: with h11_matrix
-    # refusing, every report is printed unchanged
-    proc = subprocess.run([sys.executable, "-c", _H11_MATRIX_REFUSED, *argv],
-                          capture_output=True, env=_src_env())
+@pytest.mark.parametrize("row", [r for r in CONTRACT if not r["ci_only"]],
+                         ids=lambda row: Path(row["stdout"]).stem)
+def test_contract_row_prints_its_committed_stdout(tmp_path, row):
+    loaded = tmp_path / "loaded.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", _ROW_DRIVER, str(loaded), *row["argv"]],
+        capture_output=True, cwd=ROOT, env=_src_env(), timeout=120)
     assert proc.returncode == EXIT_OK, proc.stderr.decode()[-2000:]
-    assert proc.stdout == expected.read_bytes()
+    assert proc.stderr == b""
+    assert proc.stdout == (ROOT / row["stdout"]).read_bytes()
+    if row["numeric_free"]:
+        assert json.loads(loaded.read_text()) == []
+
+
+# every committed CLI output: the perfbench goldens, the reports of the
+# tests/data specs and forges, and the seed-7 Hodge-Riemann reports
+COMMITTED_OUTPUTS = ("perfbench/golden/*.json", "tests/data/*_report.json",
+                     "tests/data/hodge_check_k*_seed7.json")
+
+
+def test_every_committed_output_is_the_stdout_of_a_contract_row():
+    named = {row["stdout"] for row in CONTRACT}
+    committed = {path.relative_to(ROOT).as_posix()
+                 for pattern in COMMITTED_OUTPUTS
+                 for path in ROOT.glob(pattern)}
+    assert sorted(committed - named) == []
+    # and every file a row names exists: its stdout and any spec it analyzes
+    files = named | {arg for row in CONTRACT for arg in row["argv"]
+                     if arg.endswith(".json")}
+    assert sorted(f for f in files if not (ROOT / f).is_file()) == []
 
 
 def test_reader_closing_stdout_early_gets_an_exit_code():
@@ -586,16 +563,6 @@ def test_hodge_check_k2(capsys):
     assert rep["identity_form"]["passed"] is True
     assert rep["identity_form"]["positive_definite_on_primitive"] is True
     assert rep["semipositivity_fuzz"]["failures"] == "0"
-
-
-@pytest.mark.parametrize("k", [2, 3, 4])
-def test_hodge_check_matches_its_seed_7_report(capsys, k):
-    # the committed seed-7 reports pin the Hodge-Riemann kernel byte for byte
-    code, out, err = _run(capsys, "hodge-check", "--dim", str(k),
-                          "--samples", "1000", "--seed", "7")
-    golden = ROOT / "tests" / "data" / f"hodge_check_k{k}_seed7.json"
-    assert (code, err) == (EXIT_OK, "")
-    assert out == golden.read_text()
 
 
 def test_hodge_check_k5_refused(capsys):
@@ -827,7 +794,7 @@ def test_unwritable_json_path_exits_3(tmp_path, capsys, argv):
 
 
 # ---------------------------------------------------------------------------
-# start-up: a refusal and hodge-check load neither sympy nor mpmath
+# start-up: a refusal loads neither sympy nor mpmath
 # ---------------------------------------------------------------------------
 
 def _modules_after(code, packages):
@@ -851,13 +818,6 @@ def test_importing_the_cli_loads_no_sympy():
     # nor any package module but the root, which holds ExactAlgebraError
     assert (_modules_after("import toraldyn.cli", ("toraldyn",))
             == "['toraldyn', 'toraldyn.cli']")
-
-
-@pytest.mark.parametrize("k", [2, 3, 4])
-def test_hodge_check_loads_no_sympy(k):
-    argv = ["hodge-check", "--dim", str(k), "--samples", "20", "--seed", "7"]
-    code = f"from toraldyn.cli import main\nassert main({argv!r}) == 0"
-    assert _numeric_modules_after(code) == "[]"
 
 
 def test_definiteness_refuses_an_irrational_entry_before_any_import():
@@ -910,44 +870,6 @@ def test_refusal_loads_no_sympy(tmp_path, spec, argv):
         path.write_text(json.dumps(spec))
         argv = ["analyze", str(path)]
     code = f"from toraldyn.cli import main\nassert main({argv!r}) == 3"
-    assert _numeric_modules_after(code) == "[]"
-
-
-# zero-entropy specs of random-spectra seed 41, cycle 0, each committed with
-# its report; one parabolic and one non-real split SL(3, Z) generator, one
-# Gaussian finite-order SL(2, Z[i]) generator and one pair (g, g^2)
-SEED41_ZERO_ENTROPY = ("seed41_sl3_parabolic", "seed41_sl3_nonreal_split",
-                       "seed41_sl2zi_finite_gaussian", "seed41_pair_zero")
-# and the k = 6 and k = 7 members of the family diag(i, 1, ..., 1), ...,
-# diag(1, ..., 1, i), of u_order 4^k, whose H^{1,1} charpolys have degree k^2
-ZERO_ENTROPY_SPECS = (*SEED41_ZERO_ENTROPY, "diag_i_T6", "diag_i_T7")
-
-
-@pytest.mark.parametrize("name", ZERO_ENTROPY_SPECS)
-def test_zero_entropy_report_matches_its_committed_stdout(capsys, name):
-    data = ROOT / "tests" / "data"
-    code, out, err = _run(capsys, "analyze", str(data / f"{name}.json"))
-    assert code == EXIT_OK and err == ""
-    assert out == (data / f"{name}_report.json").read_text()
-
-
-@pytest.mark.parametrize("target", [
-    *(f"tests/data/{name}.json" for name in ZERO_ENTROPY_SPECS),
-    "tests/data/parabolic_pow5_T2.json", "parabolic_T2", "torsion_i"])
-def test_zero_entropy_analyze_loads_no_sympy(target):
-    # every decision of a zero-entropy family is an integer one
-    path = ROOT / target
-    argv = ["analyze", str(path) if path.exists() else target]
-    code = f"from toraldyn.cli import main\nassert main({argv!r}) == 0"
-    loaded = ast.literal_eval(_numeric_modules_after(code))
-    assert not [m for m in loaded if m.split(".")[0] == "sympy"]
-
-
-def test_zero_entropy_analyze_loads_neither_sympy_nor_mpmath():
-    # the approximations 1 and 0 of a zero-entropy report are printed on
-    # integers too
-    argv = ["analyze", str(ROOT / "tests" / "data" / "seed41_pair_zero.json")]
-    code = f"from toraldyn.cli import main\nassert main({argv!r}) == 0"
     assert _numeric_modules_after(code) == "[]"
 
 
