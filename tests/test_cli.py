@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -306,18 +307,135 @@ sys.exit(code)
 """
 
 
-@pytest.mark.parametrize("row", [r for r in CONTRACT if not r["ci_only"]],
+TIER1_ROWS = {tuple(row["argv"]): row
+              for row in CONTRACT if not row["ci_only"]}
+
+
+@functools.cache
+def _row_run(argv):
+    """(exit code, stdout, stderr, loaded numeric modules) of the tier-1 row
+    of this request, run once per session in a fresh interpreter."""
+    assert argv in TIER1_ROWS, f"no tier-1 contract row runs {argv}"
+    with tempfile.TemporaryDirectory() as tmp:
+        loaded = Path(tmp) / "loaded.json"
+        proc = subprocess.run(
+            [sys.executable, "-c", _ROW_DRIVER, str(loaded), *argv],
+            capture_output=True, cwd=ROOT, env=_src_env(), timeout=120)
+        modules = json.loads(loaded.read_text()) if loaded.exists() else None
+    return proc.returncode, proc.stdout, proc.stderr, modules
+
+
+def _row_prints(argv, committed):
+    """Assert the row of `argv` exits 0, silent on stderr, printing the
+    committed file byte for byte; return the modules it loaded."""
+    code, out, err, loaded = _row_run(tuple(argv))
+    assert code == EXIT_OK, err.decode()[-2000:]
+    assert err == b""
+    assert out == (ROOT / committed).read_bytes()
+    return loaded
+
+
+@pytest.mark.parametrize("row", list(TIER1_ROWS.values()),
                          ids=lambda row: Path(row["stdout"]).stem)
-def test_contract_row_prints_its_committed_stdout(tmp_path, row):
-    loaded = tmp_path / "loaded.json"
-    proc = subprocess.run(
-        [sys.executable, "-c", _ROW_DRIVER, str(loaded), *row["argv"]],
-        capture_output=True, cwd=ROOT, env=_src_env(), timeout=120)
-    assert proc.returncode == EXIT_OK, proc.stderr.decode()[-2000:]
-    assert proc.stderr == b""
-    assert proc.stdout == (ROOT / row["stdout"]).read_bytes()
+def test_contract_row_prints_its_committed_stdout(row):
+    loaded = _row_prints(row["argv"], row["stdout"])
     if row["numeric_free"]:
-        assert json.loads(loaded.read_text()) == []
+        assert loaded == []
+
+
+# the tests the outputs were checked by before the table; each reads the one
+# run of its row and asserts what it asserted then
+@pytest.mark.parametrize("name,argv", [
+    ("cat_T2", ["analyze", "cat_T2"]),
+    ("pell_T2", ["analyze", "pell_T2"]),
+    ("parabolic_T2", ["analyze", "parabolic_T2"]),
+    ("torsion_i", ["analyze", "torsion_i"]),
+    ("pell_plus_torsion", ["analyze", "pell_plus_torsion"]),
+    ("cubic_T3", ["analyze", "cubic_T3"]),
+    ("forge_cubic", ["forge", "--poly", "1,-1,-2,1"]),
+    ("enumerate_2_2", ["enumerate", "--dim", "2", "--bound", "2"]),
+])
+def test_report_matches_golden(name, argv):
+    _row_prints(argv, f"perfbench/golden/{name}.json")
+
+
+def _analyze_spec(name):
+    return ["analyze", f"tests/data/{name}.json"]
+
+
+@pytest.mark.parametrize("name,argv", [
+    *(pytest.param(name, _analyze_spec(name), id=name) for name in (
+        "sl2zi_nonreal_trace", "diag_cc_T6", "diag_cc_pair_T6",
+        "pell2_pell3_i", "seed41_sl3_real_split_positive",
+        "seed41_sl2zi_real_trace_positive", "seed41_sl3_nonreal_irreducible")),
+    *(pytest.param(name, ["forge", "--poly", poly, "--bound", bound],
+                   id=name) for name, poly, bound in (
+        ("forge_quartic", "1,-1,-3,1,1", "2"),
+        ("forge_sqrt2", "1,0,-2", "3"),
+        ("forge_golden", "1,-1,-1", "2"),
+        ("forge_cubic_bound2", "1,-1,-2,1", "2"))),
+])
+def test_spec_report_matches_its_committed_stdout(name, argv):
+    _row_prints(argv, f"tests/data/{name}_report.json")
+
+
+@pytest.mark.parametrize("argv,expected", [
+    *(pytest.param(["analyze", name], f"perfbench/golden/{name}.json", id=name)
+      for name in sorted(_CATALOG)),
+    pytest.param(_analyze_spec("pell2_pell3_i"),
+                 "tests/data/pell2_pell3_i_report.json", id="pell2_pell3_i"),
+    pytest.param(["forge", "--poly", "1,-1,-3,1,1", "--bound", "2"],
+                 "tests/data/forge_quartic_report.json", id="forge_quartic"),
+])
+def test_no_request_builds_the_h11_matrix(argv, expected):
+    # every row runs with h11_matrix refusing
+    _row_prints(argv, expected)
+
+
+# zero-entropy specs of random-spectra seed 41, cycle 0, and the k = 6 and
+# k = 7 members of the family diag(i, 1, ..., 1), ..., diag(1, ..., 1, i)
+ZERO_ENTROPY_SPECS = ("seed41_sl3_parabolic", "seed41_sl3_nonreal_split",
+                      "seed41_sl2zi_finite_gaussian", "seed41_pair_zero",
+                      "diag_i_T6", "diag_i_T7")
+
+
+@pytest.mark.parametrize("name", ZERO_ENTROPY_SPECS)
+def test_zero_entropy_report_matches_its_committed_stdout(name):
+    _row_prints(_analyze_spec(name), f"tests/data/{name}_report.json")
+
+
+@pytest.mark.parametrize("target", [
+    *(f"tests/data/{name}.json" for name in ZERO_ENTROPY_SPECS),
+    "tests/data/parabolic_pow5_T2.json", "parabolic_T2", "torsion_i"])
+def test_zero_entropy_analyze_loads_no_sympy(target):
+    # every decision of a zero-entropy family is an integer one
+    code, _, err, loaded = _row_run(("analyze", target))
+    assert code == EXIT_OK, err.decode()[-2000:]
+    assert not [m for m in loaded if m.split(".")[0] == "sympy"]
+
+
+def test_zero_entropy_analyze_loads_neither_sympy_nor_mpmath():
+    # the approximations 1 and 0 of a zero-entropy report are printed on
+    # integers too
+    assert _row_prints(_analyze_spec("seed41_pair_zero"),
+                       "tests/data/seed41_pair_zero_report.json") == []
+
+
+def _hodge_check_seed_7(k):
+    return ["hodge-check", "--dim", str(k), "--samples", "1000", "--seed", "7"]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_hodge_check_matches_its_seed_7_report(k):
+    _row_prints(_hodge_check_seed_7(k),
+                f"tests/data/hodge_check_k{k}_seed7.json")
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_hodge_check_loads_no_sympy(k):
+    code, _, err, loaded = _row_run(tuple(_hodge_check_seed_7(k)))
+    assert code == EXIT_OK, err.decode()[-2000:]
+    assert loaded == []
 
 
 # every committed CLI output: the perfbench goldens, the reports of the
