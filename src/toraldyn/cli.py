@@ -298,7 +298,7 @@ def _forge_or_raise(coeffs: tuple, bound: int):
 # ---------------------------------------------------------------------------
 
 def _generator_report(g: TorusAutomorphism, digits: int) -> dict:
-    from .integer_model import degree_profile, h11_charpoly
+    from .integer_model import classify, degree_profile, h11_charpoly
     prof = degree_profile(g)
     return {
         "name": g.name,
@@ -306,7 +306,7 @@ def _generator_report(g: TorusAutomorphism, digits: int) -> dict:
         "h11_charpoly": [str(c) for c in h11_charpoly(g)],
         "degrees": [_degree_json(d, digits) for d in prof.degrees],
         "entropy": _certified_json(prof.entropy, digits),
-        "classification": prof.classification,
+        "classification": classify(g),
     }
 
 
@@ -334,12 +334,12 @@ def build_analysis_report(analysis: GroupAnalysis, digits: int,
         "seed": str(seed),
         "kind": "torus_group",
         "complex_dim": str(spec.k),
-        "commuting": analysis.commuting.commutes,
+        "commuting": analysis.witness is None,
         "generators": [_generator_report(g, digits)
                        for g in spec.generators],
     }
-    if not analysis.commuting.commutes:
-        i, j = analysis.commuting.witness
+    if analysis.witness is not None:
+        i, j = analysis.witness
         report["non_commuting_witness"] = [str(i), str(j)]
         return report
     res = analysis.rank
@@ -418,7 +418,7 @@ def cmd_analyze(args) -> int:
     if forged is not None:
         report["forged_from"] = _forged_json(forged)
     _emit(report, args.json)
-    if not analysis.commuting.commutes:
+    if analysis.witness is not None:
         _print("generators do not commute; input rejected", sys.stderr)
         return EXIT_INVALID
     return EXIT_OK

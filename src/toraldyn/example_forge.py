@@ -103,10 +103,6 @@ class UnitSystem:
     units: tuple                # ascending power-basis coefficient tuples
     certificate: str = ""
 
-    @property
-    def rank(self) -> int:
-        return len(self.units)
-
 
 @functools.lru_cache(maxsize=None)
 def _embedding_roots(coeffs) -> tuple:
@@ -135,18 +131,19 @@ def _log_vector(field: NumberFieldSpec, u):
         u, *root.enclosure(eps))) for root in _embedding_roots(field.coeffs))
 
 
-def _lll_reduce_units(field: NumberFieldSpec, units, logs) -> tuple:
-    """LLL-reduce the log-embedding lattice of independent units, with
-    ``logs[i][j]`` = log|sigma_j(u_i)| over the real embeddings sigma_j;
-    returns an equally-sized system of (usually shorter) units obtained as
-    exact products of the input units.  The reduced rows are a
-    unimodular transform of the rows [e_i | logs_i], so their exponent block
-    has determinant +-1 and the units it gives are independent too.  A
-    product is column 0 of the word M of the units' regular
-    representations: M e_0 = M(1)."""
-    spec = GroupSpec(tuple(regular_representation(u, field) for u in units))
+def _lll_reduce_units(gens, logs) -> tuple:
+    """LLL-reduce the log-embedding lattice of independent units u_i, given
+    by their regular representations ``gens``, with ``logs[i][j]`` =
+    log|sigma_j(u_i)| over the real embeddings sigma_j; returns an
+    equally-sized system of (usually shorter) units obtained as exact
+    products of the input units.  The reduced rows are a unimodular
+    transform of the rows [e_i | logs_i], so their exponent block has
+    determinant +-1 and the units it gives are independent too.  A product
+    is column 0 of the word M of the units' regular representations:
+    M e_0 = M(1)."""
+    spec = GroupSpec(tuple(gens))
     return tuple(tuple(r[0][0] for r in
-                       word_automorphism(spec, row[:len(units)]).pairs)
+                       word_automorphism(spec, row[:len(gens)]).pairs)
                  for row in lll_reduce(_relation_rows(logs)))
 
 
@@ -169,10 +166,10 @@ def unit_search(field: NumberFieldSpec, coeff_bound: int) -> UnitSystem:
     """
     k = field.degree
     target = k - 1
-    selected, gens, logs = [], [], []
+    gens, logs = [], []
     for u in itertools.chain.from_iterable(
             _shell(k, s) for s in range(1, coeff_bound + 1)):
-        if len(selected) == target:
+        if len(gens) == target:
             break
         # -u has the same logs: keep the sign class whose first nonzero
         # coefficient is positive
@@ -180,14 +177,13 @@ def unit_search(field: NumberFieldSpec, coeff_bound: int) -> UnitSystem:
             continue
         g, lv = regular_representation(u, field), _log_vector(field, u)
         if not verified_kernel(GroupSpec(tuple(gens + [g])), logs + [lv]):
-            selected.append(u)
             gens.append(g)
             logs.append(lv)
-    if len(selected) < target:
+    if len(gens) < target:
         raise ForgeError(
-            f"only {len(selected)} independent units found with coefficient "
+            f"only {len(gens)} independent units found with coefficient "
             f"bound {coeff_bound}; need {target} — increase the bound")
-    return UnitSystem(field, _lll_reduce_units(field, selected, logs))
+    return UnitSystem(field, _lll_reduce_units(gens, logs))
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +226,7 @@ def build_max_rank_group(field: NumberFieldSpec,
             f"units are multiplicatively dependent: relation "
             f"{list(kernel[0])} verified exactly")
     units = replace(units, certificate=(
-        f"log-rank {units.rank} at {_LOG_DIGITS} digits; all LLL-proposed "
-        "relations refuted exactly in Z[theta]"))
+        f"log-rank {len(units.units)} at {_LOG_DIGITS} digits; all "
+        "LLL-proposed relations refuted exactly in Z[theta]"))
     return ForgedGroup(units, analysis)
 

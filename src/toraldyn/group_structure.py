@@ -52,21 +52,16 @@ class DegenerateSpectrumError(ExactAlgebraError):
         super().__init__(msg)
 
 
-@dataclass(frozen=True)
-class CommutingReport:
-    commutes: bool
-    witness: tuple | None = None   # (i, j) indices of a non-commuting pair
-
-
 @lru_cache(maxsize=None)
-def check_commuting(spec: GroupSpec) -> CommutingReport:
-    """Exact pairwise commutator test; witness is the first failing pair.
-    Memoised per spec: the analysis and the character search share it."""
+def check_commuting(spec: GroupSpec) -> tuple | None:
+    """Exact pairwise commutator test: the indices (i, j) of the first
+    non-commuting pair, or None when the generators commute.  Memoised per
+    spec: the analysis and the character search share it."""
     gens = spec.generators
     for i, j in itertools.combinations(range(len(gens)), 2):
         if gens[i].compose(gens[j]) != gens[j].compose(gens[i]):
-            return CommutingReport(False, (i, j))
-    return CommutingReport(True)
+            return i, j
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -108,9 +103,9 @@ def find_characters(spec: GroupSpec) -> CharacterTable:
     is finite order on T^k, so the family is semisimple iff every generator
     has finite order on cohomology.
     """
-    comm = check_commuting(spec)
-    if not comm.commutes:
-        raise ValueError(f"generators {comm.witness} do not commute")
+    witness = check_commuting(spec)
+    if witness is not None:
+        raise ValueError(f"generators {witness} do not commute")
     gens = spec.generators
     if all(has_zero_entropy(g) for g in gens):
         return CharacterTable([], [], [], all(
@@ -201,10 +196,16 @@ def assert_structure_theorems(spec: GroupSpec,
     """Check the structural bounds for the computed rank r and return the
     binomial rows (n, binom(r, n), h_n, bound) for 1 <= n <= r.
 
-    Every complement word has positive entropy; r <= k-1;
-    binom(r,n) <= h_n = binom(k,n)^2, strictly below h_n when n divides r;
-    and r+1 invariant nef classes with nonzero wedge exist.  Violations
-    raise (build-breaking), so every returned row holds."""
+    Every complement word has positive entropy; r <= k-1; and r+1 invariant
+    nef classes with nonzero wedge exist.  Violations raise
+    (build-breaking).  The binomial bound binom(r,n) <= h_n = binom(k,n)^2,
+    strictly below h_n when n divides r, needs no check once r <= k-1
+    holds: for 1 <= n <= r <= k-1,
+
+        binom(r,n) <= binom(k-1,n) = binom(k,n) - binom(k-1,n-1)
+                   <= binom(k,n) - 1 <= h_n - 1,
+
+    so every returned row holds."""
     k = spec.k
     r = analysis.rank
     # positive entropy of the free part, certified on basis words + sums
@@ -223,12 +224,8 @@ def assert_structure_theorems(spec: GroupSpec,
     bounds = []
     for nn in range(1, r + 1):
         hn = math.comb(k, nn) ** 2
-        limit = hn - 1 if r % nn == 0 else hn
-        val = math.comb(r, nn)
-        bounds.append((nn, val, hn, limit))
-        if val > limit:
-            raise AssertionError(
-                f"THEOREM VIOLATION: binom({r},{nn}) = {val} > {limit}")
+        bounds.append((nn, math.comb(r, nn), hn,
+                       hn - 1 if r % nn == 0 else hn))
     if not _nonzero_wedge_chain(analysis.table, r + 1):
         raise AssertionError(
             "THEOREM VIOLATION: no nonzero wedge chain of length r+1")
@@ -284,8 +281,9 @@ def _enumerate_closure(k: int, autos):
         power, n = g, 1
         while power not in label:
             if len(label) * (n + 1) > ENUMERATION_CAP:
-                raise ExactAlgebraError("group enumeration exceeded cap "
-                                        f"{ENUMERATION_CAP}")
+                raise ExactAlgebraError(
+                    "the zero-entropy part U exceeds the enumeration budget "
+                    f"of {ENUMERATION_CAP} elements")
             power, n = power.compose(g), n + 1
         relations.append(tuple(n * (j == i) - a
                                for j, a in enumerate(label[power])))
@@ -364,7 +362,7 @@ def decompose(spec: GroupSpec, analysis: PiRankResult) -> DecompositionResult:
 @dataclass
 class GroupAnalysis:
     spec: GroupSpec
-    commuting: CommutingReport
+    witness: tuple | None              # a non-commuting pair, or None
     rank: PiRankResult | None = None   # with the character table
     binomial_bounds: list | None = None
     decomposition: DecompositionResult | None = None
@@ -373,9 +371,8 @@ class GroupAnalysis:
 def analyze_group(spec: GroupSpec) -> GroupAnalysis:
     """Full pipeline: commutativity, characters, rank, structural
     assertions, and the U x free split."""
-    comm = check_commuting(spec)
-    out = GroupAnalysis(spec, comm)
-    if not comm.commutes:
+    out = GroupAnalysis(spec, check_commuting(spec))
+    if out.witness is not None:
         return out
     out.rank = pi_rank(spec, find_characters(spec))
     out.binomial_bounds = assert_structure_theorems(spec, out.rank)

@@ -43,16 +43,6 @@ def _square_and_multiply(mul, base, one, n: int):
     return acc
 
 
-def _eye_rows(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _int_product(A, B) -> list:
-    cols = list(zip(*B))
-    return [[sum(a * b for a, b in zip(row, col)) for col in cols]
-            for row in A]
-
-
 def _pair_dot(xs, ys) -> tuple:
     """sum x y over two sequences of Gaussian-integer pairs, as far as the
     shorter one goes."""
@@ -586,22 +576,22 @@ def finite_order_bound(dim: int) -> int:
     return math.lcm(*_indices_up_to(dim))
 
 
-def matrix_order(M, p):
-    """Exact multiplicative order of an integer matrix given as rows, or
-    ``"infinite"``, from its characteristic polynomial ``p`` (coefficients
-    leading first).
+def matrix_order(f: TorusAutomorphism):
+    """Exact multiplicative order of the automorphism f, or ``"infinite"``.
 
-    The eigenvalues of a matrix of finite order are roots of unity, so p
-    is a product of cyclotomics Phi_m.  Then the order is finite iff M^n = I
-    for the lcm n of the indices m, by integer repeated squaring, and it is
-    n: a factor Phi_m gives an eigenvalue of order m.
+    The eigenvalues of a matrix of finite order are roots of unity, so the
+    degree-2k integer p * conj(p), p the charpoly of A, is a product of
+    cyclotomics Phi_m; its indices are memoised and shared with
+    ``has_zero_entropy``.  Then A has finite order iff A^n = I for the lcm n
+    of the indices m, decided by repeated squaring on the integer pairs of
+    f, and its order is n: a factor Phi_m of p * conj(p) gives an eigenvalue
+    of A, or the conjugate of one, of order m.
     """
-    indices = _cyclotomic_indices(tuple(p))
+    indices = _cyclotomic_indices(times_conjugate(f.charpoly))
     if indices is None:
         return INFINITE_ORDER
-    n, eye = math.lcm(*indices), _eye_rows(len(M))
-    power = _square_and_multiply(_int_product, M, eye, n)
-    return n if power == eye else INFINITE_ORDER
+    n = math.lcm(*indices)
+    return n if f.power(n) == _identity(f.k) else INFINITE_ORDER
 
 
 # ---------------------------------------------------------------------------
@@ -627,11 +617,10 @@ def has_zero_entropy(f: TorusAutomorphism) -> bool:
 def classify(f: TorusAutomorphism) -> str:
     """Exact trichotomy on the H^{1,1} action; no floating point.  At zero
     entropy A (x) conj(A) has finite order iff A has, read on the integer
-    real form of A.  Memoised: the analysis and the degree profile share it."""
+    pairs of A.  Memoised: the analysis and the report share it."""
     if not has_zero_entropy(f):
         return POSITIVE_ENTROPY
-    if matrix_order(hermitian_real_form(f.pairs),
-                    times_conjugate(f.charpoly)) == INFINITE_ORDER:
+    if matrix_order(f) == INFINITE_ORDER:
         return PARABOLIC
     return FINITE_ORDER
 
@@ -640,21 +629,19 @@ def classify(f: TorusAutomorphism) -> str:
 class DegreeProfile:
     degrees: list          # per p in 0..k: Fraction(1) or a CertifiedReal
     entropy: object        # Fraction(0) or a CertifiedReal
-    classification: str
 
 
 def degree_profile(f: TorusAutomorphism) -> DegreeProfile:
-    """The dynamical degrees d_0 .. d_k, the entropy and the class of f.
+    """The dynamical degrees d_0 .. d_k and the entropy of f.
 
     At zero entropy every eigenvalue of A is a root of unity (Kronecker), so
     every d_p is 1 and the entropy is 0: exact Fractions, with no root
     moduli computed.  Otherwise the certified values of ``cohomology``."""
     if has_zero_entropy(f):
-        return DegreeProfile([Fraction(1)] * (f.k + 1), Fraction(0),
-                             classify(f))
+        return DegreeProfile([Fraction(1)] * (f.k + 1), Fraction(0))
     from .cohomology import dynamical_degree, entropy
     degrees = [dynamical_degree(f, p) for p in range(f.k + 1)]
-    return DegreeProfile(degrees, entropy(f), classify(f))
+    return DegreeProfile(degrees, entropy(f))
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +668,7 @@ def hermite_normal_form_rows(A: list) -> tuple[list, list]:
     H = [list(map(int, row)) for row in A]
     m = len(H)
     n = len(H[0]) if m else 0
-    U = _eye_rows(m)
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
     r = 0
     for c in range(n):
         # gcd-reduce column c below row r

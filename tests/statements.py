@@ -316,10 +316,10 @@ def check_theorem_4_6(spec: GroupSpec, classes) -> Theorem46Report:
                     witness=e)
             raise AssertionError(
                 f"THEOREM VIOLATION: nontrivial word {e} in ker(pi)")
-    comm = check_commuting(spec)
-    if not comm.commutes:
+    witness = check_commuting(spec)
+    if witness is not None:
         raise AssertionError(
-            f"THEOREM VIOLATION: non-commuting pair {comm.witness}")
+            f"THEOREM VIOLATION: non-commuting pair {witness}")
     r = n - len(verified)
     if r > k - 1:
         raise AssertionError(

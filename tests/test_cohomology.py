@@ -230,7 +230,7 @@ def test_degree_profile_endpoints():
     prof = degree_profile(CAT)
     assert exact_equal(prof.degrees[0].expr, 1)
     assert exact_equal(prof.degrees[-1].expr, 1)
-    assert prof.classification == "positive_entropy"
+    assert classify(CAT) == "positive_entropy"
 
 
 def test_entropy_examples():

@@ -17,9 +17,9 @@ from toraldyn.exact_algebra import (
     exact_is_zero, exact_sign, integer_relations, is_cyclotomic_product,
     matrix_order, _kernel_root, real_root, root_moduli)
 from toraldyn.integer_model import (INFINITE_ORDER, IntegerLattice,
-                                    finite_order_bound, gaussian_det,
-                                    hermite_normal_form_rows, lll_reduce,
-                                    symmetric_definiteness)
+                                    TorusAutomorphism, finite_order_bound,
+                                    gaussian_det, hermite_normal_form_rows,
+                                    lll_reduce, symmetric_definiteness)
 
 from oracles import (_cyclotomic_index, charpoly_times_conjugate,
                      hermitian_coords, spectral_radius)
@@ -245,8 +245,9 @@ def test_cyclotomic_vs_moduli_cross_check_exhaustive_deg2():
 
 
 def _order(rows):
-    rows = [[int(v) for v in row] for row in rows]
-    return matrix_order(rows, charpoly(rows).all_coeffs())
+    """The order of an integer matrix of determinant +-1, given as rows."""
+    return matrix_order(TorusAutomorphism([[int(v) for v in row]
+                                           for row in rows]))
 
 
 def test_matrix_order_examples():
@@ -255,6 +256,15 @@ def test_matrix_order_examples():
     assert _order([[1, 1], [0, 1]]) == INFINITE_ORDER
     assert _order([[2, 1], [1, 1]]) == INFINITE_ORDER
     assert _order([[-1, 0], [0, -1]]) == 2
+
+
+def test_matrix_order_of_gaussian_automorphisms():
+    # [[0, i], [i, 0]] and i I square to -I; the shear by i is unipotent
+    # with p * conj(p) = (x - 1)^4 cyclotomic, so only A^1 = I decides it
+    assert matrix_order(TorusAutomorphism(Matrix([[0, I], [I, 0]]))) == 4
+    assert matrix_order(TorusAutomorphism(I * eye(2))) == 4
+    assert matrix_order(TorusAutomorphism(Matrix([[1, I], [0, 1]]))) == \
+        INFINITE_ORDER
 
 
 def test_finite_order_bound_small_dims():

@@ -53,18 +53,17 @@ def test_pell_inverse_sanity():
 # ---------------------------------------------------------------------------
 
 def test_commuting_examples():
-    assert check_commuting(PELL_TORSION).commutes
-    assert check_commuting(PELL).commutes
+    assert check_commuting(PELL_TORSION) is None
+    assert check_commuting(PELL) is None
     bad = GroupSpec.from_matrices([[[2, 1], [1, 1]], [[1, 1], [0, 1]]])
-    rep = check_commuting(bad)
-    assert not rep.commutes and rep.witness == (0, 1)
+    assert check_commuting(bad) == (0, 1)
 
 
 @pytest.mark.parametrize("M, j", [([[1 + I, 1], [I, 1]], 2),
                                   ([[-I, 0], [1 + I, I]], 3)])
 def test_commuting_gaussian_powers(M, j):
     g = TorusAutomorphism(M)
-    assert check_commuting(GroupSpec((g, g.power(j)))).commutes
+    assert check_commuting(GroupSpec((g, g.power(j)))) is None
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +349,19 @@ def test_structure_rank_above_k_minus_1_is_a_violation():
         assert_structure_theorems(PELL, res)
 
 
+def test_binomial_bound_follows_from_the_rank_bound():
+    # assert_structure_theorems checks r <= k-1 and no binomial row: for
+    # 1 <= n <= r <= k-1, binom(r, n) <= binom(k-1, n) = binom(k, n) -
+    # binom(k-1, n-1) <= binom(k, n) - 1 <= h_n - 1, under every row's bound
+    for k in range(2, 41):
+        for r in range(1, k):
+            for n in range(1, r + 1):
+                hn = math.comb(k, n) ** 2
+                bound = hn - 1 if r % n == 0 else hn
+                assert math.comb(r, n) <= math.comb(k - 1, n) \
+                    <= math.comb(k, n) - 1 <= hn - 1 <= bound, (k, r, n)
+
+
 def test_structure_zero_entropy_free_word_is_a_violation():
     # the shear of parabolic_T2 has zero entropy, so it cannot be a word of
     # the free part
@@ -518,7 +530,8 @@ def test_enumeration_cap_counts_the_elements_of_u(monkeypatch):
     monkeypatch.setattr(group_structure, "ENUMERATION_CAP", 256)
     assert _u_structure(spec, units)[0] == 256
     monkeypatch.setattr(group_structure, "ENUMERATION_CAP", 255)
-    with pytest.raises(ExactAlgebraError, match="exceeded cap 255"):
+    with pytest.raises(ExactAlgebraError, match="exceeds the enumeration "
+                                                "budget of 255 elements"):
         _u_structure(spec, units)
 
 
@@ -630,7 +643,7 @@ def test_theorem_4_6_non_invariant_vacuous():
 
 def test_analyze_group_pipeline():
     out = analyze_group(PELL_TORSION)
-    assert out.commuting.commutes
+    assert out.witness is None
     assert [classify(g) for g in out.spec.generators] == [
         "positive_entropy", "finite_order_on_cohomology"]
     assert out.rank.rank == 1
@@ -640,5 +653,5 @@ def test_analyze_group_pipeline():
 def test_analyze_group_stops_on_non_commuting():
     bad = GroupSpec.from_matrices([[[2, 1], [1, 1]], [[1, 1], [0, 1]]])
     out = analyze_group(bad)
-    assert not out.commuting.commutes
+    assert out.witness == (0, 1)
     assert out.rank is None and out.binomial_bounds is None

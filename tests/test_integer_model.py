@@ -10,6 +10,7 @@ family with the factor-field eigen path."""
 
 import itertools
 import json
+import math
 import random
 from pathlib import Path
 
@@ -24,14 +25,13 @@ from toraldyn.characters import _common_eigenvectors
 from toraldyn.cli import _group_from_json, load_group_argument
 from toraldyn.exact_algebra import charpoly
 from toraldyn.example_forge import NumberFieldSpec, regular_representation
-from toraldyn.integer_model import (_CATALOG, FINITE_ORDER, INFINITE_ORDER,
-                                    PARABOLIC, POSITIVE_ENTROPY, GroupSpec,
+from toraldyn.integer_model import (_CATALOG, FINITE_ORDER, PARABOLIC,
+                                    POSITIVE_ENTROPY, GroupSpec,
                                     TorusAutomorphism, _cyclotomic,
                                     _cyclotomic_indices, _pair_str,
                                     catalog_group, classify, gaussian_charpoly,
                                     h11_charpoly, has_zero_entropy,
                                     h11_matrix, integer_charpoly,
-                                    is_cyclotomic_product, matrix_order,
                                     times_conjugate)
 from toraldyn.group_structure import find_characters
 
@@ -172,11 +172,15 @@ def test_times_conjugate_is_the_real_form_charpoly():
 
 def _h11_reference(f):
     """The H^{1,1} charpoly, zero entropy and class of f, all read from the
-    k^2 x k^2 ``h11_matrix``."""
+    k^2 x k^2 ``h11_matrix``: at zero entropy f* has finite order iff its
+    n-th power, a sympy ``DomainMatrix`` power for the lcm n of the
+    charpoly's cyclotomic indices, is the identity."""
     p = integer_charpoly(h11_matrix(f))
-    if not is_cyclotomic_product(p):
+    indices = _cyclotomic_indices(p)
+    if indices is None:
         return p, False, POSITIVE_ENTROPY
-    finite = matrix_order(h11_matrix(f), p) != INFINITE_ORDER
+    M = DomainMatrix.from_list([list(row) for row in h11_matrix(f)], ZZ)
+    finite = M ** math.lcm(*indices) == M.eye(M.shape, ZZ).to_dense()
     return p, True, FINITE_ORDER if finite else PARABOLIC
 
 

@@ -93,7 +93,7 @@ def test_conjugation_keeps_invariants(original, corner):
         [(P * g.A * P.inv()).tolist() for g in spec.generators])
     before, after = analyze_group(spec), analyze_group(moved)
     for a in (before, after):
-        assert a.commuting.commutes
+        assert a.witness is None
     assert _invariants(moved) == _invariants(spec)
     assert (after.decomposition.relation_lattice.basis
             == before.decomposition.relation_lattice.basis)
