@@ -173,12 +173,6 @@ class Character:
     eigenvector: Matrix
     multipliers: tuple         # |mu_j|^2 per generator, as decided
 
-    @property
-    def modulus_squared(self) -> tuple:
-        """The exact |mu_j|^2 per generator as sympy values."""
-        return tuple(m.expr if isinstance(m, RealRoot) else m
-                     for m in self.multipliers)
-
 
 def _same_moduli(a: tuple, b: tuple) -> bool:
     return all(exact_equal(x, y) for x, y in zip(a, b))
@@ -188,8 +182,8 @@ def factor_field_table(spec: GroupSpec) -> CharacterTable:
     """The character table of a commuting family with a positive-entropy
     generator (``group_structure.find_characters``): the multiplier tuples
     are deduplicated exactly, once, and each distinct tuple but the trivial
-    one (all multipliers 1) is a character; a non-semisimple family is
-    rejected.
+    one (all multipliers 1) is a character.  A non-semisimple family is
+    rejected before any multiplier is compared.
 
     A returned table is semisimple: its k eigenvectors form a basis of C^k
     (``covered == k``, every generator scalar on every eigenspace), so at
@@ -199,17 +193,17 @@ def factor_field_table(spec: GroupSpec) -> CharacterTable:
     |lambda|^2, so their largest is d1, and for d1 > 1 its tuple is not the
     trivial one: d1 lies on a character."""
     eigenvectors, semisimple = _common_eigenvectors(spec)
+    if not semisimple:
+        raise DegenerateSpectrumError(
+            "non-semisimple family with a positive-entropy generator")
     distinct = []       # (w, multipliers) at the first w of each tuple
     for w, modsq in eigenvectors:
         if not any(_same_moduli(modsq, t) for _, t in distinct):
             distinct.append((w, modsq))
     characters = [Character(w, modsq) for w, modsq in distinct
                   if not all(exact_equal(m, 1) for m in modsq)]
-    if not semisimple:
-        raise DegenerateSpectrumError(
-            "non-semisimple family with a positive-entropy generator")
     table = CharacterTable(characters, eigenvectors,
-                           [modsq for _, modsq in distinct], semisimple)
+                           [modsq for _, modsq in distinct], True)
     _validate_characters(spec, table)
     return table
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import sympy as sp
 from sympy import I, Matrix, Poly
@@ -213,37 +213,6 @@ def wedge(c1: CohomClass, c2: CohomClass) -> CohomClass:
     return CohomClass(k, c1.p + c2.p, coeffs)
 
 
-def wedge_all(classes) -> CohomClass:
-    return reduce(wedge, classes)
-
-
-@lru_cache(maxsize=None)
-def _volume_normalization(k: int):
-    """kappa_k / k!, where kappa_k is the top coefficient of (identity class)^k."""
-    idc = CohomClass.identity_class(k)
-    top = wedge_all([idc] * k)
-    full = tuple(range(k))
-    kappa = top.coeffs.get((full, full), sp.Integer(0))
-    if kappa == 0:
-        raise ExactAlgebraError("volume normalization degenerated")
-    return kappa / sp.factorial(k)
-
-
-def intersection_number(classes):
-    """Intersection of classes with degrees summing to k.
-
-    Normalized so that k (1,1)-classes give the polarized determinant:
-    intersection(omega_H, ..., omega_H) = k! det(H)."""
-    classes = list(classes)
-    k = classes[0].k
-    if sum(c.p for c in classes) != k:
-        raise ValueError("degrees must sum to the dimension")
-    top = wedge_all(classes)
-    full = tuple(range(k))
-    coeff = top.coeffs.get((full, full), sp.Integer(0))
-    return sp.expand(coeff / _volume_normalization(k))
-
-
 def pullback(f: TorusAutomorphism, c: CohomClass) -> CohomClass:
     """f* on H^{p,p}: the coefficient of dz_S ^ dzbar_T moves by column S
     of C = compound(f, p) and column T of conj(C)."""
@@ -299,10 +268,6 @@ def _definiteness(c: CohomClass, test: str):
 def is_nef(c: CohomClass) -> bool:
     """nef = closure of the Kahler cone = PSD Hermitian form, decided exactly."""
     return _definiteness(c, "nef")[0]
-
-
-def is_kahler(c: CohomClass) -> bool:
-    return _definiteness(c, "Kahler")[1]
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,9 @@ from . import ExactAlgebraError
 # used here or wrapped as this module's layer by the benchmark tracer
 from .integer_model import (_cabs2, _cadd, _cdiv, _cmul, _conjugate_products,
                             _cpoly_mul, _csub, _divide_monic, _from_power_sums,
-                            _gaussian_integer, _normalized, _power_sums,
-                            gaussian_charpoly, integer_relations,
-                            is_cyclotomic_product, matrix_order)
+                            _normalized, _power_sums, gaussian_charpoly,
+                            integer_relations, is_cyclotomic_product,
+                            matrix_order)
 
 X = sp.Symbol("x")
 
@@ -744,15 +744,12 @@ def modulus_squared_roots(f, mus) -> list:
 # characteristic polynomials
 
 
-def charpoly(M) -> Poly:
+def charpoly(rows) -> Poly:
     """Exact monic characteristic polynomial of a square Gaussian-integer
-    matrix: a sympy matrix or rows, each entry an int, an ``(re, im)`` pair
-    or a sympy number, read by ``_gaussian_integer``.  The coefficients are
-    those of the Samuelson-Berkowitz recurrence ``gaussian_charpoly``."""
-    rows = M.tolist() if hasattr(M, "tolist") else M
-    pairs = [[_gaussian_integer(v) for v in row] for row in rows]
+    matrix, given as rows of ints or ``(re, im)`` pairs of ints: the
+    Samuelson-Berkowitz recurrence ``gaussian_charpoly`` on the rows."""
     return Poly([re + im * I if im else re
-                 for re, im in gaussian_charpoly(pairs)], X)
+                 for re, im in gaussian_charpoly(rows)], X)
 
 
 # ---------------------------------------------------------------------------

@@ -127,19 +127,14 @@ def gaussian_det(rows) -> tuple:
 
 
 def _gaussian_integer(v) -> tuple:
-    """``v`` as the integer pair ``(re, im)`` of a Gaussian integer: an int,
-    an ``(re, im)`` pair of ints, or a sympy number (which imports sympy)."""
+    """``v`` as the integer pair ``(re, im)`` of a Gaussian integer: an int
+    or an ``(re, im)`` pair of ints; anything else raises ``ValueError``."""
     if isinstance(v, int):
         return int(v), 0
-    if isinstance(v, tuple):
-        if len(v) == 2 and all(isinstance(x, int) for x in v):
-            return int(v[0]), int(v[1])
-        raise ValueError("entries must be Gaussian integers")
-    import sympy as sp
-    re, im = sp.expand(v).as_real_imag()
-    if not (re.is_Integer and im.is_Integer):
-        raise ValueError("entries must be Gaussian integers")
-    return int(re), int(im)
+    if (isinstance(v, tuple) and len(v) == 2
+            and all(isinstance(x, int) for x in v)):
+        return int(v[0]), int(v[1])
+    raise ValueError("entries must be Gaussian integers")
 
 
 def _pair_str(z) -> str:
@@ -157,15 +152,12 @@ class TorusAutomorphism:
     """Linear part of an automorphism of T^k: a Gaussian-integer matrix
     with unit determinant.  Its canonical entries are the integer pairs
     ``pairs[i][j] = (re, im)``, so ``==``, ``hash``, ``compose`` and
-    ``power`` are integer arithmetic; ``A`` is the same matrix with sympy
-    entries ``re + im*I``.  Translations act trivially on cohomology and are
-    not modeled.
+    ``power`` are integer arithmetic.  Translations act trivially on
+    cohomology and are not modeled.
 
-    The rows may hold ints, ``(re, im)`` pairs of ints or sympy numbers; a
-    sympy matrix is read by its ``tolist()``."""
+    The rows (lists or tuples) hold ints or ``(re, im)`` pairs of ints."""
 
-    def __init__(self, A, name: str = ""):
-        rows = A.tolist() if hasattr(A, "tolist") else A
+    def __init__(self, rows, name: str = ""):
         k = len(rows)
         if k == 0 or any(not isinstance(row, (list, tuple)) or len(row) != k
                          for row in rows):
@@ -185,12 +177,6 @@ class TorusAutomorphism:
         out = cls.__new__(cls)
         out.pairs, out.k, out.name = pairs, len(pairs), name
         return out
-
-    @cached_property
-    def A(self):
-        """The matrix as a sympy ``ImmutableMatrix`` (imports sympy)."""
-        from .cohomology import _pair_matrix
-        return _pair_matrix(self.pairs)
 
     @cached_property
     def charpoly(self) -> tuple:
@@ -248,10 +234,6 @@ class GroupSpec:
         if any(g.k != k for g in gens):
             raise ValueError("generators must act on the same torus")
         object.__setattr__(self, "generators", gens)
-
-    @classmethod
-    def from_matrices(cls, mats):
-        return cls(tuple(TorusAutomorphism(M) for M in mats))
 
     @property
     def k(self) -> int:

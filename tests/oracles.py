@@ -14,13 +14,59 @@ from sympy.polys.densearith import dup_mul, dup_rem
 from sympy.polys.matrices import DomainMatrix
 
 from toraldyn import ExactAlgebraError
-from toraldyn.exact_algebra import (X, CertifiedReal, _at_rising_precision,
+from toraldyn.exact_algebra import (X, CertifiedReal, RealRoot,
+                                    _at_rising_precision,
                                     _irreducible_factors, _may_vanish, _meets,
                                     _rectangle, _root_disks, gaussian_coeffs,
                                     root_moduli)
 from toraldyn.cohomology import _pair_matrix
-from toraldyn.integer_model import (_hermitian_cells, _square_and_multiply,
+from toraldyn.integer_model import (GroupSpec, TorusAutomorphism,
+                                    _hermitian_cells, _square_and_multiply,
                                     compound, hermitian_basis_sparse)
+
+
+# ---------------------------------------------------------------------------
+# sympy matrices at the tests' boundary: the library reads int and pair rows
+
+
+def _pair(v) -> tuple:
+    """A Gaussian integer given as an int, a pair or a sympy number, as its
+    ``(re, im)`` pair of ints; any other value raises ``ValueError``."""
+    if isinstance(v, tuple):
+        return v
+    re, im = sp.expand(v).as_real_imag()
+    if not (re.is_Integer and im.is_Integer):
+        raise ValueError("entries must be Gaussian integers")
+    return int(re), int(im)
+
+
+def pair_rows(M) -> list:
+    """A sympy matrix, or rows of ints, pairs and sympy numbers, as rows of
+    Gaussian-integer pairs."""
+    rows = M.tolist() if hasattr(M, "tolist") else M
+    return [[_pair(v) for v in row] for row in rows]
+
+
+def automorphism(M, name: str = "") -> TorusAutomorphism:
+    """The ``TorusAutomorphism`` of a sympy matrix or of rows with sympy
+    entries."""
+    return TorusAutomorphism(pair_rows(M), name=name)
+
+
+def spec_of(mats) -> GroupSpec:
+    """The group generated by sympy matrices or rows with sympy entries."""
+    return GroupSpec(tuple(automorphism(M) for M in mats))
+
+
+def sympy_matrix(f) -> sp.ImmutableMatrix:
+    """The matrix of an automorphism with sympy entries ``re + im*I``."""
+    return _pair_matrix(f.pairs)
+
+
+def modulus_squared(ch) -> tuple:
+    """A character's exact |mu_j|^2 per generator as sympy values."""
+    return tuple(m.expr if isinstance(m, RealRoot) else m
+                 for m in ch.multipliers)
 
 
 @functools.lru_cache(maxsize=None)

@@ -5,19 +5,21 @@ No CLI command runs these.  Each decides one statement of the paper
 Cor 3.2, the (a, b)-pair solver of Cor 3.5, Lemma 4.3 and Theorem 4.6) on
 given classes with the class algebra of ``toraldyn.cohomology``, so the
 tests can hold the integer kernels of the program against the statements
-they certify."""
+they certify.  The intersection numbers and the Kahler test that these
+statements read, and that no command runs, are defined here too."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, reduce
 
 import sympy as sp
 
 from toraldyn import ExactAlgebraError
-from toraldyn.cohomology import (CohomClass, TorusAutomorphism, is_nef,
-                                 pullback, wedge, wedge_all)
+from toraldyn.cohomology import (CohomClass, TorusAutomorphism,
+                                 _definiteness, is_nef, pullback, wedge)
 from toraldyn.exact_algebra import (_LOG_DIGITS, exact_equal, exact_is_zero,
                                     exact_sign)
 from toraldyn.group_structure import (GroupSpec, check_commuting,
@@ -29,6 +31,45 @@ from toraldyn.hodge_riemann import (FuzzReport, PositivityReport,
                                     hodge_riemann_definite)
 
 from oracles import hermitian_basis, is_nef_by_sympy
+
+# ---------------------------------------------------------------------------
+# intersection numbers and the Kahler test
+
+
+def wedge_all(classes) -> CohomClass:
+    return reduce(wedge, classes)
+
+
+@lru_cache(maxsize=None)
+def _volume_normalization(k: int):
+    """kappa_k / k!, where kappa_k is the top coefficient of (identity class)^k."""
+    idc = CohomClass.identity_class(k)
+    top = wedge_all([idc] * k)
+    full = tuple(range(k))
+    kappa = top.coeffs.get((full, full), sp.Integer(0))
+    if kappa == 0:
+        raise ExactAlgebraError("volume normalization degenerated")
+    return kappa / sp.factorial(k)
+
+
+def intersection_number(classes):
+    """Intersection of classes with degrees summing to k.
+
+    Normalized so that k (1,1)-classes give the polarized determinant:
+    intersection(omega_H, ..., omega_H) = k! det(H)."""
+    classes = list(classes)
+    k = classes[0].k
+    if sum(c.p for c in classes) != k:
+        raise ValueError("degrees must sum to the dimension")
+    top = wedge_all(classes)
+    full = tuple(range(k))
+    coeff = top.coeffs.get((full, full), sp.Integer(0))
+    return sp.expand(coeff / _volume_normalization(k))
+
+
+def is_kahler(c: CohomClass) -> bool:
+    return _definiteness(c, "Kahler")[1]
+
 
 # ---------------------------------------------------------------------------
 # classes as Gaussian-rational (re, im) matrices

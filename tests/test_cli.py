@@ -28,6 +28,8 @@ from toraldyn.cli import (EXIT_INVALID, EXIT_OK, EXIT_VIOLATION, MAX_DIGITS,
                           run)
 from toraldyn.integer_model import _CATALOG, catalog_group
 
+from oracles import sympy_matrix
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC_DIR = ROOT / "src"
 
@@ -610,7 +612,8 @@ def test_analysis_computes_each_artifact_once(monkeypatch):
     real_moduli = cohomology.eigenvalue_moduli
 
     def eigenvalue_moduli(f):
-        moduli[f.A] = moduli.get(f.A, 0) + 1
+        A = sympy_matrix(f)
+        moduli[A] = moduli.get(A, 0) + 1
         return real_moduli(f)
 
     for name in calls:

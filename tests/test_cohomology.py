@@ -13,15 +13,16 @@ from toraldyn.integer_model import _CATALOG, catalog_group, h11_charpoly
 from toraldyn.exact_algebra import charpoly, exact_equal, exact_is_zero
 from toraldyn.cohomology import (
     CohomClass, TorusAutomorphism, classify, compound, degree_profile,
-    dynamical_degree, entropy, enumerate_degree_values, h11_matrix,
-    intersection_number, is_kahler, is_nef, pullback, wedge, wedge_all)
+    dynamical_degree, entropy, enumerate_degree_values, h11_matrix, is_nef,
+    pullback, wedge)
 
-from oracles import (hermitian_basis, hermitian_coords, hpp_matrix,
-                     spectral_radius)
+from oracles import (automorphism, hermitian_basis, hermitian_coords,
+                     hpp_matrix, pair_rows, spectral_radius, sympy_matrix)
+from statements import intersection_number, is_kahler, wedge_all
 
 CAT = TorusAutomorphism([[2, 1], [1, 1]], name="cat")
 PELL = TorusAutomorphism([[1, 2], [1, 1]], name="pell")
-SHEAR = TorusAutomorphism([[1, 1 + I], [0, 1]], name="shear")
+SHEAR = automorphism([[1, 1 + I], [0, 1]], name="shear")
 ROT = TorusAutomorphism([[0, -1], [1, 0]], name="rot")
 
 GOLDEN_D1 = (7 + 3 * math.sqrt(5)) / 2       # ((3+sqrt 5)/2)^2
@@ -39,33 +40,44 @@ def test_automorphism_requires_unit_determinant():
         TorusAutomorphism([[2, 0], [0, 1]])
     with pytest.raises(ValueError,
                        match=r"^determinant 1 \+ I is not a unit of Z\[i\]$"):
-        TorusAutomorphism([[1 + I, 0], [0, 1]])
+        automorphism([[1 + I, 0], [0, 1]])
     with pytest.raises(ValueError):
         TorusAutomorphism([[sp.Rational(1, 2), 0], [0, 2]])
-    TorusAutomorphism([[I, 0], [0, 1]])  # det i is fine
+    automorphism([[I, 0], [0, 1]])  # det i is fine
+
+
+def test_automorphism_reads_int_and_pair_rows_only():
+    # sympy values are read to pairs at the tests' boundary, not here
+    with pytest.raises(ValueError):
+        TorusAutomorphism(Matrix([[2, 1], [1, 1]]))
+    with pytest.raises(ValueError,
+                       match=r"^entries must be Gaussian integers$"):
+        TorusAutomorphism([[sp.Integer(2), 1], [1, 1]])
+    assert TorusAutomorphism([[2, 1], [1, 1]]) == \
+        TorusAutomorphism([[(2, 0), (1, 0)], [(1, 0), (1, 0)]])
 
 
 def test_automorphism_group_operations():
-    assert (CAT.inverse().compose(CAT)).A == eye(2)
-    assert CAT.power(2).A == Matrix([[5, 3], [3, 2]])
-    assert CAT.power(-1).A == CAT.inverse().A
+    assert sympy_matrix(CAT.inverse().compose(CAT)) == eye(2)
+    assert sympy_matrix(CAT.power(2)) == Matrix([[5, 3], [3, 2]])
+    assert sympy_matrix(CAT.power(-1)) == sympy_matrix(CAT.inverse())
 
 
 def test_gaussian_compose_is_exact():
     # the product's entries expand to canonical a + b*i, so it is accepted
     # and equals the power computed another way
-    g = TorusAutomorphism([[1 + I, 1], [I, 1]])
+    g = automorphism([[1 + I, 1], [I, 1]])
     assert g.compose(g) == g.power(2)
     assert hash(g.compose(g)) == hash(g.power(2))
-    assert g.compose(g.inverse()) == TorusAutomorphism(eye(2))
+    assert g.compose(g.inverse()) == automorphism(eye(2))
 
 
 def test_power_is_repeated_squaring(monkeypatch):
     # f^e equals e-fold composition of f or f^-1, and takes O(log e)
     # products of integer pairs, not e
-    g = TorusAutomorphism([[1 + I, 1], [I, 1]])
+    g = automorphism([[1 + I, 1], [I, 1]])
     for e in range(-7, 8):
-        expected = TorusAutomorphism(eye(2))
+        expected = automorphism(eye(2))
         for _ in range(abs(e)):
             expected = expected.compose(g if e > 0 else g.inverse())
         assert g.power(e) == expected, e
@@ -86,7 +98,7 @@ def test_power_is_repeated_squaring(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_h11_identity():
-    assert Matrix(h11_matrix(TorusAutomorphism(eye(3)))) == eye(9)
+    assert Matrix(h11_matrix(automorphism(eye(3)))) == eye(9)
 
 
 def test_h11_rotation_swaps_diagonal_elements():
@@ -94,7 +106,7 @@ def test_h11_rotation_swaps_diagonal_elements():
     basis = hermitian_basis(2)
     e11 = hermitian_coords(basis[0])
     image = M * Matrix(e11)
-    A = ROT.A
+    A = sympy_matrix(ROT)
     assert list(image) == hermitian_coords(A.H * basis[0] * A)
     assert A.H * basis[0] * A == Matrix([[0, 0], [0, 1]])
 
@@ -107,7 +119,8 @@ def test_h11_matches_direct_conjugation():
         H = H + H.H
         for f in (CAT, SHEAR, ROT):
             coords = Matrix(hermitian_coords(H))
-            direct = sp.expand(f.A.T * H * f.A.conjugate())
+            A = sympy_matrix(f)
+            direct = sp.expand(A.T * H * A.conjugate())
             lhs = sp.expand(Matrix(h11_matrix(f)) * coords)
             assert lhs == sp.expand(Matrix(hermitian_coords(direct)))
 
@@ -115,7 +128,7 @@ def test_h11_matches_direct_conjugation():
 def _h11_matrix_by_products(f):
     """f* on H^{1,1} by its defining formula H -> C H C^H in sympy matrix
     products, C = compound(f, 1) = A^T: the reference for h11_matrix."""
-    C = f.A.T
+    C = sympy_matrix(f).T
     cols = [[sp.expand(c) for c in hermitian_coords(C * E * C.H)]
             for E in hermitian_basis(f.k)]
     return Matrix(cols).T
@@ -138,17 +151,19 @@ def _unimodular_gaussian(rng, k):
 def test_h11_matrix_matches_conjugation_formula(k):
     rng = random.Random(20261018 + k)
     for _ in range(8):
-        f = TorusAutomorphism(_unimodular_gaussian(rng, k))
+        f = automorphism(_unimodular_gaussian(rng, k))
         expected = _h11_matrix_by_products(f)
         assert Matrix(h11_matrix(f)) == expected
-        assert list(h11_charpoly(f)) == charpoly(expected).all_coeffs()
+        assert list(h11_charpoly(f)) == \
+            charpoly(pair_rows(expected)).all_coeffs()
 
 
 def _compound_by_minors(f, p):
     """C[S', S] = det A[S, S'] by sympy minors: the reference for
     compound."""
     subs = list(itertools.combinations(range(f.k), p))
-    return Matrix([[sp.expand(f.A.extract(list(S), list(Sp)).det())
+    A = sympy_matrix(f)
+    return Matrix([[sp.expand(A.extract(list(S), list(Sp)).det())
                     for S in subs] for Sp in subs])
 
 
@@ -157,16 +172,17 @@ def test_compound_and_inverse_match_sympy(k):
     rng = random.Random(20261019 + k)
     autos = [g for name in sorted(_CATALOG) for g in catalog_group(name).generators
              if g.k == k]
-    autos += [TorusAutomorphism(_unimodular_gaussian(rng, k))
+    autos += [automorphism(_unimodular_gaussian(rng, k))
               for _ in range(4)]
     autos += [_random_unimodular(rng, k) for _ in range(2)]
     for f in autos:
         for p in range(k + 1):
             C = compound(f, p)
             assert Matrix([[re + im * I for re, im in row] for row in C]) \
-                == _compound_by_minors(f, p), (f.A, p)
-        assert f.inverse().A == f.A.inv().applyfunc(sp.expand), f.A
-        assert f.inverse().compose(f).A == eye(k)
+                == _compound_by_minors(f, p), (sympy_matrix(f), p)
+        A = sympy_matrix(f)
+        assert sympy_matrix(f.inverse()) == A.inv().applyfunc(sp.expand), A
+        assert sympy_matrix(f.inverse().compose(f)) == eye(k)
 
 
 def test_hpp_edge_degrees():
@@ -186,7 +202,7 @@ def _random_unimodular(rng, k):
         E = eye(k)
         E[i, j] = rng.randint(-2, 2) + I * rng.randint(-2, 2)
         A = A * E
-    return TorusAutomorphism(A)
+    return automorphism(A)
 
 
 def test_pullback_is_hpp_matrix_on_coefficients():
@@ -207,7 +223,7 @@ def test_pullback_is_hpp_matrix_on_coefficients():
 
 
 @pytest.mark.parametrize("f", [
-    CAT, SHEAR, TorusAutomorphism([[1 + I, 1], [I, 1]]),
+    CAT, SHEAR, automorphism([[1 + I, 1], [I, 1]]),
     *catalog_group("cubic_T3").generators], ids=lambda f: f.name)
 def test_dynamical_degree_is_hpp_spectral_radius(f):
     for p in range(1, f.k):
@@ -220,7 +236,7 @@ def test_dynamical_degree_is_hpp_spectral_radius(f):
 # ---------------------------------------------------------------------------
 
 def test_dynamical_degree_examples():
-    assert exact_equal(dynamical_degree(TorusAutomorphism(eye(2)), 1).expr, 1)
+    assert exact_equal(dynamical_degree(automorphism(eye(2)), 1).expr, 1)
     assert float(dynamical_degree(CAT, 1)) == pytest.approx(GOLDEN_D1,
                                                             abs=1e-10)
     assert exact_equal(dynamical_degree(PELL, 1).expr, 3 + 2 * sp.sqrt(2))
@@ -237,14 +253,14 @@ def test_entropy_examples():
     assert float(entropy(CAT)) == pytest.approx(CAT_ENTROPY, abs=1e-9)
     assert float(entropy(PELL)) == pytest.approx(PELL_ENTROPY, abs=1e-9)
     assert exact_is_zero(entropy(SHEAR).expr)
-    assert exact_is_zero(entropy(TorusAutomorphism(I * eye(2))).expr)
+    assert exact_is_zero(entropy(automorphism(I * eye(2))).expr)
 
 
 def test_classify_trichotomy():
     assert classify(CAT) == "positive_entropy"
     assert classify(SHEAR) == "parabolic"
     assert classify(ROT) == "finite_order_on_cohomology"
-    assert classify(TorusAutomorphism(I * eye(2))) == \
+    assert classify(automorphism(I * eye(2))) == \
         "finite_order_on_cohomology"
 
 

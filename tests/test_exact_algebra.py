@@ -21,8 +21,9 @@ from toraldyn.integer_model import (INFINITE_ORDER, IntegerLattice,
                                     gaussian_det, hermite_normal_form_rows,
                                     lll_reduce, symmetric_definiteness)
 
-from oracles import (_cyclotomic_index, charpoly_times_conjugate,
-                     hermitian_coords, spectral_radius)
+from oracles import (_cyclotomic_index, automorphism,
+                     charpoly_times_conjugate, hermitian_coords, pair_rows,
+                     spectral_radius)
 
 
 # ---------------------------------------------------------------------------
@@ -30,20 +31,20 @@ from oracles import (_cyclotomic_index, charpoly_times_conjugate,
 # ---------------------------------------------------------------------------
 
 def test_charpoly_cat_map():
-    p = charpoly(Matrix([[2, 1], [1, 1]]))
+    p = charpoly(pair_rows(Matrix([[2, 1], [1, 1]])))
     assert p == sp.Poly(X**2 - 3 * X + 1, X)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_charpoly_identity(n):
-    assert charpoly(eye(n)) == sp.Poly((X - 1) ** n, X)
+    assert charpoly(pair_rows(eye(n))) == sp.Poly((X - 1) ** n, X)
 
 
 def test_charpoly_h11_unipotent_gaussian():
     # H^{1,1} action of [[1, 1+i], [0, 1]]; the oracle is the direct
     # conjugation H |-> A^H H A on the four Hermitian basis elements
-    from toraldyn.cohomology import TorusAutomorphism, h11_matrix
-    f = TorusAutomorphism([[1, 1 + I], [0, 1]])
+    from toraldyn.cohomology import h11_matrix
+    f = automorphism([[1, 1 + I], [0, 1]])
     M = h11_matrix(f)
     assert charpoly(M) == sp.Poly((X - 1) ** 4, X)
     A = Matrix([[1, 1 + I], [0, 1]])
@@ -51,17 +52,17 @@ def test_charpoly_h11_unipotent_gaussian():
     cols = [hermitian_coords(A.T * E * A.conjugate())
             for E in hermitian_basis(2)]
     oracle = Matrix.hstack(*[Matrix(c) for c in cols])
-    assert charpoly(oracle) == sp.Poly((X - 1) ** 4, X)
+    assert charpoly(pair_rows(oracle)) == sp.Poly((X - 1) ** 4, X)
 
 
 def test_charpoly_gaussian_entries():
-    p = charpoly(Matrix([[I, 0], [0, -I]]))
+    p = charpoly(pair_rows(Matrix([[I, 0], [0, -I]])))
     assert p == sp.Poly(X**2 + 1, X)
 
 
 def test_charpoly_rejects_non_square():
     with pytest.raises(ExactAlgebraError):
-        charpoly(Matrix([[1, 2, 3]]))
+        charpoly(pair_rows(Matrix([[1, 2, 3]])))
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +149,7 @@ def _nonreal_oracle_cases():
     cases = []
     while len(cases) < 6:     # seeded SL(3, Z) generators, a non-real root
         M = _elementary_product(rng, 3, rng.randint(4, 7), (1, -1))
-        p = charpoly(M)
+        p = charpoly(pair_rows(M))
         if any(not r.is_real for r in sp.Poly(p, X).all_roots()):
             cases.append(p.as_expr())
     while len(cases) < 10:     # p * conj(p) of SL(2, Z[i]) generators
@@ -209,7 +210,7 @@ def test_unit_determinant_moduli_product_is_one():
     # integer matrix equals 1 exactly
     for rows in ([[2, 1], [1, 1]], [[1, 2], [1, 1]], [[0, -1], [1, 0]],
                  [[3, 2, 1], [1, 1, 0], [1, 1, 1]]):
-        p = charpoly(Matrix(rows))
+        p = charpoly(pair_rows(Matrix(rows)))
         prod = sp.Integer(1)
         for m, mult in root_moduli(p):
             prod *= m.expr ** mult
@@ -261,9 +262,9 @@ def test_matrix_order_examples():
 def test_matrix_order_of_gaussian_automorphisms():
     # [[0, i], [i, 0]] and i I square to -I; the shear by i is unipotent
     # with p * conj(p) = (x - 1)^4 cyclotomic, so only A^1 = I decides it
-    assert matrix_order(TorusAutomorphism(Matrix([[0, I], [I, 0]]))) == 4
-    assert matrix_order(TorusAutomorphism(I * eye(2))) == 4
-    assert matrix_order(TorusAutomorphism(Matrix([[1, I], [0, 1]]))) == \
+    assert matrix_order(automorphism(Matrix([[0, I], [I, 0]]))) == 4
+    assert matrix_order(automorphism(I * eye(2))) == 4
+    assert matrix_order(automorphism(Matrix([[1, I], [0, 1]]))) == \
         INFINITE_ORDER
 
 
@@ -355,7 +356,7 @@ def test_matrix_order_of_finite_order_h11_actions():
             E = eye(2)
             E[i, j] = rng.choice((1, -1, I, -I)) * rng.randint(1, 2)
             P = P * E
-        f = TorusAutomorphism(sp.expand(P * rng.choice(torsion) * P.inv()))
+        f = automorphism(sp.expand(P * rng.choice(torsion) * P.inv()))
         n = _order(h11_matrix(f))
         assert n != INFINITE_ORDER
         assert n == _brute_force_order(Matrix(h11_matrix(f)))

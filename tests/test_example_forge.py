@@ -25,7 +25,7 @@ from toraldyn.group_structure import (find_characters, verified_kernel,
 from toraldyn.integer_model import (_CATALOG, GroupSpec, catalog_group,
                                     lll_reduce)
 
-from oracles import embedding_entropy, field_element
+from oracles import embedding_entropy, field_element, sympy_matrix
 
 SQRT2_FIELD = NumberFieldSpec((1, 0, -2))          # x^2 - 2
 GOLDEN_FIELD = NumberFieldSpec((1, -1, -1))        # x^2 - x - 1
@@ -351,23 +351,24 @@ def test_unit_search_failure_reports_bound():
 # ---------------------------------------------------------------------------
 
 def test_regular_representation_examples():
-    assert regular_representation((0, 1), GOLDEN_FIELD).A == \
+    assert sympy_matrix(regular_representation((0, 1), GOLDEN_FIELD)) == \
         Matrix([[0, 1], [1, 1]])
-    assert regular_representation((1, 1), SQRT2_FIELD).A == \
+    assert sympy_matrix(regular_representation((1, 1), SQRT2_FIELD)) == \
         Matrix([[1, 2], [1, 1]])
-    assert regular_representation((1, 0), SQRT2_FIELD).A == eye(2)
+    assert sympy_matrix(regular_representation((1, 0), SQRT2_FIELD)) == eye(2)
 
 
 def test_regular_representations_commute():
     us = unit_search(CUBIC_FIELD, 4)
-    mats = [regular_representation(u, CUBIC_FIELD).A for u in us.units]
+    mats = [sympy_matrix(regular_representation(u, CUBIC_FIELD))
+            for u in us.units]
     assert mats[0] * mats[1] == mats[1] * mats[0]
 
 
 def test_forged_generators_have_real_spectrum_and_unit_det():
     us = unit_search(CUBIC_FIELD, 4)
     for u in us.units:
-        A = regular_representation(u, CUBIC_FIELD).A
+        A = sympy_matrix(regular_representation(u, CUBIC_FIELD))
         assert A.det() in (1, -1)
         p = sp.Poly(A.charpoly().as_expr(), A.charpoly().gens[0])
         assert p.count_roots() == 3      # all eigenvalues real
@@ -462,8 +463,10 @@ def test_builtin_catalog():
     assert set(sorted(_CATALOG)) == {
         "cat_T2", "pell_T2", "parabolic_T2", "torsion_i",
         "pell_plus_torsion", "cubic_T3"}
-    assert catalog_group("cat_T2").generators[0].A == Matrix([[2, 1], [1, 1]])
-    assert catalog_group("pell_T2").generators[0].A == Matrix([[1, 2], [1, 1]])
+    assert sympy_matrix(catalog_group("cat_T2").generators[0]) == \
+        Matrix([[2, 1], [1, 1]])
+    assert sympy_matrix(catalog_group("pell_T2").generators[0]) == \
+        Matrix([[1, 2], [1, 1]])
     par = catalog_group("parabolic_T2")
     assert [classify(g) for g in par.generators] == ["parabolic", "parabolic"]
     assert classify(catalog_group("torsion_i").generators[0]) == \
@@ -480,7 +483,7 @@ def test_builtin_cat_entropy():
 def test_builtin_cubic_t3_generators():
     spec = catalog_group("cubic_T3")
     assert spec.k == 3
-    a, b = (g.A for g in spec.generators)
+    a, b = (sympy_matrix(g) for g in spec.generators)
     assert a * b == b * a
     assert a.det() in (1, -1) and b.det() in (1, -1)
     assert all(classify(g) == "positive_entropy" for g in spec.generators)

@@ -14,8 +14,8 @@ import pytest
 import sympy as sp
 from sympy import I, Matrix, eye
 
-from toraldyn import (ExactAlgebraError, exact_algebra, group_structure,
-                      integer_model)
+from toraldyn import (ExactAlgebraError, characters, exact_algebra,
+                      group_structure, integer_model)
 from toraldyn.cli import load_group_argument
 from toraldyn.exact_algebra import RealRoot, exact_equal
 from toraldyn.cohomology import (
@@ -30,22 +30,22 @@ from toraldyn.group_structure import (
     _log_value, _u_structure, find_characters, pi_rank,
     verify_zero_entropy_word, word_automorphism)
 
-from oracles import is_nef_by_sympy, reduces_to_zero
+from oracles import (automorphism, is_nef_by_sympy, modulus_squared,
+                     reduces_to_zero, spec_of, sympy_matrix)
 from statements import check_theorem_4_6, eigenclass
 
 DATA = Path(__file__).resolve().parent / "data"
 PELL_MATRIX = [[1, 2], [1, 1]]
-PELL = GroupSpec.from_matrices([PELL_MATRIX])
-PELL_PAIR = GroupSpec.from_matrices([[[1, 2], [1, 1]], [[-1, 2], [1, -1]]])
-PELL_TORSION = GroupSpec.from_matrices(
-    [[[1, 2], [1, 1]], (I * eye(2)).tolist()])
-PARABOLIC = GroupSpec.from_matrices([[[1, 1], [0, 1]], [[1, I], [0, 1]]])
-IDENTITY = GroupSpec.from_matrices([eye(2).tolist()])
+PELL = spec_of([PELL_MATRIX])
+PELL_PAIR = spec_of([[[1, 2], [1, 1]], [[-1, 2], [1, -1]]])
+PELL_TORSION = spec_of([[[1, 2], [1, 1]], (I * eye(2)).tolist()])
+PARABOLIC = spec_of([[[1, 1], [0, 1]], [[1, I], [0, 1]]])
+IDENTITY = spec_of([eye(2).tolist()])
 
 
 def test_pell_inverse_sanity():
     a, b = PELL_PAIR.generators
-    assert a.A * b.A == eye(2)
+    assert sympy_matrix(a) * sympy_matrix(b) == eye(2)
 
 
 # ---------------------------------------------------------------------------
@@ -55,14 +55,14 @@ def test_pell_inverse_sanity():
 def test_commuting_examples():
     assert check_commuting(PELL_TORSION) is None
     assert check_commuting(PELL) is None
-    bad = GroupSpec.from_matrices([[[2, 1], [1, 1]], [[1, 1], [0, 1]]])
+    bad = spec_of([[[2, 1], [1, 1]], [[1, 1], [0, 1]]])
     assert check_commuting(bad) == (0, 1)
 
 
 @pytest.mark.parametrize("M, j", [([[1 + I, 1], [I, 1]], 2),
                                   ([[-I, 0], [1 + I, I]], 3)])
 def test_commuting_gaussian_powers(M, j):
-    g = TorusAutomorphism(M)
+    g = automorphism(M)
     assert check_commuting(GroupSpec((g, g.power(j)))) is None
 
 
@@ -74,7 +74,7 @@ def test_pell_characters():
     table = find_characters(PELL)
     assert table.m == 2 and table.semisimple
     vals = sorted(float(m) for ch in table.characters
-                  for m in ch.modulus_squared)
+                  for m in modulus_squared(ch))
     assert vals[0] == pytest.approx(3 - 2 * math.sqrt(2), abs=1e-12)
     assert vals[1] == pytest.approx(3 + 2 * math.sqrt(2), abs=1e-12)
     taus = sorted(float(_log_value(m)) for ch in table.characters
@@ -92,7 +92,7 @@ def test_identity_group_characters():
 
 
 # a generator of SL(3, Z) with one real and two non-real eigenvalues
-SL3_NONREAL = GroupSpec.from_matrices([[[1, -1, -1], [0, 1, -1], [1, -1, 0]]])
+SL3_NONREAL = spec_of([[[1, -1, -1], [0, 1, -1], [1, -1, 0]]])
 
 
 def _check_eigenclass(spec, ch) -> bool:
@@ -113,7 +113,7 @@ def _check_eigenclass(spec, ch) -> bool:
     with pytest.raises(ExactAlgebraError):
         is_nef(cls)
     assert time.perf_counter() - start < 1
-    for g, msq in zip(spec.generators, ch.modulus_squared):
+    for g, msq in zip(spec.generators, modulus_squared(ch)):
         assert reduces_to_zero(pullback(g, cls) - cls.scale(msq))
     return not real
 
@@ -131,7 +131,7 @@ def test_character_eigenclasses_exact(spec, nonreal):
 
 @pytest.mark.parametrize("spec", [
     SL3_NONREAL,
-    GroupSpec.from_matrices([[[1 + I, 1], [I, 1]]]),
+    spec_of([[[1 + I, 1], [I, 1]]]),
 ], ids=["sl3_nonreal_irreducible", "sl2zi_nonreal_trace"])
 def test_kernel_multipliers_pair_with_their_roots(spec):
     # every multiplier of a factor with a non-real root is a RealRoot, and
@@ -151,7 +151,7 @@ def test_kernel_multipliers_pair_with_their_roots(spec):
 def test_characters_attain_d1():
     table = find_characters(PELL)
     d1 = dynamical_degree(PELL.generators[0], 1).expr
-    attained = any(exact_equal(ch.modulus_squared[0], d1)
+    attained = any(exact_equal(modulus_squared(ch)[0], d1)
                    for ch in table.characters)
     assert attained
 
@@ -167,9 +167,22 @@ def test_degenerate_spectrum_rejected_when_positive_entropy():
     # the Pell matrix
     M = Matrix([[1, 2], [1, 1]])
     J = Matrix(sp.BlockMatrix([[M, eye(2)], [sp.zeros(2, 2), M]]))
-    spec = GroupSpec.from_matrices([J.tolist()])
+    spec = spec_of([J.tolist()])
     with pytest.raises(DegenerateSpectrumError):
         find_characters(spec)
+
+
+def test_degenerate_spectrum_rejected_before_multipliers_compare(monkeypatch):
+    # a refused family compares no multiplier tuples: exact_equal is never
+    # reached on the Pell block
+    def refuse(*args):
+        raise AssertionError("exact_equal called on a refused family")
+
+    monkeypatch.setattr(characters, "exact_equal", refuse)
+    M = Matrix([[1, 2], [1, 1]])
+    J = Matrix(sp.BlockMatrix([[M, eye(2)], [sp.zeros(2, 2), M]]))
+    with pytest.raises(DegenerateSpectrumError):
+        find_characters(spec_of([J.tolist()]))
 
 
 # families with no squarefree generator take the B_t branch of the one eigen
@@ -190,7 +203,8 @@ def _mpmath_pi_rank(spec):
     with mpmath.workdps(50):
         mats = [mpmath.matrix([[mpmath.mpc(*(float(x) for x in sp.sympify(v)
                                               .as_real_imag()))
-                                for v in row] for row in g.A.T.tolist()])
+                                for v in row]
+                               for row in sympy_matrix(g).T.tolist()])
                 for g in spec.generators]
         B = sum((mpmath.mpf(3) ** j * A for j, A in enumerate(mats[1:], 1)),
                 mats[0])
@@ -221,7 +235,7 @@ def test_repeated_spectrum_characters(mats, semisimple, nonreal, budget):
     # The budgets leave room for a loaded machine.
     # diag_cc_T6 is the regression case of a hang in sympy's eigenvects
     start = time.perf_counter()
-    spec = GroupSpec.from_matrices([M.tolist() for M in mats])
+    spec = spec_of([M.tolist() for M in mats])
     table = find_characters(spec)
     assert table.semisimple == semisimple
     assert table.m > 0 if semisimple else table.m == 0
@@ -245,8 +259,8 @@ def test_verify_zero_entropy_word_examples():
 
 def test_word_automorphism_matches_matrix_product():
     w = word_automorphism(PELL_PAIR, [2, 1])
-    a, b = (g.A for g in PELL_PAIR.generators)
-    assert w.A == a**2 * b
+    a, b = (sympy_matrix(g) for g in PELL_PAIR.generators)
+    assert sympy_matrix(w) == a**2 * b
 
 
 # ---------------------------------------------------------------------------
@@ -390,13 +404,12 @@ def test_structure_dependent_eigenvectors_have_no_wedge_chain():
     ((PELL_MATRIX, [[1]]), False),          # tuples 1, a^-1, a
     # i times the non-real irreducible SL(3, Z) generator: its non-real
     # eigenvalues come first and share one modulus
-    (((I * Matrix(SL3_NONREAL.generators[0].A)).tolist(),), True),
+    (((I * sympy_matrix(SL3_NONREAL.generators[0])).tolist(),), True),
 ], ids=["pell_plus_pell_T4", "pell_plus_one_T3", "gaussian_nonreal_T3"])
 def test_structure_chain_skips_repeated_tuples(blocks, leading_repeat):
     # a chain of r+1 = 2 eigenclasses needs two distinct multiplier tuples;
     # when the first two eigenvectors share one, the chain must look past it
-    spec = GroupSpec.from_matrices(
-        [sp.diag(*[Matrix(b) for b in blocks]).tolist()])
+    spec = spec_of([sp.diag(*[Matrix(b) for b in blocks]).tolist()])
     res = pi_rank(spec, find_characters(spec))
     (_, first), (_, second) = res.table.eigenvectors[:2]
     assert all(exact_equal(a, b)
@@ -449,10 +462,9 @@ def test_decompose_merge_reconstructs_group():
     pell = Matrix(PELL_MATRIX)
     cat_1 = Matrix([[2, 1, 0], [1, 1, 0], [0, 0, 1]])
     for spec in (PELL, PELL_PAIR, PELL_TORSION, PARABOLIC,
-                 GroupSpec.from_matrices([pell ** 2, pell ** 3]),
-                 GroupSpec.from_matrices([pell ** 2, pell ** 3, I * eye(2)]),
-                 GroupSpec.from_matrices([cat_1 ** 2, cat_1 ** 3,
-                                          cat_1 ** 5])):
+                 spec_of([pell ** 2, pell ** 3]),
+                 spec_of([pell ** 2, pell ** 3, I * eye(2)]),
+                 spec_of([cat_1 ** 2, cat_1 ** 3, cat_1 ** 5])):
         res = pi_rank(spec, find_characters(spec))
         decompose(spec, res)
         assert len(res.u_words) == spec.n - res.rank
@@ -475,7 +487,7 @@ SHEAR = Matrix([[1, 1], [0, 1]])
     ([I * SHEAR, SHEAR ** 6], ((12, -2),)),
 ], ids=["P_P5", "iP_P6"])
 def test_relation_lattice_of_infinite_u(mats, basis):
-    spec = GroupSpec.from_matrices([M.tolist() for M in mats])
+    spec = spec_of([M.tolist() for M in mats])
     res = pi_rank(spec, find_characters(spec))
     dec = decompose(spec, res)
     assert res.rank == 0 and dec.u_order is None
@@ -487,8 +499,7 @@ def test_relation_lattice_of_shear_powers():
     # the 900 pairs take about 5 s in-process (budget 60 s)
     start = time.perf_counter()
     for a, b in itertools.product(range(1, 31), repeat=2):
-        spec = GroupSpec.from_matrices([(SHEAR ** a).tolist(),
-                                        (SHEAR ** b).tolist()])
+        spec = spec_of([(SHEAR ** a).tolist(), (SHEAR ** b).tolist()])
         g = math.gcd(a, b)
         assert _u_structure(spec, [[1, 0], [0, 1]]) == (
             None, IntegerLattice(2, ((b // g, -a // g),))), (a, b)
@@ -497,7 +508,7 @@ def test_relation_lattice_of_shear_powers():
 
 def _diag_i(k):
     """diag(i, 1, ..., 1), ..., diag(1, ..., 1, i): U = (Z/4)^k."""
-    return GroupSpec.from_matrices([
+    return spec_of([
         [[I if i == j == a else int(i == j) for j in range(k)]
          for i in range(k)] for a in range(k)])
 
@@ -545,7 +556,7 @@ def _brute_force_relations(spec, bound):
     for c in span:
         inverse_powers.setdefault(last.power(-c), []).append(c)
     powers = [{c: g.power(c) for c in span} for g in head]
-    found, ident = [], TorusAutomorphism(eye(spec.k))
+    found, ident = [], automorphism(eye(spec.k))
     for prefix in itertools.product(span, repeat=len(head)):
         M = ident
         for c, pw in zip(prefix, powers):
@@ -569,7 +580,7 @@ def test_relation_lattice_matches_brute_force(s):
     # The two sizes take about 1 s and 5 s in-process (budget 60 s each)
     start = time.perf_counter()
     rng = random.Random(20260 + s)
-    ident = TorusAutomorphism(eye(3))
+    ident = automorphism(eye(3))
     for family in range(5):
         # the first family has no shear part, so its U is finite
         a, b = (rng.randint(-2, 2), rng.randint(-1, 1)) if family else (0, 0)
@@ -582,7 +593,7 @@ def test_relation_lattice_matches_brute_force(s):
             for block, e in zip(_BLOCKS, exps):
                 M = M * block ** e
             mats.append(M.tolist())
-        spec = GroupSpec.from_matrices(mats)
+        spec = spec_of(mats)
         units = [[int(i == j) for j in range(s)] for i in range(s)]
         order, lattice = _u_structure(spec, units)
         assert (order is None) == sheared, mats
@@ -612,7 +623,7 @@ def test_theorem_4_6_zero_entropy_kernel_word_vacuous():
     # A^3 (-A^3)^-1 = -I has zero entropy, so the group is not of positive
     # entropy; no word of [-2, 2]^2 shows it
     A = Matrix([[2, 1], [1, 1]])
-    spec = GroupSpec.from_matrices([A.tolist(), (-A ** 3).tolist()])
+    spec = spec_of([A.tolist(), (-A ** 3).tolist()])
     c = eigenclass(find_characters(spec).characters[0])
     rep = check_theorem_4_6(spec, [c])
     assert rep.status == "vacuous" and rep.witness == [3, -1]
@@ -621,7 +632,7 @@ def test_theorem_4_6_zero_entropy_kernel_word_vacuous():
 def test_theorem_4_6_non_commuting_zero_entropy_vacuous():
     # the shear and diag(1, -1) both fix the class e_2 e_2^H and do not
     # commute; the shear is a zero-entropy kernel word
-    spec = GroupSpec.from_matrices([SHEAR.tolist(), [[1, 0], [0, -1]]])
+    spec = spec_of([SHEAR.tolist(), [[1, 0], [0, -1]]])
     w = Matrix([0, 1])
     rep = check_theorem_4_6(spec, [CohomClass.from_hermitian(w * w.T)])
     assert rep.status == "vacuous"
@@ -651,7 +662,7 @@ def test_analyze_group_pipeline():
 
 
 def test_analyze_group_stops_on_non_commuting():
-    bad = GroupSpec.from_matrices([[[2, 1], [1, 1]], [[1, 1], [0, 1]]])
+    bad = spec_of([[[2, 1], [1, 1]], [[1, 1], [0, 1]]])
     out = analyze_group(bad)
     assert out.witness == (0, 1)
     assert out.rank is None and out.binomial_bounds is None

@@ -11,9 +11,7 @@ from sympy import I, Matrix, eye
 from toraldyn import ExactAlgebraError
 from toraldyn.exact_algebra import exact_sign
 from toraldyn.integer_model import hermitian_real_form
-from toraldyn.cohomology import (CohomClass, TorusAutomorphism,
-                                 intersection_number, is_kahler, is_nef, wedge,
-                                 wedge_all)
+from toraldyn.cohomology import CohomClass, TorusAutomorphism, is_nef, wedge
 from toraldyn import hodge_riemann
 from toraldyn.hodge_riemann import (
     _kernel_of_functional, gromov_fuzz, hodge_riemann_definite,
@@ -22,7 +20,8 @@ from toraldyn.hodge_riemann import (
 from oracles import hermitian_basis, hermitian_coords
 from statements import (check_gromov_semipositive,
                         check_hodge_riemann_definite, colinearity_witness,
-                        gmat_from_class, lemma_4_3_check, solve_ab_pair)
+                        gmat_from_class, intersection_number, is_kahler,
+                        lemma_4_3_check, solve_ab_pair, wedge_all)
 
 D10 = CohomClass.from_hermitian(sp.diag(1, 0))
 D01 = CohomClass.from_hermitian(sp.diag(0, 1))

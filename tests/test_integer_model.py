@@ -35,7 +35,8 @@ from toraldyn.integer_model import (_CATALOG, FINITE_ORDER, PARABOLIC,
                                     times_conjugate)
 from toraldyn.group_structure import find_characters
 
-from oracles import cyclotomic_indices_by_factoring, domain_matrix_charpoly
+from oracles import (automorphism, cyclotomic_indices_by_factoring,
+                     domain_matrix_charpoly, pair_rows, spec_of, sympy_matrix)
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -52,12 +53,12 @@ def _cubic_t3():
 
 # each builtin as it was built from sympy matrices and the forge
 SYMPY_CATALOG = {
-    "cat_T2": lambda: GroupSpec.from_matrices([Matrix([[2, 1], [1, 1]])]),
-    "pell_T2": lambda: GroupSpec.from_matrices([Matrix([[1, 2], [1, 1]])]),
-    "parabolic_T2": lambda: GroupSpec.from_matrices(
+    "cat_T2": lambda: spec_of([Matrix([[2, 1], [1, 1]])]),
+    "pell_T2": lambda: spec_of([Matrix([[1, 2], [1, 1]])]),
+    "parabolic_T2": lambda: spec_of(
         [Matrix([[1, 1], [0, 1]]), Matrix([[1, I], [0, 1]])]),
-    "torsion_i": lambda: GroupSpec.from_matrices([I * eye(2)]),
-    "pell_plus_torsion": lambda: GroupSpec.from_matrices(
+    "torsion_i": lambda: spec_of([I * eye(2)]),
+    "pell_plus_torsion": lambda: spec_of(
         [Matrix([[1, 2], [1, 1]]), I * eye(2)]),
     "cubic_T3": _cubic_t3,
 }
@@ -70,7 +71,8 @@ def test_builtin_tables_are_the_sympy_constructions(name):
         [g.name for g in built.generators]
     assert [g.pairs for g in table.generators] == \
         [g.pairs for g in built.generators]
-    assert [g.A for g in table.generators] == [g.A for g in built.generators]
+    assert [sympy_matrix(g) for g in table.generators] == \
+        [sympy_matrix(g) for g in built.generators]
 
 
 def test_builtin_tables_cover_the_catalog():
@@ -103,7 +105,7 @@ def _seeded_matrices():
                 E = eye(k)
                 E[i, j] = rng.choice(units)
                 A = A * E
-            mats.append([list(r) for r in h11_matrix(TorusAutomorphism(A))])
+            mats.append([list(r) for r in h11_matrix(automorphism(A))])
     return mats
 
 
@@ -172,14 +174,14 @@ def test_times_conjugate_is_the_real_form_charpoly():
 
 def _h11_reference(f):
     """The H^{1,1} charpoly, zero entropy and class of f, all read from the
-    k^2 x k^2 ``h11_matrix``: at zero entropy f* has finite order iff its
-    n-th power, a sympy ``DomainMatrix`` power for the lcm n of the
-    charpoly's cyclotomic indices, is the identity."""
-    p = integer_charpoly(h11_matrix(f))
+    k^2 x k^2 ``h11_matrix`` as a sympy ``DomainMatrix``: its charpoly is
+    sympy's, and at zero entropy f* has finite order iff its n-th power,
+    for the lcm n of the charpoly's cyclotomic indices, is the identity."""
+    M = DomainMatrix.from_list([list(row) for row in h11_matrix(f)], ZZ)
+    p = tuple(int(c) for c in M.charpoly())
     indices = _cyclotomic_indices(p)
     if indices is None:
         return p, False, POSITIVE_ENTROPY
-    M = DomainMatrix.from_list([list(row) for row in h11_matrix(f)], ZZ)
     finite = M ** math.lcm(*indices) == M.eye(M.shape, ZZ).to_dense()
     return p, True, FINITE_ORDER if finite else PARABOLIC
 
@@ -264,12 +266,12 @@ def test_h11_charpoly_and_verdicts_match_the_h11_matrix(family):
 
 
 def test_charpoly_reads_sympy_gaussian_matrices():
-    # exact_algebra.charpoly reads sympy entries by _gaussian_integer and
-    # builds the Poly that sympy's DomainMatrix charpoly built
+    # sympy entries read to pairs at the tests' boundary: exact_algebra's
+    # charpoly builds the Poly that sympy's DomainMatrix charpoly builds
     for M in _seeded_pair_matrices():
         A = Matrix([[re + im * I for re, im in row] for row in M])
         expected = domain_matrix_charpoly(A)
-        p = charpoly(A)
+        p = charpoly(pair_rows(A))
         assert p == expected and p.domain == expected.domain, M
 
 
@@ -298,11 +300,11 @@ def test_cyclotomic_indices_match_the_factor_based_routine():
 ZERO_ENTROPY_FAMILIES = {
     "parabolic_T2": lambda: catalog_group("parabolic_T2"),
     "torsion_i": lambda: catalog_group("torsion_i"),
-    "identity_T2": lambda: GroupSpec.from_matrices([eye(2)]),
-    "unipotent_pair_T3": lambda: GroupSpec.from_matrices([
+    "identity_T2": lambda: spec_of([eye(2)]),
+    "unipotent_pair_T3": lambda: spec_of([
         eye(3) + Matrix(3, 3, lambda a, b: int((a, b) == (0, 1))),
         eye(3) + Matrix(3, 3, lambda a, b: int((a, b) == (0, 2)))]),
-    "gaussian_finite_order": lambda: GroupSpec.from_matrices(
+    "gaussian_finite_order": lambda: spec_of(
         [[[-I, 0], [1 + I, I]]]),
     **{name: (lambda name=name: load_group_argument(
         str(DATA / f"{name}.json"))[0])
@@ -350,8 +352,8 @@ def _zero_entropy_pairs(draw):
         E = eye(k)
         E[i, j] = draw(st.sampled_from(units))
         P = P * E
-    conj = TorusAutomorphism(P)
-    g = conj.compose(TorusAutomorphism(draw(st.sampled_from(CORES[k]))))
+    conj = automorphism(P)
+    g = conj.compose(automorphism(draw(st.sampled_from(CORES[k]))))
     g = g.compose(conj.inverse())
     return GroupSpec((g, g.power(draw(st.sampled_from((-2, -1, 2, 3))))))
 

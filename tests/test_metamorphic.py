@@ -21,6 +21,8 @@ from toraldyn.exact_algebra import exact_equal
 from toraldyn.integer_model import catalog_group, hermite_normal_form_rows
 from toraldyn.group_structure import GroupSpec, analyze_group
 
+from oracles import spec_of, sympy_matrix
+
 PELL = Matrix([[1, 2], [1, 1]])
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -37,7 +39,7 @@ def _invariants(spec):
 ], ids=["pell_times_i"])
 def test_nielsen_move_keeps_invariants(original, moved):
     start = time.perf_counter()
-    spec = GroupSpec.from_matrices([M.tolist() for M in moved])
+    spec = spec_of([M.tolist() for M in moved])
     assert _invariants(spec) == _invariants(catalog_group(original))
     assert time.perf_counter() - start < 10
 
@@ -89,8 +91,8 @@ def test_conjugation_keeps_invariants(original, corner):
     spec = catalog_group(original)
     P = eye(spec.k)
     P[0, 1] = corner
-    moved = GroupSpec.from_matrices(
-        [(P * g.A * P.inv()).tolist() for g in spec.generators])
+    moved = spec_of(
+        [(P * sympy_matrix(g) * P.inv()).tolist() for g in spec.generators])
     before, after = analyze_group(spec), analyze_group(moved)
     for a in (before, after):
         assert a.witness is None

@@ -11,12 +11,14 @@ from sympy import I, Matrix, eye
 from hypothesis import given, settings, strategies as st
 
 from toraldyn.exact_algebra import charpoly, exact_is_zero, is_cyclotomic_product
-from toraldyn.cohomology import (CohomClass, TorusAutomorphism, classify,
-                                 dynamical_degree, entropy, h11_matrix,
-                                 intersection_number, pullback)
+from toraldyn.cohomology import (CohomClass, classify, dynamical_degree,
+                                 entropy, h11_matrix, pullback)
 from toraldyn.integer_model import _CATALOG, catalog_group
 from toraldyn.group_structure import (find_characters, pi_rank,
                                       verify_zero_entropy_word)
+
+from oracles import automorphism
+from statements import intersection_number
 
 COMMON = settings(max_examples=100, deadline=None)
 
@@ -56,7 +58,7 @@ def unit_matrices(draw, dims=(2, 3)):
             E = eye(k)
             E[i, i] = -1
         M = M * E
-    return TorusAutomorphism(M)
+    return automorphism(M)
 
 
 @st.composite
