@@ -492,10 +492,9 @@ def cmd_enumerate(args) -> int:
                            args.bound, args.dim ** 2)
     _require_in_range("--dim", args.dim, 1, MAX_ENUMERATE_DIM)
     from .cohomology import enumerate_degree_values
-    from .exact_algebra import real_root
     values = enumerate_degree_values(args.dim, args.bound)
     digits = args.precision
-    positive = [v for v in values if real_root(v).compare(1) > 0]
+    positive = values[1:]
     report = {
         "tool": f"toraldyn {__version__}",
         "kind": "degree_enumeration",

@@ -279,7 +279,9 @@ def enumerate_degree_values(k: int, entry_bound: int):
 
     Exhibits the discreteness of the first dynamical degree (desk scale).
     The caller bounds the box: ``k >= 1``, ``entry_bound >= 0`` and the
-    (2B+1)^(k^2) matrices within the CLI's search budget.
+    (2B+1)^(k^2) matrices within the CLI's search budget.  The values
+    ascend from the rational 1, and the others exceed 1: the root moduli of
+    a non-cyclotomic charpoly multiply to 1, and one is not 1 (Kronecker).
     """
     charpolys = set()
     for entries in itertools.product(range(-entry_bound, entry_bound + 1),
@@ -288,9 +290,7 @@ def enumerate_degree_values(k: int, entry_bound: int):
                 for i in range(k)]
         if gaussian_det(rows) == (1, 0):
             charpolys.add(integer_charpoly(rows))
-    # the identity automorphism exists at every bound, and (Kronecker) d1 = 1
-    # exactly for a cyclotomic product
-    values = [Fraction(1)]
+    values = [Fraction(1)]      # the identity's, at every bound
     for p in sorted(charpolys):
         if is_cyclotomic_product(p):
             continue

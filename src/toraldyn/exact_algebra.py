@@ -31,9 +31,9 @@ from . import ExactAlgebraError
 # used here or wrapped as this module's layer by the benchmark tracer
 from .integer_model import (_cabs2, _cadd, _cdiv, _cmul, _conjugate_products,
                             _cpoly_mul, _csub, _divide_monic, _from_power_sums,
-                            _normalized, _power_sums, gaussian_charpoly,
-                            integer_relations, is_cyclotomic_product,
-                            matrix_order)
+                            _gaussian_integer, _normalized, _power_sums,
+                            gaussian_charpoly, integer_relations,
+                            is_cyclotomic_product, matrix_order)
 
 X = sp.Symbol("x")
 
@@ -663,9 +663,9 @@ def _modulus_squared_annihilator(f, mu) -> tuple:
     return factors, [_sturm_sequence(g) for g in factors]
 
 
-def _rectangle(interval) -> tuple:
-    """A sympy isolating interval of a root as (ax, bx, ay, by)."""
-    q = lambda v: Fraction(int(v.numerator), int(v.denominator))
+def _rectangle(interval, scale=1) -> tuple:
+    """A sympy isolating interval, times ``scale``, as (ax, bx, ay, by)."""
+    q = lambda v: scale * Fraction(int(v.numerator), int(v.denominator))
     if hasattr(interval, "ax"):
         return q(interval.ax), q(interval.bx), q(interval.ay), q(interval.by)
     return q(interval.a), q(interval.b), Fraction(0), Fraction(0)
@@ -696,12 +696,12 @@ def _moduli_in_disk(disk, mus, annihilators, bits: int):
 
 def modulus_squared_roots(f, mus) -> list:
     """For each root theta of a squarefree polynomial f over Q(i) of degree
-    >= 2: ``(theta, [(poly, lo, hi), ...])``, where theta is the sympy
-    ``CRootOf`` of that root and the k-th triple isolates |mu_k(theta)|^2
-    as a root of its annihilator (``_moduli_in_disk``).
+    >= 2: ``(theta, [(poly, lo, hi), ...])``, where theta is sympy's root
+    c CRootOf(g, j), c >= 1 an integer, and the k-th triple isolates
+    |mu_k(theta)|^2 as a root of its annihilator (``_moduli_in_disk``).
 
-    Each root is held by a certified inclusion disk; theta is the one
-    ``CRootOf`` whose isolating region meets that disk.  A non-real f is
+    Each root is held by a certified inclusion disk; theta is the one root
+    whose region, c times the CRootOf's, meets that disk.  A non-real f is
     handled through its norm f * conj(f), whose roots off f are excluded by
     their disks' images under f.  Precision rises until every choice is
     unique."""
@@ -711,7 +711,8 @@ def modulus_squared_roots(f, mus) -> list:
     roots = Poly(_normalized([re for re, _ in norm]), X).all_roots(
         radicals=False)
     # sympy's isolating regions, read but never written back to its cache
-    regions = [t._get_interval() for t in roots]
+    scales, atoms = zip(*(t.as_coeff_Mul() for t in roots))
+    regions = [t._get_interval() for t in atoms]
     annihilators = [_modulus_squared_annihilator(f, mu) for mu in mus]
 
     def attempt(prec):
@@ -726,7 +727,7 @@ def modulus_squared_roots(f, mus) -> list:
         out = []
         for D in disks:
             hits = [i for i, iv in enumerate(regions)
-                    if _meets(D, _rectangle(iv))]
+                    if _meets(D, _rectangle(iv, int(scales[i])))]
             if len(hits) != 1:
                 for i in hits:
                     regions[i] = regions[i].refine()
@@ -746,10 +747,12 @@ def modulus_squared_roots(f, mus) -> list:
 
 def charpoly(rows) -> Poly:
     """Exact monic characteristic polynomial of a square Gaussian-integer
-    matrix, given as rows of ints or ``(re, im)`` pairs of ints: the
-    Samuelson-Berkowitz recurrence ``gaussian_charpoly`` on the rows."""
-    return Poly([re + im * I if im else re
-                 for re, im in gaussian_charpoly(rows)], X)
+    matrix, given as rows of ints or ``(re, im)`` pairs of ints (anything
+    else raises ``ValueError``): ``gaussian_charpoly`` on the rows."""
+    if not all(isinstance(row, (list, tuple)) for row in rows):
+        raise ValueError("matrix rows must be lists or tuples")
+    return Poly([re + im * I if im else re for re, im in gaussian_charpoly(
+        [[_gaussian_integer(v) for v in row] for row in rows])], X)
 
 
 # ---------------------------------------------------------------------------

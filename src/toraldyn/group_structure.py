@@ -27,13 +27,14 @@ from .integer_model import (
     GroupSpec,
     IntegerLattice,
     TorusAutomorphism,
+    _cyclotomic_indices,
     _identity,
     _pair_product,
     classify,
-    finite_order_bound,
     has_zero_entropy,
     hermite_normal_form_rows,
     integer_relations,
+    times_conjugate,
 )
 
 # counts elements of U, not time: U is built at about 9,000 elements per
@@ -120,8 +121,9 @@ def find_characters(spec: GroupSpec) -> CharacterTable:
 
 def word_automorphism(spec: GroupSpec, e) -> TorusAutomorphism:
     """The group element with exponent vector e over the generators,
-    composed from its first nonzero factor on."""
-    factors = [g.power(int(ej)) for g, ej in zip(spec.generators, e) if ej]
+    composed from its first nonzero factor on; e_j is generator j itself."""
+    factors = [g if ej == 1 else g.power(int(ej))
+               for g, ej in zip(spec.generators, e) if ej]
     return (reduce(TorusAutomorphism.compose, factors) if factors
             else _identity(spec.k, "word"))
 
@@ -306,20 +308,27 @@ def _u_structure(spec: GroupSpec, u_words):
     """(order of U or None when U is infinite, relation lattice of U) for
     the group U generated by the commuting zero-entropy words ``u_words``.
 
-    Every eigenvalue of a zero-entropy u is a root of unity of degree at
-    most 2k over Q, so u^N is unipotent for N = finite_order_bound(2k), and
-    the logarithms L_i = log(u_i^N) = sum_{m<k} (-1)^(m+1) (u_i^N - 1)^m / m
-    of commuting unipotents add.  So every relation lies in the integer
-    kernel K = {c : sum c_i L_i = 0} (zero rows of a Hermite form), and
-    every word of K has order dividing N.  ``_enumerate_closure`` gives a
-    basis of the relations among the words of the Hermite basis of K, which
-    is lifted back.  U is finite iff K = Z^s, and then that basis is the U
-    words."""
+    Each u is built once and its memoised cyclotomic indices (of p conj(p),
+    p its charpoly) read once; a u without them has positive entropy and
+    raises.  Each eigenvalue of u has one of them as its order, so u^N is
+    unipotent for the lcm N of all the words' indices, and the logarithms
+    L_i = log(u_i^N) = sum_{m<k} (-1)^(m+1) (u_i^N - 1)^m / m of commuting
+    unipotents add.  So every relation lies in the integer kernel
+    K = {c : sum c_i L_i = 0} (zero rows of a Hermite form), and every word
+    of K has order dividing N.  ``_enumerate_closure`` gives a basis of the
+    relations among the words of the Hermite basis of K, which is lifted
+    back.  U is finite iff K = Z^s, and then that basis is the U words."""
     k, n = spec.k, spec.n
-    N, D = finite_order_bound(2 * k), math.lcm(*range(1, k))
+    units = [word_automorphism(spec, w) for w in u_words]
+    indices = [_cyclotomic_indices(times_conjugate(u.charpoly))
+               for u in units]
+    if None in indices:
+        raise ExactAlgebraError("kernel saturation produced a word "
+                                "with positive entropy")
+    N, D = math.lcm(*itertools.chain(*indices)), math.lcm(*range(1, k))
     logs = []
-    for w in u_words:
-        P = word_automorphism(spec, w).power(N).pairs
+    for u in units:
+        P = u.power(N).pairs
         X = [[(re - (i == j), im) for j, (re, im) in enumerate(row)]
              for i, row in enumerate(P)]
         log, Xm = [0] * (2 * k * k), X
@@ -342,13 +351,10 @@ def decompose(spec: GroupSpec, analysis: PiRankResult) -> DecompositionResult:
     part), along the words of ``analysis``.  U's order, its finiteness and
     its relation lattice over the input generators are exact for finite and
     infinite U alike (``_u_structure``); an infinite U at maximal rank
-    r = k-1 raises."""
-    u_words = analysis.u_words
-    for w in u_words:
-        if not verify_zero_entropy_word(spec, w):
-            raise ExactAlgebraError("kernel saturation produced a word "
-                                    "with positive entropy")
-    u_order, lattice = _u_structure(spec, u_words)
+    r = k-1 raises.  The U words are not re-checked: a power of each is a
+    product of verified kernel words, of zero entropy as U is a group, and
+    the word's eigenvalues are roots of the power's."""
+    u_order, lattice = _u_structure(spec, analysis.u_words)
     if analysis.rank == spec.k - 1 and u_order is None:
         raise AssertionError(
             "THEOREM VIOLATION: infinite zero-entropy part at maximal rank")

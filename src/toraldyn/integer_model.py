@@ -404,7 +404,9 @@ def gaussian_charpoly(M) -> tuple:
         det(xI - [[A, C], [R, a]]) = (x - a) det(xI - A) - R adj(xI - A) C,
 
     and for det(xI - A) = sum_j c_j x^(t-j), adj(xI - A) is sum_i x^i
-    sum_{j <= t-1-i} c_j A^(t-1-i-j), so only s_m = R A^m C is needed."""
+    sum_{j <= t-1-i} c_j A^(t-1-i-j), so only s_m = R A^m C is needed.  It
+    takes the Fraction pairs of ``_modulus_squared_annihilator`` too, so
+    ``TorusAutomorphism`` and ``charpoly`` check the integer format."""
     n = len(M)
     if any(len(row) != n for row in M):
         raise ExactAlgebraError("charpoly requires a square matrix")
@@ -550,12 +552,6 @@ def is_cyclotomic_product(p) -> bool:
     """True iff every irreducible factor of the monic integer polynomial
     with coefficients ``p`` (leading first) is cyclotomic (Kronecker)."""
     return _cyclotomic_indices(tuple(p)) is not None
-
-
-def finite_order_bound(dim: int) -> int:
-    """lcm of all m with phi(m) <= dim: bound for orders of integer
-    matrices."""
-    return math.lcm(*_indices_up_to(dim))
 
 
 def matrix_order(f: TorusAutomorphism):

@@ -10,7 +10,8 @@ from sympy import I, Matrix, eye
 
 from toraldyn import ExactAlgebraError, cohomology, integer_model
 from toraldyn.integer_model import _CATALOG, catalog_group, h11_charpoly
-from toraldyn.exact_algebra import charpoly, exact_equal, exact_is_zero
+from toraldyn.exact_algebra import (charpoly, exact_equal, exact_is_zero,
+                                    real_root)
 from toraldyn.cohomology import (
     CohomClass, TorusAutomorphism, classify, compound, degree_profile,
     dynamical_degree, entropy, enumerate_degree_values, h11_matrix, is_nef,
@@ -47,14 +48,17 @@ def test_automorphism_requires_unit_determinant():
 
 
 def test_automorphism_reads_int_and_pair_rows_only():
-    # sympy values are read to pairs at the tests' boundary, not here
-    with pytest.raises(ValueError):
-        TorusAutomorphism(Matrix([[2, 1], [1, 1]]))
-    with pytest.raises(ValueError,
-                       match=r"^entries must be Gaussian integers$"):
-        TorusAutomorphism([[sp.Integer(2), 1], [1, 1]])
-    assert TorusAutomorphism([[2, 1], [1, 1]]) == \
-        TorusAutomorphism([[(2, 0), (1, 0)], [(1, 0), (1, 0)]])
+    # sympy values are read to pairs at the tests' boundary, not here; the
+    # charpoly reads rows as the automorphism does
+    for read in (TorusAutomorphism, charpoly):
+        with pytest.raises(ValueError):
+            read(Matrix([[2, 1], [1, 1]]))
+        for entry in (sp.Integer(2), sp.Rational(1, 2), 2.0, (2, 0.0)):
+            with pytest.raises(ValueError,
+                               match=r"^entries must be Gaussian integers$"):
+                read([[entry, 1], [1, 1]])
+        assert read([[2, 1], [1, 1]]) == \
+            read([[(2, 0), (1, 0)], [(1, 0), (1, 0)]])
 
 
 def test_automorphism_group_operations():
@@ -421,6 +425,17 @@ def test_enumerate_bound_zero_and_one():
     for bound in (0, 1):
         vals = enumerate_degree_values(2, bound)
         assert len(vals) == 1 and exact_equal(vals[0], 1)
+
+
+@pytest.mark.parametrize("k, bound", [(2, 2), (3, 1)])
+def test_enumerate_values_after_the_first_exceed_one(k, bound):
+    # the first value is the rational 1 and every other exceeds 1
+    # (Kronecker), so `enumerate` takes values[1:] as the positive-entropy
+    # d1 without comparing any with 1
+    values = enumerate_degree_values(k, bound)
+    positive = [v for v in values if real_root(v).compare(1) > 0]
+    assert values[0] == 1 and len(positive) > 0
+    assert positive == values[1:]
 
 
 def test_enumerate_decides_zero_entropy_on_integers(monkeypatch):

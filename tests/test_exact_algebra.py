@@ -17,9 +17,9 @@ from toraldyn.exact_algebra import (
     exact_is_zero, exact_sign, integer_relations, is_cyclotomic_product,
     matrix_order, _kernel_root, real_root, root_moduli)
 from toraldyn.integer_model import (INFINITE_ORDER, IntegerLattice,
-                                    TorusAutomorphism, finite_order_bound,
-                                    gaussian_det, hermite_normal_form_rows,
-                                    lll_reduce, symmetric_definiteness)
+                                    TorusAutomorphism, gaussian_det,
+                                    hermite_normal_form_rows, lll_reduce,
+                                    symmetric_definiteness)
 
 from oracles import (_cyclotomic_index, automorphism,
                      charpoly_times_conjugate, hermitian_coords, pair_rows,
@@ -266,13 +266,6 @@ def test_matrix_order_of_gaussian_automorphisms():
     assert matrix_order(automorphism(I * eye(2))) == 4
     assert matrix_order(automorphism(Matrix([[1, I], [0, 1]]))) == \
         INFINITE_ORDER
-
-
-def test_finite_order_bound_small_dims():
-    # dim 1: orders 1, 2 -> lcm 2; dim 2 adds 3, 4, 6 -> lcm 12
-    assert finite_order_bound(1) == 2
-    assert finite_order_bound(2) == 12
-    assert finite_order_bound(4) % 12 == 0
 
 
 # independent oracles for the integer certificate: sympy's cyclotomic

@@ -3,6 +3,7 @@ bounds, and the U x free decomposition."""
 
 import dataclasses
 import itertools
+import json
 import math
 import random
 import time
@@ -13,10 +14,11 @@ import mpmath
 import pytest
 import sympy as sp
 from sympy import I, Matrix, eye
+from sympy.matrices.normalforms import smith_normal_decomp
 
 from toraldyn import (ExactAlgebraError, characters, exact_algebra,
                       group_structure, integer_model)
-from toraldyn.cli import load_group_argument
+from toraldyn.cli import load_group_argument, main
 from toraldyn.exact_algebra import RealRoot, exact_equal
 from toraldyn.cohomology import (
     CohomClass, TorusAutomorphism, dynamical_degree, is_nef, pullback)
@@ -546,6 +548,14 @@ def test_enumeration_cap_counts_the_elements_of_u(monkeypatch):
         _u_structure(spec, units)
 
 
+def test_u_structure_refuses_a_word_with_positive_entropy():
+    # its charpoly has no cyclotomic indices, read where U is built
+    with pytest.raises(ExactAlgebraError, match="^kernel saturation produced "
+                                                "a word with positive "
+                                                "entropy$"):
+        _u_structure(PELL_TORSION, [[0, 1], [1, 0]])
+
+
 def _brute_force_relations(spec, bound):
     """Every nonzero c in [-bound, bound]^s with prod g_i^(c_i) = 1: each
     product of the first s-1 powers is looked up among the inverse powers
@@ -666,3 +676,170 @@ def test_analyze_group_stops_on_non_commuting():
     out = analyze_group(bad)
     assert out.witness == (0, 1)
     assert out.rank is None and out.binomial_bounds is None
+
+
+# ---------------------------------------------------------------------------
+# a k = 4..6 corpus of block sums whose answers follow from the construction
+# ---------------------------------------------------------------------------
+
+# name -> (rows, kind, order of a rotation or an identity, spectral radius
+# of a hyperbolic block in mpmath)
+_CORPUS_BLOCKS = {
+    "cat": ([[2, 1], [1, 1]], "hyperbolic", None,
+            lambda: (3 + mpmath.sqrt(5)) / 2),
+    "pell": ([[1, 2], [1, 1]], "hyperbolic", None,
+             lambda: 1 + mpmath.sqrt(2)),
+    "rot4": ([[0, -1], [1, 0]], "finite", 4, None),
+    "rot6": ([[1, -1], [1, 0]], "finite", 6, None),
+    "id": ([[1, 0], [0, 1]], "finite", 1, None),
+    "shear": ([[1, 1], [0, 1]], "shear", None, None),
+    # 1 x 1 blocks, for odd k
+    "i": ([[(0, 1)]], "finite", 4, None),
+    "-1": ([[-1]], "finite", 2, None),
+    "1": ([[1]], "finite", 1, None),
+}
+
+
+def _block_sum_rows(blocks, exponents) -> list:
+    """Pair rows of the block sum of blocks[j]^exponents[j]."""
+    parts = [TorusAutomorphism(_CORPUS_BLOCKS[b][0]).power(e).pairs
+             for b, e in zip(blocks, exponents)]
+    k = sum(len(p) for p in parts)
+    rows, at = [[(0, 0)] * k for _ in range(k)], 0
+    for p in parts:
+        for i, row in enumerate(p):
+            rows[at + i][at:at + len(p)] = row
+        at += len(p)
+    return rows
+
+
+def _seeded_block_family(seed: int):
+    """(blocks, exponents) of a seeded family at k = 4, 5 or 6: either
+    hyperbolic and finite blocks, or shears and finite blocks, never a
+    shear beside a hyperbolic block (a non-semisimple family with positive
+    entropy, which exits 3)."""
+    rng = random.Random(seed)
+    k = rng.choice([4, 5, 6])
+    first = ["cat", "pell"] if rng.random() < 0.75 else ["shear"]
+    blocks = [rng.choice(first + ["rot4", "rot6", "id"])
+              for _ in range(k // 2)]
+    blocks += [rng.choice(["i", "-1", "1"])] * (k % 2)
+    exponents = [[rng.randint(-2, 2) if _CORPUS_BLOCKS[b][1] == "hyperbolic"
+                  else rng.randint(0, 5) for b in blocks]
+                 for _ in range(rng.choice([2, 3]))]
+    return blocks, exponents
+
+
+_CORPUS = {
+    # rank 2 and U = <rot4> of order 4
+    "cat_pell_rot4": (["cat", "pell", "rot4"], [[1, 0, 0], [0, 1, 0],
+                                                [0, 0, 1]]),
+    # (g, g^2): the one kernel word g^2 (g^2)^-1 is 1, so U is trivial
+    "g_g2": (["cat", "rot6", "i"], [[1, 1, 1], [2, 2, 2]]),
+    # two cat blocks, the first generator with a repeated spectrum
+    "cat_cat": (["cat", "cat"], [[1, 1], [1, -1]]),
+    # rank 1 and U of order 4, on a 1 x 1 identity block
+    "pell_rot4_1": (["pell", "rot4", "1"], [[1, 2, 1], [0, 1, 1],
+                                            [2, 0, 3]]),
+    # a separating operator with the factor x^2 + 2x + 4, whose roots sympy
+    # returns as 2 CRootOf(x^2 + x + 1, i)
+    "cat2_pell_rot6": (["cat", "pell", "rot6"], [[2, 1, 3], [1, 0, 1],
+                                                 [0, 1, 2]]),
+    # zero entropy: the shear makes U infinite
+    "shear_rot4_i": (["shear", "rot4", "i"], [[1, 1, 0], [2, 0, 1]]),
+    # zero entropy and finite order: U of order 96
+    "rot6_rot4_rot4": (["rot6", "rot4", "rot4"], [[-1, 2, 0], [-2, -2, -1],
+                                                  [1, 1, 0]]),
+    **{f"seed{s}": _seeded_block_family(s) for s in range(6)},
+}
+
+
+def _block_family_oracle(blocks, exponents):
+    """(rank, u_order or None, classifications, 50-digit d1) of the family
+    whose generator i is the block sum of blocks[j]^exponents[i][j].
+
+    Group elements are exponent vectors over the blocks, rotations modulo
+    their orders.  pi reads the hyperbolic exponents, so the rank is the
+    rank of their columns E_h, and U is the image of the integer kernel
+    {w : w E_h = 0}.  That kernel is spanned by the last columns of V in a
+    Smith form S = T E_h^T V; U is infinite iff it moves a shear, and else
+    is the subgroup its images generate in the product of the rotations'
+    cyclic groups."""
+    kinds = [_CORPUS_BLOCKS[b][1] for b in blocks]
+    n = len(exponents)
+    hyp = [j for j, kind in enumerate(kinds) if kind == "hyperbolic"]
+    if hyp:
+        E_h = Matrix([[row[j] for j in hyp] for row in exponents])
+        rank = E_h.rank()
+        V = smith_normal_decomp(E_h.T)[2]
+        kernel = [list(V[:, c]) for c in range(rank, n)]
+        assert all(not any(E_h.T * Matrix(w)) for w in kernel)
+    else:
+        rank, kernel = 0, [[int(i == c) for i in range(n)] for c in range(n)]
+    image = [[sum(wi * row[j] for wi, row in zip(w, exponents))
+              for j in range(len(blocks))] for w in kernel]
+    if any(v[j] for v in image for j, kind in enumerate(kinds)
+           if kind == "shear"):
+        u_order = None
+    else:
+        orders = [_CORPUS_BLOCKS[b][2] or 1 for b in blocks]
+        zero = tuple(0 for _ in blocks)
+        seen, frontier = {zero}, [zero]
+        while frontier:
+            x = frontier.pop()
+            for v in image:
+                y = tuple((a + b) % o for a, b, o in zip(x, v, orders))
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+        u_order = len(seen)
+    classes = []
+    for row in exponents:
+        moved = {kind for kind, e in zip(kinds, row) if e}
+        classes.append(integer_model.POSITIVE_ENTROPY if "hyperbolic" in moved
+                       else integer_model.PARABOLIC if "shear" in moved
+                       else integer_model.FINITE_ORDER)
+    with mpmath.workdps(50):
+        d1s = [max([mpmath.mpf(1)] + [
+            _CORPUS_BLOCKS[b][3]() ** (2 * abs(e)) for b, e in zip(blocks, row)
+            if _CORPUS_BLOCKS[b][1] == "hyperbolic"]) for row in exponents]
+    return rank, u_order, classes, d1s
+
+
+@pytest.mark.parametrize("blocks, exponents", list(_CORPUS.values()),
+                         ids=list(_CORPUS))
+def test_block_sum_corpus_answers_as_constructed(blocks, exponents,
+                                                 tmp_path, capsys):
+    # each case runs the analyze request in-process in well under 1 s; the
+    # budget is 20 s
+    start = time.perf_counter()
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({
+        "kind": "torus_group",
+        "complex_dim": str(sum(len(_CORPUS_BLOCKS[b][0]) for b in blocks)),
+        "generators": [
+            {"name": f"g{i}",
+             "matrix": [[[str(re), str(im)] for re, im in row]
+                        for row in _block_sum_rows(blocks, e)]}
+            for i, e in enumerate(exponents)]}))
+    assert main(["analyze", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    rank, u_order, classes, d1s = _block_family_oracle(blocks, exponents)
+    assert report["rank"] == str(rank)
+    assert report["decomposition"]["u_order"] == (
+        None if u_order is None else str(u_order))
+    assert [g["classification"] for g in report["generators"]] == classes
+    # a 50-digit value of d1 lies in the printed interval, up to its own
+    # rounding: an interval may be narrower than 10^-50
+    with mpmath.workdps(50):
+        for g, d1 in zip(report["generators"], d1s):
+            lo, hi = (mpmath.mpf(v.numerator) / v.denominator for v in
+                      map(Fraction, g["degrees"][1]["interval"]))
+            tol = d1 * mpmath.mpf(10) ** -45
+            assert lo - tol <= d1 <= hi + tol, (g, d1)
+    # every U word has zero entropy, though decompose does not re-check it
+    spec = load_group_argument(str(path))[0]
+    for w in report["decomposition"]["u_words"]:
+        assert integer_model.has_zero_entropy(
+            word_automorphism(spec, [int(c) for c in w]))
+    assert time.perf_counter() - start < 20
