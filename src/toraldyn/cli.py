@@ -224,8 +224,11 @@ def _group_from_json(data: dict) -> GroupSpec:
 
 
 def _field_from_json(data: dict) -> tuple:
-    """(min_poly coefficients, coeff_bound) of a number_field spec."""
+    """(min_poly coefficients, coeff_bound) of a number_field spec; a
+    min_poly that is not a list would be read by its characters or keys."""
     try:
+        if not isinstance(data["min_poly"], list):
+            raise TypeError("min_poly must be a list")
         coeffs = tuple(int(str(c)) for c in data["min_poly"])
         return coeffs, int(str(data.get("coeff_bound", DEFAULT_COEFF_BOUND)))
     except (KeyError, TypeError, ValueError) as exc:
@@ -235,7 +238,8 @@ def _field_from_json(data: dict) -> tuple:
 def load_group_argument(arg: str):
     """Resolve a CLI group argument: a JSON spec file path or a builtin name.
 
-    Returns ``(GroupSpec, forge_info_or_None)``.
+    Returns ``(GroupSpec, forged)``, ``forged`` None or the ``(min_poly
+    coefficients, GroupAnalysis)`` of a number_field spec's forge.
     """
     if os.path.exists(arg):
         try:
@@ -250,8 +254,9 @@ def load_group_argument(arg: str):
         if kind == "torus_group":
             return _group_from_json(data), None
         if kind == "number_field":
-            forged = _forge_or_raise(*_field_from_json(data))
-            return forged.analysis.spec, forged
+            coeffs, bound = _field_from_json(data)
+            analysis = _forge_or_raise(coeffs, bound)
+            return analysis.spec, (coeffs, analysis)
         raise CliInputError(f"unknown spec kind {kind!r}")
     from .integer_model import _CATALOG, catalog_group
     if arg in _CATALOG:
@@ -365,11 +370,17 @@ def build_analysis_report(analysis: GroupAnalysis, digits: int,
     return report
 
 
-def _forged_json(forged) -> dict:
+def _forged_json(coeffs: tuple, analysis: GroupAnalysis) -> dict:
+    """Each unit is column 0 of its regular representation M, M e_0 = M(1);
+    their log-rank is the rank of pi, as the forge refuses a kernel."""
+    from .exact_algebra import _LOG_DIGITS
+    units = [[row[0][0] for row in g.pairs] for g in analysis.spec.generators]
     return {
-        "min_poly": [str(c) for c in forged.units.field.coeffs],
-        "units": _words_json(forged.units.units),
-        "independence_certificate": forged.units.certificate,
+        "min_poly": [str(c) for c in coeffs],
+        "units": _words_json(units),
+        "independence_certificate": f"log-rank {analysis.rank.rank} at "
+        f"{_LOG_DIGITS} digits; all LLL-proposed relations refuted exactly "
+        "in Z[theta]",
     }
 
 
@@ -413,10 +424,10 @@ def cmd_analyze(args) -> int:
     _require_in_range("--precision", args.precision, 0, MAX_DIGITS)
     spec, forged = load_group_argument(args.spec)
     from .group_structure import analyze_group
-    analysis = analyze_group(spec) if forged is None else forged.analysis
+    analysis = analyze_group(spec) if forged is None else forged[1]
     report = build_analysis_report(analysis, args.precision, args.seed)
     if forged is not None:
-        report["forged_from"] = _forged_json(forged)
+        report["forged_from"] = _forged_json(*forged)
     _emit(report, args.json)
     if analysis.witness is not None:
         _print("generators do not commute; input rejected", sys.stderr)
@@ -469,8 +480,8 @@ def cmd_forge(args) -> int:
         coeffs = tuple(int(c) for c in args.poly.split(","))
     except ValueError as exc:
         raise CliInputError(f"cannot parse --poly {args.poly!r}") from exc
-    forged = _forge_or_raise(coeffs, args.bound)
-    spec = forged.analysis.spec
+    analysis = _forge_or_raise(coeffs, args.bound)
+    spec = analysis.spec
     spec_json = {
         "kind": "torus_group",
         "complex_dim": str(spec.k),
@@ -478,8 +489,8 @@ def cmd_forge(args) -> int:
             {"name": g.name, "matrix": _matrix_json(g)}
             for g in spec.generators],
     }
-    report = build_analysis_report(forged.analysis, args.precision, args.seed)
-    report["forged_from"] = _forged_json(forged)
+    report = build_analysis_report(analysis, args.precision, args.seed)
+    report["forged_from"] = _forged_json(coeffs, analysis)
     _emit({"spec": spec_json, "report": report}, args.json)
     return EXIT_OK
 

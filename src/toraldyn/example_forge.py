@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import sympy as sp
 
-from .exact_algebra import (X, RealRoot, _LOG_DIGITS, _irreducible_factors,
-                            _isolate, log_abs)
+from .exact_algebra import X, RealRoot, _irreducible_factors, _isolate, log_abs
 from .group_structure import (GroupAnalysis, analyze_group, verified_kernel,
                               word_automorphism)
 from .integer_model import (GroupSpec, TorusAutomorphism, _divide_monic,
@@ -86,24 +85,6 @@ class NumberFieldSpec:
         return gaussian_det([[(v, 0) for v in row] for row in M])[0]
 
 
-@dataclass(frozen=True)
-class UnitSystem:
-    """Multiplicatively independent infinite-order units of Z[theta].
-
-    The one independence test of the forge is the rank of pi's verified
-    kernel (``verified_kernel``): every relation prod u_i**e_i = +-1 that
-    ``integer_relations`` proposes from the units' log vectors over the
-    real embeddings is refuted by the exact zero-entropy test of its word,
-    since by Kronecker a unit of a totally real field with all
-    |sigma_j(u)| = 1 is +-1.  ``unit_search`` selects the units with it,
-    ``_lll_reduce_units`` reduces them on the same lattice, and
-    :func:`build_max_rank_group` certifies them again through ``pi_rank``.
-    """
-    field: NumberFieldSpec
-    units: tuple                # ascending power-basis coefficient tuples
-    certificate: str = ""
-
-
 @functools.lru_cache(maxsize=None)
 def _embedding_roots(coeffs) -> tuple:
     """The real embeddings theta_j of the field, ascending, as ``RealRoot``s
@@ -134,17 +115,19 @@ def _log_vector(field: NumberFieldSpec, u):
 def _lll_reduce_units(gens, logs) -> tuple:
     """LLL-reduce the log-embedding lattice of independent units u_i, given
     by their regular representations ``gens``, with ``logs[i][j]`` =
-    log|sigma_j(u_i)| over the real embeddings sigma_j; returns an
-    equally-sized system of (usually shorter) units obtained as exact
-    products of the input units.  The reduced rows are a unimodular
-    transform of the rows [e_i | logs_i], so their exponent block has
-    determinant +-1 and the units it gives are independent too.  A product
-    is column 0 of the word M of the units' regular representations:
-    M e_0 = M(1)."""
-    spec = GroupSpec(tuple(gens))
-    return tuple(tuple(r[0][0] for r in
-                       word_automorphism(spec, row[:len(gens)]).pairs)
-                 for row in lll_reduce(_relation_rows(logs)))
+    log|sigma_j(u_i)| over the real embeddings sigma_j; returns the regular
+    representations of an equally-sized system of (usually shorter) units
+    obtained as exact products of the input units.  The reduced rows are a
+    unimodular transform of the rows [e_i | logs_i], so their exponent
+    block has determinant +-1 and the units it gives are independent too.
+    A product of units is multiplied by the word M of their regular
+    representations, and is column 0 of it: M e_0 = M(1)."""
+    spec, reduced = GroupSpec(tuple(gens)), []
+    for row in lll_reduce(_relation_rows(logs)):
+        M = word_automorphism(spec, row[:len(gens)])
+        u = tuple(r[0][0] for r in M.pairs)
+        reduced.append(TorusAutomorphism._from_pairs(M.pairs, _mult_name(u)))
+    return tuple(reduced)
 
 
 def _shell(k: int, s: int):
@@ -155,14 +138,21 @@ def _shell(k: int, s: int):
         yield from ((c,) + r for r in rest)
 
 
-def unit_search(field: NumberFieldSpec, coeff_bound: int) -> UnitSystem:
-    """Find k-1 multiplicatively independent infinite-order units of
-    Z[theta] over the shells max |a_i| = 1, 2, ..., coeff_bound, each
-    ascending, then LLL-reduce their log-embedding lattice.  A unit u is
-    kept when ``verified_kernel`` certifies no word over the regular
-    representations of the units kept so far and u (the one independence
-    test; it rejects +-1 too).  The walk stops at k-1 units, so the bound is
-    a ceiling.  The CLI refuses a box over its search budget.
+def unit_search(field: NumberFieldSpec, coeff_bound: int) -> tuple:
+    """The regular representations of k-1 multiplicatively independent
+    infinite-order units of Z[theta], found over the shells max |a_i| = 1,
+    2, ..., coeff_bound, each ascending, and LLL-reduced on their
+    log-embedding lattice.  The walk stops at k-1 units, so the bound is a
+    ceiling.  The CLI refuses a box over its search budget.
+
+    The one independence test of the forge is the rank of pi's verified
+    kernel: a unit u is kept when ``verified_kernel`` certifies no word over
+    the units kept so far and u.  So every relation prod u_i**e_i = +-1
+    that ``integer_relations`` proposes from their log vectors over the real
+    embeddings is refuted by the exact zero-entropy test of its word, as by
+    Kronecker a unit of a totally real field with all |sigma_j(u)| = 1 is
+    +-1 (rejected too).  ``_lll_reduce_units`` reduces the kept units on the
+    same lattice, and :func:`build_max_rank_group` certifies them again.
     """
     k = field.degree
     target = k - 1
@@ -183,50 +173,40 @@ def unit_search(field: NumberFieldSpec, coeff_bound: int) -> UnitSystem:
         raise ForgeError(
             f"only {len(gens)} independent units found with coefficient "
             f"bound {coeff_bound}; need {target} — increase the bound")
-    return UnitSystem(field, _lll_reduce_units(gens, logs))
+    return _lll_reduce_units(gens, logs)
 
 
 # ---------------------------------------------------------------------------
 # regular representations and group assembly
 # ---------------------------------------------------------------------------
 
+def _mult_name(u) -> str:
+    label = "+".join(f"{c}t^{e}" if e else str(c)
+                     for e, c in enumerate(u) if c) or "0"
+    return f"mult({label})"
+
+
 def regular_representation(u, field: NumberFieldSpec) -> TorusAutomorphism:
     """Multiplication by u on the power basis of Z[theta], as an integer
     matrix acting on T^k; its determinant is the field norm of u."""
-    label = "+".join(f"{c}t^{e}" if e else str(c)
-                     for e, c in enumerate(u) if c) or "0"
     return TorusAutomorphism(field.multiplication_matrix(u),
-                             name=f"mult({label})")
-
-
-@dataclass(frozen=True)
-class ForgedGroup:
-    """A sharpness witness: k-1 commuting positive-entropy automorphisms of
-    T^k with log-character rank exactly k-1; ``analysis.spec`` is the
-    group."""
-    units: UnitSystem
-    analysis: GroupAnalysis = dc_field(repr=False)
+                             name=_mult_name(u))
 
 
 def build_max_rank_group(field: NumberFieldSpec,
-                         coeff_bound: int) -> ForgedGroup:
+                         coeff_bound: int) -> GroupAnalysis:
     """Forge the rank-(k-1) group of a totally real degree-k field and run
-    the full structural pipeline on it.
+    the full structural pipeline on it; the analysis's ``spec`` is the
+    group, a sharpness witness of log-character rank exactly k-1.
 
     The rank of pi is k-1 minus the number of verified kernel words, and a
     word of the units' regular representations has zero entropy exactly
     when its unit product is +-1.  So the rank is k-1 iff every relation
     LLL proposes is refuted exactly; a verified one is a ``ForgeError``."""
-    units = unit_search(field, coeff_bound)
-    analysis = analyze_group(GroupSpec(tuple(
-        regular_representation(u, field) for u in units.units)))
+    analysis = analyze_group(GroupSpec(unit_search(field, coeff_bound)))
     kernel = analysis.rank.kernel.basis
     if kernel:
         raise ForgeError(
             f"units are multiplicatively dependent: relation "
             f"{list(kernel[0])} verified exactly")
-    units = replace(units, certificate=(
-        f"log-rank {len(units.units)} at {_LOG_DIGITS} digits; all "
-        "LLL-proposed relations refuted exactly in Z[theta]"))
-    return ForgedGroup(units, analysis)
-
+    return analysis

@@ -316,8 +316,8 @@ def _u_structure(spec: GroupSpec, u_words):
     unipotents add.  So every relation lies in the integer kernel
     K = {c : sum c_i L_i = 0} (zero rows of a Hermite form), and every word
     of K has order dividing N.  ``_enumerate_closure`` gives a basis of the
-    relations among the words of the Hermite basis of K, which is lifted
-    back.  U is finite iff K = Z^s, and then that basis is the U words."""
+    relations among the words of the Hermite basis of K over the built u's,
+    lifted back.  U is finite iff K = Z^s, and then those words are the u's."""
     k, n = spec.k, spec.n
     units = [word_automorphism(spec, w) for w in u_words]
     indices = [_cyclotomic_indices(times_conjugate(u.charpoly))
@@ -337,10 +337,10 @@ def _u_structure(spec: GroupSpec, u_words):
             log = [a + (-1) ** (m + 1) * D // m * b for a, b in zip(log, flat)]
             Xm = _pair_product(Xm, X)
         logs.append(log)
-    kernel = _left_kernel(logs)
-    words = _combine(hermite_normal_form_rows(kernel)[0], u_words, n)
+    hermite = hermite_normal_form_rows(_left_kernel(logs))[0]
+    words = _combine(hermite, u_words, n)
     order, relations = _enumerate_closure(
-        k, [word_automorphism(spec, w) for w in words])
+        k, [word_automorphism(GroupSpec(tuple(units)), h) for h in hermite])
     basis = hermite_normal_form_rows(_combine(relations, words, n))[0]
     return (order if len(words) == len(u_words) else None,
             IntegerLattice(n, tuple(map(tuple, basis))))

@@ -484,6 +484,27 @@ def test_every_committed_output_is_the_stdout_of_a_contract_row():
     assert sorted(f for f in files if not (ROOT / f).is_file()) == []
 
 
+def test_forged_from_is_read_from_the_committed_report():
+    # every forge row, the ci_only ones included, from its committed stdout
+    # alone: min_poly is the parsed --poly, each unit is column 0 of its
+    # generator's matrix (M e_0 = M(1)), which is real, and the
+    # certificate's log-rank is the printed rank of pi
+    forges = [row for row in CONTRACT if row["argv"][0] == "forge"]
+    assert any(row["ci_only"] for row in forges)
+    for row in forges:
+        argv = row["argv"]
+        report = json.loads((ROOT / row["stdout"]).read_text())["report"]
+        forged = report["forged_from"]
+        poly = argv[argv.index("--poly") + 1].split(",")
+        assert forged["min_poly"] == [str(int(c)) for c in poly], argv
+        columns = [[entry[0] for entry in g["matrix"]]
+                   for g in report["generators"]]
+        assert forged["units"] == [[re for re, _ in col] for col in columns]
+        assert {im for col in columns for _, im in col} == {"0"}, argv
+        assert forged["independence_certificate"].startswith(
+            f"log-rank {report['rank']} at "), argv
+
+
 def test_reader_closing_stdout_early_gets_an_exit_code():
     # the reader goes away before the report is written: the verdict still
     # comes as the exit code, and stderr holds no traceback
@@ -901,6 +922,18 @@ def test_invalid_input_exits_3(tmp_path, capsys, spec, argv):
     assert err.startswith("invalid input:")
     if isinstance(spec, bytes):
         assert "cannot read spec file" in err
+
+
+@pytest.mark.parametrize("min_poly", ["131", {"1": 0, "0": 0, "-2": 0}],
+                         ids=["string", "object"])
+def test_number_field_min_poly_must_be_a_list(tmp_path, capsys, min_poly):
+    # iterated, the string reads as the digits of x^2 + 3x + 1 and the
+    # object as its keys, x^2 - 2; each would forge
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": "number_field", "min_poly": min_poly}))
+    code, out, err = _run(capsys, "analyze", str(path))
+    assert code == EXIT_INVALID and out == ""
+    assert "malformed number_field spec" in err
 
 
 def test_precision_cap_is_inclusive(capsys):

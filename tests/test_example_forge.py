@@ -14,11 +14,11 @@ import sympy as sp
 from sympy import Matrix, eye
 
 from toraldyn import exact_algebra, example_forge
-from toraldyn.cli import EXIT_INVALID, main
+from toraldyn.cli import EXIT_INVALID, _forged_json, main
 from toraldyn.cohomology import classify, degree_profile, entropy
 from toraldyn.exact_algebra import _LOG_DIGITS, interval, log_abs, real_root
 from toraldyn.example_forge import (
-    ForgeError, NumberFieldSpec, UnitSystem, build_max_rank_group,
+    ForgeError, NumberFieldSpec, build_max_rank_group,
     _lll_reduce_units, _log_vector, regular_representation, unit_search)
 from toraldyn.group_structure import (find_characters, verified_kernel,
                                       word_automorphism)
@@ -139,9 +139,8 @@ def test_field_arithmetic_matches_sympy_on_the_box(field, bound):
 def test_log_vector_matches_mpmath_at_80_digits(field, bound):
     # log|sigma_j(u)| for the searched units and a high power of one of
     # them, against mpmath roots of the field polynomial at 80 digits
-    us = unit_search(field, bound)
-    units = list(us.units) + [_element(
-        regular_representation(us.units[0], field).power(-7))]
+    gens = unit_search(field, bound)
+    units = [_element(g) for g in gens] + [_element(gens[0].power(-7))]
     with mpmath.workdps(80):
         thetas = sorted(mpmath.re(r) for r in mpmath.polyroots(
             field.coeffs, maxsteps=200, extraprec=300))
@@ -178,8 +177,7 @@ def test_logs_are_the_sympy_float_values(monkeypatch):
     rng = random.Random(20261019)
     cases = []
     for field, bound in ((CUBIC_FIELD, 4), (QUARTIC_FIELD, 2)):
-        spec = GroupSpec(tuple(regular_representation(u, field)
-                               for u in unit_search(field, bound).units))
+        spec = GroupSpec(unit_search(field, bound))
         for _ in range(4):
             e = [rng.randint(-6, 6) for _ in range(spec.n)]
             cases.append((field, _element(word_automorphism(spec, e))))
@@ -194,27 +192,34 @@ def test_logs_are_the_sympy_float_values(monkeypatch):
 # unit search
 # ---------------------------------------------------------------------------
 
+def _units(gens):
+    """The units whose regular representations are ``gens``."""
+    return [_element(g) for g in gens]
+
+
 def test_unit_search_sqrt2():
-    us = unit_search(SQRT2_FIELD, 3)
-    assert len(us.units) == 1
-    (u,) = us.units
+    units = _units(unit_search(SQRT2_FIELD, 3))
+    assert len(units) == 1
+    (u,) = units
     # the fundamental Pell unit up to sign/inverse: |N(u)| = 1, u != +-1
     assert abs(SQRT2_FIELD.norm(u)) == 1
     assert u not in ((1, 0), (-1, 0))
 
 
 def test_unit_search_golden():
-    us = unit_search(GOLDEN_FIELD, 2)
-    assert len(us.units) == 1
-    assert abs(GOLDEN_FIELD.norm(us.units[0])) == 1
+    units = _units(unit_search(GOLDEN_FIELD, 2))
+    assert len(units) == 1
+    assert abs(GOLDEN_FIELD.norm(units[0])) == 1
 
 
 def test_unit_search_cubic_two_independent_units():
-    us = build_max_rank_group(CUBIC_FIELD, 4).units
-    assert len(us.units) == 2
-    assert "refuted exactly" in us.certificate
+    analysis = build_max_rank_group(CUBIC_FIELD, 4)
+    units = _units(analysis.spec.generators)
+    assert len(units) == 2
+    assert "refuted exactly" in _forged_json(
+        CUBIC_FIELD.coeffs, analysis)["independence_certificate"]
     # numeric independence double-check via 2x2 log minors
-    L = [[float(v) for v in _log_vector(CUBIC_FIELD, u)] for u in us.units]
+    L = [[float(v) for v in _log_vector(CUBIC_FIELD, u)] for u in units]
     minor = L[0][0] * L[1][1] - L[0][1] * L[1][0]
     assert abs(minor) > 1e-9
 
@@ -242,10 +247,12 @@ def test_unit_search_visits_each_sign_class_once(monkeypatch):
 
 def test_unit_search_quartic_three_independent_units():
     # its 10^40-scaled log lattice defeats an LLL rounding through float
-    us = build_max_rank_group(QUARTIC_FIELD, 2).units
-    assert len(us.units) == 3
-    assert "refuted exactly" in us.certificate
-    assert all(abs(QUARTIC_FIELD.norm(u)) == 1 for u in us.units)
+    analysis = build_max_rank_group(QUARTIC_FIELD, 2)
+    units = _units(analysis.spec.generators)
+    assert len(units) == 3
+    assert "refuted exactly" in _forged_json(
+        QUARTIC_FIELD.coeffs, analysis)["independence_certificate"]
+    assert all(abs(QUARTIC_FIELD.norm(u)) == 1 for u in units)
 
 
 def _unit_kernel(field, units):
@@ -266,7 +273,7 @@ def test_verified_kernel_decides_unit_independence():
     # the unit systems that the searches select are independent
     for field, bound in ((CUBIC_FIELD, 2), (CUBIC_FIELD, 4),
                          (QUARTIC_FIELD, 2)):
-        assert _unit_kernel(field, unit_search(field, bound).units) == []
+        assert _unit_kernel(field, _units(unit_search(field, bound))) == []
 
 
 def test_quartic_search_rejects_its_one_dependent_candidate(monkeypatch):
@@ -293,7 +300,8 @@ def test_quartic_search_rejects_its_one_dependent_candidate(monkeypatch):
 def test_lll_reduce_units_is_unimodular(field, bound, monkeypatch):
     # the exponent block of the LLL rows has determinant +-1, so the reduced
     # units generate the group of the selected ones and stay independent;
-    # each is the word of its row over the selected units
+    # each is the word of its row over the selected units, and is the
+    # regular representation of its column 0, with its name
     selected, selected_logs, rows = [], [], []
 
     def recording_lll(basis):
@@ -308,14 +316,17 @@ def test_lll_reduce_units_is_unimodular(field, bound, monkeypatch):
 
     monkeypatch.setattr(example_forge, "lll_reduce", recording_lll)
     monkeypatch.setattr(example_forge, "_lll_reduce_units", recording_reduce)
-    us = unit_search(field, bound)
+    gens = unit_search(field, bound)
     n = field.degree - 1
     exponents = [row[:n] for row in rows]
-    assert len(exponents) == n == len(us.units)
+    assert len(exponents) == n == len(gens)
     assert Matrix(exponents).det() in (1, -1)
     spec = GroupSpec(tuple(selected))
-    for e, u in zip(exponents, us.units):
-        assert _element(word_automorphism(spec, e)) == u
+    for e, g in zip(exponents, gens):
+        u = _element(g)
+        assert word_automorphism(spec, e) == g
+        regular = regular_representation(u, field)
+        assert (g.pairs, g.name) == (regular.pairs, regular.name)
         # the logs of a product are the sums of its factors' logs
         logs = [sum(c * row[j] for c, row in zip(e, selected_logs))
                 for j in range(field.degree)]
@@ -327,10 +338,9 @@ def test_dependent_units_are_a_forge_error(monkeypatch, capsys):
     # a search that returned the dependent pair (u, u^2) of the cubic field:
     # the rank of pi verifies the relation u^2 = u^2 exactly, and the forge
     # refuses with exit 3 instead of reporting a rank below k - 1
-    u = (0, 1, 0)
-    pair = (u, _element(regular_representation(u, CUBIC_FIELD).power(2)))
+    g = regular_representation((0, 1, 0), CUBIC_FIELD)
     monkeypatch.setattr(example_forge, "unit_search",
-                        lambda field, bound: UnitSystem(field, pair))
+                        lambda field, bound: (g, g.power(2)))
     with pytest.raises(ForgeError, match=r"multiplicatively dependent: "
                        r"relation \[2, -1\] verified exactly"):
         build_max_rank_group(CUBIC_FIELD, 4)
@@ -359,16 +369,13 @@ def test_regular_representation_examples():
 
 
 def test_regular_representations_commute():
-    us = unit_search(CUBIC_FIELD, 4)
-    mats = [sympy_matrix(regular_representation(u, CUBIC_FIELD))
-            for u in us.units]
+    mats = [sympy_matrix(g) for g in unit_search(CUBIC_FIELD, 4)]
     assert mats[0] * mats[1] == mats[1] * mats[0]
 
 
 def test_forged_generators_have_real_spectrum_and_unit_det():
-    us = unit_search(CUBIC_FIELD, 4)
-    for u in us.units:
-        A = sympy_matrix(regular_representation(u, CUBIC_FIELD))
+    for g in unit_search(CUBIC_FIELD, 4):
+        A = sympy_matrix(g)
         assert A.det() in (1, -1)
         p = sp.Poly(A.charpoly().as_expr(), A.charpoly().gens[0])
         assert p.count_roots() == 3      # all eigenvalues real
@@ -388,9 +395,9 @@ def test_entropy_matches_embedding_formula():
 # ---------------------------------------------------------------------------
 
 def test_build_max_rank_pell():
-    forged = build_max_rank_group(SQRT2_FIELD, 3)
-    assert forged.analysis.rank.rank == 1
-    assert forged.analysis.binomial_bounds == [(1, 1, 4, 3)]
+    analysis = build_max_rank_group(SQRT2_FIELD, 3)
+    assert analysis.rank.rank == 1
+    assert analysis.binomial_bounds == [(1, 1, 4, 3)]
 
 
 # Shanks' simplest cubics x^3 - a x^2 - (a + 3) x - 1 (Shanks, Math. Comp.
@@ -405,8 +412,9 @@ def _shanks_field(a):
     return NumberFieldSpec((1, -a, -(a + 3), -1))
 
 
-def _assert_entropies_match_embeddings(forged, field):
-    for g, u in zip(forged.analysis.spec.generators, forged.units.units):
+def _assert_entropies_match_embeddings(analysis, field):
+    for g in analysis.spec.generators:
+        u = _element(g)
         lo, hi = degree_profile(g).entropy.enclosure(Fraction(1, 2 * 10**40))
         assert hi - lo <= Fraction(1, 10**40)
         with mpmath.workdps(60):
@@ -424,13 +432,13 @@ def test_shanks_simplest_cubics_reach_rank_k_minus_1():
     start = time.perf_counter()
     for a in SHANKS_A:
         field = _shanks_field(a)
-        forged = build_max_rank_group(field, 1)
-        assert forged.analysis.rank.rank == 2
-        assert forged.analysis.decomposition.u_order == 1
-        _assert_entropies_match_embeddings(forged, field)
+        analysis = build_max_rank_group(field, 1)
+        assert analysis.rank.rank == 2
+        assert analysis.decomposition.u_order == 1
+        _assert_entropies_match_embeddings(analysis, field)
         # the roots of the a -> -a - 3 cubic are the 1/rho: the same field
         moved = build_max_rank_group(_shanks_field(-a - 3), 1)
-        assert moved.analysis.rank.rank == 2
+        assert moved.rank.rank == 2
     assert time.perf_counter() - start < 20
 
 
@@ -446,11 +454,11 @@ def test_gras_simplest_quartics_reach_rank_k_minus_1(capsys):
     start = time.perf_counter()
     for a, bound in ((1, 2), (2, 2), (4, 3), (-1, 2)):
         field = _gras_field(a)
-        forged = build_max_rank_group(field, bound)
-        assert forged.analysis.rank.rank == 3, a
-        assert forged.analysis.decomposition.u_order == 1, a
+        analysis = build_max_rank_group(field, bound)
+        assert analysis.rank.rank == 3, a
+        assert analysis.decomposition.u_order == 1, a
         if a > 0:
-            _assert_entropies_match_embeddings(forged, field)
+            _assert_entropies_match_embeddings(analysis, field)
     # the forge's ceiling: the a = 4 units of height 3 leave the box of
     # bound 2, which holds too few independent units
     assert main(["forge", "--poly", "1,-4,-6,4,1", "--bound", "2"]) \

@@ -22,8 +22,7 @@ from toraldyn.cli import load_group_argument, main
 from toraldyn.exact_algebra import RealRoot, exact_equal
 from toraldyn.cohomology import (
     CohomClass, TorusAutomorphism, dynamical_degree, is_nef, pullback)
-from toraldyn.example_forge import (NumberFieldSpec, regular_representation,
-                                    unit_search)
+from toraldyn.example_forge import NumberFieldSpec, unit_search
 from toraldyn.integer_model import (_CATALOG, IntegerLattice, catalog_group,
                                     classify, hermite_normal_form_rows)
 from toraldyn.group_structure import (
@@ -312,8 +311,7 @@ def test_pi_builds_no_minimal_polynomial(group, monkeypatch):
     # table is built, pi_rank composes, picks and factors no polynomial
     if group == "forge_quartic":
         field = NumberFieldSpec((1, -1, -3, 1, 1))
-        spec = GroupSpec(tuple(regular_representation(u, field)
-                               for u in unit_search(field, 2).units))
+        spec = GroupSpec(unit_search(field, 2))
     elif group in _CATALOG:
         spec = catalog_group(group)
     else:
@@ -554,6 +552,25 @@ def test_u_structure_refuses_a_word_with_positive_entropy():
                                                 "a word with positive "
                                                 "entropy$"):
         _u_structure(PELL_TORSION, [[0, 1], [1, 0]])
+
+
+def test_decompose_composes_each_u_word_once(monkeypatch):
+    # (C, C^3) for the cat map C: its one U word C^-3 C^3 is built with one
+    # inverse and one compose, and the closure's generator is that word
+    # itself, not the same word composed from the generators again
+    cat = TorusAutomorphism([[2, 1], [1, 1]], name="C")
+    spec = GroupSpec((cat, cat.power(3)))
+    res = pi_rank(spec, find_characters(spec))
+    calls = {"compose": 0, "inverse": 0}
+    for name in calls:
+        def counted(self, *args, real=getattr(TorusAutomorphism, name),
+                    name=name):
+            calls[name] += 1
+            return real(self, *args)
+        monkeypatch.setattr(TorusAutomorphism, name, counted)
+    dec = decompose(spec, res)
+    assert calls == {"compose": 1, "inverse": 1}
+    assert res.u_words == [[-3, 1]] and dec.u_order == 1
 
 
 def _brute_force_relations(spec, bound):
